@@ -4,7 +4,7 @@ Times the production kernels against their pre-kernel references on a
 synthetic PAI trace at the paper's operating point (support = 5 %,
 max_len = 5):
 
-* FP-Growth — struct-of-arrays tree (:func:`repro.core.fpgrowth.fpgrowth`)
+* FP-Growth — mask-projected kernel (:func:`repro.core.fpgrowth.fpgrowth`)
   vs the object tree (:func:`~repro.core.fpgrowth.fpgrowth_object`);
 * Eclat / Apriori — packed uint64 bitsets vs the dense boolean matrix
   (:mod:`repro.core.legacy`);
@@ -13,7 +13,7 @@ max_len = 5):
   (:func:`~repro.core.rules.generate_rule_table`) vs the legacy
   per-split object path (:func:`~repro.core.rules.generate_rules_legacy`),
   asserted bit-identical (same rules, same order);
-* keyword pruning — the vectorised Conditions 1–4 kernel
+* keyword pruning — the Conditions 1–4 subset-join kernel
   (:func:`~repro.core.pruning.prune_rule_table`).
 
 Every comparison asserts *answer equality first* — a speedup over a

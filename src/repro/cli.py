@@ -224,7 +224,9 @@ def _add_mining_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--backend", default="auto", choices=sorted(BACKENDS),
-                     help="mining execution backend (default: auto)")
+                     help="mining execution backend (default: auto, which "
+                          "mines serially at every size; threaded and "
+                          "process run SON partitioned mining)")
     sub.add_argument("--workers", type=int, default=None,
                      help="worker count for threaded/process backends")
     sub.add_argument("--no-cache", action="store_true",

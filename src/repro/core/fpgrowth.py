@@ -7,25 +7,29 @@ algorithm when the database is large."
 
 Two implementations share this module:
 
-* :func:`fpgrowth` — the production kernel.  The FP-tree is a
-  struct-of-arrays (flat ``item`` / ``count`` / ``parent`` numpy arrays
-  plus a header table of node indices), built from *deduplicated*
-  transactions: the database is encoded to frequency ranks in one
-  vectorised pass, identical filtered transactions are collapsed with
-  ``np.unique`` (quartile-binned traces repeat the same few thousand
-  row shapes across 100k jobs), and the unique rows — already in
-  lexicographic order — are inserted with a prefix-sharing stack, so
-  construction does no per-node object allocation and no hash lookups.
+* :func:`fpgrowth` — the production kernel, FP-Growth over packed
+  projected databases instead of a pointer tree.  Each transaction
+  becomes a bitmask of its frequent items' frequency ranks (``(rows,
+  W)`` uint64, ``W = ceil(n_ranks / 64)``; the paper's traces have
+  ``W = 1``), and identical masks collapse into weighted rows
+  (quartile-binned traces repeat the same few thousand row shapes
+  across 100k jobs).  At each node one pair-count product over the
+  rows gives every child's exact conditional counts, and a child's
+  projected database — the conditional pattern base — is the rows
+  holding its rank, AND-ed down to its frequent lower ranks and
+  deduplicated again.  All of it is numpy over the deduplicated rows;
+  no Python runs per transaction or per tree node.
 * :func:`fpgrowth_object` — the original pointer-chasing object tree
   (:class:`FPNode`/:class:`FPTree`), kept verbatim as the reference the
-  SoA kernel is property-tested against and benchmarked over.
+  mask kernel is property-tested against and benchmarked over.
 
 Both honour the same contract:
 
-* Items enter the tree in decreasing global-frequency order, the ordering
-  that maximises prefix sharing (ties broken by item id, deterministic).
-* Conditional pattern bases are mined recursively; the classic
-  single-path shortcut enumerates all subsets of a chain directly.
+* Items are ranked in decreasing global-frequency order (ties broken by
+  item id, deterministic); an itemset's extensions come from its
+  less-frequent member's higher-ranked items, the FP-tree's prefixes.
+* Conditional pattern bases are mined recursively (the object tree also
+  enumerates the subsets of a single-path tree directly).
 * ``max_len`` bounds itemset length *during* the recursion (the paper
   limits frequent itemsets to length 5), so oversized branches are never
   explored rather than filtered afterwards.
@@ -61,265 +65,122 @@ def _validate(min_support: float, max_len: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# struct-of-arrays FP-tree (the production kernel)
+# mask-projected FP-Growth (the production kernel)
 # ---------------------------------------------------------------------------
 
+#: rows × ranks per block of the pair-count product: bounds its float64
+#: temporaries to a few tens of MB however many rows or ranks a node has
+_PAIR_BLOCK = 1 << 22
 
-class _SoATree:
-    """FP-tree as flat parallel arrays: node *i* is ``(item[i], count[i],
-    parent[i], prefix[i])``.
+_U64 = np.dtype("<u8")
 
-    ``item`` holds *order positions* within this tree (0 = the tree's
-    most frequent item), not raw item ids; ``pos_to_id`` translates back
-    at emission time.  ``prefix[i]`` is the tuple of ancestor positions
-    of node *i*, captured while the insertion stack already holds it, so
-    a conditional pattern base is a header-list lookup instead of a
-    per-node parent-chain walk.  ``totals`` (position → count) is
-    supplied by the caller, which always knows it already: the global
-    histogram for the root tree, the conditional counts for conditional
-    trees.
+
+def _rank_masks(
+    db: TransactionDatabase, ranked_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every transaction as a bitmask of its frequent-item ranks, deduplicated.
+
+    Rank *r* lives in word ``r >> 6`` at bit ``r & 63``.  Returns the
+    distinct nonzero ``(rows, W)`` masks and how many transactions
+    collapsed into each.
     """
-
-    __slots__ = ("item", "count", "parent", "prefix", "header", "totals",
-                 "pos_to_id")
-
-    def __init__(self, pos_to_id: Sequence[int], totals: dict[int, int]) -> None:
-        self.item: list[int] = []
-        self.count: list[int] = []
-        self.parent: list[int] = []
-        self.prefix: list[tuple[int, ...]] = []
-        self.header: dict[int, list[int]] = defaultdict(list)
-        self.totals = totals
-        self.pos_to_id = pos_to_id
-
-    def __len__(self) -> int:
-        return len(self.item)
-
-    def is_empty(self) -> bool:
-        return not self.item
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (item-position, count, parent) columns as numpy arrays."""
-        return (
-            np.asarray(self.item, dtype=np.int64),
-            np.asarray(self.count, dtype=np.int64),
-            np.asarray(self.parent, dtype=np.int64),
-        )
-
-    def insert_sorted(self, rows: Iterable[tuple[Sequence[int], int]]) -> None:
-        """Insert (row, count) pairs arriving in prefix-contiguous order.
-
-        Rows are sequences of order positions.  The only ordering
-        requirement is that rows sharing a prefix are consecutive (both
-        lexicographic and packed-mask integer order satisfy it), so each
-        row shares a prefix with its predecessor and insertion is a
-        stack walk: pop to the common prefix, push the rest.  No
-        per-node children dict, no hash probes — the allocation profile
-        is a few ``list.append`` calls per tree node.
-        """
-        item, count, parent = self.item, self.count, self.parent
-        prefix, header = self.prefix, self.header
-        stack: list[int] = []  # node indices of the current path
-        path: list[int] = []  # the positions along the current path
-        for row, c in rows:
-            width = len(row)
-            shared = 0
-            limit = min(len(path), width)
-            while shared < limit and path[shared] == row[shared]:
-                shared += 1
-            del stack[shared:], path[shared:]
-            for j in range(shared):
-                count[stack[j]] += c
-            for j in range(shared, width):
-                pos = row[j]
-                node = len(item)
-                item.append(pos)
-                count.append(c)
-                parent.append(stack[-1] if stack else -1)
-                prefix.append(tuple(path))
-                header[pos].append(node)
-                stack.append(node)
-                path.append(pos)
-
-    def single_path(self) -> list[tuple[int, int]] | None:
-        """Return [(position, count), ...] if the tree is a single chain.
-
-        With prefix-sharing insertion, a chain is exactly the case where
-        every node's parent is the node before it.
-        """
-        parent = self.parent
-        for i, p in enumerate(parent):
-            if p != i - 1:
-                return None
-        return list(zip(self.item, self.count))
-
-    def prefix_paths(self, pos: int) -> list[tuple[tuple[int, ...], int]]:
-        """Conditional pattern base of *pos*: (prefix positions, count)."""
-        count, prefix = self.count, self.prefix
-        return [
-            (prefix[n], count[n]) for n in self.header.get(pos, ()) if prefix[n]
-        ]
-
-
-def _soa_from_paths(
-    base: list[tuple[tuple[int, ...], int]],
-    cond_counts: dict[int, int],
-    min_count: int,
-    parent_pos_to_id: Sequence[int],
-) -> _SoATree | None:
-    """Build a conditional SoA tree from a pattern base, or None if empty.
-
-    Conditional trees keep their *parent's* position order rather than
-    re-ranking by conditional frequency (the object tree's reordering is
-    a compression heuristic, not a correctness requirement — the set of
-    frequent itemsets is order-independent).  Prefix tuples are already
-    position-sorted, so dropping infrequent items preserves row order
-    without any per-path sort, and the position → position remap is
-    monotonic.
-    """
-    kept = sorted(pos for pos, c in cond_counts.items() if c >= min_count)
-    if not kept:
-        return None
-    remap = {pos: j for j, pos in enumerate(kept)}
-    rows: dict[tuple[int, ...], int] = {}
-    for pfx, c in base:
-        key = tuple(remap[p] for p in pfx if p in remap)
-        if key:
-            rows[key] = rows.get(key, 0) + c
-    if not rows:
-        return None
-    tree = _SoATree(
-        [parent_pos_to_id[pos] for pos in kept],
-        # an item's total over the inserted rows is exactly its
-        # conditional count: every base path containing it survives
-        {j: cond_counts[pos] for j, pos in enumerate(kept)},
+    n_words = (ranked_ids.size + 63) >> 6
+    rank_of = np.full(db.n_items, -1, dtype=np.int64)
+    rank_of[ranked_ids] = np.arange(ranked_ids.size, dtype=np.int64)
+    ranks = rank_of[db.indices]
+    bits = np.where(
+        ranks >= 0, np.uint64(1) << (ranks & 63).astype(np.uint64), np.uint64(0)
     )
-    tree.insert_sorted(sorted(rows.items()))
-    return tree
+    # CSR order groups entries by transaction, so one OR-reduction per
+    # word and nonempty transaction builds the masks without a sort
+    starts = db.indptr[:-1][np.diff(db.indptr) > 0]
+    masks = np.zeros((starts.size, n_words), dtype=_U64)
+    if starts.size:
+        for word in range(n_words):
+            in_word = np.where((ranks >> 6) == word, bits, np.uint64(0))
+            masks[:, word] = np.bitwise_or.reduceat(in_word, starts)
+    nonzero = masks.any(axis=1)
+    return _dedup(masks[nonzero], np.ones(int(nonzero.sum()), dtype=np.int64))
 
 
-def _mine_soa(
-    tree: _SoATree,
+def _dedup(
+    masks: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse identical mask rows, summing their weights."""
+    if len(masks) < 2:
+        return masks, weights
+    order = np.lexsort(masks.T[::-1])
+    masks = masks[order]
+    first = np.concatenate(([True], (masks[1:] != masks[:-1]).any(axis=1)))
+    starts = np.flatnonzero(first)
+    return masks[starts], np.add.reduceat(weights[order], starts)
+
+
+def _pair_counts(masks: np.ndarray, weights: np.ndarray, n_ranks: int) -> np.ndarray:
+    """``C[r, s]``: total weight of the rows holding both rank *r* and *s*.
+
+    The diagonal is each rank's own count.  The float64 sums are of
+    integer weights below ``2**53``, hence exact integers.
+    """
+    out = np.zeros((n_ranks, n_ranks))
+    step = max(1, _PAIR_BLOCK // n_ranks)
+    for lo in range(0, len(masks), step):
+        bits = np.unpackbits(
+            masks[lo : lo + step].astype(_U64, copy=False).view(np.uint8),
+            axis=1,
+            count=n_ranks,
+            bitorder="little",
+        ).astype(np.float64)
+        out += (bits * weights[lo : lo + step, None]).T @ bits
+    return out
+
+
+def _rank_set(ranks: np.ndarray, n_words: int) -> np.ndarray:
+    """The ``(W,)`` mask with the bits of *ranks* set."""
+    flags = np.zeros(n_words * 64, dtype=bool)
+    flags[ranks] = True
+    return np.packbits(flags, bitorder="little").view(_U64)
+
+
+def _mine_masks(
+    masks: np.ndarray,
+    weights: np.ndarray,
+    ranks: np.ndarray,
     suffix: tuple[int, ...],
+    ids: Sequence[int],
     min_count: int,
     max_len: int | None,
     out: dict[frozenset[int], int],
 ) -> None:
-    """Recursively mine *tree*, emitting itemsets extending *suffix*."""
-    if max_len is not None and len(suffix) >= max_len:
-        return
+    """Emit every frequent ``suffix + (r, s)`` and recurse into ``suffix + (r,)``.
 
-    pos_to_id = tree.pos_to_id
-    path = tree.single_path()
-    if path is not None:
-        budget = None if max_len is None else max_len - len(suffix)
-        _emit_single_path(
-            [(pos_to_id[p], c) for p, c in path], suffix, min_count, budget, out
+    *masks*/*weights* are the projected database of *suffix*: the rows
+    containing it, cut to its frequent lower-ranked items *ranks* (each
+    ``suffix + (r,)`` is already emitted).  One pair-count product gives
+    every child's conditional counts at once, so the level below the
+    ``max_len`` limit is emitted without projecting.
+    """
+    pairs = _pair_counts(masks, weights, int(ranks[-1]) + 1)
+    at_limit = max_len is not None and len(suffix) + 2 >= max_len
+    n_words = masks.shape[1]
+    for r in ranks[::-1].tolist():
+        row = pairs[r, :r]
+        below = np.flatnonzero(row >= min_count)
+        if below.size == 0:
+            continue
+        prefix = suffix + (ids[r],)
+        for s in below.tolist():
+            out[frozenset(prefix + (ids[s],))] = int(row[s])
+        if at_limit:
+            continue
+        word, bit = divmod(r, 64)
+        rows = ((masks[:, word] >> np.uint64(bit)) & np.uint64(1)).astype(bool)
+        child = masks[rows] & _rank_set(below, n_words)
+        keep = child.any(axis=1)
+        child, child_weights = _dedup(child[keep], weights[rows][keep])
+        _mine_masks(
+            child, child_weights, below, prefix, ids, min_count, max_len, out
         )
-        return
-
-    # every position in the tree is frequent by construction; process
-    # from the bottom (least frequent) upward
-    totals = tree.totals
-    for pos in range(len(pos_to_id) - 1, -1, -1):
-        count = totals.get(pos, 0)
-        if count < min_count:
-            continue
-        new_suffix = suffix + (pos_to_id[pos],)
-        out[frozenset(new_suffix)] = count
-        if max_len is not None and len(new_suffix) >= max_len:
-            continue
-        base = tree.prefix_paths(pos)
-        if not base:
-            continue
-        cond_counts: dict[int, int] = defaultdict(int)
-        for pfx, c in base:
-            for p in pfx:
-                cond_counts[p] += c
-        if max_len is not None and len(new_suffix) + 1 >= max_len:
-            # room for exactly one more item: the conditional counts ARE
-            # the answer — skip building the conditional tree (with the
-            # paper's max_len=5 this leaf level is the bulk of the trees)
-            for p, c in cond_counts.items():
-                if c >= min_count:
-                    out[frozenset(new_suffix + (pos_to_id[p],))] = c
-            continue
-        cond_tree = _soa_from_paths(base, cond_counts, min_count, pos_to_id)
-        if cond_tree is not None:
-            _mine_soa(cond_tree, new_suffix, min_count, max_len, out)
-
-
-def _unique_rows_packed(
-    ranks: np.ndarray, rows: np.ndarray, n_txns: int, n_ranks: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicate rank rows by packing each one into a single uint64.
-
-    A filtered transaction is a *set* of ranks, so with at most 64 ranks
-    it packs into one machine word (rank *r* at bit ``63 - r``).  Dedup
-    is then ``np.unique`` over scalars instead of over a row matrix —
-    an order of magnitude cheaper than the ``axis=0`` void-view sort.
-    Unsigned integer order on the masks is prefix-contiguous: rows whose
-    rank sequences share a first-*k* prefix agree on all bits above the
-    prefix's last rank, i.e. form one contiguous mask interval.  That is
-    the only ordering property the stack inserter needs.
-    """
-    bits = np.uint64(1) << (63 - ranks).astype(np.uint64)
-    lengths = np.bincount(rows, minlength=n_txns)
-    nonempty = lengths > 0
-    starts = np.concatenate(([0], np.cumsum(lengths)))[:-1][nonempty]
-    masks = np.bitwise_or.reduceat(bits, starts)
-    uniq_masks, counts = np.unique(masks, return_counts=True)
-    shifts = np.uint64(63) - np.arange(n_ranks, dtype=np.uint64)
-    present = (uniq_masks[:, None] >> shifts[None, :]) & np.uint64(1)
-    widths = present.sum(axis=1).astype(np.int64)
-    width = int(widths.max())
-    padded = np.full((uniq_masks.size, width), n_ranks, dtype=np.int64)
-    # row-major nonzero: per row, columns (= ranks) come out ascending
-    r_idx, rank_vals = np.nonzero(present)
-    row_start = np.concatenate(([0], np.cumsum(widths)))
-    pos = np.arange(rank_vals.size, dtype=np.int64) - row_start[r_idx]
-    padded[r_idx, pos] = rank_vals
-    return padded, widths, counts.astype(np.int64)
-
-
-def _encode_unique_rows(
-    db: TransactionDatabase, rank_of: np.ndarray, n_ranks: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Filter + rank-order + deduplicate every transaction, vectorised.
-
-    Returns ``(rows, widths, counts)``: unique rank rows padded with the
-    sentinel ``n_ranks``, in a prefix-contiguous order (identical rank
-    prefixes occupy consecutive rows, as the stack inserter requires),
-    their true lengths, and how many transactions collapsed into each.
-    """
-    ranks = rank_of[db.indices]
-    rows = np.repeat(
-        np.arange(len(db), dtype=np.int64), np.diff(db.indptr)
-    )
-    keep = ranks >= 0
-    ranks = ranks[keep]
-    rows = rows[keep]
-    if ranks.size == 0:
-        empty = np.empty((0, 0), dtype=np.int64)
-        return empty, np.empty(0, np.int64), np.empty(0, np.int64)
-    if n_ranks <= 64:
-        # CSR order already groups entries by transaction, so the packed
-        # path needs no sort at all before the scalar dedup
-        return _unique_rows_packed(ranks, rows, len(db), n_ranks)
-    order = np.lexsort((ranks, rows))
-    ranks = ranks[order]
-    rows = rows[order]
-    lengths = np.bincount(rows, minlength=len(db))
-    nonempty = lengths > 0
-    width = int(lengths.max())
-    padded = np.full((int(nonempty.sum()), width), n_ranks, dtype=np.int64)
-    row_start = np.concatenate(([0], np.cumsum(lengths)))
-    pos = np.arange(ranks.size, dtype=np.int64) - row_start[rows]
-    compact = np.cumsum(nonempty) - 1  # original row → padded row index
-    padded[compact[rows], pos] = ranks
-    uniq, counts = np.unique(padded, axis=0, return_counts=True)
-    widths = (uniq != n_ranks).sum(axis=1)
-    return uniq, widths.astype(np.int64), counts.astype(np.int64)
 
 
 def fpgrowth(
@@ -343,8 +204,7 @@ def fpgrowth(
     dict mapping ``frozenset`` of item ids → absolute support count.
 
     Answer-identical to :func:`fpgrowth_object` (property-tested); this
-    variant builds the struct-of-arrays FP-tree over deduplicated
-    transactions.
+    variant mines packed rank masks of the deduplicated transactions.
     """
     _validate(min_support, max_len)
     n = len(db)
@@ -360,32 +220,21 @@ def fpgrowth(
     if freq_ids.size == 0 or max_len == 1:
         return out
 
-    with kernel_timer("fptree-soa"):
+    with kernel_timer("fpgrowth-masks"):
         # rank items by (-count, id); rank 0 = most frequent
         order = np.lexsort((freq_ids, -counts[freq_ids]))
         ranked_ids = freq_ids[order].astype(np.int64)
-        n_ranks = int(ranked_ids.size)
-        rank_of = np.full(db.n_items, -1, dtype=np.int64)
-        rank_of[ranked_ids] = np.arange(n_ranks, dtype=np.int64)
-
-        uniq, widths, row_counts = _encode_unique_rows(db, rank_of, n_ranks)
-        tree = _SoATree(
+        masks, weights = _rank_masks(db, ranked_ids)
+        _mine_masks(
+            masks,
+            weights,
+            np.arange(ranked_ids.size),
+            (),
             ranked_ids.tolist(),
-            {pos: int(counts[i]) for pos, i in enumerate(ranked_ids)},
+            min_count,
+            max_len,
+            out,
         )
-        if uniq.size:
-            rows_list = uniq.tolist()
-            widths_list = widths.tolist()
-            counts_list = row_counts.tolist()
-            tree.insert_sorted(
-                (rows_list[i][: widths_list[i]], counts_list[i])
-                for i in range(len(rows_list))
-            )
-        if not tree.is_empty():
-            # re-emits the singletons with identical counts (a node's total
-            # equals the histogram count), so the pre-seeding above only
-            # matters for the freq_ids.size == 0 / max_len == 1 early outs
-            _mine_soa(tree, (), min_count, max_len, out)
     return out
 
 

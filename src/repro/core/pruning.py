@@ -25,11 +25,13 @@ test marks it.  This makes the result independent of rule enumeration
 order, which the paper's description implicitly assumes.
 
 The production path (:func:`prune_rule_table` and the array core behind
-:func:`prune_rules`) evaluates the conditions columnarly: rules sharing a
-side are grouped via ``np.unique`` over packed uint64 id-masks, and the
-strict-subset test for every pair in a group is a broadcasted
-``(x & y) == x`` over mask words — the same packing ``core/bitmap.py``
-uses for transactions.  :func:`prune_rules_legacy` keeps the original
+:func:`prune_rules`) finds the nested pairs by a join instead of testing
+every pair of a group: each rule's side is packed into uint64 id-masks
+(the packing ``core/bitmap.py`` uses for transactions), its proper
+subsets are enumerated (at most 14 at the paper's ``max_len`` 5), and
+each ``(subset, other side)`` key is matched against the keys of the
+rules whose side has that many items, one sort per size.
+:func:`prune_rules_legacy` keeps the original
 pairwise object implementation as the correctness oracle.
 
 An optional *condensation* pass (``condense=True``) further shrinks the
@@ -44,8 +46,9 @@ conditions 5 (low interest) and 6 (clustered).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import combinations
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,10 +71,6 @@ __all__ = [
 #: pseudo condition codes used by the condensation pass in reports
 CONDITION_LOW_INTEREST = 5
 CONDITION_CLUSTERED = 6
-
-#: pairwise chunk size: bounds the (chunk × group × words) broadcast to a
-#: few MB even for the largest keyword groups
-_PAIR_CHUNK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,116 +152,180 @@ def _similar_or_higher(a: float, b: float, margin: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _group_rows(masks: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield index arrays (input order) of rows sharing an identical mask.
+def _row_ids(masks: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of packed *masks*: equal rows ⇔ equal ids.
 
-    Groups of size 1 cannot contain a nested pair and are skipped.
+    Word by word: the ids so far and the next word's ids combine into one
+    integer, renumbered densely so it never outgrows int64.
     """
-    if len(masks) < 2:
-        return
-    _, inverse = np.unique(masks, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).ravel()
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    for g in range(len(counts)):
-        if counts[g] >= 2:
-            yield order[bounds[g] : bounds[g + 1]]
+    _, ids = np.unique(masks[:, 0], return_inverse=True)
+    for word in masks.T[1:]:
+        _, word_ids = np.unique(word, return_inverse=True)
+        _, ids = np.unique(
+            ids * (int(word_ids.max()) + 1) + word_ids, return_inverse=True
+        )
+    return ids.ravel()
 
 
-def _phase_shared_consequent(
-    rows: np.ndarray,
-    ant_masks: np.ndarray,
-    ant_sizes: np.ndarray,
+def _equal_key_pairs(
+    keys: np.ndarray, wanted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, j)`` with ``keys[i] == wanted[j]``, by one sort.
+
+    Keys repeat when rules do, and every copy pairs.
+    """
+    n = len(keys)
+    # doubled, so each query sorts after the rules sharing its key
+    tagged = np.concatenate([keys, wanted])
+    tagged <<= 1
+    tagged[n:] += 1
+    order = np.argsort(tagged)
+    run_keys = tagged[order]
+    del tagged
+    run_keys >>= 1
+    new_run = np.empty(run_keys.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(run_keys[1:], run_keys[:-1], out=new_run[1:])
+    del run_keys
+    run_start = np.flatnonzero(new_run)
+    run = np.cumsum(new_run)
+    run -= 1
+    is_key = order < n
+    n_keys = np.add.reduceat(is_key.astype(np.int64), run_start)
+    queries = np.flatnonzero(~is_key)
+    query_run = run[queries]
+    del run, is_key
+    hits = n_keys[query_run]
+    offsets = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
+    matched = order[np.repeat(run_start[query_run], hits) + offsets]
+    return matched, np.repeat(order[queries] - n, hits)
+
+
+def _nested_pairs(
+    side_indptr: np.ndarray,
+    side_ids: np.ndarray,
+    side_masks: np.ndarray,
+    other_id: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(short, long)`` index arrays of every pair of rules with the same
+    other side (dense ids *other_id*) whose *side* sets nest strictly.
+
+    A side of *k* items has ``2**k - 2`` proper nonempty subsets — 14 at
+    the paper's ``max_len`` 5, whose sides hold at most 4 items.  The
+    subsets of each size *j*, paired with their rule's other side, are
+    joined against the keys of the rules whose side has *j* items.  The
+    cost is linear in the rules times their subsets, not quadratic in
+    the size of a group.
+    """
+    sizes = np.diff(side_indptr)
+    n_other = int(other_id.max()) + 1
+    # one single-item mask per position of every side of k >= 2 items
+    singles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for k in np.unique(sizes[sizes >= 2]).tolist():
+        rows = np.flatnonzero(sizes == k)
+        members = side_ids[side_indptr[rows][:, None] + np.arange(k)].T
+        members = members.astype(np.uint64)
+        bits = np.zeros((k, rows.size, side_masks.shape[1]), dtype=np.uint64)
+        for j in range(k):
+            bits[j, np.arange(rows.size), members[j] >> np.uint64(6)] = (
+                np.uint64(1) << (members[j] & np.uint64(63))
+            )
+        singles[k] = rows, bits
+
+    shorts: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    longs: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    for size in range(1, int(sizes.max())):
+        short_rows = np.flatnonzero(sizes == size)
+        if short_rows.size == 0:
+            continue
+        subsets = [side_masks[short_rows]]
+        long_rows = []
+        for k, (rows, bits) in singles.items():
+            if k <= size:
+                continue
+            for positions in combinations(range(k), size):
+                subsets.append(np.bitwise_or.reduce(bits[list(positions)], axis=0))
+                long_rows.append(rows)
+        long_of = np.concatenate(long_rows)
+        ids = _row_ids(np.concatenate(subsets))
+        del subsets
+        m = short_rows.size
+        short, query = _equal_key_pairs(
+            ids[:m] * n_other + other_id[short_rows],
+            ids[m:] * n_other + other_id[long_of],
+        )
+        shorts.append(short_rows[short])
+        longs.append(long_of[query])
+    return np.concatenate(shorts), np.concatenate(longs)
+
+
+def _mark_conditions(
+    ant_indptr: np.ndarray,
+    ant_ids: np.ndarray,
+    cons_indptr: np.ndarray,
+    cons_ids: np.ndarray,
     lift: np.ndarray,
     support: np.ndarray,
     in_ant: np.ndarray,
     in_cons: np.ndarray,
     c_lift: float,
     c_supp: float,
-    cond: np.ndarray,
-) -> None:
-    """Conditions 1 and 4 over one shared-consequent group.
+    n_items: int,
+) -> np.ndarray:
+    """Condition codes 1–4 of every rule (0 = kept), by subset join.
 
-    For every strictly-nested antecedent pair (short ⊂ long):
+    Antecedents nested under a shared consequent (short ⊂ long):
 
     * C1 (keyword in the shared consequent): ``c_lift·lift_s ≥ lift_l``
       marks the long rule, else ``c_supp·supp_l ≥ supp_s`` marks the
       short rule;
     * C4 (keyword in both antecedents): ``c_lift·lift_s ≥ lift_l`` marks
       the long rule.
-    """
-    masks = ant_masks[rows]
-    sizes = ant_sizes[rows]
-    lf = lift[rows]
-    sp = support[rows]
-    ia = in_ant[rows]
-    ic = in_cons[rows]
-    n = len(rows)
-    mark1 = np.zeros(n, dtype=bool)
-    mark4 = np.zeros(n, dtype=bool)
-    for s0 in range(0, n, _PAIR_CHUNK):
-        s1 = min(s0 + _PAIR_CHUNK, n)
-        chunk = masks[s0:s1]
-        subset = ((chunk[:, None, :] & masks[None, :, :]) == chunk[:, None, :]).all(axis=2)
-        strict = subset & (sizes[s0:s1, None] < sizes[None, :])
-        lift_short_ok = (c_lift * lf[s0:s1, None]) >= lf[None, :]
-        pair1 = strict & ic[s0:s1, None]
-        mark1 |= (pair1 & lift_short_ok).any(axis=0)
-        supp_long_ok = (c_supp * sp[None, :]) >= sp[s0:s1, None]
-        mark1[s0:s1] |= (pair1 & ~lift_short_ok & supp_long_ok).any(axis=1)
-        pair4 = strict & ~ic[s0:s1, None] & ia[s0:s1, None] & ia[None, :]
-        mark4 |= (pair4 & lift_short_ok).any(axis=0)
-    cond[rows] = np.where(mark1, 1, np.where(mark4, 4, cond[rows]))
 
-
-def _phase_shared_antecedent(
-    rows: np.ndarray,
-    cons_masks: np.ndarray,
-    cons_sizes: np.ndarray,
-    lift: np.ndarray,
-    support: np.ndarray,
-    in_ant: np.ndarray,
-    in_cons: np.ndarray,
-    c_lift: float,
-    c_supp: float,
-    cond: np.ndarray,
-) -> None:
-    """Conditions 2 and 3 over one shared-antecedent group.
-
-    For every strictly-nested consequent pair (short ⊂ long):
+    Consequents nested under a shared antecedent (short ⊂ long):
 
     * C2 (keyword in the shared antecedent): ``c_lift·lift_l ≥ lift_s``
       AND ``c_supp·supp_l ≥ supp_s`` marks the short rule, else
       ``c_lift·lift_l < lift_s`` marks the long rule;
     * C3 (keyword in both consequents): ``c_lift·lift_s ≥ lift_l`` marks
       the long rule.
+
+    A rule marked under both groupings keeps its C1/C4 code.
     """
-    masks = cons_masks[rows]
-    sizes = cons_sizes[rows]
-    lf = lift[rows]
-    sp = support[rows]
-    ia = in_ant[rows]
-    ic = in_cons[rows]
-    n = len(rows)
-    mark2 = np.zeros(n, dtype=bool)
-    mark3 = np.zeros(n, dtype=bool)
-    for s0 in range(0, n, _PAIR_CHUNK):
-        s1 = min(s0 + _PAIR_CHUNK, n)
-        chunk = masks[s0:s1]
-        subset = ((chunk[:, None, :] & masks[None, :, :]) == chunk[:, None, :]).all(axis=2)
-        strict = subset & (sizes[s0:s1, None] < sizes[None, :])
-        pair2 = strict & ia[s0:s1, None]
-        lift_long_ok = (c_lift * lf[None, :]) >= lf[s0:s1, None]
-        supp_long_ok = (c_supp * sp[None, :]) >= sp[s0:s1, None]
-        mark2[s0:s1] |= (pair2 & lift_long_ok & supp_long_ok).any(axis=1)
-        mark2 |= (pair2 & ~lift_long_ok).any(axis=0)
-        pair3 = strict & ~ia[s0:s1, None] & ic[s0:s1, None] & ic[None, :]
-        lift_short_ok = (c_lift * lf[s0:s1, None]) >= lf[None, :]
-        mark3 |= (pair3 & lift_short_ok).any(axis=0)
-    cond[rows] = np.where(
-        cond[rows] != 0, cond[rows], np.where(mark2, 2, np.where(mark3, 3, 0))
+    n = len(lift)
+    ant_masks = pack_side_masks(ant_indptr, ant_ids, n_items)
+    cons_masks = pack_side_masks(cons_indptr, cons_ids, n_items)
+
+    short, long_ = _nested_pairs(
+        ant_indptr, ant_ids, ant_masks, _row_ids(cons_masks)
     )
+    lift_short_ok = c_lift * lift[short] >= lift[long_]
+    pair1 = in_cons[short]
+    mark1 = np.zeros(n, dtype=bool)
+    mark1[long_[pair1 & lift_short_ok]] = True
+    supp_long_ok = c_supp * support[long_] >= support[short]
+    mark1[short[pair1 & ~lift_short_ok & supp_long_ok]] = True
+    pair4 = ~in_cons[short] & in_ant[short] & in_ant[long_]
+    mark4 = np.zeros(n, dtype=bool)
+    mark4[long_[pair4 & lift_short_ok]] = True
+
+    del short, long_
+    short, long_ = _nested_pairs(
+        cons_indptr, cons_ids, cons_masks, _row_ids(ant_masks)
+    )
+    pair2 = in_ant[short]
+    mark2 = np.zeros(n, dtype=bool)
+    lift_long_ok = c_lift * lift[long_] >= lift[short]
+    supp_long_ok = c_supp * support[long_] >= support[short]
+    mark2[short[pair2 & lift_long_ok & supp_long_ok]] = True
+    mark2[long_[pair2 & (c_lift * lift[long_] < lift[short])]] = True
+    pair3 = ~in_ant[short] & in_cons[short] & in_cons[long_]
+    mark3 = np.zeros(n, dtype=bool)
+    mark3[long_[pair3 & (c_lift * lift[short] >= lift[long_])]] = True
+
+    return np.select(
+        [mark1, mark4, mark2, mark3], [1, 4, 2, 3], default=0
+    ).astype(np.int8)
 
 
 def _prune_arrays(
@@ -286,10 +349,8 @@ def _prune_arrays(
     consequent-grouped phase (C1/C4) wins over the antecedent-grouped
     phase (C2/C3), which wins over condensation.
     """
-    n = len(lift)
-    cond = np.zeros(n, dtype=np.int8)
-    if n == 0:
-        return cond
+    if len(lift) == 0:
+        return np.zeros(0, dtype=np.int8)
 
     n_items = 1
     if ant_ids.size:
@@ -297,23 +358,11 @@ def _prune_arrays(
     if cons_ids.size:
         n_items = max(n_items, int(cons_ids.max()) + 1)
 
-    with kernel_timer("prune-masks"):
-        ant_masks = pack_side_masks(ant_indptr, ant_ids, n_items)
-        cons_masks = pack_side_masks(cons_indptr, cons_ids, n_items)
-        ant_sizes = np.diff(ant_indptr)
-        cons_sizes = np.diff(cons_indptr)
-
-    with kernel_timer("prune-pairs"):
-        for rows in _group_rows(cons_masks):
-            _phase_shared_consequent(
-                rows, ant_masks, ant_sizes, lift, support,
-                in_ant, in_cons, config.c_lift, config.c_supp, cond,
-            )
-        for rows in _group_rows(ant_masks):
-            _phase_shared_antecedent(
-                rows, cons_masks, cons_sizes, lift, support,
-                in_ant, in_cons, config.c_lift, config.c_supp, cond,
-            )
+    with kernel_timer("prune-join"):
+        cond = _mark_conditions(
+            ant_indptr, ant_ids, cons_indptr, cons_ids, lift, support,
+            in_ant, in_cons, config.c_lift, config.c_supp, n_items,
+        )
 
     if condense_config is not None:
         with kernel_timer("prune-condense"):
@@ -362,6 +411,11 @@ def _condense_codes(
 # ---------------------------------------------------------------------------
 
 
+def _count_codes(report: PruningReport, cond: np.ndarray) -> None:
+    codes, counts = np.unique(cond[cond != 0], return_counts=True)
+    report.pruned_by_condition.update(dict(zip(codes.tolist(), counts.tolist())))
+
+
 def prune_rule_table(
     table: RuleTable,
     keyword: Item | str,
@@ -396,7 +450,7 @@ def prune_rule_table(
     )
     kept = sub.select(np.flatnonzero(cond == 0))
     report.n_kept = len(kept)
-    report.pruned_by_condition.update(int(c) for c in cond if c)
+    _count_codes(report, cond)
     return kept, report
 
 
@@ -427,6 +481,23 @@ def prune_rules(
         report.n_kept = 0
         return [], report
 
+    cond = _rule_codes(
+        relevant, kw, config,
+        (condense_config or CondenseConfig()) if condense else None,
+    )
+    kept = [rule for i, rule in enumerate(relevant) if not cond[i]]
+    report.n_kept = len(kept)
+    _count_codes(report, cond)
+    return kept, report
+
+
+def _rule_codes(
+    relevant: Sequence[AssociationRule],
+    kw: Item,
+    config: PruningConfig,
+    condense_config: CondenseConfig | None = None,
+) -> np.ndarray:
+    """The array kernel's condition code of each keyword-relevant rule."""
     ant_indptr = [0]
     cons_indptr = [0]
     ant_ids: list[int] = []
@@ -436,24 +507,20 @@ def prune_rules(
         cons_ids.extend(sorted(rule.consequent_ids))
         ant_indptr.append(len(ant_ids))
         cons_indptr.append(len(cons_ids))
-
-    cond = _prune_arrays(
+    n = len(relevant)
+    return _prune_arrays(
         np.asarray(ant_indptr, dtype=np.int64),
         np.asarray(ant_ids, dtype=np.int64),
         np.asarray(cons_indptr, dtype=np.int64),
         np.asarray(cons_ids, dtype=np.int64),
-        np.fromiter((r.lift for r in relevant), np.float64, count=len(relevant)),
-        np.fromiter((r.support for r in relevant), np.float64, count=len(relevant)),
-        np.fromiter((r.confidence for r in relevant), np.float64, count=len(relevant)),
-        np.fromiter((kw in r.antecedent for r in relevant), bool, count=len(relevant)),
-        np.fromiter((kw in r.consequent for r in relevant), bool, count=len(relevant)),
+        np.fromiter((r.lift for r in relevant), np.float64, count=n),
+        np.fromiter((r.support for r in relevant), np.float64, count=n),
+        np.fromiter((r.confidence for r in relevant), np.float64, count=n),
+        np.fromiter((kw in r.antecedent for r in relevant), bool, count=n),
+        np.fromiter((kw in r.consequent for r in relevant), bool, count=n),
         config,
-        (condense_config or CondenseConfig()) if condense else None,
+        condense_config,
     )
-    kept = [rule for i, rule in enumerate(relevant) if not cond[i]]
-    report.n_kept = len(kept)
-    report.pruned_by_condition.update(int(c) for c in cond if c)
-    return kept, report
 
 
 def prune_rules_legacy(
@@ -470,8 +537,19 @@ def prune_rules_legacy(
     kw = as_item(keyword)
     relevant = keyword_rules(rules, kw)
     report = PruningReport(n_input=len(relevant))
+    pruned = _legacy_codes(relevant, kw, config)
+    kept = [r for idx, r in enumerate(relevant) if idx not in pruned]
+    report.n_kept = len(kept)
+    report.pruned_by_condition.update(pruned.values())
+    return kept, report
 
-    pruned: dict[int, int] = {}  # rule index → condition that removed it
+
+def _legacy_codes(
+    relevant: Sequence[AssociationRule], kw: Item, config: PruningConfig
+) -> dict[int, int]:
+    """Pairwise loops of :func:`prune_rules_legacy`: rule index → the
+    first condition that removed it."""
+    pruned: dict[int, int] = {}
 
     def mark(idx: int, condition: int) -> None:
         # first condition to fire is the one recorded
@@ -527,11 +605,7 @@ def prune_rules_legacy(
                     # Condition 3: cause analysis, keyword in both consequents
                     if _similar_or_higher(rs.lift, rl.lift, config.c_lift):
                         mark(long_, 3)
-
-    kept = [r for idx, r in enumerate(relevant) if idx not in pruned]
-    report.n_kept = len(kept)
-    report.pruned_by_condition.update(pruned.values())
-    return kept, report
+    return pruned
 
 
 def _nested(

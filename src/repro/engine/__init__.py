@@ -14,8 +14,6 @@ Single mining entry point for the whole stack (see DESIGN.md §6):
 """
 
 from .backends import (
-    AUTO_PROCESS_THRESHOLD,
-    AUTO_THREADED_THRESHOLD,
     AutoBackend,
     BACKENDS,
     ExecutionBackend,
@@ -41,8 +39,6 @@ __all__ = [
     "BACKENDS",
     "register_backend",
     "get_backend",
-    "AUTO_THREADED_THRESHOLD",
-    "AUTO_PROCESS_THRESHOLD",
     "ItemsetCache",
     "LRUCache",
     "CacheStats",

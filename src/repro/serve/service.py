@@ -129,6 +129,7 @@ class ServiceMetrics:
         "n_kernel_jobs",
         "kernel_seconds",
         "rule_matches",
+        "retired_matches",
     )
 
     def __init__(self) -> None:
@@ -144,13 +145,33 @@ class ServiceMetrics:
         self.n_kernel_batches = 0
         self.n_kernel_jobs = 0
         self.kernel_seconds = 0.0
+        #: fire counts by rule id of the serving index
         self.rule_matches: dict[int, int] = {}
+        #: fire counts under earlier indexes, by rule label — ids are
+        #: positions in one index and mean nothing in the next
+        self.retired_matches: dict[str, int] = {}
 
     @property
     def uptime_s(self) -> float:
         return time.monotonic() - self.started_at
 
+    def retire_index(self, index: RuleIndex) -> None:
+        """Fold the fire counts taken under *index* into label keys.
+
+        Called as *index* stops serving, while its ids still name its
+        rules.
+        """
+        retired = self.retired_matches
+        for rule_id, count in self.rule_matches.items():
+            label = index.rule_label(rule_id)
+            retired[label] = retired.get(label, 0) + count
+        self.rule_matches = {}
+
     def as_dict(self, index: RuleIndex) -> dict:
+        rule_matches = dict(self.retired_matches)
+        for rule_id, count in sorted(self.rule_matches.items()):
+            label = index.rule_label(rule_id)
+            rule_matches[label] = rule_matches.get(label, 0) + count
         return {
             "uptime_s": self.uptime_s,
             "latency": self.latency.as_dict(),
@@ -169,10 +190,7 @@ class ServiceMetrics:
                 "jobs": self.n_kernel_jobs,
                 "seconds": self.kernel_seconds,
             },
-            "rule_matches": {
-                index.rule_label(rule_id): count
-                for rule_id, count in sorted(self.rule_matches.items())
-            },
+            "rule_matches": rule_matches,
         }
 
 
@@ -391,6 +409,7 @@ class RuleService:
             version = self.version + 1
         if self._batcher is None:
             # not serving: apply directly (offline re-arm between runs)
+            self.metrics.retire_index(self.index)
             self.index = index
             self.version = int(version)
             self.version_tag = version_tag
@@ -408,6 +427,7 @@ class RuleService:
     def _apply_flip(self, flip: _IndexFlip) -> None:
         # plain attribute stores, no awaits in between: atomic under
         # asyncio's cooperative scheduling
+        self.metrics.retire_index(self.index)
         self.index = flip.index
         self.version = flip.version
         self.version_tag = flip.version_tag

@@ -34,9 +34,9 @@ Lifecycle:
   cluster parent to retire the previous generation right after a
   successful hot-swap (POSIX keeps the memory alive for every process
   still attached — unlink only removes the name);
-* an :class:`AttachedSegment` is a *reader* handle: it is unregistered
-  from ``multiprocessing.resource_tracker`` immediately (on 3.13+ via
-  ``track=False``), because a tracked attachment would unlink the
+* an :class:`AttachedSegment` is a *reader* handle: it is never
+  registered with ``multiprocessing.resource_tracker`` (see
+  :func:`_open_untracked`), because a tracked attachment would unlink the
   owner's segment when the attaching process exits — the classic
   resource-tracker foot-gun for shared segments;
 * :func:`gc_stale_segments` sweeps orphans from crashed owners (SIGKILL
@@ -95,15 +95,20 @@ def _align(offset: int) -> int:
 def _open_untracked(name: str, *, create: bool = False, size: int = 0):
     """Open a SharedMemory handle that the resource tracker will not reap.
 
-    Nothing may stay tracked: the tracker "cleans up" registered
+    Nothing may be tracked: the tracker "cleans up" registered
     segments when the *last* process sharing it exits, which would
     unlink a segment the owner is still serving from — and its cache is
     keyed by bare name, so even an attach in another process would
-    clobber the owner's registration.  Python 3.13 grew ``track=False``;
-    earlier versions need the explicit unregister after the fact (and
-    :func:`_unlink_handle` to keep ``unlink`` from re-notifying the
-    tracker).  Orphans from crashed owners are instead reaped by
-    :func:`gc_stale_segments`.
+    clobber the owner's registration.  Registering and then
+    unregistering is not enough either: forked workers share one
+    tracker, and two attaching the same segment interleave as
+    register, register, unregister, unregister — the second unregister
+    finds nothing and the tracker prints a ``KeyError`` traceback.
+    Python 3.13 grew ``track=False``; on earlier versions the POSIX
+    handle is opened here the way ``SharedMemory.__init__`` opens it,
+    minus the registration (and :func:`_unlink_handle` keeps ``unlink``
+    from notifying the tracker).  Orphans from crashed owners are
+    instead reaped by :func:`gc_stale_segments`.
     """
     from multiprocessing import shared_memory
 
@@ -111,13 +116,27 @@ def _open_untracked(name: str, *, create: bool = False, size: int = 0):
         return shared_memory.SharedMemory(
             name=name, create=create, size=size, track=False
         )
-    shm = shared_memory.SharedMemory(name=name, create=create, size=size)
-    try:  # pragma: no cover - version/platform dependent
-        from multiprocessing import resource_tracker
+    try:
+        import _posixshmem
+    except ImportError:  # pragma: no cover - Windows never registers
+        return shared_memory.SharedMemory(name=name, create=create, size=size)
+    import mmap
 
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+    shm = shared_memory.SharedMemory.__new__(shared_memory.SharedMemory)
+    shm._name = "/" + name
+    shm._fd = _posixshmem.shm_open(shm._name, flags, mode=0o600)
+    try:
+        if create:
+            os.ftruncate(shm._fd, size)
+        shm._size = os.fstat(shm._fd).st_size
+        shm._mmap = mmap.mmap(shm._fd, shm._size)
+    except OSError:
+        shm.close()
+        if create:
+            _posixshmem.shm_unlink(shm._name)
+        raise
+    shm._buf = memoryview(shm._mmap)
     return shm
 
 

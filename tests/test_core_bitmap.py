@@ -5,7 +5,7 @@ obviously-correct twin it is checked against here:
 
 * packed support counts vs naive Python subset counting (property test,
   including empty transactions and items present in every transaction);
-* struct-of-arrays FP-Growth vs the object-tree reference, on random
+* mask-projected FP-Growth vs the object-tree reference, on random
   databases and on all three synthetic traces;
 * packed Eclat/Apriori vs their dense-boolean references
   (:mod:`repro.core.legacy`);
@@ -242,11 +242,11 @@ def test_mining_records_kernels(toy_db):
     apriori(toy_db, 0.2)
     fpgrowth(toy_db, 0.2)
     snap = kernel_snapshot()
-    for name in ("eclat-bitmap", "apriori-bitmap", "fptree-soa"):
+    for name in ("eclat-bitmap", "apriori-bitmap", "fpgrowth-masks"):
         assert snap[name][1] >= 1
 
 
-# -- miner equivalence: packed vs dense, SoA vs object tree -------------------
+# -- miner equivalence: packed vs dense, mask kernel vs object tree -----------
 
 
 @given(
@@ -266,12 +266,12 @@ def test_miners_equivalent_random(raw, min_support, max_len):
 
 
 @pytest.mark.parametrize("fixture", ["pai_db", "supercloud_db", "philly_db"])
-def test_soa_fptree_matches_object_tree_on_traces(fixture, request):
+def test_fpgrowth_matches_object_tree_on_traces(fixture, request):
     db = request.getfixturevalue(fixture)
     config = MiningConfig()
-    soa = fpgrowth(db, config.min_support, config.max_len)
+    masks = fpgrowth(db, config.min_support, config.max_len)
     obj = fpgrowth_object(db, config.min_support, config.max_len)
-    assert soa == obj
+    assert masks == obj
 
 
 @pytest.mark.parametrize("fixture", ["pai_db", "supercloud_db", "philly_db"])

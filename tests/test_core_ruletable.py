@@ -375,7 +375,7 @@ class TestEngineThreading:
         prune_kernels = {k[0] for k in stats.stage("prune").kernels}
         assert "rules-enumerate" in generate_kernels
         assert "rules-score" in generate_kernels
-        assert "prune-masks" in prune_kernels
+        assert "prune-join" in prune_kernels
         assert not any(name.startswith("prune-") for name in generate_kernels)
         assert all(name.startswith("prune-") for name in prune_kernels)
 

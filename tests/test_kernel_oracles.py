@@ -1,0 +1,212 @@
+"""Property tests: the two mining-pass kernels against obviously-correct oracles.
+
+* Mask-projected FP-Growth (:func:`repro.core.fpgrowth.fpgrowth`) against
+  the object-tree FP-Growth and against brute force — support counted by
+  set inclusion over every subset of every transaction.  The strategies
+  reach more than 64 frequent items (masks of two or more words),
+  ``max_len`` None/1/2, ``min_support`` 0 and 1, empty transactions and
+  ``txn_range`` views.
+* The Conditions 1–4 subset join against the pairwise legacy loops
+  (:func:`repro.core.pruning.prune_rules_legacy`): identical condition
+  code per rule, not just identical survivors, with sides of six or more
+  items, vocabularies over 64 items and ``C_lift``/``C_supp`` other than
+  the paper's 1.5.
+"""
+
+from __future__ import annotations
+
+import importlib
+from collections import Counter
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Item, PruningConfig, TransactionDatabase
+from repro.core.fpgrowth import _min_count, fpgrowth, fpgrowth_object
+from repro.core.items import ItemVocabulary
+from repro.core.itemsets import FrequentItemsets
+from repro.core.pruning import (
+    _legacy_codes,
+    _rule_codes,
+    keyword_rules,
+    prune_rule_table,
+    prune_rules,
+    prune_rules_legacy,
+)
+from repro.core.rules import AssociationRule, generate_rules
+from repro.core.ruletable import RuleTable
+
+# -- FP-Growth --------------------------------------------------------------------
+
+
+def _vocab(n_items: int) -> ItemVocabulary:
+    return ItemVocabulary(Item.flag(f"i{i}") for i in range(n_items))
+
+
+def brute_force(
+    raw: list[list[int]], min_support: float, max_len: int | None
+) -> dict[frozenset[int], int]:
+    """Support by set inclusion: count every subset of every transaction."""
+    if not raw:
+        return {}
+    counts: Counter = Counter()
+    for txn in raw:
+        items = sorted(set(txn))
+        for k in range(1, min(len(items), max_len or len(items)) + 1):
+            counts.update(frozenset(c) for c in combinations(items, k))
+    min_count = _min_count(len(raw), min_support)
+    return {s: c for s, c in counts.items() if c >= min_count}
+
+
+@st.composite
+def databases(draw):
+    """Narrow transactions over 8, 70 or 140 items; empties allowed."""
+    n_items = draw(st.sampled_from([8, 70, 140]))
+    txn = st.lists(st.integers(0, n_items - 1), max_size=7)
+    return n_items, draw(st.lists(txn, max_size=50))
+
+
+@given(
+    data=databases(),
+    min_support=st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]),
+    max_len=st.sampled_from([None, 1, 2, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_fpgrowth_matches_object_tree_and_brute_force(data, min_support, max_len):
+    n_items, raw = data
+    db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(n_items))
+    expected = brute_force(raw, min_support, max_len)
+    assert fpgrowth(db, min_support, max_len) == expected
+    assert fpgrowth_object(db, min_support, max_len) == expected
+
+
+@given(
+    data=databases(),
+    bounds=st.tuples(st.integers(0, 50), st.integers(0, 50)),
+    max_len=st.sampled_from([None, 2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fpgrowth_on_txn_range_views(data, bounds, max_len):
+    n_items, raw = data
+    db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(n_items))
+    start, stop = sorted(min(b, len(raw)) for b in bounds)
+    view = db.txn_range(start, stop)
+    assert fpgrowth(view, 0.05, max_len) == brute_force(
+        raw[start:stop], 0.05, max_len
+    )
+
+
+def test_fpgrowth_with_more_than_128_frequent_items():
+    # three mask words; every item frequent at min_support 0
+    raw = [[i, (i + 1) % 150, (3 * i) % 150] for i in range(150)] + [[]]
+    db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(150))
+    got = fpgrowth(db, 0.0, None)
+    assert sum(len(s) == 1 for s in got) == 150
+    assert got == brute_force(raw, 0.0, None)
+
+
+# -- Conditions 1–4 ---------------------------------------------------------------
+
+KEYWORD = Item.flag("i0")
+
+_LIFTS = [1.0, 1.5, 2.0, 2.25, 3.0, 4.5, 6.75]
+_SUPPORTS = [0.05, 0.075, 0.1, 0.15, 0.2, 0.3]
+_MARGINS = st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0])
+
+
+def make_rule(ant: list[int], cons: list[int], support: float, lift: float):
+    return AssociationRule(
+        antecedent=frozenset(Item.flag(f"i{i}") for i in ant),
+        consequent=frozenset(Item.flag(f"i{i}") for i in cons),
+        antecedent_ids=frozenset(ant),
+        consequent_ids=frozenset(cons),
+        support=support,
+        confidence=0.5,
+        lift=lift,
+        leverage=0.0,
+        conviction=1.0,
+    )
+
+
+@st.composite
+def keyword_rule_sets(draw):
+    """Rules whose sides are drawn from a small pool, so they nest often.
+
+    Pool ids go up to 149 (three mask words) and a side holds up to 8
+    items; metrics come from small grids whose products with the margins
+    hit the ``>=`` boundaries exactly.  Duplicate rules can occur.
+    """
+    n_items = draw(st.sampled_from([12, 150]))
+    pool = draw(
+        st.lists(st.integers(1, n_items - 1), min_size=2, max_size=9, unique=True)
+    )
+    rules = []
+    for _ in range(draw(st.integers(1, 40))):
+        members = draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True)
+        )
+        if draw(st.booleans()):  # keyword in the antecedent
+            cut = draw(st.integers(0, len(members) - 1))
+            ant, cons = [0, *members[:cut]], members[cut:]
+        else:
+            cut = draw(st.integers(1, len(members)))
+            ant, cons = members[:cut], [0, *members[cut:]]
+        rules.append(
+            make_rule(
+                ant, cons, draw(st.sampled_from(_SUPPORTS)), draw(st.sampled_from(_LIFTS))
+            )
+        )
+    return n_items, rules
+
+
+def assert_join_matches_legacy(rules, config, n_items):
+    relevant = keyword_rules(rules, KEYWORD)
+    codes = _rule_codes(relevant, KEYWORD, config)
+    legacy = _legacy_codes(relevant, KEYWORD, config)
+    assert codes.tolist() == [legacy.get(i, 0) for i in range(len(relevant))]
+
+    kept, report = prune_rules(rules, KEYWORD, config)
+    legacy_kept, legacy_report = prune_rules_legacy(rules, KEYWORD, config)
+    assert kept == legacy_kept
+    assert report.pruned_by_condition == legacy_report.pruned_by_condition
+
+    table = RuleTable.from_rules(rules, _vocab(n_items))
+    kept_table, table_report = prune_rule_table(table, KEYWORD, config)
+    assert kept_table.rule_keys() == RuleTable.from_rules(legacy_kept).rule_keys()
+    assert table_report.pruned_by_condition == legacy_report.pruned_by_condition
+
+
+@given(data=keyword_rule_sets(), c_lift=_MARGINS, c_supp=_MARGINS)
+@settings(max_examples=200, deadline=None)
+def test_join_codes_match_legacy_on_synthetic_rules(data, c_lift, c_supp):
+    n_items, rules = data
+    assert_join_matches_legacy(rules, PruningConfig(c_lift, c_supp), n_items)
+
+
+@given(
+    noise=st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=12),
+    min_lift=st.sampled_from([0.0, 1.0, 1.5]),
+    c_lift=_MARGINS,
+    c_supp=_MARGINS,
+)
+@settings(max_examples=30, deadline=None)
+def test_join_codes_match_legacy_on_mined_rules(noise, min_lift, c_lift, c_supp):
+    # eight copies of one 7-item transaction make 7-itemsets frequent, so
+    # unbounded mining yields rules with antecedents of up to 6 items
+    raw = [list(range(7))] * 8 + noise
+    db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(10))
+    itemsets = FrequentItemsets(fpgrowth(db, 0.3, None), db.vocabulary, len(db), 0.3)
+    rules = generate_rules(itemsets, min_lift=min_lift)
+    assert_join_matches_legacy(rules, PruningConfig(c_lift, c_supp), 10)
+
+
+def test_pair_counts_summed_over_blocks(monkeypatch):
+    # blocks of a few rows must add up to the one-block counts
+    kernel = importlib.import_module("repro.core.fpgrowth")
+
+    raw = [[i % 9, (i * 7) % 80, (i * 5) % 70, 3] for i in range(200)]
+    db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(80))
+    expected = fpgrowth(db, 0.01, 3)
+    monkeypatch.setattr(kernel, "_PAIR_BLOCK", 256)
+    assert fpgrowth(db, 0.01, 3) == expected == brute_force(raw, 0.01, 3)

@@ -607,6 +607,41 @@ class TestHotSwap:
 
         run(scenario())
 
+    def test_metrics_after_swap_to_smaller_book(self):
+        # rule ids are positions in one index: counts taken under the
+        # larger book must keep their own labels after the flip
+        old = make_index(seed=3, n_rules=60)
+        new = make_index(seed=4, n_rules=5)
+        old_txns = [[str(i) for i in rule.antecedent] for rule in old.rules[-10:]]
+        new_txns = [[str(i) for i in rule.antecedent] for rule in new.rules]
+        expected: dict[str, int] = {}
+        for index, txns in ((old, old_txns), (new, new_txns)):
+            for txn in txns:
+                for match in index.match(txn):
+                    label = index.rule_label(match.rule_id)
+                    expected[label] = expected.get(label, 0) + 1
+        assert any(m.rule_id >= len(new) for t in old_txns for m in old.match(t))
+
+        async def scenario():
+            service = RuleService(old)
+            await service.start(port=0)
+            try:
+                async with await RuleServiceClient.connect(
+                    "127.0.0.1", service.port
+                ) as client:
+                    for txn in old_txns:
+                        await client.match(txn)
+                    await service.reload(new)
+                    for txn in new_txns:
+                        await client.match(txn)
+                    metrics = await client.metrics()
+                    assert metrics["requests"]["reloads"] == 1
+                    assert metrics["rule_matches"] == expected
+            finally:
+                await service.shutdown()
+
+        run(scenario())
+
     def test_wire_reload_rejects_bad_paths_and_versions(self, tmp_path):
         book = RuleBook(rules=random_rules(random.Random(0), 20, 20))
         garbage = tmp_path / "garbage.jsonl"

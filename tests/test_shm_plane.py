@@ -120,6 +120,25 @@ class TestSegmentCore:
         assert name in removed
         assert name not in list_segments()
 
+    def test_open_and_attach_never_register_with_tracker(self, monkeypatch):
+        # forked workers share one resource tracker: a register/unregister
+        # pair per attach interleaves across workers into a tracker-side
+        # KeyError traceback, so no handle may be registered at all
+        from multiprocessing import resource_tracker
+
+        calls = []
+        monkeypatch.setattr(
+            resource_tracker, "register", lambda *args: calls.append(args)
+        )
+        lease = publish_segment("d", "7ac4e200bead", arrays={"a": np.arange(3)})
+        try:
+            attached = attach_segment(lease.name)
+            assert attached.arrays["a"].tolist() == [0, 1, 2]
+            attached.close()
+        finally:
+            lease.unlink()
+        assert calls == []
+
     def test_live_owner_segments_survive_gc(self):
         lease = publish_database_toy()
         try:
@@ -318,6 +337,24 @@ class TestProcessBackendShm:
         )
         assert proc.returncode == 0, proc.stderr
         assert "SPAWN_MINING_OK plan=process:shm-spawn" in proc.stdout
+
+    def test_two_worker_process_mine_leaves_stderr_empty(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = (
+            f"{src}{os.pathsep}{env['PYTHONPATH']}"
+            if env.get("PYTHONPATH") else src
+        )
+        env.pop(NO_SHM_ENV, None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "mine-rulebook", "--trace", "pai",
+             "--n-jobs", "3000", "--backend", "process", "--workers", "2",
+             "--no-cache", "--output", str(tmp_path / "pai.rulebook.jsonl")],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "effective=process:shm-" in proc.stdout
+        assert proc.stderr == ""
 
 
 # -- serving hot-swap over a segment ---------------------------------------------
