@@ -125,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bounded request queue (backpressure beyond this)")
     srv.add_argument("--max-batch", type=int, default=64,
                      help="micro-batch size per scheduler wakeup")
-    srv.add_argument("--no-batch-kernel", action="store_true",
-                     help="answer micro-batches with the scalar inverted "
-                          "index instead of the packed-bitmask kernel")
     srv.add_argument("--no-shm", action="store_true",
                      help="disable the shared-memory rule plane: every "
                           "shard compiles its own index from the rulebook")
@@ -185,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="show at most this many rules in the summary")
     mat.add_argument("--batch-size", type=int, default=1024,
                      help="jobs per batch-kernel call")
-    mat.add_argument("--scalar", action="store_true",
-                     help="force the scalar inverted-index path (the "
-                          "batch kernel's equivalence oracle)")
 
     case = sub.add_parser("casestudy", help="run all Sec. IV studies for a trace")
     case.add_argument("--trace", required=True, choices=list_traces())
@@ -348,12 +342,9 @@ def cmd_serve(args: argparse.Namespace) -> str:
 
     if args.shards < 1:
         raise ValueError("--shards must be >= 1")
-    if args.no_batch_kernel:
-        # env var (not a constructor flag) so spawned shard workers
-        # inherit the toggle without control-plane plumbing
-        os.environ["REPRO_SERVE_NO_BATCH_KERNEL"] = "1"
     if args.no_shm:
-        # same trick: shard workers and the follow loop see it too
+        # env var (not a constructor flag) so spawned shard workers and
+        # the follow loop inherit the toggle without control-plane plumbing
         os.environ[NO_SHM_ENV] = "1"
     book = RuleBook.load(args.rulebook)  # fail fast on a bad book
     if args.follow is not None:
@@ -574,43 +565,25 @@ def cmd_match(args: argparse.Namespace) -> str:
     n_jobs = n_covered = n_firings = 0
     if args.batch_size < 1:
         raise ValueError("--batch-size must be >= 1")
-    if args.scalar:
-        # the inverted-index oracle: one job at a time
-        for transaction in transactions:
-            n_jobs += 1
-            matches = index.match(transaction)
-            if matches:
+    # bulk scoring: one packed-bitmask kernel call per chunk
+    transactions = iter(transactions)
+    while True:
+        chunk = list(itertools.islice(transactions, args.batch_size))
+        if not chunk:
+            break
+        n_jobs += len(chunk)
+        for wire in index.match_wire_batch(chunk):
+            if wire:
                 n_covered += 1
-                n_firings += len(matches)
-                for match in matches:
-                    fired_counts[match.rule_id] = (
-                        fired_counts.get(match.rule_id, 0) + 1
-                    )
-            if args.explain:
-                for miss in index.explain(transaction):
+                n_firings += len(wire)
+                for rule_id, _ in wire:
+                    fired_counts[rule_id] = fired_counts.get(rule_id, 0) + 1
+        if args.explain:
+            for misses in index.explain_batch(chunk):
+                for miss in misses:
                     near_counts[miss.rule_id] = (
                         near_counts.get(miss.rule_id, 0) + 1
                     )
-    else:
-        # bulk-scoring fast path: one packed-bitmask kernel call per chunk
-        transactions = iter(transactions)
-        while True:
-            chunk = list(itertools.islice(transactions, args.batch_size))
-            if not chunk:
-                break
-            n_jobs += len(chunk)
-            for wire in index.match_wire_batch(chunk):
-                if wire:
-                    n_covered += 1
-                    n_firings += len(wire)
-                    for rule_id, _ in wire:
-                        fired_counts[rule_id] = fired_counts.get(rule_id, 0) + 1
-            if args.explain:
-                for misses in index.explain_batch(chunk):
-                    for miss in misses:
-                        near_counts[miss.rule_id] = (
-                            near_counts.get(miss.rule_id, 0) + 1
-                        )
 
     lines = [
         f"matched {n_jobs} jobs against {book.provenance()}",

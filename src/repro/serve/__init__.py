@@ -6,13 +6,13 @@ package is what turns that artefact into an operator-facing capability:
 * :mod:`repro.serve.rulebook` — :class:`RuleBook`, the versioned
   JSON-lines persistence format (rules + provenance), so mined rules
   outlive the mining process;
-* :mod:`repro.serve.index` — :class:`RuleIndex`, an inverted
-  item → rules index answering ``match``/``explain`` in time proportional
-  to the job, not the book;
+* :mod:`repro.serve.index` — :class:`RuleIndex`, the compiled book:
+  a memoised item canonicaliser, the batch kernel, and a flat table of
+  pre-encoded answer fragments, answering every request — plain,
+  ``explain`` or singleton — through one batch path (``wire_batch``);
 * :mod:`repro.serve.batchmatch` — :class:`BatchMaskKernel`, the packed
   uint64 bitmask matrices the index compiles per hot-swap so whole
-  micro-batches resolve in a few NumPy passes (``match_wire_batch`` /
-  ``explain_batch``), byte-identical to the scalar path;
+  micro-batches resolve in a few NumPy passes;
 * :mod:`repro.serve.service` — :class:`RuleService`, an asyncio TCP
   service (newline-delimited JSON) with micro-batching, bounded-queue
   backpressure, zero-downtime rulebook hot-swap and graceful drain;

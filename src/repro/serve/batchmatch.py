@@ -1,12 +1,11 @@
 """Packed-bitmask batch match kernel — the serving data plane's core.
 
-The scalar :class:`~repro.serve.index.RuleIndex` answers one job at a
-time by walking an inverted index in Python.  That is the right shape
-for a single request, but the service's batcher
-(:meth:`~repro.serve.service.RuleService._batch_loop`) already holds a
-whole micro-batch in hand — so the per-job Python work can be replaced
-by a handful of NumPy passes over packed bitmasks, the same uint64
-language the mining kernel speaks (:mod:`repro.core.bitmap`).
+The service's batcher
+(:meth:`~repro.serve.service.RuleService._batch_loop`) holds a whole
+micro-batch in hand when it wakes, so matching is a handful of NumPy
+passes over packed bitmasks, the same uint64 language the mining kernel
+speaks (:mod:`repro.core.bitmap`).  Every request goes through it; a
+lone request is a batch of one.
 
 Compilation (once per index build, i.e. once per hot-swap):
 
@@ -33,8 +32,7 @@ Rule blocks are chunked so the broadcast temporaries stay bounded no
 matter how large the book or the batch is; results are written into one
 pre-allocated ``(n_jobs, n_rules)`` output so ``np.nonzero`` yields the
 fired pairs in row-major order — rule ids ascending within each job,
-which *is* the canonical (lift, confidence, support) ranking, exactly
-like the scalar path's sorted fired ids.
+which *is* the canonical (lift, confidence, support) ranking.
 """
 
 from __future__ import annotations
@@ -60,24 +58,22 @@ def encode_id_transactions(
 
     The same packing :func:`~repro.core.ruletable.pack_side_masks` uses
     for rule sides, applied to the incoming micro-batch: bit ``i & 63``
-    of word ``i >> 6`` is item ``i``.  Ids must already be canonical
-    (deduplicated, known to the vocabulary).
+    of word ``i >> 6`` is item ``i``.  Each row is OR-ed into one Python
+    int and written out little-endian, which *is* that word layout —
+    duplicate ids collapse, and a row costs a few microseconds where a
+    scattered ``np.bitwise_or.at`` costs tens.  Ids must be known to the
+    vocabulary, i.e. below ``64 * n_words``.
     """
-    n_jobs = len(id_rows)
-    words = np.zeros((n_jobs, max(1, n_words)), dtype=np.uint64)
-    lens = [len(row) for row in id_rows]
-    total = sum(lens)
-    if total:
-        flat = np.fromiter(
-            (i for row in id_rows for i in row), np.uint64, count=total
-        )
-        rows = np.repeat(np.arange(n_jobs, dtype=np.int64), lens)
-        np.bitwise_or.at(
-            words,
-            (rows, (flat >> np.uint64(6)).astype(np.int64)),
-            np.uint64(1) << (flat & np.uint64(63)),
-        )
-    return words
+    n_words = max(1, n_words)
+    width = 8 * n_words
+    rows = []
+    for row in id_rows:
+        bits = 0
+        for i in row:
+            bits |= 1 << i
+        rows.append(bits.to_bytes(width, "little"))
+    packed = np.frombuffer(bytearray(b"".join(rows)), dtype="<u8")
+    return packed.astype(np.uint64, copy=False).reshape(len(id_rows), n_words)
 
 
 class BatchMaskKernel:
@@ -106,8 +102,8 @@ class BatchMaskKernel:
         self.cons_sizes = table.cons_sizes().astype(np.int32)
         self.n_rules = len(table)
         self.n_words = int(self.ant_masks.shape[1])
-        # empty antecedents never fire on the scalar path (a countdown
-        # needs at least one hit to exist), so mask them out here too
+        # a rule with an empty antecedent has no evidence to fire on
+        # (the countdown oracle needs at least one hit), so mask it out
         self._has_ant = self.ant_sizes > 0
 
     @classmethod
@@ -188,9 +184,8 @@ class BatchMaskKernel:
     def near_mask(self, jobs: np.ndarray) -> np.ndarray:
         """``(n_jobs, n_rules)`` bool: exactly one antecedent item short.
 
-        Single-item antecedents are excluded by definition, mirroring
-        the scalar countdown (a zero-hit rule never enters its counter
-        map, so ``hits == 0 == size - 1`` cannot be observed there).
+        Single-item antecedents are excluded by definition: a job that
+        shares nothing with a rule gives no partial evidence to hint from.
         """
         hits = self.hit_counts(jobs)
         return (hits == self.ant_sizes[None, :] - 1) & (

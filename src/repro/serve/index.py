@@ -1,49 +1,35 @@
-"""Inverted rule index: match a job against N rules in sub-linear time.
+"""Rule index: compile a rule book once, answer whole micro-batches of jobs.
 
-The serving hot path answers "which rules fire on this job?".  The naive
-answer checks every rule's antecedent against the transaction — O(N·|A|)
-per job, untenable for a book of thousands of rules under thousands of
-requests per second.  :class:`RuleIndex` inverts the problem the way
-*Fast Dimensional Analysis* deploys mined itemsets: a postings map
-``item → rules whose antecedent contains it`` plus per-rule antecedent
-sizes.  Matching walks only the postings of the items the job actually
-has, counting hits per candidate rule; a rule fires exactly when its
-counter reaches its antecedent size.  Cost: O(items in job + postings
-touched), independent of rules whose antecedents share nothing with the
-job.
-
-The index is built from the columnar
+The serving hot path answers "which rules fire on this job?" and, for
+``explain`` requests, "which rules are one item short of firing?".  A
+:class:`RuleIndex` compiles the columnar
 :class:`~repro.core.ruletable.RuleTable` (the RuleBook's canonical rule
-storage): item strings are rendered once per vocabulary entry and the
-postings walk the CSR id rows, so no :class:`AssociationRule` objects
-exist at build time.  ``index.rules`` materialises object views lazily
-for the presentation paths (:class:`Match`, :meth:`explain`); the
-``match_wire`` hot path never touches them.
+storage) once per build — i.e. once per hot-swap — into three parts:
 
-Two serving-oriented optimisations keep the per-request constant small:
+* a memoised canonicaliser from accepted item spellings (the canonical
+  key, the rendered form, and learned alternates) to the book's item
+  ids, so the wire form of a transaction (a list of strings) is encoded
+  without constructing :class:`Item` objects per request;
+* a :class:`~repro.serve.batchmatch.BatchMaskKernel` — packed uint64
+  antecedent/consequent masks over the item id-space — that resolves a
+  whole micro-batch in a few NumPy subset/popcount passes;
+* one flat table of pre-encoded answer fragments,
+  ``frags[2*rule_id + consequent_observed]``: each rule's ``fired``
+  entry exactly as ``json.dumps`` renders it, as bytes.
 
-* postings are keyed by canonical item *strings*, so the wire form of a
-  transaction (a list of strings) is matched without constructing
-  :class:`Item` objects per request — unknown or alternate spellings go
-  through a memoised canonicalisation cache exactly once;
-* every rule's wire representation (the ``fired`` entry of a match
-  response) is precomputed at build time, both as a dict and as an
-  encoded JSON fragment, so the service serialises a response by string
-  joining instead of re-rendering rules per request.
+:meth:`RuleIndex.wire_batch` is the service's one answer path: it turns
+a batch's fired (job, rule) pairs into each job's ``fired`` body by
+joining fragments — no per-request serialisation of rule content, no
+rule objects — and, for ``explain`` jobs, a near-miss body from per-rule
+prefixes built on the first ``explain``.  A near-miss is a rule exactly
+one antecedent item short of firing, an operator hint ("had this job
+also been multi-GPU, the failure rule would fire").
 
-The same hit counters give *near-misses* for free: a rule whose counter
-stops one short of its antecedent size is an operator hint ("had this
-job also been multi-GPU, the failure rule would fire") — exposed as
-:meth:`RuleIndex.explain`.
-
-Beyond the scalar path, the index compiles its table into a
-:class:`~repro.serve.batchmatch.BatchMaskKernel` — packed uint64
-antecedent/consequent masks over the book's item id-space — and exposes
-batch variants (:meth:`match_wire_batch`, :meth:`match_batch`,
-:meth:`explain_batch`) that answer a whole micro-batch of jobs in a few
-NumPy subset/popcount passes.  The scalar inverted-index path is
-retained unchanged as the equivalence oracle the CI sweeps diff the
-kernel against (DESIGN.md §13).
+:meth:`match`, :meth:`match_wire`, :meth:`explain` and their batch forms
+are thin wrappers over the same kernel passes that return presentation
+objects (:class:`Match`, :class:`NearMiss`); a single job is a batch of
+one.  Fired rules come back in rule-id order, which is the canonical
+(lift, confidence, support) ranking, so no query ever sorts.
 """
 
 from __future__ import annotations
@@ -54,7 +40,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.bitmap import kernel_timer
 from ..core.items import Item
 from ..core.rules import AssociationRule
 from ..core.ruletable import RuleTable
@@ -81,11 +66,11 @@ class Match:
     rule: AssociationRule
     rule_id: int  # position in the index's rule order (lift-ranked)
     consequent_observed: bool  # did the job already exhibit the consequent?
-    _wire: dict = field(repr=False, compare=False)
+    _frag: bytes = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         """Wire form used by the service protocol."""
-        return {**self._wire, "consequent_observed": self.consequent_observed}
+        return json.loads(self._frag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,29 +91,64 @@ class NearMiss:
         }
 
 
+def _rendered_sides(
+    table: RuleTable, renders: list[str]
+) -> Iterator[tuple[list[str], list[str]]]:
+    """Per rule, its antecedent and consequent renders, each sorted."""
+    ant_ptr, ant_ids = table.ant_indptr.tolist(), table.ant_ids.tolist()
+    cons_ptr, cons_ids = table.cons_indptr.tolist(), table.cons_ids.tolist()
+    for r in range(len(table)):
+        yield (
+            sorted(renders[x] for x in ant_ids[ant_ptr[r] : ant_ptr[r + 1]]),
+            sorted(renders[x] for x in cons_ids[cons_ptr[r] : cons_ptr[r + 1]]),
+        )
+
+
+def _encode_fragments(table: RuleTable, renders: list[str]) -> list[bytes]:
+    """``frags[2*r + c]``: rule *r*'s ``fired`` entry with flag *c*.
+
+    Byte-identical to ``json.dumps`` of the entry's dict — the shared
+    prefix is that encoding with its closing brace cut off.
+    """
+    frags: list[bytes] = []
+    metrics = zip(
+        table.support.tolist(), table.confidence.tolist(), table.lift.tolist()
+    )
+    for r, ((ant, cons), (support, confidence, lift)) in enumerate(
+        zip(_rendered_sides(table, renders), metrics)
+    ):
+        head = json.dumps(
+            {
+                "rule_id": r,
+                "antecedent": ant,
+                "consequent": cons,
+                "support": support,
+                "confidence": confidence,
+                "lift": lift,
+            }
+        )[:-1]
+        frags.append((head + ', "consequent_observed": false}').encode())
+        frags.append((head + ', "consequent_observed": true}').encode())
+    return frags
+
+
 class RuleIndex:
-    """Immutable inverted index over a rule set's antecedents.
+    """Immutable compiled rule set, answering micro-batches of jobs.
 
     Rules are stored lift-ranked (the RuleBook / RuleTable canonical
-    order), so walking fired candidates in rule-id order yields matches
-    already ranked by (lift, confidence, support) descending — no
-    per-query sort.
+    order), so fired rules come out of the kernel already ranked by
+    (lift, confidence, support) descending.
     """
 
     __slots__ = (
         "_table",
         "_rules",
-        "_postings",
-        "_ant_sizes",
-        "_ant_keys",
-        "_cons_keys",
         "_canon",
         "_canon_extra",
-        "_item_of",
-        "_id_of",
         "_items_by_id",
-        "_wire",
-        "_wire_json",
+        "_frags",
+        "_near_heads",
+        "_missing_tails",
         "_kernel",
         "shm_segment",
     )
@@ -147,19 +167,16 @@ class RuleIndex:
             # object input is re-keyed into a canonical table first, so
             # both construction paths share the one columnar build below
             table = _canonical_from_rules(tuple(rules or ()))
-        self._init_compiled(table, kernel=None, wire_json=None)
-        # local builds pay the scalar compile up front, exactly as before
-        # the shared-memory plane existed — the lazy path is for attach
-        self._build_scalar()
+        self._init_compiled(table, kernel=None, frags=None)
 
     def _init_compiled(
         self,
         table: RuleTable,
         *,
         kernel: BatchMaskKernel | None,
-        wire_json: list[tuple[str, str]] | None,
+        frags: list[bytes] | None,
     ) -> None:
-        """Set up the compiled (batch) plane; scalar structures stay lazy.
+        """Set up the canonicaliser, fragment table and kernel.
 
         The table is trusted to already be in canonical order — both
         callers guarantee it (:meth:`__init__` sorts, the shm attach path
@@ -171,93 +188,27 @@ class RuleIndex:
         #: path only); riding here keeps the mapping alive with the views
         self.shm_segment = None
 
-        vocabulary = table.vocabulary
-        #: built-in accepted spelling → canonical key (vocabulary items)
-        canon: dict[str, str] = {}
-        item_of: dict[str, Item] = {}
-        id_of: dict[str, int] = {}
-        items_by_id: list[Item] = []
-        for item_id, item in enumerate(vocabulary):
-            key = str(item)
-            canon[key] = key
-            canon[item.render()] = key
-            item_of[key] = item
-            id_of[key] = item_id
-            items_by_id.append(item)
+        items_by_id = list(table.vocabulary)
+        #: built-in accepted spelling → item id (vocabulary items)
+        canon: dict[str, int] = {}
+        for item_id, item in enumerate(items_by_id):
+            canon[str(item)] = item_id
+            canon[item.render()] = item_id
         self._canon = canon
-        #: learned spelling → canonical key or None; bounded, FIFO-evicted
-        self._canon_extra: dict[str, str | None] = {}
-        self._item_of = item_of
-        self._id_of = id_of
+        #: learned spelling → item id or None; bounded, FIFO-evicted
+        self._canon_extra: dict[str, int | None] = {}
         self._items_by_id = items_by_id
-
-        # scalar structures (inverted index, per-rule key sets, wire
-        # dicts) are built on demand by _build_scalar; the wire JSON
-        # fragments may arrive precomputed from a published rule plane
-        self._postings: dict[str, list[int]] | None = None
-        self._ant_sizes: list[int] | None = None
-        self._ant_keys: list[frozenset[str]] | None = None
-        self._cons_keys: list[frozenset[str]] | None = None
-        self._wire: list[dict] | None = None
-        self._wire_json = wire_json
+        if frags is None:
+            frags = _encode_fragments(table, [i.render() for i in items_by_id])
+        # an object array, so a batch gathers its fragments in one take
+        self._frags = np.empty(len(frags), dtype=object)
+        self._frags[:] = frags
+        # near-miss prefixes are built on the first explain only
+        self._near_heads: list[bytes] | None = None
+        self._missing_tails: list[bytes] | None = None
         # compiled once per index build — i.e. once per hot-swap, since a
         # reload always carries a fresh RuleIndex through the flip marker
         self._kernel = kernel if kernel is not None else BatchMaskKernel(table)
-
-    def _build_scalar(self) -> None:
-        """Build the scalar inverted-index structures (idempotent).
-
-        The batch wire path (``match_wire_batch``) needs none of these —
-        an shm-attached index serves whole micro-batches straight off
-        the kernel and the precomputed wire fragments, and only pays
-        this build if a scalar ``match``/``explain`` request arrives.
-        """
-        if self._postings is not None:
-            return
-        table = self._table
-        keys_by_id = [str(item) for item in self._items_by_id]
-        renders_by_id = [item.render() for item in self._items_by_id]
-        postings: dict[str, list[int]] = {}
-        ant_sizes: list[int] = []
-        ant_keys_all: list[frozenset[str]] = []
-        cons_keys_all: list[frozenset[str]] = []
-        wire_all: list[dict] = []
-        wire_json: list[tuple[str, str]] | None = (
-            [] if self._wire_json is None else None
-        )
-        for rule_id in range(len(table)):
-            ant_row = table.ant_row(rule_id)
-            cons_row = table.cons_row(rule_id)
-            ant_keys = frozenset(keys_by_id[int(x)] for x in ant_row)
-            cons_keys = frozenset(keys_by_id[int(x)] for x in cons_row)
-            ant_sizes.append(len(ant_keys))
-            ant_keys_all.append(ant_keys)
-            cons_keys_all.append(cons_keys)
-            for key in ant_keys:
-                postings.setdefault(key, []).append(rule_id)
-            wire = {
-                "rule_id": rule_id,
-                "antecedent": sorted(renders_by_id[int(x)] for x in ant_row),
-                "consequent": sorted(renders_by_id[int(x)] for x in cons_row),
-                "support": float(table.support[rule_id]),
-                "confidence": float(table.confidence[rule_id]),
-                "lift": float(table.lift[rule_id]),
-            }
-            wire_all.append(wire)
-            if wire_json is not None:
-                wire_json.append(
-                    (
-                        json.dumps({**wire, "consequent_observed": False}),
-                        json.dumps({**wire, "consequent_observed": True}),
-                    )
-                )
-        self._ant_sizes = ant_sizes
-        self._ant_keys = ant_keys_all
-        self._cons_keys = cons_keys_all
-        self._wire = wire_all
-        if wire_json is not None:
-            self._wire_json = wire_json
-        self._postings = postings
 
     @classmethod
     def from_rulebook(cls, book: RuleBook) -> "RuleIndex":
@@ -269,18 +220,17 @@ class RuleIndex:
         table: RuleTable,
         *,
         kernel: BatchMaskKernel,
-        wire_json: list[tuple[str, str]],
+        frags: list[bytes],
     ) -> "RuleIndex":
         """Adopt an already-compiled rule plane without recompiling it.
 
         The shm attach path: *table* (canonical order trusted), the
-        packed-bitmask *kernel* and the per-rule *wire_json* fragments
-        come straight out of a published segment, so construction is
-        O(vocabulary) — no canonical sort, no mask packing, no JSON
-        encoding.  Scalar structures build lazily on first scalar call.
+        packed-bitmask *kernel* and the fragment table come straight out
+        of a published segment, so construction is O(vocabulary) — no
+        canonical sort, no mask packing, no JSON encoding.
         """
         self = object.__new__(cls)
-        self._init_compiled(table, kernel=kernel, wire_json=wire_json)
+        self._init_compiled(table, kernel=kernel, frags=frags)
         return self
 
     @property
@@ -295,25 +245,33 @@ class RuleIndex:
             self._rules = tuple(self._table.to_rules())
         return self._rules
 
+    @property
+    def kernel(self) -> BatchMaskKernel:
+        """The compiled packed-bitmask kernel backing every answer."""
+        return self._kernel
+
     def __len__(self) -> int:
         return len(self._table)
 
     def __repr__(self) -> str:
-        self._build_scalar()
         return (
             f"RuleIndex(n_rules={len(self)}, "
-            f"n_indexed_items={len(self._postings)})"
+            f"n_words={self._kernel.n_words})"
         )
 
     @property
     def n_postings(self) -> int:
-        """Total (item, rule) pairs — the index's memory-side cost."""
-        self._build_scalar()
-        return sum(len(p) for p in self._postings.values())
+        """Total (item, rule) antecedent pairs — the book's match-side size."""
+        return int(self._table.ant_ids.size)
 
-    # -- matching ----------------------------------------------------------------
-    def _normalize(self, transaction: Iterable[Item | str]) -> set[str]:
-        """Transaction → set of canonical item keys (unknown items drop).
+    @property
+    def canon_cache_len(self) -> int:
+        """Learned (non-vocabulary) spellings currently memoised."""
+        return len(self._canon_extra)
+
+    # -- encoding ----------------------------------------------------------------
+    def _item_ids(self, transaction: Iterable[Item | str]) -> list[int]:
+        """Transaction → item ids (unknown items drop, duplicates may stay).
 
         First sight of an unseen spelling parses it once and memoises
         the outcome in a *bounded* side cache, so steady-state traffic
@@ -324,211 +282,186 @@ class RuleIndex:
         """
         canon = self._canon
         extra = self._canon_extra
-        keys: set[str] = set()
+        ids: list[int] = []
         for element in transaction:
             text = element if isinstance(element, str) else str(element)
-            mapped = canon.get(text)
-            if mapped is None:
-                mapped = extra.get(text, _UNSEEN)
-                if mapped is _UNSEEN:
-                    mapped = canon.get(str(Item.parse(text)))
+            item_id = canon.get(text)
+            if item_id is None:
+                item_id = extra.get(text, _UNSEEN)
+                if item_id is _UNSEEN:
+                    item_id = canon.get(str(Item.parse(text)))
                     if len(extra) >= _CANON_CACHE_MAX:
                         extra.pop(next(iter(extra)))
-                    extra[text] = mapped
-            if mapped is not None:
-                keys.add(mapped)
-        return keys
-
-    @property
-    def canon_cache_len(self) -> int:
-        """Learned (non-vocabulary) spellings currently memoised."""
-        return len(self._canon_extra)
-
-    def _count_hits(self, keys: set[str]) -> dict[int, int]:
-        """Antecedent hit counter per candidate rule (the countdown core)."""
-        counts: dict[int, int] = {}
-        postings = self._postings
-        get = counts.get
-        for key in keys:
-            for rule_id in postings.get(key, ()):
-                counts[rule_id] = get(rule_id, 0) + 1
-        return counts
-
-    def match(self, transaction: Iterable[Item | str]) -> list[Match]:
-        """Rules whose antecedent is fully contained in *transaction*.
-
-        Returned ranked by (lift, confidence, support) descending.  Items
-        unknown to the index are ignored — an online job may carry
-        features the mined vocabulary never saw.
-        """
-        self._build_scalar()
-        keys = self._normalize(transaction)
-        return [
-            Match(
-                rule=self.rules[rule_id],
-                rule_id=rule_id,
-                consequent_observed=self._cons_keys[rule_id] <= keys,
-                _wire=self._wire[rule_id],
-            )
-            for rule_id in self._fired_ids(keys)
-        ]
-
-    def match_wire(
-        self, transaction: Iterable[Item | str]
-    ) -> list[tuple[int, str]]:
-        """Like :meth:`match`, but returning precomputed JSON fragments.
-
-        The service hot path: fired rules come back as ``(rule_id,
-        encoded fragment)`` pairs ready to be joined into a
-        ``match_result`` payload, with zero per-request serialisation of
-        rule content — and zero rule-object materialisation.
-        """
-        self._build_scalar()
-        keys = self._normalize(transaction)
-        wire_json = self._wire_json
-        cons_keys = self._cons_keys
-        return [
-            (rule_id, wire_json[rule_id][cons_keys[rule_id] <= keys])
-            for rule_id in self._fired_ids(keys)
-        ]
-
-    def _fired_ids(self, keys: set[str]) -> list[int]:
-        """Rule ids whose whole antecedent is covered, in ranked order.
-
-        Sorting happens *after* the fired filter — candidate sets are an
-        order of magnitude larger than fired sets on realistic traffic.
-        """
-        sizes = self._ant_sizes
-        return sorted(
-            rule_id
-            for rule_id, hits in self._count_hits(keys).items()
-            if hits == sizes[rule_id]
-        )
-
-    def explain(self, transaction: Iterable[Item | str]) -> list[NearMiss]:
-        """Rules exactly one antecedent item short of firing on the job.
-
-        The operator-hint counterpart of :meth:`match`: each entry names
-        the single missing item.  Single-item antecedents never appear
-        (they either fire or share nothing with the job, so there is no
-        partial evidence to hint from).
-        """
-        self._build_scalar()
-        keys = self._normalize(transaction)
-        sizes = self._ant_sizes
-        near_ids = sorted(
-            rule_id
-            for rule_id, hits in self._count_hits(keys).items()
-            if hits == sizes[rule_id] - 1
-        )
-        near: list[NearMiss] = []
-        for rule_id in near_ids:
-            (missing_key,) = self._ant_keys[rule_id] - keys
-            near.append(
-                NearMiss(
-                    rule=self.rules[rule_id],
-                    rule_id=rule_id,
-                    missing=self._item_of[missing_key],
-                )
-            )
-        return near
-
-    # -- batch matching (packed-bitmask kernel) ----------------------------------
-    @property
-    def kernel(self) -> BatchMaskKernel:
-        """The compiled packed-bitmask kernel backing the batch paths."""
-        return self._kernel
+                    extra[text] = item_id
+            if item_id is not None:
+                ids.append(item_id)
+        return ids
 
     def encode_batch(
         self, transactions: Iterable[Iterable[Item | str]]
     ) -> np.ndarray:
         """Encode jobs into a ``(n_jobs, n_words)`` uint64 bit-matrix.
 
-        Each job goes through the same memoised canonicaliser as the
-        scalar path (so unknown items drop and duplicates collapse),
-        then its item ids are packed with the rule masks' bit layout.
+        Each job goes through the memoised canonicaliser (so unknown
+        items drop), then its item ids are packed with the rule masks'
+        bit layout (so duplicates collapse).
         """
-        id_of = self._id_of
-        id_rows = [
-            [id_of[key] for key in self._normalize(transaction)]
-            for transaction in transactions
-        ]
-        return encode_id_transactions(id_rows, self._kernel.n_words)
+        return encode_id_transactions(
+            [self._item_ids(t) for t in transactions], self._kernel.n_words
+        )
 
+    # -- kernel passes -----------------------------------------------------------
     def _fired_pairs(
         self, jobs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(job_idx, rule_idx, consequent_observed) over one encoded batch.
-
-        ``np.nonzero`` on the row-major fired matrix yields rule ids
-        ascending within each job — the canonical lift ranking, same as
-        the scalar path's sorted fired ids.
-        """
-        fired = self._kernel.fired_mask(jobs)
-        job_idx, rule_idx = np.nonzero(fired)
+        """(job_idx, rule_idx, consequent_observed) over one encoded batch."""
+        job_idx, rule_idx = _pairs(self._kernel.fired_mask(jobs))
         cons_ok = self._kernel.cons_observed(jobs, job_idx, rule_idx)
         return job_idx, rule_idx, cons_ok
 
+    def _near_pairs(
+        self, jobs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(job_idx, rule_idx, missing item id) of every near-miss.
+
+        The missing item is read straight out of ``ant & ~job`` — for a
+        near-miss pair that difference has exactly one set bit.
+        """
+        job_idx, rule_idx = _pairs(self._kernel.near_mask(jobs))
+        missing = self._kernel.missing_ids(jobs, job_idx, rule_idx)
+        return job_idx, rule_idx, missing
+
+    # -- the answer path ---------------------------------------------------------
+    def wire_batch(
+        self, transactions: list, explain: list[bool]
+    ) -> tuple[np.ndarray, Iterator[tuple[list[bytes], list[bytes] | None]]]:
+        """One micro-batch → per-rule fire counts and lazy answer parts.
+
+        Returns ``(fires, parts)``: ``fires[r]`` counts the jobs rule
+        *r* fired on, and ``parts`` yields, per job in order, its
+        ``fired`` entries (pre-encoded fragments, ranked) and — where
+        ``explain[j]`` is set — its ``near_misses`` entries, else None.
+        The entries are the index's own fragment objects, so a job's
+        parts cost one reference each until the caller joins them.
+        """
+        jobs = self.encode_batch(transactions)
+        job_idx, rule_idx, cons_ok = self._fired_pairs(jobs)
+        fires = np.bincount(rule_idx, minlength=len(self._table))
+        explained = [j for j, flag in enumerate(explain) if flag]
+        near = self._near_pairs(jobs[explained]) if explained else None
+        fired = self._frags[rule_idx * 2 + cons_ok]
+        return fires, self._parts(
+            _job_bounds(job_idx, len(transactions)), fired, explained, near
+        )
+
+    def _parts(
+        self,
+        bounds: list[int],
+        fired: np.ndarray,
+        explained: list[int],
+        near: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    ) -> Iterator[tuple[list[bytes], list[bytes] | None]]:
+        near_row = {j: k for k, j in enumerate(explained)}
+        if near is not None:
+            heads, tails = self._near_prefixes()
+            near_bounds = _job_bounds(near[0], len(explained))
+            near_rules, near_items = near[1].tolist(), near[2].tolist()
+        for j in range(len(bounds) - 1):
+            entries = fired[bounds[j] : bounds[j + 1]].tolist()
+            k = near_row.get(j)
+            if k is None:
+                yield entries, None
+                continue
+            lo, hi = near_bounds[k], near_bounds[k + 1]
+            yield entries, [
+                heads[r] + tails[m]
+                for r, m in zip(near_rules[lo:hi], near_items[lo:hi])
+            ]
+
+    def _near_prefixes(self) -> tuple[list[bytes], list[bytes]]:
+        """Per-rule ``{..., "missing": `` prefixes and per-item tails.
+
+        A near-miss entry is ``heads[rule_id] + tails[missing_id]``,
+        byte-identical to ``json.dumps(NearMiss.as_dict())``.  Built on
+        the first explain: most books never serve one.
+        """
+        if self._near_heads is None:
+            renders = [item.render() for item in self._items_by_id]
+            lifts = self._table.lift.tolist()
+            self._near_heads = [
+                (
+                    json.dumps(
+                        {
+                            "rule_id": r,
+                            "antecedent": ant,
+                            "consequent": cons,
+                            "lift": lifts[r],
+                        }
+                    )[:-1]
+                    + ', "missing": '
+                ).encode()
+                for r, (ant, cons) in enumerate(
+                    _rendered_sides(self._table, renders)
+                )
+            ]
+            self._missing_tails = [
+                (json.dumps(text) + "}").encode() for text in renders
+            ]
+        return self._near_heads, self._missing_tails
+
+    # -- presentation wrappers ---------------------------------------------------
     def match_wire_batch(
         self, transactions: list
-    ) -> list[list[tuple[int, str]]]:
-        """Batch form of :meth:`match_wire`: one kernel call, all jobs.
+    ) -> list[list[tuple[int, bytes]]]:
+        """Per job, ``[(rule_id, encoded fragment), ...]`` in ranked order.
 
-        Returns one ``[(rule_id, encoded fragment), ...]`` list per
-        input job, byte-identical to calling :meth:`match_wire` on each
-        job individually — proven by the CI equality sweeps.
+        Fragments are the index's pre-encoded ``fired`` entries (ASCII
+        JSON bytes) — the exact bytes the service joins into answers.
         """
-        out: list[list[tuple[int, str]]] = [[] for _ in transactions]
-        if not out or not len(self._table):
+        out: list[list[tuple[int, bytes]]] = [[] for _ in transactions]
+        if not out:
             return out
-        with kernel_timer("serve-batch-match"):
-            jobs = self.encode_batch(transactions)
-            job_idx, rule_idx, cons_ok = self._fired_pairs(jobs)
-        wire_json = self._wire_json
-        for j, r, c in zip(
-            job_idx.tolist(), rule_idx.tolist(), cons_ok.tolist()
-        ):
-            out[j].append((r, wire_json[r][c]))
+        job_idx, rule_idx, cons_ok = self._fired_pairs(
+            self.encode_batch(transactions)
+        )
+        frags = self._frags[rule_idx * 2 + cons_ok].tolist()
+        for j, r, frag in zip(job_idx.tolist(), rule_idx.tolist(), frags):
+            out[j].append((r, frag))
         return out
 
     def match_batch(self, transactions: list) -> list[list[Match]]:
-        """Batch form of :meth:`match`: ranked :class:`Match` lists."""
-        self._build_scalar()
+        """Per job, ranked :class:`Match` lists."""
         out: list[list[Match]] = [[] for _ in transactions]
-        if not out or not len(self._table):
+        if not out:
             return out
-        with kernel_timer("serve-batch-match"):
-            jobs = self.encode_batch(transactions)
-            job_idx, rule_idx, cons_ok = self._fired_pairs(jobs)
+        job_idx, rule_idx, cons_ok = self._fired_pairs(
+            self.encode_batch(transactions)
+        )
         rules = self.rules
-        wire = self._wire
-        for j, r, c in zip(
-            job_idx.tolist(), rule_idx.tolist(), cons_ok.tolist()
+        frags = self._frags[rule_idx * 2 + cons_ok].tolist()
+        for j, r, c, frag in zip(
+            job_idx.tolist(), rule_idx.tolist(), cons_ok.tolist(), frags
         ):
             out[j].append(
                 Match(
-                    rule=rules[r],
-                    rule_id=r,
-                    consequent_observed=c,
-                    _wire=wire[r],
+                    rule=rules[r], rule_id=r, consequent_observed=c, _frag=frag
                 )
             )
         return out
 
     def explain_batch(self, transactions: list) -> list[list[NearMiss]]:
-        """Batch form of :meth:`explain`: one-item-short rules per job.
+        """Per job, the rules exactly one antecedent item short of firing.
 
-        The missing item is read straight out of ``ant & ~job`` — for a
-        near-miss pair that difference has exactly one set bit.
+        Each entry names the single missing item.  Single-item
+        antecedents never appear (they either fire or share nothing with
+        the job, so there is no partial evidence to hint from).
         """
         out: list[list[NearMiss]] = [[] for _ in transactions]
-        if not out or not len(self._table):
+        if not out:
             return out
-        with kernel_timer("serve-batch-explain"):
-            jobs = self.encode_batch(transactions)
-            near = self._kernel.near_mask(jobs)
-            job_idx, rule_idx = np.nonzero(near)
-            missing = self._kernel.missing_ids(jobs, job_idx, rule_idx)
+        job_idx, rule_idx, missing = self._near_pairs(
+            self.encode_batch(transactions)
+        )
         rules = self.rules
         items_by_id = self._items_by_id
         for j, r, m in zip(
@@ -539,6 +472,25 @@ class RuleIndex:
             )
         return out
 
+    def match(self, transaction: Iterable[Item | str]) -> list[Match]:
+        """Rules whose antecedent is fully contained in *transaction*.
+
+        Returned ranked by (lift, confidence, support) descending.  Items
+        unknown to the index are ignored — an online job may carry
+        features the mined vocabulary never saw.
+        """
+        return self.match_batch([transaction])[0]
+
+    def match_wire(
+        self, transaction: Iterable[Item | str]
+    ) -> list[tuple[int, bytes]]:
+        """Like :meth:`match`, but as ``(rule_id, encoded fragment)`` pairs."""
+        return self.match_wire_batch([transaction])[0]
+
+    def explain(self, transaction: Iterable[Item | str]) -> list[NearMiss]:
+        """Rules exactly one antecedent item short of firing on the job."""
+        return self.explain_batch([transaction])[0]
+
     def iter_rule_labels(self) -> Iterator[str]:
         """Stable per-rule labels (``{ant} => {cons}``) for metrics keys."""
         for rule in self.rules:
@@ -546,6 +498,23 @@ class RuleIndex:
 
     def rule_label(self, rule_id: int) -> str:
         return _rule_label(self.rules[rule_id])
+
+
+def _pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(job_idx, rule_idx) of a ``(n_jobs, n_rules)`` mask's set cells.
+
+    Row-major order: job by job, rule ids ascending within each job —
+    the canonical lift ranking.  A flat ``nonzero`` plus one division is
+    several times cheaper than a 2-D ``np.nonzero``.
+    """
+    flat = np.flatnonzero(mask)
+    job_idx = flat // max(1, mask.shape[1])
+    return job_idx, flat - job_idx * mask.shape[1]
+
+
+def _job_bounds(job_idx: np.ndarray, n_jobs: int) -> list[int]:
+    """Pair offsets per job: job *j* owns pairs ``[b[j], b[j + 1])``."""
+    return np.searchsorted(job_idx, np.arange(n_jobs + 1)).tolist()
 
 
 def _rule_label(rule: AssociationRule) -> str:

@@ -37,16 +37,14 @@ Design points, mirroring what a production sidecar needs:
   one pass.  Under load this amortises task wakeups; under light load
   the first request is served immediately (no artificial batching
   delay).
-* **Batch match kernel** — a drained micro-batch with two or more plain
-  match requests is answered by *one*
-  :meth:`~repro.serve.index.RuleIndex.match_wire_batch` call: the whole
-  batch is encoded into a packed uint64 bit-matrix and resolved against
-  the index's compiled antecedent/consequent masks in a few NumPy
-  passes (DESIGN.md §13).  Answers are byte-identical to the scalar
-  inverted-index path, which is kept for singleton batches, ``explain``
-  requests, and as the CI equivalence oracle.  ``batch_kernel=False``
-  (or the ``REPRO_SERVE_NO_BATCH_KERNEL`` environment variable, which
-  shard workers inherit) forces the scalar path everywhere.
+* **One answer path** — every drained micro-batch, whether plain
+  matches, ``explain`` requests or a lone singleton, is answered by *one*
+  :meth:`~repro.serve.index.RuleIndex.wire_batch` call: the batch is
+  encoded into a packed uint64 bit-matrix and resolved against the
+  index's compiled antecedent/consequent masks in a few NumPy passes,
+  and each ``match_result`` line is joined straight from the index's
+  pre-encoded fragment bytes (DESIGN.md §13).  Fire counts are one
+  ``np.bincount`` per batch.
 * **Explicit backpressure** — when the queue is full the request is
   rejected *immediately* with ``{"type": "error", "error": "overloaded",
   "retry_after": ...}`` rather than buffered without bound.  Callers see
@@ -76,13 +74,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import signal
 import socket
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
-from ..core.items import Item
+import numpy as np
+
 from ..engine.stats import LatencyHistogram
 from ..shm.ruleplane import attach_rule_plane
 from ..shm.segment import SegmentError, shm_available
@@ -128,7 +126,7 @@ class ServiceMetrics:
         "n_kernel_batches",
         "n_kernel_jobs",
         "kernel_seconds",
-        "rule_matches",
+        "fire_counts",
         "retired_matches",
     )
 
@@ -145,8 +143,8 @@ class ServiceMetrics:
         self.n_kernel_batches = 0
         self.n_kernel_jobs = 0
         self.kernel_seconds = 0.0
-        #: fire counts by rule id of the serving index
-        self.rule_matches: dict[int, int] = {}
+        #: fire counts by rule id of the serving index (None: none yet)
+        self.fire_counts: np.ndarray | None = None
         #: fire counts under earlier indexes, by rule label — ids are
         #: positions in one index and mean nothing in the next
         self.retired_matches: dict[str, int] = {}
@@ -154,6 +152,24 @@ class ServiceMetrics:
     @property
     def uptime_s(self) -> float:
         return time.monotonic() - self.started_at
+
+    @property
+    def rule_matches(self) -> dict[int, int]:
+        """Nonzero fire counts by rule id of the serving index."""
+        counts = self.fire_counts
+        if counts is None:
+            return {}
+        return {
+            int(rule_id): int(counts[rule_id])
+            for rule_id in np.flatnonzero(counts)
+        }
+
+    def add_fires(self, fires: np.ndarray) -> None:
+        """Add one batch's per-rule fire counts (``np.bincount`` form)."""
+        if self.fire_counts is None:
+            self.fire_counts = fires.astype(np.int64)
+        else:
+            self.fire_counts += fires
 
     def retire_index(self, index: RuleIndex) -> None:
         """Fold the fire counts taken under *index* into label keys.
@@ -165,7 +181,7 @@ class ServiceMetrics:
         for rule_id, count in self.rule_matches.items():
             label = index.rule_label(rule_id)
             retired[label] = retired.get(label, 0) + count
-        self.rule_matches = {}
+        self.fire_counts = None
 
     def as_dict(self, index: RuleIndex) -> dict:
         rule_matches = dict(self.retired_matches)
@@ -246,17 +262,11 @@ class RuleService:
         version: int = 1,
         version_tag: str | None = None,
         name: str | None = None,
-        batch_kernel: bool | None = None,
     ):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if batch_kernel is None:
-            # env fallback so spawned shard workers inherit the choice
-            # without threading a flag through the cluster control plane
-            batch_kernel = not os.environ.get("REPRO_SERVE_NO_BATCH_KERNEL")
-        self.batch_kernel = bool(batch_kernel)
         self.index = index
         self.version = version
         self.version_tag = version_tag
@@ -626,103 +636,48 @@ class RuleService:
     ) -> None:
         """Answer one micro-batch (overridable seam for tests).
 
-        With the batch kernel enabled, all plain (non-``explain``) match
-        requests of the batch are answered by a single
-        :meth:`RuleIndex.match_wire_batch` call; singleton batches and
-        ``explain`` requests take the scalar path, whose answers are
-        byte-identical.
+        Every request — plain, ``explain`` or a lone singleton — goes
+        through one :meth:`RuleIndex.wire_batch` call.  Each line is one
+        ``b", ".join`` over the index's own fragment bytes, the first
+        carrying the line's head (type, echoed id, version) and the last
+        its tail, so a line is written with one copy and no intermediate
+        body; only the request id is JSON-encoded per request.
         """
-        self.metrics.n_batches += 1
-        record = self.metrics.latency.record
-        now = time.perf_counter
+        metrics = self.metrics
+        metrics.n_batches += 1
+        live = [entry for entry in batch if not entry[2].cancelled()]
+        if not live:
+            return
         # captured once: every response of this batch carries one version
         index = self.index
-        version = self.version
-        plain: list[tuple[dict, float, asyncio.Future]] = []
-        for entry in batch:
-            request, enqueued_at, future = entry
-            if future.cancelled():  # pragma: no cover - client vanished
-                continue
-            if self.batch_kernel and not request.get("explain"):
-                plain.append(entry)
-                continue
-            line = self._match_line(request, index, version)
-            record(now() - enqueued_at)
-            future.set_result(line)
-        if not plain:
-            return
-        if len(plain) == 1:
-            # one job cannot amortise a kernel launch; scalar countdown
-            request, enqueued_at, future = plain[0]
-            line = self._match_line(request, index, version)
-            record(now() - enqueued_at)
-            future.set_result(line)
-            return
+        version = b', "version": %d, "fired": [' % self.version
+        now = time.perf_counter
         started = now()
-        wire_lists = index.match_wire_batch(
-            [request["transaction"] for request, _, _ in plain]
+        fires, parts = index.wire_batch(
+            [request["transaction"] for request, _, _ in live],
+            [bool(request.get("explain")) for request, _, _ in live],
         )
-        finished = now()
-        metrics = self.metrics
+        metrics.kernel_seconds += now() - started
         metrics.n_kernel_batches += 1
-        metrics.n_kernel_jobs += len(plain)
-        metrics.kernel_seconds += finished - started
-        for (request, enqueued_at, future), wire in zip(plain, wire_lists):
-            line = self._wire_line(request, wire, version)
+        metrics.n_kernel_jobs += len(live)
+        metrics.n_matched += len(live)
+        metrics.add_fires(fires)
+        record = metrics.latency.record
+        for (request, enqueued_at, future), (fired, near) in zip(live, parts):
+            head = b"".join(
+                [_MATCH_HEAD, json.dumps(request.get("id")).encode(), version]
+            )
+            tail = _MATCH_TAIL
+            if near is not None:
+                tail = b"".join([_NEAR_HEAD, b", ".join(near), _MATCH_TAIL])
+            if fired:
+                fired[0] = head + fired[0]
+                fired[-1] += tail
+                line = b", ".join(fired)
+            else:
+                line = head + tail
             record(now() - enqueued_at)
             future.set_result(line)
-
-    def _match_line(
-        self, request: dict, index: RuleIndex, version: int
-    ) -> bytes:
-        """One match request → encoded ``match_result`` line.
-
-        The common path (no ``explain``) assembles the response from the
-        index's precomputed per-rule JSON fragments — the only JSON
-        encoded per request is the echoed request id.
-        """
-        transaction: Iterable[Item | str] = request["transaction"]
-        if request.get("explain"):
-            self.metrics.n_matched += 1
-            rule_matches = self.metrics.rule_matches
-            fired = index.match(transaction)
-            for match in fired:
-                rule_matches[match.rule_id] = (
-                    rule_matches.get(match.rule_id, 0) + 1
-                )
-            return _encode(
-                {
-                    "type": "match_result",
-                    "id": request.get("id"),
-                    "version": version,
-                    "fired": [m.as_dict() for m in fired],
-                    "near_misses": [
-                        n.as_dict() for n in index.explain(transaction)
-                    ],
-                }
-            )
-        return self._wire_line(request, index.match_wire(transaction), version)
-
-    def _wire_line(
-        self, request: dict, wire: list[tuple[int, str]], version: int
-    ) -> bytes:
-        """Assemble a ``match_result`` line from per-rule wire fragments.
-
-        Shared by the scalar and batch paths, so both produce the exact
-        same bytes for the same fired set.
-        """
-        self.metrics.n_matched += 1
-        rule_matches = self.metrics.rule_matches
-        for rule_id, _ in wire:
-            rule_matches[rule_id] = rule_matches.get(rule_id, 0) + 1
-        return (
-            '{"type": "match_result", "id": %s, "version": %d, "fired": [%s]}\n'
-            % (
-                json.dumps(request.get("id")),
-                version,
-                ", ".join(f for _, f in wire),
-            )
-        ).encode()
 
     @classmethod
     def from_rulebook(cls, book: RuleBook, **kwargs) -> "RuleService":
@@ -795,6 +750,11 @@ async def pump_responses(
 def _load_index(path: str) -> tuple[RuleIndex, str | None]:
     book = RuleBook.load(path)
     return RuleIndex.from_rulebook(book), book.fingerprint
+
+
+_MATCH_HEAD = b'{"type": "match_result", "id": '
+_NEAR_HEAD = b'], "near_misses": ['
+_MATCH_TAIL = b"]}\n"
 
 
 def _error(request_id, code: str, detail: str) -> dict:

@@ -5,16 +5,14 @@ JSON, canonical-sort the table, pack the bitmask matrices, encode 2·N
 wire fragments.  Publishing moves all of that to the cluster parent:
 one segment holds the canonical :class:`~repro.core.ruletable.RuleTable`
 columns, the :class:`~repro.serve.batchmatch.BatchMaskKernel` mask
-matrices, and the concatenated per-rule wire JSON with a character
-offset table — everything a serving index needs that is expensive to
-rebuild.  A shard attaches in milliseconds: array views are zero-copy,
-the only decode is one UTF-8 pass over the wire blob, and construction
-goes through :meth:`~repro.serve.index.RuleIndex.from_compiled`, which
-trusts the published canonical order instead of re-sorting.
-
-The wire offset table is in *characters*, not bytes — fragments are
-sliced out of the decoded string, so multi-byte item spellings can never
-tear a fragment at a byte boundary.
+matrices, and the index's fragment table (``frags[2*rule_id +
+consequent_observed]``, pre-encoded answer bytes) concatenated into one
+blob with a *byte* offset table — everything a serving index needs that
+is expensive to rebuild.  A shard attaches in milliseconds: array views
+are zero-copy, each fragment is sliced straight out of the segment as
+bytes (no decode, no re-encode), and construction goes through
+:meth:`~repro.serve.index.RuleIndex.from_compiled`, which trusts the
+published canonical order instead of re-sorting.
 
 Imports from ``repro.serve`` stay inside the functions: this module is
 below the serving layer in the dependency order (serve and engine both
@@ -64,26 +62,17 @@ def publish_rule_plane(
 ) -> SegmentLease:
     """Publish one compiled index as a rule-plane segment.
 
-    The index's scalar structures are forced first if needed (wire
-    fragments are part of the plane), then every compiled artifact goes
-    into the segment: 9 table columns, 2 mask matrices, the wire blob
-    and its character-offset table, and the vocabulary.
+    Every compiled artifact goes into the segment: 9 table columns, 2
+    mask matrices, the fragment blob with its byte-offset table, and the
+    vocabulary.
     """
-    index._build_scalar()  # wire fragments must exist to publish them
     table = index.table
     kernel = index.kernel
     n = len(table)
+    frags = index._frags.tolist()
     offsets = np.zeros(2 * n + 1, dtype=np.int64)
-    parts: list[str] = []
-    pos = 0
-    for i, (miss_json, hit_json) in enumerate(index._wire_json):
-        parts.append(miss_json)
-        pos += len(miss_json)
-        offsets[2 * i + 1] = pos
-        parts.append(hit_json)
-        pos += len(hit_json)
-        offsets[2 * i + 2] = pos
-    wire_blob = "".join(parts).encode("utf-8")
+    np.cumsum([len(frag) for frag in frags], out=offsets[1:])
+    wire_blob = b"".join(frags)
     vocab_blob = json.dumps(
         [[item.feature, item.value] for item in table.vocabulary]
     ).encode()
@@ -151,16 +140,12 @@ def attach_rule_plane(name: str) -> tuple["RuleIndex", dict]:
             np.diff(table.ant_indptr).astype(np.int32),
             np.diff(table.cons_indptr).astype(np.int32),
         )
-        wire_text = seg.blob_bytes("wire").decode("utf-8")
-        offsets = arrays["wire_offsets"]
-        wire_json = [
-            (
-                wire_text[offsets[2 * i] : offsets[2 * i + 1]],
-                wire_text[offsets[2 * i + 1] : offsets[2 * i + 2]],
-            )
-            for i in range(len(table))
-        ]
-        index = RuleIndex.from_compiled(table, kernel=kernel, wire_json=wire_json)
+        wire = seg.blobs["wire"]
+        bounds = arrays["wire_offsets"].tolist()
+        if len(bounds) != 2 * len(table) + 1 or bounds[-1] != len(wire):
+            raise ValueError("fragment offsets do not cover the wire blob")
+        frags = [bytes(wire[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        index = RuleIndex.from_compiled(table, kernel=kernel, frags=frags)
         index.shm_segment = seg
         return index, dict(seg.meta)
     except (KeyError, ValueError) as exc:

@@ -14,9 +14,10 @@ four production failure modes this module packages:
 
 :class:`LoadDriver` supplies the "under sustained load" part: N
 sequential clients looping over a transaction pool until told to stop,
-recording every response's version and every error that survived the
-client's own retry budget, so tests can assert *zero failed requests*
-and inspect version trajectories around a fault.
+recording every response's version, fired rules and every error that
+survived the client's own retry budget, so tests can assert *zero failed
+requests*, check every answer against the scalar serve oracle of the
+version that gave it, and inspect version trajectories around a fault.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.items import Item
-from repro.serve import RuleBook, RuleServiceClient, ServiceError
+from repro.serve import RuleBook, RuleIndex, RuleServiceClient, ServiceError
 from repro.serve.service import MAX_LINE_BYTES
 from repro.serve.shard import ShardCluster
 
+from .serve_oracle import CountdownOracle
 from .test_serve_rulebook import random_rules
 
 __all__ = [
     "make_rulebook",
+    "book_oracle",
     "save_rulebook",
     "random_transactions",
     "ChaosCluster",
@@ -49,6 +52,11 @@ __all__ = [
 def make_rulebook(seed: int, n_rules: int = 80, n_items: int = 30) -> RuleBook:
     """A deterministic random rulebook for chaos scenarios."""
     return RuleBook(rules=random_rules(random.Random(seed), n_rules, n_items))
+
+
+def book_oracle(book: RuleBook) -> CountdownOracle:
+    """The scalar serve oracle of *book*, for checking answers under load."""
+    return CountdownOracle(RuleIndex.from_rulebook(book))
 
 
 def save_rulebook(book: RuleBook, directory: Path, name: str) -> str:
@@ -140,6 +148,11 @@ class LoadRecord:
     worker: int
     version: int | None  # None for error responses
     error: str | None
+    #: send order across all workers (the driver's request count at send)
+    sent: int = 0
+    transaction: list[str] | None = None
+    #: ``(rule_id, consequent_observed)`` per fired rule of the answer
+    fired: list[tuple[int, bool]] | None = None
 
 
 @dataclass
@@ -154,11 +167,29 @@ class LoadOutcome:
     def failures(self) -> list[LoadRecord]:
         return [r for r in self.records if r.error is not None]
 
+    def wrong_answers(
+        self, oracles: dict[int, CountdownOracle]
+    ) -> list[LoadRecord]:
+        """Answered records whose fired rules differ from the oracle of
+        the book version that answered them."""
+        return [
+            r
+            for r in self.records
+            if r.error is None
+            and r.fired != oracles[r.version].fired(r.transaction)
+        ]
+
     def versions_after(self, marker: int) -> list[int]:
+        """Versions that answered the requests *sent* after *marker*.
+
+        A request already in flight when the marker was taken may be
+        answered by the old version, and its answer may reach the client
+        after the marker — so only later sends say what serves now.
+        """
         return [
             r.version
-            for r in self.records[marker:]
-            if r.version is not None
+            for r in self.records
+            if r.sent >= marker and r.version is not None
         ]
 
 
@@ -194,6 +225,7 @@ class LoadDriver:
         self.max_retries = max_retries
         self.backoff_cap_s = backoff_cap_s
         self.outcome = LoadOutcome()
+        self._n_sent = 0
         self._stop = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
 
@@ -227,11 +259,14 @@ class LoadDriver:
                     except OSError:
                         await asyncio.sleep(0.05)
                         continue
+                transaction = next(pool)
+                sent = self._n_sent
+                self._n_sent += 1
                 try:
-                    response = await client.match(next(pool))
+                    response = await client.match(transaction)
                 except ServiceError as exc:
                     self.outcome.records.append(
-                        LoadRecord(worker_id, None, exc.code)
+                        LoadRecord(worker_id, None, exc.code, sent)
                     )
                 except (ConnectionError, OSError):
                     await client.close()
@@ -240,7 +275,15 @@ class LoadDriver:
                 else:
                     self.outcome.records.append(
                         LoadRecord(
-                            worker_id, response.get("version"), None
+                            worker_id,
+                            response.get("version"),
+                            None,
+                            sent,
+                            transaction,
+                            [
+                                (f["rule_id"], f["consequent_observed"])
+                                for f in response["fired"]
+                            ],
                         )
                     )
         finally:
@@ -248,8 +291,8 @@ class LoadDriver:
                 await client.close()
 
     def marker(self) -> int:
-        """Current record count — snapshot before injecting a fault."""
-        return len(self.outcome.records)
+        """Requests sent so far — snapshot before injecting a fault."""
+        return self._n_sent
 
     async def wait_for_progress(
         self, n_more: int, timeout: float = 10.0

@@ -425,7 +425,7 @@ class TestRuleBookColumnar:
         book = RuleBook(table=generate_rule_table(its, min_lift=1.0))
         via_table = RuleIndex.from_rulebook(book)
         via_objects = RuleIndex(book.rules)
-        assert via_table._wire == via_objects._wire
+        assert via_table._frags.tolist() == via_objects._frags.tolist()
         transaction = ["bread", "milk", "diapers", "beer"]
         assert [m.rule_id for m in via_table.match(transaction)] == [
             m.rule_id for m in via_objects.match(transaction)

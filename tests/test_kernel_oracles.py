@@ -11,6 +11,11 @@
   code per rule, not just identical survivors, with sides of six or more
   items, vocabularies over 64 items and ``C_lift``/``C_supp`` other than
   the paper's 1.5.
+* The serving batch encoder
+  (:func:`repro.serve.batchmatch.encode_id_transactions`) against set
+  inclusion: bit ``i`` of a packed row is set iff item ``i`` is in the
+  row, over one to three words (ids up to 149), empty rows and
+  duplicate ids.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import importlib
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +42,7 @@ from repro.core.pruning import (
 )
 from repro.core.rules import AssociationRule, generate_rules
 from repro.core.ruletable import RuleTable
+from repro.serve.batchmatch import encode_id_transactions
 
 # -- FP-Growth --------------------------------------------------------------------
 
@@ -210,3 +217,33 @@ def test_pair_counts_summed_over_blocks(monkeypatch):
     expected = fpgrowth(db, 0.01, 3)
     monkeypatch.setattr(kernel, "_PAIR_BLOCK", 256)
     assert fpgrowth(db, 0.01, 3) == expected == brute_force(raw, 0.01, 3)
+
+
+# -- serving batch encoder ----------------------------------------------------------
+
+
+@st.composite
+def _id_rows(draw):
+    n_words = draw(st.integers(min_value=1, max_value=3))
+    top = min(149, 64 * n_words - 1)
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=top), max_size=24),
+            max_size=12,
+        )
+    )
+    return n_words, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_id_rows())
+def test_encode_id_transactions_is_set_inclusion(case):
+    n_words, rows = case
+    words = encode_id_transactions(rows, n_words)
+    assert words.dtype == np.uint64
+    assert words.shape == (len(rows), n_words)
+    for row, packed in zip(rows, words.tolist()):
+        members = set(row)
+        for item in range(64 * n_words):
+            bit = (packed[item >> 6] >> (item & 63)) & 1
+            assert bit == (item in members), (row, item)

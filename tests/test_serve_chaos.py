@@ -24,6 +24,7 @@ from .serve_chaos import (
     ChaosCluster,
     LoadDriver,
     abort_mid_batch,
+    book_oracle,
     make_rulebook,
     random_transactions,
     save_rulebook,
@@ -37,6 +38,11 @@ def run(coro):
 @pytest.fixture
 def book_path(tmp_path):
     return save_rulebook(make_rulebook(seed=1), tmp_path, "chaos")
+
+
+def launched_book_oracle() -> dict:
+    """Oracle by served version for clusters launched on ``book_path``."""
+    return {1: book_oracle(make_rulebook(seed=1))}
 
 
 class TestKillShard:
@@ -58,6 +64,8 @@ class TestKillShard:
                 # retries + client backoff absorbed the replica loss
                 assert outcome.failures == [], outcome.failures[:5]
                 assert outcome.n_ok >= 150
+                wrong = outcome.wrong_answers(launched_book_oracle())
+                assert wrong == [], wrong[:3]
 
                 async with await RuleServiceClient.connect(
                     chaos.host, chaos.port
@@ -99,6 +107,8 @@ class TestStalledShard:
 
                 assert outcome.failures == [], outcome.failures[:5]
                 assert outcome.n_ok >= 160
+                wrong = outcome.wrong_answers(launched_book_oracle())
+                assert wrong == [], wrong[:3]
 
         run(scenario())
 
@@ -123,6 +133,8 @@ class TestClientDisconnect:
                     outcome = await driver.stop()
 
                 assert outcome.failures == [], outcome.failures[:5]
+                wrong = outcome.wrong_answers(launched_book_oracle())
+                assert wrong == [], wrong[:3]
 
                 async with await RuleServiceClient.connect(
                     chaos.host, chaos.port
@@ -161,6 +173,9 @@ class TestHotSwapUnderLoad:
                     r.version for r in outcome.records if r.version
                 }
                 assert versions == {1, 2}, versions
+                oracles = {**launched_book_oracle(), 2: book_oracle(new_book)}
+                wrong = outcome.wrong_answers(oracles)
+                assert wrong == [], wrong[:3]
                 # once the rolling reload reports done, every response
                 # carries the new version tag — no stragglers
                 tail = outcome.versions_after(flipped_at)

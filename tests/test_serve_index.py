@@ -6,6 +6,7 @@ import repro.serve.index as index_mod
 from repro.core.items import Item, as_item
 from repro.serve import RuleBook, RuleIndex
 
+from .serve_oracle import CountdownOracle
 from .test_serve_rulebook import random_rules
 
 
@@ -108,6 +109,15 @@ class TestMatching:
             m.rule_id for m in index.match(as_items)
         ]
 
+    def test_as_dict_round_trips_the_wire_fragment(self):
+        book = RuleBook(rules=random_rules(random.Random(7), 40, n_items=15))
+        index = RuleIndex.from_rulebook(book)
+        oracle = CountdownOracle(index)
+        vocabulary = [str(item) for item in book.vocabulary()]
+        assert [m.as_dict() for m in index.match(vocabulary)] == (
+            oracle.fired_dicts(vocabulary)
+        )
+
     def test_postings_cost_reported(self):
         book = RuleBook(rules=random_rules(random.Random(6), 30))
         index = RuleIndex.from_rulebook(book)
@@ -140,7 +150,8 @@ def _random_batch(rng, vocabulary, n_jobs):
 
 
 class TestBatchParity:
-    """The packed-bitmask kernel must be indistinguishable from scalar."""
+    """The packed-bitmask kernel must be indistinguishable from the scalar
+    countdown oracle (``tests/serve_oracle.py``)."""
 
     def _index(self, seed, n_rules=250, n_items=45):
         rng = random.Random(seed)
@@ -156,7 +167,8 @@ class TestBatchParity:
         ]
         batch = _random_batch(rng, vocabulary, 200)
         got = index.match_wire_batch(batch)
-        expected = [index.match_wire(job) for job in batch]
+        oracle = CountdownOracle(index)
+        expected = [oracle.match_wire(job) for job in batch]
         assert got == expected  # same ids, same ranking, same wire bytes
         assert any(got), "batch never fired a rule — vocabulary too sparse"
 
@@ -167,7 +179,8 @@ class TestBatchParity:
         ).vocabulary()]
         batch = _random_batch(rng, vocabulary, 150)
         got = index.match_batch(batch)
-        expected = [index.match(job) for job in batch]
+        oracle = CountdownOracle(index)
+        expected = [oracle.match(job) for job in batch]
         assert got == expected
         flags = [m.consequent_observed for row in got for m in row]
         assert True in flags and False in flags
@@ -179,7 +192,8 @@ class TestBatchParity:
         ).vocabulary()]
         batch = _random_batch(rng, vocabulary, 150)
         got = index.explain_batch(batch)
-        expected = [index.explain(job) for job in batch]
+        oracle = CountdownOracle(index)
+        expected = [oracle.explain(job) for job in batch]
         assert got == expected
         assert any(got), "batch never produced a near-miss"
 

@@ -5,7 +5,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.items import Item
 from repro.engine import LatencyHistogram
 from repro.serve import (
     RuleBook,
@@ -16,6 +19,7 @@ from repro.serve import (
     replay_traffic,
 )
 
+from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over, serve_batch
 from .test_serve_rulebook import random_rules
 
 
@@ -83,6 +87,7 @@ class TestProtocol:
         transactions = [
             rng.sample(vocabulary, rng.randint(0, 8)) for _ in range(50)
         ]
+        oracle = CountdownOracle(index)
 
         async def scenario():
             service = RuleService(index)
@@ -93,9 +98,9 @@ class TestProtocol:
                 ) as client:
                     for transaction in transactions:
                         response = await client.match(transaction)
-                        expected = [m.rule_id for m in index.match(transaction)]
-                        got = [m["rule_id"] for m in response["fired"]]
-                        assert got == expected
+                        assert response["fired"] == oracle.fired_dicts(
+                            transaction
+                        )
             finally:
                 await service.shutdown()
 
@@ -183,10 +188,9 @@ class TestBatchKernel:
                         for t in transactions
                     )
                 )
+                oracle = CountdownOracle(index)
                 for transaction, response in zip(transactions, results):
-                    expected = [m.rule_id for m in index.match(transaction)]
-                    got = [m["rule_id"] for m in response["fired"]]
-                    assert got == expected
+                    assert response["fired"] == oracle.fired_dicts(transaction)
                 metrics = service.metrics.as_dict(index)
                 assert metrics["kernel"]["batches"] >= 1
                 assert metrics["kernel"]["jobs"] >= 2
@@ -197,41 +201,7 @@ class TestBatchKernel:
 
         run(scenario())
 
-    def test_scalar_fallback_answers_identically(self):
-        index = make_index(seed=21)
-        transaction = [str(i) for i in index.rules[0].antecedent]
-
-        async def one_client(port):
-            async with await RuleServiceClient.connect("127.0.0.1", port) as c:
-                return await c.match(transaction)
-
-        async def scenario():
-            service = SlowService(
-                index, delay_s=0.05, max_batch=64, batch_kernel=False
-            )
-            await service.start(port=0)
-            try:
-                results = await asyncio.gather(
-                    *(one_client(service.port) for _ in range(8))
-                )
-                expected = [m.rule_id for m in index.match(transaction)]
-                for response in results:
-                    assert [m["rule_id"] for m in response["fired"]] == expected
-                metrics = service.metrics.as_dict(index)
-                assert metrics["kernel"]["batches"] == 0
-                assert metrics["kernel"]["jobs"] == 0
-            finally:
-                await service.shutdown()
-
-        run(scenario())
-
-    def test_no_batch_kernel_env_var_disables_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_NO_BATCH_KERNEL", "1")
-        assert RuleService(make_index()).batch_kernel is False
-        monkeypatch.delenv("REPRO_SERVE_NO_BATCH_KERNEL")
-        assert RuleService(make_index()).batch_kernel is True
-
-    def test_explain_requests_take_scalar_path(self):
+    def test_explain_requests_take_kernel_path(self):
         index = make_index(seed=21)
         transaction = [str(i) for i in index.rules[0].antecedent]
 
@@ -244,7 +214,8 @@ class TestBatchKernel:
                 ) as client:
                     result = await client.match(transaction, explain=True)
                     assert "near_misses" in result
-                    assert service.metrics.n_kernel_batches == 0
+                    assert service.metrics.n_kernel_batches == 1
+                    assert service.metrics.n_kernel_jobs == 1
             finally:
                 await service.shutdown()
 
@@ -757,3 +728,94 @@ class TestHotSwap:
                 await service.shutdown()
 
         run(scenario())
+
+
+# -- byte identity of the one answer path ---------------------------------------
+
+
+def _identity_books() -> dict[str, RuleIndex]:
+    plain = [Item(f"F{k % 5}", f"v{k}") for k in range(24)]
+    plain += [Item.flag("Failed"), Item.flag("Multi-GPU")]
+    return {
+        "plain": RuleIndex(rules_over(plain, seed=1, n_rules=150)),
+        "exotic": RuleIndex(rules_over(EXOTIC_ITEMS, seed=2, n_rules=40)),
+        "empty": RuleIndex([]),
+    }
+
+
+_IDENTITY_BOOKS = _identity_books()
+
+
+def _spellings(index: RuleIndex) -> list[str]:
+    """Every accepted spelling of the book's items, plus unknown ones."""
+    out = ["Never = Seen", "Ghost", "", "F0 = v999"]
+    for item in index.table.vocabulary:
+        out += [str(item), item.render()]
+    return out
+
+
+_request_ids = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", 'a"b\\c', "ü☃ \u2028", "\x00\n"]),
+)
+
+
+@st.composite
+def _batches(draw):
+    name = draw(st.sampled_from(sorted(_IDENTITY_BOOKS)))
+    spellings = _spellings(_IDENTITY_BOOKS[name])
+    requests = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "type": st.just("match"),
+                    "id": _request_ids,
+                    "transaction": st.lists(
+                        st.sampled_from(spellings), max_size=14
+                    ),
+                    "explain": st.booleans(),
+                }
+            ),
+            min_size=1,
+            max_size=70,
+        )
+    )
+    return name, requests
+
+
+class TestByteIdentity:
+    """Every served line equals ``json.dumps`` of the oracle's answer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_batches(), st.integers(min_value=1, max_value=2**31))
+    def test_lines_equal_oracle_json(self, drawn, version):
+        name, requests = drawn
+        index = _IDENTITY_BOOKS[name]
+        oracle = CountdownOracle(index)
+        service = RuleService(index, version=version)
+        lines = serve_batch(service, requests)
+        for request, line in zip(requests, lines):
+            assert line == oracle.line(request, version)
+        fires: dict[int, int] = {}
+        for request in requests:
+            for rule_id, _ in oracle.fired(request["transaction"]):
+                fires[rule_id] = fires.get(rule_id, 0) + 1
+        assert service.metrics.rule_matches == fires
+        assert service.metrics.n_matched == len(requests)
+
+    def test_exotic_book_fires_and_explains(self):
+        # guard against a vacuous property: the non-ASCII book must
+        # produce fired entries and near misses in the drawn space
+        index = _IDENTITY_BOOKS["exotic"]
+        vocabulary = [item.render() for item in index.table.vocabulary]
+        [line] = serve_batch(
+            RuleService(index),
+            [{"id": "é", "transaction": vocabulary[:4], "explain": True}],
+        )
+        response = json.loads(line)
+        assert response["fired"] and response["near_misses"]
+        assert line.isascii()  # json.dumps escapes every non-ASCII render

@@ -40,6 +40,7 @@ from repro.shm import (
 from repro.shm.database import clear_database_leases
 from repro.shm.segment import NO_SHM_ENV, _SHM_DIR, segment_name
 
+from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over, serve_batch
 from .test_serve_rulebook import random_rules
 
 pytestmark = pytest.mark.skipif(
@@ -231,20 +232,27 @@ class TestRulePlane:
             assert meta["version_tag"] == "tag-xyz"
             assert meta["n_rules"] == len(local)
             assert len(att) == len(local)
+            oracle = CountdownOracle(local)
             for txn in self.sample_transactions(local):
                 assert att.match_wire(txn) == local.match_wire(txn)
                 assert att.explain(txn) == local.explain(txn)
+                assert att.match_wire(txn) == oracle.match_wire(txn)
         finally:
             lease.unlink()
 
     def test_batch_path_needs_no_scalar_build(self):
+        # attach builds no rule objects and no near-miss prefixes, and
+        # the plain answer path never asks for either
         local, lease, att, _ = self.attach_pair(seed=11)
         try:
             txns = self.sample_transactions(local, seed=5)
-            assert att._postings is None  # compiled-only construction
-            got = att.match_wire_batch(txns)
-            assert att._postings is None  # batch path stayed compiled-only
-            assert got == local.match_wire_batch(txns)
+            assert att._rules is None and att._near_heads is None
+            fires, bodies = att.wire_batch(txns, [False] * len(txns))
+            got = list(bodies)
+            assert att._rules is None and att._near_heads is None
+            want_fires, want = local.wire_batch(txns, [False] * len(txns))
+            assert got == list(want)
+            assert np.array_equal(fires, want_fires)
         finally:
             lease.unlink()
 
@@ -261,17 +269,62 @@ class TestRulePlane:
             lease.unlink()
 
     def test_multibyte_wire_fragments_never_tear(self):
-        rules = random_rules(random.Random(2), 25, 12)
-        book = RuleBook(rules=rules)
-        local = RuleIndex.from_rulebook(book)
-        # force multi-byte spellings through the wire blob
+        # multi-byte item spellings through the byte-offset fragment blob
+        local = RuleIndex(rules_over(EXOTIC_ITEMS, seed=2, n_rules=25))
         lease = publish_rule_plane(local, generation=2)
         att, _ = attach_rule_plane(lease.name)
         try:
-            for miss, hit in att._wire_json:
-                json.loads(miss)  # every fragment is standalone JSON
-                json.loads(hit)
-            assert att._wire_json == local._wire_json
+            for frag in att._frags:
+                json.loads(frag)  # every fragment is standalone JSON
+            assert att._frags.tolist() == local._frags.tolist()
+        finally:
+            lease.unlink()
+
+    def test_attach_rejects_offsets_not_covering_the_blob(self, monkeypatch):
+        # a damaged fragment offset table must fail as a SegmentError
+        # (the reload path falls back on it), never as an IndexError
+        import repro.shm.ruleplane as ruleplane
+
+        publish = ruleplane.publish_segment
+
+        def short_offsets(kind, fingerprint, *, arrays, **kwargs):
+            arrays = dict(arrays, wire_offsets=arrays["wire_offsets"][:-1])
+            return publish(kind, fingerprint, arrays=arrays, **kwargs)
+
+        monkeypatch.setattr(ruleplane, "publish_segment", short_offsets)
+        lease = publish_rule_plane(make_index(seed=17), generation=4)
+        try:
+            with pytest.raises(SegmentError, match="offsets"):
+                attach_rule_plane(lease.name)
+        finally:
+            lease.unlink()
+
+    def test_attached_lines_equal_compiled_lines(self):
+        # the same batch, served by an attached and by a locally compiled
+        # index, must give the same bytes — plain, explain, non-ASCII
+        local = RuleIndex(rules_over(EXOTIC_ITEMS, seed=4, n_rules=40))
+        lease = publish_rule_plane(local, generation=3)
+        att, _ = attach_rule_plane(lease.name)
+        try:
+            rng = random.Random(9)
+            spellings = [
+                text
+                for item in local.table.vocabulary
+                for text in (str(item), item.render())
+            ] + ["Unbekannt = ?"]
+            requests = [
+                {
+                    "id": f"r{k} ü",
+                    "transaction": rng.sample(spellings, rng.randint(0, 6)),
+                    "explain": k % 3 == 0,
+                }
+                for k in range(30)
+            ]
+            lines = serve_batch(RuleService(att), requests)
+            assert lines == serve_batch(RuleService(local), requests)
+            oracle = CountdownOracle(local)
+            assert lines == [oracle.line(r, 1) for r in requests]
+            assert any(json.loads(line)["fired"] for line in lines)
         finally:
             lease.unlink()
 
