@@ -9,6 +9,7 @@ CLI stats footer) can see where a run spent its time without profiling.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -215,14 +216,8 @@ class LatencyHistogram:
     def record(self, seconds: float) -> None:
         """Record one latency sample (negative values clamp to zero)."""
         seconds = max(seconds, 0.0)
-        lo, hi = 0, len(self._bounds)
-        while lo < hi:  # first bucket whose upper edge holds the sample
-            mid = (lo + hi) // 2
-            if self._bounds[mid] >= seconds:
-                hi = mid
-            else:
-                lo = mid + 1
-        self._counts[lo] += 1
+        # first bucket whose upper edge holds the sample
+        self._counts[bisect.bisect_left(self._bounds, seconds)] += 1
         self._count += 1
         self._sum += seconds
         self._min = min(self._min, seconds)

@@ -35,7 +35,6 @@ from .client import (
     RuleServiceClient,
     ServiceError,
     replay_traffic,
-    replay_traffic_multiprocess,
     trace_transactions,
 )
 from .index import Match, NearMiss, RuleIndex
@@ -59,7 +58,6 @@ __all__ = [
     "ServiceError",
     "ReplayStats",
     "replay_traffic",
-    "replay_traffic_multiprocess",
     "trace_transactions",
     "LBPolicy",
     "LB_POLICIES",

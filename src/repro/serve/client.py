@@ -24,7 +24,6 @@ __all__ = [
     "trace_transactions",
     "ReplayStats",
     "replay_traffic",
-    "replay_traffic_multiprocess",
 ]
 
 
@@ -273,104 +272,5 @@ async def replay_traffic(
     shards = [transactions[i::concurrency] for i in range(concurrency)]
     started = time.perf_counter()
     await asyncio.gather(*(worker(shard) for shard in shards if shard))
-    stats.seconds = time.perf_counter() - started
-    return stats
-
-
-def _replay_in_process(
-    host: str,
-    port: int,
-    transactions: list[list[str]],
-    concurrency: int,
-    window: int,
-    max_retries: int,
-) -> dict:
-    """Child-process entry for :func:`replay_traffic_multiprocess`."""
-    stats = asyncio.run(
-        replay_traffic(
-            host,
-            port,
-            transactions,
-            concurrency=concurrency,
-            window=window,
-            max_retries=max_retries,
-        )
-    )
-    return {
-        "n_requests": stats.n_requests,
-        "n_fired": stats.n_fired,
-        "n_retried": stats.n_retried,
-        "n_failed": stats.n_failed,
-        "fired_rules": stats.fired_rules,
-    }
-
-
-def replay_traffic_multiprocess(
-    host: str,
-    port: int,
-    transactions: list[list[str]],
-    *,
-    processes: int = 2,
-    concurrency: int = 8,
-    window: int = 32,
-    max_retries: int = 20,
-) -> ReplayStats:
-    """Saturation load generation: :func:`replay_traffic` across processes.
-
-    A single asyncio load generator tops out on its own core well before
-    a multi-shard service does, which would make the generator — not the
-    cluster — the thing a benchmark measures.  This splits the jobs over
-    *processes* worker processes, each running its own event loop, and
-    merges the stats; ``seconds`` is the parent's wall clock around the
-    whole fan-out.  Synchronous by design (benchmarks call it from plain
-    code while the cluster runs in separate processes).
-    """
-    if processes <= 1:
-        return asyncio.run(
-            replay_traffic(
-                host,
-                port,
-                transactions,
-                concurrency=concurrency,
-                window=window,
-                max_retries=max_retries,
-            )
-        )
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    shards = [transactions[i::processes] for i in range(processes)]
-    stats = ReplayStats()
-    started = time.perf_counter()
-    # spawn, not fork: the caller may hold a live event loop (the bench
-    # drives a cluster on the main thread while this runs in a worker
-    # thread), and forking a threaded asyncio process is unsafe
-    with ProcessPoolExecutor(
-        max_workers=processes,
-        mp_context=multiprocessing.get_context("spawn"),
-    ) as pool:
-        futures = [
-            pool.submit(
-                _replay_in_process,
-                host,
-                port,
-                shard,
-                concurrency,
-                window,
-                max_retries,
-            )
-            for shard in shards
-            if shard
-        ]
-        for future in futures:
-            part = future.result()
-            stats.n_requests += part["n_requests"]
-            stats.n_fired += part["n_fired"]
-            stats.n_retried += part["n_retried"]
-            stats.n_failed += part["n_failed"]
-            for rule_id, count in part["fired_rules"].items():
-                stats.fired_rules[rule_id] = (
-                    stats.fired_rules.get(rule_id, 0) + count
-                )
     stats.seconds = time.perf_counter() - started
     return stats

@@ -32,8 +32,8 @@ Failure semantics, which the chaos tests pin down:
   exactly like a single service does: ``overloaded`` + ``retry_after``.
 
 Order preservation: responses to one client connection return in that
-connection's request order (the same future-queue machinery the service
-uses), even though requests fan out to different shards.
+connection's request order (the service's :class:`NdjsonConnection`
+framing), even though requests fan out to different shards.
 """
 
 from __future__ import annotations
@@ -42,17 +42,19 @@ import asyncio
 import collections
 import json
 import time
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..engine.stats import LatencyHistogram, aggregate_shard_metrics
 from .lb import LBPolicy, get_policy
 from .service import (
-    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    LineFraming,
+    NdjsonConnection,
     _encode,
     _error,
     _error_line,
-    run_ndjson_connection,
+    close_connections,
+    reload_problem,
 )
 
 __all__ = ["ShardDown", "ShardHandle", "ShardRouter"]
@@ -69,16 +71,24 @@ class ShardDown(ConnectionError):
     """The upstream shard connection died with this request pending."""
 
 
-class ShardHandle:
-    """One upstream shard: a supervised, pipelined connection + signals.
+def _timed_out(future: asyncio.Future) -> None:
+    future.set_exception(asyncio.TimeoutError("shard did not answer in time"))
 
-    The handle owns a supervisor task that dials the shard, runs a
-    FIFO reader (the shard answers a connection's requests in order),
-    and on disconnection fails all pending requests with
-    :class:`ShardDown` before redialing with exponential backoff.  The
-    load signals the LB policies consume — ``inflight`` and
-    ``ewma_latency_s`` — are maintained here, next to the socket that
-    defines them.
+
+def _shard_down(future: asyncio.Future) -> None:
+    future.set_exception(ShardDown("shard connection lost"))
+
+
+class ShardHandle(LineFraming):
+    """One upstream shard: the protocol of a supervised, pipelined link.
+
+    A supervisor task dials the shard and redials with exponential
+    backoff; the rest happens in protocol callbacks.  The shard answers
+    in order, so each response line settles the oldest entry of the
+    FIFO ``pending`` queue.  One deadline timer per shard, re-armed to
+    the earliest open deadline, times requests out.  The load signals
+    the LB policies consume — ``inflight`` and ``ewma_latency_s`` — are
+    maintained here, next to the socket that defines them.
     """
 
     def __init__(
@@ -89,21 +99,24 @@ class ShardHandle:
         *,
         pid: int | None = None,
     ):
+        super().__init__()
         self.name = name
         self.host = host
         self.port = port
         self.pid = pid
-        self.healthy = False
-        self.inflight = 0
         self.ewma_latency_s = 0.0
         self.latency = LatencyHistogram()
         self.n_answered = 0
         self.n_conn_failures = 0
         self.n_timeouts = 0
-        self._writer: asyncio.StreamWriter | None = None
-        self._pending: collections.deque | None = None
+        self.n_protocol_errors = 0
+        self._transport: asyncio.Transport | None = None
+        self._pending: collections.deque = collections.deque()
+        self._outbox: list[bytes] = []
+        self._timer: asyncio.TimerHandle | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._lost: asyncio.Future | None = None
         self._supervisor: asyncio.Task | None = None
-        self._closed = False
 
     def __repr__(self) -> str:
         state = "up" if self.healthy else "down"
@@ -112,16 +125,23 @@ class ShardHandle:
             f"inflight={self.inflight})"
         )
 
+    @property
+    def healthy(self) -> bool:
+        return self._transport is not None
+
+    @property
+    def inflight(self) -> int:
+        """Requests sent and not yet answered (timed-out ones included)."""
+        return len(self._pending)
+
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
         """Begin supervising the upstream connection (idempotent)."""
         if self._supervisor is None or self._supervisor.done():
-            self._closed = False
+            self._loop = asyncio.get_running_loop()
             self._supervisor = asyncio.create_task(self._supervise())
 
     async def close(self) -> None:
-        self._closed = True
-        self.healthy = False
         if self._supervisor is not None:
             self._supervisor.cancel()
             try:
@@ -129,80 +149,110 @@ class ShardHandle:
             except asyncio.CancelledError:
                 pass
             self._supervisor = None
-        self._teardown()
-
-    async def wait_healthy(self, timeout: float) -> bool:
-        """Poll until the shard connection is up (or *timeout* elapses)."""
-        deadline = time.monotonic() + timeout
-        while not self.healthy:
-            if time.monotonic() >= deadline:
-                return False
-            await asyncio.sleep(0.01)
-        return True
+        if self._transport is not None:
+            self._transport.abort()
+            await self._lost
 
     # -- request path ------------------------------------------------------------
-    async def request_line(
-        self, line: bytes, timeout: float | None = None
-    ) -> bytes:
-        """Forward one raw request line; await its raw response line.
+    def submit(
+        self,
+        line: bytes,
+        timeout: float | None = None,
+        future: asyncio.Future | None = None,
+        on_timeout: Callable[[asyncio.Future], None] = _timed_out,
+        on_lost: Callable[[asyncio.Future], None] = _shard_down,
+    ) -> asyncio.Future:
+        """Send one request line (no newline); *future* gets the answer.
 
-        Raises :class:`ShardDown` if the connection is (or goes) down
-        before the response arrives, :class:`asyncio.TimeoutError` if
-        the shard stays silent past *timeout*.  On timeout the pending
-        slot is *kept* (shielded): the shard answers its connection in
-        FIFO order, so the slot must stay to keep later responses
-        aligned — and a stalled shard's ``inflight`` keeps climbing,
-        which is exactly the signal load-aware policies route away from.
+        Lines submitted in one loop turn leave in one write.  Past
+        *timeout* the entry is handed to *on_timeout* (default: fail
+        with :class:`asyncio.TimeoutError`) but keeps its slot, so later
+        responses stay aligned — and a stalled shard's ``inflight``
+        keeps climbing, the signal load-aware policies route away from.
+        If the link dies first, *on_lost* gets it (default: fail with
+        :class:`ShardDown`).
         """
-        if not self.healthy or self._writer is None or self._pending is None:
+        if not self.healthy:
             raise ShardDown(f"shard {self.name} is not connected")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending.append((future, time.perf_counter()))
-        self.inflight += 1
-        self._writer.write(line)
-        if timeout is None:
-            return await future
-        try:
-            return await asyncio.wait_for(asyncio.shield(future), timeout)
-        except asyncio.TimeoutError:
-            self.n_timeouts += 1
-            raise
+        if future is None:
+            future = self._loop.create_future()
+        now = self._loop.time()
+        deadline = None
+        if timeout is not None:
+            deadline = now + timeout
+            if self._timer is None or deadline < self._timer.when():
+                self._arm(deadline)
+        self._pending.append((future, now, deadline, on_timeout, on_lost))
+        if not self._outbox:
+            self._loop.call_soon(self._send)
+        self._outbox.append(line)
+        return future
 
-    # -- supervision -------------------------------------------------------------
+    def _send(self) -> None:
+        if self._outbox and self._transport is not None:
+            self._outbox.append(b"")
+            self._transport.write(b"\n".join(self._outbox))
+        self._outbox.clear()
+
+    def _arm(self, deadline: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._loop.call_at(deadline, self._expire)
+
+    def _expire(self) -> None:
+        """Time out every open entry past its deadline; re-arm for the rest."""
+        self._timer = None
+        now = self._loop.time()
+        earliest = None
+        for future, _sent_at, deadline, on_timeout, _on_lost in self._pending:
+            if deadline is None or future.done():
+                continue
+            if deadline <= now:
+                self.n_timeouts += 1
+                on_timeout(future)
+            elif earliest is None or deadline < earliest:
+                earliest = deadline
+        if earliest is not None:
+            self._arm(earliest)
+
+    # -- the upstream protocol --------------------------------------------------
     async def _supervise(self) -> None:
         backoff = RECONNECT_MIN_S
-        while not self._closed:
+        while True:
             try:
-                reader, writer = await asyncio.open_connection(
-                    self.host, self.port, limit=MAX_LINE_BYTES
+                await self._loop.create_connection(
+                    lambda: self, self.host, self.port
                 )
             except OSError:
                 self.n_conn_failures += 1
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, RECONNECT_MAX_S)
                 continue
-            self._writer = writer
-            self._pending = collections.deque()
-            self.healthy = True
             backoff = RECONNECT_MIN_S
-            try:
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    self._settle(line)
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            finally:
-                self._teardown()
+            await asyncio.shield(self._lost)
 
-    def _settle(self, line: bytes) -> None:
-        """Pair one upstream response with the oldest pending request."""
-        if not self._pending:  # pragma: no cover - protocol violation
-            return
-        future, sent_at = self._pending.popleft()
-        self.inflight -= 1
-        elapsed = time.perf_counter() - sent_at
+    def connection_made(self, transport) -> None:
+        LineFraming.__init__(self)  # fresh framing per link
+        self._transport = transport
+        self._lost = self._loop.create_future()
+
+    def data_received(self, data: bytes) -> None:
+        lines = self._frame(data)
+        if lines is None:
+            return self._violation()
+        for line in lines:
+            if not self._settle(line + b"\n"):
+                return
+
+    def _settle(self, line: bytes) -> bool:
+        """Pair one response line with the oldest pending request."""
+        if not self._pending:
+            self._violation()  # an answer nobody asked for
+            return False
+        future, sent_at, _deadline, _on_timeout, _on_lost = (
+            self._pending.popleft()
+        )
+        elapsed = self._loop.time() - sent_at
         self.latency.record(elapsed)
         self.n_answered += 1
         self.ewma_latency_s = (
@@ -212,24 +262,27 @@ class ShardHandle:
         )
         if not future.done():
             future.set_result(line)
+        return True
 
-    def _teardown(self) -> None:
-        self.healthy = False
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
-            self._writer = None
-        if self._pending:
-            error = ShardDown(f"shard {self.name} connection lost")
-            while self._pending:
-                future, _sent_at = self._pending.popleft()
-                self.inflight -= 1
-                if not future.done():
-                    future.set_exception(error)
-        self._pending = None
-        self.inflight = max(self.inflight, 0)
+    def _violation(self) -> None:
+        """The shard broke the one-answer-per-request framing: the link
+        can no longer be trusted to align, so drop it (its open requests
+        retry elsewhere) and let the supervisor redial."""
+        self.n_protocol_errors += 1
+        self._transport.abort()  # connection_lost follows next loop turn
+        self._transport = None  # unhealthy from now on
+
+    def connection_lost(self, exc) -> None:
+        self._transport = None
+        self._outbox.clear()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        pending, self._pending = self._pending, collections.deque()
+        for future, _sent_at, _deadline, _on_timeout, on_lost in pending:
+            if not future.done():
+                on_lost(future)
+        self._lost.set_result(None)
 
     def info(self) -> dict:
         """The healthz/metrics view of this shard."""
@@ -244,6 +297,7 @@ class ShardHandle:
             "answered": self.n_answered,
             "conn_failures": self.n_conn_failures,
             "timeouts": self.n_timeouts,
+            "protocol_errors": self.n_protocol_errors,
         }
 
 
@@ -283,7 +337,7 @@ class ShardRouter:
         self.n_unrouteable = 0
         self.n_bad_requests = 0
         self._server: asyncio.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[NdjsonConnection] = set()
         self._draining = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -306,11 +360,10 @@ class ShardRouter:
         for handle in self.handles:
             handle.start()
         deadline = time.monotonic() + wait_healthy_s
-        for handle in self.handles:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        while time.monotonic() < deadline:
+            if all(handle.healthy for handle in self.handles):
                 break
-            await handle.wait_healthy(remaining)
+            await asyncio.sleep(0.01)
         if not any(h.healthy for h in self.handles):
             for handle in self.handles:
                 await handle.close()
@@ -318,8 +371,10 @@ class ShardRouter:
                 f"no shard became healthy within {wait_healthy_s}s: "
                 f"{self.handles}"
             )
-        self._server = await asyncio.start_server(
-            self._handle_client, host, port, limit=MAX_LINE_BYTES
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: NdjsonConnection(self._dispatch, self._connections),
+            host,
+            port,
         )
         return self._server
 
@@ -336,27 +391,14 @@ class ShardRouter:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._conn_tasks:
-            _, pending = await asyncio.wait(set(self._conn_tasks), timeout=2.0)
-            for task in pending:  # pragma: no cover - lingering clients
-                task.cancel()
-            if pending:  # pragma: no cover
-                await asyncio.wait(pending)
-            self._conn_tasks.clear()
+        await close_connections(self._connections, 2.0)
         for handle in self.handles:
             await handle.close()
 
     # -- connection handling -----------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await run_ndjson_connection(
-            reader, writer, self._dispatch, self._conn_tasks
-        )
-
     def _dispatch(self, line: bytes) -> bytes | asyncio.Future:
         try:
-            request = json.loads(line)
+            request = json.loads(line.decode())
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
         except (json.JSONDecodeError, ValueError, UnicodeDecodeError) as exc:
@@ -369,7 +411,7 @@ class ShardRouter:
                 return _error_line(
                     request_id, "shutting_down", "router is draining"
                 )
-            return asyncio.ensure_future(self._forward(line, request_id))
+            return self._forward(line, request_id)
         if kind == "healthz":
             return asyncio.ensure_future(self._healthz(request_id))
         if kind == "metrics":
@@ -393,57 +435,65 @@ class ShardRouter:
             and h.inflight < self.max_inflight_per_shard
         ]
 
-    async def _forward(self, line: bytes, request_id) -> bytes:
-        """Route one match request; retry replica failures, shed overload."""
-        tried: list[ShardHandle] = []
-        while True:
-            candidates = self._candidates(tried)
-            if not candidates:
-                break
-            shard = self.policy.choose(candidates)
-            tried.append(shard)
-            try:
-                response = await shard.request_line(
-                    line, self.request_timeout_s
+    def _forward(
+        self,
+        line: bytes,
+        request_id,
+        future: asyncio.Future | None = None,
+        tried: tuple[ShardHandle, ...] = (),
+    ) -> asyncio.Future:
+        """Route one match request; retry replica failures, shed overload.
+
+        Returns the future the chosen shard settles with its answer
+        line; a retry re-submits the same future to another shard.
+        """
+        if future is None:
+            future = asyncio.get_running_loop().create_future()
+        candidates = self._candidates(tried)
+        if not candidates:
+            self.n_unrouteable += 1
+            future.set_result(
+                self._retriable(
+                    request_id, "overloaded", "no healthy shard available"
                 )
-            except ShardDown:
-                # the replica vanished mid-request; matching is
-                # idempotent, so another replica can answer instead
-                self.n_shard_retries += 1
-                continue
-            except asyncio.TimeoutError:
-                response_obj = _error(
+            )
+            return future
+        shard = self.policy.choose(candidates)
+        if not tried:
+            self.n_routed += 1
+
+        def on_timeout(future: asyncio.Future) -> None:
+            self.n_timeouts += 1
+            future.set_result(
+                self._retriable(
                     request_id,
                     "shard_timeout",
                     f"shard {shard.name} did not answer within "
                     f"{self.request_timeout_s}s",
                 )
-                response_obj["retry_after"] = self.retry_after_s
-                self.n_timeouts += 1
-                return _encode(response_obj)
-            except Exception as exc:  # pragma: no cover - defensive
-                response_obj = _error(request_id, "internal", repr(exc))
-                return _encode(response_obj)
-            self.n_routed += 1
-            return response
-        self.n_unrouteable += 1
-        response_obj = _error(
-            request_id,
-            "overloaded",
-            "no healthy shard available",
-        )
-        response_obj["retry_after"] = self.retry_after_s
-        return _encode(response_obj)
+            )
+
+        def on_lost(future: asyncio.Future) -> None:
+            # the replica vanished mid-request; matching is idempotent,
+            # so another replica can answer instead
+            self.n_shard_retries += 1
+            self._forward(line, request_id, future, (*tried, shard))
+
+        shard.submit(line, self.request_timeout_s, future, on_timeout, on_lost)
+        return future
+
+    def _retriable(self, request_id, code: str, detail: str) -> bytes:
+        response = _error(request_id, code, detail)
+        response["retry_after"] = self.retry_after_s
+        return _encode(response)
 
     # -- control plane -----------------------------------------------------------
     async def _probe_one(self, request: dict) -> dict:
         """Ask the first healthy shard that answers; {} if none do."""
-        line = json.dumps(request).encode() + b"\n"
+        line = json.dumps(request).encode()
         for handle in self.handles:
-            if not handle.healthy:
-                continue
             try:
-                raw = await handle.request_line(line, self.control_timeout_s)
+                raw = await handle.submit(line, self.control_timeout_s)
                 return json.loads(raw)
             except (ShardDown, asyncio.TimeoutError, json.JSONDecodeError):
                 continue
@@ -483,13 +533,11 @@ class ShardRouter:
         )
 
     async def _metrics(self, request_id) -> bytes:
-        line = b'{"type": "metrics"}\n'
+        line = b'{"type": "metrics"}'
 
         async def scrape(handle: ShardHandle) -> dict | None:
-            if not handle.healthy:
-                return None
             try:
-                raw = await handle.request_line(line, self.control_timeout_s)
+                raw = await handle.submit(line, self.control_timeout_s)
                 return json.loads(raw)
             except (ShardDown, asyncio.TimeoutError, json.JSONDecodeError):
                 return None
@@ -528,42 +576,21 @@ class ShardRouter:
         cluster max + 1), so responses tagged with the new version mean
         the same rulebook no matter which replica answered.
         """
-        path = request.get("rulebook")
-        segment = request.get("segment")
-        if path is not None and (not isinstance(path, str) or not path):
+        problem = reload_problem(request)
+        if problem is not None:
             self.n_bad_requests += 1
-            return _error_line(
-                request_id, "bad_request", "reload 'rulebook' must be a path"
-            )
-        if segment is not None and (not isinstance(segment, str) or not segment):
-            self.n_bad_requests += 1
-            return _error_line(
-                request_id, "bad_request", "reload 'segment' must be a name"
-            )
-        if path is None and segment is None:
-            self.n_bad_requests += 1
-            return _error_line(
-                request_id,
-                "bad_request",
-                "reload needs a 'rulebook' path or a 'segment' name",
-            )
+            return _error_line(request_id, "bad_request", problem)
         version = request.get("version")
         if version is None:
             probe = await self._probe_one({"type": "healthz"})
             version = int(probe.get("version") or 0) + 1
-        payload: dict = {
-            "type": "reload",
-            "version": version,
-        }
-        if path is not None:
-            payload["rulebook"] = path
-        if segment is not None:
-            # the shards attach the published shared-memory plane and
-            # only fall back to the rulebook path if the attach fails
-            payload["segment"] = segment
-        if request.get("version_tag") is not None:
-            payload["version_tag"] = request["version_tag"]
-        line = json.dumps(payload).encode() + b"\n"
+        payload: dict = {"type": "reload", "version": version}
+        # with a segment, the shards attach the published shared-memory
+        # plane and only fall back to the rulebook path if that fails
+        for key in ("rulebook", "segment", "version_tag"):
+            if request.get(key) is not None:
+                payload[key] = request[key]
+        line = json.dumps(payload).encode()
         outcomes = []
         n_rules = None
         version_tag = request.get("version_tag")
@@ -574,7 +601,7 @@ class ShardRouter:
                 )
                 continue
             try:
-                raw = await handle.request_line(line, self.control_timeout_s)
+                raw = await handle.submit(line, self.control_timeout_s)
                 result = json.loads(raw)
             except (ShardDown, asyncio.TimeoutError) as exc:
                 outcomes.append(
@@ -584,21 +611,11 @@ class ShardRouter:
             if result.get("type") == "reload_result":
                 n_rules = result.get("n_rules")
                 version_tag = result.get("version_tag", version_tag)
-                outcomes.append(
-                    {
-                        "name": handle.name,
-                        "ok": True,
-                        "version": result.get("version"),
-                    }
-                )
+                outcome = {"ok": True, "version": result.get("version")}
             else:
-                outcomes.append(
-                    {
-                        "name": handle.name,
-                        "ok": False,
-                        "error": result.get("detail", "reload refused"),
-                    }
-                )
+                detail = result.get("detail", "reload refused")
+                outcome = {"ok": False, "error": detail}
+            outcomes.append({"name": handle.name, **outcome})
         status = "ok" if all(o["ok"] for o in outcomes) else "partial"
         return _encode(
             {

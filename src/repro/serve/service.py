@@ -30,8 +30,12 @@ Design points, mirroring what a production sidecar needs:
 
 * **Pipelining** — a connection may send many requests before reading
   any response; responses come back in request order.  Each connection
-  runs a reader task (parse + enqueue) and a writer task (answer in
-  order), so a single client can keep the batcher saturated.
+  is one :class:`NdjsonConnection` protocol: it frames the lines of
+  every socket read, dispatches them at once, and writes all answers
+  ready at the head of the connection's order in one coalesced write —
+  no task, queue or readline per request.  Reading pauses while the
+  client lags behind its answers (transport high-water mark), so a
+  client that never reads holds bounded server memory.
 * **Micro-batching** — match requests land on a bounded queue; a single
   batcher task drains up to ``max_batch`` at once and answers them in
   one pass.  Under load this amortises task wakeups; under light load
@@ -64,15 +68,15 @@ Design points, mirroring what a production sidecar needs:
   :class:`~repro.engine.stats.LatencyHistogram`; per-rule fire counts
   tell the operator which mined rules actually earn their keep.
 
-The per-connection reader/writer machinery is shared with the shard
-router (:mod:`repro.serve.router`) via :func:`run_ndjson_connection` /
-:func:`pump_responses` — both ends of the sharded deployment speak the
-exact same framing.
+:class:`NdjsonConnection` is shared with the shard router
+(:mod:`repro.serve.router`) — both ends of the sharded deployment speak
+the exact same framing.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import signal
 import socket
@@ -90,8 +94,8 @@ from .rulebook import RuleBook, RuleBookSchemaError
 __all__ = [
     "ServiceMetrics",
     "RuleService",
-    "run_ndjson_connection",
-    "pump_responses",
+    "LineFraming",
+    "NdjsonConnection",
 ]
 
 #: protocol schema version announced by healthz
@@ -106,10 +110,13 @@ DEFAULT_MAX_BATCH = 64
 #: default client back-off hint attached to overload rejections, seconds
 DEFAULT_RETRY_AFTER_S = 0.05
 
-#: stream line limit, both directions — a match response over a large
-#: book (fired rules + near misses) easily exceeds asyncio's 64 KiB
-#: default readline limit
+#: line limit, both directions — a match response over a large book
+#: (fired rules + near misses) easily exceeds asyncio's 64 KiB default
 MAX_LINE_BYTES = 8 * 1024 * 1024
+
+#: answers below this size are joined into one write; larger ones are
+#: written alone, so they are never copied into a joined buffer
+JOIN_MAX_BYTES = 64 * 1024
 
 
 class ServiceMetrics:
@@ -236,7 +243,7 @@ class _IndexFlip:
 
 
 class RuleService:
-    """A long-lived rule matcher behind ``asyncio.start_server``.
+    """A long-lived rule matcher behind an asyncio TCP server.
 
     Typical embedding (the CLI's ``repro serve`` does exactly this)::
 
@@ -279,7 +286,7 @@ class RuleService:
         self._server: asyncio.Server | None = None
         self._control: asyncio.Server | None = None
         self._batcher: asyncio.Task | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[NdjsonConnection] = set()
         self._draining = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -300,11 +307,10 @@ class RuleService:
         self.metrics = ServiceMetrics()
         self._draining = False
         self._batcher = asyncio.create_task(self._batch_loop())
-        self._server = await asyncio.start_server(
-            self._handle_client,
+        self._server = await asyncio.get_running_loop().create_server(
+            self._connection,
             host,
             port,
-            limit=MAX_LINE_BYTES,
             **({"reuse_port": True} if reuse_port else {}),
         )
         return self._server
@@ -321,8 +327,8 @@ class RuleService:
         """
         if self._control is not None:
             raise RuntimeError("control listener already started")
-        self._control = await asyncio.start_server(
-            self._handle_client, host, port, limit=MAX_LINE_BYTES
+        self._control = await asyncio.get_running_loop().create_server(
+            self._connection, host, port
         )
         return self._control
 
@@ -389,16 +395,10 @@ class RuleService:
             except asyncio.CancelledError:
                 pass
             self._batcher = None
-        # connection handlers: queued answers are written as clients drain
-        # their sockets and hang up; anyone still holding the connection
-        # open after a grace period gets cut off
-        if self._conn_tasks:
-            _, pending = await asyncio.wait(set(self._conn_tasks), timeout=1.0)
-            for task in pending:  # pragma: no cover - lingering clients
-                task.cancel()
-            if pending:  # pragma: no cover
-                await asyncio.wait(pending)
-            self._conn_tasks.clear()
+        # queued answers are written as clients drain their sockets and
+        # hang up; anyone still holding the connection open after a grace
+        # period gets cut off
+        await close_connections(self._connections, 1.0)
 
     # -- hot swap ----------------------------------------------------------------
     async def reload(
@@ -451,31 +451,13 @@ class RuleService:
             return _error_line(
                 request_id, "shutting_down", "service is draining"
             )
+        problem = reload_problem(request)
+        if problem is not None:
+            self.metrics.n_bad_requests += 1
+            return _error_line(request_id, "bad_request", problem)
         path = request.get("rulebook")
         segment = request.get("segment")
-        if path is not None and (not isinstance(path, str) or not path):
-            self.metrics.n_bad_requests += 1
-            return _error_line(
-                request_id, "bad_request", "reload 'rulebook' must be a path"
-            )
-        if segment is not None and (not isinstance(segment, str) or not segment):
-            self.metrics.n_bad_requests += 1
-            return _error_line(
-                request_id, "bad_request", "reload 'segment' must be a name"
-            )
-        if path is None and segment is None:
-            self.metrics.n_bad_requests += 1
-            return _error_line(
-                request_id,
-                "bad_request",
-                "reload needs a 'rulebook' path or a 'segment' name",
-            )
         version = request.get("version")
-        if version is not None and not isinstance(version, int):
-            self.metrics.n_bad_requests += 1
-            return _error_line(
-                request_id, "bad_request", "reload version must be an integer"
-            )
         index = None
         source = None
         fingerprint = None
@@ -523,17 +505,13 @@ class RuleService:
         )
 
     # -- connection handling ----------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await run_ndjson_connection(
-            reader, writer, self._dispatch, self._conn_tasks
-        )
+    def _connection(self) -> "NdjsonConnection":
+        return NdjsonConnection(self._dispatch, self._connections)
 
     def _dispatch(self, line: bytes) -> bytes | asyncio.Future:
         """One request line → encoded response line, or a pending future."""
         try:
-            request = json.loads(line)
+            request = json.loads(line.decode())
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
         except (json.JSONDecodeError, ValueError, UnicodeDecodeError) as exc:
@@ -685,66 +663,163 @@ class RuleService:
         return cls(RuleIndex.from_rulebook(book), **kwargs)
 
 
-async def run_ndjson_connection(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    dispatch: Callable[[bytes], "bytes | asyncio.Future"],
-    conn_tasks: set[asyncio.Task] | None = None,
-) -> None:
-    """One pipelined NDJSON connection: read lines, answer in order.
+class LineFraming(asyncio.Protocol):
+    """Newline framing shared by both ends of a connection."""
 
-    ``dispatch`` maps a raw request line to either an encoded response
-    line or a future resolving to one; responses are written strictly in
-    request order by a paired writer task.  Shared by the service and
-    the shard router so both ends use identical framing and teardown.
+    def __init__(self) -> None:
+        self._partial: list[bytes] = []
+        self._partial_len = 0
+
+    def _frame(self, data: bytes) -> list[bytes] | None:
+        """The lines *data* completes, without newlines; ``None`` once a
+        line outgrows :data:`MAX_LINE_BYTES`."""
+        lines = data.split(b"\n")
+        tail = lines.pop()
+        partial = self._partial
+        if partial and lines:
+            partial.append(lines[0])
+            lines[0] = b"".join(partial)
+            partial.clear()
+            self._partial_len = 0
+            # reads are at most 256 KiB, so only a line continued from
+            # earlier reads can outgrow the limit
+            if len(lines[0]) > MAX_LINE_BYTES:
+                return None
+        if tail:
+            partial.append(tail)
+            self._partial_len += len(tail)
+            if self._partial_len > MAX_LINE_BYTES:
+                return None
+        return lines
+
+
+class NdjsonConnection(LineFraming):
+    """One pipelined client connection, for the service and the router.
+
+    ``dispatch`` maps a request line (no newline) to an answer line or a
+    future of one.  All answers ready at the head of the request order
+    leave in one write (large ones alone, never copied again); a pending
+    head gets one done callback that resumes the flush.  Reading pauses
+    while the transport is above its high-water mark.  A half-close or a
+    line over :data:`MAX_LINE_BYTES` ends the requests: earlier ones are
+    still answered, then the connection closes.
     """
-    task = asyncio.current_task()
-    if task is not None and conn_tasks is not None:
-        conn_tasks.add(task)
-    out: asyncio.Queue = asyncio.Queue()
-    writer_task = asyncio.create_task(pump_responses(out, writer))
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            out.put_nowait(dispatch(line))
-    except (ConnectionResetError, BrokenPipeError, ValueError):
-        pass  # reset mid-read, or a line beyond MAX_LINE_BYTES
-    finally:
-        out.put_nowait(None)
-        try:
-            await writer_task
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:  # pragma: no cover - forced close
-            writer_task.cancel()
-            writer.close()
-            raise
-        finally:
-            if task is not None and conn_tasks is not None:
-                conn_tasks.discard(task)
+
+    def __init__(
+        self,
+        dispatch: Callable[[bytes], "bytes | asyncio.Future"],
+        connections: set,
+    ):
+        super().__init__()
+        self._dispatch = dispatch
+        self._connections = connections
+        self._transport: asyncio.Transport | None = None
+        self._order: collections.deque = collections.deque()
+        self._waiting = False  # a done callback sits on the head future
+        self._write_paused = False
+        self._ended = False  # no more requests: EOF or an overlong line
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        lines = self._frame(data)
+        if lines is None:
+            return self._end()
+        order = self._order
+        dispatch = self._dispatch
+        for line in lines:
+            try:
+                order.append(dispatch(line))
+            except Exception as exc:  # a dispatch bug must not kill the link
+                order.append(_error_line(None, "internal", repr(exc)))
+        self._flush()
+
+    def eof_received(self) -> bool:
+        if self._partial:  # a last request without its newline
+            self.data_received(b"\n")
+        self._end()
+        return True  # half-close: keep writing the answers still owed
+
+    def _end(self) -> None:
+        self._ended = True
+        self._transport.pause_reading()
+        self._flush()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if not self._ended:
+            self._transport.resume_reading()
+        self._flush()
+
+    def connection_lost(self, exc) -> None:
+        self._transport = None
+        self._connections.discard(self)
+        self._order.clear()
+        self.closed.set_result(None)
+
+    def _on_head_done(self, _future) -> None:
+        self._waiting = False
+        self._flush()
+
+    def _flush(self) -> None:
+        transport = self._transport
+        order = self._order
+        small: list[bytes] = []
+        while order and transport is not None and not self._write_paused:
+            entry = order[0]
+            if entry.__class__ is not bytes:
+                if not entry.done():
+                    if not self._waiting:
+                        self._waiting = True
+                        entry.add_done_callback(self._on_head_done)
+                    break
+                try:
+                    entry = entry.result()
+                except (Exception, asyncio.CancelledError) as exc:
+                    entry = _error_line(None, "internal", repr(exc))
+            order.popleft()
+            if len(entry) < JOIN_MAX_BYTES:
+                small.append(entry)
+                continue
+            if small:
+                transport.write(b"".join(small))
+                small.clear()
+            transport.write(entry)
+        if small:
+            transport.write(b"".join(small))
+        if self._ended and not order and transport is not None:
+            transport.close()
 
 
-async def pump_responses(
-    out: asyncio.Queue,
-    writer: asyncio.StreamWriter,
-) -> None:
-    """Write response lines in request order, coalescing drains."""
-    try:
-        while True:
-            entry = await out.get()
-            if entry is None:
-                break
-            if isinstance(entry, asyncio.Future):
-                entry = await entry
-            writer.write(entry)
-            if out.empty():  # flow control once per burst, not per line
-                await writer.drain()
-    except (ConnectionResetError, BrokenPipeError):
-        pass  # client went away; the reader half will see EOF
+async def close_connections(connections: set, grace_s: float) -> None:
+    """Give clients *grace_s* to hang up, then close the lingering ones."""
+    if connections:
+        waiting = {conn.closed for conn in connections}
+        await asyncio.wait(waiting, timeout=grace_s)
+        for conn in list(connections):  # pragma: no cover - lingering clients
+            conn._transport.close()
+
+
+def reload_problem(request: dict) -> str | None:
+    """Why *request* is not a well-formed ``reload``, or ``None``."""
+    path, segment = request.get("rulebook"), request.get("segment")
+    if path is not None and (not isinstance(path, str) or not path):
+        return "reload 'rulebook' must be a path"
+    if segment is not None and (not isinstance(segment, str) or not segment):
+        return "reload 'segment' must be a name"
+    if path is None and segment is None:
+        return "reload needs a 'rulebook' path or a 'segment' name"
+    version = request.get("version")
+    if version is not None and not isinstance(version, int):
+        return "reload version must be an integer"
+    return None
 
 
 def _load_index(path: str) -> tuple[RuleIndex, str | None]:

@@ -572,11 +572,15 @@ class ShardCluster:
             self.router = None
         for worker in self.workers:
             worker.terminate()
+        # wait, not stop(): a second SIGTERM polls the child and can reap
+        # a worker that already drained before asyncio's child watcher
+        # does, which then logs "Unknown child process" on stderr
         for worker in self.workers:
             try:
-                await worker.stop()
-            except asyncio.TimeoutError:  # pragma: no cover
+                await worker.wait(DEFAULT_DRAIN_TIMEOUT_S)
+            except asyncio.TimeoutError:  # pragma: no cover - stuck worker
                 worker.kill()
+                await worker.wait()
         if self._plane_lease is not None:
             # workers are gone; drop the segment so /dev/shm stays clean
             self._plane_lease.unlink()

@@ -7,7 +7,9 @@ live in ``test_serve_chaos.py`` on top of the ``serve_chaos`` harness.
 """
 
 import asyncio
+import json
 import random
+import time
 
 import pytest
 
@@ -321,5 +323,216 @@ class TestControlPlane:
                     assert response["retry_after"] > 0
                     health = await client.healthz()
                     assert health["status"] == "unavailable"
+
+        run(scenario())
+
+
+def echo_answer(request: dict) -> bytes:
+    """A well-formed one-line answer echoing the request id."""
+    return json.dumps(
+        {"type": "match_result", "id": request.get("id"), "version": 1,
+         "fired": []}
+    ).encode() + b"\n"
+
+
+class ScriptedShard:
+    """An in-process upstream answering each request line by a script.
+
+    ``script(request)`` returns the bytes to send back (zero, one or
+    several lines).  While ``gate`` is clear the shard reads but stays
+    silent, answering the backlog in order once it is set.
+    """
+
+    def __init__(self, script=echo_answer):
+        self.script = script
+        self.gate = asyncio.Event()
+        self.gate.set()
+        self.server: asyncio.Server | None = None
+
+    async def __aenter__(self) -> "ScriptedShard":
+        self.server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        self.gate.set()
+        assert self.server is not None
+        self.server.close()
+
+    @property
+    def port(self) -> int:
+        assert self.server is not None
+        return self.server.sockets[0].getsockname()[1]
+
+    async def _handle(self, reader, writer) -> None:
+        try:
+            while line := await reader.readline():
+                await self.gate.wait()
+                writer.write(self.script(json.loads(line)))
+                await writer.drain()
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+
+
+async def read_answers(reader, n: int) -> list[dict]:
+    async def read() -> list[dict]:
+        return [json.loads(await reader.readline()) for _ in range(n)]
+
+    return await asyncio.wait_for(read(), 10)
+
+
+def match_lines(ids) -> bytes:
+    return b"".join(
+        json.dumps(
+            {"type": "match", "id": k, "transaction": ["feature_1 = bin1"]}
+        ).encode() + b"\n"
+        for k in ids
+    )
+
+
+class TestHop:
+    """The per-request path of the router: timers, tasks, writes, framing."""
+
+    def test_silent_shard_times_out_no_earlier_than_the_deadline(self):
+        timeout_s = 0.3
+
+        async def scenario():
+            async with ScriptedShard() as shard:
+                handle = ShardHandle("silent", "127.0.0.1", shard.port)
+                router = ShardRouter([handle], request_timeout_s=timeout_s)
+                await router.start("127.0.0.1", 0)
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", router.port
+                    )
+                    shard.gate.clear()
+                    sent_at = time.monotonic()
+                    writer.write(match_lines(range(5)))
+                    stalled = await read_answers(reader, 5)
+                    waited = time.monotonic() - sent_at
+                    assert waited >= timeout_s
+                    assert [a["error"] for a in stalled] == ["shard_timeout"] * 5
+                    assert [a["id"] for a in stalled] == list(range(5))
+                    assert all(a["retry_after"] > 0 for a in stalled)
+                    # timed-out requests keep their slots until answered
+                    assert handle.inflight == 5
+                    assert handle.info()["timeouts"] == 5
+                    # the shard wakes up: its late answers fill the kept
+                    # slots, and answers after the stall stay aligned
+                    shard.gate.set()
+                    writer.write(match_lines(range(5, 25)))
+                    after = await read_answers(reader, 20)
+                    assert [a["type"] for a in after] == ["match_result"] * 20
+                    assert [a["id"] for a in after] == list(range(5, 25))
+                    assert handle.inflight == 0
+                    assert router.n_timeouts == 5
+                    writer.close()
+                finally:
+                    await router.shutdown()
+
+        run(scenario())
+
+    def test_burst_creates_no_task_and_few_upstream_writes(self):
+        book = make_book(seed=4)
+        n = 500
+
+        async def scenario():
+            async with Fleet(book, n_shards=2) as fleet:
+                assert fleet.router is not None
+                writes = []
+                for handle in fleet.router.handles:
+                    transport = handle._transport
+                    write = transport.write
+
+                    def counted(data, write=write):
+                        writes.append(len(data))
+                        write(data)
+
+                    transport.write = counted
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", fleet.port
+                )
+                baseline = len(asyncio.all_tasks())
+                writer.write(match_lines(range(n)))
+                most = 0
+                answers = []
+                for _ in range(n):
+                    most = max(most, len(asyncio.all_tasks()))
+                    answers.append(json.loads(await reader.readline()))
+                writer.close()
+                assert [a["id"] for a in answers] == list(range(n))
+                assert all(a["type"] == "match_result" for a in answers)
+                # no Task per forwarded request
+                assert most <= baseline + 2, (baseline, most)
+                # requests read together leave for each shard in one write
+                assert len(writes) <= n // 10, len(writes)
+
+        run(scenario())
+
+    def test_failed_control_answer_keeps_connection_serving(self):
+        def script(request):
+            if request["type"] == "reload":
+                return b"this is not json\n"
+            return echo_answer(request)
+
+        async def scenario():
+            async with ScriptedShard(script) as shard:
+                router = ShardRouter([("127.0.0.1", shard.port)])
+                await router.start("127.0.0.1", 0)
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", router.port
+                    )
+                    writer.write(
+                        b'{"type": "reload", "id": "r", "rulebook": "b.jsonl",'
+                        b' "version": 2}\n' + match_lines([7])
+                    )
+                    failed, matched = await read_answers(reader, 2)
+                    assert failed["type"] == "error"
+                    assert failed["error"] == "internal"
+                    assert matched["type"] == "match_result"
+                    assert matched["id"] == 7
+                    writer.close()
+                finally:
+                    await router.shutdown()
+
+        run(scenario())
+
+    def test_unsolicited_upstream_line_drops_the_link(self):
+        book = make_book(seed=6)
+        oracle = CountdownOracle(RuleIndex.from_rulebook(book))
+        transactions = make_transactions(seed=37, n=30)
+
+        def chatty(request):  # a true answer, then a line nobody asked for
+            return oracle.line(request, 1) + b'{"type": "healthz"}\n'
+
+        async def scenario():
+            service = RuleService.from_rulebook(book, name="real")
+            await service.start(port=0)
+            async with ScriptedShard(chatty) as liar:
+                handles = [
+                    ShardHandle("liar", "127.0.0.1", liar.port),
+                    ShardHandle("real", "127.0.0.1", service.port),
+                ]
+                router = ShardRouter(handles)
+                await router.start("127.0.0.1", 0)
+                try:
+                    async with await RuleServiceClient.connect(
+                        "127.0.0.1", router.port
+                    ) as client:
+                        answers = [await client.match(t) for t in transactions]
+                    for txn, answer in zip(transactions, answers):
+                        got = [m["rule_id"] for m in answer["fired"]]
+                        assert got == [r for r, _ in oracle.match_wire(txn)]
+                    # each extra line cost the liar its link, so the
+                    # next requests went to the real shard
+                    liar_info = handles[0].info()
+                    assert liar_info["protocol_errors"] >= 1
+                    assert liar_info["answered"] == liar_info["protocol_errors"]
+                    assert handles[1].n_answered >= len(transactions) // 2
+                finally:
+                    await router.shutdown()
+            await service.shutdown()
 
         run(scenario())

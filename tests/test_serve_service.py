@@ -448,6 +448,125 @@ class TestShutdown:
         run(scenario())
 
 
+def match_line(transaction, request_id, explain=False) -> bytes:
+    request = {"type": "match", "id": request_id, "transaction": transaction}
+    if explain:
+        request["explain"] = True
+    return json.dumps(request).encode() + b"\n"
+
+
+class TestConnectionFraming:
+    """The shared NDJSON connection: backpressure, overlong lines, EOF."""
+
+    def test_client_that_never_reads_pauses_its_own_connection(self):
+        index = make_index(n_rules=200)
+        transaction = sorted(
+            {str(i) for rule in index.rules[:40] for i in rule.antecedent}
+        )
+        n_requests = 20_000
+        blob = b"".join(match_line(transaction, k) for k in range(n_requests))
+
+        async def scenario():
+            service = RuleService(index)
+            await service.start(port=0)
+            try:
+                async with await RuleServiceClient.connect(
+                    "127.0.0.1", service.port
+                ) as client:
+                    answer = await client.match(transaction)
+                    answer_bytes = len(json.dumps(answer)) + 1
+                    _, hog = await asyncio.open_connection(
+                        "127.0.0.1", service.port
+                    )
+                    hog.write(blob)  # pipelined, and never read
+                    conn = next(
+                        c for c in service._connections
+                        if c._transport.get_extra_info("peername")
+                        == hog.get_extra_info("sockname")
+                    )
+                    for _ in range(1000):
+                        if not conn._transport.is_reading():
+                            break
+                        await asyncio.sleep(0.01)
+                    assert not conn._transport.is_reading()
+                    await asyncio.sleep(0.2)
+                    # the server took only part of the backlog; the rest
+                    # waits in the client's socket, not in server memory
+                    metrics = service.metrics
+                    taken = (
+                        metrics.n_matched - 1
+                        + metrics.n_rejected
+                        + service._queue.qsize()
+                    )
+                    assert taken < n_requests
+                    held = conn._transport.get_write_buffer_size() + sum(
+                        len(e if isinstance(e, bytes) else e.result())
+                        for e in conn._order
+                        if isinstance(e, bytes) or e.done()
+                    )
+                    assert held < n_requests * answer_bytes / 4
+                    # another client is still served
+                    result = await asyncio.wait_for(client.match(transaction), 10)
+                    assert result["fired"] == answer["fired"]
+                    hog.transport.abort()
+            finally:
+                await service.shutdown()
+
+        run(scenario())
+
+    def test_overlong_line_gets_earlier_answers_then_clean_close(self):
+        from repro.serve.service import MAX_LINE_BYTES
+
+        async def scenario():
+            # slow batches: both answers are still owed when the line
+            # outgrows the limit
+            service = SlowService(make_index(), delay_s=0.1, max_batch=1)
+            await service.start(port=0)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port
+                )
+                writer.write(match_line(["a"], 1) + match_line(["b"], 2))
+                # never finished: the server must not wait for its newline
+                writer.write(b'{"type": "healthz", "pad": "')
+                writer.write(b"x" * MAX_LINE_BYTES)
+                lines = await asyncio.wait_for(_read_to_eof(reader), 10)
+                assert [json.loads(line)["id"] for line in lines] == [1, 2]
+                writer.close()
+            finally:
+                await service.shutdown()
+
+        run(scenario())
+
+    def test_half_close_gets_every_answer_then_clean_close(self):
+        async def scenario():
+            service = SlowService(make_index(), delay_s=0.02, max_batch=8)
+            await service.start(port=0)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port
+                )
+                for k in range(50):
+                    writer.write(match_line(["a", "b"], k))
+                # the last request may lack its newline
+                writer.write(b'{"type": "healthz", "id": 50}')
+                writer.write_eof()
+                lines = await asyncio.wait_for(_read_to_eof(reader), 10)
+                answers = [json.loads(line) for line in lines]
+                assert [a["id"] for a in answers] == list(range(51))
+                assert answers[-1]["type"] == "healthz"
+                writer.close()
+            finally:
+                await service.shutdown()
+
+        run(scenario())
+
+
+async def _read_to_eof(reader) -> list[bytes]:
+    """Every line until EOF; a reset instead of a clean close raises."""
+    return [line async for line in reader]
+
+
 class TestLatencyHistogram:
     def test_quantiles_bracket_samples(self):
         hist = LatencyHistogram()
