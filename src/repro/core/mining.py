@@ -16,8 +16,10 @@ thresholds").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
+
+import numpy as np
 
 from .apriori import apriori
 from .eclat import eclat
@@ -98,7 +100,6 @@ class MiningConfig:
         return PruningConfig(c_lift=self.c_lift, c_supp=self.c_supp)
 
 
-@dataclass(frozen=True, slots=True)
 class KeywordRuleSet:
     """The outcome of a keyword-centric mining pass.
 
@@ -107,28 +108,96 @@ class KeywordRuleSet:
     ("A" rows).  ``table`` holds the surviving rules in columnar form
     (pruned :class:`RuleTable`, canonical order) when the pass ran
     through the table pipeline; persistence and serving consume it
-    without re-materialising objects.
+    without materialising objects.
+
+    Built from a *table* alone, ``cause`` and ``characteristic`` are
+    views of it, materialised as rule objects on first access; explicit
+    tuples are taken as given.  Equality compares keyword, both rule
+    tuples, report and input count, like the tuples-only form always did.
     """
 
-    keyword: Item
-    cause: tuple[AssociationRule, ...]
-    characteristic: tuple[AssociationRule, ...]
-    report: PruningReport
-    n_rules_before_pruning: int
-    table: RuleTable | None = field(default=None, compare=False)
+    __slots__ = (
+        "keyword", "report", "n_rules_before_pruning", "table",
+        "_cause", "_characteristic",
+    )
+
+    def __init__(
+        self,
+        keyword: Item,
+        cause: tuple[AssociationRule, ...] | None = None,
+        characteristic: tuple[AssociationRule, ...] | None = None,
+        report: PruningReport | None = None,
+        n_rules_before_pruning: int = 0,
+        table: RuleTable | None = None,
+    ):
+        self.keyword = keyword
+        self.report = report if report is not None else PruningReport()
+        self.n_rules_before_pruning = n_rules_before_pruning
+        self.table = table
+        if table is None:  # nothing to derive the rule sets from
+            cause = () if cause is None else cause
+            characteristic = () if characteristic is None else characteristic
+        self._cause = None if cause is None else tuple(cause)
+        self._characteristic = (
+            None if characteristic is None else tuple(characteristic)
+        )
+
+    def _side_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Table rows with the keyword in the consequent / the antecedent."""
+        table = self.table
+        kw_id = None if table is None else table.vocabulary.get_id(self.keyword)
+        if kw_id is None:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        in_ant, in_cons = table.contains_id(kw_id)
+        return np.flatnonzero(in_cons), np.flatnonzero(in_ant)
+
+    @property
+    def cause(self) -> tuple[AssociationRule, ...]:
+        if self._cause is None:
+            rows, _ = self._side_rows()
+            self._cause = tuple(map(self.table.__getitem__, rows.tolist()))
+        return self._cause
+
+    @property
+    def characteristic(self) -> tuple[AssociationRule, ...]:
+        if self._characteristic is None:
+            _, rows = self._side_rows()
+            self._characteristic = tuple(map(self.table.__getitem__, rows.tolist()))
+        return self._characteristic
 
     @property
     def all_rules(self) -> tuple[AssociationRule, ...]:
         return self.cause + self.characteristic
 
     def __len__(self) -> int:
-        return len(self.cause) + len(self.characteristic)
+        cause_rows, characteristic_rows = self._side_rows()
+        n_cause = len(cause_rows if self._cause is None else self._cause)
+        n_characteristic = len(
+            characteristic_rows if self._characteristic is None else self._characteristic
+        )
+        return n_cause + n_characteristic
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KeywordRuleSet):
+            return NotImplemented
+        return (
+            self.keyword == other.keyword
+            and self.cause == other.cause
+            and self.characteristic == other.characteristic
+            and self.report == other.report
+            and self.n_rules_before_pruning == other.n_rules_before_pruning
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable report, as before
 
     def __str__(self) -> str:
         return (
             f"KeywordRuleSet(keyword={self.keyword.render()!r}, "
             f"cause={len(self.cause)}, characteristic={len(self.characteristic)})"
         )
+
+    __repr__ = __str__
 
 
 def mine_frequent_itemsets(
@@ -188,13 +257,7 @@ def mine_keyword_rules(
     kw_id = db.vocabulary.get_id(kw)
     if kw_id is None:
         # keyword never appears in the trace; nothing to analyse
-        return KeywordRuleSet(
-            keyword=kw,
-            cause=(),
-            characteristic=(),
-            report=PruningReport(),
-            n_rules_before_pruning=0,
-        )
+        return KeywordRuleSet(kw)
     table = generate_rule_table(
         itemsets,
         min_lift=config.min_lift,
@@ -202,13 +265,8 @@ def mine_keyword_rules(
         keyword_ids=(kw_id,),
     )
     kept_table, report = prune_rule_table(table, kw, config.pruning)
-    kept = kept_table.to_rules()
-    cause = tuple(r for r in kept if kw in r.consequent)
-    characteristic = tuple(r for r in kept if kw in r.antecedent)
     return KeywordRuleSet(
         keyword=kw,
-        cause=cause,
-        characteristic=characteristic,
         report=report,
         n_rules_before_pruning=len(table),
         table=kept_table,

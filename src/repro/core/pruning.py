@@ -56,7 +56,7 @@ from .bitmap import kernel_timer
 from .interest import extended_metrics_columns
 from .items import Item, as_item
 from .rules import AssociationRule
-from .ruletable import RuleTable, pack_side_masks
+from .ruletable import RuleTable, pack_side_masks, row_ids
 
 __all__ = [
     "PruningConfig",
@@ -152,21 +152,6 @@ def _similar_or_higher(a: float, b: float, margin: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _row_ids(masks: np.ndarray) -> np.ndarray:
-    """Dense ids of the rows of packed *masks*: equal rows ⇔ equal ids.
-
-    Word by word: the ids so far and the next word's ids combine into one
-    integer, renumbered densely so it never outgrows int64.
-    """
-    _, ids = np.unique(masks[:, 0], return_inverse=True)
-    for word in masks.T[1:]:
-        _, word_ids = np.unique(word, return_inverse=True)
-        _, ids = np.unique(
-            ids * (int(word_ids.max()) + 1) + word_ids, return_inverse=True
-        )
-    return ids.ravel()
-
-
 def _equal_key_pairs(
     keys: np.ndarray, wanted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +232,7 @@ def _nested_pairs(
                 subsets.append(np.bitwise_or.reduce(bits[list(positions)], axis=0))
                 long_rows.append(rows)
         long_of = np.concatenate(long_rows)
-        ids = _row_ids(np.concatenate(subsets))
+        ids = row_ids(np.concatenate(subsets))
         del subsets
         m = short_rows.size
         short, query = _equal_key_pairs(
@@ -297,7 +282,7 @@ def _mark_conditions(
     cons_masks = pack_side_masks(cons_indptr, cons_ids, n_items)
 
     short, long_ = _nested_pairs(
-        ant_indptr, ant_ids, ant_masks, _row_ids(cons_masks)
+        ant_indptr, ant_ids, ant_masks, row_ids(cons_masks)
     )
     lift_short_ok = c_lift * lift[short] >= lift[long_]
     pair1 = in_cons[short]
@@ -311,7 +296,7 @@ def _mark_conditions(
 
     del short, long_
     short, long_ = _nested_pairs(
-        cons_indptr, cons_ids, cons_masks, _row_ids(ant_masks)
+        cons_indptr, cons_ids, cons_masks, row_ids(ant_masks)
     )
     pair2 = in_ant[short]
     mark2 = np.zeros(n, dtype=bool)

@@ -12,13 +12,17 @@ generation never rescans the database.
 
 Two implementations coexist:
 
-* :func:`generate_rule_table` — the columnar kernel.  Itemsets are grouped
-  by length; every antecedent/consequent split of a length-``L`` class is
-  one bit-pattern applied to an ``(M, L)`` id matrix, subset supports come
-  from a packed-integer key table via ``np.searchsorted``, all metrics are
-  scored in one vectorised batch, and the min-lift / min-confidence /
-  keyword filters are boolean masks applied *before* any
-  :class:`AssociationRule` object exists.  Returns a
+* :func:`generate_rule_table` — the columnar kernel.  It reads the
+  pass's one :class:`~repro.core.itemsets.ItemsetView` (built once per
+  :class:`FrequentItemsets`, shared by every keyword).  Itemsets are
+  grouped by length; every antecedent/consequent split of a
+  length-``L`` class is one bit-pattern applied to an ``(M, L)`` id
+  matrix, subset supports come from the view's sorted packed keys via
+  ``np.searchsorted``, all metrics are scored in one vectorised batch,
+  the min-lift / min-confidence / keyword filters are boolean masks, and
+  the canonical order is one ``np.lexsort`` over the metrics and the
+  view's integer string ranks.  No :class:`AssociationRule` object or
+  tie-break string is built per rule.  Returns a
   :class:`~repro.core.ruletable.RuleTable`.
 * :func:`generate_rules_legacy` — the original per-split object path,
   retained verbatim as the correctness oracle for the CI equality sweep.
@@ -37,9 +41,9 @@ import numpy as np
 
 from .bitmap import kernel_timer, record_kernel
 from .items import Item, ItemVocabulary, render_itemset
-from .itemsets import FrequentItemsets
+from .itemsets import FrequentItemsets, ItemsetView
 from .metrics import RuleMetrics, compute_metrics
-from .ruletable import RuleTable, csr_range_gather
+from .ruletable import RuleTable, csr_range_gather, rows_containing
 
 __all__ = [
     "AssociationRule",
@@ -200,67 +204,39 @@ def generate_rule_table(
     keyword_ids: Iterable[int] | None = None,
     expand_only: Iterable[frozenset[int]] | None = None,
 ) -> RuleTable:
-    """Columnar rule generation: enumerate, score and filter as arrays.
+    """Columnar rule generation: enumerate, score, filter and sort as arrays.
 
     Semantics are identical to :func:`generate_rules_legacy` (same
     candidate set, same IEEE-double metric arithmetic, same deterministic
-    output order) but no per-rule object is created: the result is a
-    :class:`RuleTable` whose rows are exactly the surviving rules.
+    output order) but no per-rule object or string is created: the
+    result is a :class:`RuleTable` whose rows are exactly the surviving
+    rules, read off the pass's one :class:`~repro.core.itemsets.ItemsetView`.
     Candidate splits whose subset supports are missing from an incomplete
     (SON-partitioned) table are counted in ``table.n_skipped_lookups``
     and surfaced through the ``rules-skipped-lookups`` kernel counter.
     """
     _validate_params(min_lift, min_confidence)
-    keywords = frozenset(keyword_ids) if keyword_ids is not None else None
-
     vocabulary = itemsets.vocabulary
     n = itemsets.n_transactions
-    if n == 0:
-        return RuleTable.empty(vocabulary)
-    counts = itemsets.counts
-    if not counts:
+    if n == 0 or not itemsets.counts:
         return RuleTable.empty(vocabulary)
 
     with kernel_timer("rules-enumerate"):
-        # ---- support lookup table over ALL frequent itemsets ----
-        table_sets: list[tuple[int, ...]] = [tuple(sorted(s)) for s in counts]
-        table_counts = np.fromiter(
-            counts.values(), dtype=np.int64, count=len(counts)
-        )
-        max_id = max((t[-1] for t in table_sets if t), default=-1)
-        max_len = max((len(t) for t in table_sets), default=0)
-
-        # ---- surface itemsets to expand, grouped by length ----
+        view = itemsets.view()
         if expand_only is not None:
-            surface: Iterable[tuple[frozenset[int], int]] = (
-                (itemset, counts[itemset]) for itemset in expand_only
-            )
+            surface = view.rows_of(expand_only)
         else:
-            surface = counts.items()
-
-        by_len: dict[int, tuple[list[tuple[int, ...]], list[int]]] = {}
-        for itemset, count_xy in surface:
-            if len(itemset) < 2:
-                continue
-            if keywords is not None and not (itemset & keywords):
-                continue
-            tups, cnts = by_len.setdefault(len(itemset), ([], []))
-            tups.append(tuple(sorted(itemset)))
-            cnts.append(count_xy)
-
-        if not by_len:
+            surface = np.arange(len(view), dtype=np.int64)
+        wanted = view.lengths[surface] >= 2
+        if keyword_ids is not None:
+            has_keyword = np.zeros(len(view), dtype=bool)
+            for kw_id in keyword_ids:
+                has_keyword |= rows_containing(view.indptr, view.ids, kw_id)
+            wanted &= has_keyword[surface]
+        surface = surface[wanted]
+        if not surface.size:
             return RuleTable.empty(vocabulary)
-
-        # ---- enumerate splits: packed-key kernel or dict fallback ----
-        bits = (max_id + 1).bit_length()
-        if bits * max_len <= 64:
-            cxy, ant_rows, cons_rows, n_skipped = _enumerate_packed(
-                by_len, table_sets, bits, max_len
-            )
-        else:  # pragma: no cover - needs > ~2^64 packed key space
-            cxy, ant_rows, cons_rows, n_skipped = _enumerate_dict(
-                by_len, counts
-            )
+        cxy, ant_rows, cons_rows, n_skipped = _enumerate_splits(view, surface)
 
     if n_skipped:
         record_kernel(SKIPPED_KERNEL, 0.0, n_skipped)
@@ -272,8 +248,8 @@ def generate_rule_table(
     # ---- score every candidate in one batch; filter before materialising ----
     with kernel_timer("rules-score"):
         supp_xy = cxy.astype(np.float64) / n
-        supp_x = table_counts[ant_rows].astype(np.float64) / n
-        supp_y = table_counts[cons_rows].astype(np.float64) / n
+        supp_x = view.counts[ant_rows].astype(np.float64) / n
+        supp_y = view.counts[cons_rows].astype(np.float64) / n
         denom = supp_x * supp_y
         with np.errstate(divide="ignore", invalid="ignore"):
             conf = np.where(supp_x > 0.0, supp_xy / supp_x, 0.0)
@@ -284,77 +260,55 @@ def generate_rule_table(
         leverage_arr = supp_xy - denom
         keep = np.flatnonzero((lift_arr >= min_lift) & (conf >= min_confidence))
 
-    ant_rows = ant_rows[keep]
-    cons_rows = cons_rows[keep]
+    # ---- canonical deterministic order: the legacy tie-break strings
+    # enter as the view's integer ranks ----
+    with kernel_timer("rules-sort"):
+        keep = keep[np.lexsort((
+            view.rank[cons_rows[keep]], view.rank[ant_rows[keep]],
+            -supp_xy[keep], -conf[keep], -lift_arr[keep],
+        ))]
+        ant_rows = ant_rows[keep]
+        cons_rows = cons_rows[keep]
 
-    # ---- survivors: CSR id rows gathered from the itemset table ----
-    table_lens = np.fromiter(
-        (len(t) for t in table_sets), dtype=np.int64, count=len(table_sets)
-    )
-    table_indptr = np.concatenate(([0], np.cumsum(table_lens)))
-    table_ids = np.fromiter(
-        (i for t in table_sets for i in t), dtype=np.int64,
-        count=int(table_indptr[-1]),
-    )
-    ant_indptr, ant_flat = csr_range_gather(table_indptr, ant_rows)
-    cons_indptr, cons_flat = csr_range_gather(table_indptr, cons_rows)
-
+    # ---- survivors: CSR id rows gathered from the view ----
+    ant_indptr, ant_flat = csr_range_gather(view.indptr, ant_rows)
+    cons_indptr, cons_flat = csr_range_gather(view.indptr, cons_rows)
     table = RuleTable(
         vocabulary,
-        ant_indptr, table_ids[ant_flat],
-        cons_indptr, table_ids[cons_flat],
+        ant_indptr, view.ids[ant_flat],
+        cons_indptr, view.ids[cons_flat],
         supp_xy[keep], conf[keep], lift_arr[keep],
         leverage_arr[keep], conviction_arr[keep],
         n_skipped_lookups=n_skipped,
     )
-
-    # ---- canonical deterministic order, with the exact legacy tie-break ----
-    with kernel_timer("rules-sort"):
-        row_strings = np.empty(len(table_sets), dtype=object)
-        for r in np.unique(np.concatenate([ant_rows, cons_rows])):
-            row_strings[r] = str(sorted(vocabulary.items_of(table_sets[r])))
-        table._sort_strings_cache = (row_strings[ant_rows], row_strings[cons_rows])
-        table = table.sort_canonical()
+    table._sort_strings_cache = (view.strings[ant_rows], view.strings[cons_rows])
     return table
 
 
-def _enumerate_packed(
-    by_len: dict[int, tuple[list[tuple[int, ...]], list[int]]],
-    table_sets: list[tuple[int, ...]],
-    bits: int,
-    max_len: int,
+def _enumerate_splits(
+    view: ItemsetView, surface: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Enumerate splits via exact packed-integer subset keys.
+    """Every antecedent/consequent split of the *surface* rows.
 
-    Each sorted id tuple packs into one uint64 (``id + 1`` at ``bits`` bits
-    per slot, zeros padding), so a subset-support lookup is a binary
-    search over the sorted key table instead of a dict probe per split.
+    Itemsets are grouped by length; each split of a length-``L`` group is
+    one bit pattern over its ``(M, L)`` id columns, and both sides' rows
+    are found by one binary search each (:meth:`ItemsetView.find`).
+    Returns ``(count_xy, antecedent rows, consequent rows, n_skipped)``.
     """
-    padded = np.zeros((len(table_sets), max_len), dtype=np.uint64)
-    for r, tup in enumerate(table_sets):
-        padded[r, : len(tup)] = [i + 1 for i in tup]
-    keys = _pack_columns(padded, bits)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-
-    def lookup(qkeys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = np.searchsorted(sorted_keys, qkeys)
-        pos = np.minimum(pos, len(sorted_keys) - 1)
-        return order[pos], sorted_keys[pos] == qkeys
-
+    lengths = view.lengths[surface]
     cxy_parts: list[np.ndarray] = []
     ant_parts: list[np.ndarray] = []
     cons_parts: list[np.ndarray] = []
     n_skipped = 0
-    for length in sorted(by_len):
-        tups, cnts = by_len[length]
-        base = np.asarray(tups, dtype=np.uint64) + np.uint64(1)  # (M, length)
-        cnt = np.asarray(cnts, dtype=np.int64)
+    for length in np.unique(lengths).tolist():
+        rows = surface[lengths == length]
+        base = view.padded[rows, :length]
+        cnt = view.counts[rows]
         for pattern in range(1, (1 << length) - 1):
             cols_a = [k for k in range(length) if (pattern >> k) & 1]
             cols_c = [k for k in range(length) if not (pattern >> k) & 1]
-            rows_a, valid_a = lookup(_pack_columns(base[:, cols_a], bits))
-            rows_c, valid_c = lookup(_pack_columns(base[:, cols_c], bits))
+            rows_a, valid_a = view.find(base[:, cols_a])
+            rows_c, valid_c = view.find(base[:, cols_c])
             valid = valid_a & valid_c
             n_invalid = int(np.count_nonzero(~valid))
             if n_invalid:
@@ -366,60 +320,10 @@ def _enumerate_packed(
             cxy_parts.append(count)
             ant_parts.append(rows_a)
             cons_parts.append(rows_c)
-
-    if not cxy_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy(), n_skipped
     return (
         np.concatenate(cxy_parts),
         np.concatenate(ant_parts),
         np.concatenate(cons_parts),
-        n_skipped,
-    )
-
-
-def _pack_columns(cols: np.ndarray, bits: int) -> np.ndarray:
-    """Pack an ``(M, W)`` uint64 matrix into one key per row."""
-    acc = np.zeros(len(cols), dtype=np.uint64)
-    for k in range(cols.shape[1]):
-        acc |= cols[:, k] << np.uint64(bits * k)
-    return acc
-
-
-def _enumerate_dict(
-    by_len: dict[int, tuple[list[tuple[int, ...]], list[int]]],
-    counts: dict[frozenset[int], int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Dict-probe fallback when ids are too wide for packed keys.
-
-    Produces the same candidate arrays as :func:`_enumerate_packed`; only
-    the lookup mechanism differs.
-    """
-    row_of = {itemset: row for row, itemset in enumerate(counts)}
-    cxy_l: list[int] = []
-    ant_l: list[int] = []
-    cons_l: list[int] = []
-    n_skipped = 0
-    for length in sorted(by_len):
-        tups, cnts = by_len[length]
-        for tup, count_xy in zip(tups, cnts):
-            full = frozenset(tup)
-            for pattern in range(1, (1 << length) - 1):
-                antecedent = frozenset(
-                    tup[k] for k in range(length) if (pattern >> k) & 1
-                )
-                row_a = row_of.get(antecedent)
-                row_c = row_of.get(full - antecedent)
-                if row_a is None or row_c is None:
-                    n_skipped += 1
-                    continue
-                cxy_l.append(count_xy)
-                ant_l.append(row_a)
-                cons_l.append(row_c)
-    return (
-        np.asarray(cxy_l, dtype=np.int64),
-        np.asarray(ant_l, dtype=np.int64),
-        np.asarray(cons_l, dtype=np.int64),
         n_skipped,
     )
 

@@ -33,7 +33,7 @@ from .items import Item, ItemVocabulary
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (rules imports us)
     from .rules import AssociationRule
 
-__all__ = ["RuleTable", "METRIC_COLUMNS"]
+__all__ = ["RuleTable", "METRIC_COLUMNS", "row_ids", "side_strings", "sort_within_rows"]
 
 #: metric column names, in canonical (persistence) order
 METRIC_COLUMNS = ("support", "confidence", "lift", "leverage", "conviction")
@@ -90,6 +90,52 @@ def pack_side_masks(indptr: np.ndarray, ids: np.ndarray, n_items: int) -> np.nda
         np.bitwise_or.at(masks, (rows, ids64 >> np.uint64(6)),
                          np.uint64(1) << (ids64 & np.uint64(63)))
     return masks
+
+
+def row_ids(masks: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of packed *masks*: equal rows ⇔ equal ids.
+
+    Word by word: the ids so far and the next word's ids combine into one
+    integer, renumbered densely so it never outgrows int64.
+    """
+    _, ids = np.unique(masks[:, 0], return_inverse=True)
+    for word in masks.T[1:]:
+        _, word_ids = np.unique(word, return_inverse=True)
+        _, ids = np.unique(
+            ids * (int(word_ids.max()) + 1) + word_ids, return_inverse=True
+        )
+    return ids.ravel()
+
+
+def side_strings(
+    indptr: np.ndarray, ids: np.ndarray, vocabulary: ItemVocabulary
+) -> np.ndarray:
+    """Per-row ``str(sorted(vocabulary.items_of(row)))`` of CSR id rows.
+
+    Returns an object array of the exact strings the object path sorts
+    by.  Each item's ``repr`` is computed once and each distinct row
+    joins them in item order (a per-item rank), so no row sorts
+    :class:`Item` objects; equal rows share one string.
+    """
+    n_rows = len(indptr) - 1
+    if n_rows == 0:
+        return np.empty(0, dtype=object)
+    _, first, inverse = np.unique(
+        row_ids(pack_side_masks(indptr, ids, len(vocabulary))),
+        return_index=True, return_inverse=True,
+    )
+    indptr, flat = csr_range_gather(indptr, first)
+    ids = ids[flat]
+    items = list(vocabulary)
+    item_rank = np.empty(len(items), dtype=np.int64)
+    item_rank[sorted(range(len(items)), key=items.__getitem__)] = np.arange(len(items))
+    reprs = list(map(repr, items))
+    rows = np.repeat(np.arange(len(first), dtype=np.int64), np.diff(indptr))
+    texts = list(map(reprs.__getitem__, ids[np.lexsort((item_rank[ids], rows))].tolist()))
+    bounds = indptr.tolist()
+    distinct = np.empty(len(first), dtype=object)
+    distinct[:] = ["[" + ", ".join(texts[a:b]) + "]" for a, b in zip(bounds, bounds[1:])]
+    return distinct[inverse.ravel()]
 
 
 def rows_containing(indptr: np.ndarray, ids: np.ndarray, item_id: int) -> np.ndarray:
@@ -334,14 +380,6 @@ class RuleTable:
             rows_containing(self.cons_indptr, self.cons_ids, item_id),
         )
 
-    def rule_keys(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(antecedent ids, consequent ids) tuple keys, one per row."""
-        return [
-            (tuple(int(x) for x in self.ant_row(i)),
-             tuple(int(x) for x in self.cons_row(i)))
-            for i in range(len(self))
-        ]
-
     # -- transformations -------------------------------------------------------
 
     def select(self, rows: object) -> "RuleTable":
@@ -374,8 +412,8 @@ class RuleTable:
         """
         ant_ids = mapping[self.ant_ids].astype(_IDS_DTYPE)
         cons_ids = mapping[self.cons_ids].astype(_IDS_DTYPE)
-        ant_ids = _sort_within_rows(self.ant_indptr, ant_ids)
-        cons_ids = _sort_within_rows(self.cons_indptr, cons_ids)
+        ant_ids = sort_within_rows(self.ant_indptr, ant_ids)
+        cons_ids = sort_within_rows(self.cons_indptr, cons_ids)
         out = RuleTable(
             vocabulary,
             self.ant_indptr, ant_ids, self.cons_indptr, cons_ids,
@@ -392,14 +430,14 @@ class RuleTable:
         """Per-row ``str(sorted(items))`` for each side (object arrays).
 
         These are the exact tie-break strings the object path uses in its
-        deterministic sort, cached because persistence and merging reuse
-        them.
+        deterministic sort.  Rule generation sets them from its itemset
+        view; :meth:`select`, :meth:`concat` and :meth:`remap_ids` carry
+        them along, so persistence and merging never rebuild them.
         """
         if self._sort_strings_cache is None:
-            cache: dict[tuple[int, ...], str] = {}
             self._sort_strings_cache = (
-                _side_strings(self.ant_indptr, self.ant_ids, self.vocabulary, cache),
-                _side_strings(self.cons_indptr, self.cons_ids, self.vocabulary, cache),
+                side_strings(self.ant_indptr, self.ant_ids, self.vocabulary),
+                side_strings(self.cons_indptr, self.cons_ids, self.vocabulary),
             )
         return self._sort_strings_cache
 
@@ -408,17 +446,16 @@ class RuleTable:
 
         The key is ``(-lift, -confidence, -support, str(sorted(antecedent
         items)), str(sorted(consequent items)))`` — byte-for-byte the sort
-        the object path applies.
+        the object path applies.  The strings enter as integer ranks.
         """
         n = len(self)
         if n <= 1:
             return np.arange(n, dtype=np.int64)
         ant_strs, cons_strs = self.sort_strings()
-        rank = {s: i for i, s in enumerate(sorted(set(ant_strs) | set(cons_strs)))}
-        ant_rank = np.fromiter((rank[s] for s in ant_strs), np.int64, count=n)
-        cons_rank = np.fromiter((rank[s] for s in cons_strs), np.int64, count=n)
+        _, rank = np.unique(np.concatenate([ant_strs, cons_strs]), return_inverse=True)
+        rank = rank.ravel()
         return np.lexsort(
-            (cons_rank, ant_rank, -self.support, -self.confidence, -self.lift)
+            (rank[n:], rank[:n], -self.support, -self.confidence, -self.lift)
         )
 
     def sort_canonical(self) -> "RuleTable":
@@ -430,18 +467,18 @@ class RuleTable:
 
     def dedup(self) -> "RuleTable":
         """New table keeping the first occurrence of each (ant, cons) pair."""
-        seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-        keep: list[int] = []
-        for i, key in enumerate(self.rule_keys()):
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        if len(keep) == len(self):
+        if len(self) <= 1:
             return self
-        return self.select(np.asarray(keep, dtype=np.int64))
+        keys = row_ids(
+            np.hstack([self.side_masks("antecedent"), self.side_masks("consequent")])
+        )
+        _, first = np.unique(keys, return_index=True)
+        if len(first) == len(self):
+            return self
+        return self.select(np.sort(first))
 
 
-def _sort_within_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def sort_within_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Sort ids ascending within each CSR row."""
     if ids.size == 0:
         return ids
@@ -449,19 +486,3 @@ def _sort_within_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     order = np.lexsort((ids, rows))
     return ids[order]
 
-
-def _side_strings(
-    indptr: np.ndarray,
-    ids: np.ndarray,
-    vocabulary: ItemVocabulary,
-    cache: dict[tuple[int, ...], str],
-) -> np.ndarray:
-    out = np.empty(len(indptr) - 1, dtype=object)
-    for i in range(len(indptr) - 1):
-        key = tuple(int(x) for x in ids[indptr[i]:indptr[i + 1]])
-        text = cache.get(key)
-        if text is None:
-            text = str(sorted(vocabulary.items_of(key)))
-            cache[key] = text
-        out[i] = text
-    return out

@@ -24,7 +24,7 @@ from ..core.bitmap import kernel_delta, kernel_snapshot, kernel_timer
 from ..core.itemsets import FrequentItemsets
 from ..core.items import Item, as_item
 from ..core.mining import KeywordRuleSet, MiningConfig
-from ..core.pruning import PruningReport, prune_rule_table
+from ..core.pruning import prune_rule_table
 from ..core.rules import SKIPPED_KERNEL, generate_rule_table
 from ..core.ruletable import RuleTable
 from ..core.transactions import TransactionDatabase
@@ -318,25 +318,17 @@ class MiningEngine:
 
 def _empty_ruleset(kw: Item) -> KeywordRuleSet:
     """The keyword never appears in the trace; nothing to analyse."""
-    return KeywordRuleSet(
-        keyword=kw,
-        cause=(),
-        characteristic=(),
-        report=PruningReport(),
-        n_rules_before_pruning=0,
-    )
+    return KeywordRuleSet(kw)
 
 
 def _prune_into_ruleset(
     table: RuleTable, kw: Item, config: MiningConfig
 ) -> KeywordRuleSet:
-    """Apply Conditions 1–4 and split into cause ("C") / characteristic ("A")."""
+    """Apply Conditions 1–4; cause ("C") / characteristic ("A") rules are
+    lazy views of the kept table, so no rule object is built here."""
     kept_table, report = prune_rule_table(table, kw, config.pruning)
-    kept = kept_table.to_rules()
     return KeywordRuleSet(
         keyword=kw,
-        cause=tuple(r for r in kept if kw in r.consequent),
-        characteristic=tuple(r for r in kept if kw in r.antecedent),
         report=report,
         n_rules_before_pruning=len(table),
         table=kept_table,

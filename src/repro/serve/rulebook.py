@@ -61,22 +61,59 @@ class RuleBookSchemaError(ValueError):
     """The file is not a RuleBook this code understands."""
 
 
-def _enc_float(value: float) -> float | str:
-    """Encode a float as strict JSON (non-finite values become strings)."""
-    if math.isfinite(value):
-        return value
-    if math.isnan(value):
-        return "nan"
-    return "inf" if value > 0 else "-inf"
+#: one rule line, keys in ``sort_keys`` order: byte for byte what
+#: ``json.dumps(record, sort_keys=True)`` writes for a rule record
+_RULE_LINE = (
+    '{"antecedent_ids": %s, "confidence": %s, "consequent_ids": %s, '
+    '"conviction": %s, "leverage": %s, "lift": %s, "record": "rule", '
+    '"support": %s}\n'
+)
+
+#: the strict-JSON spellings of the non-finite floats
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
-def _dec_float(value: float | int | str) -> float:
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise RuleBookSchemaError(f"bad float literal {value!r}") from None
-    return float(value)
+def _json_floats(column: np.ndarray) -> list[str]:
+    """JSON text of each float (``float.__repr__``, as ``json`` writes
+    it); a non-finite value's repr is quoted into one of ``_NON_FINITE``."""
+    texts = list(map(float.__repr__, column.tolist()))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        texts[i] = f'"{texts[i]}"'
+    return texts
+
+
+def _json_id_lists(indptr: np.ndarray, ids: np.ndarray) -> list[str]:
+    """JSON text of each CSR row as a list of ints (``[1, 2]``)."""
+    flat = ids.tolist()
+    bounds = indptr.tolist()
+    return [repr(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _dec_float(name: str, value: object) -> float:
+    """A metric: a JSON number (not a bool) or one of ``_NON_FINITE``."""
+    kind = type(value)
+    if kind is float or kind is int:
+        return float(value)
+    if kind is str and value in _NON_FINITE:
+        return _NON_FINITE[value]
+    raise ValueError(
+        f"{name} must be a number or one of \"inf\", \"-inf\", \"nan\", "
+        f"got {value!r}"
+    )
+
+
+def _dec_side(name: str, value: object, n_items: int) -> list[int]:
+    """A rule side: a JSON list of int ids (no bools) inside the item table."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list of item ids, got {value!r}")
+    for i in value:
+        if type(i) is not int:
+            raise ValueError(f"{name} must hold int item ids, got {i!r}")
+        if not 0 <= i < n_items:
+            raise ValueError(f"item id {i} outside the header item table")
+    # set-dedup tolerates repeated ids within a side, exactly like the
+    # frozenset decoding of earlier versions
+    return sorted(set(value))
 
 
 class RuleBook:
@@ -218,8 +255,10 @@ class RuleBook:
         The header's ``items`` list is the book's canonical id-space
         (position = id), so rule lines stay compact and a loaded rule
         compares equal to the saved one field for field, ids included.
-        Records stream straight off the table columns; no rule objects
-        are materialised.
+        Every rule line is one format of the table's ``tolist()``'d
+        columns — no rule object, record dict or ``json.dumps`` per rule —
+        and is byte for byte what ``json.dumps(record, sort_keys=True)``
+        would write.
         """
         table = self._table
         header = {
@@ -236,24 +275,27 @@ class RuleBook:
         }
         if self.stream is not None:
             header["stream"] = self.stream
-        metric_cols = [getattr(table, name) for name in _METRIC_FIELDS]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for i in range(len(table)):
-                record: dict = {
-                    "record": "rule",
-                    "antecedent_ids": [int(x) for x in table.ant_row(i)],
-                    "consequent_ids": [int(x) for x in table.cons_row(i)],
-                }
-                for name, col in zip(_METRIC_FIELDS, metric_cols):
-                    record[name] = _enc_float(float(col[i]))
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.writelines(map(_RULE_LINE.__mod__, zip(
+                _json_id_lists(table.ant_indptr, table.ant_ids),
+                _json_floats(table.confidence),
+                _json_id_lists(table.cons_indptr, table.cons_ids),
+                _json_floats(table.conviction),
+                _json_floats(table.leverage),
+                _json_floats(table.lift),
+                _json_floats(table.support),
+            )))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RuleBook":
         """Load a RuleBook, validating schema version and record shape.
 
-        Rule records decode straight into table columns; the constructor
+        Rule sides must be JSON lists of int ids (bools, floats and strings
+        are refused, never coerced); metrics must be JSON numbers or the
+        strings ``"inf"``/``"-inf"``/``"nan"``.  Anything else raises
+        :class:`RuleBookSchemaError` naming ``path:lineno``.  Rule records
+        decode straight into table columns; the constructor
         re-canonicalises, so a hand-edited file (unsorted ids, unused
         header items) still loads into the same book its pristine twin
         would.
@@ -280,6 +322,7 @@ class RuleBook:
             raise RuleBookSchemaError(f"{path}: bad item table: {exc}") from None
         config = header.get("config")
 
+        n_items = len(items)
         n_rules = 0
         ant_indptr = [0]
         cons_indptr = [0]
@@ -294,19 +337,14 @@ class RuleBook:
                     f"{record.get('record')!r}"
                 )
             try:
-                # set-dedup tolerates repeated ids within a side, exactly
-                # like the frozenset decoding of earlier versions
-                ant = sorted({int(i) for i in record["antecedent_ids"]})
-                cons = sorted({int(i) for i in record["consequent_ids"]})
-                for i in ant + cons:
-                    if not 0 <= i < len(items):
-                        raise ValueError(f"item id {i} outside the header item table")
+                ant = _dec_side("antecedent_ids", record["antecedent_ids"], n_items)
+                cons = _dec_side("consequent_ids", record["consequent_ids"], n_items)
                 if not ant or not cons:
                     raise ValueError("rule sides must be non-empty")
-                if set(ant) & set(cons):
+                if not set(ant).isdisjoint(cons):
                     raise ValueError("antecedent and consequent must be disjoint")
-                row = {name: _dec_float(record[name]) for name in _METRIC_FIELDS}
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                row = [_dec_float(name, record[name]) for name in _METRIC_FIELDS]
+            except (KeyError, OverflowError, ValueError) as exc:
                 raise RuleBookSchemaError(
                     f"{path}:{lineno}: bad rule record: {exc}"
                 ) from None
@@ -314,8 +352,8 @@ class RuleBook:
             cons_ids.extend(cons)
             ant_indptr.append(len(ant_ids))
             cons_indptr.append(len(cons_ids))
-            for name in _METRIC_FIELDS:
-                metrics[name].append(row[name])
+            for column, value in zip(metrics.values(), row):
+                column.append(value)
             n_rules += 1
         if n_rules != header.get("n_rules", n_rules):
             raise RuleBookSchemaError(

@@ -1,5 +1,6 @@
 """Unit tests for the FrequentItemsets container."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -71,3 +72,44 @@ class TestEdgeCases:
 
     def test_repr(self, fis):
         assert "FrequentItemsets" in repr(fis)
+
+
+class TestItemsetView:
+    """The columnar view rule generation reads, built once per table."""
+
+    def test_columns_match_the_table(self, fis):
+        view = fis.view()
+        assert len(view) == len(fis)
+        for row, (itemset, count) in enumerate(fis.counts.items()):
+            ids = view.ids[view.indptr[row]:view.indptr[row + 1]]
+            assert ids.tolist() == sorted(itemset)
+            assert view.lengths[row] == len(itemset)
+            assert view.counts[row] == count
+            found, ok = view.find(view.padded[[row], : len(itemset)])
+            assert ok.all() and found.tolist() == [row]
+
+    def test_strings_and_ranks_are_the_object_tie_break(self, fis):
+        view = fis.view()
+        expected = [str(sorted(fis.vocabulary.items_of(s))) for s in fis.counts]
+        assert view.strings.tolist() == expected
+        by_rank = [s for _, s in sorted(zip(view.rank.tolist(), expected))]
+        assert by_rank == sorted(expected)
+
+    def test_built_once_and_reused(self, fis):
+        assert fis.view() is fis.view()
+
+    def test_rows_of(self, fis, toy_db):
+        bread = toy_db.vocabulary.id_of("bread")
+        milk = toy_db.vocabulary.id_of("milk")
+        view = fis.view()
+        rows = view.rows_of([frozenset({milk, bread}), frozenset({bread})])
+        sets = list(fis.counts)
+        assert [sets[r] for r in rows.tolist()] == [{bread, milk}, {bread}]
+        with pytest.raises(KeyError):
+            view.rows_of([frozenset({bread, 10_000})])
+
+    def test_empty_table(self, toy_db):
+        view = FrequentItemsets({}, toy_db.vocabulary, 5, 0.5).view()
+        assert len(view) == 0
+        rows, found = view.find(np.zeros((2, 0), dtype=np.uint64))
+        assert not found.any()

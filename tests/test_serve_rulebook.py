@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import MiningConfig
@@ -164,6 +165,62 @@ class TestSchemaGuards:
         )
         with pytest.raises(RuleBookSchemaError, match="bad rule record"):
             RuleBook.load(path)
+
+
+class TestDamagedRecords:
+    """Damaged rule records are refused, never coerced into other rules."""
+
+    def _write_with(self, tmp_path, field, value):
+        path = tmp_path / "book.jsonl"
+        RuleBook(rules=random_rules(random.Random(2), 3)).save(path)
+        lines = path.read_text().splitlines()
+        rule = json.loads(lines[2])
+        rule[field] = value
+        lines[2] = json.dumps(rule, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("antecedent_ids", [1.9]),  # int() would truncate to id 1
+            ("antecedent_ids", "12"),  # iterating would give ids 1 and 2
+            ("antecedent_ids", [True]),  # a bool is not an item id
+            ("consequent_ids", {"0": 1}),
+            ("support", True),  # would load as 1.0
+            ("support", "0.5"),  # would parse as 0.5
+            ("lift", "Infinity"),
+            ("conviction", None),
+            ("confidence", [0.5]),
+        ],
+    )
+    def test_refused_with_path_and_line(self, tmp_path, field, value):
+        path = self._write_with(tmp_path, field, value)
+        with pytest.raises(RuleBookSchemaError, match=rf"book\.jsonl:3: bad rule record: .*{field}"):
+            RuleBook.load(path)
+
+    def test_refuses_overflowing_int_metric(self, tmp_path):
+        path = self._write_with(tmp_path, "support", 10**400)
+        with pytest.raises(RuleBookSchemaError, match=r"book\.jsonl:3: bad rule record"):
+            RuleBook.load(path)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("support", 1, 1.0),  # a JSON integer is a number
+            ("conviction", "inf", math.inf),
+            ("leverage", "-inf", -math.inf),
+        ],
+    )
+    def test_accepts_numbers_and_non_finite_strings(self, tmp_path, field, value, expected):
+        path = self._write_with(tmp_path, field, value)
+        loaded = RuleBook.load(path)
+        assert expected in getattr(loaded.table, field).tolist()
+
+    def test_accepts_nan_string(self, tmp_path):
+        path = self._write_with(tmp_path, "lift", "nan")
+        loaded = RuleBook.load(path)
+        assert np.isnan(loaded.table.lift).sum() == 1
 
 
 class TestFromAnalysis:
