@@ -18,7 +18,7 @@ from bench_util import write_artifact
 
 #: cache disabled so every timed round measures a real mining pass —
 #: the engine cache would answer rounds 2+ in microseconds otherwise
-UNCACHED = MiningEngine(backend="serial", cache=False)
+UNCACHED = MiningEngine(cache=False)
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

@@ -8,7 +8,6 @@ max_len = 5):
   vs the object tree (:func:`~repro.core.fpgrowth.fpgrowth_object`);
 * Eclat / Apriori — packed uint64 bitsets vs the dense boolean matrix
   (:mod:`repro.core.legacy`);
-* SON phase-2 counting — packed vs dense candidate counting;
 * rule generation — the columnar RuleTable kernel
   (:func:`~repro.core.rules.generate_rule_table`) vs the legacy
   per-split object path (:func:`~repro.core.rules.generate_rules_legacy`),
@@ -52,17 +51,12 @@ from repro.core.eclat import eclat  # noqa: E402
 from repro.core.apriori import apriori  # noqa: E402
 from repro.core.items import as_item  # noqa: E402
 from repro.core.itemsets import FrequentItemsets  # noqa: E402
-from repro.core.legacy import (  # noqa: E402
-    apriori_dense,
-    count_candidates_dense,
-    eclat_dense,
-)
+from repro.core.legacy import apriori_dense, eclat_dense  # noqa: E402
 from repro.core.pruning import prune_rule_table, prune_rules_legacy  # noqa: E402
 from repro.core.rules import (  # noqa: E402
     generate_rule_table,
     generate_rules_legacy,
 )
-from repro.parallel.partition import count_candidates  # noqa: E402
 from repro.traces import (  # noqa: E402
     PAI_KEYWORDS,
     PAIConfig,
@@ -130,19 +124,6 @@ def run(n_jobs: int, repeats: int, check_only: bool) -> dict:
         stages[f"mine-{name}-legacy"] = l_sec
         speedups[name] = l_sec / k_sec if k_sec > 0 else float("inf")
 
-    # SON phase 2: exact candidate counting, packed vs dense
-    candidates = set(reference)
-    c_sec, packed_counts = _best_of(
-        lambda: count_candidates(db, candidates), repeats
-    )
-    d_sec, dense_counts = _best_of(
-        lambda: count_candidates_dense(db, candidates), repeats
-    )
-    assert packed_counts == dense_counts, "phase-2 counting answers differ"
-    stages["count-candidates-kernel"] = c_sec
-    stages["count-candidates-legacy"] = d_sec
-    speedups["count-candidates"] = d_sec / c_sec if c_sec > 0 else float("inf")
-
     # rule generation over the mined itemsets: columnar kernel vs legacy
     # object path, bit-identical output in identical order
     itemsets = FrequentItemsets(
@@ -206,11 +187,7 @@ def run(n_jobs: int, repeats: int, check_only: bool) -> dict:
     }
 
     if not check_only:
-        # merge-preserve: other benches (bench_shm_swap.py) park their
-        # own sections in the same artifact
-        doc = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
-        doc.update(payload)
-        JSON_PATH.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         lines = [
             "Mining throughput — packed-bitmap kernels vs legacy paths",
             f"PAI trace, {n_jobs} jobs ({n} transactions), "
@@ -223,7 +200,6 @@ def run(n_jobs: int, repeats: int, check_only: bool) -> dict:
             "fpgrowth",
             "eclat",
             "apriori",
-            "count-candidates",
             "generate-rules",
         ):
             prefix = f"mine-{name}" if name in pairs else name

@@ -62,7 +62,7 @@ class AnalysisResult:
 
         The hand-off from offline mining to online serving: the returned
         book carries the rules of all keyword studies plus the run's
-        provenance (config, database fingerprint, engine backend) and
+        provenance (config, database fingerprint, mining plan) and
         round-trips through :meth:`~repro.serve.RuleBook.save` /
         :meth:`~repro.serve.RuleBook.load`.
         """
@@ -90,8 +90,7 @@ class AnalysisResult:
 class InterpretableAnalysis:
     """Configured workflow: run once per (trace table, keyword set).
 
-    An *engine* can be injected to pin the execution backend or isolate
-    the cache; by default the process-wide shared engine is used, so
+    An *engine* can be injected to isolate the cache; by default the process-wide shared engine is used, so
     successive studies on identical trace content reuse one mining pass.
     """
 

@@ -10,7 +10,7 @@ Subcommands::
 
     python -m repro analyze --trace supercloud --keyword "Failed" \
             [--n-jobs 5000 | --input trace.csv] [--min-support 0.05] \
-            [--backend process --workers 4] [--no-cache] …
+            [--no-cache] [--profile] …
         run the full workflow for one keyword and print the rule table
         plus an engine stats footer (per-stage timing, cache status)
 
@@ -52,7 +52,7 @@ from typing import Sequence
 from .analysis import InterpretableAnalysis, format_rule_table, full_case_study
 from .core import MiningConfig
 from .dataframe import ColumnTable
-from .engine import BACKENDS, MiningEngine
+from .engine import MiningEngine
 from .shm.segment import NO_SHM_ENV
 from .traces import get_trace, list_traces
 from .traces.loader import load_trace, save_trace
@@ -217,31 +217,14 @@ def _add_mining_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--backend", default="auto", choices=sorted(BACKENDS),
-                     help="mining execution backend (default: auto, which "
-                          "mines serially at every size; threaded and "
-                          "process run SON partitioned mining)")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker count for threaded/process backends")
     sub.add_argument("--no-cache", action="store_true",
                      help="disable the content-addressed itemset cache")
-    sub.add_argument("--no-shm", action="store_true",
-                     help="disable the shared-memory data plane (the "
-                          "process backend ships pickled partitions)")
     sub.add_argument("--profile", action="store_true",
                      help="show per-stage kernel attribution in the stats footer")
 
 
 def _engine_from(args: argparse.Namespace) -> MiningEngine:
-    if getattr(args, "no_shm", False):
-        # env var (not a constructor flag) so process-backend workers
-        # inherit the toggle regardless of start method
-        os.environ[NO_SHM_ENV] = "1"
-    return MiningEngine(
-        backend=args.backend,
-        n_workers=args.workers,
-        cache=not args.no_cache,
-    )
+    return MiningEngine(cache=not args.no_cache)
 
 
 def _config_from(args: argparse.Namespace) -> MiningConfig:

@@ -11,8 +11,8 @@ vector is packed 64 transactions per ``uint64`` word, so
 * an itemset's support is ``popcount(AND of word rows)`` — the AND
   touches 64 transactions per word, and the popcount is a 16-bit
   lookup-table gather, both releasing the GIL inside numpy;
-* partition views of a 64-aligned transaction range are word *slices*
-  of the parent's bitmaps, so SON workers inherit them for free.
+* views of a 64-aligned transaction range are word *slices* of the
+  parent's bitmaps, so a range view inherits them for free.
 
 Bit layout: transaction ``t`` lives in word ``t >> 6`` at bit ``t & 63``
 (little-endian within the word).  Pad bits past ``n_transactions`` are
@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -156,8 +156,8 @@ class PackedBitmaps:
 
         *start* must be 64-aligned so the range maps to whole words; the
         word block is a cheap slice-copy of this object's rows (with the
-        tail bits of the final word masked off), which is how SON
-        partitions inherit the parent database's bitmaps instead of
+        tail bits of the final word masked off), which is how range
+        views inherit the parent database's bitmaps instead of
         rebuilding their own from scratch.
         """
         if start % _WORD_BITS != 0:
@@ -206,16 +206,6 @@ class PackedBitmaps:
         if len(ids) == 1:
             return popcount(self.words[ids[0]])
         return popcount(self.and_words(ids))
-
-    def counts_for(
-        self, itemsets: Iterable[Iterable[int]]
-    ) -> dict[frozenset[int], int]:
-        """Batch support counts for many itemsets (one AND chain each)."""
-        out: dict[frozenset[int], int] = {}
-        for itemset in itemsets:
-            key = frozenset(itemset)
-            out[key] = self.support_count(sorted(key))
-        return out
 
     def to_bool(self, words: np.ndarray | None = None) -> np.ndarray:
         """Unpack a word row (or any AND result) to a boolean vector."""
@@ -291,8 +281,8 @@ def clear_bitmap_cache() -> None:
 
 
 # -- kernel counters ----------------------------------------------------------
-#: kernel name → [seconds, calls]; global (not thread-local) so threaded
-#: backend workers report into the same ledger
+#: kernel name → [seconds, calls]; global (not thread-local) so worker
+#: threads report into the same ledger
 _KERNELS: dict[str, list[float]] = {}
 _KERNEL_LOCK = threading.Lock()
 

@@ -22,7 +22,7 @@ __all__ = ["FrequentItemsets", "ItemsetView"]
 
 
 def _padded_rows(
-    sets: Collection[frozenset[int]], width: int | None = None
+    sets: Collection[frozenset[int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(lengths, indptr, ids, padded)`` of *sets*: a sorted-id CSR and
     its ``(rows, width)`` uint64 matrix of ``id + 1``, zero padded."""
@@ -34,8 +34,7 @@ def _padded_rows(
     ids = sort_within_rows(
         indptr, np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=total)
     )
-    if width is None:
-        width = int(lengths.max()) if n else 0
+    width = int(lengths.max()) if n else 0
     rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
     padded = np.zeros((n, width), dtype=np.uint64)
     padded[rows, np.arange(total, dtype=np.int64) - indptr[rows]] = (
@@ -104,18 +103,6 @@ class ItemsetView:
         keys = self._keys(sub)
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self) - 1)
         return self._key_rows[pos], self._sorted_keys[pos] == keys
-
-    def rows_of(self, itemsets: Iterable[frozenset[int]]) -> np.ndarray:
-        """Row of each given itemset; KeyError if one is not in the table."""
-        sets = list(itemsets)
-        width = self.padded.shape[1]
-        if any(len(itemset) > width for itemset in sets):
-            raise KeyError("itemset is not in the frequent-itemset table")
-        sub = _padded_rows(sets, width)[3]
-        found_rows, found = self.find(sub)
-        if not found.all():
-            raise KeyError("itemset is not in the frequent-itemset table")
-        return found_rows
 
 
 class FrequentItemsets:

@@ -1,9 +1,9 @@
 """Dense-boolean reference implementations of the mining kernels.
 
-Before the packed-bitmap kernel (:mod:`repro.core.bitmap`), Eclat,
-Apriori and SON candidate counting all ran over a dense boolean
-occurrence matrix of ``n_items × n_transactions`` *bytes*.  Those code
-paths live on here, verbatim, for two jobs:
+Before the packed-bitmap kernel (:mod:`repro.core.bitmap`), Eclat and
+Apriori ran over a dense boolean occurrence matrix of
+``n_items × n_transactions`` *bytes*.  Those code paths live on here,
+verbatim, for two jobs:
 
 * **equivalence contracts** — the property tests assert the packed
   kernel produces bit-identical itemset tables against these references
@@ -25,7 +25,6 @@ __all__ = [
     "dense_vertical",
     "eclat_dense",
     "apriori_dense",
-    "count_candidates_dense",
 ]
 
 
@@ -126,20 +125,4 @@ def apriori_dense(
         level_masks = next_masks
         frequent_k = next_frequent
         k += 1
-    return out
-
-
-def count_candidates_dense(
-    db: TransactionDatabase,
-    candidates: set[frozenset[int]],
-) -> dict[frozenset[int], int]:
-    """Exact candidate counts over a dense occurrence matrix."""
-    vertical = dense_vertical(db)
-    out: dict[frozenset[int], int] = {}
-    for itemset in candidates:
-        ids = sorted(itemset)
-        mask = vertical[ids[0]]
-        for i in ids[1:]:
-            mask = mask & vertical[i]
-        out[itemset] = int(mask.sum())
     return out

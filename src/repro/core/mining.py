@@ -209,8 +209,8 @@ def mine_frequent_itemsets(
     :func:`repro.engine.default_engine`, so repeated calls on identical
     database content (support sweeps, multi-keyword studies, benchmark
     rounds) are answered from the content-addressed itemset cache.
-    Callers needing a specific backend or an isolated cache build their
-    own :class:`repro.engine.MiningEngine`.
+    Callers needing an isolated cache build their own
+    :class:`repro.engine.MiningEngine`.
     """
     # imported lazily: repro.engine sits one layer above repro.core
     from ..engine import default_engine

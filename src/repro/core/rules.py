@@ -8,7 +8,10 @@ consequent are independent"); a minimum confidence can be layered on top.
 
 All supports needed to score a rule are available from the frequent-itemset
 table itself (every subset of a frequent itemset is frequent), so rule
-generation never rescans the database.
+generation never rescans the database.  A table that is not
+downward-closed — a differentially private, closed or maximal itemset
+table can drop a subset and keep its superset — cannot score every
+split; both paths raise ``ValueError`` on it instead of dropping rules.
 
 Two implementations coexist:
 
@@ -39,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bitmap import kernel_timer, record_kernel
+from .bitmap import kernel_timer
 from .items import Item, ItemVocabulary, render_itemset
 from .itemsets import FrequentItemsets, ItemsetView
 from .metrics import RuleMetrics, compute_metrics
@@ -51,11 +54,6 @@ __all__ = [
     "generate_rule_table",
     "generate_rules_legacy",
 ]
-
-#: kernel counter fed by both paths when an incomplete (SON-partitioned)
-#: itemset table forces candidate splits to be dropped; ``calls`` carries
-#: the number of dropped candidates so ``--profile`` surfaces them.
-SKIPPED_KERNEL = "rules-skipped-lookups"
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,12 +155,22 @@ def _validate_params(min_lift: float, min_confidence: float) -> None:
         raise ValueError("min_confidence must be in [0, 1]")
 
 
+def _not_downward_closed(
+    itemsets: FrequentItemsets, first: frozenset[int], n_missing: int
+) -> ValueError:
+    """The error both generators raise when a split's side is missing."""
+    return ValueError(
+        "itemset table is not downward-closed: "
+        f"{n_missing} antecedent/consequent split(s) miss a subset's "
+        f"support, first in itemset {itemsets.render(first)}"
+    )
+
+
 def generate_rules(
     itemsets: FrequentItemsets,
     min_lift: float = 1.5,
     min_confidence: float = 0.0,
     keyword_ids: Iterable[int] | None = None,
-    expand_only: Iterable[frozenset[int]] | None = None,
 ) -> list[AssociationRule]:
     """Enumerate and score rules from *itemsets* (list-of-objects API).
 
@@ -178,10 +186,6 @@ def generate_rules(
         If given, only rules containing at least one of these item ids are
         emitted — the keyword-relevance restriction of Sec. III-D, applied
         during generation to avoid materialising irrelevant rules.
-    expand_only:
-        If given, only these itemsets are split into rules (subset
-        supports still come from the full table) — the hook the parallel
-        rule generator uses to shard work across processes.
 
     Rules are returned sorted by (lift, confidence, support) descending,
     ties broken by rendered text so output order is deterministic.  This
@@ -193,7 +197,6 @@ def generate_rules(
         min_lift=min_lift,
         min_confidence=min_confidence,
         keyword_ids=keyword_ids,
-        expand_only=expand_only,
     ).to_rules()
 
 
@@ -202,7 +205,6 @@ def generate_rule_table(
     min_lift: float = 1.5,
     min_confidence: float = 0.0,
     keyword_ids: Iterable[int] | None = None,
-    expand_only: Iterable[frozenset[int]] | None = None,
 ) -> RuleTable:
     """Columnar rule generation: enumerate, score, filter and sort as arrays.
 
@@ -211,9 +213,8 @@ def generate_rule_table(
     output order) but no per-rule object or string is created: the
     result is a :class:`RuleTable` whose rows are exactly the surviving
     rules, read off the pass's one :class:`~repro.core.itemsets.ItemsetView`.
-    Candidate splits whose subset supports are missing from an incomplete
-    (SON-partitioned) table are counted in ``table.n_skipped_lookups``
-    and surfaced through the ``rules-skipped-lookups`` kernel counter.
+    Raises ``ValueError`` if a split's side is missing from the table
+    (the table is not downward-closed).
     """
     _validate_params(min_lift, min_confidence)
     vocabulary = itemsets.vocabulary
@@ -223,27 +224,20 @@ def generate_rule_table(
 
     with kernel_timer("rules-enumerate"):
         view = itemsets.view()
-        if expand_only is not None:
-            surface = view.rows_of(expand_only)
-        else:
-            surface = np.arange(len(view), dtype=np.int64)
-        wanted = view.lengths[surface] >= 2
+        wanted = view.lengths >= 2
         if keyword_ids is not None:
             has_keyword = np.zeros(len(view), dtype=bool)
             for kw_id in keyword_ids:
                 has_keyword |= rows_containing(view.indptr, view.ids, kw_id)
-            wanted &= has_keyword[surface]
-        surface = surface[wanted]
+            wanted &= has_keyword
+        surface = np.flatnonzero(wanted)
         if not surface.size:
             return RuleTable.empty(vocabulary)
-        cxy, ant_rows, cons_rows, n_skipped = _enumerate_splits(view, surface)
-
-    if n_skipped:
-        record_kernel(SKIPPED_KERNEL, 0.0, n_skipped)
-    if cxy.size == 0:
-        empty = RuleTable.empty(vocabulary)
-        empty.n_skipped_lookups = n_skipped
-        return empty
+        cxy, ant_rows, cons_rows, missing = _enumerate_splits(view, surface)
+        if missing.size:
+            first = int(missing.min())
+            ids = view.ids[view.indptr[first]:view.indptr[first + 1]]
+            raise _not_downward_closed(itemsets, frozenset(ids.tolist()), missing.size)
 
     # ---- score every candidate in one batch; filter before materialising ----
     with kernel_timer("rules-score"):
@@ -279,7 +273,6 @@ def generate_rule_table(
         cons_indptr, view.ids[cons_flat],
         supp_xy[keep], conf[keep], lift_arr[keep],
         leverage_arr[keep], conviction_arr[keep],
-        n_skipped_lookups=n_skipped,
     )
     table._sort_strings_cache = (view.strings[ant_rows], view.strings[cons_rows])
     return table
@@ -287,19 +280,21 @@ def generate_rule_table(
 
 def _enumerate_splits(
     view: ItemsetView, surface: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every antecedent/consequent split of the *surface* rows.
 
     Itemsets are grouped by length; each split of a length-``L`` group is
     one bit pattern over its ``(M, L)`` id columns, and both sides' rows
     are found by one binary search each (:meth:`ItemsetView.find`).
-    Returns ``(count_xy, antecedent rows, consequent rows, n_skipped)``.
+    Returns ``(count_xy, antecedent rows, consequent rows, missing)``,
+    where ``missing`` holds the itemset row of every split with a side
+    absent from the table (empty for a downward-closed table).
     """
     lengths = view.lengths[surface]
     cxy_parts: list[np.ndarray] = []
     ant_parts: list[np.ndarray] = []
     cons_parts: list[np.ndarray] = []
-    n_skipped = 0
+    missing_parts: list[np.ndarray] = []
     for length in np.unique(lengths).tolist():
         rows = surface[lengths == length]
         base = view.padded[rows, :length]
@@ -309,22 +304,15 @@ def _enumerate_splits(
             cols_c = [k for k in range(length) if not (pattern >> k) & 1]
             rows_a, valid_a = view.find(base[:, cols_a])
             rows_c, valid_c = view.find(base[:, cols_c])
-            valid = valid_a & valid_c
-            n_invalid = int(np.count_nonzero(~valid))
-            if n_invalid:
-                n_skipped += n_invalid
-                sel = np.flatnonzero(valid)
-                rows_a, rows_c, count = rows_a[sel], rows_c[sel], cnt[sel]
-            else:
-                count = cnt
-            cxy_parts.append(count)
+            missing_parts.append(rows[~(valid_a & valid_c)])
+            cxy_parts.append(cnt)
             ant_parts.append(rows_a)
             cons_parts.append(rows_c)
     return (
         np.concatenate(cxy_parts),
         np.concatenate(ant_parts),
         np.concatenate(cons_parts),
-        n_skipped,
+        np.concatenate(missing_parts),
     )
 
 
@@ -333,7 +321,6 @@ def generate_rules_legacy(
     min_lift: float = 1.5,
     min_confidence: float = 0.0,
     keyword_ids: Iterable[int] | None = None,
-    expand_only: Iterable[frozenset[int]] | None = None,
 ) -> list[AssociationRule]:
     """The original per-split object path, kept as the correctness oracle.
 
@@ -352,13 +339,6 @@ def generate_rules_legacy(
     vocabulary = itemsets.vocabulary
     rules: list[AssociationRule] = []
 
-    if expand_only is not None:
-        surface: Iterable[tuple[frozenset[int], int]] = (
-            (itemset, counts[itemset]) for itemset in expand_only
-        )
-    else:
-        surface = counts.items()
-
     # enumerate every split first, then score the whole batch with numpy:
     # the metric arithmetic is identical IEEE-double arithmetic to
     # compute_metrics, but runs once over arrays instead of per split, and
@@ -368,9 +348,10 @@ def generate_rules_legacy(
     count_xy_l: list[int] = []
     count_x_l: list[int] = []
     count_y_l: list[int] = []
-    n_skipped = 0
+    first_missing: frozenset[int] | None = None
+    n_missing = 0
 
-    for itemset, count_xy in surface:
+    for itemset, count_xy in counts.items():
         if len(itemset) < 2:
             continue
         if keywords is not None and not (itemset & keywords):
@@ -384,9 +365,10 @@ def generate_rules_legacy(
                 count_x = counts.get(antecedent_ids)
                 count_y = counts.get(consequent_ids)
                 if count_x is None or count_y is None:
-                    # cannot happen for a downward-closed itemset table, but
-                    # partitioned (SON) candidate sets may be incomplete
-                    n_skipped += 1
+                    # the table is not downward-closed: count, then raise
+                    if first_missing is None:
+                        first_missing = itemset
+                    n_missing += 1
                     continue
                 antecedents.append(antecedent_ids)
                 consequents.append(consequent_ids)
@@ -394,8 +376,8 @@ def generate_rules_legacy(
                 count_x_l.append(count_x)
                 count_y_l.append(count_y)
 
-    if n_skipped:
-        record_kernel(SKIPPED_KERNEL, 0.0, n_skipped)
+    if n_missing:
+        raise _not_downward_closed(itemsets, first_missing, n_missing)
     if not count_xy_l:
         return []
 

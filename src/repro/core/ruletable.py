@@ -161,7 +161,6 @@ class RuleTable:
         "vocabulary",
         "ant_indptr", "ant_ids", "cons_indptr", "cons_ids",
         "support", "confidence", "lift", "leverage", "conviction",
-        "n_skipped_lookups",
         "_sort_strings_cache",
     )
 
@@ -177,8 +176,6 @@ class RuleTable:
         lift: object,
         leverage: object,
         conviction: object,
-        *,
-        n_skipped_lookups: int = 0,
     ) -> None:
         self.vocabulary = vocabulary
         self.ant_indptr = _as_indptr(ant_indptr)
@@ -197,7 +194,6 @@ class RuleTable:
         self.lift = _as_metric(lift, n, "lift")
         self.leverage = _as_metric(leverage, n, "leverage")
         self.conviction = _as_metric(conviction, n, "conviction")
-        self.n_skipped_lookups = int(n_skipped_lookups)
         self._sort_strings_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- pickling (slots class) ------------------------------------------------
@@ -299,7 +295,6 @@ class RuleTable:
             np.concatenate([t.lift for t in tables]),
             np.concatenate([t.leverage for t in tables]),
             np.concatenate([t.conviction for t in tables]),
-            n_skipped_lookups=sum(t.n_skipped_lookups for t in tables),
         )
         if all(t._sort_strings_cache is not None for t in tables):
             out._sort_strings_cache = (
@@ -393,7 +388,6 @@ class RuleTable:
             cons_indptr, self.cons_ids[cons_flat],
             self.support[rows], self.confidence[rows], self.lift[rows],
             self.leverage[rows], self.conviction[rows],
-            n_skipped_lookups=self.n_skipped_lookups,
         )
         if self._sort_strings_cache is not None:
             ant_strs, cons_strs = self._sort_strings_cache
@@ -419,7 +413,6 @@ class RuleTable:
             self.ant_indptr, ant_ids, self.cons_indptr, cons_ids,
             self.support, self.confidence, self.lift,
             self.leverage, self.conviction,
-            n_skipped_lookups=self.n_skipped_lookups,
         )
         out._sort_strings_cache = self._sort_strings_cache
         return out

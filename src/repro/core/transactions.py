@@ -27,7 +27,7 @@ from .items import Item, ItemVocabulary, as_item
 
 __all__ = ["TransactionDatabase"]
 
-#: SON partition boundaries snap to this many transactions so that every
+#: partition boundaries snap to this many transactions so that every
 #: partition starts on a bitmap word boundary (see :meth:`split`)
 _ALIGN = 64
 
@@ -39,7 +39,6 @@ class TransactionDatabase:
         "vocabulary",
         "indptr",
         "indices",
-        "shm_segment",
         "_bitmaps_cache",
         "_fingerprint_cache",
     )
@@ -63,10 +62,6 @@ class TransactionDatabase:
             self.indices.min() < 0 or self.indices.max() >= len(vocabulary)
         ):
             raise ValueError("item id out of vocabulary range")
-        #: the shared-memory attachment backing this database's arrays,
-        #: when it came from repro.shm.attach_database — kept here so the
-        #: segment mapping lives exactly as long as the views into it
-        self.shm_segment = None
         self._bitmaps_cache = None
         self._fingerprint_cache: str | None = None
 
@@ -323,8 +318,7 @@ class TransactionDatabase:
         Zero-copy: the returned database's ``indices``/``indptr`` are
         views of this one's arrays.  When this database's packed bitmaps
         are already built and *start* is 64-aligned, the range inherits
-        a word-slice of them instead of rebuilding — the mechanism SON
-        partition workers use to reuse the parent's bitmaps.
+        a word-slice of them instead of rebuilding.
         """
         if not 0 <= start <= stop <= len(self):
             raise ValueError(f"invalid transaction range [{start}, {stop})")
@@ -344,9 +338,7 @@ class TransactionDatabase:
         Evenly spaced, but snapped down to 64-transaction multiples when
         the database is large enough — aligned partitions start on a
         bitmap word boundary, so their bitmaps are word slices of the
-        parent's (see :meth:`txn_range`).  Alignment changes *which*
-        candidates SON phase 1 proposes, never the final answer (phase 2
-        recounts every candidate exactly).
+        parent's (see :meth:`txn_range`).
         """
         if n_parts < 1:
             raise ValueError("n_parts must be >= 1")
@@ -357,7 +349,7 @@ class TransactionDatabase:
         return bounds
 
     def split(self, n_parts: int) -> list["TransactionDatabase"]:
-        """Split into *n_parts* contiguous chunks (for SON partitioned mining)."""
+        """Split into *n_parts* contiguous chunks."""
         bounds = self.partition_bounds(n_parts)
         return [
             self.txn_range(int(bounds[k]), int(bounds[k + 1]))

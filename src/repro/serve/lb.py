@@ -4,11 +4,10 @@ A policy answers one question — *which healthy shard takes this
 request?* — from the live signals every
 :class:`~repro.serve.router.ShardHandle` exposes: ``inflight`` (requests
 forwarded but not yet answered) and ``ewma_latency_s`` (exponentially
-weighted response latency).  Policies register in :data:`LB_POLICIES`
-exactly like mining backends register in
-:data:`~repro.engine.backends.BACKENDS`, so ``repro serve --lb-policy``
-enumerates them and downstream code can add its own (cost-weighted over
-heterogeneous workers, session-affine, …) without touching the router.
+weighted response latency).  Policies register in :data:`LB_POLICIES`,
+so ``repro serve --lb-policy`` enumerates them and downstream code can
+add its own (cost-weighted over heterogeneous workers, session-affine,
+…) without touching the router.
 
 All three built-ins are deterministic — no randomness — which keeps the
 router property-testable: given the same shard states they pick the same

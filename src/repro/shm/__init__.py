@@ -1,27 +1,18 @@
-"""Shared-memory zero-copy data plane.
+"""Shared-memory zero-copy rule plane.
 
-The two big immutable artifacts of this codebase — a mined
-:class:`~repro.core.transactions.TransactionDatabase` (CSR arrays plus
-packed uint64 bitmaps) and a compiled rule plane (RuleTable columns,
+A compiled rule plane (RuleTable columns,
 :class:`~repro.serve.batchmatch.BatchMaskKernel` masks, per-rule wire
-JSON) — are published once into ``multiprocessing.shared_memory``
-segments and attached read-only by every worker process that needs them:
+JSON) is published once into a ``multiprocessing.shared_memory`` segment
+and attached read-only by every serving worker: the fleet's hot-swap
+ships a segment name through ``broadcast_reload``, so each shard
+attaches the already-compiled plane in milliseconds and fleet RSS stays
+~1× the book instead of N×.
 
-* mining's :class:`~repro.engine.backends.ProcessBackend` ships a
-  segment *name* to its phase-1 workers instead of relying on fork
-  inheritance, so SON parallelises under any start method (spawn
-  included);
-* the serving fleet's hot-swap ships a segment name through
-  ``broadcast_reload``, so each shard attaches the already-compiled
-  rule plane in milliseconds and fleet RSS stays ~1× the book instead
-  of N×.
-
-Layout, naming and lifecycle live in :mod:`repro.shm.segment`; the two
-artifact codecs are :mod:`repro.shm.database` and
-:mod:`repro.shm.ruleplane`.  Everything degrades gracefully: when
-shared memory is unavailable (or ``REPRO_NO_SHM`` is set / ``--no-shm``
-passed) callers fall back to the per-worker load paths that predate
-this module, which are also retained as the CI equivalence oracle.
+Layout, naming and lifecycle live in :mod:`repro.shm.segment`; the
+codec is :mod:`repro.shm.ruleplane`.  When shared memory is unavailable
+(or ``REPRO_NO_SHM`` is set / ``repro serve --no-shm`` passed) shards
+fall back to compiling the book themselves, which is also retained as
+the CI equivalence oracle.
 """
 
 from .segment import (
@@ -35,7 +26,6 @@ from .segment import (
     list_segments,
     unlink_all_leases,
 )
-from .database import attach_database, publish_database
 from .ruleplane import attach_rule_plane, publish_rule_plane
 
 __all__ = [
@@ -48,8 +38,6 @@ __all__ = [
     "gc_stale_segments",
     "list_segments",
     "unlink_all_leases",
-    "attach_database",
-    "publish_database",
     "attach_rule_plane",
     "publish_rule_plane",
 ]

@@ -1,107 +1,15 @@
-"""TransactionDatabase ⇄ shared-memory segment.
+"""Leftover of the retired shared-memory database plane.
 
-Publishing places the CSR arrays (``indptr``, ``indices``), the packed
-uint64 bitmaps, and the vocabulary (a JSON blob) into one segment named
-by the database's content fingerprint.  Attaching rebuilds a
-:class:`~repro.core.transactions.TransactionDatabase` whose arrays are
-read-only zero-copy views of the segment and whose bitmap cache is
-pre-seeded with a view-backed :class:`~repro.core.bitmap.PackedBitmaps`
-— so a mining worker that attaches never re-derives a vertical
-representation, exactly the property fork inheritance used to provide.
-
-Publishing memoises by fingerprint (a small LRU of live leases), so the
-engine mining the same content repeatedly pays the publish memcpy once;
-evicted leases unlink their name immediately (attached workers keep
-their mappings — POSIX frees the pages when the last mapping closes).
+Mining runs in one process, so no database is ever published to shared
+memory.  :func:`clear_database_leases` stays only for
+``benchmarks/e2e/mine.py``, which calls it before every cold pass;
+delete this module at the next change to that benchmark.
 """
 
 from __future__ import annotations
 
-import json
-from collections import OrderedDict
-
-from ..core.bitmap import PackedBitmaps
-from ..core.items import Item, ItemVocabulary
-from ..core.transactions import TransactionDatabase
-from .segment import SegmentError, SegmentLease, attach_segment, publish_segment
-
-__all__ = ["publish_database", "attach_database", "clear_database_leases"]
-
-KIND = "d"
-
-#: live database leases by fingerprint; mining loops re-publish the same
-#: database, so keep the last few around instead of re-copying bitmaps
-_LEASE_CACHE: "OrderedDict[str, SegmentLease]" = OrderedDict()
-_LEASE_CACHE_MAX = 2
-
-
-def publish_database(
-    db: TransactionDatabase, *, generation: int = 0
-) -> SegmentLease:
-    """Publish *db* (CSR + bitmaps + vocabulary); memoised by fingerprint."""
-    fingerprint = db.fingerprint()
-    lease = _LEASE_CACHE.get(fingerprint)
-    if lease is not None:
-        _LEASE_CACHE.move_to_end(fingerprint)
-        return lease
-    bitmaps = db.bitmaps()
-    vocab_blob = json.dumps(
-        [[item.feature, item.value] for item in db.vocabulary]
-    ).encode()
-    lease = publish_segment(
-        KIND,
-        fingerprint,
-        arrays={
-            "indptr": db.indptr,
-            "indices": db.indices,
-            "bitmap_words": bitmaps.words,
-        },
-        blobs={"vocabulary": vocab_blob},
-        meta={"n_transactions": len(db), "n_items": db.n_items},
-        generation=generation,
-    )
-    _LEASE_CACHE[fingerprint] = lease
-    while len(_LEASE_CACHE) > _LEASE_CACHE_MAX:
-        _, evicted = _LEASE_CACHE.popitem(last=False)
-        evicted.unlink()
-    return lease
+__all__ = ["clear_database_leases"]
 
 
 def clear_database_leases() -> None:
-    """Unlink every cached database lease (tests, explicit drains)."""
-    while _LEASE_CACHE:
-        _, lease = _LEASE_CACHE.popitem(last=False)
-        lease.unlink()
-
-
-def attach_database(name: str) -> TransactionDatabase:
-    """Attach a published database as read-only zero-copy views.
-
-    The returned database's ``indptr``/``indices`` and bitmap words are
-    views straight into the segment (writes raise), its fingerprint
-    cache is pre-seeded from the manifest, and the segment handle rides
-    along on :attr:`~TransactionDatabase.shm_segment` so the mapping
-    outlives any scope the views escape to.
-    """
-    seg = attach_segment(name)
-    if seg.kind != KIND:
-        seg.close()
-        raise SegmentError(
-            f"segment {name} holds kind {seg.kind!r}, expected a database"
-        )
-    try:
-        vocabulary = ItemVocabulary(
-            Item(feature, value)
-            for feature, value in json.loads(seg.blob_bytes("vocabulary"))
-        )
-        db = TransactionDatabase(
-            vocabulary, seg.arrays["indptr"], seg.arrays["indices"]
-        )
-        n = len(db)
-        db._bitmaps_cache = PackedBitmaps(seg.arrays["bitmap_words"], n)
-        db._fingerprint_cache = seg.fingerprint
-        db.shm_segment = seg
-        return db
-    except (KeyError, ValueError) as exc:
-        seg.close()
-        raise SegmentError(f"segment {name}: bad database payload: {exc}") from exc
+    """No-op: nothing is published, so there is no lease to unlink."""

@@ -95,11 +95,7 @@ def publish_rule_plane(
             "wire_offsets": offsets,
         },
         blobs={"vocabulary": vocab_blob, "wire": wire_blob},
-        meta={
-            "n_rules": n,
-            "version_tag": version_tag,
-            "n_skipped_lookups": table.n_skipped_lookups,
-        },
+        meta={"n_rules": n, "version_tag": version_tag},
         generation=generation,
     )
 
@@ -132,7 +128,6 @@ def attach_rule_plane(name: str) -> tuple["RuleIndex", dict]:
             arrays["cons_indptr"], arrays["cons_ids"],
             arrays["support"], arrays["confidence"], arrays["lift"],
             arrays["leverage"], arrays["conviction"],
-            n_skipped_lookups=int(seg.meta.get("n_skipped_lookups", 0)),
         )
         kernel = BatchMaskKernel.from_masks(
             arrays["ant_masks"],

@@ -29,11 +29,11 @@ Lifecycle:
 
 * a :class:`SegmentLease` is the *owner* handle: it registers in a
   module-level table whose atexit hook unlinks everything the process
-  still owns, so a drained service or finished mining run leaves
-  nothing behind; explicit :meth:`SegmentLease.unlink` is used by the
-  cluster parent to retire the previous generation right after a
-  successful hot-swap (POSIX keeps the memory alive for every process
-  still attached — unlink only removes the name);
+  still owns, so a drained service leaves nothing behind; explicit
+  :meth:`SegmentLease.unlink` is used by the cluster parent to retire
+  the previous generation right after a successful hot-swap (POSIX
+  keeps the memory alive for every process still attached — unlink
+  only removes the name);
 * an :class:`AttachedSegment` is a *reader* handle: it is never
   registered with ``multiprocessing.resource_tracker`` (see
   :func:`_open_untracked`), because a tracked attachment would unlink the

@@ -257,7 +257,7 @@ class RuleBookRefresher:
         if n == 0:
             raise ValueError("cannot tick over an empty window")
         self.n_ticks += 1
-        stats = EngineStats(backend=self.engine.backend.name)
+        stats = EngineStats()
 
         before = kernel_snapshot()
         with StageTimer() as t:
@@ -358,7 +358,7 @@ class RuleBookRefresher:
                 keywords=self.keywords,
                 config=self.config,
                 fingerprint=db.fingerprint(),
-                backend=self.engine.backend.name,
+                backend="serial",
                 n_transactions=len(db),
                 stream={
                     "window": [int(first), int(last)],

@@ -111,13 +111,15 @@ class TestCli:
         assert main(["--help"]) == 0
         assert "casestudy" in capsys.readouterr().out
 
-    def test_invalid_workers_exits_2(self, capsys):
+    def test_removed_engine_flags_exit_2(self, capsys):
+        # mining is serial only: the retired backend flags fail loudly
         code = main(
-            ["analyze", "--trace", "supercloud", "--keyword", "Failed",
-             "--n-jobs", "1500", "--backend", "threaded", "--workers", "0"]
+            ["mine-rulebook", "--trace", "pai", "--n-jobs", "1500",
+             "--backend", "process", "--workers", "2",
+             "--output", "unused.rulebook.jsonl"]
         )
         assert code == 2
-        assert "n_workers" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_input_file_is_error_exit(self, capsys):
         code = main(
@@ -139,15 +141,6 @@ class TestCliEngineFlags:
         assert "engine stats" in out
         for stage in ("preprocess", "mine", "generate-rules", "prune"):
             assert stage in out
-
-    def test_process_backend(self, capsys):
-        code = main(
-            ["analyze", "--trace", "supercloud", "--keyword", "Failed",
-             "--n-jobs", "2000", "--backend", "process", "--workers", "2",
-             "--max-cause", "2"]
-        )
-        assert code == 0
-        assert "backend=process" in capsys.readouterr().out
 
     def test_no_cache_flag(self, capsys):
         code = main(

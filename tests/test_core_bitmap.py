@@ -37,12 +37,10 @@ from repro.core.items import ItemVocabulary
 from repro.core.itemsets import FrequentItemsets
 from repro.core.legacy import (
     apriori_dense,
-    count_candidates_dense,
     dense_vertical,
     eclat_dense,
 )
 from repro.core.metrics import compute_metrics
-from repro.parallel.partition import count_candidates
 
 # -- strategies ---------------------------------------------------------------
 
@@ -279,13 +277,6 @@ def test_packed_miners_match_dense_on_traces(fixture, request):
     db = request.getfixturevalue(fixture)
     assert eclat(db, 0.05, 4) == eclat_dense(db, 0.05, 4)
     assert apriori(db, 0.05, 3) == apriori_dense(db, 0.05, 3)
-
-
-def test_count_candidates_matches_dense(supercloud_db):
-    candidates = set(fpgrowth(supercloud_db, 0.05, 3))
-    packed = count_candidates(supercloud_db, candidates)
-    dense = count_candidates_dense(supercloud_db, candidates)
-    assert packed == dense
 
 
 # -- vectorised rule metrics vs compute_metrics -------------------------------

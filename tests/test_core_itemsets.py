@@ -98,16 +98,6 @@ class TestItemsetView:
     def test_built_once_and_reused(self, fis):
         assert fis.view() is fis.view()
 
-    def test_rows_of(self, fis, toy_db):
-        bread = toy_db.vocabulary.id_of("bread")
-        milk = toy_db.vocabulary.id_of("milk")
-        view = fis.view()
-        rows = view.rows_of([frozenset({milk, bread}), frozenset({bread})])
-        sets = list(fis.counts)
-        assert [sets[r] for r in rows.tolist()] == [{bread, milk}, {bread}]
-        with pytest.raises(KeyError):
-            view.rows_of([frozenset({bread, 10_000})])
-
     def test_empty_table(self, toy_db):
         view = FrequentItemsets({}, toy_db.vocabulary, 5, 0.5).view()
         assert len(view) == 0

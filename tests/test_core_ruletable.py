@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MiningConfig
-from repro.core.bitmap import kernel_delta, kernel_snapshot
+from repro.core import MiningConfig, TransactionDatabase
 from repro.core.fpgrowth import fpgrowth
 from repro.core.items import Item, ItemVocabulary, as_item
 from repro.core.itemsets import FrequentItemsets
 from repro.core.mining import mine_keyword_rules
+from repro.core.patterns import closed_itemsets
 from repro.core.pruning import (
     CondenseConfig,
     PruningConfig,
@@ -31,7 +32,6 @@ from repro.core.pruning import (
     prune_rules_legacy,
 )
 from repro.core.rules import (
-    SKIPPED_KERNEL,
     AssociationRule,
     generate_rule_table,
     generate_rules,
@@ -39,7 +39,6 @@ from repro.core.rules import (
 )
 from repro.core.ruletable import RuleTable
 from repro.engine import MiningEngine
-from repro.engine.stats import EngineStats
 from repro.serve import RuleBook, RuleIndex
 from repro.traces import PHILLY_KEYWORDS, SUPERCLOUD_KEYWORDS
 
@@ -189,28 +188,30 @@ class TestEdgeCases:
         assert len(kept) == 0
         assert report.n_input == 0 and report.n_kept == 0
 
-    def test_son_incomplete_table_counts_skips(self):
-        # SON-style partial tables can hold a superset without a subset;
-        # every candidate split losing a support lookup must be counted,
-        # not silently dropped (the old behaviour)
+    def test_incomplete_table_raises(self):
+        # a table holding a superset without one of its subsets cannot
+        # score every split; both generators must refuse it, naming the
+        # itemset and the number of splits that miss a support
         vocab = ItemVocabulary([Item("f", "a"), Item("f", "b")])
         counts = {frozenset({0, 1}): 5, frozenset({0}): 8}  # {1} missing
         its = FrequentItemsets(counts, vocab, 10, 0.05, 5)
-        before = kernel_snapshot()
-        table = generate_rule_table(its, min_lift=0.0)
-        delta = dict(
-            (name, calls) for name, _s, calls in kernel_delta(before, kernel_snapshot())
-        )
-        assert len(table) == 0
-        assert table.n_skipped_lookups == 2  # both splits of {a, b} dropped
-        assert delta.get(SKIPPED_KERNEL) == 2
+        for generate in (generate_rule_table, generate_rules_legacy):
+            with pytest.raises(ValueError, match="not downward-closed") as err:
+                generate(its, min_lift=0.0)
+            assert "2 antecedent/consequent split(s)" in str(err.value)
+            assert "f = a" in str(err.value) and "f = b" in str(err.value)
 
-        before = kernel_snapshot()
-        assert generate_rules_legacy(its, min_lift=0.0) == []
-        delta = dict(
-            (name, calls) for name, _s, calls in kernel_delta(before, kernel_snapshot())
-        )
-        assert delta.get(SKIPPED_KERNEL) == 2
+    def test_closed_itemset_table_raises(self):
+        # closed itemsets drop {b} (same support as {a, b}) but keep
+        # {a, b}: a public input to generate_rule_table that is not
+        # downward-closed
+        db = TransactionDatabase.from_itemsets([["a", "b"]] * 5 + [["a"]] * 3)
+        closed = closed_itemsets(itemsets_of(db, min_support=0.1, max_len=2))
+        b = db.vocabulary.id_of("b")
+        assert frozenset({b}) not in closed.counts
+        assert len(closed.counts) == 2
+        with pytest.raises(ValueError, match="not downward-closed"):
+            generate_rule_table(closed, min_lift=0.0)
 
     def test_wide_id_space_uses_dict_fallback(self):
         # bits-per-id × max itemset length > 64 forces the dict-probe
@@ -218,21 +219,19 @@ class TestEdgeCases:
         n_items = 300  # 9 bits per id
         vocab = ItemVocabulary(Item("f", str(i)) for i in range(n_items))
         base = (0, 37, 99, 150, 201, 255, 280, 299)  # length 8 → 72 bits
-        rng = random.Random(5)
         counts: dict[frozenset[int], int] = {frozenset(base): 5}
         # every subset present, with supports monotone in size
-        for size in range(1, len(base)):
-            for _ in range(40):
-                subset = frozenset(rng.sample(base, size))
-                counts.setdefault(subset, 5 + (len(base) - size) * 7)
+        for size in range(2, len(base)):
+            for subset in combinations(base, size):
+                counts[frozenset(subset)] = 5 + (len(base) - size) * 7
         for item in base:
             counts[frozenset({item})] = 60
         its = FrequentItemsets(counts, vocab, 100, 0.01, len(base))
+        assert len(counts) == 2 ** len(base) - 1
         table = generate_rule_table(its, min_lift=0.0)
         legacy = generate_rules_legacy(its, min_lift=0.0)
+        assert len(table) > 0
         assert_tables_equal_rules(table, legacy)
-        # incomplete subsets above were possible: skips must agree too
-        assert table.n_skipped_lookups >= 0
 
 
 class TestRoundTripProperty:
@@ -353,7 +352,7 @@ class TestEngineThreading:
     def test_analyze_populates_rule_table_and_kernel_split(self, supercloud_table):
         from repro.traces import supercloud_preprocessor
 
-        engine = MiningEngine(backend="serial", cache=False)
+        engine = MiningEngine(cache=False)
         result = engine.analyze(
             supercloud_preprocessor(),
             supercloud_table,
@@ -371,8 +370,6 @@ class TestEngineThreading:
         assert len(table) == len(union_keys)
 
         stats = result.stats
-        assert stats.rules_skipped == 0
-        assert stats.as_dict()["rules_skipped"] == 0
         generate_kernels = {k[0] for k in stats.stage("generate-rules").kernels}
         prune_kernels = {k[0] for k in stats.stage("prune").kernels}
         assert "rules-enumerate" in generate_kernels
@@ -380,12 +377,6 @@ class TestEngineThreading:
         assert "prune-join" in prune_kernels
         assert not any(name.startswith("prune-") for name in generate_kernels)
         assert all(name.startswith("prune-") for name in prune_kernels)
-
-    def test_stats_render_warns_on_skips(self):
-        stats = EngineStats(backend="serial", rules_skipped=3)
-        assert "3 candidate split(s) skipped" in stats.render()
-        clean = EngineStats(backend="serial")
-        assert "skipped" not in clean.render()
 
     def test_mine_keyword_rules_carries_table(self, toy_db):
         ruleset = mine_keyword_rules(

@@ -1,101 +1,47 @@
-"""Tests for the unified mining engine: backends, cache, instrumentation."""
+"""Tests for the unified mining engine: serial mining, cache, instrumentation."""
 
 import pytest
 
 from repro.core import MiningConfig, TransactionDatabase, fpgrowth
 from repro.engine import (
-    BACKENDS,
-    AutoBackend,
     EngineStats,
     ItemsetCache,
     MiningEngine,
-    ProcessBackend,
-    SerialBackend,
     StageStats,
-    ThreadedBackend,
     default_engine,
-    get_backend,
-    register_backend,
 )
 from repro.traces import get_trace
 
 
-# -- backend equivalence matrix --------------------------------------------------
+# -- serial mining ----------------------------------------------------------------
 
-BACKEND_NAMES = ["serial", "threaded", "process"]
 ALGORITHM_NAMES = ["fpgrowth", "apriori", "eclat"]
 
 
-class TestBackendMatrix:
+class TestSerialMining:
     @pytest.fixture(scope="class")
     def trace_dbs(self, supercloud_db, philly_db):
         return {"supercloud": supercloud_db, "philly": philly_db}
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
-    def test_equivalence_matrix(self, trace_dbs, backend, algorithm):
-        """serial/threaded/process × fpgrowth/apriori/eclat are bit-exact."""
+    def test_algorithms_agree(self, trace_dbs, algorithm):
+        """fpgrowth/apriori/eclat through the engine are bit-exact."""
         config = MiningConfig(min_support=0.05, max_len=3, algorithm=algorithm)
         for name, db in trace_dbs.items():
             reference = fpgrowth(db, 0.05, 3)
-            engine = MiningEngine(
-                backend=backend, n_workers=2, n_partitions=3, cache=False
-            )
-            mined = engine.mine(db, config)
-            assert mined.counts == reference, f"{backend}/{algorithm} on {name}"
+            mined = MiningEngine(cache=False).mine(db, config)
+            assert mined.counts == reference, f"{algorithm} on {name}"
             assert len(mined) > 0
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_empty_database(self, backend):
+    def test_empty_database(self):
         db = TransactionDatabase.from_itemsets([])
-        engine = MiningEngine(backend=backend, cache=False)
+        engine = MiningEngine(cache=False)
         assert len(engine.mine(db, MiningConfig())) == 0
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("quantum")
-
-    def test_invalid_worker_counts(self):
-        with pytest.raises(ValueError):
-            ThreadedBackend(n_workers=0)
-        with pytest.raises(ValueError):
-            ProcessBackend(n_partitions=0)
-
-    def test_registry_mirrors_protocol(self):
-        for name in ("serial", "threaded", "process", "auto"):
-            assert name in BACKENDS
-            backend = get_backend(name, n_workers=2)
-            assert backend.name == name
-            assert hasattr(backend, "mine") and hasattr(backend, "resolve")
-
-    def test_register_backend_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", lambda **kw: SerialBackend())
-
-
-class TestAutoSelection:
-    def test_small_db_resolves_serial(self, toy_db):
-        assert isinstance(AutoBackend().resolve(toy_db), SerialBackend)
-
-    def test_resolves_serial_at_any_size(self):
-        """SON's fixed costs exceed a serial pass, so auto never picks it."""
-        auto = AutoBackend(n_workers=2)
-
-        class FakeDB:
-            def __init__(self, n):
-                self._n = n
-
-            def __len__(self):
-                return self._n
-
-        for n in (0, 10, 50_001, 250_001, 10**7):
-            assert isinstance(auto.resolve(FakeDB(n)), SerialBackend)
-
-    def test_auto_mines_correctly(self, toy_db):
-        engine = MiningEngine(backend="auto", cache=False)
-        assert engine.mine(toy_db, MiningConfig(min_support=0.4)).counts == fpgrowth(
-            toy_db, 0.4
-        )
+    def test_backend_argument_rejected(self):
+        """Serial is the only plan: asking for another one fails loudly."""
+        with pytest.raises(TypeError):
+            MiningEngine(backend="process")
 
 
 # -- itemset cache ---------------------------------------------------------------
@@ -103,7 +49,7 @@ class TestAutoSelection:
 
 class TestItemsetCache:
     def test_hit_after_miss(self, toy_db):
-        engine = MiningEngine(backend="serial")
+        engine = MiningEngine()
         config = MiningConfig(min_support=0.4)
         first, status1 = engine.mine_with_status(toy_db, config)
         second, status2 = engine.mine_with_status(toy_db, config)
@@ -114,7 +60,7 @@ class TestItemsetCache:
 
     def test_content_addressed_across_instances(self, toy_db):
         """A rebuilt database with identical content hits the cache."""
-        engine = MiningEngine(backend="serial")
+        engine = MiningEngine()
         clone = TransactionDatabase.from_itemsets(
             [
                 [str(toy_db.vocabulary.item_of(i)) for i in ids]
@@ -128,7 +74,7 @@ class TestItemsetCache:
 
     def test_config_projection(self, toy_db):
         """Rule-level knobs share one itemset entry; mining knobs do not."""
-        engine = MiningEngine(backend="serial")
+        engine = MiningEngine()
         engine.mine(toy_db, MiningConfig(min_support=0.4, min_lift=1.5))
         _, status = engine.mine_with_status(
             toy_db, MiningConfig(min_support=0.4, min_lift=3.0)
@@ -138,14 +84,14 @@ class TestItemsetCache:
         assert status == "miss"
 
     def test_disabled_cache(self, toy_db):
-        engine = MiningEngine(backend="serial", cache=False)
+        engine = MiningEngine(cache=False)
         _, status = engine.mine_with_status(toy_db, MiningConfig(min_support=0.4))
         assert status == "off"
         assert engine.cache_stats() is None
 
     def test_lru_eviction(self):
         cache = ItemsetCache(max_entries=2)
-        engine = MiningEngine(backend="serial", cache=cache)
+        engine = MiningEngine(cache=cache)
         dbs = [
             TransactionDatabase.from_itemsets([[f"x{i}", "y"], ["y"]])
             for i in range(3)
@@ -160,8 +106,8 @@ class TestItemsetCache:
 
     def test_shared_cache_between_engines(self, toy_db):
         cache = ItemsetCache()
-        a = MiningEngine(backend="serial", cache=cache)
-        b = MiningEngine(backend="process", n_workers=1, cache=cache)
+        a = MiningEngine(cache=cache)
+        b = MiningEngine(cache=cache)
         a.mine(toy_db, MiningConfig(min_support=0.4))
         _, status = b.mine_with_status(toy_db, MiningConfig(min_support=0.4))
         assert status == "hit"
@@ -180,7 +126,7 @@ class TestAnalyzePipeline:
         return get_trace("supercloud")
 
     def test_stats_schema(self, supercloud_table, definition):
-        engine = MiningEngine(backend="serial")
+        engine = MiningEngine()
         result = engine.analyze(
             definition.make_preprocessor(),
             supercloud_table,
@@ -209,7 +155,7 @@ class TestAnalyzePipeline:
 
     def test_second_study_hits_cache(self, supercloud_table, definition):
         """Acceptance: a second keyword study re-mines nothing."""
-        engine = MiningEngine(backend="serial")
+        engine = MiningEngine()
         pre = definition.make_preprocessor()
         first = engine.analyze(
             pre, supercloud_table, {"underutilization": "SM Util = 0%"}, MiningConfig()
@@ -224,7 +170,7 @@ class TestAnalyzePipeline:
         assert len(second["failure"]) > 0
 
     def test_unknown_keyword_empty(self, supercloud_table, definition):
-        engine = MiningEngine(backend="serial")
+        engine = MiningEngine()
         result = engine.analyze(
             definition.make_preprocessor(),
             supercloud_table,
@@ -237,7 +183,7 @@ class TestAnalyzePipeline:
     def test_workflow_delegates_to_engine(self, supercloud_table, definition):
         from repro.analysis import InterpretableAnalysis
 
-        engine = MiningEngine(backend="serial")
+        engine = MiningEngine()
         workflow = InterpretableAnalysis(
             definition.make_preprocessor(), MiningConfig(), engine
         )
@@ -248,7 +194,7 @@ class TestAnalyzePipeline:
     def test_keyword_rules_matches_core(self, toy_db):
         from repro.core import mine_keyword_rules
 
-        engine = MiningEngine(backend="serial")
+        engine = MiningEngine()
         config = MiningConfig(min_support=0.4, min_lift=1.0)
         a = engine.keyword_rules(toy_db, "beer", config)
         b = mine_keyword_rules(toy_db, "beer", config)
@@ -279,7 +225,7 @@ class TestDefaultEngine:
         from repro.core import mine_frequent_itemsets
         from repro.engine import set_default_engine
 
-        previous = set_default_engine(MiningEngine(backend="serial"))
+        previous = set_default_engine(MiningEngine())
         try:
             config = MiningConfig(min_support=0.4)
             first = mine_frequent_itemsets(toy_db, config)

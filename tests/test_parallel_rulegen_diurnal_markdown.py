@@ -1,68 +1,13 @@
-"""Tests for parallel rule generation, diurnal arrivals and markdown export."""
+"""Tests for diurnal arrivals and markdown export."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import format_rule_table
 from repro.analysis.report import case_study_markdown, format_table_markdown
-from repro.core import (
-    MiningConfig,
-    generate_rules,
-    mine_frequent_itemsets,
-    mine_keyword_rules,
-)
+from repro.core import MiningConfig, mine_keyword_rules
 from repro.cluster import JobRequest
-from repro.parallel import parallel_generate_rules
 from repro.traces.synthetic.base import diurnal_arrivals
-
-
-@pytest.fixture(scope="module")
-def sc_itemsets(supercloud_db):
-    return mine_frequent_itemsets(supercloud_db, MiningConfig())
-
-
-class TestParallelRuleGen:
-    @pytest.mark.parametrize("n_chunks", [1, 3, 8])
-    def test_identical_to_serial(self, sc_itemsets, n_chunks):
-        serial = generate_rules(sc_itemsets, min_lift=1.5)
-        parallel = parallel_generate_rules(
-            sc_itemsets, min_lift=1.5, n_workers=1, n_chunks=n_chunks
-        )
-        assert [str(r) for r in serial] == [str(r) for r in parallel]
-
-    def test_process_pool_identical(self, sc_itemsets):
-        serial = generate_rules(sc_itemsets, min_lift=1.5)
-        parallel = parallel_generate_rules(
-            sc_itemsets, min_lift=1.5, n_workers=2, n_chunks=4
-        )
-        assert [str(r) for r in serial] == [str(r) for r in parallel]
-
-    def test_keyword_restriction(self, sc_itemsets, supercloud_db):
-        kw = supercloud_db.vocabulary.id_of("Failed")
-        serial = generate_rules(sc_itemsets, min_lift=1.5, keyword_ids=(kw,))
-        parallel = parallel_generate_rules(
-            sc_itemsets, min_lift=1.5, keyword_ids=(kw,), n_workers=1, n_chunks=3
-        )
-        assert [str(r) for r in serial] == [str(r) for r in parallel]
-
-    def test_empty_table(self, supercloud_db):
-        from repro.core import FrequentItemsets
-
-        empty = FrequentItemsets({}, supercloud_db.vocabulary, 10, 0.5)
-        assert parallel_generate_rules(empty) == []
-
-    def test_invalid_workers(self, sc_itemsets):
-        with pytest.raises(ValueError):
-            parallel_generate_rules(sc_itemsets, n_workers=0)
-
-    def test_expand_only_core_hook(self, sc_itemsets):
-        """The core hook restricts enumeration but not metric lookups."""
-        big = [s for s in sc_itemsets.counts if len(s) >= 2][:5]
-        restricted = generate_rules(sc_itemsets, min_lift=0.0, expand_only=big)
-        assert restricted
-        allowed = set(map(frozenset, big))
-        for rule in restricted:
-            assert (rule.antecedent_ids | rule.consequent_ids) in allowed
 
 
 class TestDiurnalArrivals:

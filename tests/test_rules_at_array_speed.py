@@ -31,7 +31,6 @@ from repro.core.rules import (
 )
 from repro.core.ruletable import RuleTable, side_strings
 from repro.engine import MiningEngine
-from repro.parallel import parallel_generate_rule_table
 from repro.serve import RuleBook
 from repro.traces import get_trace
 
@@ -41,7 +40,7 @@ PAPER = MiningConfig()
 
 
 def mine(db, config=PAPER) -> FrequentItemsets:
-    return MiningEngine(backend="serial", cache=False).mine(db, config)
+    return MiningEngine(cache=False).mine(db, config)
 
 
 # -- tie-break strings ------------------------------------------------------------
@@ -70,20 +69,6 @@ class TestSideStrings:
 
 
 class TestViewGeneration:
-    @pytest.mark.parametrize("trace_db", ["pai_db", "supercloud_db", "philly_db"])
-    def test_expand_only_equals_legacy(self, trace_db, request):
-        db = request.getfixturevalue(trace_db)
-        itemsets = mine(db)
-        chosen = [s for s in itemsets.counts if len(s) >= 2][::3]
-        table = generate_rule_table(itemsets, min_lift=1.5, expand_only=chosen)
-        legacy = generate_rules_legacy(itemsets, min_lift=1.5, expand_only=chosen)
-        assert len(table) > 0
-        assert table.to_rules() == legacy
-        chunked = parallel_generate_rule_table(
-            itemsets, min_lift=1.5, n_workers=1, n_chunks=5
-        )
-        assert chunked.to_rules() == generate_rules_legacy(itemsets, min_lift=1.5)
-
     def test_wide_ids_use_byte_keys_and_equal_legacy(self):
         # ids above 2**13 with 5-item itemsets do not pack into 64 bits
         vocab = ItemVocabulary(Item("pad", str(i)) for i in range(9000))
@@ -112,7 +97,7 @@ class TestViewGeneration:
 
         monkeypatch.setattr(ItemsetView, "__init__", counting)
         definition = get_trace("supercloud")
-        engine = MiningEngine(backend="serial", cache=False)
+        engine = MiningEngine(cache=False)
         result = InterpretableAnalysis(
             definition.make_preprocessor(), PAPER, engine
         ).run(supercloud_table, dict(definition.keywords))
@@ -140,7 +125,7 @@ class TestNoPerRuleWork:
             return real_dumps(*args, **kwargs)
 
         definition = get_trace("philly")
-        engine = MiningEngine(backend="serial", cache=False)
+        engine = MiningEngine(cache=False)
         workflow = InterpretableAnalysis(definition.make_preprocessor(), PAPER, engine)
         path = tmp_path / "philly.rulebook.jsonl"
         with monkeypatch.context() as patch:
@@ -262,7 +247,7 @@ def _legacy_book(trace: str, itemsets, database) -> RuleBook:
         keywords={name: as_item(kw).render() for name, kw in definition.keywords.items()},
         config=PAPER,
         fingerprint=database.fingerprint(),
-        backend="auto:serial",
+        backend="serial",
         n_transactions=len(database),
     )
 

@@ -1,43 +1,33 @@
 """Tests for the shared-memory data plane (repro.shm).
 
 Covers the segment format itself (header validation, alignment,
-lifecycle, stale-segment GC), the two published artifacts (transaction
-database, compiled rule plane) — attached views must be *bit-identical*
-to the source and strictly read-only — and the consumers: spawn-safe
-process-backend mining and segment-shipped serving hot-swap, each with
+lifecycle, stale-segment GC), the published compiled rule plane —
+attached views must be *bit-identical* to the source and strictly
+read-only — and its consumer: segment-shipped serving hot-swap, with
 its per-worker fallback path.
 """
 
 import asyncio
 import json
-import os
 import random
 import signal
-import subprocess
-import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import MiningConfig
-from repro.engine import MiningEngine, ProcessBackend, SerialBackend
 from repro.serve import RuleBook, RuleIndex, RuleService, RuleServiceClient
 from repro.serve.client import ServiceError
 from repro.shm import (
     SegmentError,
-    attach_database,
     attach_rule_plane,
     attach_segment,
     gc_stale_segments,
     list_segments,
-    publish_database,
     publish_rule_plane,
     publish_segment,
     shm_available,
 )
-from repro.shm.database import clear_database_leases
 from repro.shm.segment import NO_SHM_ENV, _SHM_DIR, segment_name
 
 from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over, serve_batch
@@ -141,69 +131,12 @@ class TestSegmentCore:
         assert calls == []
 
     def test_live_owner_segments_survive_gc(self):
-        lease = publish_database_toy()
+        lease = publish_segment("d", "5eed0a11ce00", arrays={"a": np.arange(3)})
         try:
             assert lease.name not in gc_stale_segments()
             assert lease.name in list_segments(["d"])
         finally:
-            clear_database_leases()
-
-
-def publish_database_toy():
-    from repro.core import TransactionDatabase
-
-    db = TransactionDatabase.from_itemsets(
-        [["a", "b"], ["b", "c"], ["a", "b", "c"]]
-    )
-    return publish_database(db)
-
-
-# -- the database plane ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("trace_db", ["pai_db", "supercloud_db", "philly_db"])
-class TestDatabasePlane:
-    def test_attached_views_bit_identical(self, trace_db, request):
-        db = request.getfixturevalue(trace_db)
-        lease = publish_database(db)
-        att = attach_database(lease.name)
-        try:
-            np.testing.assert_array_equal(att.indptr, db.indptr)
-            np.testing.assert_array_equal(att.indices, db.indices)
-            np.testing.assert_array_equal(
-                att.bitmaps().words, db.bitmaps().words
-            )
-            assert att.fingerprint() == db.fingerprint()
-            assert len(att) == len(db)
-            assert list(att.vocabulary) == list(db.vocabulary)
-        finally:
-            att.shm_segment.close()
-            clear_database_leases()
-
-    def test_attached_views_are_read_only(self, trace_db, request):
-        db = request.getfixturevalue(trace_db)
-        lease = publish_database(db)
-        att = attach_database(lease.name)
-        try:
-            for target in (att.indptr, att.indices, att.bitmaps().words):
-                with pytest.raises(ValueError):
-                    target[..., 0] = 1
-        finally:
-            att.shm_segment.close()
-            clear_database_leases()
-
-    def test_mining_from_attached_matches_source(self, trace_db, request):
-        db = request.getfixturevalue(trace_db)
-        config = MiningConfig()
-        lease = publish_database(db)
-        att = attach_database(lease.name)
-        try:
-            expected = SerialBackend().resolve(db).mine(db, config)
-            got = SerialBackend().resolve(att).mine(att, config)
-            assert dict(got.counts) == dict(expected.counts)
-        finally:
-            att.shm_segment.close()
-            clear_database_leases()
+            lease.unlink()
 
 
 # -- the rule plane --------------------------------------------------------------
@@ -327,87 +260,6 @@ class TestRulePlane:
             assert any(json.loads(line)["fired"] for line in lines)
         finally:
             lease.unlink()
-
-
-# -- spawn-safe process backend --------------------------------------------------
-
-
-class TestProcessBackendShm:
-    def test_shm_plan_matches_serial(self, pai_db, default_config):
-        resolved = ProcessBackend(n_workers=2, n_partitions=4).resolve(pai_db)
-        got = resolved.mine(pai_db, default_config)
-        expected = SerialBackend().resolve(pai_db).mine(pai_db, default_config)
-        assert resolved.effective_plan.startswith("process:shm-")
-        assert not resolved.downgraded
-        assert dict(got.counts) == dict(expected.counts)
-        clear_database_leases()
-
-    def test_no_shm_env_is_clean_fallback(self, pai_db, default_config, monkeypatch):
-        monkeypatch.setenv(NO_SHM_ENV, "1")
-        resolved = ProcessBackend(n_workers=2, n_partitions=4).resolve(pai_db)
-        got = resolved.mine(pai_db, default_config)
-        expected = SerialBackend().resolve(pai_db).mine(pai_db, default_config)
-        assert resolved.effective_plan == "process:pickle"
-        assert not resolved.downgraded  # explicit opt-out, not a downgrade
-        assert dict(got.counts) == dict(expected.counts)
-
-    def test_platform_downgrade_warns_through_engine(
-        self, toy_db, monkeypatch
-    ):
-        import repro.engine.backends as backends
-
-        monkeypatch.setattr(backends, "shm_available", lambda: False)
-        engine = MiningEngine(
-            backend=ProcessBackend(n_workers=2, n_partitions=2), cache=False
-        )
-        from repro.traces import get_trace
-
-        definition = get_trace("pai")
-        table = definition.generate_scaled(n_jobs=300)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = engine.analyze(
-                definition.make_preprocessor(), table,
-                {"q": "Status = Failed"}, MiningConfig(),
-            )
-        stats = result.stats
-        assert stats.backend_effective == "process:pickle"
-        assert stats.backend_downgraded
-        assert any("downgraded" in str(w.message) for w in caught)
-        assert "downgraded" in stats.render()
-
-    def test_spawn_start_method_equality(self):
-        script = Path(__file__).with_name("_spawn_mining_check.py")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = (
-            f"{src}{os.pathsep}{env['PYTHONPATH']}"
-            if env.get("PYTHONPATH") else src
-        )
-        proc = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "SPAWN_MINING_OK plan=process:shm-spawn" in proc.stdout
-
-    def test_two_worker_process_mine_leaves_stderr_empty(self, tmp_path):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = (
-            f"{src}{os.pathsep}{env['PYTHONPATH']}"
-            if env.get("PYTHONPATH") else src
-        )
-        env.pop(NO_SHM_ENV, None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "mine-rulebook", "--trace", "pai",
-             "--n-jobs", "3000", "--backend", "process", "--workers", "2",
-             "--no-cache", "--output", str(tmp_path / "pai.rulebook.jsonl")],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "effective=process:shm-" in proc.stdout
-        assert proc.stderr == ""
 
 
 # -- serving hot-swap over a segment ---------------------------------------------
