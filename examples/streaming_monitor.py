@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.analysis.drift import diff_rules
 from repro.core import MiningConfig, generate_rules
-from repro.streaming import SlidingWindowMiner
+from repro.engine import MiningEngine
+from repro.streaming import StreamingBitmapWindow
 from repro.traces import SuperCloudConfig, generate_supercloud, supercloud_preprocessor
 
 
@@ -31,21 +32,25 @@ def main() -> None:
     ] * 900
 
     config = MiningConfig(min_support=0.05, min_lift=1.5, max_len=3)
-    miner = SlidingWindowMiner(3000, config=config, vocabulary=db.vocabulary)
+    engine = MiningEngine()
+    # the window shares the trace's vocabulary (rounded up to whole
+    # 64-transaction granules: it holds the last ~3,000 jobs)
+    window = StreamingBitmapWindow(3000, vocabulary=db.vocabulary)
     kw_id = db.vocabulary.id_of("Failed")
 
     def mine_failure_rules():
-        return generate_rules(miner.mine(), min_lift=1.5, keyword_ids=(kw_id,))
+        itemsets = engine.mine(window.snapshot(), config)
+        return generate_rules(itemsets, min_lift=1.5, keyword_ids=(kw_id,))
 
     previous = None
     checkpoints = []
     stream = list(db.iter_item_transactions())
     stream = stream[:6000] + incident + stream[6000:]
     for position, txn in enumerate(stream, 1):
-        miner.observe(txn)
+        window.observe(txn)
         if position % 3000 == 0:
             rules = mine_failure_rules()
-            fail_rate = miner.item_support("Failed")
+            fail_rate = window.item_support("Failed")
             print(
                 f"after {position:>5} jobs: window failure rate "
                 f"{fail_rate:.1%}, {len(rules)} failure rules"

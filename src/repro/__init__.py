@@ -58,7 +58,6 @@ from .core import (
 from .engine import EngineStats, ItemsetCache, MiningEngine, default_engine
 from .predict import RuleClassifier, evaluate_predictions, split_database
 from .serve import RuleBook, RuleIndex, RuleService, RuleServiceClient
-from .streaming import SlidingWindowMiner
 from .preprocess import TracePreprocessor, TransactionEncoder
 from .traces import TRACES, get_trace, list_traces
 
@@ -109,8 +108,6 @@ __all__ = [
     "RuleClassifier",
     "evaluate_predictions",
     "split_database",
-    # streaming
-    "SlidingWindowMiner",
     # serving
     "RuleBook",
     "RuleIndex",

@@ -21,7 +21,7 @@ Layers, bottom to top:
 from .apriori import apriori, apriori_naive, generate_candidates
 from .bitmap import PackedBitmaps, popcount
 from .eclat import eclat
-from .fpgrowth import FPNode, FPTree, fpgrowth, fpgrowth_object
+from .fpgrowth import fpgrowth
 from .items import Item, ItemVocabulary, render_itemset
 from .interest import (
     ExtendedMetrics,
@@ -53,14 +53,8 @@ from .pruning import (
     keyword_rules,
     prune_rule_table,
     prune_rules,
-    prune_rules_legacy,
 )
-from .rules import (
-    AssociationRule,
-    generate_rule_table,
-    generate_rules,
-    generate_rules_legacy,
-)
+from .rules import AssociationRule, generate_rule_table, generate_rules
 from .ruletable import RuleTable
 from .transactions import TransactionDatabase
 
@@ -72,9 +66,6 @@ __all__ = [
     "PackedBitmaps",
     "popcount",
     "fpgrowth",
-    "fpgrowth_object",
-    "FPTree",
-    "FPNode",
     "apriori",
     "apriori_naive",
     "generate_candidates",
@@ -104,13 +95,11 @@ __all__ = [
     "RuleTable",
     "generate_rules",
     "generate_rule_table",
-    "generate_rules_legacy",
     "PruningConfig",
     "CondenseConfig",
     "PruningReport",
     "prune_rules",
     "prune_rule_table",
-    "prune_rules_legacy",
     "keyword_rules",
     "MiningConfig",
     "KeywordRuleSet",

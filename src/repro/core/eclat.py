@@ -4,8 +4,7 @@ A depth-first alternative included as a second baseline: each itemset
 carries its transaction-occurrence bitset (64 transactions per uint64
 word), and extending an itemset is one word-wise AND followed by a
 popcount — the dEclat-style vertical representation, 8× smaller and
-proportionally less memory traffic than the dense boolean vectors it
-replaced (see :mod:`repro.core.legacy` for that reference).  Matches
+proportionally less memory traffic than dense boolean vectors.  Matches
 :func:`fpgrowth`/:func:`apriori` output exactly (property-tested), and
 tends to win on dense, narrow databases — exactly the shape produced by
 quartile-binned trace tables.

@@ -5,50 +5,39 @@ uses a data structure called FP-tree to deal with performance issues
 (exponential runtime and memory requirements) presented in the Apriori
 algorithm when the database is large."
 
-Two implementations share this module:
-
-* :func:`fpgrowth` — the production kernel, FP-Growth over packed
-  projected databases instead of a pointer tree.  Each transaction
-  becomes a bitmask of its frequent items' frequency ranks (``(rows,
-  W)`` uint64, ``W = ceil(n_ranks / 64)``; the paper's traces have
-  ``W = 1``), and identical masks collapse into weighted rows
-  (quartile-binned traces repeat the same few thousand row shapes
-  across 100k jobs).  At each node one pair-count product over the
-  rows gives every child's exact conditional counts, and a child's
-  projected database — the conditional pattern base — is the rows
-  holding its rank, AND-ed down to its frequent lower ranks and
-  deduplicated again.  All of it is numpy over the deduplicated rows;
-  no Python runs per transaction or per tree node.
-* :func:`fpgrowth_object` — the original pointer-chasing object tree
-  (:class:`FPNode`/:class:`FPTree`), kept verbatim as the reference the
-  mask kernel is property-tested against and benchmarked over.
-
-Both honour the same contract:
+The production kernel is FP-Growth over packed projected databases
+instead of a pointer tree.  Each transaction becomes a bitmask of its
+frequent items' frequency ranks (``(rows, W)`` uint64, ``W = ceil(n_ranks
+/ 64)``; the paper's traces have ``W = 1``), and identical masks collapse
+into weighted rows (quartile-binned traces repeat the same few thousand
+row shapes across 100k jobs).  At each node one pair-count product over
+the rows gives every child's exact conditional counts, and a child's
+projected database — the conditional pattern base — is the rows holding
+its rank, AND-ed down to its frequent lower ranks and deduplicated again.
+All of it is numpy over the deduplicated rows; no Python runs per
+transaction or per tree node.
 
 * Items are ranked in decreasing global-frequency order (ties broken by
   item id, deterministic); an itemset's extensions come from its
   less-frequent member's higher-ranked items, the FP-tree's prefixes.
-* Conditional pattern bases are mined recursively (the object tree also
-  enumerates the subsets of a single-path tree directly).
 * ``max_len`` bounds itemset length *during* the recursion (the paper
   limits frequent itemsets to length 5), so oversized branches are never
   explored rather than filtered afterwards.
 * The output is a plain ``dict[frozenset[int], int]`` of support counts,
-  shared with the Apriori and Eclat implementations so all miners can be
-  property-tested for equivalence.
+  shared with the Apriori and Eclat implementations so all miners are
+  property-tested against the set-inclusion oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from .bitmap import kernel_timer
 from .transactions import TransactionDatabase
 
-__all__ = ["fpgrowth", "fpgrowth_object", "FPTree", "FPNode"]
+__all__ = ["fpgrowth"]
 
 
 def _min_count(n: int, min_support: float) -> int:
@@ -63,10 +52,6 @@ def _validate(min_support: float, max_len: int | None) -> None:
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be >= 1 or None")
 
-
-# ---------------------------------------------------------------------------
-# mask-projected FP-Growth (the production kernel)
-# ---------------------------------------------------------------------------
 
 #: rows × ranks per block of the pair-count product: bounds its float64
 #: temporaries to a few tens of MB however many rows or ranks a node has
@@ -203,8 +188,8 @@ def fpgrowth(
     -------
     dict mapping ``frozenset`` of item ids → absolute support count.
 
-    Answer-identical to :func:`fpgrowth_object` (property-tested); this
-    variant mines packed rank masks of the deduplicated transactions.
+    Answer-identical to support counted by set inclusion (property-tested
+    against ``tests/oracles.py``).
     """
     _validate(min_support, max_len)
     n = len(db)
@@ -235,201 +220,4 @@ def fpgrowth(
             max_len,
             out,
         )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# object-tree reference implementation
-# ---------------------------------------------------------------------------
-
-
-class FPNode:
-    """A node of an FP-tree: one item, a count, children keyed by item id."""
-
-    __slots__ = ("item", "count", "parent", "children")
-
-    def __init__(self, item: int, parent: "FPNode | None"):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[int, FPNode] = {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FPNode(item={self.item}, count={self.count})"
-
-
-class FPTree:
-    """FP-tree with header links for bottom-up conditional mining."""
-
-    __slots__ = ("root", "header", "counts")
-
-    def __init__(self) -> None:
-        self.root = FPNode(-1, None)
-        #: item id → list of nodes carrying that item (the header table)
-        self.header: dict[int, list[FPNode]] = defaultdict(list)
-        #: item id → total count in this (conditional) tree
-        self.counts: dict[int, int] = defaultdict(int)
-
-    def insert(self, items: Iterable[int], count: int) -> None:
-        """Insert a transaction (items already filtered+ordered) *count* times."""
-        node = self.root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = FPNode(item, node)
-                node.children[item] = child
-                self.header[item].append(child)
-            child.count += count
-            self.counts[item] += count
-            node = child
-
-    def is_empty(self) -> bool:
-        return not self.root.children
-
-    def single_path(self) -> list[tuple[int, int]] | None:
-        """Return [(item, count), ...] if the tree is a single chain, else None."""
-        path: list[tuple[int, int]] = []
-        node = self.root
-        while node.children:
-            if len(node.children) > 1:
-                return None
-            node = next(iter(node.children.values()))
-            path.append((node.item, node.count))
-        return path
-
-    def prefix_paths(self, item: int) -> list[tuple[list[int], int]]:
-        """Conditional pattern base of *item*: (prefix id list, count) pairs."""
-        paths: list[tuple[list[int], int]] = []
-        for node in self.header.get(item, ()):
-            prefix: list[int] = []
-            parent = node.parent
-            while parent is not None and parent.item != -1:
-                prefix.append(parent.item)
-                parent = parent.parent
-            if prefix:
-                prefix.reverse()
-                paths.append((prefix, node.count))
-        return paths
-
-
-def _build_tree(
-    transactions: Iterable[tuple[list[int], int]],
-    item_counts: dict[int, int],
-    min_count: int,
-) -> FPTree:
-    """Build an FP-tree keeping only frequent items, frequency-ordered.
-
-    Ties in frequency are broken by item id so construction is
-    deterministic for a given database.
-    """
-    frequent = {i for i, c in item_counts.items() if c >= min_count}
-    order = {
-        item: rank
-        for rank, item in enumerate(
-            sorted(frequent, key=lambda i: (-item_counts[i], i))
-        )
-    }
-    tree = FPTree()
-    for items, count in transactions:
-        filtered = sorted(
-            (i for i in items if i in frequent), key=order.__getitem__
-        )
-        if filtered:
-            tree.insert(filtered, count)
-    return tree
-
-
-def _mine_tree(
-    tree: FPTree,
-    suffix: tuple[int, ...],
-    min_count: int,
-    max_len: int | None,
-    out: dict[frozenset[int], int],
-) -> None:
-    """Recursively mine *tree*, emitting itemsets extending *suffix*."""
-    if max_len is not None and len(suffix) >= max_len:
-        return
-
-    path = tree.single_path()
-    if path is not None:
-        # every combination of path items (capped at max_len) is frequent,
-        # supported by the minimum count along the chosen chain prefix
-        budget = None if max_len is None else max_len - len(suffix)
-        _emit_single_path(path, suffix, min_count, budget, out)
-        return
-
-    # process items from least frequent (bottom of the tree) upward
-    items = sorted(tree.counts, key=lambda i: (tree.counts[i], -i))
-    for item in items:
-        count = tree.counts[item]
-        if count < min_count:
-            continue
-        new_suffix = suffix + (item,)
-        out[frozenset(new_suffix)] = count
-        if max_len is not None and len(new_suffix) >= max_len:
-            continue
-        base = tree.prefix_paths(item)
-        if not base:
-            continue
-        cond_counts: dict[int, int] = defaultdict(int)
-        for prefix, c in base:
-            for i in prefix:
-                cond_counts[i] += c
-        cond_tree = _build_tree(base, cond_counts, min_count)
-        if not cond_tree.is_empty():
-            _mine_tree(cond_tree, new_suffix, min_count, max_len, out)
-
-
-def _emit_single_path(
-    path: list[tuple[int, int]],
-    suffix: tuple[int, ...],
-    min_count: int,
-    budget: int | None,
-    out: dict[frozenset[int], int],
-) -> None:
-    """Emit all subsets of a single-path tree (with their min-count support)."""
-    usable = [(item, count) for item, count in path if count >= min_count]
-
-    def recurse(start: int, chosen: tuple[int, ...], support: int) -> None:
-        for k in range(start, len(usable)):
-            item, count = usable[k]
-            new_support = min(support, count)
-            if new_support < min_count:
-                continue
-            new_chosen = chosen + (item,)
-            out[frozenset(suffix + new_chosen)] = new_support
-            if budget is None or len(new_chosen) < budget:
-                recurse(k + 1, new_chosen, new_support)
-
-    recurse(0, (), np.iinfo(np.int64).max)
-
-
-def fpgrowth_object(
-    db: TransactionDatabase,
-    min_support: float,
-    max_len: int | None = None,
-) -> dict[frozenset[int], int]:
-    """Object-tree FP-Growth: the pre-kernel reference implementation.
-
-    Same contract and answer as :func:`fpgrowth`; one ``FPNode`` (plus a
-    children dict) is allocated per tree node and every transaction is
-    inserted individually.  Kept as the equivalence oracle and as the
-    "legacy" side of the mining-throughput benchmark.
-    """
-    _validate(min_support, max_len)
-    n = len(db)
-    if n == 0:
-        return {}
-    min_count = _min_count(n, min_support)
-
-    counts = db.item_support_counts()
-    item_counts = {int(i): int(c) for i, c in enumerate(counts) if c >= min_count}
-    tree = _build_tree(
-        ((txn.tolist(), 1) for txn in db.iter_id_transactions()),
-        item_counts,
-        min_count,
-    )
-    out: dict[frozenset[int], int] = {}
-    if not tree.is_empty():
-        _mine_tree(tree, (), min_count, max_len, out)
     return out

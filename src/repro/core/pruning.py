@@ -30,9 +30,9 @@ every pair of a group: each rule's side is packed into uint64 id-masks
 (the packing ``core/bitmap.py`` uses for transactions), its proper
 subsets are enumerated (at most 14 at the paper's ``max_len`` 5), and
 each ``(subset, other side)`` key is matched against the keys of the
-rules whose side has that many items, one sort per size.
-:func:`prune_rules_legacy` keeps the original
-pairwise object implementation as the correctness oracle.
+rules whose side has that many items, one sort per size.  The pairwise
+statement of Sec. III-D it is tested against rule by rule lives in
+``tests/oracles.py``.
 
 An optional *condensation* pass (``condense=True``) further shrinks the
 survivor set per Kannan & Bhaskaran: rules whose null-invariant
@@ -64,7 +64,6 @@ __all__ = [
     "PruningReport",
     "prune_rules",
     "prune_rule_table",
-    "prune_rules_legacy",
     "keyword_rules",
 ]
 
@@ -140,11 +139,6 @@ def keyword_rules(
     """Restrict to rules mentioning *keyword* on either side."""
     kw = as_item(keyword)
     return [r for r in rules if r.contains(kw)]
-
-
-def _similar_or_higher(a: float, b: float, margin: float) -> bool:
-    """True if ``margin * a >= b`` — "a is similar to or higher than b"."""
-    return margin * a >= b
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +324,7 @@ def _prune_arrays(
 
     Returns the per-rule condition code (0 = kept; 1–4 = Sec. III-D;
     5/6 = condensation).  All inputs are keyword-relevant rules only.
-    The recorded code mirrors the legacy ``setdefault`` semantics: the
+    A rule marked by several phases records the first: the
     consequent-grouped phase (C1/C4) wins over the antecedent-grouped
     phase (C2/C3), which wins over condensation.
     """
@@ -452,8 +446,7 @@ def prune_rules(
     Input rules not containing the keyword are removed up front (they are
     irrelevant to the analysis objective).  Returns the surviving rules in
     their input order plus a :class:`PruningReport`.  Runs the same array
-    kernel as :func:`prune_rule_table`; :func:`prune_rules_legacy` is the
-    original object implementation kept as the oracle.
+    kernel as :func:`prune_rule_table`.
 
     With ``condense=True`` an additional interestingness + clustering
     pass (see :class:`CondenseConfig`) shrinks the survivor set; dropped
@@ -506,102 +499,3 @@ def _rule_codes(
         config,
         condense_config,
     )
-
-
-def prune_rules_legacy(
-    rules: Sequence[AssociationRule],
-    keyword: Item | str,
-    config: PruningConfig = PruningConfig(),
-) -> tuple[list[AssociationRule], PruningReport]:
-    """The original pairwise object implementation — the pruning oracle.
-
-    The CI equality sweep asserts the array kernel keeps exactly the same
-    rules with the same per-condition counts on all three traces.  Do not
-    change this function's behaviour.
-    """
-    kw = as_item(keyword)
-    relevant = keyword_rules(rules, kw)
-    report = PruningReport(n_input=len(relevant))
-    pruned = _legacy_codes(relevant, kw, config)
-    kept = [r for idx, r in enumerate(relevant) if idx not in pruned]
-    report.n_kept = len(kept)
-    report.pruned_by_condition.update(pruned.values())
-    return kept, report
-
-
-def _legacy_codes(
-    relevant: Sequence[AssociationRule], kw: Item, config: PruningConfig
-) -> dict[int, int]:
-    """Pairwise loops of :func:`prune_rules_legacy`: rule index → the
-    first condition that removed it."""
-    pruned: dict[int, int] = {}
-
-    def mark(idx: int, condition: int) -> None:
-        # first condition to fire is the one recorded
-        pruned.setdefault(idx, condition)
-
-    in_consequent = [kw in r.consequent for r in relevant]
-    in_antecedent = [kw in r.antecedent for r in relevant]
-
-    # --- group by consequent: Conditions 1 and 4 (antecedents differ) --------
-    by_consequent: dict[frozenset[int], list[int]] = defaultdict(list)
-    for idx, rule in enumerate(relevant):
-        by_consequent[rule.consequent_ids].append(idx)
-
-    for group in by_consequent.values():
-        for pos_a, i in enumerate(group):
-            for j in group[pos_a + 1 :]:
-                short, long_ = _nested(relevant, i, j, side="antecedent")
-                if short is None:
-                    continue
-                rs, rl = relevant[short], relevant[long_]
-                if in_consequent[short]:  # keyword in (shared) consequent
-                    # Condition 1: cause analysis, antecedents nested
-                    if _similar_or_higher(rs.lift, rl.lift, config.c_lift):
-                        mark(long_, 1)
-                    elif _similar_or_higher(rl.support, rs.support, config.c_supp):
-                        mark(short, 1)
-                elif in_antecedent[short] and in_antecedent[long_]:
-                    # Condition 4: characteristics, keyword in both antecedents
-                    if _similar_or_higher(rs.lift, rl.lift, config.c_lift):
-                        mark(long_, 4)
-
-    # --- group by antecedent: Conditions 2 and 3 (consequents differ) --------
-    by_antecedent: dict[frozenset[int], list[int]] = defaultdict(list)
-    for idx, rule in enumerate(relevant):
-        by_antecedent[rule.antecedent_ids].append(idx)
-
-    for group in by_antecedent.values():
-        for pos_a, i in enumerate(group):
-            for j in group[pos_a + 1 :]:
-                short, long_ = _nested(relevant, i, j, side="consequent")
-                if short is None:
-                    continue
-                rs, rl = relevant[short], relevant[long_]
-                if in_antecedent[short]:  # keyword in (shared) antecedent
-                    # Condition 2: characteristics, consequents nested
-                    if _similar_or_higher(
-                        rl.lift, rs.lift, config.c_lift
-                    ) and _similar_or_higher(rl.support, rs.support, config.c_supp):
-                        mark(short, 2)
-                    elif config.c_lift * rl.lift < rs.lift:
-                        mark(long_, 2)
-                elif in_consequent[short] and in_consequent[long_]:
-                    # Condition 3: cause analysis, keyword in both consequents
-                    if _similar_or_higher(rs.lift, rl.lift, config.c_lift):
-                        mark(long_, 3)
-    return pruned
-
-
-def _nested(
-    rules: Sequence[AssociationRule], i: int, j: int, side: str
-) -> tuple[int | None, int | None]:
-    """If one rule's *side* itemset strictly contains the other's, return
-    (shorter index, longer index); else (None, None)."""
-    a = getattr(rules[i], f"{side}_ids")
-    b = getattr(rules[j], f"{side}_ids")
-    if a < b:
-        return i, j
-    if b < a:
-        return j, i
-    return None, None

@@ -11,24 +11,21 @@ table itself (every subset of a frequent itemset is frequent), so rule
 generation never rescans the database.  A table that is not
 downward-closed — a differentially private, closed or maximal itemset
 table can drop a subset and keep its superset — cannot score every
-split; both paths raise ``ValueError`` on it instead of dropping rules.
+split; generation raises ``ValueError`` on it instead of dropping rules.
 
-Two implementations coexist:
-
-* :func:`generate_rule_table` — the columnar kernel.  It reads the
-  pass's one :class:`~repro.core.itemsets.ItemsetView` (built once per
-  :class:`FrequentItemsets`, shared by every keyword).  Itemsets are
-  grouped by length; every antecedent/consequent split of a
-  length-``L`` class is one bit-pattern applied to an ``(M, L)`` id
-  matrix, subset supports come from the view's sorted packed keys via
-  ``np.searchsorted``, all metrics are scored in one vectorised batch,
-  the min-lift / min-confidence / keyword filters are boolean masks, and
-  the canonical order is one ``np.lexsort`` over the metrics and the
-  view's integer string ranks.  No :class:`AssociationRule` object or
-  tie-break string is built per rule.  Returns a
-  :class:`~repro.core.ruletable.RuleTable`.
-* :func:`generate_rules_legacy` — the original per-split object path,
-  retained verbatim as the correctness oracle for the CI equality sweep.
+:func:`generate_rule_table` is the columnar kernel.  It reads the pass's
+one :class:`~repro.core.itemsets.ItemsetView` (built once per
+:class:`FrequentItemsets`, shared by every keyword).  Itemsets are
+grouped by length; every antecedent/consequent split of a length-``L``
+class is one bit-pattern applied to an ``(M, L)`` id matrix, subset
+supports come from the view's sorted packed keys via ``np.searchsorted``,
+all metrics are scored in one vectorised batch, the min-lift /
+min-confidence / keyword filters are boolean masks, and the canonical
+order is one ``np.lexsort`` over the metrics and the view's integer
+string ranks.  No :class:`AssociationRule` object or tie-break string is
+built per rule.  Returns a :class:`~repro.core.ruletable.RuleTable`.
+The powerset-split oracle it is tested against bit for bit lives in
+``tests/oracles.py``.
 
 :func:`generate_rules` keeps the historical list-of-objects API by
 materialising the kernel's table.
@@ -37,22 +34,20 @@ materialising the kernel's table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
 from .bitmap import kernel_timer
-from .items import Item, ItemVocabulary, render_itemset
+from .items import Item, render_itemset
 from .itemsets import FrequentItemsets, ItemsetView
-from .metrics import RuleMetrics, compute_metrics
+from .metrics import RuleMetrics
 from .ruletable import RuleTable, csr_range_gather, rows_containing
 
 __all__ = [
     "AssociationRule",
     "generate_rules",
     "generate_rule_table",
-    "generate_rules_legacy",
 ]
 
 
@@ -129,25 +124,6 @@ class AssociationRule:
         }
 
 
-def _make_rule(
-    antecedent_ids: frozenset[int],
-    consequent_ids: frozenset[int],
-    metrics: RuleMetrics,
-    vocabulary: ItemVocabulary,
-) -> AssociationRule:
-    return AssociationRule(
-        antecedent=vocabulary.items_of(antecedent_ids),
-        consequent=vocabulary.items_of(consequent_ids),
-        antecedent_ids=antecedent_ids,
-        consequent_ids=consequent_ids,
-        support=metrics.support,
-        confidence=metrics.confidence,
-        lift=metrics.lift,
-        leverage=metrics.leverage,
-        conviction=metrics.conviction,
-    )
-
-
 def _validate_params(min_lift: float, min_confidence: float) -> None:
     if min_lift < 0:
         raise ValueError("min_lift must be >= 0")
@@ -158,7 +134,7 @@ def _validate_params(min_lift: float, min_confidence: float) -> None:
 def _not_downward_closed(
     itemsets: FrequentItemsets, first: frozenset[int], n_missing: int
 ) -> ValueError:
-    """The error both generators raise when a split's side is missing."""
+    """The error generation raises when a split's side is missing."""
     return ValueError(
         "itemset table is not downward-closed: "
         f"{n_missing} antecedent/consequent split(s) miss a subset's "
@@ -208,11 +184,12 @@ def generate_rule_table(
 ) -> RuleTable:
     """Columnar rule generation: enumerate, score, filter and sort as arrays.
 
-    Semantics are identical to :func:`generate_rules_legacy` (same
-    candidate set, same IEEE-double metric arithmetic, same deterministic
-    output order) but no per-rule object or string is created: the
-    result is a :class:`RuleTable` whose rows are exactly the surviving
-    rules, read off the pass's one :class:`~repro.core.itemsets.ItemsetView`.
+    Every non-empty proper split of each itemset is scored with IEEE-double
+    metric arithmetic and sorted by ``(-lift, -confidence, -support,
+    antecedent, consequent)``, but no per-rule object or string is
+    created: the result is a :class:`RuleTable` whose rows are exactly the
+    surviving rules, read off the pass's one
+    :class:`~repro.core.itemsets.ItemsetView`.
     Raises ``ValueError`` if a split's side is missing from the table
     (the table is not downward-closed).
     """
@@ -254,8 +231,8 @@ def generate_rule_table(
         leverage_arr = supp_xy - denom
         keep = np.flatnonzero((lift_arr >= min_lift) & (conf >= min_confidence))
 
-    # ---- canonical deterministic order: the legacy tie-break strings
-    # enter as the view's integer ranks ----
+    # ---- canonical deterministic order: the sorted-item tie-break
+    # strings enter as the view's integer ranks ----
     with kernel_timer("rules-sort"):
         keep = keep[np.lexsort((
             view.rank[cons_rows[keep]], view.rank[ant_rows[keep]],
@@ -314,106 +291,3 @@ def _enumerate_splits(
         np.concatenate(cons_parts),
         np.concatenate(missing_parts),
     )
-
-
-def generate_rules_legacy(
-    itemsets: FrequentItemsets,
-    min_lift: float = 1.5,
-    min_confidence: float = 0.0,
-    keyword_ids: Iterable[int] | None = None,
-) -> list[AssociationRule]:
-    """The original per-split object path, kept as the correctness oracle.
-
-    The CI equality sweep asserts :func:`generate_rule_table` reproduces
-    this output bit-for-bit (same rules, same metric doubles, same order)
-    on all three traces.  Do not "optimise" this function — its value is
-    being the unchanged reference.
-    """
-    _validate_params(min_lift, min_confidence)
-    keywords = frozenset(keyword_ids) if keyword_ids is not None else None
-
-    n = itemsets.n_transactions
-    if n == 0:
-        return []
-    counts = itemsets.counts
-    vocabulary = itemsets.vocabulary
-    rules: list[AssociationRule] = []
-
-    # enumerate every split first, then score the whole batch with numpy:
-    # the metric arithmetic is identical IEEE-double arithmetic to
-    # compute_metrics, but runs once over arrays instead of per split, and
-    # AssociationRule objects are materialised only for survivors
-    antecedents: list[frozenset[int]] = []
-    consequents: list[frozenset[int]] = []
-    count_xy_l: list[int] = []
-    count_x_l: list[int] = []
-    count_y_l: list[int] = []
-    first_missing: frozenset[int] | None = None
-    n_missing = 0
-
-    for itemset, count_xy in counts.items():
-        if len(itemset) < 2:
-            continue
-        if keywords is not None and not (itemset & keywords):
-            continue
-        members = sorted(itemset)
-        # every split of the itemset into non-empty (antecedent, consequent)
-        for size in range(1, len(members)):
-            for antecedent in combinations(members, size):
-                antecedent_ids = frozenset(antecedent)
-                consequent_ids = itemset - antecedent_ids
-                count_x = counts.get(antecedent_ids)
-                count_y = counts.get(consequent_ids)
-                if count_x is None or count_y is None:
-                    # the table is not downward-closed: count, then raise
-                    if first_missing is None:
-                        first_missing = itemset
-                    n_missing += 1
-                    continue
-                antecedents.append(antecedent_ids)
-                consequents.append(consequent_ids)
-                count_xy_l.append(count_xy)
-                count_x_l.append(count_x)
-                count_y_l.append(count_y)
-
-    if n_missing:
-        raise _not_downward_closed(itemsets, first_missing, n_missing)
-    if not count_xy_l:
-        return []
-
-    with kernel_timer("rules-batch"):
-        supp_xy = np.asarray(count_xy_l, dtype=np.float64) / n
-        supp_x = np.asarray(count_x_l, dtype=np.float64) / n
-        supp_y = np.asarray(count_y_l, dtype=np.float64) / n
-        denom = supp_x * supp_y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conf = np.where(supp_x > 0.0, supp_xy / supp_x, 0.0)
-            lift_arr = np.where(denom > 0.0, supp_xy / denom, 0.0)
-            conviction_arr = np.where(
-                conf >= 1.0, np.inf, (1.0 - supp_y) / (1.0 - conf)
-            )
-        leverage_arr = supp_xy - denom
-        keep = np.flatnonzero((lift_arr >= min_lift) & (conf >= min_confidence))
-
-        for i in keep:
-            metrics = RuleMetrics(
-                support=float(supp_xy[i]),
-                confidence=float(conf[i]),
-                lift=float(lift_arr[i]),
-                leverage=float(leverage_arr[i]),
-                conviction=float(conviction_arr[i]),
-            )
-            rules.append(
-                _make_rule(antecedents[i], consequents[i], metrics, vocabulary)
-            )
-
-    rules.sort(
-        key=lambda r: (
-            -r.lift,
-            -r.confidence,
-            -r.support,
-            str(sorted(r.antecedent)),
-            str(sorted(r.consequent)),
-        )
-    )
-    return rules

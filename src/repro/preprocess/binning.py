@@ -84,9 +84,8 @@ class Discretizer:
     a value array to a small-integer code array (``-1`` for NaN) indexing
     into :meth:`code_labels` — the columnar hot path the encoder consumes
     with a single gather per feature.  ``transform`` decodes the same
-    codes into the legacy ``list[str | None]`` labels, and
-    ``transform_rowwise`` keeps the original per-row loop as the
-    equivalence oracle.  The fitted state is inspectable (``edges``,
+    codes into ``list[str | None]`` labels.  The fitted state is
+    inspectable (``edges``,
     ``std_value``, ``bin_ranges()``) so a system operator can translate
     "Runtime = Bin1" back into seconds — the interpretability contract of
     the paper.
@@ -195,30 +194,6 @@ class Discretizer:
         codes = self.transform_codes(values)
         lut = np.asarray([*self.code_labels(), None], dtype=object)
         return list(lut[codes])  # code -1 indexes the trailing None
-
-    def transform_rowwise(
-        self, values: Sequence[float] | np.ndarray
-    ) -> list[str | None]:
-        """The original per-row labelling loop, kept as the oracle for
-        equivalence tests and the legacy encoder path."""
-        if not self.is_fitted:
-            raise RuntimeError("Discretizer.transform_rowwise called before fit")
-        arr = np.asarray(values, dtype=np.float64)
-        spec = self.spec
-        bin_idx = np.searchsorted(self.edges, arr, side="right")
-        if self._fit_min is not None:
-            bin_idx[arr == self._fit_min] = 0
-        labels: list[str | None] = []
-        for value, idx in zip(arr, bin_idx):
-            if np.isnan(value):
-                labels.append(None)
-            elif spec.zero_label is not None and value == 0.0:
-                labels.append(spec.zero_label)
-            elif self.std_value is not None and value == self.std_value:
-                labels.append(spec.std_label)
-            else:
-                labels.append(f"Bin{int(idx) + 1}")
-        return labels
 
     def fit_transform(self, values: Sequence[float] | np.ndarray) -> list[str | None]:
         return self.fit(values).transform(values)

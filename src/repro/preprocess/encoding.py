@@ -132,8 +132,8 @@ class TransactionEncoder:
         Continuous features go through the integer-coded fast path: the
         discretiser emits a bin-code array, codes map to vocab ids with
         one gather per feature, and the CSR arrays are written directly —
-        no per-row Python.  Item interning order (and hence the database
-        fingerprint) is identical to :meth:`transform_legacy`.
+        no per-row Python.  Items are interned in the order DESIGN §9
+        documents, which fixes the database fingerprint.
         """
         if not self._fitted:
             raise RuntimeError("TransactionEncoder.transform called before fit")
@@ -146,27 +146,6 @@ class TransactionEncoder:
             ]
             return self._assemble(id_columns, n_rows, vocab)
 
-    def transform_legacy(
-        self,
-        table: ColumnTable,
-        vocabulary: ItemVocabulary | None = None,
-    ) -> TransactionDatabase:
-        """The pre-columnar encode path (per-row numeric labelling).
-
-        Kept as the oracle for equivalence tests and benchmarks: the
-        output must be byte-identical to :meth:`transform` — same indptr,
-        indices, vocabulary order and fingerprint.
-        """
-        if not self._fitted:
-            raise RuntimeError("TransactionEncoder.transform_legacy called before fit")
-        vocab = vocabulary if vocabulary is not None else ItemVocabulary()
-        n_rows = len(table)
-        id_columns = [
-            self._encode_feature(spec, kind, table, vocab, n_rows, numeric_rowwise=True)
-            for spec, kind in self._resolved
-        ]
-        return self._assemble(id_columns, n_rows, vocab)
-
     def _encode_feature(
         self,
         spec: FeatureSpec,
@@ -174,7 +153,6 @@ class TransactionEncoder:
         table: ColumnTable,
         vocab: ItemVocabulary,
         n_rows: int,
-        numeric_rowwise: bool = False,
     ) -> np.ndarray:
         """Per-row item ids (``_ABSENT`` for none) contributed by one spec."""
         column = table[spec.column]
@@ -197,29 +175,19 @@ class TransactionEncoder:
             if not isinstance(column, NumericColumn):
                 raise TypeError(f"column {spec.column!r} is not numeric")
             disc = self.discretizers[spec.column]
-            if numeric_rowwise:
-                labels = disc.transform_rowwise(column.values)
-                label_ids = {
-                    label: vocab.intern(Item(feature, label))
-                    for label in sorted({l for l in labels if l is not None})
-                }
-                for row, label in enumerate(labels):
-                    if label is not None:
-                        ids[row] = label_ids[label]
-            else:
-                codes = disc.transform_codes(column.values)
-                code_labels = disc.code_labels()
-                present_codes = np.unique(codes)
-                present_codes = present_codes[present_codes >= 0]
-                # intern in sorted-label order over the codes *present* in
-                # the data — the exact vocabulary order of the legacy path
-                code_to_id = np.full(len(code_labels), _ABSENT, dtype=np.int32)
-                for code in sorted(
-                    present_codes.tolist(), key=lambda c: code_labels[c]
-                ):
-                    code_to_id[code] = vocab.intern(Item(feature, code_labels[code]))
-                present = codes >= 0
-                ids[present] = code_to_id[codes[present]]
+            codes = disc.transform_codes(column.values)
+            code_labels = disc.code_labels()
+            present_codes = np.unique(codes)
+            present_codes = present_codes[present_codes >= 0]
+            # intern in sorted-label order over the codes *present* in
+            # the data (DESIGN §9)
+            code_to_id = np.full(len(code_labels), _ABSENT, dtype=np.int32)
+            for code in sorted(
+                present_codes.tolist(), key=lambda c: code_labels[c]
+            ):
+                code_to_id[code] = vocab.intern(Item(feature, code_labels[code]))
+            present = codes >= 0
+            ids[present] = code_to_id[codes[present]]
         elif kind == "flag":
             if isinstance(column, BooleanColumn):
                 truth = column.values

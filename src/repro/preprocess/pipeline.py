@@ -17,8 +17,8 @@ Two performance layers sit on top of the stages (DESIGN.md §9):
 * every stage runs through the columnar fast paths (integer-coded
   binning, code→id gathers, per-category tier remaps) and is timed into
   the shared kernel ledger (``ingest-*`` counters, rendered by
-  ``--profile``); :meth:`TracePreprocessor.run_legacy` keeps the per-row
-  reference implementation as the equivalence oracle;
+  ``--profile``); the row-by-row statement of the stages they are
+  tested against lives in ``tests/oracles.py``;
 * results are memoised in a content-addressed LRU cache keyed by table
   fingerprint × pipeline spec — the same pattern as the engine's itemset
   cache — so repeated case studies over the same trace content preprocess
@@ -109,12 +109,11 @@ class PreprocessResult:
 def _tier_column(source: CategoricalColumn, fitted: ActivityTiers) -> CategoricalColumn:
     """Vectorised tier labelling: one ``tier_of`` call per *category*.
 
-    The per-row reference path decodes every row to a string, looks its
-    tier up, and re-interns the labels in row order.  Here the lookup
-    happens once per category code and rows are remapped with a gather —
-    while reproducing the reference's first-appearance (row-order)
-    category ordering exactly, because the encoder interns items in
-    category order and the database fingerprint depends on it.
+    The lookup happens once per category code and rows are remapped with
+    a gather.  Tier categories are ordered by first appearance in row
+    order, as a per-row lookup would intern them, because the encoder
+    interns items in category order and the database fingerprint
+    depends on it.
     """
     cat_tiers = [fitted.tier_of(cat) for cat in source.categories]
     tier_labels = list(dict.fromkeys(cat_tiers))
@@ -265,56 +264,6 @@ class TracePreprocessor:
         # 4. skew filter
         with kernel_timer("ingest-skew"):
             db, dropped = drop_skewed_items(db, self.skew_max_share)
-
-        return PreprocessResult(
-            database=db,
-            table=working,
-            dropped_items=dropped,
-            bin_ranges=encoder.bin_ranges(),
-            tiers=tiers,
-        )
-
-    def run_legacy(self, table: ColumnTable) -> PreprocessResult:
-        """The pre-columnar pipeline: per-row tier lookups and labelling.
-
-        Uncached and untimed — the oracle the columnar path is asserted
-        byte-identical against (same database indptr, indices, vocabulary
-        order and fingerprint) in tests and in
-        ``bench_preprocess_throughput.py --check-only``.
-        """
-        working = table.copy()
-
-        for gspec in self.grouping_specs:
-            column = working[gspec.column]
-            if not isinstance(column, CategoricalColumn):
-                raise TypeError(f"grouping column {gspec.column!r} is not categorical")
-            working.add_column(
-                gspec.column, apply_semantic_grouping(column, gspec.mapping)
-            )
-
-        tiers: dict[str, ActivityTiers] = {}
-        for tspec in self.tier_specs:
-            fitted = compute_activity_tiers(
-                working,
-                tspec.column,
-                top_share=tspec.top_share,
-                bottom_share=tspec.bottom_share,
-                frequent_label=tspec.frequent_label,
-                moderate_label=tspec.moderate_label,
-                rare_label=tspec.rare_label,
-            )
-            tiers[tspec.column] = fitted
-            source = working[tspec.column]
-            if not isinstance(source, CategoricalColumn):
-                raise TypeError(f"tier column {tspec.column!r} is not categorical")
-            labels = [fitted.tier_of(v) for v in source.to_list()]
-            working.add_column(tspec.output_column, labels)
-
-        encoder = TransactionEncoder(self.features)
-        encoder.fit(working)
-        db = encoder.transform_legacy(working)
-
-        db, dropped = drop_skewed_items(db, self.skew_max_share)
 
         return PreprocessResult(
             database=db,

@@ -1,10 +1,7 @@
 """Streaming mining over sliding windows of monitoring events.
 
-Two window substrates plus the live-refresh loop on top:
+One window substrate plus the live-refresh loop on top:
 
-* :class:`SlidingWindowMiner` — the simple deque-of-transactions window
-  (re-mines its snapshot on demand); retained as the equivalence oracle
-  for the bitmap path.
 * :class:`StreamingBitmapWindow` — delta-maintained packed-bitmap
   granules with incremental per-item and tracked-itemset supports.
 * :class:`RuleBookRefresher` / :class:`StreamFollower` — drift-gated
@@ -14,11 +11,9 @@ Two window substrates plus the live-refresh loop on top:
 from .bitwindow import GRANULE, StreamingBitmapWindow
 from .follow import FollowStats, StreamFollower
 from .refresh import RuleBookRefresher, TickResult, TrackedRules
-from .window import SlidingWindowMiner
 
 __all__ = [
     "GRANULE",
-    "SlidingWindowMiner",
     "StreamingBitmapWindow",
     "TrackedRules",
     "TickResult",

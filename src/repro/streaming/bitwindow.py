@@ -1,13 +1,10 @@
 """Delta-maintained packed-bitmap windows — the streaming kernel.
 
-:class:`SlidingWindowMiner` answers "what holds over the last N jobs?"
-by rebuilding a snapshot and re-mining it, which is fine for a dashboard
-refresh but not for a serving fleet that must track a live trace: at
-100k-transaction windows a full rebuild touches every transaction to
-incorporate a 1k-event delta.
-
-:class:`StreamingBitmapWindow` keeps the window *in the bitmap domain*
-instead.  Incoming transactions are packed into **granules** of exactly
+:class:`StreamingBitmapWindow` answers "what holds over the last N
+jobs?" for a serving fleet that must track a live trace, where
+rebuilding the window per event would touch every transaction (100k at
+a 100k-transaction window) to incorporate a 1k-event delta.  It keeps
+the window *in the bitmap domain* instead.  Incoming transactions are packed into **granules** of exactly
 64 transactions — one ``uint64`` word per item, the same bit layout and
 alignment as :class:`~repro.core.bitmap.PackedBitmaps` (bit ``t & 63``
 of word ``t >> 6``, matching ``partition_bounds``'s 64-alignment) — and
@@ -24,9 +21,9 @@ popcount *deltas on only the changed words*:
 Nothing is ever recounted from scratch on the steady path; a full pass
 happens only when the tracked set itself changes (a remine rebased the
 rulebook) and is recorded under the ``stream-track`` kernel counter.
-The equivalence oracle, per house style, is the retained
-:class:`SlidingWindowMiner` plus :class:`PackedBitmaps` built from
-:meth:`snapshot` — the tests assert bit-identical counts against both.
+The tests assert bit-identical counts against the last *n* transactions
+of the stream (``tests/oracles.py::window_of``) and against
+:class:`PackedBitmaps` built from :meth:`snapshot`.
 
 Window semantics: ``window_size`` is rounded up to a whole number of
 granules; after the warm-up fill the window always holds the most
@@ -71,7 +68,9 @@ class StreamingBitmapWindow:
         Target number of retained transactions; rounded up to a multiple
         of :data:`GRANULE` (eviction happens in whole granules).
     vocabulary:
-        Shared :class:`ItemVocabulary`; grows as unseen items arrive.
+        Shared :class:`ItemVocabulary`; grows as unseen items arrive.  It
+        may also grow outside the window: an item interned elsewhere
+        reads as support 0 until the window observes it.
     """
 
     __slots__ = (
@@ -299,14 +298,18 @@ class StreamingBitmapWindow:
     # -- queries ---------------------------------------------------------------
     def item_support_counts(self) -> np.ndarray:
         """Maintained support count of every vocabulary item (int64)."""
-        return self._item_counts[: len(self.vocabulary)].copy()
+        counts = np.zeros(len(self.vocabulary), dtype=np.int64)
+        known = min(counts.size, self._item_counts.size)
+        counts[:known] = self._item_counts[:known]
+        return counts
 
     def item_support(self, item: Item | str) -> float:
         """Relative support of one item over the current window, O(1).
 
-        Raises :class:`ValueError` on an empty window (support over zero
-        transactions is undefined), matching
-        :meth:`SlidingWindowMiner.item_support`.
+        Raises :class:`ValueError` on an empty window: support over zero
+        transactions is undefined, and silently answering 0.0 would let a
+        monitoring dashboard read "no failures" off a window that simply
+        has no data yet.  An item the window has never seen reads 0.0.
         """
         n = len(self)
         if n == 0:
@@ -315,7 +318,7 @@ class StreamingBitmapWindow:
                 "observe() at least one transaction first"
             )
         item_id = self.vocabulary.get_id(as_item(item))
-        if item_id is None:
+        if item_id is None or item_id >= self._item_counts.size:
             return 0.0
         return int(self._item_counts[item_id]) / n
 

@@ -1,14 +1,14 @@
 """Packed-bitmap kernel contracts: answers never change, only the speed.
 
 Every fast path introduced with :mod:`repro.core.bitmap` has a slow,
-obviously-correct twin it is checked against here:
+obviously-correct statement it is checked against here:
 
 * packed support counts vs naive Python subset counting (property test,
   including empty transactions and items present in every transaction);
-* mask-projected FP-Growth vs the object-tree reference, on random
-  databases and on all three synthetic traces;
-* packed Eclat/Apriori vs their dense-boolean references
-  (:mod:`repro.core.legacy`);
+* mask-projected FP-Growth, packed Eclat and packed Apriori vs support
+  by set inclusion (:mod:`tests.oracles`), on random databases and on
+  all three synthetic traces (test names still mention the object-tree
+  and dense-boolean twins this replaced);
 * vectorised rule metrics vs scalar :func:`compute_metrics`;
 * ``from_encoded`` vs the generic ``from_itemsets`` loop.
 """
@@ -32,15 +32,12 @@ from repro.core.bitmap import (
     popcount,
 )
 from repro.core.eclat import eclat
-from repro.core.fpgrowth import fpgrowth, fpgrowth_object
+from repro.core.fpgrowth import fpgrowth
 from repro.core.items import ItemVocabulary
 from repro.core.itemsets import FrequentItemsets
-from repro.core.legacy import (
-    apriori_dense,
-    dense_vertical,
-    eclat_dense,
-)
 from repro.core.metrics import compute_metrics
+
+from .oracles import check_itemset_table, support_counts
 
 # -- strategies ---------------------------------------------------------------
 
@@ -104,11 +101,10 @@ class TestBitmapLayout:
         assert np.array_equal(via_onehot.words, db.bitmaps().words)
 
     def test_to_bool_roundtrip(self):
-        db = _make_db([[0], [], [0, 1], [1]])
-        bm = db.bitmaps()
-        dense = dense_vertical(db)
+        raw = [[0], [], [0, 1], [1]]
+        bm = _make_db(raw).bitmaps()
         for item in range(2):
-            assert np.array_equal(bm.to_bool(bm.row(item)), dense[item])
+            assert bm.to_bool(bm.row(item)).tolist() == [item in t for t in raw]
 
 
 # -- property: packed support == naive subset counting ------------------------
@@ -244,7 +240,7 @@ def test_mining_records_kernels(toy_db):
         assert snap[name][1] >= 1
 
 
-# -- miner equivalence: packed vs dense, mask kernel vs object tree -----------
+# -- every miner vs support by set inclusion --------------------------------------
 
 
 @given(
@@ -255,28 +251,26 @@ def test_mining_records_kernels(toy_db):
 @settings(max_examples=100, deadline=None)
 def test_miners_equivalent_random(raw, min_support, max_len):
     db = _make_db(raw)
-    reference = fpgrowth_object(db, min_support, max_len)
+    reference = support_counts(raw, min_support, max_len)
     assert fpgrowth(db, min_support, max_len) == reference
     assert eclat(db, min_support, max_len) == reference
     assert apriori(db, min_support, max_len) == reference
-    assert eclat_dense(db, min_support, max_len) == reference
-    assert apriori_dense(db, min_support, max_len) == reference
 
 
 @pytest.mark.parametrize("fixture", ["pai_db", "supercloud_db", "philly_db"])
 def test_fpgrowth_matches_object_tree_on_traces(fixture, request):
+    # the mined-table check at the paper's operating point
     db = request.getfixturevalue(fixture)
     config = MiningConfig()
-    masks = fpgrowth(db, config.min_support, config.max_len)
-    obj = fpgrowth_object(db, config.min_support, config.max_len)
-    assert masks == obj
+    counts = fpgrowth(db, config.min_support, config.max_len)
+    check_itemset_table(db, counts, config.min_support, config.max_len)
 
 
 @pytest.mark.parametrize("fixture", ["pai_db", "supercloud_db", "philly_db"])
 def test_packed_miners_match_dense_on_traces(fixture, request):
     db = request.getfixturevalue(fixture)
-    assert eclat(db, 0.05, 4) == eclat_dense(db, 0.05, 4)
-    assert apriori(db, 0.05, 3) == apriori_dense(db, 0.05, 3)
+    check_itemset_table(db, eclat(db, 0.05, 4), 0.05, 4)
+    check_itemset_table(db, apriori(db, 0.05, 3), 0.05, 3)
 
 
 # -- vectorised rule metrics vs compute_metrics -------------------------------

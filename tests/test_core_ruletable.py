@@ -1,16 +1,18 @@
 """Tests for the columnar RuleTable pipeline.
 
 The contract under test: the vectorised generation and pruning kernels
-are *bit-identical* to the retained legacy object paths — same rules,
-same metric doubles, same deterministic order — on hand-built edge cases
-and at trace scale, and the table threads through the engine,
-persistence and serving layers without changing any observable result.
+give the answers of the Sec. III oracles in :mod:`tests.oracles` —
+generation bit-identical in rules, metric doubles and order, pruning
+identical in every rule's condition code — on hand-built edge cases and
+at trace scale, and the table threads through the engine, persistence
+and serving layers without changing any observable result.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -27,22 +29,17 @@ from repro.core.patterns import closed_itemsets
 from repro.core.pruning import (
     CondenseConfig,
     PruningConfig,
+    _prune_arrays,
     prune_rule_table,
     prune_rules,
-    prune_rules_legacy,
 )
-from repro.core.rules import (
-    AssociationRule,
-    generate_rule_table,
-    generate_rules,
-    generate_rules_legacy,
-)
+from repro.core.rules import AssociationRule, generate_rule_table, generate_rules
 from repro.core.ruletable import RuleTable
 from repro.engine import MiningEngine
 from repro.serve import RuleBook, RuleIndex
-from repro.traces import PHILLY_KEYWORDS, SUPERCLOUD_KEYWORDS
+from repro.traces import PAI_KEYWORDS, PHILLY_KEYWORDS, SUPERCLOUD_KEYWORDS
 
-from .rule_oracles import rule_keys
+from .oracles import condition_codes, rows_of, rule_keys, rules_by_split
 
 PAPER = MiningConfig()  # support=0.05, max_len=5, min_lift=1.5
 
@@ -52,37 +49,49 @@ def itemsets_of(db, min_support=0.05, max_len=5) -> FrequentItemsets:
     return FrequentItemsets(dict(counts), db.vocabulary, len(db), min_support, max_len)
 
 
-def assert_tables_equal_rules(table: RuleTable, rules: list[AssociationRule]):
-    """Bit-exact: same rules, same metric doubles, same order."""
-    materialised = table.to_rules()
-    assert len(materialised) == len(rules)
-    for got, want in zip(materialised, rules):
-        assert got == want  # dataclass equality covers ids, items, metrics
+def oracle_rules(its: FrequentItemsets, **kwargs):
+    return rules_by_split(its.counts, its.n_transactions, its.vocabulary, **kwargs)
+
+
+def kernel_codes(table: RuleTable, kw_id: int, config=PruningConfig()) -> list[int]:
+    """The Conditions 1–4 kernel's code for every row of a keyword table."""
+    in_ant, in_cons = table.contains_id(kw_id)
+    assert (in_ant | in_cons).all()
+    return _prune_arrays(
+        table.ant_indptr, table.ant_ids, table.cons_indptr, table.cons_ids,
+        table.lift, table.support, table.confidence, in_ant, in_cons, config, None,
+    ).tolist()
 
 
 class TestKernelVsLegacy:
+    """Generation against the powerset-split oracle (the class is named
+    for the frozen object path it replaced)."""
+
     def test_toy_database_bit_identical(self, toy_db):
         its = itemsets_of(toy_db, min_support=0.2, max_len=4)
         table = generate_rule_table(its, min_lift=1.0)
-        legacy = generate_rules_legacy(its, min_lift=1.0)
         assert len(table) > 0
-        assert_tables_equal_rules(table, legacy)
+        assert rows_of(table) == oracle_rules(its, min_lift=1.0)
         # the wrapper is the kernel's materialisation
-        assert generate_rules(its, min_lift=1.0) == legacy
+        assert generate_rules(its, min_lift=1.0) == table.to_rules()
 
     def test_philly_full_table_bit_identical(self, philly_db):
         its = itemsets_of(philly_db)
         table = generate_rule_table(its, min_lift=PAPER.min_lift)
-        legacy = generate_rules_legacy(its, min_lift=PAPER.min_lift)
         assert len(table) > 100
-        assert_tables_equal_rules(table, legacy)
+        assert rows_of(table) == oracle_rules(its, min_lift=PAPER.min_lift)
 
     def test_supercloud_full_table_bit_identical(self, supercloud_db):
         its = itemsets_of(supercloud_db)
         table = generate_rule_table(its, min_lift=PAPER.min_lift)
-        legacy = generate_rules_legacy(its, min_lift=PAPER.min_lift)
         assert len(table) > 1000
-        assert_tables_equal_rules(table, legacy)
+        assert rows_of(table) == oracle_rules(its, min_lift=PAPER.min_lift)
+
+    def test_pai_full_table_bit_identical(self, pai_db):
+        its = itemsets_of(pai_db)
+        table = generate_rule_table(its, min_lift=PAPER.min_lift)
+        assert len(table) > 100_000
+        assert rows_of(table) == oracle_rules(its, min_lift=PAPER.min_lift)
 
     def test_pai_keyword_restricted_bit_identical(self, pai_db):
         kw_id = pai_db.vocabulary.get_id(as_item("SM Util = 0%"))
@@ -91,53 +100,58 @@ class TestKernelVsLegacy:
         table = generate_rule_table(
             its, min_lift=PAPER.min_lift, keyword_ids=(kw_id,)
         )
-        legacy = generate_rules_legacy(
+        assert len(table) > 100
+        assert rows_of(table) == oracle_rules(
             its, min_lift=PAPER.min_lift, keyword_ids=(kw_id,)
         )
-        assert len(table) > 100
-        assert_tables_equal_rules(table, legacy)
 
     def test_min_confidence_filter_agrees(self, toy_db):
         its = itemsets_of(toy_db, min_support=0.2, max_len=4)
         for min_conf in (0.5, 0.75):
             table = generate_rule_table(its, min_lift=0.0, min_confidence=min_conf)
-            legacy = generate_rules_legacy(its, min_lift=0.0, min_confidence=min_conf)
-            assert_tables_equal_rules(table, legacy)
+            assert rows_of(table) == oracle_rules(
+                its, min_lift=0.0, min_confidence=min_conf
+            )
             assert all(r.confidence >= min_conf for r in table)
 
     def test_min_confidence_one_keeps_exact_implications_only(self, toy_db):
         # boundary: conf == 1.0 must survive a min_confidence of exactly 1.0
         its = itemsets_of(toy_db, min_support=0.2, max_len=4)
         table = generate_rule_table(its, min_lift=0.0, min_confidence=1.0)
-        legacy = generate_rules_legacy(its, min_lift=0.0, min_confidence=1.0)
-        assert_tables_equal_rules(table, legacy)
+        assert rows_of(table) == oracle_rules(its, min_lift=0.0, min_confidence=1.0)
         assert all(r.confidence == 1.0 for r in table)
         assert all(math.isinf(r.conviction) for r in table)
         assert len(table) > 0  # the toy basket does contain exact implications
 
 
 class TestPruneEquality:
+    """Pruning against the pairwise Conditions 1–4 oracle, code by code."""
+
     def test_toy_three_paths_agree(self, toy_db):
         its = itemsets_of(toy_db, min_support=0.2, max_len=4)
         table = generate_rule_table(its, min_lift=1.0)
         kw = as_item("beer")
+        kw_id = toy_db.vocabulary.id_of(kw)
         kept_t, report_t = prune_rule_table(table, kw)
         kept_o, report_o = prune_rules(table.to_rules(), kw)
-        kept_l, report_l = prune_rules_legacy(table.to_rules(), kw)
-        assert kept_t.to_rules() == kept_o == kept_l
+        relevant = [row for row in rows_of(table) if kw_id in row[0] + row[1]]
+        codes = condition_codes(relevant, kw_id)
+        assert kept_t.to_rules() == kept_o
+        assert rows_of(kept_t) == [row for row, c in zip(relevant, codes) if not c]
         assert (
             report_t.pruned_by_condition
             == report_o.pruned_by_condition
-            == report_l.pruned_by_condition
+            == Counter(c for c in codes if c)
         )
-        assert report_t.n_input == report_l.n_input
-        assert report_t.n_kept == report_l.n_kept
+        assert report_t.n_input == len(relevant)
+        assert report_t.n_kept == codes.count(0)
 
     @pytest.mark.parametrize(
         "db_fixture, keywords",
         [
             ("philly_db", PHILLY_KEYWORDS),
             ("supercloud_db", SUPERCLOUD_KEYWORDS),
+            ("pai_db", PAI_KEYWORDS),
         ],
     )
     def test_trace_pruning_bit_identical(self, request, db_fixture, keywords):
@@ -152,10 +166,12 @@ class TestPruneEquality:
             table = generate_rule_table(
                 its, min_lift=PAPER.min_lift, keyword_ids=(kw_id,)
             )
+            rows = rows_of(table)
+            codes = condition_codes(rows, kw_id)
+            assert kernel_codes(table, kw_id) == codes
             kept_t, report_t = prune_rule_table(table, kw)
-            kept_l, report_l = prune_rules_legacy(table.to_rules(), kw)
-            assert kept_t.to_rules() == kept_l
-            assert report_t.pruned_by_condition == report_l.pruned_by_condition
+            assert rows_of(kept_t) == [row for row, c in zip(rows, codes) if not c]
+            assert report_t.pruned_by_condition == Counter(c for c in codes if c)
             n_checked += 1
         assert n_checked >= 2  # the paper keywords must actually exist
 
@@ -167,7 +183,7 @@ class TestEdgeCases:
         table = generate_rule_table(its)
         assert len(table) == 0
         assert table.to_rules() == []
-        assert generate_rules_legacy(its) == []
+        assert oracle_rules(its) == []
         # pruning an empty table is a no-op, not an error
         kept, report = prune_rule_table(table, "f = a")
         assert len(kept) == 0 and report.n_input == 0
@@ -179,7 +195,7 @@ class TestEdgeCases:
         )
         table = generate_rule_table(its)
         assert len(table) == 0
-        assert generate_rules_legacy(its) == []
+        assert oracle_rules(its) == []
 
     def test_absent_keyword_prunes_to_empty(self, toy_db):
         its = itemsets_of(toy_db, min_support=0.2, max_len=4)
@@ -190,12 +206,13 @@ class TestEdgeCases:
 
     def test_incomplete_table_raises(self):
         # a table holding a superset without one of its subsets cannot
-        # score every split; both generators must refuse it, naming the
-        # itemset and the number of splits that miss a support
+        # score every split; generation must refuse it, as the oracle
+        # does, naming the itemset and the number of splits that miss a
+        # support
         vocab = ItemVocabulary([Item("f", "a"), Item("f", "b")])
         counts = {frozenset({0, 1}): 5, frozenset({0}): 8}  # {1} missing
         its = FrequentItemsets(counts, vocab, 10, 0.05, 5)
-        for generate in (generate_rule_table, generate_rules_legacy):
+        for generate in (generate_rule_table, oracle_rules):
             with pytest.raises(ValueError, match="not downward-closed") as err:
                 generate(its, min_lift=0.0)
             assert "2 antecedent/consequent split(s)" in str(err.value)
@@ -229,9 +246,8 @@ class TestEdgeCases:
         its = FrequentItemsets(counts, vocab, 100, 0.01, len(base))
         assert len(counts) == 2 ** len(base) - 1
         table = generate_rule_table(its, min_lift=0.0)
-        legacy = generate_rules_legacy(its, min_lift=0.0)
         assert len(table) > 0
-        assert_tables_equal_rules(table, legacy)
+        assert rows_of(table) == oracle_rules(its, min_lift=0.0)
 
 
 class TestRoundTripProperty:

@@ -11,9 +11,8 @@ from repro.cluster import (
     build_nodes,
 )
 from repro.cluster.accounting import busy_gpu_timeline
-from repro.core import MiningConfig
-from repro.core.fpgrowth import FPTree, fpgrowth
-from repro.core import TransactionDatabase
+from repro.core import MiningConfig, TransactionDatabase
+from repro.core.fpgrowth import fpgrowth
 from repro.dataframe import ColumnTable
 from repro.preprocess import FeatureSpec, TransactionEncoder
 from repro.traces import (
@@ -28,40 +27,15 @@ from repro.analysis import misc_study
 
 
 class TestFPTreeInternals:
-    def test_single_path_detection(self):
-        tree = FPTree()
-        tree.insert([0, 1, 2], 3)
-        tree.insert([0, 1], 2)
-        path = tree.single_path()
-        assert path == [(0, 5), (1, 5), (2, 3)]
-
-    def test_branching_tree_is_not_single_path(self):
-        tree = FPTree()
-        tree.insert([0, 1], 1)
-        tree.insert([0, 2], 1)
-        assert tree.single_path() is None
-
-    def test_prefix_paths(self):
-        tree = FPTree()
-        tree.insert([0, 1, 2], 2)
-        tree.insert([0, 2], 1)
-        base = tree.prefix_paths(2)
-        assert sorted(base) == [([0], 1), ([0, 1], 2)]
-
-    def test_empty_tree(self):
-        tree = FPTree()
-        assert tree.is_empty()
-        assert tree.single_path() == []
-        assert tree.prefix_paths(0) == []
+    """FP-Growth on a database whose conditional FP-trees are single paths."""
 
     def test_single_path_shortcut_matches_general_case(self):
-        # a database whose conditional trees are chains exercises the
-        # shortcut; compare against a permuted copy that breaks chains
+        # chains of nested transactions: every conditional pattern base
+        # is one path, and the counts follow from the chain by hand
         db = TransactionDatabase.from_itemsets(
             [["a", "b", "c", "d"]] * 5 + [["a", "b", "c"]] * 3 + [["a"]] * 2
         )
         result = fpgrowth(db, 0.2)
-        # brute-force expectations on the chain structure
         assert result[frozenset({0, 1, 2, 3})] == 5
         assert result[frozenset({0, 1, 2})] == 8
         assert result[frozenset({0})] == 10

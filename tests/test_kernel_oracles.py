@@ -1,16 +1,17 @@
-"""Property tests: the two mining-pass kernels against obviously-correct oracles.
+"""Property tests: the two mining-pass kernels against the Sec. III oracles.
 
 * Mask-projected FP-Growth (:func:`repro.core.fpgrowth.fpgrowth`) against
-  the object-tree FP-Growth and against brute force — support counted by
-  set inclusion over every subset of every transaction.  The strategies
-  reach more than 64 frequent items (masks of two or more words),
-  ``max_len`` None/1/2, ``min_support`` 0 and 1, empty transactions and
-  ``txn_range`` views.
-* The Conditions 1–4 subset join against the pairwise legacy loops
-  (:func:`repro.core.pruning.prune_rules_legacy`): identical condition
-  code per rule, not just identical survivors, with sides of six or more
-  items, vocabularies over 64 items and ``C_lift``/``C_supp`` other than
-  the paper's 1.5.
+  brute force — support counted by set inclusion over every subset of
+  every transaction (:func:`tests.oracles.support_counts`).  The
+  strategies reach more than 64 frequent items (masks of two or more
+  words), ``max_len`` None/1/2, ``min_support`` 0 and 1, empty
+  transactions and ``txn_range`` views.
+* The Conditions 1–4 subset join against the pairwise statement of
+  Sec. III-D (:func:`tests.oracles.condition_codes`): identical
+  condition code per rule, not just identical survivors, with sides of
+  six or more items, vocabularies over 64 items and ``C_lift``/``C_supp``
+  other than the paper's 1.5.  (Test names with ``object_tree`` or
+  ``legacy`` date from the frozen twins these oracles replaced.)
 * The serving batch encoder
   (:func:`repro.serve.batchmatch.encode_id_transactions`) against set
   inclusion: bit ``i`` of a packed row is set iff item ``i`` is in the
@@ -22,50 +23,27 @@ from __future__ import annotations
 
 import importlib
 from collections import Counter
-from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Item, PruningConfig, TransactionDatabase
-from repro.core.fpgrowth import _min_count, fpgrowth, fpgrowth_object
+from repro.core.fpgrowth import fpgrowth
 from repro.core.items import ItemVocabulary
 from repro.core.itemsets import FrequentItemsets
-from repro.core.pruning import (
-    _legacy_codes,
-    _rule_codes,
-    keyword_rules,
-    prune_rule_table,
-    prune_rules,
-    prune_rules_legacy,
-)
+from repro.core.pruning import _rule_codes, keyword_rules, prune_rule_table, prune_rules
 from repro.core.rules import AssociationRule, generate_rules
 from repro.core.ruletable import RuleTable
 from repro.serve.batchmatch import encode_id_transactions
 
-from .rule_oracles import rule_keys
+from .oracles import condition_codes, rule_keys, support_counts
 
 # -- FP-Growth --------------------------------------------------------------------
 
 
 def _vocab(n_items: int) -> ItemVocabulary:
     return ItemVocabulary(Item.flag(f"i{i}") for i in range(n_items))
-
-
-def brute_force(
-    raw: list[list[int]], min_support: float, max_len: int | None
-) -> dict[frozenset[int], int]:
-    """Support by set inclusion: count every subset of every transaction."""
-    if not raw:
-        return {}
-    counts: Counter = Counter()
-    for txn in raw:
-        items = sorted(set(txn))
-        for k in range(1, min(len(items), max_len or len(items)) + 1):
-            counts.update(frozenset(c) for c in combinations(items, k))
-    min_count = _min_count(len(raw), min_support)
-    return {s: c for s, c in counts.items() if c >= min_count}
 
 
 @st.composite
@@ -85,9 +63,7 @@ def databases(draw):
 def test_fpgrowth_matches_object_tree_and_brute_force(data, min_support, max_len):
     n_items, raw = data
     db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(n_items))
-    expected = brute_force(raw, min_support, max_len)
-    assert fpgrowth(db, min_support, max_len) == expected
-    assert fpgrowth_object(db, min_support, max_len) == expected
+    assert fpgrowth(db, min_support, max_len) == support_counts(raw, min_support, max_len)
 
 
 @given(
@@ -101,7 +77,7 @@ def test_fpgrowth_on_txn_range_views(data, bounds, max_len):
     db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(n_items))
     start, stop = sorted(min(b, len(raw)) for b in bounds)
     view = db.txn_range(start, stop)
-    assert fpgrowth(view, 0.05, max_len) == brute_force(
+    assert fpgrowth(view, 0.05, max_len) == support_counts(
         raw[start:stop], 0.05, max_len
     )
 
@@ -112,7 +88,7 @@ def test_fpgrowth_with_more_than_128_frequent_items():
     db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(150))
     got = fpgrowth(db, 0.0, None)
     assert sum(len(s) == 1 for s in got) == 150
-    assert got == brute_force(raw, 0.0, None)
+    assert got == support_counts(raw, 0.0, None)
 
 
 # -- Conditions 1–4 ---------------------------------------------------------------
@@ -169,28 +145,32 @@ def keyword_rule_sets(draw):
     return n_items, rules
 
 
-def assert_join_matches_legacy(rules, config, n_items):
+def assert_join_matches_oracle(rules, config, n_items):
     relevant = keyword_rules(rules, KEYWORD)
     codes = _rule_codes(relevant, KEYWORD, config)
-    legacy = _legacy_codes(relevant, KEYWORD, config)
-    assert codes.tolist() == [legacy.get(i, 0) for i in range(len(relevant))]
+    expected = condition_codes(
+        [(r.antecedent_ids, r.consequent_ids, r.support, r.confidence, r.lift)
+         for r in relevant],
+        0, config.c_lift, config.c_supp,
+    )
+    assert codes.tolist() == expected
 
     kept, report = prune_rules(rules, KEYWORD, config)
-    legacy_kept, legacy_report = prune_rules_legacy(rules, KEYWORD, config)
-    assert kept == legacy_kept
-    assert report.pruned_by_condition == legacy_report.pruned_by_condition
+    assert kept == [r for r, code in zip(relevant, expected) if not code]
+    expected_counts = Counter(code for code in expected if code)
+    assert report.pruned_by_condition == expected_counts
 
     table = RuleTable.from_rules(rules, _vocab(n_items))
     kept_table, table_report = prune_rule_table(table, KEYWORD, config)
-    assert rule_keys(kept_table) == rule_keys(RuleTable.from_rules(legacy_kept))
-    assert table_report.pruned_by_condition == legacy_report.pruned_by_condition
+    assert rule_keys(kept_table) == rule_keys(RuleTable.from_rules(kept))
+    assert table_report.pruned_by_condition == expected_counts
 
 
 @given(data=keyword_rule_sets(), c_lift=_MARGINS, c_supp=_MARGINS)
 @settings(max_examples=200, deadline=None)
 def test_join_codes_match_legacy_on_synthetic_rules(data, c_lift, c_supp):
     n_items, rules = data
-    assert_join_matches_legacy(rules, PruningConfig(c_lift, c_supp), n_items)
+    assert_join_matches_oracle(rules, PruningConfig(c_lift, c_supp), n_items)
 
 
 @given(
@@ -207,7 +187,7 @@ def test_join_codes_match_legacy_on_mined_rules(noise, min_lift, c_lift, c_supp)
     db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(10))
     itemsets = FrequentItemsets(fpgrowth(db, 0.3, None), db.vocabulary, len(db), 0.3)
     rules = generate_rules(itemsets, min_lift=min_lift)
-    assert_join_matches_legacy(rules, PruningConfig(c_lift, c_supp), 10)
+    assert_join_matches_oracle(rules, PruningConfig(c_lift, c_supp), 10)
 
 
 def test_pair_counts_summed_over_blocks(monkeypatch):
@@ -218,7 +198,7 @@ def test_pair_counts_summed_over_blocks(monkeypatch):
     db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(80))
     expected = fpgrowth(db, 0.01, 3)
     monkeypatch.setattr(kernel, "_PAIR_BLOCK", 256)
-    assert fpgrowth(db, 0.01, 3) == expected == brute_force(raw, 0.01, 3)
+    assert fpgrowth(db, 0.01, 3) == expected == support_counts(raw, 0.01, 3)
 
 
 # -- serving batch encoder ----------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Columnar ingest equivalence: vectorised paths vs their legacy oracles.
+"""Columnar ingest equivalence: vectorised paths vs the Sec. III-E oracle.
 
 The columnar ingest kernel (integer-coded binning/encoding, vectorised
-tier columns, cached preprocess stage, batched trace generation) must be
-an *exact* refactoring of the per-row string-label pipeline: on any
-table, :meth:`TracePreprocessor.run` and :meth:`~.run_legacy` produce
-byte-identical transaction databases — same CSR arrays, same vocabulary
-interning order, same content fingerprint.
+tier columns, cached preprocess stage, batched trace generation) must
+give the answer of the per-row statement of preprocessing in
+:func:`tests.oracles.preprocess_rows`: on any table,
+:meth:`TracePreprocessor.run` produces a byte-identical transaction
+database — same CSR arrays, same vocabulary interning order, same
+content fingerprint — and drops the same skewed items.  (Test names
+with ``legacy`` date from the frozen per-row twin the oracle replaced.)
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from repro.dataframe import CategoricalColumn, ColumnTable, NumericColumn
 from repro.preprocess import (
     BinningSpec,
+    Discretizer,
     FeatureSpec,
     TracePreprocessor,
     TransactionEncoder,
@@ -23,11 +26,18 @@ from repro.preprocess import (
 from repro.preprocess.pipeline import TierSpec
 from repro.traces import (
     PAIConfig,
+    PhillyConfig,
+    SuperCloudConfig,
     generate_pai,
+    generate_philly,
+    generate_supercloud,
     pai_preprocessor,
     philly_preprocessor,
     supercloud_preprocessor,
 )
+
+from .conftest import SMALL_N
+from .oracles import bin_label, preprocess_rows
 
 
 def assert_db_equal(a, b):
@@ -37,52 +47,75 @@ def assert_db_equal(a, b):
     assert a.fingerprint() == b.fingerprint()
 
 
+def assert_matches_oracle(pre, table):
+    vec = pre.run(table, use_cache=False)
+    database, dropped, _tiers = preprocess_rows(pre, table)
+    assert_db_equal(vec.database, database)
+    assert vec.dropped_items == dropped
+    return vec
+
+
 # --------------------------------------------------------------------------
-# full pipeline: vectorised == legacy on all three traces
+# full pipeline: vectorised == oracle on all three traces
 # --------------------------------------------------------------------------
 
 class TestPipelineEquivalence:
     def test_pai(self, pai_table):
         pre = pai_preprocessor()
-        vec = pre.run(pai_table, use_cache=False)
-        legacy = pre.run_legacy(pai_table)
-        assert_db_equal(vec.database, legacy.database)
-        assert vec.dropped_items == legacy.dropped_items
-        assert vec.bin_ranges == legacy.bin_ranges
+        vec = assert_matches_oracle(pre, pai_table)
+        # every value lies inside the reported range of its bin label
+        for spec in pre.features:
+            if spec.column not in vec.bin_ranges:
+                continue
+            values = vec.table[spec.column].values
+            disc = Discretizer(spec.binning).fit(values)
+            for value in values.tolist():
+                label = bin_label(value, disc)
+                if label is not None:
+                    low, high = vec.bin_ranges[spec.column][label]
+                    assert low <= value <= high, (spec.column, label, value)
 
     def test_supercloud(self, supercloud_table):
-        pre = supercloud_preprocessor()
-        vec = pre.run(supercloud_table, use_cache=False)
-        legacy = pre.run_legacy(supercloud_table)
-        assert_db_equal(vec.database, legacy.database)
-        assert vec.dropped_items == legacy.dropped_items
+        assert_matches_oracle(supercloud_preprocessor(), supercloud_table)
 
     def test_philly(self, philly_table):
-        pre = philly_preprocessor()
-        vec = pre.run(philly_table, use_cache=False)
-        legacy = pre.run_legacy(philly_table)
-        assert_db_equal(vec.database, legacy.database)
-        assert vec.dropped_items == legacy.dropped_items
+        assert_matches_oracle(philly_preprocessor(), philly_table)
 
     def test_pai_with_model_column(self, pai_table):
-        pre = pai_preprocessor(include_model=True)
         sub = pai_table.filter_mask(pai_table["model_name"].codes >= 0)
-        vec = pre.run(sub, use_cache=False)
-        assert_db_equal(vec.database, pre.run_legacy(sub).database)
+        assert_matches_oracle(pai_preprocessor(include_model=True), sub)
+
+    @pytest.mark.parametrize("generate, config, preprocessor", [
+        (generate_pai, PAIConfig, pai_preprocessor),
+        (generate_supercloud, SuperCloudConfig, supercloud_preprocessor),
+        (generate_philly, PhillyConfig, philly_preprocessor),
+    ], ids=["pai", "supercloud", "philly"])
+    def test_unscheduled_tables(self, generate, config, preprocessor):
+        table = generate(config(n_jobs=SMALL_N, use_scheduler=False))
+        assert_matches_oracle(preprocessor(), table)
 
     def test_tier_columns_match_legacy(self, pai_table):
         pre = pai_preprocessor()
         vec = pre.run(pai_table, use_cache=False)
-        legacy = pre.run_legacy(pai_table)
+        _database, _dropped, tiers = preprocess_rows(pre, pai_table)
         for name in ("user_tier", "group_tier"):
-            v, l = vec.table[name], legacy.table[name]
-            assert v.categories == l.categories
-            assert np.array_equal(v.codes, l.codes)
+            labels = tiers[name]
+            assert vec.table[name].to_list() == labels
+            # categories in order of first appearance
+            assert vec.table[name].categories == list(
+                dict.fromkeys(label for label in labels if label is not None)
+            )
 
 
 # --------------------------------------------------------------------------
-# randomised BinningSpec sweep: int-coded encoding == string-label encoding
+# randomised BinningSpec sweep: int-coded encoding == per-row labels
 # --------------------------------------------------------------------------
+
+def encoded_rows(features, table):
+    """The oracle's encoding alone: no tiers, and no item is skewed."""
+    pre = TracePreprocessor(features=features, skew_max_share=1.0)
+    return preprocess_rows(pre, table)[0]
+
 
 def _random_spec(rng: np.random.Generator) -> BinningSpec:
     kwargs = {"n_bins": int(rng.integers(2, 12))}
@@ -110,10 +143,9 @@ class TestRandomisedEncoding:
             FeatureSpec(str(name), item_feature=str(name), binning=_random_spec(rng))
             for name in chosen
         ]
-        vec = TransactionEncoder(features)
-        legacy = TransactionEncoder(features).fit(pai_table)
         assert_db_equal(
-            vec.fit_transform(pai_table), legacy.transform_legacy(pai_table)
+            TransactionEncoder(features).fit_transform(pai_table),
+            encoded_rows(features, pai_table),
         )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -126,10 +158,9 @@ class TestRandomisedEncoding:
         table = ColumnTable({"x": NumericColumn(values)})
         spec = BinningSpec(zero_label="0X", std_label="Std", std_threshold=0.3)
         features = [FeatureSpec("x", item_feature="X", binning=spec)]
-        vec = TransactionEncoder(features)
-        legacy = TransactionEncoder(features).fit(table)
         assert_db_equal(
-            vec.fit_transform(table), legacy.transform_legacy(table)
+            TransactionEncoder(features).fit_transform(table),
+            encoded_rows(features, table),
         )
 
 
@@ -183,11 +214,12 @@ class TestPreprocessCache:
         assert r1 is not r2
 
     def test_legacy_path_bypasses_cache(self, pai_table):
+        # an uncached run neither reads nor fills the cache
         clear_preprocess_cache()
         before = preprocess_cache_stats()
-        pai_preprocessor().run_legacy(pai_table)
+        pai_preprocessor().run(pai_table, use_cache=False)
         after = preprocess_cache_stats()
-        # counters are lifetime; the legacy path must not move them
+        # counters are lifetime; the uncached path must not move them
         assert (after.hits, after.misses) == (before.hits, before.misses)
         assert after.size == 0
 
@@ -260,10 +292,7 @@ class TestColumnarGeneration:
 
     def test_preprocess_equivalence_on_columnar_table(self, tables):
         _, col = tables
-        pre = pai_preprocessor()
-        assert_db_equal(
-            pre.run(col, use_cache=False).database, pre.run_legacy(col).database
-        )
+        assert_matches_oracle(pai_preprocessor(), col)
 
     def test_columnar_with_scheduler_rejected(self):
         with pytest.raises(ValueError, match="scheduler"):

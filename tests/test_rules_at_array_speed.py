@@ -1,10 +1,10 @@
 """The mine → book path as arrays: itemset view, rank order, lazy rule
 sets, mask dedup and the column-formatted RuleBook writer.
 
-Every array step is checked against a slow twin: ``generate_rules_legacy``
-/ ``prune_rules_legacy`` for rules, a set for dedup, ``str(sorted(...))``
-for tie-break strings, and the per-record ``json.dumps`` writer in
-:mod:`tests.rule_oracles` for book bytes.
+Every array step is checked against a slow, obviously-correct statement
+in :mod:`tests.oracles`: powerset splits and pairwise Conditions 1–4 for
+rules, a set for dedup, ``str(sorted(...))`` for tie-break strings, and
+the per-record ``json.dumps`` writer for book bytes.
 """
 
 from __future__ import annotations
@@ -23,18 +23,19 @@ from repro.analysis import InterpretableAnalysis
 from repro.core import FrequentItemsets, MiningConfig, TransactionDatabase
 from repro.core.items import Item, ItemVocabulary, as_item
 from repro.core.itemsets import ItemsetView
-from repro.core.pruning import prune_rules_legacy
-from repro.core.rules import (
-    AssociationRule,
-    generate_rule_table,
-    generate_rules_legacy,
-)
+from repro.core.rules import AssociationRule, generate_rule_table
 from repro.core.ruletable import RuleTable, side_strings
 from repro.engine import MiningEngine
 from repro.serve import RuleBook
 from repro.traces import get_trace
 
-from .rule_oracles import rule_keys, save_with_json_dumps
+from .oracles import (
+    condition_codes,
+    rows_of,
+    rule_keys,
+    rules_by_split,
+    save_with_json_dumps,
+)
 
 PAPER = MiningConfig()
 
@@ -83,9 +84,11 @@ class TestViewGeneration:
         assert view.bits * view.padded.shape[1] > 64
         for keyword in (None, (db.vocabulary.id_of("x0"),)):
             table = generate_rule_table(itemsets, min_lift=1.0, keyword_ids=keyword)
-            legacy = generate_rules_legacy(itemsets, min_lift=1.0, keyword_ids=keyword)
             assert len(table) > 0
-            assert table.to_rules() == legacy
+            assert rows_of(table) == rules_by_split(
+                itemsets.counts, len(db), db.vocabulary,
+                min_lift=1.0, keyword_ids=keyword,
+            )
 
     def test_view_built_once_across_keywords(self, supercloud_table, monkeypatch):
         built = []
@@ -223,24 +226,31 @@ def test_dedup_keeps_first_occurrences(seed, sizes, n_items):
 # -- RuleBook bytes ---------------------------------------------------------------
 
 
-def _legacy_book(trace: str, itemsets, database) -> RuleBook:
-    """Object-path book: legacy generate → legacy prune → pooled rules."""
+def _oracle_book(trace: str, itemsets, database) -> RuleBook:
+    """Oracle book: powerset splits → pairwise Conditions 1–4 → pooled rules."""
     definition = get_trace(trace)
+    vocab = database.vocabulary
     rules, seen = [], set()
     for keyword in definition.keywords.values():
-        kw = as_item(keyword)
-        kw_id = database.vocabulary.get_id(kw)
+        kw_id = vocab.get_id(as_item(keyword))
         if kw_id is None:
             continue
-        generated = generate_rules_legacy(
-            itemsets, min_lift=PAPER.min_lift, keyword_ids=(kw_id,)
+        generated = rules_by_split(
+            itemsets.counts, len(database), vocab,
+            min_lift=PAPER.min_lift, keyword_ids=(kw_id,),
         )
-        kept, _report = prune_rules_legacy(generated, kw, PAPER.pruning)
-        for rule in kept:
-            key = (rule.antecedent_ids, rule.consequent_ids)
-            if key not in seen:
-                seen.add(key)
-                rules.append(rule)
+        codes = condition_codes(
+            generated, kw_id, PAPER.pruning.c_lift, PAPER.pruning.c_supp
+        )
+        for (ant, cons, supp, conf, lift, lev, conv), code in zip(generated, codes):
+            if not code and (ant, cons) not in seen:
+                seen.add((ant, cons))
+                rules.append(AssociationRule(
+                    antecedent=vocab.items_of(ant), consequent=vocab.items_of(cons),
+                    antecedent_ids=frozenset(ant), consequent_ids=frozenset(cons),
+                    support=supp, confidence=conf, lift=lift,
+                    leverage=lev, conviction=conv,
+                ))
     return RuleBook(
         rules=tuple(rules),
         trace=trace,
@@ -264,7 +274,7 @@ def test_book_bytes_equal_the_object_path(trace, tmp_path):
 
     database = result.preprocess.database
     slow = tmp_path / "slow.jsonl"
-    save_with_json_dumps(_legacy_book(trace, result.itemsets, database), slow)
+    save_with_json_dumps(_oracle_book(trace, result.itemsets, database), slow)
     assert fast.read_bytes().count(b"\n") > 20
     assert fast.read_bytes() == slow.read_bytes()
 

@@ -1,8 +1,9 @@
 """Tests for the delta-maintained streaming bitmap window.
 
 House style: the fast path is checked against two independent oracles —
-the retained :class:`SlidingWindowMiner` (deque semantics) and
-:class:`PackedBitmaps` popcounts built from the window's own snapshot.
+the last *n* transactions of the stream as a batch database
+(:func:`tests.oracles.window_of`) and :class:`PackedBitmaps` popcounts
+built from the window's own snapshot.
 """
 
 import numpy as np
@@ -13,7 +14,10 @@ from hypothesis import strategies as st
 from repro.core import MiningConfig
 from repro.core.bitmap import PackedBitmaps
 from repro.engine import MiningEngine
-from repro.streaming import GRANULE, SlidingWindowMiner, StreamingBitmapWindow
+from repro.core.items import ItemVocabulary
+from repro.streaming import GRANULE, StreamingBitmapWindow
+
+from .oracles import window_of
 
 
 def _random_transactions(seed: int, n: int, n_items: int = 12, max_len: int = 6):
@@ -77,7 +81,11 @@ class TestWindowSemantics:
 
 
 class TestSnapshotEquivalence:
-    """snapshot() must equal the deque oracle fed the retained suffix."""
+    """snapshot() must equal the batch database of the retained suffix.
+
+    (The parametrised test keeps the name of the deque window it was
+    first checked against.)
+    """
 
     @pytest.mark.parametrize("seed,n,window", [(0, 50, 64), (1, 200, 64),
                                                (2, 500, 128), (3, 991, 256)])
@@ -87,11 +95,7 @@ class TestSnapshotEquivalence:
         win.observe_many(txns)
         retained = _reference_window(txns, win.window_size)
         assert len(win) == len(retained)
-        oracle = SlidingWindowMiner(
-            window_size=max(1, len(retained)), vocabulary=win.vocabulary
-        )
-        oracle.observe_many(retained)
-        a, b = win.snapshot(), oracle.snapshot()
+        a, b = win.snapshot(), window_of(txns, len(retained), win.vocabulary)
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert a.fingerprint() == b.fingerprint()
@@ -101,13 +105,10 @@ class TestSnapshotEquivalence:
         win = StreamingBitmapWindow(128)
         win.observe_many(txns)
         retained = _reference_window(txns, win.window_size)
-        oracle = SlidingWindowMiner(window_size=len(retained),
-                                    vocabulary=win.vocabulary)
-        oracle.observe_many(retained)
         config = MiningConfig(min_support=0.1)
         engine = MiningEngine(cache=False)
         ours = engine.mine(win.snapshot(), config)
-        theirs = engine.mine(oracle.snapshot(), config)
+        theirs = engine.mine(window_of(txns, len(retained), win.vocabulary), config)
         assert ours.counts == theirs.counts
 
 
@@ -162,6 +163,22 @@ class TestMaintainedCounts:
             bitmaps.item_counts(),
         )
         assert win.item_support("common") == 1.0
+
+    def test_shared_vocabulary_grown_elsewhere(self):
+        # the vocabulary is shared: items interned outside the window
+        # read as support 0, and per-item counts cover every item
+        vocab = ItemVocabulary()
+        win = StreamingBitmapWindow(64, vocabulary=vocab)
+        win.observe(["a"])
+        for k in range(40):
+            vocab.intern(f"x{k}")
+        assert win.item_support("x39") == 0.0
+        assert win.item_support("a") == 1.0
+        counts = win.item_support_counts()
+        assert counts.tolist() == [1] + [0] * 40
+        win.observe(["x39"])
+        assert win.item_support("x39") == 0.5
+        assert win.item_support_counts()[vocab.id_of("x39")] == 1
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=120),
