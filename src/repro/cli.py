@@ -272,8 +272,8 @@ def cmd_generate(args: argparse.Namespace) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> str:
     definition = get_trace(args.trace)
-    table = _load_or_generate(args)
     config = _config_from(args)
+    table = _load_or_generate(args)
     workflow = InterpretableAnalysis(
         definition.make_preprocessor(), config, _engine_from(args)
     )
@@ -299,6 +299,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
 
 def cmd_mine_rulebook(args: argparse.Namespace) -> str:
     definition = get_trace(args.trace)
+    config = _config_from(args)
     table = _load_or_generate(args)
     keywords = (
         {kw: kw for kw in args.keyword}
@@ -306,7 +307,7 @@ def cmd_mine_rulebook(args: argparse.Namespace) -> str:
         else dict(definition.keywords)
     )
     workflow = InterpretableAnalysis(
-        definition.make_preprocessor(), _config_from(args), _engine_from(args)
+        definition.make_preprocessor(), config, _engine_from(args)
     )
     result = workflow.run(table, keywords)
     book = result.to_rulebook(trace=definition.name)

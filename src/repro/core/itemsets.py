@@ -2,9 +2,10 @@
 
 :class:`FrequentItemsets` couples the raw ``frozenset[int] → count``
 mapping produced by the mining algorithms with the vocabulary and database
-size needed to interpret it.  Rule generation reads it through one
-:class:`ItemsetView` — the same table as arrays, built on first use and
-kept for every later keyword of the pass.
+size needed to interpret it.  Rule generation and Conditions 1–4 read it
+through one :class:`ItemsetView` — the same table as arrays plus its
+lattice (each itemset's proper subsets, by split pattern), built on
+first use and kept for every later keyword of the pass.
 """
 
 from __future__ import annotations
@@ -16,69 +17,144 @@ from itertools import chain
 import numpy as np
 
 from .items import Item, ItemVocabulary, render_itemset
-from .ruletable import side_strings, sort_within_rows
+from .ruletable import csr_range_gather, side_strings, sort_within_rows
 
 __all__ = ["FrequentItemsets", "ItemsetView"]
 
 
-def _padded_rows(
+def _csr_rows(
     sets: Collection[frozenset[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(lengths, indptr, ids, padded)`` of *sets*: a sorted-id CSR and
-    its ``(rows, width)`` uint64 matrix of ``id + 1``, zero padded."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, ids)`` of *sets*: a CSR with ids ascending per row."""
     n = len(sets)
-    lengths = np.fromiter(map(len, sets), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    total = int(indptr[-1])
-    ids = sort_within_rows(
-        indptr, np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=total)
-    )
-    width = int(lengths.max()) if n else 0
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    padded = np.zeros((n, width), dtype=np.uint64)
-    padded[rows, np.arange(total, dtype=np.int64) - indptr[rows]] = (
+    np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=n), out=indptr[1:])
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, sort_within_rows(indptr, flat)
+
+
+def _padded(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The ``(rows, width)`` uint64 matrix of ``id + 1`` of CSR rows, zero padded."""
+    lengths = np.diff(indptr)
+    width = int(lengths.max()) if lengths.size else 0
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    padded = np.zeros((len(lengths), width), dtype=np.uint64)
+    padded[rows, np.arange(ids.size, dtype=np.int64) - indptr[rows]] = (
         ids.astype(np.uint64) + np.uint64(1)
     )
-    return lengths, indptr, ids, padded
+    return padded
 
 
 class ItemsetView:
     """One frequent-itemset table as columns; row ``r`` is its ``r``-th itemset.
 
     * ``indptr`` / ``ids`` — the itemsets as CSR rows, ids ascending;
-    * ``lengths`` and ``counts`` — one entry per row;
+    * ``lengths`` and ``counts`` — one entry per row (``counts`` is
+      ``None`` on a rows-only view, :meth:`of_rows`);
     * ``padded`` — ``(rows, max_len)`` uint64 matrix of ``id + 1``, zero
       padded, the form subsets are cut from;
     * packed keys, sorted for ``np.searchsorted``, so a subset's row is a
       binary search (:meth:`find`);
+    * the split table (the itemset lattice): row ``Z`` of ``L ≥ 2`` ids
+      owns the entries ``split_indptr[Z] + P - 1`` for the patterns
+      ``P = 1 … 2**L - 2``, where bit ``k`` of ``P`` selects the ``k``-th
+      id of ``Z``.  ``sub`` (int32) holds the row of the sub-itemset
+      ``P`` selects, or ``-1`` if it is absent.  The complement of ``P``
+      is the entry mirrored within the row's range, so a split
+      ``A ⇒ Z∖A`` is two reads of ``sub``.  ``owner`` maps each entry
+      back to its row;
     * ``strings`` — each row's ``str(sorted(items))``, the object path's
       tie-break text — and ``rank``, each row's position when those
-      strings are sorted.  Comparing ranks is comparing the strings.
+      strings are sorted (comparing ranks is comparing the strings);
+      both are built on first use.
     """
 
     __slots__ = (
         "indptr", "ids", "lengths", "counts", "padded", "bits",
-        "_sorted_keys", "_key_rows", "strings", "rank",
+        "_sorted_keys", "_key_rows", "split_indptr", "sub", "_owner",
+        "_vocabulary", "_strings", "_rank",
     )
 
     def __init__(
         self, counts: Mapping[frozenset[int], int], vocabulary: ItemVocabulary
     ) -> None:
-        n = len(counts)
-        self.lengths, self.indptr, self.ids, self.padded = _padded_rows(counts)
-        self.counts = np.fromiter(counts.values(), dtype=np.int64, count=n)
-        self.bits = (int(self.ids.max()) + 1 if self.ids.size else 0).bit_length()
+        self._vocabulary = vocabulary
+        self.counts = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        indptr, ids = _csr_rows(counts)
+        self._set_rows(indptr, ids, _padded(indptr, ids))
         keys = self._keys(self.padded)
         self._key_rows = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._key_rows]
+        self._build_splits()
 
-        self.strings = side_strings(self.indptr, self.ids, vocabulary)
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[np.argsort(self.strings, kind="stable")] = np.arange(n)
+    @classmethod
+    def of_rows(
+        cls, indptr: np.ndarray, ids: np.ndarray
+    ) -> tuple["ItemsetView", np.ndarray]:
+        """A rows-only view of the distinct rows of a CSR (ids ascending per
+        row), and the view row of every input row.
+
+        It has no counts, and no tie-break strings (no vocabulary).
+        """
+        view = cls.__new__(cls)
+        view._vocabulary = view.counts = None
+        view._set_rows(indptr, ids, _padded(indptr, ids))
+        keys, first, row_of = np.unique(
+            view._keys(view.padded), return_index=True, return_inverse=True
+        )
+        distinct_indptr, flat = csr_range_gather(indptr, first)
+        view._set_rows(distinct_indptr, ids[flat], view.padded[first])
+        view._sorted_keys = keys
+        view._key_rows = np.arange(len(first), dtype=np.int64)
+        view._build_splits()
+        return view, row_of.ravel()
+
+    def _set_rows(self, indptr: np.ndarray, ids: np.ndarray, padded: np.ndarray) -> None:
+        self.indptr, self.ids, self.padded = indptr, ids, padded
+        self.lengths = np.diff(indptr)
+        self.bits = (int(ids.max()) + 1 if ids.size else 0).bit_length()
+        self._strings = self._rank = self._owner = None
+
+    def _build_splits(self) -> None:
+        """The split table: one :meth:`find` per pattern of each length class."""
+        n_entries = np.where(self.lengths >= 2, (1 << self.lengths) - 2, 0)
+        self.split_indptr = np.zeros(len(self) + 1, dtype=np.int64)
+        np.cumsum(n_entries, out=self.split_indptr[1:])
+        self.sub = np.empty(int(self.split_indptr[-1]), dtype=np.int32)
+        for length in np.unique(self.lengths[self.lengths >= 2]).tolist():
+            rows = np.flatnonzero(self.lengths == length)
+            base = self.padded[rows, :length]
+            before_first = self.split_indptr[rows] - 1
+            for pattern in range(1, (1 << length) - 1):
+                found, ok = self.find(
+                    base[:, [k for k in range(length) if (pattern >> k) & 1]]
+                )
+                self.sub[before_first + pattern] = np.where(ok, found, -1)
 
     def __len__(self) -> int:
         return len(self.lengths)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The row owning each split-table entry (built on first use)."""
+        if self._owner is None:
+            self._owner = np.repeat(
+                np.arange(len(self), dtype=np.int32), np.diff(self.split_indptr)
+            )
+        return self._owner
+
+    @property
+    def strings(self) -> np.ndarray:
+        if self._strings is None:
+            self._strings = side_strings(self.indptr, self.ids, self._vocabulary)
+        return self._strings
+
+    @property
+    def rank(self) -> np.ndarray:
+        if self._rank is None:
+            self._rank = np.empty(len(self), dtype=np.int64)
+            self._rank[np.argsort(self.strings, kind="stable")] = np.arange(len(self))
+        return self._rank
 
     def _keys(self, sub: np.ndarray) -> np.ndarray:
         """One exact key per row of an ``(m, k)`` slice of ``id + 1`` columns.

@@ -79,6 +79,8 @@ class MiningConfig:
             raise ValueError(f"c_lift must be > 0, got {self.c_lift}")
         if self.c_supp <= 0:
             raise ValueError(f"c_supp must be > 0, got {self.c_supp}")
+        # below 1 they fail here, with PruningConfig's error, not after mining
+        PruningConfig(c_lift=self.c_lift, c_supp=self.c_supp)
 
     def with_(self, **overrides) -> "MiningConfig":
         """A copy of this config with the given fields replaced."""

@@ -24,15 +24,19 @@ every pairwise test sees all input rules, and a rule is dropped if any
 test marks it.  This makes the result independent of rule enumeration
 order, which the paper's description implicitly assumes.
 
-The production path (:func:`prune_rule_table` and the array core behind
-:func:`prune_rules`) finds the nested pairs by a join instead of testing
-every pair of a group: each rule's side is packed into uint64 id-masks
-(the packing ``core/bitmap.py`` uses for transactions), its proper
-subsets are enumerated (at most 14 at the paper's ``max_len`` 5), and
-each ``(subset, other side)`` key is matched against the keys of the
-rules whose side has that many items, one sort per size.  The pairwise
-statement of Sec. III-D it is tested against rule by rule lives in
-``tests/oracles.py``.
+The production path (:func:`prune_rule_table`, and :func:`prune_rules`
+on a table of its rules) finds the nested pairs on the itemset lattice
+instead of testing every pair of a group.  A rule ``A ⇒ C`` is one
+entry of the :class:`~repro.core.itemsets.ItemsetView` split table:
+itemset ``Z = A ∪ C`` and the pattern ``P`` that selects ``A``.  Its
+partners with a shorter antecedent (same consequent) or a shorter
+consequent (same antecedent) are entries of sub-itemsets of ``Z``, and
+a static per-length table of pattern arithmetic names them, so each
+pair costs three integer gathers.  A generated table carries its
+entries (its split provenance); any other table first maps its rules
+onto a rows-only view of their itemsets (the ``prune-entries`` kernel).
+The pairwise statement of Sec. III-D it is tested against rule by rule
+lives in ``tests/oracles.py``.
 
 An optional *condensation* pass (``condense=True``) further shrinks the
 survivor set per Kannan & Bhaskaran: rules whose null-invariant
@@ -45,8 +49,8 @@ conditions 5 (low interest) and 6 (clustered).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, defaultdict
-from itertools import combinations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Sequence
 
@@ -54,9 +58,10 @@ import numpy as np
 
 from .bitmap import kernel_timer
 from .interest import extended_metrics_columns
-from .items import Item, as_item
+from .items import Item, ItemVocabulary, as_item
+from .itemsets import ItemsetView
 from .rules import AssociationRule
-from .ruletable import RuleTable, pack_side_masks, row_ids
+from .ruletable import RuleTable, csr_range_gather
 
 __all__ = [
     "PruningConfig",
@@ -64,6 +69,7 @@ __all__ = [
     "PruningReport",
     "prune_rules",
     "prune_rule_table",
+    "keyword_condition_codes",
     "keyword_rules",
 ]
 
@@ -146,112 +152,159 @@ def keyword_rules(
 # ---------------------------------------------------------------------------
 
 
-def _equal_key_pairs(
-    keys: np.ndarray, wanted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every ``(i, j)`` with ``keys[i] == wanted[j]``, by one sort.
+def _pext(value: int, mask: int) -> int:
+    """The bits of *value* at the set positions of *mask*, packed low."""
+    out = k = 0
+    while mask:
+        low = mask & -mask
+        if value & low:
+            out |= 1 << k
+        k += 1
+        mask ^= low
+    return out
 
-    Keys repeat when rules do, and every copy pairs.
+
+@functools.cache
+def _nested_patterns(length: int) -> list[np.ndarray]:
+    """The static partner table of a length-``L`` itemset's splits.
+
+    Item ``X`` (``1 … 2**L - 2``) is for the split side of pattern ``X``
+    that shrinks while the other side ``Y = full ^ X`` stays: a
+    ``(3, k)`` array with one column per proper nonempty ``s ⊂ X`` and
+    three rows, each minus one (the entry offset): ``m = s | Y``, the
+    pattern of the sub-itemset ``s ∪ Y`` within the itemset; ``pext(s, m)``, the pattern within
+    that sub-itemset of the side cut to ``s``; and ``pext(Y, m)``, that
+    of the kept side.
     """
-    n = len(keys)
-    # doubled, so each query sorts after the rules sharing its key
-    tagged = np.concatenate([keys, wanted])
-    tagged <<= 1
-    tagged[n:] += 1
-    order = np.argsort(tagged)
-    run_keys = tagged[order]
-    del tagged
-    run_keys >>= 1
-    new_run = np.empty(run_keys.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(run_keys[1:], run_keys[:-1], out=new_run[1:])
-    del run_keys
-    run_start = np.flatnonzero(new_run)
-    run = np.cumsum(new_run)
-    run -= 1
-    is_key = order < n
-    n_keys = np.add.reduceat(is_key.astype(np.int64), run_start)
-    queries = np.flatnonzero(~is_key)
-    query_run = run[queries]
-    del run, is_key
-    hits = n_keys[query_run]
-    offsets = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
-    matched = order[np.repeat(run_start[query_run], hits) + offsets]
-    return matched, np.repeat(order[queries] - n, hits)
+    full = (1 << length) - 1
+    table = [np.zeros((3, 0), dtype=np.int64)]
+    for x in range(1, full):
+        y = full ^ x
+        rows = []
+        s = (x - 1) & x
+        while s:
+            m = s | y
+            rows.append((m - 1, _pext(s, m) - 1, _pext(y, m) - 1))
+            s = (s - 1) & x
+        table.append(np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy())
+    return table
 
 
-def _nested_pairs(
-    side_indptr: np.ndarray,
-    side_ids: np.ndarray,
-    side_masks: np.ndarray,
-    other_id: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(short, long)`` index arrays of every pair of rules with the same
-    other side (dense ids *other_id*) whose *side* sets nest strictly.
+def _split_entries(table: RuleTable) -> tuple[ItemsetView, np.ndarray]:
+    """Each rule's entry ``(Z, P)`` in a split table: ``Z = A ∪ C`` and
+    ``P`` selects ``A``.
 
-    A side of *k* items has ``2**k - 2`` proper nonempty subsets — 14 at
-    the paper's ``max_len`` 5, whose sides hold at most 4 items.  The
-    subsets of each size *j*, paired with their rule's other side, are
-    joined against the keys of the rules whose side has *j* items.  The
-    cost is linear in the rules times their subsets, not quadratic in
-    the size of a group.
+    A generated table carries them; any other table gets a rows-only
+    :class:`ItemsetView` over its distinct rule itemsets.  Raises
+    ``ValueError`` for a rule with an empty or overlapping side.
     """
-    sizes = np.diff(side_indptr)
-    n_other = int(other_id.max()) + 1
-    # one single-item mask per position of every side of k >= 2 items
-    singles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k in np.unique(sizes[sizes >= 2]).tolist():
-        rows = np.flatnonzero(sizes == k)
-        members = side_ids[side_indptr[rows][:, None] + np.arange(k)].T
-        members = members.astype(np.uint64)
-        bits = np.zeros((k, rows.size, side_masks.shape[1]), dtype=np.uint64)
-        for j in range(k):
-            bits[j, np.arange(rows.size), members[j] >> np.uint64(6)] = (
-                np.uint64(1) << (members[j] & np.uint64(63))
-            )
-        singles[k] = rows, bits
+    if table._splits is not None:
+        return table._splits
+    with kernel_timer("prune-entries"):
+        ant_sizes, cons_sizes = table.ant_sizes(), table.cons_sizes()
+        if not (ant_sizes.all() and cons_sizes.all()):
+            raise ValueError("rule sides must be non-empty")
+        n = len(table)
+        lengths = ant_sizes + cons_sizes
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        rules = np.arange(n, dtype=np.int64)
+        ids = np.concatenate([table.ant_ids, table.cons_ids]).astype(np.int64)
+        from_ant = np.arange(ids.size) < table.ant_ids.size
+        order = np.lexsort((ids, np.concatenate([
+            np.repeat(rules, ant_sizes), np.repeat(rules, cons_sizes),
+        ])))
+        ids, from_ant = ids[order], from_ant[order]
+        rows = np.repeat(rules, lengths)
+        if ((ids[1:] == ids[:-1]) & (rows[1:] == rows[:-1])).any():
+            raise ValueError("antecedent and consequent must be disjoint")
+        position = np.arange(ids.size, dtype=np.int64) - indptr[rows]
+        pattern = np.add.reduceat(from_ant.astype(np.int64) << position, indptr[:-1])
+        view, row = ItemsetView.of_rows(indptr, ids)
+        return view, view.split_indptr[row] + pattern - 1
 
-    shorts: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    longs: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    for size in range(1, int(sizes.max())):
-        short_rows = np.flatnonzero(sizes == size)
-        if short_rows.size == 0:
-            continue
-        subsets = [side_masks[short_rows]]
-        long_rows = []
-        for k, (rows, bits) in singles.items():
-            if k <= size:
+
+def _partner_pairs(
+    view: ItemsetView, entry: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``(short, long)`` index arrays of every pair of rules whose
+    antecedents nest strictly under an equal consequent, then of those
+    whose consequents nest strictly under an equal antecedent.
+
+    Rule ``i`` is the split-table entry ``entry[i] = (Z, P)``.  Each
+    proper nonempty ``s`` of its shrinking side names its shorter
+    partner: itemset row ``Z' = sub[Z, s | Y]`` and, within ``Z'``, the
+    pattern the static table gives — three integer gathers per pair, no
+    sort or search.  Rules are taken one ``(L, P)`` class at a time, so a
+    class's pairs are one broadcast over its rules.  When rules repeat an
+    entry, every copy pairs with every copy of its partners.
+    """
+    # an absent sub-itemset (row -1) reads split_indptr[-1], the end of
+    # the table; rule_at is -1 there and for every offset after it
+    rule_at = np.full(len(view.sub) + (1 << int(view.lengths.max())), -1, dtype=np.int64)
+    rule_at[entry] = np.arange(len(entry))
+    unique, copies = entry, None
+    if not np.array_equal(rule_at[entry], np.arange(len(entry))):
+        unique, inverse, copies = np.unique(entry, return_inverse=True, return_counts=True)
+        rule_at[unique] = np.arange(len(unique))
+    row = view.owner[unique]
+    start = view.split_indptr[row]
+    klass = (1 << view.lengths[row]) + (unique - start + 1)  # (L, P) as 2**L + P
+    order = np.argsort(klass, kind="stable")
+    bounds = np.flatnonzero(np.diff(klass[order])) + 1
+    pairs: tuple[list[np.ndarray], ...] = ([], [], [], [])
+    for rules in np.split(order, bounds):
+        length = int(klass[rules[0]]).bit_length() - 1
+        full = (1 << length) - 1
+        pattern = int(klass[rules[0]]) - (1 << length)
+        table = _nested_patterns(length)
+        first = start[rules][:, None]
+        for shrinking, side, (short_out, long_out) in (
+            (pattern, 1, pairs[0:2]), (full ^ pattern, 2, pairs[2:4]),
+        ):
+            columns = table[shrinking]
+            if not columns[0].size:
                 continue
-            for positions in combinations(range(k), size):
-                subsets.append(np.bitwise_or.reduce(bits[list(positions)], axis=0))
-                long_rows.append(rows)
-        long_of = np.concatenate(long_rows)
-        ids = row_ids(np.concatenate(subsets))
-        del subsets
-        m = short_rows.size
-        short, query = _equal_key_pairs(
-            ids[:m] * n_other + other_id[short_rows],
-            ids[m:] * n_other + other_id[long_of],
-        )
-        shorts.append(short_rows[short])
-        longs.append(long_of[query])
-    return np.concatenate(shorts), np.concatenate(longs)
+            partner = view.split_indptr[view.sub[first + columns[0]]] + columns[side]
+            short = rule_at[partner]
+            found = short >= 0
+            short_out.append(short[found])
+            long_out.append(np.broadcast_to(rules[:, None], short.shape)[found])
+    empty = np.zeros(0, dtype=np.int64)
+    short1, long1, short2, long2 = (np.concatenate([empty, *p]) for p in pairs)
+    if copies is not None:
+        short1, long1 = _copy_pairs(short1, long1, inverse, copies)
+        short2, long2 = _copy_pairs(short2, long2, inverse, copies)
+    return (short1, long1), (short2, long2)
+
+
+def _copy_pairs(
+    short: np.ndarray, long_: np.ndarray, inverse: np.ndarray, copies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of distinct entries → every pair of their rule copies."""
+    members = np.argsort(inverse, kind="stable")
+    first = np.cumsum(copies) - copies
+    n_long = copies[long_]
+    n_pairs = copies[short] * n_long
+    pair = np.repeat(np.arange(len(short)), n_pairs)
+    k = np.arange(int(n_pairs.sum())) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    return (
+        members[first[short[pair]] + k // n_long[pair]],
+        members[first[long_[pair]] + k % n_long[pair]],
+    )
 
 
 def _mark_conditions(
-    ant_indptr: np.ndarray,
-    ant_ids: np.ndarray,
-    cons_indptr: np.ndarray,
-    cons_ids: np.ndarray,
+    view: ItemsetView,
+    entry: np.ndarray,
     lift: np.ndarray,
     support: np.ndarray,
     in_ant: np.ndarray,
     in_cons: np.ndarray,
     c_lift: float,
     c_supp: float,
-    n_items: int,
 ) -> np.ndarray:
-    """Condition codes 1–4 of every rule (0 = kept), by subset join.
+    """Condition codes 1–4 of every rule (0 = kept), by the lattice join.
 
     Antecedents nested under a shared consequent (short ⊂ long):
 
@@ -272,12 +325,8 @@ def _mark_conditions(
     A rule marked under both groupings keeps its C1/C4 code.
     """
     n = len(lift)
-    ant_masks = pack_side_masks(ant_indptr, ant_ids, n_items)
-    cons_masks = pack_side_masks(cons_indptr, cons_ids, n_items)
-
-    short, long_ = _nested_pairs(
-        ant_indptr, ant_ids, ant_masks, row_ids(cons_masks)
-    )
+    antecedent_pairs, consequent_pairs = _partner_pairs(view, entry)
+    short, long_ = antecedent_pairs
     lift_short_ok = c_lift * lift[short] >= lift[long_]
     pair1 = in_cons[short]
     mark1 = np.zeros(n, dtype=bool)
@@ -288,10 +337,7 @@ def _mark_conditions(
     mark4 = np.zeros(n, dtype=bool)
     mark4[long_[pair4 & lift_short_ok]] = True
 
-    del short, long_
-    short, long_ = _nested_pairs(
-        cons_indptr, cons_ids, cons_masks, row_ids(ant_masks)
-    )
+    short, long_ = consequent_pairs
     pair2 = in_ant[short]
     mark2 = np.zeros(n, dtype=bool)
     lift_long_ok = c_lift * lift[long_] >= lift[short]
@@ -305,56 +351,6 @@ def _mark_conditions(
     return np.select(
         [mark1, mark4, mark2, mark3], [1, 4, 2, 3], default=0
     ).astype(np.int8)
-
-
-def _prune_arrays(
-    ant_indptr: np.ndarray,
-    ant_ids: np.ndarray,
-    cons_indptr: np.ndarray,
-    cons_ids: np.ndarray,
-    lift: np.ndarray,
-    support: np.ndarray,
-    confidence: np.ndarray,
-    in_ant: np.ndarray,
-    in_cons: np.ndarray,
-    config: PruningConfig,
-    condense_config: CondenseConfig | None,
-) -> np.ndarray:
-    """Array core shared by both public paths.
-
-    Returns the per-rule condition code (0 = kept; 1–4 = Sec. III-D;
-    5/6 = condensation).  All inputs are keyword-relevant rules only.
-    A rule marked by several phases records the first: the
-    consequent-grouped phase (C1/C4) wins over the antecedent-grouped
-    phase (C2/C3), which wins over condensation.
-    """
-    if len(lift) == 0:
-        return np.zeros(0, dtype=np.int8)
-
-    n_items = 1
-    if ant_ids.size:
-        n_items = max(n_items, int(ant_ids.max()) + 1)
-    if cons_ids.size:
-        n_items = max(n_items, int(cons_ids.max()) + 1)
-
-    with kernel_timer("prune-join"):
-        cond = _mark_conditions(
-            ant_indptr, ant_ids, cons_indptr, cons_ids, lift, support,
-            in_ant, in_cons, config.c_lift, config.c_supp, n_items,
-        )
-
-    if condense_config is not None:
-        with kernel_timer("prune-condense"):
-            survivors = np.flatnonzero(cond == 0)
-            cond[survivors] = _condense_codes(
-                [frozenset(int(x) for x in ant_ids[ant_indptr[i]:ant_indptr[i + 1]])
-                 for i in survivors],
-                [tuple(int(x) for x in cons_ids[cons_indptr[i]:cons_indptr[i + 1]])
-                 for i in survivors],
-                support[survivors], confidence[survivors], lift[survivors],
-                condense_config,
-            )
-    return cond
 
 
 def _condense_codes(
@@ -395,6 +391,66 @@ def _count_codes(report: PruningReport, cond: np.ndarray) -> None:
     report.pruned_by_condition.update(dict(zip(codes.tolist(), counts.tolist())))
 
 
+def keyword_condition_codes(
+    table: RuleTable,
+    keyword: Item | str,
+    config: PruningConfig = PruningConfig(),
+    *,
+    condense: bool = False,
+    condense_config: CondenseConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(relevant rows, condition code of each)`` of a table for *keyword*.
+
+    The relevant rows are those holding the keyword on either side, in
+    table order.  Codes: 0 kept, 1–4 Sec. III-D, 5/6 condensation.  A
+    rule marked by several phases records the first: the
+    consequent-grouped phase (C1/C4) wins over the antecedent-grouped
+    phase (C2/C3), which wins over condensation.
+    """
+    keyword_id = table.vocabulary.get_id(as_item(keyword))
+    if keyword_id is None or len(table) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8)
+    in_ant, in_cons = table.contains_id(keyword_id)
+    relevant = in_ant | in_cons
+    rows = np.flatnonzero(relevant)
+    if not relevant.all():
+        table = table.select(rows)
+        in_ant, in_cons = in_ant[rows], in_cons[rows]
+    return rows, _codes(
+        table, in_ant, in_cons, config,
+        (condense_config or CondenseConfig()) if condense else None,
+    )
+
+
+def _codes(
+    table: RuleTable,
+    in_ant: np.ndarray,
+    in_cons: np.ndarray,
+    config: PruningConfig,
+    condense_config: CondenseConfig | None,
+) -> np.ndarray:
+    """Condition code of every rule of a table of keyword-relevant rules."""
+    if len(table) == 0:
+        return np.zeros(0, dtype=np.int8)
+    view, entry = _split_entries(table)
+    with kernel_timer("prune-join"):
+        cond = _mark_conditions(
+            view, entry, table.lift, table.support, in_ant, in_cons,
+            config.c_lift, config.c_supp,
+        )
+
+    if condense_config is not None:
+        with kernel_timer("prune-condense"):
+            survivors = np.flatnonzero(cond == 0)
+            cond[survivors] = _condense_codes(
+                [frozenset(table.ant_row(i).tolist()) for i in survivors],
+                [tuple(table.cons_row(i).tolist()) for i in survivors],
+                table.support[survivors], table.confidence[survivors],
+                table.lift[survivors], condense_config,
+            )
+    return cond
+
+
 def prune_rule_table(
     table: RuleTable,
     keyword: Item | str,
@@ -409,25 +465,11 @@ def prune_rule_table(
     :func:`prune_rules`.  Returns the surviving rows — input order
     preserved — and a :class:`PruningReport`.
     """
-    kw = as_item(keyword)
-    report = PruningReport()
-    keyword_id = table.vocabulary.get_id(kw)
-    if keyword_id is None or len(table) == 0:
-        return table.select(np.empty(0, dtype=np.int64)), report
-
-    in_ant_all, in_cons_all = table.contains_id(keyword_id)
-    relevant_rows = np.flatnonzero(in_ant_all | in_cons_all)
-    sub = table.select(relevant_rows)
-    report.n_input = len(sub)
-
-    cond = _prune_arrays(
-        sub.ant_indptr, sub.ant_ids, sub.cons_indptr, sub.cons_ids,
-        sub.lift, sub.support, sub.confidence,
-        in_ant_all[relevant_rows], in_cons_all[relevant_rows],
-        config,
-        (condense_config or CondenseConfig()) if condense else None,
+    rows, cond = keyword_condition_codes(
+        table, keyword, config, condense=condense, condense_config=condense_config
     )
-    kept = sub.select(np.flatnonzero(cond == 0))
+    report = PruningReport(n_input=len(rows))
+    kept = table.select(rows[cond == 0])
     report.n_kept = len(kept)
     _count_codes(report, cond)
     return kept, report
@@ -445,8 +487,8 @@ def prune_rules(
 
     Input rules not containing the keyword are removed up front (they are
     irrelevant to the analysis objective).  Returns the surviving rules in
-    their input order plus a :class:`PruningReport`.  Runs the same array
-    kernel as :func:`prune_rule_table`.
+    their input order plus a :class:`PruningReport`.  Runs the same
+    kernel as :func:`prune_rule_table`, on a table of the relevant rules.
 
     With ``condense=True`` an additional interestingness + clustering
     pass (see :class:`CondenseConfig`) shrinks the survivor set; dropped
@@ -456,46 +498,18 @@ def prune_rules(
     relevant = keyword_rules(rules, kw)
     report = PruningReport(n_input=len(relevant))
     if not relevant:
-        report.n_kept = 0
         return [], report
 
-    cond = _rule_codes(
-        relevant, kw, config,
+    n = len(relevant)
+    cond = _codes(
+        # the join reads ids only, so no vocabulary is rebuilt from items
+        RuleTable.from_rules(relevant, ItemVocabulary()),
+        np.fromiter((kw in r.antecedent for r in relevant), bool, count=n),
+        np.fromiter((kw in r.consequent for r in relevant), bool, count=n),
+        config,
         (condense_config or CondenseConfig()) if condense else None,
     )
     kept = [rule for i, rule in enumerate(relevant) if not cond[i]]
     report.n_kept = len(kept)
     _count_codes(report, cond)
     return kept, report
-
-
-def _rule_codes(
-    relevant: Sequence[AssociationRule],
-    kw: Item,
-    config: PruningConfig,
-    condense_config: CondenseConfig | None = None,
-) -> np.ndarray:
-    """The array kernel's condition code of each keyword-relevant rule."""
-    ant_indptr = [0]
-    cons_indptr = [0]
-    ant_ids: list[int] = []
-    cons_ids: list[int] = []
-    for rule in relevant:
-        ant_ids.extend(sorted(rule.antecedent_ids))
-        cons_ids.extend(sorted(rule.consequent_ids))
-        ant_indptr.append(len(ant_ids))
-        cons_indptr.append(len(cons_ids))
-    n = len(relevant)
-    return _prune_arrays(
-        np.asarray(ant_indptr, dtype=np.int64),
-        np.asarray(ant_ids, dtype=np.int64),
-        np.asarray(cons_indptr, dtype=np.int64),
-        np.asarray(cons_ids, dtype=np.int64),
-        np.fromiter((r.lift for r in relevant), np.float64, count=n),
-        np.fromiter((r.support for r in relevant), np.float64, count=n),
-        np.fromiter((r.confidence for r in relevant), np.float64, count=n),
-        np.fromiter((kw in r.antecedent for r in relevant), bool, count=n),
-        np.fromiter((kw in r.consequent for r in relevant), bool, count=n),
-        config,
-        condense_config,
-    )

@@ -15,15 +15,18 @@ split; generation raises ``ValueError`` on it instead of dropping rules.
 
 :func:`generate_rule_table` is the columnar kernel.  It reads the pass's
 one :class:`~repro.core.itemsets.ItemsetView` (built once per
-:class:`FrequentItemsets`, shared by every keyword).  Itemsets are
-grouped by length; every antecedent/consequent split of a length-``L``
-class is one bit-pattern applied to an ``(M, L)`` id matrix, subset
-supports come from the view's sorted packed keys via ``np.searchsorted``,
-all metrics are scored in one vectorised batch, the min-lift /
-min-confidence / keyword filters are boolean masks, and the canonical
-order is one ``np.lexsort`` over the metrics and the view's integer
-string ranks.  No :class:`AssociationRule` object or tie-break string is
-built per rule.  Returns a :class:`~repro.core.ruletable.RuleTable`.
+:class:`FrequentItemsets`, shared by every keyword), whose split table
+holds, for every itemset ``Z`` and pattern ``P``, the row of the
+sub-itemset ``P`` selects.  A keyword's candidates are the entries of
+its surface itemsets, one ``csr_range_gather``: the antecedent is the
+entry's row, the consequent the row of the complementary pattern, the
+joint count ``Z``'s.  All metrics are scored in one vectorised batch,
+the min-lift / min-confidence filters are boolean masks, and the
+canonical order is one ``np.lexsort`` over the metrics and the view's
+integer string ranks.  No :class:`AssociationRule` object or tie-break
+string is built per rule, and no subset is searched for per keyword.
+Returns a :class:`~repro.core.ruletable.RuleTable` that keeps each
+row's split-table entry (its split provenance) for Conditions 1–4.
 The powerset-split oracle it is tested against bit for bit lives in
 ``tests/oracles.py``.
 
@@ -40,7 +43,7 @@ import numpy as np
 
 from .bitmap import kernel_timer
 from .items import Item, render_itemset
-from .itemsets import FrequentItemsets, ItemsetView
+from .itemsets import FrequentItemsets
 from .metrics import RuleMetrics
 from .ruletable import RuleTable, csr_range_gather, rows_containing
 
@@ -188,8 +191,8 @@ def generate_rule_table(
     metric arithmetic and sorted by ``(-lift, -confidence, -support,
     antecedent, consequent)``, but no per-rule object or string is
     created: the result is a :class:`RuleTable` whose rows are exactly the
-    surviving rules, read off the pass's one
-    :class:`~repro.core.itemsets.ItemsetView`.
+    surviving rules, read off the split table of the pass's one
+    :class:`~repro.core.itemsets.ItemsetView`, each row with its entry.
     Raises ``ValueError`` if a split's side is missing from the table
     (the table is not downward-closed).
     """
@@ -210,11 +213,20 @@ def generate_rule_table(
         surface = np.flatnonzero(wanted)
         if not surface.size:
             return RuleTable.empty(vocabulary)
-        cxy, ant_rows, cons_rows, missing = _enumerate_splits(view, surface)
+        # every split of a surface itemset is one entry of its lattice row;
+        # the consequent is the complementary pattern, mirrored in the row
+        _, entry = csr_range_gather(view.split_indptr, surface)
+        itemset = view.owner[entry]
+        ant_rows = view.sub[entry]
+        cons_rows = view.sub[
+            view.split_indptr[itemset] + view.split_indptr[itemset + 1] - 1 - entry
+        ]
+        missing = itemset[(ant_rows < 0) | (cons_rows < 0)]
         if missing.size:
             first = int(missing.min())
             ids = view.ids[view.indptr[first]:view.indptr[first + 1]]
             raise _not_downward_closed(itemsets, frozenset(ids.tolist()), missing.size)
+        cxy = view.counts[itemset]
 
     # ---- score every candidate in one batch; filter before materialising ----
     with kernel_timer("rules-score"):
@@ -252,42 +264,5 @@ def generate_rule_table(
         leverage_arr[keep], conviction_arr[keep],
     )
     table._sort_strings_cache = (view.strings[ant_rows], view.strings[cons_rows])
+    table._splits = (view, entry[keep])
     return table
-
-
-def _enumerate_splits(
-    view: ItemsetView, surface: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every antecedent/consequent split of the *surface* rows.
-
-    Itemsets are grouped by length; each split of a length-``L`` group is
-    one bit pattern over its ``(M, L)`` id columns, and both sides' rows
-    are found by one binary search each (:meth:`ItemsetView.find`).
-    Returns ``(count_xy, antecedent rows, consequent rows, missing)``,
-    where ``missing`` holds the itemset row of every split with a side
-    absent from the table (empty for a downward-closed table).
-    """
-    lengths = view.lengths[surface]
-    cxy_parts: list[np.ndarray] = []
-    ant_parts: list[np.ndarray] = []
-    cons_parts: list[np.ndarray] = []
-    missing_parts: list[np.ndarray] = []
-    for length in np.unique(lengths).tolist():
-        rows = surface[lengths == length]
-        base = view.padded[rows, :length]
-        cnt = view.counts[rows]
-        for pattern in range(1, (1 << length) - 1):
-            cols_a = [k for k in range(length) if (pattern >> k) & 1]
-            cols_c = [k for k in range(length) if not (pattern >> k) & 1]
-            rows_a, valid_a = view.find(base[:, cols_a])
-            rows_c, valid_c = view.find(base[:, cols_c])
-            missing_parts.append(rows[~(valid_a & valid_c)])
-            cxy_parts.append(cnt)
-            ant_parts.append(rows_a)
-            cons_parts.append(rows_c)
-    return (
-        np.concatenate(cxy_parts),
-        np.concatenate(ant_parts),
-        np.concatenate(cons_parts),
-        np.concatenate(missing_parts),
-    )

@@ -15,11 +15,15 @@ can instead operate on these columns with numpy, materialising
 ``AssociationRule`` views lazily (``table[i]`` / ``table.to_rules()``)
 only at the presentation boundary.
 
-Subset tests for the pruning algebra come from :meth:`side_masks`: each
-side is packed into ``ceil(n_items/64)`` uint64 words (bit ``t & 63`` of
-word ``t >> 6`` set iff item ``t`` is present), the same layout as
-``core/bitmap.py`` uses for transactions, so ``X ⊆ Y`` is
-``(x & y) == x`` over a handful of words.
+:meth:`side_masks` packs each side into ``ceil(n_items/64)`` uint64
+words (bit ``t & 63`` of word ``t >> 6`` set iff item ``t`` is present),
+the same layout as ``core/bitmap.py`` uses for transactions, so
+``X ⊆ Y`` is ``(x & y) == x`` over a handful of words; :meth:`dedup`
+and :func:`side_strings` key rows by them.  A generated table also
+keeps its split provenance — its itemset view and each row's entry in
+that view's split table — which Conditions 1–4 join on.  ``select``
+(and so ``sort_canonical`` and ``dedup``) carries it; ``concat`` of two
+or more tables, ``remap_ids`` and pickling drop it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .items import Item, ItemVocabulary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (rules imports us)
+    from .itemsets import ItemsetView
     from .rules import AssociationRule
 
 __all__ = ["RuleTable", "METRIC_COLUMNS", "row_ids", "side_strings", "sort_within_rows"]
@@ -161,7 +166,7 @@ class RuleTable:
         "vocabulary",
         "ant_indptr", "ant_ids", "cons_indptr", "cons_ids",
         "support", "confidence", "lift", "leverage", "conviction",
-        "_sort_strings_cache",
+        "_sort_strings_cache", "_splits",
     )
 
     def __init__(
@@ -195,13 +200,18 @@ class RuleTable:
         self.leverage = _as_metric(leverage, n, "leverage")
         self.conviction = _as_metric(conviction, n, "conviction")
         self._sort_strings_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # split provenance of a generated table: the itemset view it was
+        # read from and each row's entry in that view's split table
+        self._splits: tuple[ItemsetView, np.ndarray] | None = None
 
     # -- pickling (slots class) ------------------------------------------------
 
     def __getstate__(self) -> dict[str, object]:
-        return {name: getattr(self, name) for name in self.__slots__}
+        # the split provenance stays behind: it references the whole view
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_splits"}
 
     def __setstate__(self, state: dict[str, object]) -> None:
+        self._splits = None
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -392,6 +402,9 @@ class RuleTable:
         if self._sort_strings_cache is not None:
             ant_strs, cons_strs = self._sort_strings_cache
             out._sort_strings_cache = (ant_strs[rows], cons_strs[rows])
+        if self._splits is not None:
+            view, entry = self._splits
+            out._splits = (view, entry[rows])
         return out
 
     def remap_ids(

@@ -11,6 +11,7 @@ and serving layers without changing any observable result.
 from __future__ import annotations
 
 import math
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -29,7 +30,7 @@ from repro.core.patterns import closed_itemsets
 from repro.core.pruning import (
     CondenseConfig,
     PruningConfig,
-    _prune_arrays,
+    keyword_condition_codes,
     prune_rule_table,
     prune_rules,
 )
@@ -54,13 +55,20 @@ def oracle_rules(its: FrequentItemsets, **kwargs):
 
 
 def kernel_codes(table: RuleTable, kw_id: int, config=PruningConfig()) -> list[int]:
-    """The Conditions 1–4 kernel's code for every row of a keyword table."""
-    in_ant, in_cons = table.contains_id(kw_id)
-    assert (in_ant | in_cons).all()
-    return _prune_arrays(
-        table.ant_indptr, table.ant_ids, table.cons_indptr, table.cons_ids,
-        table.lift, table.support, table.confidence, in_ant, in_cons, config, None,
-    ).tolist()
+    """The production join's code for every row of a keyword table.
+
+    A generated table is joined through its split provenance and again
+    as a pickled copy, which has none; both must give the same codes.
+    """
+    keyword = table.vocabulary.item_of(kw_id)
+    stripped = pickle.loads(pickle.dumps(table))
+    assert table._splits is not None and stripped._splits is None
+    rows, codes = keyword_condition_codes(table, keyword, config)
+    assert rows.tolist() == list(range(len(table)))
+    rows_s, codes_s = keyword_condition_codes(stripped, keyword, config)
+    assert rows_s.tolist() == rows.tolist()
+    assert codes_s.tolist() == codes.tolist()
+    return codes.tolist()
 
 
 class TestKernelVsLegacy:

@@ -6,12 +6,15 @@
   strategies reach more than 64 frequent items (masks of two or more
   words), ``max_len`` None/1/2, ``min_support`` 0 and 1, empty
   transactions and ``txn_range`` views.
-* The Conditions 1–4 subset join against the pairwise statement of
+* The Conditions 1–4 lattice join against the pairwise statement of
   Sec. III-D (:func:`tests.oracles.condition_codes`): identical
   condition code per rule, not just identical survivors, with sides of
-  six or more items, vocabularies over 64 items and ``C_lift``/``C_supp``
-  other than the paper's 1.5.  (Test names with ``object_tree`` or
-  ``legacy`` date from the frozen twins these oracles replaced.)
+  six or more items, vocabularies over 64 items, duplicate rules and
+  ``C_lift``/``C_supp`` other than the paper's 1.5 — through the public
+  :func:`repro.core.pruning.keyword_condition_codes`, on tables that
+  carry their split provenance (generated) and on tables that do not.
+  (Test names with ``object_tree`` or ``legacy`` date from the frozen
+  twins these oracles replaced.)
 * The serving batch encoder
   (:func:`repro.serve.batchmatch.encode_id_transactions`) against set
   inclusion: bit ``i`` of a packed row is set iff item ``i`` is in the
@@ -22,6 +25,7 @@
 from __future__ import annotations
 
 import importlib
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -32,8 +36,13 @@ from repro.core import Item, PruningConfig, TransactionDatabase
 from repro.core.fpgrowth import fpgrowth
 from repro.core.items import ItemVocabulary
 from repro.core.itemsets import FrequentItemsets
-from repro.core.pruning import _rule_codes, keyword_rules, prune_rule_table, prune_rules
-from repro.core.rules import AssociationRule, generate_rules
+from repro.core.pruning import (
+    keyword_condition_codes,
+    keyword_rules,
+    prune_rule_table,
+    prune_rules,
+)
+from repro.core.rules import AssociationRule, generate_rule_table
 from repro.core.ruletable import RuleTable
 from repro.serve.batchmatch import encode_id_transactions
 
@@ -145,15 +154,27 @@ def keyword_rule_sets(draw):
     return n_items, rules
 
 
-def assert_join_matches_oracle(rules, config, n_items):
+def assert_join_matches_oracle(rules, config, n_items, table=None):
+    """Codes of the production join equal the oracle's, rule by rule.
+
+    *table* (the same rules, in order, with split provenance) is checked
+    too when given; every table is also checked without provenance.
+    """
     relevant = keyword_rules(rules, KEYWORD)
-    codes = _rule_codes(relevant, KEYWORD, config)
     expected = condition_codes(
         [(r.antecedent_ids, r.consequent_ids, r.support, r.confidence, r.lift)
          for r in relevant],
         0, config.c_lift, config.c_supp,
     )
-    assert codes.tolist() == expected
+    relevant_rows = [i for i, r in enumerate(rules) if r.contains(KEYWORD)]
+    tables = [RuleTable.from_rules(rules, _vocab(n_items))]
+    if table is not None:
+        assert table._splits is not None
+        tables += [table, pickle.loads(pickle.dumps(table))]
+    for candidate in tables:
+        rows, codes = keyword_condition_codes(candidate, KEYWORD, config)
+        assert rows.tolist() == relevant_rows
+        assert codes.tolist() == expected
 
     kept, report = prune_rules(rules, KEYWORD, config)
     assert kept == [r for r, code in zip(relevant, expected) if not code]
@@ -186,8 +207,10 @@ def test_join_codes_match_legacy_on_mined_rules(noise, min_lift, c_lift, c_supp)
     raw = [list(range(7))] * 8 + noise
     db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(10))
     itemsets = FrequentItemsets(fpgrowth(db, 0.3, None), db.vocabulary, len(db), 0.3)
-    rules = generate_rules(itemsets, min_lift=min_lift)
-    assert_join_matches_oracle(rules, PruningConfig(c_lift, c_supp), 10)
+    table = generate_rule_table(itemsets, min_lift=min_lift)
+    assert_join_matches_oracle(
+        table.to_rules(), PruningConfig(c_lift, c_supp), 10, table=table
+    )
 
 
 def test_pair_counts_summed_over_blocks(monkeypatch):
