@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitmap import kernel_timer, popcount
-from .transactions import TransactionDatabase
+from .transactions import TransactionDatabase, min_support_count
 
 __all__ = ["apriori", "apriori_naive", "generate_candidates"]
 
@@ -70,7 +70,7 @@ def apriori(
     n = len(db)
     if n == 0:
         return {}
-    min_count = max(1, int(np.ceil(min_support * n - 1e-9)))
+    min_count = min_support_count(n, min_support)
 
     out: dict[frozenset[int], int] = {}
 
@@ -129,7 +129,7 @@ def apriori_naive(
     n = len(db)
     if n == 0:
         return {}
-    min_count = max(1, int(np.ceil(min_support * n - 1e-9)))
+    min_count = min_support_count(n, min_support)
 
     transactions = [frozenset(t.tolist()) for t in db.iter_id_transactions()]
     out: dict[frozenset[int], int] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitmap import kernel_timer, popcount
-from .transactions import TransactionDatabase
+from .transactions import TransactionDatabase, min_support_count
 
 __all__ = ["eclat"]
 
@@ -33,7 +33,7 @@ def eclat(
     n = len(db)
     if n == 0:
         return {}
-    min_count = max(1, int(np.ceil(min_support * n - 1e-9)))
+    min_count = min_support_count(n, min_support)
 
     item_counts = db.item_support_counts()
     frequent_items = [int(i) for i in np.flatnonzero(item_counts >= min_count)]

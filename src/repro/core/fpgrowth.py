@@ -10,19 +10,26 @@ instead of a pointer tree.  Each transaction becomes a bitmask of its
 frequent items' frequency ranks (``(rows, W)`` uint64, ``W = ceil(n_ranks
 / 64)``; the paper's traces have ``W = 1``), and identical masks collapse
 into weighted rows (quartile-binned traces repeat the same few thousand
-row shapes across 100k jobs).  At each node one pair-count product over
-the rows gives every child's exact conditional counts, and a child's
-projected database — the conditional pattern base — is the rows holding
-its rank, AND-ed down to its frequent lower ranks and deduplicated again.
-All of it is numpy over the deduplicated rows; no Python runs per
-transaction or per tree node.
+row shapes across 100k jobs).  The recursion runs a level at a time.  A
+level is the projected databases — conditional pattern bases — of every
+suffix of one length, held as one array set: node id, mask words and
+weight per row.  The level's pair counts give every child's exact
+conditional counts.  At the root and its children, a few dozen nodes
+holding most rows, they come from one dense product per node; deeper,
+where nodes hold a few rows each, from one weighted count over the
+``(node, r, s)`` keys of the whole level.  Every child of the level is
+then projected at once: the rows holding its rank, AND-ed down to its
+frequent lower ranks and deduplicated per node.  Python loops run per
+level and per node of the first two levels only; the deeper nodes (95 %
+of them on 20k PAI jobs) and the transactions cost no Python of their
+own, and only emitting an itemset builds a Python object.
 
 * Items are ranked in decreasing global-frequency order (ties broken by
   item id, deterministic); an itemset's extensions come from its
   less-frequent member's higher-ranked items, the FP-tree's prefixes.
 * ``max_len`` bounds itemset length *during* the recursion (the paper
-  limits frequent itemsets to length 5), so oversized branches are never
-  explored rather than filtered afterwards.
+  limits frequent itemsets to length 5): the level at the limit is
+  emitted from its pair counts and nothing below it is projected.
 * The output is a plain ``dict[frozenset[int], int]`` of support counts,
   shared with the Apriori and Eclat implementations so all miners are
   property-tested against the set-inclusion oracle in ``tests/oracles.py``.
@@ -30,20 +37,12 @@ transaction or per tree node.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from .bitmap import kernel_timer
-from .transactions import TransactionDatabase
+from .transactions import TransactionDatabase, min_support_count
 
 __all__ = ["fpgrowth"]
-
-
-def _min_count(n: int, min_support: float) -> int:
-    # "support >= threshold" on real counts: ceil(min_support * n) with a
-    # floor of 1 so that support-0 itemsets are never emitted
-    return max(1, int(np.ceil(min_support * n - 1e-9)))
 
 
 def _validate(min_support: float, max_len: int | None) -> None:
@@ -60,49 +59,84 @@ _PAIR_BLOCK = 1 << 22
 _U64 = np.dtype("<u8")
 
 
+def _rank_bits(ranks: np.ndarray, n_words: int) -> np.ndarray:
+    """``(len(ranks), W)`` masks, row *i* holding only rank ``ranks[i]``."""
+    bits = np.zeros((ranks.size, n_words), dtype=_U64)
+    bits[np.arange(ranks.size), ranks >> 6] = np.uint64(1) << (ranks & 63).astype(_U64)
+    return bits
+
+
+def _holds_pair(masks: np.ndarray) -> np.ndarray:
+    """Which rows have two or more bits set."""
+    return (masks & (masks - np.uint64(1))).any(axis=1) | (
+        np.count_nonzero(masks, axis=1) > 1
+    )
+
+
+def _dedup(
+    masks: np.ndarray, weights: np.ndarray, node: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse identical mask rows, summing their weights.
+
+    Rows come out in numeric order of their masks (word ``W - 1`` most
+    significant): one quicksort of a single key, the mask itself when
+    ``W = 1`` and otherwise a dense code of the words built from the top
+    down.  Callers keep a node's suffix bits in its rows, so equal masks
+    never come from two nodes.
+    """
+    if len(masks) == 0:
+        return masks, weights, node
+    key = masks[:, -1]
+    for word in masks.T[-2::-1]:
+        values, inverse = np.unique(word, return_inverse=True)
+        key = np.unique(key, return_inverse=True)[1] * values.size + inverse
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    take = order[starts]
+    return masks[take], np.add.reduceat(weights[order], starts), node[take]
+
+
 def _rank_masks(
     db: TransactionDatabase, ranked_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every transaction as a bitmask of its frequent-item ranks, deduplicated.
 
     Rank *r* lives in word ``r >> 6`` at bit ``r & 63``.  Returns the
-    distinct nonzero ``(rows, W)`` masks and how many transactions
-    collapsed into each.
+    distinct ``(rows, W)`` masks that hold two or more ranks and how many
+    transactions collapsed into each.
     """
     n_words = (ranked_ids.size + 63) >> 6
-    rank_of = np.full(db.n_items, -1, dtype=np.int64)
-    rank_of[ranked_ids] = np.arange(ranked_ids.size, dtype=np.int64)
-    ranks = rank_of[db.indices]
-    bits = np.where(
-        ranks >= 0, np.uint64(1) << (ranks & 63).astype(np.uint64), np.uint64(0)
-    )
+    # bit_of[word, item]: the item's rank bit if it falls in that word
+    bit_of = np.zeros((n_words, db.n_items), dtype=_U64)
+    bit_of[:, ranked_ids] = _rank_bits(np.arange(ranked_ids.size), n_words).T
     # CSR order groups entries by transaction, so one OR-reduction per
     # word and nonempty transaction builds the masks without a sort
     starts = db.indptr[:-1][np.diff(db.indptr) > 0]
     masks = np.zeros((starts.size, n_words), dtype=_U64)
     if starts.size:
         for word in range(n_words):
-            in_word = np.where((ranks >> 6) == word, bits, np.uint64(0))
-            masks[:, word] = np.bitwise_or.reduceat(in_word, starts)
-    nonzero = masks.any(axis=1)
-    return _dedup(masks[nonzero], np.ones(int(nonzero.sum()), dtype=np.int64))
+            masks[:, word] = np.bitwise_or.reduceat(bit_of[word][db.indices], starts)
+    masks = masks[_holds_pair(masks)]
+    ones = np.ones(len(masks), dtype=np.int64)
+    return _dedup(masks, ones, np.zeros(len(masks), dtype=np.int64))[:2]
 
 
-def _dedup(
-    masks: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse identical mask rows, summing their weights."""
-    if len(masks) < 2:
-        return masks, weights
-    order = np.lexsort(masks.T[::-1])
-    masks = masks[order]
-    first = np.concatenate(([True], (masks[1:] != masks[:-1]).any(axis=1)))
-    starts = np.flatnonzero(first)
-    return masks[starts], np.add.reduceat(weights[order], starts)
+def _unpack(masks: np.ndarray, n_ranks: int) -> np.ndarray:
+    """``(rows, n_ranks)`` flags of ranks ``0 .. n_ranks - 1``."""
+    return np.unpackbits(
+        masks.view(np.uint8), axis=1, count=n_ranks, bitorder="little"
+    ).view(bool)
+
+
+def _set_ranks(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, rank)`` of every set flag, ascending within a row."""
+    return np.divmod(np.flatnonzero(flags), flags.shape[1])
 
 
 def _pair_counts(masks: np.ndarray, weights: np.ndarray, n_ranks: int) -> np.ndarray:
-    """``C[r, s]``: total weight of the rows holding both rank *r* and *s*.
+    """``C[r, s]``: total weight of the rows holding both rank *r* and *s*,
+    over ranks below *n_ranks*.
 
     The diagonal is each rank's own count.  The float64 sums are of
     integer weights below ``2**53``, hence exact integers.
@@ -110,61 +144,140 @@ def _pair_counts(masks: np.ndarray, weights: np.ndarray, n_ranks: int) -> np.nda
     out = np.zeros((n_ranks, n_ranks))
     step = max(1, _PAIR_BLOCK // n_ranks)
     for lo in range(0, len(masks), step):
-        bits = np.unpackbits(
-            masks[lo : lo + step].astype(_U64, copy=False).view(np.uint8),
-            axis=1,
-            count=n_ranks,
-            bitorder="little",
-        ).astype(np.float64)
+        bits = _unpack(masks[lo : lo + step], n_ranks).astype(np.float64)
         out += (bits * weights[lo : lo + step, None]).T @ bits
     return out
 
 
-def _rank_set(ranks: np.ndarray, n_words: int) -> np.ndarray:
-    """The ``(W,)`` mask with the bits of *ranks* set."""
-    flags = np.zeros(n_words * 64, dtype=bool)
-    flags[ranks] = True
-    return np.packbits(flags, bitorder="little").view(_U64)
+#: per level: the node, ranks ``r > s`` and count of each frequent pair
+_Pairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _mine_masks(
+def _dense_pairs(
+    lower: np.ndarray,
+    weights: np.ndarray,
+    node: np.ndarray,
+    tops: np.ndarray,
+    min_count: int,
+) -> _Pairs:
+    """Frequent ``(node, r, s, count)``, ``r > s``, sorted by ``(node, r,
+    s)``: one pair-count product per node.  *node* must be sorted."""
+    found = []
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(node)]):
+        k = int(node[lo])
+        counts = _pair_counts(lower[lo:hi], weights[lo:hi], int(tops[k]))
+        r, s = np.nonzero(np.tril(counts, -1) >= min_count)
+        found.append((np.full(r.size, k), r, s, counts[r, s]))
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _group_sum(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct *keys*, ascending, and the summed weight of each."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(inverse, weights)
+
+
+def _level_pairs(
+    lower: np.ndarray,
+    weights: np.ndarray,
+    node: np.ndarray,
+    n_ranks: int,
+    min_count: int,
+) -> _Pairs:
+    """Frequent ``(node, r, s, count)``, ``r > s``, sorted by ``(node, r,
+    s)``, for a whole level: a weighted count over the ``(node, r, s)``
+    keys of every row's pairs of set ranks, at most ``_PAIR_BLOCK``
+    pairs at a time.
+    """
+    row, rank = _set_ranks(_unpack(lower, n_ranks))
+    per_row = np.bincount(row, minlength=len(weights))
+    position = np.arange(row.size) - (np.cumsum(per_row) - per_row)[row]
+    above = per_row[row] - position - 1  # set ranks above each entry
+    keys, counts = [], []
+    step = max(1, _PAIR_BLOCK // n_ranks)
+    for lo in range(0, row.size, step):
+        n_above = above[lo : lo + step]
+        first = np.repeat(np.arange(lo, lo + n_above.size), n_above)
+        offset = np.arange(first.size) - np.repeat(np.cumsum(n_above) - n_above, n_above)
+        second = first + 1 + offset
+        pair_row = row[first]
+        block = (node[pair_row] * n_ranks + rank[second]) * n_ranks + rank[first]
+        block_keys, block_counts = _group_sum(block, weights[pair_row])
+        keys.append(block_keys)
+        counts.append(block_counts)
+    keys, counts = _group_sum(np.concatenate(keys), np.concatenate(counts))
+    frequent = counts >= min_count
+    pair_node, pair = np.divmod(keys[frequent], n_ranks * n_ranks)
+    return (pair_node, *np.divmod(pair, n_ranks), counts[frequent])
+
+
+def _mine_levels(
     masks: np.ndarray,
     weights: np.ndarray,
-    ranks: np.ndarray,
-    suffix: tuple[int, ...],
-    ids: Sequence[int],
+    ranked_ids: np.ndarray,
     min_count: int,
     max_len: int | None,
     out: dict[frozenset[int], int],
 ) -> None:
-    """Emit every frequent ``suffix + (r, s)`` and recurse into ``suffix + (r,)``.
+    """Emit every frequent itemset of two or more items, a level at a time.
 
-    *masks*/*weights* are the projected database of *suffix*: the rows
-    containing it, cut to its frequent lower-ranked items *ranks* (each
-    ``suffix + (r,)`` is already emitted).  One pair-count product gives
-    every child's conditional counts at once, so the level below the
-    ``max_len`` limit is emitted without projecting.
+    A level holds the projected databases of every suffix of one length
+    as one array set: node id, mask words and weight per row.  A node's
+    rows hold its suffix's ranks plus its frequent lower ranks (below
+    ``tops[node]``); every ``suffix + (r,)`` is already emitted, so the
+    node's pair counts over the lower ranks give every child's
+    conditional counts at once, and the ``max_len`` level is emitted
+    without projecting.
+
+    :func:`_dedup` leaves a level's rows in numeric mask order.  A row's
+    highest bits are its suffix and its other bits lie below the
+    suffix's lowest rank, so each node's rows are contiguous, and nodes
+    (numbered in ``(parent, r)`` order) come in id order.
     """
-    pairs = _pair_counts(masks, weights, int(ranks[-1]) + 1)
-    at_limit = max_len is not None and len(suffix) + 2 >= max_len
+    n_ranks = ranked_ids.size
     n_words = masks.shape[1]
-    for r in ranks[::-1].tolist():
-        row = pairs[r, :r]
-        below = np.flatnonzero(row >= min_count)
-        if below.size == 0:
-            continue
-        prefix = suffix + (ids[r],)
-        for s in below.tolist():
-            out[frozenset(prefix + (ids[s],))] = int(row[s])
-        if at_limit:
-            continue
-        word, bit = divmod(r, 64)
-        rows = ((masks[:, word] >> np.uint64(bit)) & np.uint64(1)).astype(bool)
-        child = masks[rows] & _rank_set(below, n_words)
-        keep = child.any(axis=1)
-        child, child_weights = _dedup(child[keep], weights[rows][keep])
-        _mine_masks(
-            child, child_weights, below, prefix, ids, min_count, max_len, out
+    node = np.zeros(len(masks), dtype=np.int64)
+    suffixes = np.zeros((1, 0), dtype=np.int64)  # each node's suffix ranks
+    suffix_bits = np.zeros((1, n_words), dtype=_U64)
+    tops = np.array([n_ranks])
+    depth = 0
+    while len(masks):
+        lower = masks & ~suffix_bits[node]
+        if depth <= 1:
+            # the root and its children hold most rows; the product's
+            # cost per node is paid a few dozen times at most
+            pair_node, r, s, counts = _dense_pairs(lower, weights, node, tops, min_count)
+        else:
+            pair_node, r, s, counts = _level_pairs(
+                lower, weights, node, n_ranks, min_count
+            )
+        items = ranked_ids[np.column_stack((suffixes[pair_node], r, s))]
+        out.update(zip(map(frozenset, items.tolist()), counts.astype(np.int64).tolist()))
+        depth += 1
+        if r.size == 0 or (max_len is not None and depth + 2 > max_len):
+            return
+        # one child per (node, r) with a frequent pair, keeping the ranks
+        # s of those pairs
+        parent_key = pair_node * n_ranks + r
+        new = np.concatenate(([True], parent_key[1:] != parent_key[:-1]))
+        parent, child_rank = pair_node[new], r[new]
+        starts = np.flatnonzero(new)
+        keep = np.bitwise_or.reduceat(_rank_bits(s, n_words), starts, axis=0)
+        child_of = np.full((len(suffixes), n_ranks), -1)
+        child_of.reshape(-1)[parent_key[new]] = np.arange(starts.size)
+        suffixes = np.column_stack((suffixes[parent], child_rank))
+        suffix_bits = suffix_bits[parent] | _rank_bits(child_rank, n_words)
+        tops = s[np.append(starts[1:], s.size) - 1] + 1
+        # project: every (row, rank) that names a child, AND-ed down to
+        # that child's kept ranks
+        row, rank = _set_ranks(_unpack(lower, n_ranks) & (child_of >= 0)[node])
+        target = child_of[node[row], rank]
+        projected = lower[row] & keep[target]
+        paired = _holds_pair(projected)
+        row, target = row[paired], target[paired]
+        masks, weights, node = _dedup(
+            projected[paired] | suffix_bits[target], weights[row], target
         )
 
 
@@ -195,7 +308,7 @@ def fpgrowth(
     n = len(db)
     if n == 0:
         return {}
-    min_count = _min_count(n, min_support)
+    min_count = min_support_count(n, min_support)
 
     counts = db.item_support_counts()
     freq_ids = np.flatnonzero(counts >= min_count)
@@ -210,14 +323,5 @@ def fpgrowth(
         order = np.lexsort((freq_ids, -counts[freq_ids]))
         ranked_ids = freq_ids[order].astype(np.int64)
         masks, weights = _rank_masks(db, ranked_ids)
-        _mine_masks(
-            masks,
-            weights,
-            np.arange(ranked_ids.size),
-            (),
-            ranked_ids.tolist(),
-            min_count,
-            max_len,
-            out,
-        )
+        _mine_levels(masks, weights, ranked_ids, min_count, max_len, out)
     return out

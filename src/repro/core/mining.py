@@ -40,7 +40,7 @@ __all__ = [
     "ALGORITHMS",
 ]
 
-#: algorithm registry shared with the parallel miner and benchmarks
+#: algorithm registry keyed by ``MiningConfig.algorithm`` (engine, DP, benchmarks)
 ALGORITHMS: dict[str, Callable[..., dict[frozenset[int], int]]] = {
     "fpgrowth": fpgrowth,
     "apriori": apriori,

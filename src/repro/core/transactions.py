@@ -19,17 +19,37 @@ Invariants:
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .items import Item, ItemVocabulary, as_item
 
-__all__ = ["TransactionDatabase"]
+__all__ = ["TransactionDatabase", "min_support_count"]
 
-#: partition boundaries snap to this many transactions so that every
-#: partition starts on a bitmap word boundary (see :meth:`split`)
+#: transactions per bitmap word: a range starting on a multiple of this
+#: inherits its parent's bitmaps (see :meth:`TransactionDatabase.txn_range`)
 _ALIGN = 64
+
+
+def min_support_count(n: int, min_support: float) -> int:
+    """The smallest count ``c >= 1`` with ``c / n >= min_support``.
+
+    The miners' support floor, found with the very division the
+    definition uses (support ``= count / n``, kept when ``>=`` the
+    threshold), so no epsilon decides a boundary: a threshold just above
+    ``c / n`` excludes *c*, and a product such as ``0.07 * 100`` that
+    rounds above 7 still keeps 7.
+    """
+    if n < 1 or not 0.0 <= min_support <= 1.0:
+        raise ValueError(f"need n >= 1 and min_support in [0, 1], got {n}, {min_support}")
+    count = max(1, math.ceil(min_support * n))
+    while count > 1 and (count - 1) / n >= min_support:
+        count -= 1
+    while count / n < min_support:
+        count += 1
+    return count
 
 
 class TransactionDatabase:
@@ -302,7 +322,7 @@ class TransactionDatabase:
         return TransactionDatabase(self.vocabulary, new_indptr, new_indices)
 
     def sample(self, indices: Sequence[int]) -> "TransactionDatabase":
-        """Select a subset of transactions by row index (for partitioning)."""
+        """Select a subset of transactions by row index."""
         idx = np.asarray(indices, dtype=np.int64)
         lengths = np.diff(self.indptr)[idx]
         new_indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
@@ -331,28 +351,3 @@ class TransactionDatabase:
         if self._bitmaps_cache is not None and start % _ALIGN == 0:
             sub._bitmaps_cache = self._bitmaps_cache.slice_range(start, stop)
         return sub
-
-    def partition_bounds(self, n_parts: int) -> np.ndarray:
-        """Contiguous partition boundaries for :meth:`split`.
-
-        Evenly spaced, but snapped down to 64-transaction multiples when
-        the database is large enough — aligned partitions start on a
-        bitmap word boundary, so their bitmaps are word slices of the
-        parent's (see :meth:`txn_range`).
-        """
-        if n_parts < 1:
-            raise ValueError("n_parts must be >= 1")
-        n = len(self)
-        bounds = np.linspace(0, n, n_parts + 1).astype(np.int64)
-        if n >= n_parts * _ALIGN:
-            bounds[1:-1] = (bounds[1:-1] // _ALIGN) * _ALIGN
-        return bounds
-
-    def split(self, n_parts: int) -> list["TransactionDatabase"]:
-        """Split into *n_parts* contiguous chunks."""
-        bounds = self.partition_bounds(n_parts)
-        return [
-            self.txn_range(int(bounds[k]), int(bounds[k + 1]))
-            for k in range(n_parts)
-            if bounds[k + 1] > bounds[k]
-        ]

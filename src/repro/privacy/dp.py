@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.itemsets import FrequentItemsets
 from ..core.mining import ALGORITHMS, MiningConfig
-from ..core.transactions import TransactionDatabase
+from ..core.transactions import TransactionDatabase, min_support_count
 
 __all__ = ["DPConfig", "DPMiningResult", "dp_mine_frequent_itemsets", "recovery_f1"]
 
@@ -89,7 +89,7 @@ def dp_mine_frequent_itemsets(
     scale = k / privacy.epsilon
     rng = np.random.default_rng(privacy.seed)
     noise = rng.laplace(0.0, scale, size=k)
-    min_count = max(1, int(np.ceil(config.min_support * n - 1e-9)))
+    min_count = min_support_count(n, config.min_support)
 
     released: dict[frozenset[int], int] = {}
     for (itemset, count), eps_noise in zip(sorted(candidates.items(), key=lambda p: sorted(p[0])), noise):

@@ -7,7 +7,7 @@ a 100k-transaction window) to incorporate a 1k-event delta.  It keeps
 the window *in the bitmap domain* instead.  Incoming transactions are packed into **granules** of exactly
 64 transactions — one ``uint64`` word per item, the same bit layout and
 alignment as :class:`~repro.core.bitmap.PackedBitmaps` (bit ``t & 63``
-of word ``t >> 6``, matching ``partition_bounds``'s 64-alignment) — and
+of word ``t >> 6``) — and
 the window slides by appending sealed granules at the tail and evicting
 whole granules at the head.  Every maintained statistic is updated by
 popcount *deltas on only the changed words*:

@@ -41,6 +41,7 @@ from ..analysis.drift import RuleDrift, diff_rules
 from ..core.bitmap import kernel_delta, kernel_snapshot
 from ..core.mining import MiningConfig
 from ..core.ruletable import RuleTable
+from ..core.transactions import min_support_count
 from ..engine import MiningEngine, default_engine
 from ..engine.stats import EngineStats, StageStats, StageTimer
 from ..serve.rulebook import RuleBook
@@ -242,10 +243,9 @@ class RuleBookRefresher:
         n = len(self.window)
         if n == 0:
             return frozenset()
+        floor = min_support_count(n, self.config.min_support)
         counts = self.window.item_support_counts()
-        return frozenset(
-            int(i) for i in np.flatnonzero(counts >= self.config.min_support * n)
-        )
+        return frozenset(int(i) for i in np.flatnonzero(counts >= floor))
 
     def tick(self, force: bool = False, trigger: str | None = None) -> TickResult:
         """Recount the book, measure drift, remine if the gate opens.

@@ -190,14 +190,6 @@ class TestSliceRange:
         # unaligned start: no inheritance, lazily rebuilt instead
         assert db.txn_range(65, 130)._bitmaps_cache is None
 
-    def test_partition_bounds_align_when_large(self):
-        db = _make_db([[0]] * 1000)
-        bounds = db.partition_bounds(4)
-        assert bounds[0] == 0 and bounds[-1] == 1000
-        assert all(b % 64 == 0 for b in bounds[1:-1])
-        parts = db.split(4)
-        assert sum(len(p) for p in parts) == 1000
-
 
 # -- shared bitmap cache ------------------------------------------------------
 

@@ -99,19 +99,6 @@ class TestProjections:
         assert len(sub) == 2
         assert sub.support_count(["bread"]) == 2
 
-    def test_split_partitions_cover_everything(self, toy_db):
-        parts = toy_db.split(2)
-        assert sum(len(p) for p in parts) == len(toy_db)
-
-    def test_split_more_parts_than_rows(self):
-        db = TransactionDatabase.from_itemsets([["a"], ["b"]])
-        parts = db.split(5)
-        assert sum(len(p) for p in parts) == 2
-
-    def test_split_invalid(self, toy_db):
-        with pytest.raises(ValueError):
-            toy_db.split(0)
-
     def test_iter_item_transactions_roundtrip(self, toy_db):
         decoded = list(toy_db.iter_item_transactions())
         assert len(decoded) == 5

@@ -4,7 +4,7 @@
   brute force — support counted by set inclusion over every subset of
   every transaction (:func:`tests.oracles.support_counts`).  The
   strategies reach more than 64 frequent items (masks of two or more
-  words), ``max_len`` None/1/2, ``min_support`` 0 and 1, empty
+  words), ``max_len`` None/1/2/3/5, ``min_support`` 0 and 1, empty
   transactions and ``txn_range`` views.
 * The Conditions 1–4 lattice join against the pairwise statement of
   Sec. III-D (:func:`tests.oracles.condition_codes`): identical
@@ -66,7 +66,7 @@ def databases(draw):
 @given(
     data=databases(),
     min_support=st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]),
-    max_len=st.sampled_from([None, 1, 2, 3]),
+    max_len=st.sampled_from([None, 1, 2, 3, 5]),
 )
 @settings(max_examples=150, deadline=None)
 def test_fpgrowth_matches_object_tree_and_brute_force(data, min_support, max_len):
@@ -98,6 +98,20 @@ def test_fpgrowth_with_more_than_128_frequent_items():
     got = fpgrowth(db, 0.0, None)
     assert sum(len(s) == 1 for s in got) == 150
     assert got == support_counts(raw, 0.0, None)
+
+
+def test_fpgrowth_keeps_sibling_nodes_with_equal_rows_apart():
+    # ids rank as they are numbered (a, b, x, y, p by falling count).
+    # Siblings (x) and (y) of the first level, and (p, x) and (p, y) of
+    # the second, each project to the same rows {a, b} of weight 3: rows
+    # are deduplicated per node, never across nodes
+    a, b, x, y, p = range(5)
+    raw = [[a, b, x, p]] * 3 + [[a, b, y, p]] * 3 + [[x, y]] * 4 + [[a, b]] * 4
+    db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(5))
+    got = fpgrowth(db, 0.2, None)
+    assert got[frozenset({a, b, x, p})] == got[frozenset({a, b, y, p})] == 3
+    assert got[frozenset({a, b, x})] == got[frozenset({a, b, y})] == 3
+    assert got == support_counts(raw, 0.2, None)
 
 
 # -- Conditions 1–4 ---------------------------------------------------------------
@@ -222,6 +236,23 @@ def test_pair_counts_summed_over_blocks(monkeypatch):
     expected = fpgrowth(db, 0.01, 3)
     monkeypatch.setattr(kernel, "_PAIR_BLOCK", 256)
     assert fpgrowth(db, 0.01, 3) == expected == support_counts(raw, 0.01, 3)
+
+
+def test_level_pair_counts_summed_over_blocks(monkeypatch):
+    # rows of 6-9 of 12 items reach itemsets of six and more, so the
+    # levels below depth 1 count their pairs block by block too
+    kernel = importlib.import_module("repro.core.fpgrowth")
+
+    rng = np.random.default_rng(5)
+    raw = [
+        sorted(rng.choice(12, size=int(rng.integers(6, 10)), replace=False).tolist())
+        for _ in range(120)
+    ]
+    db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(12))
+    expected = fpgrowth(db, 0.05, None)
+    assert max(len(s) for s in expected) >= 6
+    monkeypatch.setattr(kernel, "_PAIR_BLOCK", 40)
+    assert fpgrowth(db, 0.05, None) == expected == support_counts(raw, 0.05, None)
 
 
 # -- serving batch encoder ----------------------------------------------------------

@@ -9,12 +9,13 @@ are chosen so the floats involved are exact.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from repro.core import FrequentItemsets, MiningConfig, TransactionDatabase
+from repro.core import ALGORITHMS, FrequentItemsets, MiningConfig, TransactionDatabase
 from repro.core.items import Item, ItemVocabulary
 from repro.core.pruning import prune_rule_table
 from repro.core.rules import AssociationRule, generate_rule_table
@@ -22,6 +23,7 @@ from repro.core.ruletable import RuleTable
 from repro.dataframe import BooleanColumn, ColumnTable
 from repro.engine import MiningEngine
 from repro.preprocess import FeatureSpec, TracePreprocessor
+from repro.privacy.dp import DPConfig, dp_mine_frequent_itemsets
 
 from .oracles import (
     check_itemset_table,
@@ -63,6 +65,43 @@ def test_support_floor_at_ceil_of_five_percent(n):
     assert named(db, counts) == {frozenset({"a = a"}): floor}
     assert support_counts(raw_ids(db), PAPER.min_support, PAPER.max_len) == counts
     check_itemset_table(db, counts, PAPER.min_support, PAPER.max_len)
+
+
+#: floors on a float boundary: a threshold just above 1/20 must drop a
+#: count of 1 in 20, and 0.07 * 100 (which rounds to 7.000000000000001)
+#: must keep a count of 7
+FLOOR_CASES = [
+    (0.05 + 1e-12, [["a", "b"]] + [["c"]] * 19, {("c",): 19}),
+    (
+        0.07,
+        [["a", "b"]] * 7 + [["c"]] * 6 + [[]] * 87,
+        {("a",): 7, ("b",): 7, ("a", "b"): 7},
+    ),
+]
+
+
+def by_name(expected: dict) -> dict:
+    return {frozenset(f"{i} = {i}" for i in s): c for s, c in expected.items()}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("min_support, raw, expected", FLOOR_CASES)
+def test_support_floor_is_count_over_n(algorithm, min_support, raw, expected):
+    db = TransactionDatabase.from_itemsets(raw)
+    counts = ALGORITHMS[algorithm](db, min_support, PAPER.max_len)
+    assert named(db, counts) == by_name(expected)
+    assert support_counts(raw_ids(db), min_support, PAPER.max_len) == counts
+
+
+@pytest.mark.parametrize("min_support, raw, expected", FLOOR_CASES)
+def test_dp_release_floor_is_count_over_n(min_support, raw, expected):
+    # at epsilon = inf the Laplace noise is zero, so the release is the
+    # candidates that clear the real floor, counts unchanged
+    db = TransactionDatabase.from_itemsets(raw)
+    release = dp_mine_frequent_itemsets(
+        db, MiningConfig(min_support=min_support), DPConfig(epsilon=math.inf)
+    )
+    assert named(db, release.itemsets.counts) == by_name(expected)
 
 
 def test_max_len_five_stops_at_five_items():
