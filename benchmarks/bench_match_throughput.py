@@ -19,9 +19,7 @@ Two modes:
 * measured (default) — single-process jobs/s for one job at a time
   (:meth:`RuleIndex.match_wire`) and for the kernel at several
   micro-batch sizes, with per-batch latency percentiles; results land
-  in the ``match_kernel`` section of ``BENCH_serve.json``.  Unless
-  ``--skip-trajectory`` is given, it also re-measures full service
-  round trips and appends a refreshed single-shard trajectory point.
+  in the ``match_kernel`` section of ``BENCH_serve.json``.
 
 CI runs with ``--min-speedup 0`` and only enforces equality, because
 shared runners measure the neighbour's workload, not the kernel.
@@ -44,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_serve_throughput import N_JOBS, build_jobs, build_rulebook
 
 from repro.core.items import as_item
-from repro.serve import RuleIndex, RuleService, replay_traffic
+from repro.serve import RuleIndex, RuleService
 
 BATCH_SIZES = (16, 64, 256, 1024)
 N_CHECK_JOBS = 1000
@@ -175,34 +173,13 @@ def measure_batch(
     }
 
 
-def measure_service_rps(book, jobs: list[list[str]]) -> float:
-    """Full single-process service round trips with the kernel active."""
-
-    async def scenario():
-        service = RuleService.from_rulebook(book, max_queue=4096, max_batch=128)
-        await service.start(port=0)
-        try:
-            return await replay_traffic(
-                "127.0.0.1", service.port, jobs, concurrency=8
-            )
-        finally:
-            await service.shutdown()
-
-    stats = asyncio.run(scenario())
-    if stats.n_failed:
-        raise RuntimeError(f"service replay dropped {stats.n_failed} requests")
-    return stats.requests_per_second
-
-
-def update_bench_doc(output: Path, section: dict, point: dict | None) -> None:
-    """Write the ``match_kernel`` section, preserving the trajectory."""
+def update_bench_doc(output: Path, section: dict) -> None:
+    """Write the ``match_kernel`` section, keeping the others."""
     if output.exists():
         doc = json.loads(output.read_text())
     else:
-        doc = {"benchmark": "serve_throughput", "trajectory": []}
+        doc = {"benchmark": "serve_throughput"}
     doc["match_kernel"] = section
-    if point is not None:
-        doc.setdefault("trajectory", []).append(point)
     output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -216,9 +193,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="required best-batch/one-job ratio "
                              "(0 = record only; use 2 on a quiet dev box)")
-    parser.add_argument("--skip-trajectory", action="store_true",
-                        help="skip the full-service single-shard "
-                             "trajectory refresh")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parents[1]
                         / "BENCH_serve.json")
@@ -264,30 +238,6 @@ def main(argv=None) -> int:
         flush=True,
     )
 
-    point = None
-    if not args.skip_trajectory:
-        single_rps = measure_service_rps(book, jobs)
-        print(
-            f"single-shard service (batch kernel active): "
-            f"{single_rps:,.0f} req/s",
-            flush=True,
-        )
-        point = {
-            "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "cpu_count": os.cpu_count() or 1,
-            "n_rules": len(book),
-            "n_jobs": len(jobs),
-            "shards": 1,
-            "mode": "single",
-            "lb_policy": None,
-            "concurrency": 8,
-            "client_procs": 1,
-            "single_rps": round(single_rps, 1),
-            "sharded_rps": round(single_rps, 1),
-            "speedup": 1.0,
-            "min_speedup_enforced": 0.0,
-        }
-
     section = {
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "cpu_count": os.cpu_count() or 1,
@@ -299,7 +249,7 @@ def main(argv=None) -> int:
         "best_speedup": best["speedup"],
         "min_speedup_enforced": args.min_speedup,
     }
-    update_bench_doc(args.output, section, point)
+    update_bench_doc(args.output, section)
     print(f"match_kernel section written to {args.output}", flush=True)
 
     if best["speedup"] < args.min_speedup:

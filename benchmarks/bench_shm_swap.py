@@ -11,7 +11,8 @@ This benchmark measures both sides of that claim at 1/2/4 shards:
 * **per-shard swap latency** — a real worker cluster is started, then
   each worker is told to reload directly (its service port doubles as
   a control port), once shipping a published segment name and once
-  shipping only the rulebook path (``REPRO_NO_SHM=1``).  The per-shard
+  shipping only the rulebook path (the cluster's shared-memory probe
+  patched off, as on a host without POSIX shared memory).  The per-shard
   figure is the mean per-worker flip round trip; the shm mode also
   reports the parent's one-time publish cost honestly.
 * **per-shard RSS** — ``VmRSS`` of every worker (after a few matches
@@ -32,19 +33,18 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import random
 import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 from repro.core.items import Item, ItemVocabulary
 from repro.core.rules import AssociationRule
 from repro.serve import RuleBook
 from repro.serve.shard import ShardCluster, send_control
 from repro.shm import list_segments
-from repro.shm.segment import NO_SHM_ENV
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SERVE_JSON = REPO_ROOT / "BENCH_serve.json"
@@ -116,7 +116,7 @@ async def _measure_mode(
     jobs: list[list[str]],
 ) -> dict:
     """One cluster lifetime: start, warm, flip every worker, read RSS."""
-    cluster = ShardCluster(book1_path, shards, mode="router")
+    cluster = ShardCluster(book1_path, shards)
     await cluster.start()
     lease = None
     try:
@@ -181,14 +181,14 @@ async def measure_hot_swap(shard_counts: list[int]) -> list[dict]:
                 shards=shards, use_shm=True,
                 book1_path=p1, book2_path=p2, jobs=jobs,
             )
-            os.environ[NO_SHM_ENV] = "1"
-            try:
+            # the parent publishes no plane, so every worker compiles
+            with mock.patch(
+                "repro.serve.shard.shm_available", return_value=False
+            ):
                 per_worker = await _measure_mode(
                     shards=shards, use_shm=False,
                     book1_path=p1, book2_path=p2, jobs=jobs,
                 )
-            finally:
-                del os.environ[NO_SHM_ENV]
             ratio = per_worker["per_shard_swap_s"] / shm["per_shard_swap_s"]
             point = {
                 "shards": shards,

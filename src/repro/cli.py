@@ -21,9 +21,10 @@ Subcommands::
         run the analysis and persist the kept rules as a RuleBook
 
     python -m repro serve --rulebook pai.rulebook.jsonl --port 7317 \
-            [--shards 4 --lb-policy least_loaded]
+            [--shards 4]
         serve the RuleBook online (newline-delimited JSON over TCP);
-        --shards > 1 runs N worker processes behind a balancing router
+        --shards > 1 runs N worker processes behind a router that sends
+        each match to the shard with the fewest requests in flight
 
     python -m repro serve --rulebook pai.rulebook.jsonl \
             --follow stream.ndjson [--follow-drift 0.05]
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from typing import Sequence
 
@@ -53,7 +53,6 @@ from .analysis import InterpretableAnalysis, format_rule_table, full_case_study
 from .core import MiningConfig
 from .dataframe import ColumnTable
 from .engine import MiningEngine
-from .shm.segment import NO_SHM_ENV
 from .traces import get_trace, list_traces
 from .traces.loader import load_trace, save_trace
 
@@ -112,22 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=7317)
     srv.add_argument("--shards", type=int, default=1,
                      help="worker processes; >1 runs a sharded cluster")
-    srv.add_argument("--shard-mode", choices=["router", "reuseport"],
-                     default="router",
-                     help="asyncio front-end router, or kernel-balanced "
-                          "SO_REUSEPORT workers (Linux)")
-    srv.add_argument("--lb-policy", default="round_robin",
-                     help="router load-balancing policy "
-                          "(see repro.serve.lb.LB_POLICIES)")
     srv.add_argument("--request-timeout", type=float, default=30.0,
                      help="router-side per-request shard timeout, seconds")
     srv.add_argument("--max-queue", type=int, default=1024,
                      help="bounded request queue (backpressure beyond this)")
     srv.add_argument("--max-batch", type=int, default=64,
                      help="micro-batch size per scheduler wakeup")
-    srv.add_argument("--no-shm", action="store_true",
-                     help="disable the shared-memory rule plane: every "
-                          "shard compiles its own index from the rulebook")
     srv.add_argument("--follow", default=None, metavar="STREAM",
                      help="tail this NDJSON transaction stream and hot-swap "
                           "the fleet's rulebook as the window drifts")
@@ -153,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--rulebook", required=True,
                      help="new RuleBook path (read by the serving processes)")
     rel.add_argument("--host", default="127.0.0.1")
-    rel.add_argument("--port", type=int, action="append", required=True,
-                     help="service, router, or worker control port; repeat "
-                          "for reuseport clusters (rolling reload)")
+    rel.add_argument("--port", type=int, required=True,
+                     help="port of the service, or of the router (which "
+                          "flips its shards one at a time)")
     rel.add_argument("--version", type=int, default=None,
                      help="explicit version number (default: current + 1)")
     rel.add_argument("--version-tag", default=None,
@@ -326,10 +315,6 @@ def cmd_serve(args: argparse.Namespace) -> str:
 
     if args.shards < 1:
         raise ValueError("--shards must be >= 1")
-    if args.no_shm:
-        # env var (not a constructor flag) so spawned shard workers and
-        # the follow loop inherit the toggle without control-plane plumbing
-        os.environ[NO_SHM_ENV] = "1"
     book = RuleBook.load(args.rulebook)  # fail fast on a bad book
     if args.follow is not None:
         return _serve_follow(args, book)
@@ -339,17 +324,15 @@ def cmd_serve(args: argparse.Namespace) -> str:
         cluster = ShardCluster(
             args.rulebook,
             args.shards,
-            mode=args.shard_mode,
             host=args.host,
             port=args.port,
-            lb_policy=args.lb_policy,
             max_queue=args.max_queue,
             max_batch=args.max_batch,
             request_timeout_s=args.request_timeout,
         )
         print(
             f"serving {book.provenance()}\n"
-            f"{args.shards} shards ({args.shard_mode} mode) — "
+            f"{args.shards} shards behind a router — "
             f"SIGTERM/Ctrl-C drains and exits",
             flush=True,
         )
@@ -393,12 +376,12 @@ def _serve_follow(args: argparse.Namespace, book) -> str:
         if args.profile:
             print(result.stats.render(profile=True), flush=True)
 
-    def make_follower(ports: list[int]) -> StreamFollower:
+    def make_follower(port: int) -> StreamFollower:
         return StreamFollower(
             refresher,
             args.follow,
             host=args.host,
-            ports=ports,
+            port=port,
             out_dir=args.follow_out,
             interval_s=args.follow_interval,
             min_events=args.follow_min_events,
@@ -419,24 +402,17 @@ def _serve_follow(args: argparse.Namespace, book) -> str:
             cluster = ShardCluster(
                 args.rulebook,
                 args.shards,
-                mode=args.shard_mode,
                 host=args.host,
                 port=args.port,
-                lb_policy=args.lb_policy,
                 max_queue=args.max_queue,
                 max_batch=args.max_batch,
                 request_timeout_s=args.request_timeout,
             )
             await cluster.start()
             print(cluster.describe(), flush=True)
-            ports = (
-                [cluster.port]
-                if args.shard_mode == "router"
-                else cluster.control_ports
-            )
             print(f"FOLLOW_READY stream={args.follow}", flush=True)
             try:
-                return await make_follower(ports).run(stop)
+                return await make_follower(cluster.port).run(stop)
             finally:
                 await cluster.shutdown()
         service = RuleService.from_rulebook(
@@ -457,7 +433,7 @@ def _serve_follow(args: argparse.Namespace, book) -> str:
         )
         await ready.wait()
         try:
-            return await make_follower([service.port]).run(stop)
+            return await make_follower(service.port).run(stop)
         finally:
             await service.shutdown()
             await serve_task
@@ -497,10 +473,10 @@ def cmd_reload_rulebook(args: argparse.Namespace) -> str:
         f"tag={result['version_tag'] or book.fingerprint} "
         f"n_rules={result['n_rules']}"
     ]
-    for endpoint in result["endpoints"]:
-        status = "ok" if endpoint["ok"] else f"FAILED ({endpoint.get('error')})"
-        lines.append(f"  port {endpoint['port']}: {status}")
-    if result["status"] != "ok":
+    if result["status"] == "ok":
+        lines.append(f"  port {args.port}: ok")
+    else:
+        lines.append(f"  port {args.port}: FAILED ({result['error']})")
         raise ValueError("\n".join(lines))
     return "\n".join(lines)
 

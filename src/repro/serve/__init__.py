@@ -16,12 +16,12 @@ package is what turns that artefact into an operator-facing capability:
 * :mod:`repro.serve.service` — :class:`RuleService`, an asyncio TCP
   service (newline-delimited JSON) with micro-batching, bounded-queue
   backpressure, zero-downtime rulebook hot-swap and graceful drain;
-* :mod:`repro.serve.router` / :mod:`repro.serve.shard` /
-  :mod:`repro.serve.lb` — horizontal scale-out: N shard worker
-  processes behind a load-balancing front-end router (or kernel-balanced
-  ``SO_REUSEPORT`` sockets), with rolling cluster-wide hot-swap;
+* :mod:`repro.serve.router` / :mod:`repro.serve.shard` — horizontal
+  scale-out: N shard worker processes behind one front-end router that
+  sends each match to the healthy shard with the fewest requests in
+  flight, with rolling cluster-wide hot-swap;
 * :mod:`repro.serve.client` — :class:`RuleServiceClient` (with built-in
-  backpressure backoff) plus the trace-replay load generators used by
+  backpressure backoff) plus the trace-replay load generator used by
   ``benchmarks/bench_serve_throughput``.
 
 CLI entry points: ``repro mine-rulebook``, ``repro serve`` (optionally
@@ -38,7 +38,6 @@ from .client import (
     trace_transactions,
 )
 from .index import Match, NearMiss, RuleIndex
-from .lb import LB_POLICIES, LBPolicy, get_policy, register_policy
 from .router import ShardDown, ShardHandle, ShardRouter
 from .rulebook import SCHEMA_VERSION, RuleBook, RuleBookSchemaError
 from .service import RuleService, ServiceMetrics
@@ -59,10 +58,6 @@ __all__ = [
     "ReplayStats",
     "replay_traffic",
     "trace_transactions",
-    "LBPolicy",
-    "LB_POLICIES",
-    "get_policy",
-    "register_policy",
     "ShardDown",
     "ShardHandle",
     "ShardRouter",

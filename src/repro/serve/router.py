@@ -4,9 +4,8 @@ The router speaks the exact NDJSON protocol of
 :mod:`repro.serve.service` to clients and holds one pipelined upstream
 connection per shard.  ``match`` requests are forwarded *verbatim*
 (bytes in, bytes out — the shard echoes the client's request id, so no
-re-encoding happens on the hot path) to a shard picked by the configured
-load-balancing policy (:mod:`repro.serve.lb`); control requests are
-aggregated:
+re-encoding happens on the hot path) to the healthy shard with the
+fewest requests in flight; control requests are aggregated:
 
 * ``healthz`` — router-level status (``ok``/``degraded``/
   ``unavailable``) plus per-shard health, in-flight counts and EWMA
@@ -25,9 +24,9 @@ Failure semantics, which the chaos tests pin down:
   the router transparently retries each one on another healthy shard —
   clients never see a vanished replica unless *no* shard remains;
 * a shard that stalls (alive but silent) trips the per-request timeout;
-  the client gets a well-formed retriable error and, because pending
-  count on the stalled shard keeps growing, ``least_loaded`` and
-  ``latency_weighted`` steer subsequent traffic away from it;
+  the client gets a well-formed retriable error and, because the
+  stalled shard's in-flight count keeps growing, the fewest-in-flight
+  rule steers subsequent traffic away from it;
 * when no healthy shard can take a request the router sheds load
   exactly like a single service does: ``overloaded`` + ``retry_after``.
 
@@ -45,7 +44,6 @@ import time
 from typing import Callable, Iterable, Sequence
 
 from ..engine.stats import LatencyHistogram, aggregate_shard_metrics
-from .lb import LBPolicy, get_policy
 from .service import (
     PROTOCOL_VERSION,
     LineFraming,
@@ -86,9 +84,9 @@ class ShardHandle(LineFraming):
     backoff; the rest happens in protocol callbacks.  The shard answers
     in order, so each response line settles the oldest entry of the
     FIFO ``pending`` queue.  One deadline timer per shard, re-armed to
-    the earliest open deadline, times requests out.  The load signals
-    the LB policies consume — ``inflight`` and ``ewma_latency_s`` — are
-    maintained here, next to the socket that defines them.
+    the earliest open deadline, times requests out.  The routing signal
+    ``inflight`` and the reported ``ewma_latency_s`` are maintained
+    here, next to the socket that defines them.
     """
 
     def __init__(
@@ -168,7 +166,7 @@ class ShardHandle(LineFraming):
         *timeout* the entry is handed to *on_timeout* (default: fail
         with :class:`asyncio.TimeoutError`) but keeps its slot, so later
         responses stay aligned — and a stalled shard's ``inflight``
-        keeps climbing, the signal load-aware policies route away from.
+        keeps climbing, the signal the router steers away from.
         If the link dies first, *on_lost* gets it (default: fail with
         :class:`ShardDown`).
         """
@@ -308,7 +306,6 @@ class ShardRouter:
         self,
         shards: Iterable[ShardHandle | tuple[str, int]],
         *,
-        policy: "str | LBPolicy" = "round_robin",
         request_timeout_s: float | None = 30.0,
         control_timeout_s: float = 60.0,
         retry_after_s: float = 0.05,
@@ -324,7 +321,6 @@ class ShardRouter:
                 self.handles.append(ShardHandle(f"shard{k}", host, port))
         if not self.handles:
             raise ValueError("a router needs at least one shard")
-        self.policy = get_policy(policy)
         self.request_timeout_s = request_timeout_s
         self.control_timeout_s = control_timeout_s
         self.retry_after_s = retry_after_s
@@ -336,6 +332,7 @@ class ShardRouter:
         self.n_timeouts = 0
         self.n_unrouteable = 0
         self.n_bad_requests = 0
+        self._turn = 0
         self._server: asyncio.Server | None = None
         self._connections: set[NdjsonConnection] = set()
         self._draining = False
@@ -458,7 +455,16 @@ class ShardRouter:
                 )
             )
             return future
-        shard = self.policy.choose(candidates)
+        # fewest requests in flight wins; the start of the scan rotates,
+        # so ties (an idle fleet) still spread over every shard
+        n = len(candidates)
+        first = self._turn % n
+        self._turn += 1
+        shard = candidates[first]
+        for k in range(first + 1, first + n):
+            other = candidates[k % n]
+            if other.inflight < shard.inflight:
+                shard = other
         if not tried:
             self.n_routed += 1
 
@@ -520,7 +526,6 @@ class ShardRouter:
                 "status": status,
                 "role": "router",
                 "name": self.name,
-                "policy": self.policy.name,
                 "protocol_version": PROTOCOL_VERSION,
                 "uptime_s": time.monotonic() - self.started_at,
                 "n_shards": len(self.handles),
@@ -557,7 +562,6 @@ class ShardRouter:
                 "uptime_s": time.monotonic() - self.started_at,
                 **merged,
                 "router": {
-                    "policy": self.policy.name,
                     "routed": self.n_routed,
                     "shard_retries": self.n_shard_retries,
                     "timeouts": self.n_timeouts,

@@ -24,7 +24,7 @@ Protocol (one JSON object per line, both directions)::
 A reload carrying a ``segment`` name attaches the pre-compiled rule
 plane published in shared memory (zero-copy, milliseconds); the
 ``rulebook`` path, when also present, is the fallback if the segment
-cannot be attached (shm unavailable, ``REPRO_NO_SHM``, stale name).
+cannot be attached (shm unavailable on this host, stale name).
 
 Design points, mirroring what a production sidecar needs:
 
@@ -79,7 +79,6 @@ import asyncio
 import collections
 import json
 import signal
-import socket
 import time
 from typing import Callable
 
@@ -284,53 +283,24 @@ class RuleService:
         self.metrics = ServiceMetrics()
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=max_queue)
         self._server: asyncio.Server | None = None
-        self._control: asyncio.Server | None = None
         self._batcher: asyncio.Task | None = None
         self._connections: set[NdjsonConnection] = set()
         self._draining = False
 
     # -- lifecycle ---------------------------------------------------------------
     async def start(
-        self, host: str = "127.0.0.1", port: int = 0, *, reuse_port: bool = False
+        self, host: str = "127.0.0.1", port: int = 0
     ) -> asyncio.Server:
-        """Bind and start serving; ``port=0`` picks an ephemeral port.
-
-        ``reuse_port=True`` binds with ``SO_REUSEPORT`` so N worker
-        processes can share one public port and let the kernel spread
-        incoming connections across them — the router-free sharding
-        mode.
-        """
+        """Bind and start serving; ``port=0`` picks an ephemeral port."""
         if self._server is not None:
             raise RuntimeError("service already started")
-        if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
-            raise ValueError("SO_REUSEPORT is not available on this platform")
         self.metrics = ServiceMetrics()
         self._draining = False
         self._batcher = asyncio.create_task(self._batch_loop())
         self._server = await asyncio.get_running_loop().create_server(
-            self._connection,
-            host,
-            port,
-            **({"reuse_port": True} if reuse_port else {}),
-        )
-        return self._server
-
-    async def start_control(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> asyncio.Server:
-        """Open a second listener speaking the same protocol.
-
-        In ``SO_REUSEPORT`` deployments the public port cannot target a
-        *specific* worker (the kernel picks), so each worker also exposes
-        a private control port where the cluster parent sends ``reload``
-        and scrapes ``metrics``.
-        """
-        if self._control is not None:
-            raise RuntimeError("control listener already started")
-        self._control = await asyncio.get_running_loop().create_server(
             self._connection, host, port
         )
-        return self._control
+        return self._server
 
     @property
     def port(self) -> int:
@@ -339,31 +309,20 @@ class RuleService:
             raise RuntimeError("service is not listening")
         return self._server.sockets[0].getsockname()[1]
 
-    @property
-    def control_port(self) -> int:
-        if self._control is None or not self._control.sockets:
-            raise RuntimeError("control listener is not open")
-        return self._control.sockets[0].getsockname()[1]
-
     async def serve_forever(
         self,
         host: str = "127.0.0.1",
         port: int = 7317,
         *,
-        reuse_port: bool = False,
-        control_host: str | None = None,
         on_ready: Callable[["RuleService"], None] | None = None,
     ) -> None:
         """Run until SIGTERM/SIGINT, then drain and exit.
 
         ``on_ready`` fires once listening (after ephemeral ports are
-        known) — shard workers use it to report their ports to the
-        cluster parent.  ``control_host`` additionally opens a control
-        listener on an ephemeral port of that host.
+        known) — shard workers use it to report their port to the
+        cluster parent.
         """
-        server = await self.start(host, port, reuse_port=reuse_port)
-        if control_host is not None:
-            await self.start_control(control_host, 0)
+        server = await self.start(host, port)
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -380,12 +339,10 @@ class RuleService:
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, answer queued work, close."""
         self._draining = True
-        for server_attr in ("_server", "_control"):
-            server = getattr(self, server_attr)
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-                setattr(self, server_attr, None)
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
         # everything already queued gets answered before the batcher dies
         await self._queue.join()
         if self._batcher is not None:

@@ -1,28 +1,23 @@
 """Shard workers: N rule-serving processes behind one public endpoint.
 
-Two deployment modes, both driven by ``repro serve --shards N``:
-
-* **router** (default, portable) — each worker binds an ephemeral port
-  and a :class:`~repro.serve.router.ShardRouter` in the parent process
-  owns the public port, balancing requests with a pluggable LB policy
-  and aggregating healthz/metrics/reload across the fleet.
-* **reuseport** (Linux) — every worker binds the *same* public port
-  with ``SO_REUSEPORT`` and the kernel spreads incoming connections
-  across them.  No router hop, but also no load-aware balancing and no
-  way to address one worker through the shared port — so each worker
-  opens a private control listener where the parent (and the
-  ``reload-rulebook`` CLI) sends control messages.
+``repro serve --shards N`` (N > 1) runs one topology: each worker binds
+an ephemeral port and a :class:`~repro.serve.router.ShardRouter` in the
+parent process owns the public port, sending each match to the healthy
+shard with the fewest requests in flight and aggregating
+healthz/metrics/reload across the fleet.
 
 Workers are real OS processes spawned fresh (``python -m
 repro.serve._shard_worker``), never forked: nothing is pickled and no
-interpreter state is shared.  Each worker either attaches the published
-shared-memory rule plane (one compile, N zero-copy attaches) or, when
-the plane is unavailable, builds its own RuleIndex from the rulebook
-path.  A worker announces readiness by printing one line::
+interpreter state is shared.  Each worker attaches the published
+shared-memory rule plane (one compile, N zero-copy attaches) wherever
+the platform has shared memory; where it does not, or a segment cannot
+be attached, the worker says so on stdout and builds its own RuleIndex
+from the rulebook path.  A worker announces readiness by printing one
+line::
 
-    SHARD_READY name=shard0 pid=4242 port=43121 control_port=43997
+    SHARD_READY name=shard0 pid=4242 port=43121
 
-which the parent parses for ports and pid — the pid is what chaos tests
+which the parent parses for port and pid — the pid is what chaos tests
 and the CI smoke job use to kill or stall a specific shard.
 
 Hot-swap across the fleet is *rolling*: shards flip one at a time while
@@ -38,7 +33,6 @@ import asyncio
 import json
 import os
 import signal
-import socket
 import sys
 import time
 from pathlib import Path
@@ -70,24 +64,10 @@ DEFAULT_READY_TIMEOUT_S = 30.0
 #: seconds a SIGTERM'd worker gets to drain before SIGKILL
 DEFAULT_DRAIN_TIMEOUT_S = 10.0
 
-SHARD_MODES = ("router", "reuseport")
-
 
 def _src_root() -> Path:
     """The directory that must be on PYTHONPATH to import ``repro``."""
     return Path(__file__).resolve().parents[2]
-
-
-def _pick_free_port(host: str) -> int:
-    """Reserve-and-release an ephemeral port for reuseport mode.
-
-    All reuseport workers must bind the *same* number, so the parent
-    picks one up front.  The close-then-rebind window is a benign race
-    on a loopback test host.
-    """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]
 
 
 class ShardProcess:
@@ -99,9 +79,6 @@ class ShardProcess:
         rulebook: str,
         *,
         host: str = "127.0.0.1",
-        port: int = 0,
-        reuse_port: bool = False,
-        control: bool = False,
         max_queue: int | None = None,
         max_batch: int | None = None,
         segment: str | None = None,
@@ -109,14 +86,10 @@ class ShardProcess:
         self.name = name
         self.rulebook = rulebook
         self.host = host
-        self.requested_port = port
-        self.reuse_port = reuse_port
-        self.control = control
         self.max_queue = max_queue
         self.max_batch = max_batch
         self.segment = segment
         self.port: int | None = None
-        self.control_port: int | None = None
         self.pid: int | None = None
         self.process: asyncio.subprocess.Process | None = None
         self._drain_task: asyncio.Task | None = None
@@ -131,15 +104,9 @@ class ShardProcess:
             self.rulebook,
             "--host",
             self.host,
-            "--port",
-            str(self.requested_port),
             "--name",
             self.name,
         ]
-        if self.reuse_port:
-            cmd.append("--reuse-port")
-        if self.control:
-            cmd.extend(["--control-host", self.host])
         if self.max_queue is not None:
             cmd.extend(["--max-queue", str(self.max_queue)])
         if self.max_batch is not None:
@@ -194,8 +161,6 @@ class ShardProcess:
                 )
                 self.pid = int(fields["pid"])
                 self.port = int(fields["port"])
-                control_port = int(fields.get("control_port", 0))
-                self.control_port = control_port or None
                 return
             print(f"[{self.name}] {text}", flush=True)
 
@@ -260,7 +225,7 @@ class ShardProcess:
 async def send_control(
     host: str, port: int, payload: dict, *, timeout: float = 60.0
 ) -> dict:
-    """One-shot request/response against a service, router, or control port."""
+    """One-shot request/response against a service or router."""
     reader, writer = await asyncio.open_connection(
         host, port, limit=MAX_LINE_BYTES
     )
@@ -283,7 +248,7 @@ async def send_control(
 
 async def broadcast_reload(
     host: str,
-    ports: Sequence[int],
+    port: int,
     rulebook: str,
     *,
     version: int | None = None,
@@ -291,34 +256,17 @@ async def broadcast_reload(
     segment: str | None = None,
     timeout: float = 60.0,
 ) -> dict:
-    """Rolling reload across *ports*, one endpoint at a time.
+    """Hot-swap the rulebook of the one endpoint at *host*:*port*.
 
-    With several ports (reuseport workers' control ports) and no
-    explicit version, the current maximum version across the fleet is
-    probed first so every worker flips to the *same* number — version
-    tags would otherwise diverge between replicas.  With a single port
-    (a router, which does its own rolling broadcast, or a lone service)
-    the receiving end picks the version itself.
+    The endpoint is a router, which flips its shards one at a time, or
+    a lone service.  Without an explicit *version* the receiving end
+    picks current + 1 itself.
 
-    When *segment* names a published shared-memory rule plane, each
-    endpoint attaches it zero-copy instead of re-parsing and
-    re-compiling the rulebook; the path still rides along as the
-    fallback for endpoints that cannot see shared memory.
+    When *segment* names a published shared-memory rule plane, the
+    shards attach it zero-copy instead of re-parsing and re-compiling
+    the rulebook; the path still rides along as the fallback for a
+    shard that cannot attach the segment.
     """
-    ports = list(ports)
-    if not ports:
-        raise ValueError("broadcast_reload needs at least one port")
-    if version is None and len(ports) > 1:
-        current = 0
-        for port in ports:
-            try:
-                health = await send_control(
-                    host, port, {"type": "healthz"}, timeout=timeout
-                )
-                current = max(current, int(health.get("version") or 0))
-            except (OSError, asyncio.TimeoutError, json.JSONDecodeError):
-                continue
-        version = current + 1
     payload: dict = {"type": "reload", "rulebook": rulebook}
     if version is not None:
         payload["version"] = version
@@ -326,68 +274,43 @@ async def broadcast_reload(
         payload["version_tag"] = version_tag
     if segment is not None:
         payload["segment"] = segment
-    outcomes = []
-    n_rules = None
-    final_tag = version_tag
-    for port in ports:
-        try:
-            result = await send_control(host, port, payload, timeout=timeout)
-        except (OSError, asyncio.TimeoutError, json.JSONDecodeError) as exc:
-            outcomes.append({"port": port, "ok": False, "error": repr(exc)})
-            continue
-        if result.get("type") == "reload_result":
-            version = result.get("version", version)
-            final_tag = result.get("version_tag", final_tag)
-            n_rules = result.get("n_rules", n_rules)
-            ok = result.get("status", "ok") in ("ok", None)
-            outcome = {
-                "port": port,
-                "ok": ok,
-                "version": result.get("version"),
-                "shards": result.get("shards"),
-            }
-            if not ok:
-                # name the replicas that missed the flip (a router's
-                # rolling reload reports per-shard results)
-                failed = [
-                    s.get("name", "?")
-                    for s in result.get("shards") or []
-                    if not s.get("ok")
-                ]
-                outcome["error"] = (
-                    f"{result.get('status')}: "
-                    + (", ".join(failed) if failed else "no shard flipped")
-                )
-            outcomes.append(outcome)
-        else:
-            outcomes.append(
-                {
-                    "port": port,
-                    "ok": False,
-                    "error": result.get("detail", "reload refused"),
-                }
-            )
-    return {
-        "status": "ok" if all(o["ok"] for o in outcomes) else "partial",
-        "version": version,
-        "version_tag": final_tag,
-        "n_rules": n_rules,
-        "endpoints": outcomes,
+    try:
+        result = await send_control(host, port, payload, timeout=timeout)
+    except (OSError, asyncio.TimeoutError, json.JSONDecodeError) as exc:
+        result = {"detail": repr(exc)}
+    answered = result.get("type") == "reload_result"
+    report = {
+        # a lone service answers without a status; a router reports
+        # "partial" when a replica missed the flip
+        "status": result.get("status", "ok") if answered else "partial",
+        "port": port,
+        "version": result.get("version", version),
+        "version_tag": result.get("version_tag", version_tag),
+        "n_rules": result.get("n_rules"),
+        "shards": result.get("shards"),
     }
+    if not answered:
+        report["error"] = result.get("detail", "reload refused")
+    elif report["status"] != "ok":
+        failed = [
+            s.get("name", "?") for s in report["shards"] or [] if not s.get("ok")
+        ]
+        report["error"] = f"{report['status']}: " + (
+            ", ".join(failed) if failed else "no shard flipped"
+        )
+    return report
 
 
 class ShardCluster:
-    """N shard workers plus (in router mode) the front-end router."""
+    """N shard workers plus the front-end router."""
 
     def __init__(
         self,
         rulebook: str,
         n_shards: int,
         *,
-        mode: str = "router",
         host: str = "127.0.0.1",
         port: int = 0,
-        lb_policy: str = "round_robin",
         max_queue: int | None = None,
         max_batch: int | None = None,
         request_timeout_s: float | None = 30.0,
@@ -395,16 +318,10 @@ class ShardCluster:
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if mode not in SHARD_MODES:
-            raise ValueError(f"mode must be one of {SHARD_MODES}, got {mode!r}")
-        if mode == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-            raise ValueError("SO_REUSEPORT is not available on this platform")
         self.rulebook = rulebook
         self.n_shards = n_shards
-        self.mode = mode
         self.host = host
         self.requested_port = port
-        self.lb_policy = lb_policy
         self.request_timeout_s = request_timeout_s
         self.workers: list[ShardProcess] = [
             ShardProcess(
@@ -417,7 +334,6 @@ class ShardCluster:
             for k in range(n_shards)
         ]
         self.router: ShardRouter | None = None
-        self._reuseport_port: int | None = None
         self._plane_lease: SegmentLease | None = None
         self._generation = 0
 
@@ -425,8 +341,8 @@ class ShardCluster:
         """Compile *rulebook* once and publish it to shared memory.
 
         Runs in a thread (index compilation is CPU-bound).  Returns
-        ``None`` when shared memory is unavailable — workers then fall
-        back to compiling their own index from the rulebook path.
+        ``None`` when the platform has no shared memory — workers then
+        compile their own index from the rulebook path.
         """
         if not shm_available():
             return None
@@ -442,6 +358,12 @@ class ShardCluster:
     async def start(self) -> None:
         # reap segments orphaned by crashed predecessors before adding ours
         await asyncio.to_thread(gc_stale_segments)
+        if not shm_available():
+            print(
+                "cluster: shared memory unavailable on this host; "
+                "every shard compiles its own index from the rulebook",
+                flush=True,
+            )
         try:
             self._plane_lease = await asyncio.to_thread(
                 self._publish_plane, self.rulebook
@@ -454,31 +376,21 @@ class ShardCluster:
         if self._plane_lease is not None:
             for worker in self.workers:
                 worker.segment = self._plane_lease.name
-        if self.mode == "reuseport":
-            port = self.requested_port or _pick_free_port(self.host)
-            for worker in self.workers:
-                worker.requested_port = port
-                worker.reuse_port = True
-                worker.control = True
-            self._reuseport_port = port
         spawned: list[ShardProcess] = []
         try:
             for worker in self.workers:
                 await worker.spawn()
                 spawned.append(worker)
-            if self.mode == "router":
-                handles = [
-                    ShardHandle(
-                        w.name, self.host, w.port, pid=w.pid  # type: ignore[arg-type]
-                    )
-                    for w in self.workers
-                ]
-                self.router = ShardRouter(
-                    handles,
-                    policy=self.lb_policy,
-                    request_timeout_s=self.request_timeout_s,
+            handles = [
+                ShardHandle(
+                    w.name, self.host, w.port, pid=w.pid  # type: ignore[arg-type]
                 )
-                await self.router.start(self.host, self.requested_port)
+                for w in self.workers
+            ]
+            self.router = ShardRouter(
+                handles, request_timeout_s=self.request_timeout_s
+            )
+            await self.router.start(self.host, self.requested_port)
         except BaseException:
             for worker in spawned:
                 worker.kill()
@@ -492,30 +404,17 @@ class ShardCluster:
     @property
     def port(self) -> int:
         """The public port clients connect to."""
-        if self.mode == "reuseport":
-            if self._reuseport_port is None:
-                raise RuntimeError("cluster is not started")
-            return self._reuseport_port
         if self.router is None:
             raise RuntimeError("cluster is not started")
         return self.router.port
 
-    @property
-    def control_ports(self) -> list[int]:
-        """Per-worker control ports (reuseport mode only)."""
-        return [w.control_port for w in self.workers if w.control_port]
-
     def describe(self) -> str:
         lines = [
-            f"CLUSTER_READY mode={self.mode} host={self.host} "
-            f"port={self.port} shards={self.n_shards}"
-            + (f" lb_policy={self.lb_policy}" if self.mode == "router" else "")
+            f"CLUSTER_READY host={self.host} port={self.port} "
+            f"shards={self.n_shards}"
         ]
         for worker in self.workers:
-            line = f"  {worker.name} pid={worker.pid} port={worker.port}"
-            if worker.control_port:
-                line += f" control_port={worker.control_port}"
-            lines.append(line)
+            lines.append(f"  {worker.name} pid={worker.pid} port={worker.port}")
         return "\n".join(lines)
 
     async def reload(
@@ -539,13 +438,9 @@ class ShardCluster:
         except (OSError, ValueError, SegmentError):
             # let the per-shard path reload report the real error
             lease = None
-        if self.mode == "router":
-            ports = [self.port]
-        else:
-            ports = self.control_ports
         result = await broadcast_reload(
             self.host,
-            ports,
+            self.port,
             rulebook,
             version=version,
             version_tag=version_tag,
@@ -589,15 +484,18 @@ class ShardCluster:
 
 async def run_cluster(cluster: ShardCluster) -> None:
     """Run a cluster until SIGTERM/SIGINT, then drain everything."""
-    await cluster.start()
-    print(cluster.describe(), flush=True)
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
+    # handle the signals before any worker exists: a SIGTERM that lands
+    # while the fleet starts must drain it, not kill the parent and
+    # leave the workers running
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
             loop.add_signal_handler(signum, stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
+    await cluster.start()
+    print(cluster.describe(), flush=True)
     try:
         await stop.wait()
     finally:
@@ -614,12 +512,6 @@ def _build_worker_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--name", default=f"shard-pid{os.getpid()}")
-    parser.add_argument("--reuse-port", action="store_true")
-    parser.add_argument(
-        "--control-host",
-        default=None,
-        help="also open a control listener on this host (ephemeral port)",
-    )
     parser.add_argument("--max-queue", type=int, default=None)
     parser.add_argument("--max-batch", type=int, default=None)
     parser.add_argument(
@@ -631,14 +523,20 @@ def _build_worker_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _run_worker(args: argparse.Namespace) -> None:
+def _worker_service(args: argparse.Namespace) -> RuleService:
+    """The worker's service: the attached plane, else its own compile."""
     kwargs: dict = {"name": args.name}
     if args.max_queue is not None:
         kwargs["max_queue"] = args.max_queue
     if args.max_batch is not None:
         kwargs["max_batch"] = args.max_batch
-    service = None
-    if args.segment and shm_available():
+    if args.segment and not shm_available():
+        print(
+            f"shard {args.name}: shared memory unavailable on this host; "
+            "compiling from rulebook",
+            flush=True,
+        )
+    elif args.segment:
         try:
             index, plane_meta = attach_rule_plane(args.segment)
         except SegmentError as exc:
@@ -648,31 +546,21 @@ async def _run_worker(args: argparse.Namespace) -> None:
                 flush=True,
             )
         else:
-            service = RuleService(
-                index,
-                version_tag=plane_meta.get("version_tag"),
-                **kwargs,
+            return RuleService(
+                index, version_tag=plane_meta.get("version_tag"), **kwargs
             )
-    if service is None:
-        book = RuleBook.load(args.rulebook)
-        service = RuleService.from_rulebook(book, **kwargs)
+    return RuleService.from_rulebook(RuleBook.load(args.rulebook), **kwargs)
 
+
+async def _run_worker(args: argparse.Namespace) -> None:
     def on_ready(svc: RuleService) -> None:
-        parts = [
-            f"SHARD_READY name={svc.name}",
-            f"pid={os.getpid()}",
-            f"port={svc.port}",
-        ]
-        if args.control_host is not None:
-            parts.append(f"control_port={svc.control_port}")
-        print(" ".join(parts), flush=True)
+        print(
+            f"SHARD_READY name={svc.name} pid={os.getpid()} port={svc.port}",
+            flush=True,
+        )
 
-    await service.serve_forever(
-        args.host,
-        args.port,
-        reuse_port=args.reuse_port,
-        control_host=args.control_host,
-        on_ready=on_ready,
+    await _worker_service(args).serve_forever(
+        args.host, args.port, on_ready=on_ready
     )
 
 

@@ -9,10 +9,10 @@ attaches the already-compiled plane in milliseconds and fleet RSS stays
 ~1× the book instead of N×.
 
 Layout, naming and lifecycle live in :mod:`repro.shm.segment`; the
-codec is :mod:`repro.shm.ruleplane`.  When shared memory is unavailable
-(or ``REPRO_NO_SHM`` is set / ``repro serve --no-shm`` passed) shards
-fall back to compiling the book themselves, which is also retained as
-the CI equivalence oracle.
+codec is :mod:`repro.shm.ruleplane`.  Where the platform has no shared
+memory, or a segment cannot be attached, shards say so and compile the
+book themselves; that per-shard compile is also the oracle the attached
+plane's answers are tested against.
 """
 
 from .segment import (

@@ -80,9 +80,6 @@ NAME_PREFIX = "rsm."
 #: where POSIX shared memory is enumerable (Linux); GC is a no-op elsewhere
 _SHM_DIR = "/dev/shm"
 
-#: environment switch disabling the whole data plane (``--no-shm``)
-NO_SHM_ENV = "REPRO_NO_SHM"
-
 
 class SegmentError(RuntimeError):
     """A segment could not be published, attached, or understood."""
@@ -333,14 +330,10 @@ _CAPABILITY: bool | None = None
 
 
 def shm_available() -> bool:
-    """Can (and may) this process use the shared-memory data plane?
+    """Does this platform give the process POSIX shared memory?
 
-    ``REPRO_NO_SHM`` wins unconditionally (checked per call, so tests
-    and the ``--no-shm`` flag can flip it at runtime); the platform
-    capability probe — create, map, unlink one page — runs once.
+    The capability probe — create, map, unlink one page — runs once.
     """
-    if os.environ.get(NO_SHM_ENV):
-        return False
     global _CAPABILITY
     if _CAPABILITY is None:
         try:

@@ -21,7 +21,8 @@ the serving subsystem — the ``repro serve --follow`` wiring:
    flips atomically per replica, tagged with the new book's
    fingerprint, without restarts or mixed-version batches.  Each shard
    attaches the published segment zero-copy; the saved rulebook path
-   rides along as the fallback when shared memory is unavailable.
+   rides along as the fallback.  Where the platform has no shared
+   memory the follower says so once and ships the path alone.
 
 The ingest/tick work runs in a worker thread (``asyncio.to_thread``) so
 the event loop that owns the serving cluster keeps answering control
@@ -92,10 +93,10 @@ class StreamFollower:
         The drift-gated control loop (owns window, book and engine).
     stream_path:
         NDJSON file to tail; may not exist yet (the follower waits).
-    host, ports:
-        Reload endpoints — a router's public port, reuseport workers'
-        control ports, or a lone service's port.  Empty *ports* disables
-        pushing (mine-only follow, used by tests and dry runs).
+    host, port:
+        The reload endpoint — a router's public port or a lone
+        service's port.  ``None`` disables pushing (mine-only follow,
+        used by tests and dry runs).
     out_dir:
         Where versioned rulebooks land (``rulebook.v<N>.jsonl`` plus a
         ``rulebook.latest.jsonl`` convenience copy).
@@ -111,7 +112,7 @@ class StreamFollower:
         stream_path: str | os.PathLike,
         *,
         host: str = "127.0.0.1",
-        ports: list[int] | tuple[int, ...] = (),
+        port: int | None = None,
         out_dir: str | os.PathLike = ".",
         interval_s: float = 2.0,
         min_events: int = 1,
@@ -125,7 +126,7 @@ class StreamFollower:
         self.refresher = refresher
         self.stream_path = Path(stream_path)
         self.host = host
-        self.ports = list(ports)
+        self.port = port
         self.out_dir = Path(out_dir)
         self.interval_s = interval_s
         self.min_events = min_events
@@ -194,9 +195,9 @@ class StreamFollower:
     def _publish_plane(self, result: TickResult) -> SegmentLease | None:
         """Worker-thread body: compile the new book's plane once.
 
-        Returns ``None`` when shared memory is unavailable — the
-        broadcast then ships only the rulebook path and every shard
-        compiles its own index, exactly the pre-shm behaviour.
+        Returns ``None`` when the platform has no shared memory — the
+        reload then ships only the rulebook path and every shard
+        compiles its own index.
         """
         if not shm_available():
             return None
@@ -211,7 +212,7 @@ class StreamFollower:
         )
 
     async def _push(self, result: TickResult, path: Path) -> None:
-        if not self.ports:
+        if self.port is None:
             return
         previous = self._plane_lease
         try:
@@ -220,7 +221,7 @@ class StreamFollower:
             lease = None
         report = await broadcast_reload(
             self.host,
-            self.ports,
+            self.port,
             str(path),
             version_tag=result.book.fingerprint,
             segment=lease.name if lease is not None else None,
@@ -255,6 +256,12 @@ class StreamFollower:
         ``min_events``) runs after *stop* fires, so a finite stream is
         fully accounted for when the follower exits.
         """
+        if self.port is not None and not shm_available():
+            print(
+                "follow: shared memory unavailable on this host; each "
+                "reload ships the rulebook path and every shard compiles it",
+                flush=True,
+            )
         loop = asyncio.get_running_loop()
         next_tick = loop.time() + self.interval_s
         while not stop.is_set():

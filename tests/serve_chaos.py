@@ -90,7 +90,6 @@ class ChaosCluster:
         rulebook_path: str,
         n_shards: int,
         *,
-        lb_policy: str = "least_loaded",
         request_timeout_s: float = 2.0,
         max_queue: int | None = None,
         max_batch: int | None = None,
@@ -98,7 +97,6 @@ class ChaosCluster:
         self.cluster = ShardCluster(
             rulebook_path,
             n_shards,
-            lb_policy=lb_policy,
             request_timeout_s=request_timeout_s,
             max_queue=max_queue,
             max_batch=max_batch,
@@ -204,8 +202,8 @@ class LoadDriver:
     graceful degradation: *no client ever saw an unrecovered error*.
 
     Workers transparently reconnect if their connection drops (the
-    router stays up across shard faults, but reuseport-mode tests point
-    clients straight at workers).
+    router stays up across shard faults, but a client connection can
+    still be cut).
     """
 
     def __init__(

@@ -222,6 +222,31 @@ class TestServeCli:
         book = RuleBook.load(book_path)
         assert book.keywords == get_trace("pai").keywords
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shards", "2", "--shard-mode", "reuseport"],
+         ["--shards", "2", "--lb-policy", "least_loaded"],
+         ["--no-shm"]],
+        ids=["shard-mode", "lb-policy", "no-shm"],
+    )
+    def test_removed_serve_flags_exit_2(self, flags, capsys):
+        # one serving topology: the retired switches fail loudly instead
+        # of being ignored (the book is never opened)
+        code = main(["serve", "--rulebook", "unused.jsonl", *flags])
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"mode": "reuseport"}, {"lb_policy": "least_loaded"}],
+        ids=["mode", "lb_policy"],
+    )
+    def test_removed_cluster_options_are_type_errors(self, kwargs):
+        from repro.serve.shard import ShardCluster
+
+        with pytest.raises(TypeError):
+            ShardCluster("unused.jsonl", 2, **kwargs)
+
     def test_match_missing_rulebook_exits_2(self, capsys):
         code = main(
             ["match", "--rulebook", "/nonexistent/book.jsonl",

@@ -12,13 +12,13 @@ keeps sustained traffic flowing.  The common acceptance shape:
 """
 
 import asyncio
+import os
 import signal
-import socket
 
 import pytest
 
 from repro.serve import RuleServiceClient
-from repro.serve.shard import ShardCluster, broadcast_reload
+from repro.serve.shard import run_cluster
 
 from .serve_chaos import (
     ChaosCluster,
@@ -89,11 +89,11 @@ class TestStalledShard:
         transactions = random_transactions(seed=3, n=64)
 
         async def scenario():
-            # least_loaded: a stalled shard's inflight count climbs, so
-            # new traffic steers away; a short request timeout bounds
-            # the requests already stuck on it
+            # a stalled shard's in-flight count climbs, so the router's
+            # fewest-in-flight rule steers new traffic away; a short
+            # request timeout bounds the requests already stuck on it
             async with ChaosCluster(
-                book_path, 3, lb_policy="least_loaded", request_timeout_s=1.0
+                book_path, 3, request_timeout_s=1.0
             ) as chaos:
                 async with LoadDriver(
                     chaos.host, chaos.port, transactions
@@ -109,6 +109,18 @@ class TestStalledShard:
                 assert outcome.n_ok >= 160
                 wrong = outcome.wrong_answers(launched_book_oracle())
                 assert wrong == [], wrong[:3]
+
+                # the stalled shard takes a request only while its stuck
+                # count is no higher than a live shard's in-flight count,
+                # so no more time out there than there are clients
+                async with await RuleServiceClient.connect(
+                    chaos.host, chaos.port
+                ) as client:
+                    health = await client.healthz()
+                [stalled] = [
+                    s for s in health["shards"] if s["name"] == "shard0"
+                ]
+                assert stalled["timeouts"] <= driver.concurrency, stalled
 
         run(scenario())
 
@@ -192,61 +204,27 @@ class TestHotSwapUnderLoad:
         run(scenario())
 
 
-@pytest.mark.skipif(
-    not hasattr(socket, "SO_REUSEPORT"),
-    reason="SO_REUSEPORT not available on this platform",
-)
-class TestReusePortMode:
-    def test_kernel_balanced_cluster_serves_and_reloads(
-        self, book_path, tmp_path
-    ):
-        new_path = save_rulebook(
-            make_rulebook(seed=11, n_rules=100), tmp_path, "reuse-v2"
-        )
-        transactions = random_transactions(seed=6, n=32)
+class TestClusterSignals:
+    def test_sigterm_while_starting_drains_instead_of_orphaning(self):
+        # a SIGTERM that lands before CLUSTER_READY must still run the
+        # drain: with no handler yet, the parent would die and leave
+        # its spawned workers running
+        default = signal.getsignal(signal.SIGTERM)
 
-        async def scenario():
-            cluster = ShardCluster(book_path, 2, mode="reuseport")
-            await cluster.start()
-            try:
-                assert len(cluster.control_ports) == 2
-                async with await RuleServiceClient.connect(
-                    cluster.host, cluster.port
-                ) as client:
-                    for txn in transactions:
-                        result = await client.match(txn)
-                        assert result["type"] == "match_result"
-                        assert result["version"] == 1
+        class StartingCluster:
+            drained = False
 
-                # rolling reload via the private per-worker control
-                # ports (the shared public port cannot address one
-                # specific worker — the kernel picks)
-                result = await broadcast_reload(
-                    cluster.host, cluster.control_ports, new_path
-                )
-                assert result["status"] == "ok"
-                assert result["version"] == 2
+            async def start(self):
+                assert signal.getsignal(signal.SIGTERM) is not default
+                os.kill(os.getpid(), signal.SIGTERM)
 
-                async with await RuleServiceClient.connect(
-                    cluster.host, cluster.port
-                ) as client:
-                    result = await client.match(transactions[0])
-                    assert result["version"] == 2
-            finally:
-                await cluster.shutdown()
+            def describe(self) -> str:
+                return "CLUSTER_READY (test)"
 
-        run(scenario())
+            async def shutdown(self):
+                self.drained = True
 
-    def test_workers_drain_on_sigterm(self, book_path):
-        async def scenario():
-            cluster = ShardCluster(book_path, 2, mode="reuseport")
-            await cluster.start()
-            try:
-                for worker in cluster.workers:
-                    worker.send_signal(signal.SIGTERM)
-                codes = [await worker.wait(10.0) for worker in cluster.workers]
-                assert codes == [0, 0]
-            finally:
-                await cluster.shutdown()
-
-        run(scenario())
+        cluster = StartingCluster()
+        run(asyncio.wait_for(run_cluster(cluster), 10))
+        assert cluster.drained
+        assert signal.getsignal(signal.SIGTERM) is default

@@ -28,7 +28,7 @@ from repro.shm import (
     publish_segment,
     shm_available,
 )
-from repro.shm.segment import NO_SHM_ENV, _SHM_DIR, segment_name
+from repro.shm.segment import _SHM_DIR, segment_name
 
 from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over, serve_batch
 from .test_serve_rulebook import random_rules
@@ -353,7 +353,7 @@ class TestClusterPlaneLifecycle:
         book2.save(p2)
 
         async def scenario():
-            cluster = ShardCluster(str(p1), 2, mode="router")
+            cluster = ShardCluster(str(p1), 2)
             await cluster.start()
             try:
                 planes = list_segments(["r"])
@@ -380,29 +380,40 @@ class TestClusterPlaneLifecycle:
 
         run(scenario())
 
-    def test_cluster_serves_with_shm_disabled(self, tmp_path, monkeypatch):
+    def test_cluster_serves_with_shm_disabled(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.serve import shard
         from repro.serve.shard import ShardCluster
 
-        monkeypatch.setenv(NO_SHM_ENV, "1")
+        # the parent's probe fails: no plane, every shard compiles, and
+        # the cluster says so once
+        monkeypatch.setattr(shard, "shm_available", lambda: False)
         book = RuleBook(rules=random_rules(random.Random(1), 25, 20))
         path = tmp_path / "book.jsonl"
         book.save(path)
 
         async def scenario():
-            cluster = ShardCluster(str(path), 2, mode="router")
+            cluster = ShardCluster(str(path), 2)
             await cluster.start()
             try:
                 assert cluster._plane_lease is None
                 assert list_segments(["r"]) == []
+                assert all(w.segment is None for w in cluster.workers)
                 async with await RuleServiceClient.connect(
                     "127.0.0.1", cluster.port
                 ) as client:
                     health = await client.healthz()
                     assert health["n_rules"] == len(book)
+                report = await cluster.reload(str(path))
+                assert report["status"] == "ok"
+                assert list_segments(["r"]) == []
             finally:
                 await cluster.shutdown()
 
         run(scenario())
+        out = capsys.readouterr().out
+        assert out.count("cluster: shared memory unavailable") == 1, out
 
     def test_sigtermed_worker_leaves_no_segments(self, tmp_path):
         from repro.serve.shard import ShardCluster
@@ -412,7 +423,7 @@ class TestClusterPlaneLifecycle:
         book.save(path)
 
         async def scenario():
-            cluster = ShardCluster(str(path), 2, mode="router")
+            cluster = ShardCluster(str(path), 2)
             await cluster.start()
             try:
                 # workers only *attach*; killing one must not disturb
@@ -426,3 +437,84 @@ class TestClusterPlaneLifecycle:
             assert list_segments(["r"]) == []
 
         run(scenario())
+
+
+# -- platform without shared memory ----------------------------------------------
+
+
+class TestPlatformFallback:
+    """Where the probe fails, a process compiles per shard — loudly.
+
+    The probe is forced off where the process calls it, so these run
+    the compile path that hosts without POSIX shared memory take (the
+    cluster's own case is in :class:`TestClusterPlaneLifecycle`).
+    """
+
+    def test_worker_given_a_segment_compiles_and_says_so(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.serve import shard
+
+        book = RuleBook(rules=random_rules(random.Random(3), 25, 20))
+        path = tmp_path / "book.jsonl"
+        book.save(path)
+        lease = publish_rule_plane(RuleIndex.from_rulebook(book), generation=1)
+        monkeypatch.setattr(shard, "shm_available", lambda: False)
+        try:
+            args = shard._build_worker_parser().parse_args(
+                ["--rulebook", str(path), "--name", "w0",
+                 "--segment", lease.name]
+            )
+            service = shard._worker_service(args)
+        finally:
+            lease.unlink()
+        assert len(service.index) == len(book)
+        assert service.index.shm_segment is None  # compiled, not attached
+        out = capsys.readouterr().out
+        assert out.count("shard w0: shared memory unavailable") == 1, out
+
+    def test_follower_ships_the_path_and_says_so(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.streaming import StreamFollower
+        from repro.streaming import follow
+
+        from .test_stream_follow import _bootstrap, _stream
+
+        monkeypatch.setattr(follow, "shm_available", lambda: False)
+        _win, refresher = _bootstrap()
+        refresher.threshold = 0.0  # the tick remines and reloads
+        stream_path = tmp_path / "events.ndjson"
+
+        async def scenario():
+            service = RuleService(RuleIndex.from_rulebook(refresher.book))
+            await service.start(port=0)
+            try:
+                follower = StreamFollower(
+                    refresher,
+                    stream_path,
+                    port=service.port,
+                    out_dir=tmp_path / "books",
+                    interval_s=0.05,
+                    min_events=4,
+                    poll_s=0.02,
+                )
+                stop = asyncio.Event()
+                task = asyncio.create_task(follower.run(stop))
+                with open(stream_path, "w") as fh:
+                    for txn in _stream(17, 48):
+                        fh.write(json.dumps(txn) + "\n")
+                async with asyncio.timeout(20):
+                    while follower.stats.n_reloads < 1:
+                        await asyncio.sleep(0.02)
+                        assert list_segments(["r"]) == []
+                stop.set()
+                stats = await task
+                assert stats.n_reload_failures == 0
+                assert service.version == 1 + stats.n_reloads
+            finally:
+                await service.shutdown()
+
+        run(scenario())
+        out = capsys.readouterr().out
+        assert out.count("follow: shared memory unavailable") == 1, out

@@ -176,7 +176,6 @@ class TestStreamFollower:
         follower = StreamFollower(
             refresher,
             stream_path,
-            ports=(),
             out_dir=out_dir,
             interval_s=0.05,
             min_events=4,
@@ -237,7 +236,7 @@ class TestFollowLiveRefresh:
                     refresher,
                     stream_path,
                     host=chaos.host,
-                    ports=[chaos.port],
+                    port=chaos.port,
                     out_dir=out_dir,
                     interval_s=0.1,
                     min_events=8,
