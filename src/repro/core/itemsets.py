@@ -49,8 +49,8 @@ class ItemsetView:
     """One frequent-itemset table as columns; row ``r`` is its ``r``-th itemset.
 
     * ``indptr`` / ``ids`` — the itemsets as CSR rows, ids ascending;
-    * ``lengths`` and ``counts`` — one entry per row (``counts`` is
-      ``None`` on a rows-only view, :meth:`of_rows`);
+    * ``lengths`` and ``counts`` — one entry per row (``counts`` and the
+      ``vocabulary`` are ``None`` on a rows-only view, :meth:`of_rows`);
     * ``padded`` — ``(rows, max_len)`` uint64 matrix of ``id + 1``, zero
       padded, the form subsets are cut from;
     * packed keys, sorted for ``np.searchsorted``, so a subset's row is a
@@ -62,23 +62,19 @@ class ItemsetView:
       ``P`` selects, or ``-1`` if it is absent.  The complement of ``P``
       is the entry mirrored within the row's range, so a split
       ``A ⇒ Z∖A`` is two reads of ``sub``.  ``owner`` maps each entry
-      back to its row;
-    * ``strings`` — each row's ``str(sorted(items))``, the object path's
-      tie-break text — and ``rank``, each row's position when those
-      strings are sorted (comparing ranks is comparing the strings);
-      both are built on first use.
+      back to its row.
     """
 
     __slots__ = (
         "indptr", "ids", "lengths", "counts", "padded", "bits",
         "_sorted_keys", "_key_rows", "split_indptr", "sub", "_owner",
-        "_vocabulary", "_strings", "_rank",
+        "vocabulary",
     )
 
     def __init__(
         self, counts: Mapping[frozenset[int], int], vocabulary: ItemVocabulary
     ) -> None:
-        self._vocabulary = vocabulary
+        self.vocabulary = vocabulary
         self.counts = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         indptr, ids = _csr_rows(counts)
         self._set_rows(indptr, ids, _padded(indptr, ids))
@@ -94,10 +90,10 @@ class ItemsetView:
         """A rows-only view of the distinct rows of a CSR (ids ascending per
         row), and the view row of every input row.
 
-        It has no counts, and no tie-break strings (no vocabulary).
+        It has no counts and no vocabulary, so no tie-break strings.
         """
         view = cls.__new__(cls)
-        view._vocabulary = view.counts = None
+        view.vocabulary = view.counts = None
         view._set_rows(indptr, ids, _padded(indptr, ids))
         keys, first, row_of = np.unique(
             view._keys(view.padded), return_index=True, return_inverse=True
@@ -113,7 +109,7 @@ class ItemsetView:
         self.indptr, self.ids, self.padded = indptr, ids, padded
         self.lengths = np.diff(indptr)
         self.bits = (int(ids.max()) + 1 if ids.size else 0).bit_length()
-        self._strings = self._rank = self._owner = None
+        self._owner = None
 
     def _build_splits(self) -> None:
         """The split table: one :meth:`find` per pattern of each length class."""
@@ -143,18 +139,15 @@ class ItemsetView:
             )
         return self._owner
 
-    @property
-    def strings(self) -> np.ndarray:
-        if self._strings is None:
-            self._strings = side_strings(self.indptr, self.ids, self._vocabulary)
-        return self._strings
-
-    @property
-    def rank(self) -> np.ndarray:
-        if self._rank is None:
-            self._rank = np.empty(len(self), dtype=np.int64)
-            self._rank[np.argsort(self.strings, kind="stable")] = np.arange(len(self))
-        return self._rank
+    def tie_break(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each of *rows*' ``str(sorted(items))`` (the object path's
+        tie-break text) and dense integer rank: comparing ranks is
+        comparing the strings.  Only the distinct rows are rendered."""
+        distinct, inverse = np.unique(rows, return_inverse=True)
+        indptr, flat = csr_range_gather(self.indptr, distinct)
+        strings = side_strings(indptr, self.ids[flat], self.vocabulary)
+        _, ranks = np.unique(strings, return_inverse=True)
+        return strings[inverse], ranks.ravel()[inverse]
 
     def _keys(self, sub: np.ndarray) -> np.ndarray:
         """One exact key per row of an ``(m, k)`` slice of ``id + 1`` columns.

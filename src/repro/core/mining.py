@@ -26,8 +26,8 @@ from .eclat import eclat
 from .fpgrowth import fpgrowth
 from .items import Item, as_item
 from .itemsets import FrequentItemsets
-from .pruning import PruningConfig, PruningReport, prune_rule_table
-from .rules import AssociationRule, generate_rule_table, generate_rules
+from .pruning import PruningConfig, PruningReport, prune_candidates
+from .rules import AssociationRule, generate_rules, rule_candidates
 from .ruletable import RuleTable
 from .transactions import TransactionDatabase
 
@@ -37,6 +37,7 @@ __all__ = [
     "mine_frequent_itemsets",
     "mine_rules",
     "mine_keyword_rules",
+    "keyword_rule_set",
     "ALGORITHMS",
 ]
 
@@ -108,9 +109,9 @@ class KeywordRuleSet:
     ``cause`` rules carry the keyword in the consequent ("C" rows of the
     paper's tables); ``characteristic`` rules carry it in the antecedent
     ("A" rows).  ``table`` holds the surviving rules in columnar form
-    (pruned :class:`RuleTable`, canonical order) when the pass ran
-    through the table pipeline; persistence and serving consume it
-    without materialising objects.
+    (:class:`RuleTable`, canonical order) when :func:`keyword_rule_set`
+    built the set (``n_rules_before_pruning`` counts the candidates it
+    pruned); persistence and serving consume it without objects.
 
     Built from a *table* alone, ``cause`` and ``characteristic`` are
     views of it, materialised as rule objects on first access; explicit
@@ -241,6 +242,35 @@ def mine_rules(
     )
 
 
+def keyword_rule_set(
+    itemsets: FrequentItemsets,
+    keyword: Item | str,
+    config: MiningConfig = MiningConfig(),
+) -> KeywordRuleSet:
+    """One keyword's rules: enumerate + score → Conditions 1–4 on split
+    entries → materialise + sort only the survivors.  The same rule set
+    as ``prune_rule_table(generate_rule_table(...))``; every keyword path
+    runs this."""
+    kw = as_item(keyword)
+    kw_id = itemsets.vocabulary.get_id(kw)
+    if kw_id is None:
+        # keyword never appears in the trace; nothing to analyse
+        return KeywordRuleSet(kw)
+    candidates = rule_candidates(
+        itemsets,
+        min_lift=config.min_lift,
+        min_confidence=config.min_confidence,
+        keyword_ids=(kw_id,),
+    )
+    kept, report = prune_candidates(candidates, kw_id, config.pruning)
+    return KeywordRuleSet(
+        keyword=kw,
+        report=report,
+        n_rules_before_pruning=len(candidates.entry),
+        table=candidates.table(kept),
+    )
+
+
 def mine_keyword_rules(
     db: TransactionDatabase,
     keyword: Item | str,
@@ -253,23 +283,6 @@ def mine_keyword_rules(
     pass over several keywords (the case studies investigate both GPU
     underutilisation and failure on the same trace).
     """
-    kw = as_item(keyword)
     if itemsets is None:
         itemsets = mine_frequent_itemsets(db, config)
-    kw_id = db.vocabulary.get_id(kw)
-    if kw_id is None:
-        # keyword never appears in the trace; nothing to analyse
-        return KeywordRuleSet(kw)
-    table = generate_rule_table(
-        itemsets,
-        min_lift=config.min_lift,
-        min_confidence=config.min_confidence,
-        keyword_ids=(kw_id,),
-    )
-    kept_table, report = prune_rule_table(table, kw, config.pruning)
-    return KeywordRuleSet(
-        keyword=kw,
-        report=report,
-        n_rules_before_pruning=len(table),
-        table=kept_table,
-    )
+    return keyword_rule_set(itemsets, keyword, config)

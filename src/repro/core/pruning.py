@@ -32,7 +32,8 @@ itemset ``Z = A ∪ C`` and the pattern ``P`` that selects ``A``.  Its
 partners with a shorter antecedent (same consequent) or a shorter
 consequent (same antecedent) are entries of sub-itemsets of ``Z``, and
 a static per-length table of pattern arithmetic names them, so each
-pair costs three integer gathers.  A generated table carries its
+pair costs three integer gathers.  Generation's candidates are entries
+already (:func:`prune_candidates`); a generated table carries its
 entries (its split provenance); any other table first maps its rules
 onto a rows-only view of their itemsets (the ``prune-entries`` kernel).
 The pairwise statement of Sec. III-D it is tested against rule by rule
@@ -60,13 +61,14 @@ from .bitmap import kernel_timer
 from .interest import extended_metrics_columns
 from .items import Item, ItemVocabulary, as_item
 from .itemsets import ItemsetView
-from .rules import AssociationRule
+from .rules import AssociationRule, RuleCandidates
 from .ruletable import RuleTable, csr_range_gather
 
 __all__ = [
     "PruningConfig",
     "CondenseConfig",
     "PruningReport",
+    "prune_candidates",
     "prune_rules",
     "prune_rule_table",
     "keyword_condition_codes",
@@ -386,9 +388,37 @@ def _condense_codes(
 # ---------------------------------------------------------------------------
 
 
-def _count_codes(report: PruningReport, cond: np.ndarray) -> None:
+def _report(cond: np.ndarray) -> PruningReport:
     codes, counts = np.unique(cond[cond != 0], return_counts=True)
-    report.pruned_by_condition.update(dict(zip(codes.tolist(), counts.tolist())))
+    return PruningReport(
+        n_input=len(cond),
+        n_kept=len(cond) - int(counts.sum()),
+        pruned_by_condition=Counter(dict(zip(codes.tolist(), counts.tolist()))),
+    )
+
+
+def prune_candidates(
+    candidates: RuleCandidates,
+    keyword_id: int,
+    config: PruningConfig = PruningConfig(),
+) -> tuple[np.ndarray, PruningReport]:
+    """Conditions 1–4 on candidates that all hold *keyword_id*: the
+    kept candidates (ascending) and the report.  A candidate is an entry
+    ``(Z, P)``; the keyword, the ``k``-th id of ``Z``, is in the
+    antecedent iff bit ``k`` of ``P`` is set."""
+    entry = candidates.entry
+    if not len(entry):
+        return np.zeros(0, dtype=np.int64), PruningReport()
+    view = candidates.view
+    with kernel_timer("prune-join"):
+        row = view.owner[entry]
+        k = np.argmax(view.padded[row] == np.uint64(keyword_id + 1), axis=1)
+        in_ant = ((entry - view.split_indptr[row] + 1) >> k) & 1 == 1
+        cond = _mark_conditions(
+            view, entry, candidates.lift, candidates.support, in_ant, ~in_ant,
+            config.c_lift, config.c_supp,
+        )
+    return np.flatnonzero(cond == 0), _report(cond)
 
 
 def keyword_condition_codes(
@@ -468,11 +498,7 @@ def prune_rule_table(
     rows, cond = keyword_condition_codes(
         table, keyword, config, condense=condense, condense_config=condense_config
     )
-    report = PruningReport(n_input=len(rows))
-    kept = table.select(rows[cond == 0])
-    report.n_kept = len(kept)
-    _count_codes(report, cond)
-    return kept, report
+    return table.select(rows[cond == 0]), _report(cond)
 
 
 def prune_rules(
@@ -496,9 +522,8 @@ def prune_rules(
     """
     kw = as_item(keyword)
     relevant = keyword_rules(rules, kw)
-    report = PruningReport(n_input=len(relevant))
     if not relevant:
-        return [], report
+        return [], PruningReport()
 
     n = len(relevant)
     cond = _codes(
@@ -509,7 +534,4 @@ def prune_rules(
         config,
         (condense_config or CondenseConfig()) if condense else None,
     )
-    kept = [rule for i, rule in enumerate(relevant) if not cond[i]]
-    report.n_kept = len(kept)
-    _count_codes(report, cond)
-    return kept, report
+    return [rule for i, rule in enumerate(relevant) if not cond[i]], _report(cond)

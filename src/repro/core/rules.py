@@ -13,25 +13,22 @@ downward-closed — a differentially private, closed or maximal itemset
 table can drop a subset and keep its superset — cannot score every
 split; generation raises ``ValueError`` on it instead of dropping rules.
 
-:func:`generate_rule_table` is the columnar kernel.  It reads the pass's
+:func:`rule_candidates` is the columnar kernel.  It reads the pass's
 one :class:`~repro.core.itemsets.ItemsetView` (built once per
 :class:`FrequentItemsets`, shared by every keyword), whose split table
 holds, for every itemset ``Z`` and pattern ``P``, the row of the
 sub-itemset ``P`` selects.  A keyword's candidates are the entries of
 its surface itemsets, one ``csr_range_gather``: the antecedent is the
 entry's row, the consequent the row of the complementary pattern, the
-joint count ``Z``'s.  All metrics are scored in one vectorised batch,
-the min-lift / min-confidence filters are boolean masks, and the
-canonical order is one ``np.lexsort`` over the metrics and the view's
-integer string ranks.  No :class:`AssociationRule` object or tie-break
-string is built per rule, and no subset is searched for per keyword.
-Returns a :class:`~repro.core.ruletable.RuleTable` that keeps each
-row's split-table entry (its split provenance) for Conditions 1–4.
-The powerset-split oracle it is tested against bit for bit lives in
-``tests/oracles.py``.
-
-:func:`generate_rules` keeps the historical list-of-objects API by
-materialising the kernel's table.
+joint count ``Z``'s.  All metrics are scored in one vectorised batch and
+the min-lift / min-confidence filters are boolean masks.  Conditions 1–4
+run on the unsorted :class:`RuleCandidates`, and
+:meth:`RuleCandidates.table` gathers and sorts only the rows asked for:
+one ``np.lexsort`` over the metrics and the integer ranks of those rows'
+tie-break strings.  No :class:`AssociationRule` object is built per
+rule, and no subset is searched for per keyword.  The powerset-split
+oracle it is tested against bit for bit lives in ``tests/oracles.py``.
+:func:`generate_rules` keeps the historical list-of-objects API.
 """
 
 from __future__ import annotations
@@ -43,14 +40,17 @@ import numpy as np
 
 from .bitmap import kernel_timer
 from .items import Item, render_itemset
-from .itemsets import FrequentItemsets
+from .itemsets import FrequentItemsets, ItemsetView
 from .metrics import RuleMetrics
-from .ruletable import RuleTable, csr_range_gather, rows_containing
+from .ruletable import METRIC_COLUMNS, RuleTable, csr_range_gather, rows_containing
 
 __all__ = [
     "AssociationRule",
+    "RuleCandidates",
     "generate_rules",
     "generate_rule_table",
+    "rule_candidates",
+    "score_counts",
 ]
 
 
@@ -185,37 +185,81 @@ def generate_rule_table(
     min_confidence: float = 0.0,
     keyword_ids: Iterable[int] | None = None,
 ) -> RuleTable:
-    """Columnar rule generation: enumerate, score, filter and sort as arrays.
+    """Every candidate of :func:`rule_candidates` as a table, sorted by
+    ``(-lift, -confidence, -support, antecedent, consequent)``: the
+    per-keyword composition (:func:`~repro.core.mining.keyword_rule_set`)
+    without its prune step."""
+    return rule_candidates(itemsets, min_lift, min_confidence, keyword_ids).table()
 
-    Every non-empty proper split of each itemset is scored with IEEE-double
-    metric arithmetic and sorted by ``(-lift, -confidence, -support,
-    antecedent, consequent)``, but no per-rule object or string is
-    created: the result is a :class:`RuleTable` whose rows are exactly the
-    surviving rules, read off the split table of the pass's one
-    :class:`~repro.core.itemsets.ItemsetView`, each row with its entry.
-    Raises ``ValueError`` if a split's side is missing from the table
-    (the table is not downward-closed).
-    """
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RuleCandidates:
+    """The scored, filtered splits of one generation call, unsorted:
+    candidate ``i`` is entry ``entry[i]`` of *view*'s split table, with
+    side rows ``ant_rows[i]``/``cons_rows[i]`` and its metric values."""
+
+    view: ItemsetView
+    entry: np.ndarray
+    ant_rows: np.ndarray
+    cons_rows: np.ndarray
+    support: np.ndarray
+    confidence: np.ndarray
+    lift: np.ndarray
+    leverage: np.ndarray
+    conviction: np.ndarray
+
+    def table(self, rows: np.ndarray | None = None) -> RuleTable:
+        """Candidates *rows* (default: all) as a table in canonical order,
+        keeping their tie-break strings and split-table entries."""
+        if rows is None:
+            rows = np.arange(len(self.entry), dtype=np.int64)
+        view = self.view
+        n = len(rows)
+        with kernel_timer("rules-sort"):
+            strings, rank = view.tie_break(
+                np.concatenate([self.ant_rows[rows], self.cons_rows[rows]])
+            )
+            order = np.lexsort((
+                rank[n:], rank[:n],
+                -self.support[rows], -self.confidence[rows], -self.lift[rows],
+            ))
+            rows = rows[order]
+        ant_indptr, ant_flat = csr_range_gather(view.indptr, self.ant_rows[rows])
+        cons_indptr, cons_flat = csr_range_gather(view.indptr, self.cons_rows[rows])
+        table = RuleTable(
+            view.vocabulary,
+            ant_indptr, view.ids[ant_flat],
+            cons_indptr, view.ids[cons_flat],
+            *(getattr(self, name)[rows] for name in METRIC_COLUMNS),
+        )
+        table._sort_strings_cache = (strings[:n][order], strings[n:][order])
+        table._splits = (view, self.entry[rows])
+        return table
+
+
+def rule_candidates(
+    itemsets: FrequentItemsets,
+    min_lift: float = 1.5,
+    min_confidence: float = 0.0,
+    keyword_ids: Iterable[int] | None = None,
+) -> RuleCandidates:
+    """Every split of the (keyword) itemsets passing the lift and
+    confidence floors.  Raises ``ValueError`` if a split's side is
+    missing (the table is not downward-closed)."""
     _validate_params(min_lift, min_confidence)
-    vocabulary = itemsets.vocabulary
     n = itemsets.n_transactions
-    if n == 0 or not itemsets.counts:
-        return RuleTable.empty(vocabulary)
 
     with kernel_timer("rules-enumerate"):
         view = itemsets.view()
-        wanted = view.lengths >= 2
+        wanted = (view.lengths >= 2) & (n > 0)
         if keyword_ids is not None:
             has_keyword = np.zeros(len(view), dtype=bool)
             for kw_id in keyword_ids:
                 has_keyword |= rows_containing(view.indptr, view.ids, kw_id)
             wanted &= has_keyword
-        surface = np.flatnonzero(wanted)
-        if not surface.size:
-            return RuleTable.empty(vocabulary)
         # every split of a surface itemset is one entry of its lattice row;
         # the consequent is the complementary pattern, mirrored in the row
-        _, entry = csr_range_gather(view.split_indptr, surface)
+        _, entry = csr_range_gather(view.split_indptr, np.flatnonzero(wanted))
         itemset = view.owner[entry]
         ant_rows = view.sub[entry]
         cons_rows = view.sub[
@@ -226,43 +270,29 @@ def generate_rule_table(
             first = int(missing.min())
             ids = view.ids[view.indptr[first]:view.indptr[first + 1]]
             raise _not_downward_closed(itemsets, frozenset(ids.tolist()), missing.size)
-        cxy = view.counts[itemset]
 
-    # ---- score every candidate in one batch; filter before materialising ----
     with kernel_timer("rules-score"):
-        supp_xy = cxy.astype(np.float64) / n
-        supp_x = view.counts[ant_rows].astype(np.float64) / n
-        supp_y = view.counts[cons_rows].astype(np.float64) / n
-        denom = supp_x * supp_y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conf = np.where(supp_x > 0.0, supp_xy / supp_x, 0.0)
-            lift_arr = np.where(denom > 0.0, supp_xy / denom, 0.0)
-            conviction_arr = np.where(
-                conf >= 1.0, np.inf, (1.0 - supp_y) / (1.0 - conf)
-            )
-        leverage_arr = supp_xy - denom
-        keep = np.flatnonzero((lift_arr >= min_lift) & (conf >= min_confidence))
-
-    # ---- canonical deterministic order: the sorted-item tie-break
-    # strings enter as the view's integer ranks ----
-    with kernel_timer("rules-sort"):
-        keep = keep[np.lexsort((
-            view.rank[cons_rows[keep]], view.rank[ant_rows[keep]],
-            -supp_xy[keep], -conf[keep], -lift_arr[keep],
-        ))]
-        ant_rows = ant_rows[keep]
-        cons_rows = cons_rows[keep]
-
-    # ---- survivors: CSR id rows gathered from the view ----
-    ant_indptr, ant_flat = csr_range_gather(view.indptr, ant_rows)
-    cons_indptr, cons_flat = csr_range_gather(view.indptr, cons_rows)
-    table = RuleTable(
-        vocabulary,
-        ant_indptr, view.ids[ant_flat],
-        cons_indptr, view.ids[cons_flat],
-        supp_xy[keep], conf[keep], lift_arr[keep],
-        leverage_arr[keep], conviction_arr[keep],
+        metrics = score_counts(
+            view.counts[itemset], view.counts[ant_rows], view.counts[cons_rows], n
+        )
+        keep = np.flatnonzero((metrics[2] >= min_lift) & (metrics[1] >= min_confidence))
+    return RuleCandidates(
+        view, entry[keep], ant_rows[keep], cons_rows[keep],
+        *(column[keep] for column in metrics),
     )
-    table._sort_strings_cache = (view.strings[ant_rows], view.strings[cons_rows])
-    table._splits = (view, entry[keep])
-    return table
+
+
+def score_counts(
+    c_xy: np.ndarray, c_x: np.ndarray, c_y: np.ndarray, n: int
+) -> tuple[np.ndarray, ...]:
+    """The metric columns (``METRIC_COLUMNS`` order) of rules ``X ⇒ Y``
+    from the counts of ``X ∪ Y``, ``X`` and ``Y`` in *n* transactions."""
+    supp_xy = c_xy.astype(np.float64) / n
+    supp_x = c_x.astype(np.float64) / n
+    supp_y = c_y.astype(np.float64) / n
+    denom = supp_x * supp_y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conf = np.where(supp_x > 0.0, supp_xy / supp_x, 0.0)
+        lift = np.where(denom > 0.0, supp_xy / denom, 0.0)
+        conviction = np.where(conf >= 1.0, np.inf, (1.0 - supp_y) / (1.0 - conf))
+    return supp_xy, conf, lift, supp_xy - denom, conviction

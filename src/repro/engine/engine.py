@@ -17,14 +17,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..core.bitmap import kernel_delta, kernel_snapshot, kernel_timer
 from ..core.itemsets import FrequentItemsets
-from ..core.items import Item, as_item
-from ..core.mining import ALGORITHMS, KeywordRuleSet, MiningConfig
-from ..core.pruning import prune_rule_table
-from ..core.rules import generate_rule_table
+from ..core.items import Item
+from ..core.mining import ALGORITHMS, KeywordRuleSet, MiningConfig, keyword_rule_set
+from ..core.rules import score_counts
 from ..core.ruletable import RuleTable
 from ..core.transactions import TransactionDatabase
 from .cache import CacheStats, ItemsetCache
@@ -137,29 +134,7 @@ class MiningEngine:
         """Full keyword workflow (mine → generate → prune), engine-cached."""
         if itemsets is None:
             itemsets = self.mine(db, config)
-        kw = as_item(keyword)
-        generated = self._generate_for_keyword(db, kw, itemsets, config)
-        if generated is None:
-            return _empty_ruleset(kw)
-        return _prune_into_ruleset(generated, kw, config)
-
-    def _generate_for_keyword(
-        self,
-        db: TransactionDatabase,
-        kw: Item,
-        itemsets: FrequentItemsets,
-        config: MiningConfig,
-    ) -> RuleTable | None:
-        """Lift/confidence-filtered rule table touching *kw*; None if unseen."""
-        kw_id = db.vocabulary.get_id(kw)
-        if kw_id is None:
-            return None
-        return generate_rule_table(
-            itemsets,
-            min_lift=config.min_lift,
-            min_confidence=config.min_confidence,
-            keyword_ids=(kw_id,),
-        )
+        return keyword_rule_set(itemsets, keyword, config)
 
     # -- incremental recount (streaming) -----------------------------------------
     def recount_rules(
@@ -171,11 +146,11 @@ class MiningEngine:
         maps every rule of a rulebook to the window-maintained supports
         of its antecedent, consequent and union itemsets, so re-scoring
         the whole book costs three gathers plus the vectorised metric
-        batch — no mining pass, no snapshot rebuild.  The metric
-        arithmetic is operation-for-operation the batch scoring of
-        :func:`~repro.core.rules.generate_rule_table`, which is what
-        makes an incremental recount bit-identical to a full-window
-        remine for the same counts.  Recorded under the
+        batch — no mining pass, no snapshot rebuild.  Rule generation
+        scores with the same function,
+        :func:`~repro.core.rules.score_counts`, which is what makes an
+        incremental recount bit-identical to a full-window remine for
+        the same counts.  Recorded under the
         ``stream-recount`` kernel (CLI ``--profile``).
         """
         with kernel_timer("stream-recount"):
@@ -184,22 +159,14 @@ class MiningEngine:
                 raise ValueError("cannot recount over an empty window")
             counts = window.tracked_counts()
             table = tracked.table
-            supp_xy = counts[tracked.union_idx].astype(np.float64) / n
-            supp_x = counts[tracked.ant_idx].astype(np.float64) / n
-            supp_y = counts[tracked.cons_idx].astype(np.float64) / n
-            denom = supp_x * supp_y
-            with np.errstate(divide="ignore", invalid="ignore"):
-                conf = np.where(supp_x > 0.0, supp_xy / supp_x, 0.0)
-                lift_arr = np.where(denom > 0.0, supp_xy / denom, 0.0)
-                conviction_arr = np.where(
-                    conf >= 1.0, np.inf, (1.0 - supp_y) / (1.0 - conf)
-                )
-            leverage_arr = supp_xy - denom
             return RuleTable(
                 table.vocabulary,
                 table.ant_indptr, table.ant_ids,
                 table.cons_indptr, table.cons_ids,
-                supp_xy, conf, lift_arr, leverage_arr, conviction_arr,
+                *score_counts(
+                    counts[tracked.union_idx], counts[tracked.ant_idx],
+                    counts[tracked.cons_idx], n,
+                ),
             )
 
     # -- the staged pipeline ------------------------------------------------------
@@ -259,38 +226,30 @@ class MiningEngine:
             config=config, preprocess=preprocess, itemsets=itemsets, stats=stats
         )
 
-        generate_seconds = prune_seconds = 0.0
         n_generated = n_kept = 0
         kept_tables: list[RuleTable] = []
         before = kernel_snapshot()
-        for name, keyword in keywords.items():
-            kw = as_item(keyword)
-            with StageTimer() as t:
-                table = self._generate_for_keyword(db, kw, itemsets, config)
-            generate_seconds += t.seconds
-            if table is None:
-                result.keyword_results[name] = _empty_ruleset(kw)
-                continue
-            n_generated += len(table)
-            with StageTimer() as t:
-                ruleset = _prune_into_ruleset(table, kw, config)
-            prune_seconds += t.seconds
-            n_kept += len(ruleset)
-            if ruleset.table is not None and len(ruleset.table):
-                kept_tables.append(ruleset.table)
-            result.keyword_results[name] = ruleset
+        with StageTimer() as t:
+            for name, keyword in keywords.items():
+                ruleset = keyword_rule_set(itemsets, keyword, config)
+                n_generated += ruleset.n_rules_before_pruning
+                n_kept += ruleset.report.n_kept
+                if ruleset.table is not None and len(ruleset.table):
+                    kept_tables.append(ruleset.table)
+                result.keyword_results[name] = ruleset
 
-        # one kernel delta covers the whole loop; attribute ``prune-*``
-        # kernels to the prune stage and the rest to generation
+        # one kernel delta covers the whole loop; the ``prune-*`` kernels
+        # and their seconds are the prune stage, the rest is generation
         loop_kernels = kernel_delta(before, kernel_snapshot())
         generate_kernels = tuple(
             k for k in loop_kernels if not k[0].startswith("prune-")
         )
         prune_kernels = tuple(k for k in loop_kernels if k[0].startswith("prune-"))
+        prune_seconds = sum(seconds for _, seconds, _ in prune_kernels)
         stats.add(
             StageStats(
                 "generate-rules",
-                generate_seconds,
+                t.seconds - prune_seconds,
                 len(itemsets),
                 n_generated,
                 kernels=generate_kernels,
@@ -306,25 +265,6 @@ class MiningEngine:
         else:
             result.rule_table = RuleTable.empty(db.vocabulary)
         return result
-
-
-def _empty_ruleset(kw: Item) -> KeywordRuleSet:
-    """The keyword never appears in the trace; nothing to analyse."""
-    return KeywordRuleSet(kw)
-
-
-def _prune_into_ruleset(
-    table: RuleTable, kw: Item, config: MiningConfig
-) -> KeywordRuleSet:
-    """Apply Conditions 1–4; cause ("C") / characteristic ("A") rules are
-    lazy views of the kept table, so no rule object is built here."""
-    kept_table, report = prune_rule_table(table, kw, config.pruning)
-    return KeywordRuleSet(
-        keyword=kw,
-        report=report,
-        n_rules_before_pruning=len(table),
-        table=kept_table,
-    )
 
 
 #: process-wide default engine: serial mining, shared content-addressed

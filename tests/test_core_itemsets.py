@@ -89,11 +89,20 @@ class TestItemsetView:
             assert ok.all() and found.tolist() == [row]
 
     def test_strings_and_ranks_are_the_object_tie_break(self, fis):
+        # the tie-break of chosen rows only: repeats, any order, a subset
         view = fis.view()
-        expected = [str(sorted(fis.vocabulary.items_of(s))) for s in fis.counts]
-        assert view.strings.tolist() == expected
-        by_rank = [s for _, s in sorted(zip(view.rank.tolist(), expected))]
-        assert by_rank == sorted(expected)
+        texts = [str(sorted(fis.vocabulary.items_of(s))) for s in fis.counts]
+        rows = np.random.default_rng(3).integers(0, len(view) - 2, size=40)
+        strings, ranks = view.tie_break(rows)
+        expected = [texts[r] for r in rows.tolist()]
+        assert strings.tolist() == expected
+        assert len(set(rows.tolist())) < len(rows)  # ties are exercised
+        for a, b in zip(range(len(rows)), np.roll(np.arange(len(rows)), 7)):
+            assert (ranks[a] < ranks[b]) == (expected[a] < expected[b])
+            assert (ranks[a] == ranks[b]) == (expected[a] == expected[b])
+        assert sorted(set(ranks.tolist())) == list(range(len(set(expected))))
+        empty_strings, empty_ranks = view.tie_break(np.zeros(0, dtype=np.int64))
+        assert len(empty_strings) == len(empty_ranks) == 0
 
     def test_built_once_and_reused(self, fis):
         assert fis.view() is fis.view()

@@ -134,7 +134,8 @@ def test_rows_only_view_dedups_and_builds_no_strings():
     assert view.ids[view.indptr[row_of[2]]:view.indptr[row_of[2] + 1]].tolist() == [1, 2, 3]
     # {1, 3} is pattern 0b101 of {1, 2, 3}
     assert view.sub[view.split_indptr[row_of[2]] + 0b101 - 1] == row_of[0]
-    assert view._strings is None and view._rank is None
+    # no vocabulary: the view cannot render tie-break strings
+    assert view.vocabulary is None
 
 
 # -- tables that are not downward-closed ------------------------------------------
