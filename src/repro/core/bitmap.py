@@ -22,23 +22,19 @@ A small content-addressed cache keyed by
 :meth:`TransactionDatabase.fingerprint` lets independently built
 databases with identical content share one bitmap build (the same
 addressing scheme the engine's itemset cache uses).
-
-The module also hosts the *kernel counters*: lightweight named
-wall-time accumulators that the mining kernels report into and the
-engine surfaces per stage (CLI ``--profile``).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Sequence
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ..obs import kernel_timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .transactions import TransactionDatabase
@@ -49,11 +45,6 @@ __all__ = [
     "get_shared_bitmaps",
     "bitmap_cache_info",
     "clear_bitmap_cache",
-    "kernel_timer",
-    "record_kernel",
-    "kernel_snapshot",
-    "kernel_delta",
-    "reset_kernel_counters",
 ]
 
 #: popcount lookup table: uint16 value → number of set bits (0..16)
@@ -238,11 +229,10 @@ _CACHE_MISSES = 0
 def get_shared_bitmaps(db: "TransactionDatabase") -> PackedBitmaps:
     """Bitmaps for *db*, shared across equal-content databases.
 
-    Keyed by :meth:`TransactionDatabase.fingerprint`, so a re-generated
-    trace, a cache-restored database, or an shm-attached worker's copy
-    all resolve to one build.  Falls through to a fresh
-    :meth:`PackedBitmaps.from_database` on a miss (recorded under the
-    ``bitmap-build`` kernel counter).
+    Keyed by :meth:`TransactionDatabase.fingerprint`, so databases of
+    equal content (a trace generated twice, say) resolve to one build.
+    Falls through to a fresh :meth:`PackedBitmaps.from_database` on a
+    miss (timed under the ``bitmap-build`` kernel).
     """
     global _CACHE_HITS, _CACHE_MISSES
     key = db.fingerprint()
@@ -279,51 +269,3 @@ def clear_bitmap_cache() -> None:
         _CACHE_HITS = 0
         _CACHE_MISSES = 0
 
-
-# -- kernel counters ----------------------------------------------------------
-#: kernel name → [seconds, calls]; global (not thread-local) so worker
-#: threads report into the same ledger
-_KERNELS: dict[str, list[float]] = {}
-_KERNEL_LOCK = threading.Lock()
-
-
-def record_kernel(name: str, seconds: float, calls: int = 1) -> None:
-    """Accumulate *seconds* of wall time under kernel *name*."""
-    with _KERNEL_LOCK:
-        entry = _KERNELS.setdefault(name, [0.0, 0])
-        entry[0] += seconds
-        entry[1] += calls
-
-
-@contextmanager
-def kernel_timer(name: str):
-    """Time a block and record it under kernel *name*."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        record_kernel(name, time.perf_counter() - start)
-
-
-def kernel_snapshot() -> dict[str, tuple[float, int]]:
-    """Current accumulated (seconds, calls) per kernel name."""
-    with _KERNEL_LOCK:
-        return {name: (entry[0], entry[1]) for name, entry in _KERNELS.items()}
-
-
-def kernel_delta(
-    before: dict[str, tuple[float, int]],
-    after: dict[str, tuple[float, int]],
-) -> tuple[tuple[str, float, int], ...]:
-    """Sorted (name, seconds, calls) tuples of what ran between snapshots."""
-    out = []
-    for name, (seconds, calls) in after.items():
-        prev_s, prev_c = before.get(name, (0.0, 0))
-        if calls > prev_c or seconds > prev_s:
-            out.append((name, seconds - prev_s, calls - prev_c))
-    return tuple(sorted(out))
-
-
-def reset_kernel_counters() -> None:
-    with _KERNEL_LOCK:
-        _KERNELS.clear()

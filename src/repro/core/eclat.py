@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitmap import kernel_timer, popcount
+from ..obs import kernel_timer
+from .bitmap import popcount
 from .transactions import TransactionDatabase, min_support_count
 
 __all__ = ["eclat"]

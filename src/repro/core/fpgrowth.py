@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitmap import kernel_timer
+from ..obs import kernel_timer
 from .transactions import TransactionDatabase, min_support_count
 
 __all__ = ["fpgrowth"]

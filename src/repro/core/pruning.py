@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitmap import kernel_timer
+from ..obs import kernel_timer
 from .interest import extended_metrics_columns
 from .items import Item, ItemVocabulary, as_item
 from .itemsets import ItemsetView

@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bitmap import kernel_timer
+from ..obs import kernel_timer
 from .items import Item, render_itemset
 from .itemsets import FrequentItemsets, ItemsetView
 from .metrics import RuleMetrics

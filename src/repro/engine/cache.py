@@ -14,7 +14,7 @@ hit/miss/eviction counters); :class:`ItemsetCache` specialises it for the
 mining stage, and the preprocess result cache in
 :mod:`repro.preprocess.pipeline` reuses the same machinery keyed by table
 fingerprint × pipeline spec.  Counters feed the engine's
-:class:`~repro.engine.stats.EngineStats`.
+:class:`~repro.obs.EngineStats`.
 """
 
 from __future__ import annotations

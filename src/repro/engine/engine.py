@@ -7,25 +7,25 @@ that instruments each stage into :class:`EngineStats`.
 
 Every layer of the stack routes through here: the one-call helpers in
 :mod:`repro.core.mining`, the :class:`InterpretableAnalysis` workflow and
-case studies, the streaming window miner, the CLI, and the benchmark
-harness.  A module-level default engine gives them a shared cache, so a
-support sweep, a second keyword study or a repeated benchmark run on the
-same trace content never mines twice.
+case studies, the streaming refresher's remine, the CLI, and the
+benchmark harness.  A module-level default engine gives them a shared
+cache, so a support sweep or a second keyword study on the same trace
+content never mines twice.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from ..core.bitmap import kernel_delta, kernel_snapshot, kernel_timer
 from ..core.itemsets import FrequentItemsets
 from ..core.items import Item
 from ..core.mining import ALGORITHMS, KeywordRuleSet, MiningConfig, keyword_rule_set
 from ..core.rules import score_counts
 from ..core.ruletable import RuleTable
 from ..core.transactions import TransactionDatabase
+from ..obs import EngineStats, StageStats, kernel_timer, stage
 from .cache import CacheStats, ItemsetCache
-from .stats import EngineStats, StageStats, StageTimer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..analysis.workflow import AnalysisResult
@@ -189,38 +189,16 @@ class MiningEngine:
 
         # the preprocess result cache follows the engine's cache switch:
         # --no-cache disables both layers
-        before = kernel_snapshot()
-        with StageTimer() as t:
-            preprocess, pre_status = preprocessor.run_with_status(
+        with stage(stats, "preprocess", len(table)) as s:
+            preprocess, s.cache = preprocessor.run_with_status(
                 table, use_cache=self.cache is not None
             )
-        pre_kernels = kernel_delta(before, kernel_snapshot())
-        db = preprocess.database
-        stats.add(
-            StageStats(
-                "preprocess",
-                t.seconds,
-                len(table),
-                len(db),
-                pre_status,
-                kernels=pre_kernels,
-            )
-        )
+            db = preprocess.database
+            s.n_out = len(db)
 
-        before = kernel_snapshot()
-        with StageTimer() as t:
-            itemsets, cache_status = self.mine_with_status(db, config)
-        mine_kernels = kernel_delta(before, kernel_snapshot())
-        stats.add(
-            StageStats(
-                "mine",
-                t.seconds,
-                len(db),
-                len(itemsets),
-                cache_status,
-                kernels=mine_kernels,
-            )
-        )
+        with stage(stats, "mine", len(db)) as s:
+            itemsets, s.cache = self.mine_with_status(db, config)
+            s.n_out = len(itemsets)
 
         result = AnalysisResult(
             config=config, preprocess=preprocess, itemsets=itemsets, stats=stats
@@ -228,8 +206,7 @@ class MiningEngine:
 
         n_generated = n_kept = 0
         kept_tables: list[RuleTable] = []
-        before = kernel_snapshot()
-        with StageTimer() as t:
+        with stage(stats, "generate-rules", len(itemsets)) as s:
             for name, keyword in keywords.items():
                 ruleset = keyword_rule_set(itemsets, keyword, config)
                 n_generated += ruleset.n_rules_before_pruning
@@ -237,29 +214,16 @@ class MiningEngine:
                 if ruleset.table is not None and len(ruleset.table):
                     kept_tables.append(ruleset.table)
                 result.keyword_results[name] = ruleset
+            s.n_out = n_generated
 
-        # one kernel delta covers the whole loop; the ``prune-*`` kernels
-        # and their seconds are the prune stage, the rest is generation
-        loop_kernels = kernel_delta(before, kernel_snapshot())
-        generate_kernels = tuple(
-            k for k in loop_kernels if not k[0].startswith("prune-")
-        )
-        prune_kernels = tuple(k for k in loop_kernels if k[0].startswith("prune-"))
-        prune_seconds = sum(seconds for _, seconds, _ in prune_kernels)
-        stats.add(
-            StageStats(
-                "generate-rules",
-                t.seconds - prune_seconds,
-                len(itemsets),
-                n_generated,
-                kernels=generate_kernels,
-            )
-        )
-        stats.add(
-            StageStats(
-                "prune", prune_seconds, n_generated, n_kept, kernels=prune_kernels
-            )
-        )
+        # the ``prune-*`` kernels and their seconds are the prune stage,
+        # the rest of the keyword loop is generation
+        loop = stats.stages.pop()
+        prune = tuple(k for k in loop.kernels if k[0].startswith("prune-"))
+        generate = tuple(k for k in loop.kernels if not k[0].startswith("prune-"))
+        prune_seconds = sum(seconds for _, seconds, _ in prune)
+        stats.add(replace(loop, seconds=loop.seconds - prune_seconds, kernels=generate))
+        stats.add(StageStats("prune", prune_seconds, n_generated, n_kept, kernels=prune))
         if kept_tables:
             result.rule_table = RuleTable.concat(kept_tables).dedup()
         else:

@@ -19,7 +19,6 @@ from typing import Literal
 
 import numpy as np
 
-from ..core.bitmap import kernel_timer
 from ..core.items import Item, ItemVocabulary
 from ..core.transactions import TransactionDatabase
 from ..dataframe import (
@@ -28,6 +27,7 @@ from ..dataframe import (
     ColumnTable,
     NumericColumn,
 )
+from ..obs import kernel_timer
 from .binning import BinningSpec, Discretizer
 
 __all__ = ["FeatureSpec", "TransactionEncoder"]

@@ -15,8 +15,8 @@ for interpretation (bin ranges, dropped items, tier assignments).
 Two performance layers sit on top of the stages (DESIGN.md §9):
 
 * every stage runs through the columnar fast paths (integer-coded
-  binning, code→id gathers, per-category tier remaps) and is timed into
-  the shared kernel ledger (``ingest-*`` counters, rendered by
+  binning, code→id gathers, per-category tier remaps) and is timed under
+  the ``ingest-*`` kernels of the open stage (rendered by
   ``--profile``); the row-by-row statement of the stages they are
   tested against lives in ``tests/oracles.py``;
 * results are memoised in a content-addressed LRU cache keyed by table
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.bitmap import kernel_timer
 from ..core.items import Item
 from ..core.transactions import TransactionDatabase
 from ..dataframe import CategoricalColumn, ColumnTable
 from ..engine.cache import CacheStats, LRUCache
+from ..obs import kernel_timer
 from .aggregation import ActivityTiers, apply_semantic_grouping, compute_activity_tiers
 from .encoding import FeatureSpec, TransactionEncoder
 from .skew import drop_skewed_items

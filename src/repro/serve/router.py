@@ -11,8 +11,8 @@ fewest requests in flight; control requests are aggregated:
   ``unavailable``) plus per-shard health, in-flight counts and EWMA
   latencies, augmented with rule count/version probed from a live shard;
 * ``metrics`` — per-shard metrics fanned out and merged through
-  :func:`repro.engine.stats.aggregate_shard_metrics` (true histogram
-  merging, not quantile averaging), plus router-side routing counters;
+  :func:`aggregate_shard_metrics` (true histogram merging, not quantile
+  averaging), plus router-side routing counters;
 * ``reload`` — rolling hot-swap: shards flip one at a time with an
   explicit shared version number, so the cluster keeps serving
   throughout and every post-flip response carries the same new tag.
@@ -43,7 +43,7 @@ import json
 import time
 from typing import Callable, Iterable, Sequence
 
-from ..engine.stats import LatencyHistogram, aggregate_shard_metrics
+from ..engine.stats import LatencyHistogram
 from .service import (
     PROTOCOL_VERSION,
     LineFraming,
@@ -55,7 +55,7 @@ from .service import (
     reload_problem,
 )
 
-__all__ = ["ShardDown", "ShardHandle", "ShardRouter"]
+__all__ = ["ShardDown", "ShardHandle", "ShardRouter", "aggregate_shard_metrics"]
 
 #: EWMA smoothing for per-shard latency (fraction given to the newest sample)
 EWMA_ALPHA = 0.2
@@ -63,6 +63,50 @@ EWMA_ALPHA = 0.2
 #: reconnect backoff bounds, seconds
 RECONNECT_MIN_S = 0.05
 RECONNECT_MAX_S = 2.0
+
+
+def aggregate_shard_metrics(shard_metrics: list[dict]) -> dict:
+    """Merge per-shard serving ``metrics`` payloads into a cluster view.
+
+    Input dicts are what one :class:`~repro.serve.service.RuleService`
+    answers to a ``metrics`` request: request counters under
+    ``requests``, per-rule fire counts under ``rule_matches``, and the
+    latency histogram both summarised (``latency``) and as raw state
+    (``latency_state``).  Counters, rule counts, and the batch-kernel
+    attribution (``kernel``: batches/jobs/seconds) sum; latency merges
+    at the bucket level, so the aggregate p99 is the true cluster p99,
+    not an average of per-shard p99s; ``uptime_s`` is the oldest
+    shard's (the cluster has been serving at least that long);
+    ``queue_depth`` sums (total queued work across the cluster).
+    """
+    merged_latency = LatencyHistogram()
+    requests: dict[str, int] = {}
+    rule_matches: dict[str, int] = {}
+    kernel: dict[str, float] = {"batches": 0, "jobs": 0, "seconds": 0.0}
+    uptime_s = 0.0
+    queue_depth = 0
+    for metrics in shard_metrics:
+        state = metrics.get("latency_state")
+        if state:
+            merged_latency.merge(state)
+        for key, value in (metrics.get("requests") or {}).items():
+            requests[key] = requests.get(key, 0) + int(value)
+        for label, count in (metrics.get("rule_matches") or {}).items():
+            rule_matches[label] = rule_matches.get(label, 0) + int(count)
+        for key, value in (metrics.get("kernel") or {}).items():
+            kernel[key] = kernel.get(key, 0) + value
+        uptime_s = max(uptime_s, float(metrics.get("uptime_s") or 0.0))
+        queue_depth += int(metrics.get("queue_depth") or 0)
+    return {
+        "n_shards": len(shard_metrics),
+        "uptime_s": uptime_s,
+        "queue_depth": queue_depth,
+        "latency": merged_latency.as_dict(),
+        "latency_state": merged_latency.state_dict(),
+        "requests": requests,
+        "kernel": kernel,
+        "rule_matches": dict(sorted(rule_matches.items())),
+    }
 
 
 class ShardDown(ConnectionError):

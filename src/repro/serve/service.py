@@ -198,7 +198,7 @@ class ServiceMetrics:
             "uptime_s": self.uptime_s,
             "latency": self.latency.as_dict(),
             # raw bucket counts, so a router can merge true histograms
-            # across shards (engine.stats.aggregate_shard_metrics)
+            # across shards (router.aggregate_shard_metrics)
             "latency_state": self.latency.state_dict(),
             "requests": {
                 "matched": self.n_matched,

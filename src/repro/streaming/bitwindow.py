@@ -20,7 +20,7 @@ popcount *deltas on only the changed words*:
 
 Nothing is ever recounted from scratch on the steady path; a full pass
 happens only when the tracked set itself changes (a remine rebased the
-rulebook) and is recorded under the ``stream-track`` kernel counter.
+rulebook) and is timed under the ``stream-track`` kernel.
 The tests assert bit-identical counts against the last *n* transactions
 of the stream (``tests/oracles.py::window_of``) and against
 :class:`PackedBitmaps` built from :meth:`snapshot`.
@@ -39,9 +39,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitmap import _POPCOUNT16, kernel_timer
+from ..core.bitmap import _POPCOUNT16
 from ..core.items import Item, ItemVocabulary, as_item
 from ..core.transactions import TransactionDatabase
+from ..obs import kernel_timer
 
 __all__ = ["GRANULE", "StreamingBitmapWindow"]
 

@@ -24,7 +24,7 @@ from some past window.  As the stream advances, two questions recur:
 
 A ``threshold`` of ``0.0`` remines on every tick (the deterministic knob
 the CI smoke uses); ``1.1`` never remines short of ``force=True``.
-Each tick reports an :class:`~repro.engine.stats.EngineStats` with
+Each tick reports an :class:`~repro.obs.EngineStats` with
 ``stream-recount`` / ``stream-drift`` / ``stream-remine`` stages and
 their kernel attribution, the same schema the batch pipeline emits, so
 CLI ``--profile`` renders streaming ticks with the familiar footer.
@@ -38,12 +38,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..analysis.drift import RuleDrift, diff_rules
-from ..core.bitmap import kernel_delta, kernel_snapshot
 from ..core.mining import MiningConfig
 from ..core.ruletable import RuleTable
 from ..core.transactions import min_support_count
 from ..engine import MiningEngine, default_engine
-from ..engine.stats import EngineStats, StageStats, StageTimer
+from ..obs import EngineStats, stage
 from ..serve.rulebook import RuleBook
 from .bitwindow import StreamingBitmapWindow
 
@@ -259,21 +258,11 @@ class RuleBookRefresher:
         self.n_ticks += 1
         stats = EngineStats()
 
-        before = kernel_snapshot()
-        with StageTimer() as t:
+        with stage(stats, "stream-recount", len(self.book.table)) as s:
             recounted = self.engine.recount_rules(self.window, self.tracked)
-        stats.add(
-            StageStats(
-                "stream-recount",
-                t.seconds,
-                len(self.book.table),
-                len(recounted),
-                kernels=kernel_delta(before, kernel_snapshot()),
-            )
-        )
+            s.n_out = len(recounted)
 
-        before = kernel_snapshot()
-        with StageTimer() as t:
+        with stage(stats, "stream-drift", len(recounted)) as s:
             # recounted is row-aligned with the (deduped) book table, so
             # "rules that died" is a threshold mask, not a keyed diff —
             # the gate itself never materialises per-rule objects
@@ -282,7 +271,7 @@ class RuleBookRefresher:
                 & (recounted.confidence >= self.config.min_confidence)
                 & (recounted.lift >= self.config.min_lift)
             )
-            n_surviving = int(surviving_mask.sum())
+            n_surviving = s.n_out = int(surviving_mask.sum())
             rule_frac = (len(self.book.table) - n_surviving) / max(
                 1, len(self.book.table)
             )
@@ -291,15 +280,6 @@ class RuleBookRefresher:
                 1, len(self._baseline_frequent)
             )
             drift_score = max(rule_frac, item_frac)
-        stats.add(
-            StageStats(
-                "stream-drift",
-                t.seconds,
-                len(recounted),
-                n_surviving,
-                kernels=kernel_delta(before, kernel_snapshot()),
-            )
-        )
 
         if force:
             reason = trigger if trigger is not None else "forced"
@@ -333,8 +313,7 @@ class RuleBookRefresher:
 
     def _remine(self, stats: EngineStats, trigger: str) -> None:
         """Full engine pass over the window → new versioned RuleBook."""
-        before = kernel_snapshot()
-        with StageTimer() as t:
+        with stage(stats, "stream-remine", len(self.window)) as s:
             db = self.window.snapshot()
             itemsets = self.engine.mine(db, self.config)
             kept: list[RuleTable] = []
@@ -368,15 +347,7 @@ class RuleBookRefresher:
                     "trigger": trigger,
                 },
             )
-        stats.add(
-            StageStats(
-                "stream-remine",
-                t.seconds,
-                len(db),
-                len(self.book),
-                kernels=kernel_delta(before, kernel_snapshot()),
-            )
-        )
+            s.n_out = len(self.book)
         self._rebase()
 
     def __repr__(self) -> str:

@@ -49,7 +49,6 @@ from ...cluster import (
     UserPopulation,
     UserProfile,
 )
-from ...core.bitmap import kernel_timer
 from ...dataframe import BooleanColumn, ColumnTable, NumericColumn
 from ...preprocess import (
     BinningSpec,
@@ -571,19 +570,18 @@ def _generate_pai_columnar(config: PAIConfig) -> ColumnTable:
     Queue delays are sampled per pool like :func:`_direct_table`: short
     for the T4/misc pools, long for the congested non-T4 pools.
     """
-    with kernel_timer("ingest-generate"):
-        users = UserPopulation(
-            config.n_users, new_user_fraction=0.12, seed=config.seed, name_prefix="user"
-        )
-        mixer = ArchetypeMixer(_pai_archetypes(), users, seed=config.seed)
-        table = mixer.sample_columns(config.n_jobs)
+    users = UserPopulation(
+        config.n_users, new_user_fraction=0.12, seed=config.seed, name_prefix="user"
+    )
+    mixer = ArchetypeMixer(_pai_archetypes(), users, seed=config.seed)
+    table = mixer.sample_columns(config.n_jobs)
 
-        rng = np.random.default_rng(config.seed + 1)
-        gpu_req = table["gpu_type_req"]
-        fast = gpu_req.equals_scalar("None") | gpu_req.equals_scalar("T4")
-        delay = rng.exponential(1.0, len(table)) * np.where(fast, 120.0, 7200.0)
-        table.add_column("queue_delay", NumericColumn(delay))
-        return _finalize_pai_table(table)
+    rng = np.random.default_rng(config.seed + 1)
+    gpu_req = table["gpu_type_req"]
+    fast = gpu_req.equals_scalar("None") | gpu_req.equals_scalar("T4")
+    delay = rng.exponential(1.0, len(table)) * np.where(fast, 120.0, 7200.0)
+    table.add_column("queue_delay", NumericColumn(delay))
+    return _finalize_pai_table(table)
 
 
 def _direct_table(

@@ -27,8 +27,6 @@ from repro.core.bitmap import (
     bitmap_cache_info,
     clear_bitmap_cache,
     get_shared_bitmaps,
-    kernel_snapshot,
-    kernel_timer,
     popcount,
 )
 from repro.core.eclat import eclat
@@ -36,6 +34,7 @@ from repro.core.fpgrowth import fpgrowth
 from repro.core.items import ItemVocabulary
 from repro.core.itemsets import FrequentItemsets
 from repro.core.metrics import compute_metrics
+from repro.obs import EngineStats, kernel_timer, stage
 
 from .oracles import check_itemset_table, support_counts
 
@@ -211,25 +210,29 @@ class TestBitmapCache:
         assert get_shared_bitmaps(a) is not get_shared_bitmaps(b)
 
 
-# -- kernel counters ----------------------------------------------------------
+# -- kernel attribution -------------------------------------------------------
 
 
 def test_kernel_counters_accumulate():
-    before = kernel_snapshot().get("test-kernel", (0.0, 0))
-    with kernel_timer("test-kernel"):
-        pass
-    seconds, calls = kernel_snapshot()["test-kernel"]
-    assert calls == before[1] + 1
-    assert seconds >= before[0]
+    stats = EngineStats()
+    with stage(stats, "test", 0):
+        for _ in range(2):
+            with kernel_timer("test-kernel"):
+                pass
+    ((name, seconds, calls),) = stats.stage("test").kernels
+    assert (name, calls) == ("test-kernel", 2)
+    assert seconds >= 0.0
 
 
 def test_mining_records_kernels(toy_db):
-    eclat(toy_db, 0.2)
-    apriori(toy_db, 0.2)
-    fpgrowth(toy_db, 0.2)
-    snap = kernel_snapshot()
+    stats = EngineStats()
+    with stage(stats, "mine", len(toy_db)):
+        eclat(toy_db, 0.2)
+        apriori(toy_db, 0.2)
+        fpgrowth(toy_db, 0.2)
+    calls = {name: calls for name, _, calls in stats.stage("mine").kernels}
     for name in ("eclat-bitmap", "apriori-bitmap", "fpgrowth-masks"):
-        assert snap[name][1] >= 1
+        assert calls[name] >= 1
 
 
 # -- every miner vs support by set inclusion --------------------------------------

@@ -222,7 +222,7 @@ class TestBatchKernel:
         run(scenario())
 
     def test_shard_aggregation_sums_kernel_sections(self):
-        from repro.engine.stats import aggregate_shard_metrics
+        from repro.serve.router import aggregate_shard_metrics
 
         index = make_index()
         shard_a = RuleService(index)
