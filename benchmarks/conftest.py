@@ -91,7 +91,7 @@ def paper_config():
 
 @pytest.fixture(scope="session")
 def engine():
-    """Session-wide mining engine with a shared itemset cache."""
+    """Session-wide mining engine (stateless: every ``mine`` is a pass)."""
     return MiningEngine()
 
 

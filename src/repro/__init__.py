@@ -18,8 +18,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.traces` — synthetic PAI / SuperCloud / Philly traces;
 * :mod:`repro.cluster` — the GPU-cluster simulator substrate;
 * :mod:`repro.analysis` — the end-to-end workflow and case studies;
-* :mod:`repro.engine` — the unified mining engine (one serial mining
-  pass, content-addressed itemset cache, per-stage instrumentation);
+* :mod:`repro.engine` — the mining engine (one serial mining pass per
+  call, per-stage instrumentation);
 * :mod:`repro.serve` — online rule serving (persistent RuleBook,
   inverted-index matcher, asyncio service with batching/backpressure);
 * :mod:`repro.dataframe` — the minimal columnar-table substrate;
@@ -55,7 +55,7 @@ from .core import (
     mine_rules,
     prune_rules,
 )
-from .engine import EngineStats, ItemsetCache, MiningEngine, default_engine
+from .engine import EngineStats, MiningEngine
 from .predict import RuleClassifier, evaluate_predictions, split_database
 from .serve import RuleBook, RuleIndex, RuleService, RuleServiceClient
 from .preprocess import TracePreprocessor, TransactionEncoder
@@ -101,9 +101,7 @@ __all__ = [
     "CaseStudy",
     # engine
     "MiningEngine",
-    "default_engine",
     "EngineStats",
-    "ItemsetCache",
     # prediction
     "RuleClassifier",
     "evaluate_predictions",

@@ -8,10 +8,13 @@ describes:
     cause ("C") and characteristic ("A") rule sets per keyword
 
 Execution is delegated to the :class:`~repro.engine.MiningEngine` staged
-pipeline: one (cached) mining pass is shared across all keywords of a
+pipeline: one mining pass per run is shared across all keywords of the
 study, mirroring the paper's "generating all high-quality rules in a
 single execution" (Sec. V), and every stage reports wall time and
-cardinalities into :attr:`AnalysisResult.stats`.
+cardinalities into :attr:`AnalysisResult.stats`.  Nothing is kept
+between runs: a further study of the same trace reads the
+:class:`AnalysisResult` it is handed (its ``itemsets``) instead of
+mining again.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 from ..core import FrequentItemsets, KeywordRuleSet, MiningConfig
 from ..core.ruletable import RuleTable
 from ..dataframe import ColumnTable
-from ..engine import EngineStats, MiningEngine, default_engine
+from ..engine import EngineStats, MiningEngine
 from ..preprocess import PreprocessResult, TracePreprocessor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (serve sits above analysis)
@@ -88,11 +91,7 @@ class AnalysisResult:
 
 
 class InterpretableAnalysis:
-    """Configured workflow: run once per (trace table, keyword set).
-
-    An *engine* can be injected to isolate the cache; by default the process-wide shared engine is used, so
-    successive studies on identical trace content reuse one mining pass.
-    """
+    """Configured workflow: run once per (trace table, keyword set)."""
 
     def __init__(
         self,
@@ -102,7 +101,7 @@ class InterpretableAnalysis:
     ):
         self.preprocessor = preprocessor
         self.config = config
-        self.engine = engine if engine is not None else default_engine()
+        self.engine = engine if engine is not None else MiningEngine()
 
     def run(
         self,
@@ -117,6 +116,6 @@ class InterpretableAnalysis:
             study name → keyword item text (e.g. ``{"underutilization":
             "SM Util = 0%", "failure": "Failed"}``).  Each keyword gets
             its own pruned cause/characteristic rule sets; the expensive
-            mining pass is shared (and engine-cached across runs).
+            mining pass is shared by all of them.
         """
         return self.engine.analyze(self.preprocessor, table, keywords, self.config)

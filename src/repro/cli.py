@@ -10,12 +10,13 @@ Subcommands::
 
     python -m repro analyze --trace supercloud --keyword "Failed" \
             [--n-jobs 5000 | --input trace.csv] [--min-support 0.05] \
-            [--no-cache] [--profile] …
+            [--profile] …
         run the full workflow for one keyword and print the rule table
-        plus an engine stats footer (per-stage timing, cache status)
+        plus an engine stats footer (per-stage timing and cardinality)
 
-    python -m repro casestudy --trace philly --n-jobs 5000
-        run every Sec. IV study for one trace
+    python -m repro casestudy --trace philly --n-jobs 5000 [--profile]
+        run every Sec. IV study for one trace, with a stats footer for
+        each analysis pass it ran
 
     python -m repro mine-rulebook --trace pai --output pai.rulebook.jsonl
         run the analysis and persist the kept rules as a RuleBook
@@ -52,7 +53,6 @@ from typing import Sequence
 from .analysis import InterpretableAnalysis, format_rule_table, full_case_study
 from .core import MiningConfig
 from .dataframe import ColumnTable
-from .engine import MiningEngine
 from .traces import get_trace, list_traces
 from .traces.loader import load_trace, save_trace
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mining_flags(ana)
     ana.add_argument("--max-cause", type=int, default=6)
     ana.add_argument("--max-characteristic", type=int, default=3)
-    _add_engine_flags(ana)
+    _add_profile_flag(ana)
 
     book = sub.add_parser(
         "mine-rulebook", help="run the analysis and persist a servable RuleBook"
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     book.add_argument("--output", required=True,
                       help="destination RuleBook path (JSON lines)")
     _add_mining_flags(book)
-    _add_engine_flags(book)
+    _add_profile_flag(book)
 
     srv = sub.add_parser(
         "serve", help="serve a RuleBook online (NDJSON over TCP)"
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     case = sub.add_parser("casestudy", help="run all Sec. IV studies for a trace")
     case.add_argument("--trace", required=True, choices=list_traces())
     case.add_argument("--n-jobs", type=int, default=None)
-    _add_engine_flags(case)
+    _add_profile_flag(case)
 
     stats = sub.add_parser("stats", help="descriptive characterisation of a trace")
     stats.add_argument("--trace", required=True, choices=list_traces())
@@ -205,15 +205,9 @@ def _add_mining_flags(sub: argparse.ArgumentParser) -> None:
                      choices=("fpgrowth", "apriori", "eclat"))
 
 
-def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--no-cache", action="store_true",
-                     help="disable the content-addressed itemset cache")
+def _add_profile_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--profile", action="store_true",
                      help="show per-stage kernel attribution in the stats footer")
-
-
-def _engine_from(args: argparse.Namespace) -> MiningEngine:
-    return MiningEngine(cache=not args.no_cache)
 
 
 def _config_from(args: argparse.Namespace) -> MiningConfig:
@@ -263,9 +257,7 @@ def cmd_analyze(args: argparse.Namespace) -> str:
     definition = get_trace(args.trace)
     config = _config_from(args)
     table = _load_or_generate(args)
-    workflow = InterpretableAnalysis(
-        definition.make_preprocessor(), config, _engine_from(args)
-    )
+    workflow = InterpretableAnalysis(definition.make_preprocessor(), config)
     result = workflow.run(table, {"query": args.keyword})
     rules = result["query"]
     rule_table = format_rule_table(
@@ -295,9 +287,7 @@ def cmd_mine_rulebook(args: argparse.Namespace) -> str:
         if args.keyword
         else dict(definition.keywords)
     )
-    workflow = InterpretableAnalysis(
-        definition.make_preprocessor(), config, _engine_from(args)
-    )
+    workflow = InterpretableAnalysis(definition.make_preprocessor(), config)
     result = workflow.run(table, keywords)
     book = result.to_rulebook(trace=definition.name)
     book.save(args.output)
@@ -566,11 +556,9 @@ def cmd_match(args: argparse.Namespace) -> str:
 
 
 def cmd_casestudy(args: argparse.Namespace) -> str:
-    study = full_case_study(args.trace, n_jobs=args.n_jobs, engine=_engine_from(args))
-    rendered = study.render()
-    if study.analysis.stats is not None:
-        rendered += "\n" + study.analysis.stats.render(profile=args.profile)
-    return rendered
+    study = full_case_study(args.trace, n_jobs=args.n_jobs)
+    footers = [result.stats.render(profile=args.profile) for result in study.passes]
+    return "\n".join([study.render(), *footers])
 
 
 def cmd_stats(args: argparse.Namespace) -> str:

@@ -88,17 +88,6 @@ class MiningConfig:
         return replace(self, **overrides)
 
     @property
-    def itemset_key(self) -> tuple:
-        """The fields that determine a frequent-itemset result.
-
-        Rule-level knobs (lift, confidence, pruning constants) do not
-        change which itemsets are frequent, so the engine cache keys on
-        this projection only — a lift sweep over one trace is a string of
-        cache hits.
-        """
-        return (self.min_support, self.max_len, self.algorithm)
-
-    @property
     def pruning(self) -> PruningConfig:
         return PruningConfig(c_lift=self.c_lift, c_supp=self.c_supp)
 
@@ -206,19 +195,20 @@ class KeywordRuleSet:
 def mine_frequent_itemsets(
     db: TransactionDatabase, config: MiningConfig = MiningConfig()
 ) -> FrequentItemsets:
-    """Frequent itemsets of *db*, via the process-wide mining engine.
+    """Frequent itemsets of *db*: one serial pass of the configured miner.
 
-    This is the one-call convenience path: it routes through
-    :func:`repro.engine.default_engine`, so repeated calls on identical
-    database content (support sweeps, multi-keyword studies, benchmark
-    rounds) are answered from the content-addressed itemset cache.
-    Callers needing an isolated cache build their own
-    :class:`repro.engine.MiningEngine`.
+    Every mining path runs this pass (the engine's ``mine`` stage, the
+    streaming remine, the one-call helpers); nothing is kept between
+    calls, so mining a database twice costs two passes.
     """
-    # imported lazily: repro.engine sits one layer above repro.core
-    from ..engine import default_engine
-
-    return default_engine().mine(db, config)
+    counts = ALGORITHMS[config.algorithm](db, config.min_support, config.max_len)
+    return FrequentItemsets(
+        counts,
+        db.vocabulary,
+        len(db),
+        min_support=config.min_support,
+        max_len=config.max_len,
+    )
 
 
 def mine_rules(

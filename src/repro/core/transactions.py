@@ -263,10 +263,11 @@ class TransactionDatabase:
         """Content hash of the database: transactions plus vocabulary.
 
         Two databases with identical transactions over identical
-        vocabularies fingerprint equally even when built independently,
-        which is what lets the engine's itemset cache address results by
-        *content* rather than object identity.  Computed lazily and
-        cached — the database is immutable, so the hash never changes.
+        vocabularies fingerprint equally even when built independently.
+        A rulebook's header records it as the provenance of its rules,
+        and the shared bitmap cache (:meth:`bitmaps`) keys builds by it.
+        Computed lazily and kept — the database is immutable, so the
+        hash never changes.
         """
         if self._fingerprint_cache is None:
             digest = hashlib.blake2b(digest_size=16)

@@ -232,8 +232,7 @@ class ColumnTable:
 
         Two tables with identical schema and cell contents share a
         fingerprint regardless of how they were built — the key the
-        preprocess result cache uses, mirroring
-        :meth:`TransactionDatabase.fingerprint` on the mining side.
+        preprocess result cache uses.
         Computed fresh on every call (tables are mutable via
         ``add_column``), so callers should hash once per lookup.
         """

@@ -1,16 +1,15 @@
-"""The unified mining engine — single entry point for every caller.
+"""The mining engine — the staged pipeline every caller runs.
 
-:class:`MiningEngine` composes one serial mining pass with a
-content-addressed itemset cache (whether the pass needs to run at all)
-and the staged pipeline ``preprocess → mine → generate-rules → prune``
-that instruments each stage into :class:`EngineStats`.
+:class:`MiningEngine` runs ``preprocess → mine → generate-rules → prune``
+on a job table and instruments each stage into :class:`EngineStats`.
+The mine stage is one serial pass
+(:func:`~repro.core.mining.mine_frequent_itemsets`) shared by every
+keyword of the study; the engine keeps nothing between calls, so a
+caller that needs one pass's itemsets again passes them on (the
+case studies take ``analysis=``).
 
-Every layer of the stack routes through here: the one-call helpers in
-:mod:`repro.core.mining`, the :class:`InterpretableAnalysis` workflow and
-case studies, the streaming refresher's remine, the CLI, and the
-benchmark harness.  A module-level default engine gives them a shared
-cache, so a support sweep or a second keyword study on the same trace
-content never mines twice.
+The workflow and case studies, the streaming refresher's remine, the
+CLI and the benchmark harness all build their engine here.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from typing import TYPE_CHECKING
 
 from ..core.itemsets import FrequentItemsets
 from ..core.items import Item
-from ..core.mining import ALGORITHMS, KeywordRuleSet, MiningConfig, keyword_rule_set
+from ..core.mining import MiningConfig, keyword_rule_set, mine_frequent_itemsets
 from ..core.rules import score_counts
 from ..core.ruletable import RuleTable
 from ..core.transactions import TransactionDatabase
 from ..obs import EngineStats, StageStats, kernel_timer, stage
-from .cache import CacheStats, ItemsetCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..analysis.workflow import AnalysisResult
@@ -34,107 +32,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..streaming.bitwindow import StreamingBitmapWindow
     from ..streaming.refresh import TrackedRules
 
-__all__ = ["MiningEngine", "default_engine", "set_default_engine"]
-
-
-def _mine_pass(db: TransactionDatabase, config: MiningConfig) -> FrequentItemsets:
-    """One in-process pass of the configured algorithm."""
-    counts = ALGORITHMS[config.algorithm](db, config.min_support, config.max_len)
-    return FrequentItemsets(
-        counts,
-        db.vocabulary,
-        len(db),
-        min_support=config.min_support,
-        max_len=config.max_len,
-    )
+__all__ = ["MiningEngine"]
 
 
 class SerialBackend:
-    """The engine's one mining pass, under the old backend interface.
+    """The one mining plan, under the old backend interface.
 
     Stays only for ``benchmarks/e2e/mine.py``, whose traced pass reads
     ``engine.backend.resolve(db).effective_plan``; delete it with
     :attr:`MiningEngine.backend` at the next change to that benchmark.
     """
 
-    name = "serial"
     effective_plan = "serial"
-
-    def mine(self, db: TransactionDatabase, config: MiningConfig) -> FrequentItemsets:
-        return _mine_pass(db, config)
 
     def resolve(self, db: TransactionDatabase) -> "SerialBackend":
         return self
 
 
 class MiningEngine:
-    """Serial mining + cache + instrumented pipeline, in one object.
-
-    Parameters
-    ----------
-    cache:
-        ``True`` (own LRU cache), ``False``/``None`` (no caching), or an
-        :class:`ItemsetCache` instance to share between engines.
-    """
+    """Serial mining + instrumented pipeline, in one stateless object."""
 
     #: stays only for ``benchmarks/e2e/mine.py`` (see :class:`SerialBackend`)
     backend = SerialBackend()
 
-    def __init__(self, *, cache: bool | ItemsetCache | None = True):
-        if cache is True:
-            self.cache: ItemsetCache | None = ItemsetCache()
-        elif cache is False or cache is None:
-            self.cache = None
-        else:
-            self.cache = cache
-
-    def __repr__(self) -> str:
-        return (
-            f"MiningEngine(cache={'off' if self.cache is None else len(self.cache)})"
-        )
-
-    # -- mining ------------------------------------------------------------------
-    def cache_key(self, db: TransactionDatabase, config: MiningConfig) -> tuple:
-        """Content-addressed key: database fingerprint × itemset config."""
-        return (db.fingerprint(), config.itemset_key)
-
     def mine(
         self, db: TransactionDatabase, config: MiningConfig = MiningConfig()
     ) -> FrequentItemsets:
-        """Frequent itemsets of *db* — cached, one serial pass on a miss."""
-        itemsets, _ = self.mine_with_status(db, config)
-        return itemsets
-
-    def mine_with_status(
-        self, db: TransactionDatabase, config: MiningConfig = MiningConfig()
-    ) -> tuple[FrequentItemsets, str]:
-        """Like :meth:`mine`, also reporting ``"hit"``/``"miss"``/``"off"``."""
-        if self.cache is None:
-            return _mine_pass(db, config), "off"
-        key = self.cache_key(db, config)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached, "hit"
-        itemsets = _mine_pass(db, config)
-        self.cache.put(key, itemsets)
-        return itemsets, "miss"
-
-    def cache_stats(self) -> CacheStats | None:
-        """Lifetime counters of the attached cache (None when disabled)."""
-        return None if self.cache is None else self.cache.stats()
-
-    # -- keyword rules ----------------------------------------------------------
-    def keyword_rules(
-        self,
-        db: TransactionDatabase,
-        keyword: Item | str,
-        config: MiningConfig = MiningConfig(),
-        itemsets: FrequentItemsets | None = None,
-    ) -> KeywordRuleSet:
-        """Full keyword workflow (mine → generate → prune), engine-cached."""
-        if itemsets is None:
-            itemsets = self.mine(db, config)
-        return keyword_rule_set(itemsets, keyword, config)
+        """Frequent itemsets of *db* — one serial pass."""
+        return mine_frequent_itemsets(db, config)
 
     # -- incremental recount (streaming) -----------------------------------------
     def recount_rules(
@@ -179,25 +104,24 @@ class MiningEngine:
     ) -> "AnalysisResult":
         """Run ``preprocess → mine → generate-rules → prune`` on *table*.
 
-        One (cached) mining pass is shared across all keywords of the
-        study; each stage's wall time, cardinalities and cache status are
-        recorded into the result's :attr:`~AnalysisResult.stats`.
+        One preprocessing and one mining pass are shared across all
+        keywords of the study, and nothing is kept for the next call;
+        each stage's wall time and cardinalities are recorded into the
+        result's :attr:`~AnalysisResult.stats`.
         """
         from ..analysis.workflow import AnalysisResult
 
         stats = EngineStats()
 
-        # the preprocess result cache follows the engine's cache switch:
-        # --no-cache disables both layers
         with stage(stats, "preprocess", len(table)) as s:
             preprocess, s.cache = preprocessor.run_with_status(
-                table, use_cache=self.cache is not None
+                table, use_cache=False
             )
             db = preprocess.database
             s.n_out = len(db)
 
         with stage(stats, "mine", len(db)) as s:
-            itemsets, s.cache = self.mine_with_status(db, config)
+            itemsets = self.mine(db, config)
             s.n_out = len(itemsets)
 
         result = AnalysisResult(
@@ -230,24 +154,3 @@ class MiningEngine:
             result.rule_table = RuleTable.empty(db.vocabulary)
         return result
 
-
-#: process-wide default engine: serial mining, shared content-addressed
-#: cache — what the one-call helpers and the workflow use unless told
-#: otherwise
-_DEFAULT_ENGINE: MiningEngine | None = None
-
-
-def default_engine() -> MiningEngine:
-    """The process-wide shared engine (created on first use)."""
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = MiningEngine()
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(engine: MiningEngine | None) -> MiningEngine | None:
-    """Replace the shared engine (None resets to a fresh lazy default)."""
-    global _DEFAULT_ENGINE
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    return previous

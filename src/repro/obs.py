@@ -3,7 +3,7 @@
 A pipeline stage is opened with :func:`stage`::
 
     with stage(stats, "mine", len(db)) as s:
-        itemsets, s.cache = engine.mine_with_status(db, config)
+        itemsets = engine.mine(db, config)
         s.n_out = len(itemsets)
 
 Opening a stage installs a fresh kernel ledger in a

@@ -20,21 +20,22 @@ Two performance layers sit on top of the stages (DESIGN.md §9):
   ``--profile``); the row-by-row statement of the stages they are
   tested against lives in ``tests/oracles.py``;
 * results are memoised in a content-addressed LRU cache keyed by table
-  fingerprint × pipeline spec — the same pattern as the engine's itemset
-  cache — so repeated case studies over the same trace content preprocess
-  once.
+  fingerprint × pipeline spec, so repeated studies over the same trace
+  content preprocess once (``use_cache=False`` skips it).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from threading import Lock
+from typing import Any
 
 import numpy as np
 
 from ..core.items import Item
 from ..core.transactions import TransactionDatabase
 from ..dataframe import CategoricalColumn, ColumnTable
-from ..engine.cache import CacheStats, LRUCache
 from ..obs import kernel_timer
 from .aggregation import ActivityTiers, apply_semantic_grouping, compute_activity_tiers
 from .encoding import FeatureSpec, TransactionEncoder
@@ -49,9 +50,70 @@ __all__ = [
     "clear_preprocess_cache",
 ]
 
-#: preprocess results hold the working table and database, so keep the
-#: bound tighter than the itemset cache's
+#: preprocess results hold the working table and database: keep few
 _CACHE_MAX_ENTRIES = 8
+
+
+@dataclass(frozen=True, slots=True)
+class CacheStats:
+    """Counter snapshot of one :class:`LRUCache`."""
+
+    hits: int
+    misses: int
+    evictions: int
+    size: int
+    max_entries: int
+
+
+class LRUCache:
+    """Thread-safe, LRU-bounded mapping of hashable key → result."""
+
+    __slots__ = ("max_entries", "_entries", "_lock", "_hits", "_misses", "_evictions")
+
+    def __init__(self, max_entries: int):
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
+        self.max_entries = max_entries
+        self._entries: OrderedDict[tuple, Any] = OrderedDict()
+        self._lock = Lock()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+
+    def get(self, key: tuple) -> Any | None:
+        """Look up *key*, counting a hit or miss and touching LRU order."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry
+
+    def put(self, key: tuple, value: Any) -> None:
+        """Insert *value*, evicting the least-recently-used beyond bounds."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+
+    def clear(self) -> None:
+        """Drop all entries (counters are preserved)."""
+        with self._lock:
+            self._entries.clear()
+
+    def stats(self) -> CacheStats:
+        with self._lock:
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                size=len(self._entries),
+                max_entries=self.max_entries,
+            )
 
 #: process-wide result cache: (table fingerprint, spec key) → result
 _RESULT_CACHE = LRUCache(max_entries=_CACHE_MAX_ENTRIES)

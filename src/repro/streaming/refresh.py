@@ -33,21 +33,17 @@ CLI ``--profile`` renders streaming ticks with the familiar footer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..analysis.drift import RuleDrift, diff_rules
-from ..core.mining import MiningConfig
+from ..core.mining import MiningConfig, keyword_rule_set
 from ..core.ruletable import RuleTable
 from ..core.transactions import min_support_count
-from ..engine import MiningEngine, default_engine
+from ..engine import MiningEngine
 from ..obs import EngineStats, stage
 from ..serve.rulebook import RuleBook
 from .bitwindow import StreamingBitmapWindow
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 __all__ = ["TrackedRules", "TickResult", "RuleBookRefresher"]
 
@@ -200,7 +196,7 @@ class RuleBookRefresher:
             raise ValueError("threshold must be >= 0")
         self.window = window
         self.book = book
-        self.engine = engine if engine is not None else default_engine()
+        self.engine = engine if engine is not None else MiningEngine()
         self.threshold = threshold
         self.config = book.config if book.config is not None else MiningConfig()
         self.keywords = dict(book.keywords)
@@ -318,9 +314,7 @@ class RuleBookRefresher:
             itemsets = self.engine.mine(db, self.config)
             kept: list[RuleTable] = []
             for keyword in self.keywords.values():
-                ruleset = self.engine.keyword_rules(
-                    db, keyword, self.config, itemsets
-                )
+                ruleset = keyword_rule_set(itemsets, keyword, self.config)
                 if ruleset.table is not None and len(ruleset.table):
                     kept.append(ruleset.table)
             table = (

@@ -78,11 +78,9 @@ def shm_leak_check():
     """Fail any test that leaks a shared-memory segment.
 
     A segment whose owner pid is dead is a leak outright (serve/chaos
-    tests kill workers; their segments must be reaped).  A rule-plane
-    segment still owned by *this* process means whoever published it
-    (a cluster or follower under test) forgot to unlink on the way out.
-    Database segments owned by this live process are the mining lease
-    cache and are allowed to persist across tests.
+    tests kill workers; their segments must be reaped).  Any segment
+    still owned by *this* process means whoever published it (a cluster,
+    a follower or a test) forgot to unlink it on the way out.
     """
     yield
     from repro.shm.segment import _pid_alive, list_segments
@@ -98,8 +96,8 @@ def shm_leak_check():
             continue
         if not _pid_alive(owner):
             leaked.append(f"{name} (dead owner)")
-        elif owner == os.getpid() and parts[1] == "r":
-            leaked.append(f"{name} (rule plane not unlinked)")
+        elif owner == os.getpid():
+            leaked.append(f"{name} (not unlinked)")
     assert not leaked, f"leaked shm segments: {leaked}"
 
 

@@ -119,6 +119,13 @@ class TestCaseStudies:
         tables = misc_study("supercloud", table=supercloud_table)
         assert "killed" in tables
 
+    def test_pai_misc_study_needs_the_job_table(self, pai_table):
+        # the model rules mine the labelled rows of the raw table, which
+        # the analysis does not carry
+        analysis = analyze_trace("pai", table=pai_table)
+        with pytest.raises(ValueError, match="job table"):
+            misc_study("pai", analysis=analysis)
+
     def test_misc_study_philly(self, philly_table):
         tables = misc_study("philly", table=philly_table)
         assert "multi_gpu" in tables

@@ -143,12 +143,15 @@ class TestCliEngineFlags:
             assert stage in out
 
     def test_no_cache_flag(self, capsys):
-        code = main(
-            ["analyze", "--trace", "supercloud", "--keyword", "Failed",
-             "--n-jobs", "2000", "--no-cache", "--max-cause", "2"]
-        )
-        assert code == 0
-        assert "cache=off" in capsys.readouterr().out
+        # mining keeps nothing between calls: there is no cache to switch
+        # off, so the retired flag fails loudly on every mining subcommand
+        for argv in (
+            ["analyze", "--trace", "supercloud", "--keyword", "Failed"],
+            ["mine-rulebook", "--trace", "pai", "--output", "unused.rulebook.jsonl"],
+            ["casestudy", "--trace", "philly"],
+        ):
+            assert main([*argv, "--n-jobs", "1500", "--no-cache"]) == 2, argv[0]
+            assert "unrecognized arguments" in capsys.readouterr().err, argv[0]
 
 
 class TestCliExtensions:

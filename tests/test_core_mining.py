@@ -62,13 +62,6 @@ class TestMiningConfig:
         cfg = MiningConfig(min_lift=0.0, min_confidence=1.0, max_len=1)
         assert cfg.min_lift == 0.0
 
-    def test_itemset_key_projects_mining_fields(self):
-        a = MiningConfig(min_lift=1.5)
-        b = MiningConfig(min_lift=3.0)
-        assert a.itemset_key == b.itemset_key
-        assert a.itemset_key != MiningConfig(min_support=0.1).itemset_key
-        assert a.itemset_key != MiningConfig(algorithm="eclat").itemset_key
-
     def test_pruning_view(self):
         cfg = MiningConfig(c_lift=2.0, c_supp=3.0)
         assert cfg.pruning.c_lift == 2.0

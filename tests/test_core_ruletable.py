@@ -376,7 +376,7 @@ class TestEngineThreading:
     def test_analyze_populates_rule_table_and_kernel_split(self, supercloud_table):
         from repro.traces import supercloud_preprocessor
 
-        engine = MiningEngine(cache=False)
+        engine = MiningEngine()
         result = engine.analyze(
             supercloud_preprocessor(),
             supercloud_table,

@@ -1,15 +1,9 @@
-"""Tests for the unified mining engine: serial mining, cache, instrumentation."""
+"""Tests for the mining engine: serial mining, instrumentation."""
 
 import pytest
 
 from repro.core import MiningConfig, TransactionDatabase, fpgrowth
-from repro.engine import (
-    EngineStats,
-    ItemsetCache,
-    MiningEngine,
-    StageStats,
-    default_engine,
-)
+from repro.engine import EngineStats, MiningEngine, StageStats
 from repro.traces import get_trace
 
 
@@ -29,13 +23,13 @@ class TestSerialMining:
         config = MiningConfig(min_support=0.05, max_len=3, algorithm=algorithm)
         for name, db in trace_dbs.items():
             reference = fpgrowth(db, 0.05, 3)
-            mined = MiningEngine(cache=False).mine(db, config)
+            mined = MiningEngine().mine(db, config)
             assert mined.counts == reference, f"{algorithm} on {name}"
             assert len(mined) > 0
 
     def test_empty_database(self):
         db = TransactionDatabase.from_itemsets([])
-        engine = MiningEngine(cache=False)
+        engine = MiningEngine()
         assert len(engine.mine(db, MiningConfig())) == 0
 
     def test_backend_argument_rejected(self):
@@ -43,78 +37,19 @@ class TestSerialMining:
         with pytest.raises(TypeError):
             MiningEngine(backend="process")
 
+    def test_cache_argument_rejected(self):
+        """The engine keeps nothing between calls: there is no cache to set."""
+        with pytest.raises(TypeError):
+            MiningEngine(cache=False)
 
-# -- itemset cache ---------------------------------------------------------------
-
-
-class TestItemsetCache:
-    def test_hit_after_miss(self, toy_db):
+    def test_each_call_mines(self, toy_db):
+        """Two calls, two passes: equal counts, distinct results."""
         engine = MiningEngine()
         config = MiningConfig(min_support=0.4)
-        first, status1 = engine.mine_with_status(toy_db, config)
-        second, status2 = engine.mine_with_status(toy_db, config)
-        assert (status1, status2) == ("miss", "hit")
-        assert second is first
-        stats = engine.cache_stats()
-        assert stats.hits == 1 and stats.misses == 1
-
-    def test_content_addressed_across_instances(self, toy_db):
-        """A rebuilt database with identical content hits the cache."""
-        engine = MiningEngine()
-        clone = TransactionDatabase.from_itemsets(
-            [
-                [str(toy_db.vocabulary.item_of(i)) for i in ids]
-                for ids in toy_db.iter_id_transactions()
-            ]
-        )
-        assert clone.fingerprint() == toy_db.fingerprint()
-        engine.mine(toy_db, MiningConfig(min_support=0.4))
-        _, status = engine.mine_with_status(clone, MiningConfig(min_support=0.4))
-        assert status == "hit"
-
-    def test_config_projection(self, toy_db):
-        """Rule-level knobs share one itemset entry; mining knobs do not."""
-        engine = MiningEngine()
-        engine.mine(toy_db, MiningConfig(min_support=0.4, min_lift=1.5))
-        _, status = engine.mine_with_status(
-            toy_db, MiningConfig(min_support=0.4, min_lift=3.0)
-        )
-        assert status == "hit"
-        _, status = engine.mine_with_status(toy_db, MiningConfig(min_support=0.6))
-        assert status == "miss"
-
-    def test_disabled_cache(self, toy_db):
-        engine = MiningEngine(cache=False)
-        _, status = engine.mine_with_status(toy_db, MiningConfig(min_support=0.4))
-        assert status == "off"
-        assert engine.cache_stats() is None
-
-    def test_lru_eviction(self):
-        cache = ItemsetCache(max_entries=2)
-        engine = MiningEngine(cache=cache)
-        dbs = [
-            TransactionDatabase.from_itemsets([[f"x{i}", "y"], ["y"]])
-            for i in range(3)
-        ]
-        for db in dbs:
-            engine.mine(db, MiningConfig(min_support=0.5))
-        assert len(cache) == 2
-        assert cache.stats().evictions == 1
-        # the first db was evicted: mining it again is a miss
-        _, status = engine.mine_with_status(dbs[0], MiningConfig(min_support=0.5))
-        assert status == "miss"
-
-    def test_shared_cache_between_engines(self, toy_db):
-        cache = ItemsetCache()
-        a = MiningEngine(cache=cache)
-        b = MiningEngine(cache=cache)
-        a.mine(toy_db, MiningConfig(min_support=0.4))
-        _, status = b.mine_with_status(toy_db, MiningConfig(min_support=0.4))
-        assert status == "hit"
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            ItemsetCache(max_entries=0)
+        first = engine.mine(toy_db, config)
+        second = engine.mine(toy_db, config)
+        assert second is not first
+        assert second.counts == first.counts
 
 
 # -- staged pipeline + instrumentation -------------------------------------------
@@ -153,21 +88,24 @@ class TestAnalyzePipeline:
         )
         assert "backend=serial" in stats.render()
 
-    def test_second_study_hits_cache(self, supercloud_table, definition):
-        """Acceptance: a second keyword study re-mines nothing."""
-        engine = MiningEngine()
-        pre = definition.make_preprocessor()
-        first = engine.analyze(
-            pre, supercloud_table, {"underutilization": "SM Util = 0%"}, MiningConfig()
+    def test_second_study_reuses_the_analysis(self, supercloud_table, definition):
+        """Acceptance: a second keyword study handed the analysis re-mines
+        (and re-preprocesses) nothing."""
+        from repro.analysis import misc_study
+        from repro.obs import stage
+
+        analysis = MiningEngine().analyze(
+            definition.make_preprocessor(),
+            supercloud_table,
+            {"killed": "Job Killed"},
+            MiningConfig(),
         )
-        assert first.stats.stage("mine").cache == "miss"
-        second = engine.analyze(
-            pre, supercloud_table, {"failure": "Failed"}, MiningConfig()
-        )
-        assert second.stats.stage("mine").cache == "hit"
-        assert second.stats.cache_hits >= 1
-        assert second.itemsets is first.itemsets  # no second mining pass
-        assert len(second["failure"]) > 0
+        outer = EngineStats()
+        with stage(outer, "second study", 0):
+            tables = misc_study("supercloud", analysis=analysis)
+        kernels = [name for name, _, _ in outer.stage("second study").kernels]
+        assert not [k for k in kernels if k.startswith(("fpgrowth", "ingest"))]
+        assert "Job-kill rules" in str(tables["killed"])
 
     def test_unknown_keyword_empty(self, supercloud_table, definition):
         engine = MiningEngine()
@@ -191,15 +129,6 @@ class TestAnalyzePipeline:
         assert result.stats is not None
         assert result.stats.backend == "serial"
 
-    def test_keyword_rules_matches_core(self, toy_db):
-        from repro.core import mine_keyword_rules
-
-        engine = MiningEngine()
-        config = MiningConfig(min_support=0.4, min_lift=1.0)
-        a = engine.keyword_rules(toy_db, "beer", config)
-        b = mine_keyword_rules(toy_db, "beer", config)
-        assert [str(r) for r in a.all_rules] == [str(r) for r in b.all_rules]
-
 
 class TestStageStats:
     def test_invalid_cache_state_rejected(self):
@@ -214,24 +143,3 @@ class TestStageStats:
         assert stats.total_seconds == pytest.approx(0.3)
         with pytest.raises(KeyError):
             stats.stage("nope")
-
-
-class TestDefaultEngine:
-    def test_singleton(self):
-        assert default_engine() is default_engine()
-
-    def test_one_call_helpers_share_cache(self, toy_db):
-        """mine_frequent_itemsets routes through the shared engine."""
-        from repro.core import mine_frequent_itemsets
-        from repro.engine import set_default_engine
-
-        previous = set_default_engine(MiningEngine())
-        try:
-            config = MiningConfig(min_support=0.4)
-            first = mine_frequent_itemsets(toy_db, config)
-            second = mine_frequent_itemsets(toy_db, config)
-            assert second is first  # cache answered, no re-mining
-            stats = default_engine().cache_stats()
-            assert stats.hits >= 1
-        finally:
-            set_default_engine(previous)

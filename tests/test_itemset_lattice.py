@@ -277,7 +277,7 @@ def test_engine_prune_stage_never_maps_entries(request, trace):
     table = request.getfixturevalue(f"{trace}_table")
     definition = get_trace(trace)
     result = InterpretableAnalysis(
-        definition.make_preprocessor(), MiningConfig(), MiningEngine(cache=False)
+        definition.make_preprocessor(), MiningConfig(), MiningEngine()
     ).run(table, dict(definition.keywords))
     kernels = {name for name, _, _ in result.stats.stage("prune").kernels}
     assert "prune-join" in kernels

@@ -39,7 +39,7 @@ PAPER = MiningConfig()
 
 def mine(raw: list[list[str]]) -> tuple[TransactionDatabase, dict]:
     db = TransactionDatabase.from_itemsets(raw)
-    return db, MiningEngine(cache=False).mine(db, PAPER).counts
+    return db, MiningEngine().mine(db, PAPER).counts
 
 
 def named(db: TransactionDatabase, counts: dict) -> dict:

@@ -23,7 +23,7 @@ from repro.preprocess import (
     clear_preprocess_cache,
     preprocess_cache_stats,
 )
-from repro.preprocess.pipeline import TierSpec
+from repro.preprocess.pipeline import LRUCache, TierSpec
 from repro.traces import (
     PAIConfig,
     PhillyConfig,
@@ -222,6 +222,20 @@ class TestPreprocessCache:
         # counters are lifetime; the uncached path must not move them
         assert (after.hits, after.misses) == (before.hits, before.misses)
         assert after.size == 0
+
+    def test_lru_eviction(self):
+        cache = LRUCache(max_entries=2)
+        for key in ("a", "b", "c"):
+            cache.put((key,), key)
+        stats = cache.stats()
+        assert (stats.size, stats.evictions) == (2, 1)
+        # the oldest entry was evicted: looking it up is a miss
+        assert cache.get(("a",)) is None
+        assert cache.get(("c",)) == "c"
+
+    def test_invalid_bounds(self):
+        with pytest.raises(ValueError):
+            LRUCache(max_entries=0)
 
     def test_spec_key_deterministic(self):
         assert pai_preprocessor().spec_key() == pai_preprocessor().spec_key()

@@ -107,7 +107,7 @@ def test_composition_equals_generate_then_prune(
         min_support=min_support, max_len=max_len, min_lift=min_lift,
         min_confidence=min_confidence, c_lift=margins[0], c_supp=margins[1],
     )
-    itemsets = MiningEngine(cache=False).mine(db, config)
+    itemsets = MiningEngine().mine(db, config)
     for keyword in [*VOCAB, Item.flag("absent")]:
         assert_same_ruleset(
             keyword_rule_set(itemsets, keyword, config),
@@ -121,7 +121,7 @@ def test_keyword_in_no_frequent_itemset_and_absent_keyword():
         [["i0", "i1", "i2"]] * 6 + [["i0", "i3"]] * 4, vocabulary=vocabulary
     )
     config = MiningConfig(min_support=0.2, min_lift=0.0)
-    itemsets = MiningEngine(cache=False).mine(db, config)
+    itemsets = MiningEngine().mine(db, config)
     idle = Item.flag("idle")
     assert not any(vocabulary.id_of(idle) in s for s in itemsets)
     unseen = keyword_rule_set(itemsets, idle, config)
@@ -166,7 +166,7 @@ def test_run_book_equals_the_two_call_book(trace, seed, tmp_path):
     table = definition.generate_scaled(n_jobs=2000, seed=seed, use_scheduler=False)
     keywords = dict(definition.keywords)
     result = InterpretableAnalysis(
-        definition.make_preprocessor(), MiningConfig(), MiningEngine(cache=False)
+        definition.make_preprocessor(), MiningConfig(), MiningEngine()
     ).run(table, keywords)
     result.to_rulebook(trace="two-call").save(tmp_path / "run.jsonl")
     run_bytes = (tmp_path / "run.jsonl").read_bytes()

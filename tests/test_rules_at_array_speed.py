@@ -41,7 +41,7 @@ PAPER = MiningConfig()
 
 
 def mine(db, config=PAPER) -> FrequentItemsets:
-    return MiningEngine(cache=False).mine(db, config)
+    return MiningEngine().mine(db, config)
 
 
 # -- tie-break strings ------------------------------------------------------------
@@ -100,7 +100,7 @@ class TestViewGeneration:
 
         monkeypatch.setattr(ItemsetView, "__init__", counting)
         definition = get_trace("supercloud")
-        engine = MiningEngine(cache=False)
+        engine = MiningEngine()
         result = InterpretableAnalysis(
             definition.make_preprocessor(), PAPER, engine
         ).run(supercloud_table, dict(definition.keywords))
@@ -128,7 +128,7 @@ class TestNoPerRuleWork:
             return real_dumps(*args, **kwargs)
 
         definition = get_trace("philly")
-        engine = MiningEngine(cache=False)
+        engine = MiningEngine()
         workflow = InterpretableAnalysis(definition.make_preprocessor(), PAPER, engine)
         path = tmp_path / "philly.rulebook.jsonl"
         with monkeypatch.context() as patch:
@@ -267,7 +267,7 @@ def test_book_bytes_equal_the_object_path(trace, tmp_path):
     definition = get_trace(trace)
     table = definition.generate_scaled(n_jobs=5000, seed=11, use_scheduler=False)
     result = InterpretableAnalysis(
-        definition.make_preprocessor(), PAPER, MiningEngine(cache=False)
+        definition.make_preprocessor(), PAPER, MiningEngine()
     ).run(table, dict(definition.keywords))
     fast = tmp_path / "fast.jsonl"
     result.to_rulebook(trace=trace).save(fast)

@@ -15,12 +15,13 @@ Three layers, mirroring the subsystem:
 """
 
 import asyncio
+import gc
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import MiningConfig
+from repro.core import FrequentItemsets, MiningConfig
 from repro.engine import MiningEngine
 from repro.serve import RuleBook, RuleIndex, RuleServiceClient
 from repro.streaming import (
@@ -68,7 +69,7 @@ def _bootstrap(seed: int = 3, warmup: int = 192, window: int = 192):
         win,
         {"k": "K"},
         CONFIG,
-        engine=MiningEngine(cache=False),
+        engine=MiningEngine(),
         threshold=0.05,
         trace="chaos",
     )
@@ -144,10 +145,31 @@ class TestRefresherGate:
         result = refresher.remine_now()
         assert result.remined and result.trigger == "forced"
 
+    def test_nothing_outlives_a_remine(self):
+        """Mining keeps nothing between calls: once three forced remines
+        are done, none of the itemsets they mined is still reachable."""
+        win = StreamingBitmapWindow(192)
+        win.observe_many(_stream(3, 192))
+        refresher = RuleBookRefresher(win, RuleBook(keywords={"k": "K"}, config=CONFIG))
+        gc.collect()
+        # held, so no object mined below can reuse one of their ids
+        earlier = [o for o in gc.get_objects() if isinstance(o, FrequentItemsets)]
+        earlier_ids = {id(o) for o in earlier}
+        for seed in (4, 5, 6):
+            win.observe_many(_stream(seed, 64))
+            assert refresher.remine_now().remined
+        assert len(refresher.book) > 0
+        gc.collect()
+        alive = [
+            o for o in gc.get_objects()
+            if isinstance(o, FrequentItemsets) and id(o) not in earlier_ids
+        ]
+        assert not alive, f"{len(alive)} remined FrequentItemsets still alive"
+
     def test_empty_window_tick_raises(self):
         win = StreamingBitmapWindow(64)
         book = RuleBook(keywords={"k": "K"}, config=CONFIG)
-        refresher = RuleBookRefresher(win, book, engine=MiningEngine(cache=False))
+        refresher = RuleBookRefresher(win, book, engine=MiningEngine())
         with pytest.raises(ValueError, match="empty window"):
             refresher.tick()
 

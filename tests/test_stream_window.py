@@ -106,7 +106,7 @@ class TestSnapshotEquivalence:
         win.observe_many(txns)
         retained = _reference_window(txns, win.window_size)
         config = MiningConfig(min_support=0.1)
-        engine = MiningEngine(cache=False)
+        engine = MiningEngine()
         ours = engine.mine(win.snapshot(), config)
         theirs = engine.mine(window_of(txns, len(retained), win.vocabulary), config)
         assert ours.counts == theirs.counts

@@ -80,7 +80,7 @@ class TestMining:
         assert len(win) == G  # the window now holds the last granule
         batch = TransactionDatabase.from_itemsets(stream[-G:])
         expected = fpgrowth(batch, 0.5)
-        mined = MiningEngine(cache=False).mine(win.snapshot(), config)
+        mined = MiningEngine().mine(win.snapshot(), config)
         decoded = {
             frozenset(i.render() for i in win.vocabulary.items_of(ids)): count
             for ids, count in mined.counts.items()
@@ -95,7 +95,7 @@ class TestMining:
         """A regime change inside the stream shows up after the window
         slides past the old regime — the monitoring use case."""
         config = MiningConfig(min_support=0.6, max_len=2)
-        engine = MiningEngine(cache=False)
+        engine = MiningEngine()
         win = StreamingBitmapWindow(G)
         # regime 1: failures dominate
         win.observe_many([["Failed", "SM Util = 0%"]] * G)
