@@ -24,91 +24,57 @@ Package map (see DESIGN.md for the full inventory):
   inverted-index matcher, asyncio service with batching/backpressure);
 * :mod:`repro.dataframe` — the minimal columnar-table substrate;
 * :mod:`repro.viz` — figure data (CDFs, box stats, rule scatters).
+
+Nothing is imported until a name is first used (PEP 562): ``python -m
+repro serve`` and its shard workers load the serving layers, not the
+miners, trace generators or the cluster simulator.
 """
 
-from .analysis import (
-    AnalysisResult,
-    CaseStudy,
-    InterpretableAnalysis,
-    RuleTable,
-    analyze_trace,
-    failure_study,
-    format_rule_table,
-    full_case_study,
-    misc_study,
-    underutilization_study,
-)
-from .core import (
-    AssociationRule,
-    FrequentItemsets,
-    Item,
-    KeywordRuleSet,
-    MiningConfig,
-    PruningConfig,
-    TransactionDatabase,
-    apriori,
-    eclat,
-    fpgrowth,
-    generate_rules,
-    mine_frequent_itemsets,
-    mine_keyword_rules,
-    mine_rules,
-    prune_rules,
-)
-from .engine import EngineStats, MiningEngine
-from .predict import RuleClassifier, evaluate_predictions, split_database
-from .serve import RuleBook, RuleIndex, RuleService, RuleServiceClient
-from .preprocess import TracePreprocessor, TransactionEncoder
-from .traces import TRACES, get_trace, list_traces
+import importlib
+
+#: module (relative to this package) → the public names it defines
+_SUBMODULES = {
+    ".core.items": ("Item",),
+    ".core.transactions": ("TransactionDatabase",),
+    ".core.fpgrowth": ("fpgrowth",),
+    ".core.apriori": ("apriori",),
+    ".core.eclat": ("eclat",),
+    ".core.itemsets": ("FrequentItemsets",),
+    ".core.rules": ("AssociationRule", "generate_rules"),
+    ".core.pruning": ("prune_rules",),
+    ".core.config": ("MiningConfig", "PruningConfig"),
+    ".core.mining": (
+        "KeywordRuleSet", "mine_frequent_itemsets", "mine_rules", "mine_keyword_rules",
+    ),
+    ".preprocess.pipeline": ("TracePreprocessor",),
+    ".preprocess.encoding": ("TransactionEncoder",),
+    ".traces.registry": ("TRACES", "get_trace", "list_traces"),
+    ".analysis.workflow": ("InterpretableAnalysis", "AnalysisResult"),
+    ".analysis.report": ("RuleTable", "format_rule_table"),
+    ".analysis.casestudies": (
+        "analyze_trace", "underutilization_study", "failure_study", "misc_study",
+        "full_case_study", "CaseStudy",
+    ),
+    ".engine.engine": ("MiningEngine",),
+    ".obs": ("EngineStats",),
+    ".predict": ("RuleClassifier", "evaluate_predictions", "split_database"),
+    ".serve.rulebook": ("RuleBook",),
+    ".serve.index": ("RuleIndex",),
+    ".serve.service": ("RuleService",),
+    ".serve.client": ("RuleServiceClient",),
+}
+#: public name → its module
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Item",
-    "TransactionDatabase",
-    "fpgrowth",
-    "apriori",
-    "eclat",
-    "FrequentItemsets",
-    "AssociationRule",
-    "generate_rules",
-    "prune_rules",
-    "MiningConfig",
-    "PruningConfig",
-    "KeywordRuleSet",
-    "mine_frequent_itemsets",
-    "mine_rules",
-    "mine_keyword_rules",
-    # preprocessing
-    "TracePreprocessor",
-    "TransactionEncoder",
-    # traces
-    "TRACES",
-    "get_trace",
-    "list_traces",
-    # analysis
-    "InterpretableAnalysis",
-    "AnalysisResult",
-    "RuleTable",
-    "format_rule_table",
-    "analyze_trace",
-    "underutilization_study",
-    "failure_study",
-    "misc_study",
-    "full_case_study",
-    "CaseStudy",
-    # engine
-    "MiningEngine",
-    "EngineStats",
-    # prediction
-    "RuleClassifier",
-    "evaluate_predictions",
-    "split_database",
-    # serving
-    "RuleBook",
-    "RuleIndex",
-    "RuleService",
-    "RuleServiceClient",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = importlib.import_module(_EXPORTS[name], __name__)
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(module, name)
+    return value

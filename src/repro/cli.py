@@ -48,13 +48,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .analysis import InterpretableAnalysis, format_rule_table, full_case_study
-from .core import MiningConfig
-from .dataframe import ColumnTable
-from .traces import get_trace, list_traces
-from .traces.loader import load_trace, save_trace
+from .traces.registry import TRACE_NAMES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core.config import MiningConfig
+    from .dataframe import ColumnTable
 
 __all__ = ["main", "build_parser"]
 
@@ -69,13 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("traces", help="list available trace generators")
 
     gen = sub.add_parser("generate", help="generate a synthetic trace CSV")
-    gen.add_argument("--trace", required=True, choices=list_traces())
+    gen.add_argument("--trace", required=True, choices=TRACE_NAMES)
     gen.add_argument("--n-jobs", type=int, default=10_000)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--output", required=True, help="destination CSV path")
 
     ana = sub.add_parser("analyze", help="mine keyword rules from a trace")
-    ana.add_argument("--trace", required=True, choices=list_traces())
+    ana.add_argument("--trace", required=True, choices=TRACE_NAMES)
     ana.add_argument("--keyword", required=True,
                      help='item text, e.g. "Failed" or "SM Util = 0%%"')
     source = ana.add_mutually_exclusive_group()
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     book = sub.add_parser(
         "mine-rulebook", help="run the analysis and persist a servable RuleBook"
     )
-    book.add_argument("--trace", required=True, choices=list_traces())
+    book.add_argument("--trace", required=True, choices=TRACE_NAMES)
     book.add_argument("--keyword", action="append", default=None,
                       help="keyword to study (repeatable; default: the "
                            "trace's case-study keywords)")
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "match", help="batch-match a job table through the serving index"
     )
     mat.add_argument("--rulebook", required=True, help="RuleBook path to load")
-    mat.add_argument("--trace", default=None, choices=list_traces(),
+    mat.add_argument("--trace", default=None, choices=TRACE_NAMES,
                      help="trace whose preprocessor encodes the jobs "
                           "(required unless --jobs is given)")
     mat_source = mat.add_mutually_exclusive_group()
@@ -173,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="jobs per batch-kernel call")
 
     case = sub.add_parser("casestudy", help="run all Sec. IV studies for a trace")
-    case.add_argument("--trace", required=True, choices=list_traces())
+    case.add_argument("--trace", required=True, choices=TRACE_NAMES)
     case.add_argument("--n-jobs", type=int, default=None)
     _add_profile_flag(case)
 
     stats = sub.add_parser("stats", help="descriptive characterisation of a trace")
-    stats.add_argument("--trace", required=True, choices=list_traces())
+    stats.add_argument("--trace", required=True, choices=TRACE_NAMES)
     stats_source = stats.add_mutually_exclusive_group()
     stats_source.add_argument("--n-jobs", type=int, default=None)
     stats_source.add_argument("--input", default=None)
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     ins = sub.add_parser(
         "insights", help="automated operational takeaways for a keyword"
     )
-    ins.add_argument("--trace", required=True, choices=list_traces())
+    ins.add_argument("--trace", required=True, choices=TRACE_NAMES)
     ins.add_argument("--keyword", required=True)
     ins_source = ins.add_mutually_exclusive_group()
     ins_source.add_argument("--n-jobs", type=int, default=None)
@@ -211,6 +211,8 @@ def _add_profile_flag(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> MiningConfig:
+    from .core.config import MiningConfig
+
     return MiningConfig(
         min_support=args.min_support,
         max_len=args.max_len,
@@ -222,6 +224,9 @@ def _config_from(args: argparse.Namespace) -> MiningConfig:
 
 
 def _load_or_generate(args: argparse.Namespace) -> ColumnTable:
+    from .traces.loader import load_trace
+    from .traces.registry import get_trace
+
     definition = get_trace(args.trace)
     if getattr(args, "input", None):
         return load_trace(args.input, trace=definition.name)
@@ -229,8 +234,10 @@ def _load_or_generate(args: argparse.Namespace) -> ColumnTable:
 
 
 def cmd_traces(_: argparse.Namespace) -> str:
+    from .traces.registry import get_trace
+
     lines = []
-    for name in list_traces():
+    for name in TRACE_NAMES:
         d = get_trace(name)
         lines.append(
             f"{name:<12} {d.display_name} ({d.operator}) — paper scale: "
@@ -241,6 +248,9 @@ def cmd_traces(_: argparse.Namespace) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> str:
+    from .traces.loader import save_trace
+    from .traces.registry import get_trace
+
     definition = get_trace(args.trace)
     overrides = {}
     if args.seed is not None:
@@ -254,6 +264,10 @@ def cmd_generate(args: argparse.Namespace) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> str:
+    from .analysis.report import format_rule_table
+    from .analysis.workflow import InterpretableAnalysis
+    from .traces.registry import get_trace
+
     definition = get_trace(args.trace)
     config = _config_from(args)
     table = _load_or_generate(args)
@@ -279,6 +293,9 @@ def cmd_analyze(args: argparse.Namespace) -> str:
 
 
 def cmd_mine_rulebook(args: argparse.Namespace) -> str:
+    from .analysis.workflow import InterpretableAnalysis
+    from .traces.registry import get_trace
+
     definition = get_trace(args.trace)
     config = _config_from(args)
     table = _load_or_generate(args)
@@ -301,7 +318,8 @@ def cmd_mine_rulebook(args: argparse.Namespace) -> str:
 def cmd_serve(args: argparse.Namespace) -> str:
     import asyncio
 
-    from .serve import RuleBook, RuleService
+    from .serve.rulebook import RuleBook
+    from .serve.service import RuleService
 
     if args.shards < 1:
         raise ValueError("--shards must be >= 1")
@@ -314,6 +332,7 @@ def cmd_serve(args: argparse.Namespace) -> str:
         cluster = ShardCluster(
             args.rulebook,
             args.shards,
+            book=book,
             host=args.host,
             port=args.port,
             max_queue=args.max_queue,
@@ -352,7 +371,7 @@ def _serve_follow(args: argparse.Namespace, book) -> str:
     import asyncio
     import signal
 
-    from .serve import RuleService
+    from .serve.service import RuleService
     from .streaming import RuleBookRefresher, StreamFollower, StreamingBitmapWindow
 
     window = StreamingBitmapWindow(args.follow_window)
@@ -392,6 +411,7 @@ def _serve_follow(args: argparse.Namespace, book) -> str:
             cluster = ShardCluster(
                 args.rulebook,
                 args.shards,
+                book=book,
                 host=args.host,
                 port=args.port,
                 max_queue=args.max_queue,
@@ -445,7 +465,7 @@ def _serve_follow(args: argparse.Namespace, book) -> str:
 def cmd_reload_rulebook(args: argparse.Namespace) -> str:
     import asyncio
 
-    from .serve import RuleBook
+    from .serve.rulebook import RuleBook
     from .serve.shard import broadcast_reload
 
     book = RuleBook.load(args.rulebook)  # validate before telling the fleet
@@ -496,7 +516,8 @@ def _iter_ndjson_transactions(path: str):
 
 
 def cmd_match(args: argparse.Namespace) -> str:
-    from .serve import RuleBook, RuleIndex
+    from .serve.index import RuleIndex
+    from .serve.rulebook import RuleBook
 
     book = RuleBook.load(args.rulebook)
     index = RuleIndex.from_rulebook(book)
@@ -505,6 +526,8 @@ def cmd_match(args: argparse.Namespace) -> str:
     else:
         if args.trace is None:
             raise ValueError("match needs --trace (or --jobs NDJSON)")
+        from .traces.registry import get_trace
+
         definition = get_trace(args.trace)
         table = _load_or_generate(args)
         db = definition.make_preprocessor().run(table).database
@@ -556,12 +579,15 @@ def cmd_match(args: argparse.Namespace) -> str:
 
 
 def cmd_casestudy(args: argparse.Namespace) -> str:
+    from .analysis.casestudies import full_case_study
+
     study = full_case_study(args.trace, n_jobs=args.n_jobs)
     footers = [result.stats.render(profile=args.profile) for result in study.passes]
     return "\n".join([study.render(), *footers])
 
 
 def cmd_stats(args: argparse.Namespace) -> str:
+    from .traces.registry import get_trace
     from .traces.stats import characterize
 
     definition = get_trace(args.trace)
@@ -573,8 +599,9 @@ def cmd_stats(args: argparse.Namespace) -> str:
 
 
 def cmd_insights(args: argparse.Namespace) -> str:
-    from .analysis import extract_insights
-    from .core import mine_keyword_rules
+    from .analysis.insights import extract_insights
+    from .core.mining import MiningConfig, mine_keyword_rules
+    from .traces.registry import get_trace
 
     definition = get_trace(args.trace)
     table = _load_or_generate(args)

@@ -16,95 +16,59 @@ Layers, bottom to top:
   above rule generation operates on.
 * :mod:`repro.core.pruning` — the keyword-centric Conditions 1–4.
 * :mod:`repro.core.mining` — one-call orchestration with paper defaults.
+
+Nothing is imported until a name is first used (PEP 562), so a serving
+process that needs only items and rule tables never loads a miner.
+``apriori``, ``eclat`` and ``fpgrowth`` are also submodule names: a
+direct ``import repro.core.fpgrowth`` rebinds the package attribute to
+the submodule until :mod:`repro.core.mining` (which every mining path
+loads) binds the functions back.
 """
 
-from .apriori import apriori, apriori_naive, generate_candidates
-from .bitmap import PackedBitmaps, popcount
-from .eclat import eclat
-from .fpgrowth import fpgrowth
-from .items import Item, ItemVocabulary, render_itemset
-from .interest import (
-    ExtendedMetrics,
-    ExtendedMetricsColumns,
-    cosine,
-    extended_metrics,
-    extended_metrics_columns,
-    extended_metrics_table,
-    imbalance_ratio,
-    jaccard,
-    kulczynski,
-)
-from .itemsets import FrequentItemsets
-from .metrics import RuleMetrics, compute_metrics, confidence, conviction, leverage, lift
-from .negative import NegativeRule, mine_negative_keyword_rules
-from .patterns import closed_itemsets, maximal_itemsets, support_of_from_closed
-from .mining import (
-    ALGORITHMS,
-    KeywordRuleSet,
-    MiningConfig,
-    mine_frequent_itemsets,
-    mine_keyword_rules,
-    mine_rules,
-)
-from .pruning import (
-    CondenseConfig,
-    PruningConfig,
-    PruningReport,
-    keyword_rules,
-    prune_rule_table,
-    prune_rules,
-)
-from .rules import AssociationRule, generate_rule_table, generate_rules
-from .ruletable import RuleTable
-from .transactions import TransactionDatabase
+import importlib
 
-__all__ = [
-    "Item",
-    "ItemVocabulary",
-    "render_itemset",
-    "TransactionDatabase",
-    "PackedBitmaps",
-    "popcount",
-    "fpgrowth",
-    "apriori",
-    "apriori_naive",
-    "generate_candidates",
-    "eclat",
-    "FrequentItemsets",
-    "closed_itemsets",
-    "maximal_itemsets",
-    "support_of_from_closed",
-    "NegativeRule",
-    "mine_negative_keyword_rules",
-    "ExtendedMetrics",
-    "ExtendedMetricsColumns",
-    "extended_metrics",
-    "extended_metrics_columns",
-    "extended_metrics_table",
-    "jaccard",
-    "cosine",
-    "kulczynski",
-    "imbalance_ratio",
-    "RuleMetrics",
-    "compute_metrics",
-    "confidence",
-    "lift",
-    "leverage",
-    "conviction",
-    "AssociationRule",
-    "RuleTable",
-    "generate_rules",
-    "generate_rule_table",
-    "PruningConfig",
-    "CondenseConfig",
-    "PruningReport",
-    "prune_rules",
-    "prune_rule_table",
-    "keyword_rules",
-    "MiningConfig",
-    "KeywordRuleSet",
-    "mine_frequent_itemsets",
-    "mine_rules",
-    "mine_keyword_rules",
-    "ALGORITHMS",
-]
+#: module (relative to this package) → the public names it defines
+_SUBMODULES = {
+    ".items": ("Item", "ItemVocabulary", "render_itemset"),
+    ".transactions": ("TransactionDatabase",),
+    ".bitmap": ("PackedBitmaps", "popcount"),
+    ".fpgrowth": ("fpgrowth",),
+    ".apriori": ("apriori", "apriori_naive", "generate_candidates"),
+    ".eclat": ("eclat",),
+    ".itemsets": ("FrequentItemsets",),
+    ".patterns": ("closed_itemsets", "maximal_itemsets", "support_of_from_closed"),
+    ".negative": ("NegativeRule", "mine_negative_keyword_rules"),
+    ".interest": (
+        "ExtendedMetrics", "ExtendedMetricsColumns", "extended_metrics",
+        "extended_metrics_columns", "extended_metrics_table", "jaccard",
+        "cosine", "kulczynski", "imbalance_ratio",
+    ),
+    ".metrics": (
+        "RuleMetrics", "compute_metrics", "confidence", "lift", "leverage",
+        "conviction",
+    ),
+    ".rules": ("AssociationRule", "generate_rules", "generate_rule_table"),
+    ".ruletable": ("RuleTable",),
+    ".config": ("MiningConfig", "PruningConfig"),
+    ".pruning": (
+        "CondenseConfig", "PruningReport", "prune_rules", "prune_rule_table",
+        "keyword_rules",
+    ),
+    ".mining": (
+        "KeywordRuleSet", "mine_frequent_itemsets", "mine_rules",
+        "mine_keyword_rules", "ALGORITHMS",
+    ),
+}
+#: public name → its module
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = importlib.import_module(_EXPORTS[name], __name__)
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(module, name)
+    return value

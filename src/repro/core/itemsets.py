@@ -117,7 +117,7 @@ class ItemsetView:
         self.split_indptr = np.zeros(len(self) + 1, dtype=np.int64)
         np.cumsum(n_entries, out=self.split_indptr[1:])
         self.sub = np.empty(int(self.split_indptr[-1]), dtype=np.int32)
-        for length in np.unique(self.lengths[self.lengths >= 2]).tolist():
+        for length in sorted(set(self.lengths[self.lengths >= 2].tolist())):
             rows = np.flatnonzero(self.lengths == length)
             base = self.padded[rows, :length]
             before_first = self.split_indptr[rows] - 1

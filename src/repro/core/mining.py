@@ -16,17 +16,18 @@ thresholds").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Literal
+import sys
+from typing import Callable
 
 import numpy as np
 
 from .apriori import apriori
+from .config import MiningConfig
 from .eclat import eclat
 from .fpgrowth import fpgrowth
 from .items import Item, as_item
 from .itemsets import FrequentItemsets
-from .pruning import PruningConfig, PruningReport, prune_candidates
+from .pruning import PruningReport, prune_candidates
 from .rules import AssociationRule, generate_rules, rule_candidates
 from .ruletable import RuleTable
 from .transactions import TransactionDatabase
@@ -48,48 +49,9 @@ ALGORITHMS: dict[str, Callable[..., dict[frozenset[int], int]]] = {
     "eclat": eclat,
 }
 
-
-@dataclass(frozen=True, slots=True)
-class MiningConfig:
-    """All parameters of the analysis workflow (paper defaults)."""
-
-    min_support: float = 0.05
-    max_len: int | None = 5
-    min_lift: float = 1.5
-    min_confidence: float = 0.0
-    algorithm: Literal["fpgrowth", "apriori", "eclat"] = "fpgrowth"
-    c_lift: float = 1.5
-    c_supp: float = 1.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.min_support <= 1.0:
-            raise ValueError("min_support must be in [0, 1]")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; have {sorted(ALGORITHMS)}"
-            )
-        if self.min_lift < 0:
-            raise ValueError(f"min_lift must be >= 0, got {self.min_lift}")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ValueError(
-                f"min_confidence must be in [0, 1], got {self.min_confidence}"
-            )
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1 (or None), got {self.max_len}")
-        if self.c_lift <= 0:
-            raise ValueError(f"c_lift must be > 0, got {self.c_lift}")
-        if self.c_supp <= 0:
-            raise ValueError(f"c_supp must be > 0, got {self.c_supp}")
-        # below 1 they fail here, with PruningConfig's error, not after mining
-        PruningConfig(c_lift=self.c_lift, c_supp=self.c_supp)
-
-    def with_(self, **overrides) -> "MiningConfig":
-        """A copy of this config with the given fields replaced."""
-        return replace(self, **overrides)
-
-    @property
-    def pruning(self) -> PruningConfig:
-        return PruningConfig(c_lift=self.c_lift, c_supp=self.c_supp)
+# importing ``.apriori`` etc. bound the package attributes of the same
+# names to those submodules; the package exports the functions
+vars(sys.modules[__package__]).update(ALGORITHMS)
 
 
 class KeywordRuleSet:

@@ -58,6 +58,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..obs import kernel_timer
+from .config import PruningConfig
 from .interest import extended_metrics_columns
 from .items import Item, ItemVocabulary, as_item
 from .itemsets import ItemsetView
@@ -78,20 +79,6 @@ __all__ = [
 #: pseudo condition codes used by the condensation pass in reports
 CONDITION_LOW_INTEREST = 5
 CONDITION_CLUSTERED = 6
-
-
-@dataclass(frozen=True, slots=True)
-class PruningConfig:
-    """Tunables of the pruning pass (paper defaults)."""
-
-    c_lift: float = 1.5
-    c_supp: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.c_lift < 1.0:
-            raise ValueError("C_lift must be >= 1")
-        if self.c_supp < 1.0:
-            raise ValueError("C_supp must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)

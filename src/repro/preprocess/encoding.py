@@ -102,8 +102,9 @@ class TransactionEncoder:
                     raise TypeError(f"cannot auto-encode column {spec.column!r}")
             name = spec.feature_name
             if kind != "label":
-                # label columns mint one feature per value; uniqueness is
-                # enforced per item at transform time instead
+                # label columns mint one flag item per value, so they may
+                # repeat another spec's item; _assemble keeps one copy per
+                # transaction
                 if name in seen_features:
                     raise ValueError(f"duplicate item feature name {name!r}")
                 seen_features.add(name)
@@ -206,7 +207,12 @@ class TransactionEncoder:
     def _assemble(
         id_columns: list[np.ndarray], n_rows: int, vocab: ItemVocabulary
     ) -> TransactionDatabase:
-        """Stack per-feature id columns into a row-sorted CSR database."""
+        """Stack per-feature id columns into a row-sorted CSR database.
+
+        An item two specs both produce for one row (a ``label`` value
+        equal to a flag's item) appears once, as in
+        :meth:`TransactionDatabase.from_itemsets`.
+        """
         if not id_columns:
             return TransactionDatabase(
                 vocab,
@@ -214,11 +220,11 @@ class TransactionEncoder:
                 np.asarray([], dtype=np.int32),
             )
         # rows × features id matrix → CSR with per-row sorted ids
-        matrix = np.stack(id_columns, axis=1)
-        present = matrix != _ABSENT
-        counts = present.sum(axis=1)
-        sorted_rows = np.sort(matrix, axis=1)
-        flat = sorted_rows[sorted_rows != _ABSENT]
+        sorted_rows = np.sort(np.stack(id_columns, axis=1), axis=1)
+        keep = sorted_rows != _ABSENT
+        keep[:, 1:] &= sorted_rows[:, 1:] != sorted_rows[:, :-1]
+        counts = keep.sum(axis=1)
+        flat = sorted_rows[keep]
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         return TransactionDatabase(vocab, indptr, flat.astype(np.int32))
 

@@ -27,41 +27,37 @@ package is what turns that artefact into an operator-facing capability:
 CLI entry points: ``repro mine-rulebook``, ``repro serve`` (optionally
 ``--shards N``), ``repro reload-rulebook``, ``repro match`` (see
 DESIGN.md §7 and §11).
+
+Nothing is imported until a name is first used (PEP 562). A serving
+process loads the rulebook, index and service modules it runs, and
+never the client (which pulls in the trace generators).
 """
 
-from .batchmatch import BatchMaskKernel
-from .client import (
-    ReplayStats,
-    RuleServiceClient,
-    ServiceError,
-    replay_traffic,
-    trace_transactions,
-)
-from .index import Match, NearMiss, RuleIndex
-from .router import ShardDown, ShardHandle, ShardRouter
-from .rulebook import SCHEMA_VERSION, RuleBook, RuleBookSchemaError
-from .service import RuleService, ServiceMetrics
-from .shard import ShardCluster, ShardProcess, broadcast_reload
+import importlib
 
-__all__ = [
-    "RuleBook",
-    "RuleBookSchemaError",
-    "SCHEMA_VERSION",
-    "BatchMaskKernel",
-    "RuleIndex",
-    "Match",
-    "NearMiss",
-    "RuleService",
-    "ServiceMetrics",
-    "RuleServiceClient",
-    "ServiceError",
-    "ReplayStats",
-    "replay_traffic",
-    "trace_transactions",
-    "ShardDown",
-    "ShardHandle",
-    "ShardRouter",
-    "ShardCluster",
-    "ShardProcess",
-    "broadcast_reload",
-]
+#: module (relative to this package) → the public names it defines
+_SUBMODULES = {
+    ".rulebook": ("RuleBook", "RuleBookSchemaError", "SCHEMA_VERSION"),
+    ".batchmatch": ("BatchMaskKernel",),
+    ".index": ("RuleIndex", "Match", "NearMiss"),
+    ".service": ("RuleService", "ServiceMetrics"),
+    ".client": (
+        "RuleServiceClient", "ServiceError", "ReplayStats", "replay_traffic",
+        "trace_transactions",
+    ),
+    ".router": ("ShardDown", "ShardHandle", "ShardRouter"),
+    ".shard": ("ShardCluster", "ShardProcess", "broadcast_reload"),
+}
+#: public name → its module
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = importlib.import_module(_EXPORTS[name], __name__)
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(module, name)
+    return value

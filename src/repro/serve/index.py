@@ -36,15 +36,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..core.items import Item
-from ..core.rules import AssociationRule
-from ..core.ruletable import RuleTable
+from ..core.ruletable import RuleTable, csr_range_gather
 from .batchmatch import BatchMaskKernel, encode_id_transactions
 from .rulebook import RuleBook, _canonical_from_rules
+
+if TYPE_CHECKING:  # pragma: no cover - presentation objects only
+    from ..core.rules import AssociationRule
 
 __all__ = ["Match", "NearMiss", "RuleIndex"]
 
@@ -91,44 +93,77 @@ class NearMiss:
         }
 
 
-def _rendered_sides(
-    table: RuleTable, renders: list[str]
-) -> Iterator[tuple[list[str], list[str]]]:
-    """Per rule, its antecedent and consequent renders, each sorted."""
-    ant_ptr, ant_ids = table.ant_indptr.tolist(), table.ant_ids.tolist()
-    cons_ptr, cons_ids = table.cons_indptr.tolist(), table.cons_ids.tolist()
-    for r in range(len(table)):
-        yield (
-            sorted(renders[x] for x in ant_ids[ant_ptr[r] : ant_ptr[r + 1]]),
-            sorted(renders[x] for x in cons_ids[cons_ptr[r] : cons_ptr[r + 1]]),
-        )
+#: one rule's ``fired`` entry without its ``consequent_observed`` flag
+#: and closing brace: byte for byte ``json.dumps`` of the entry's dict
+_FIRED_HEAD = (
+    '{"rule_id": %d, "antecedent": %s, "consequent": %s, "support": %s, '
+    '"confidence": %s, "lift": %s, "consequent_observed": '
+)
+
+#: one rule's near-miss entry up to its ``missing`` item's text
+_NEAR_HEAD = '{"rule_id": %d, "antecedent": %s, "consequent": %s, "lift": %s, "missing": '
+
+#: what ``json.dumps`` writes for the floats ``float.__repr__`` does not
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_floats(column: np.ndarray) -> list[str]:
+    """Each float as ``json.dumps`` writes it."""
+    texts = list(map(float.__repr__, column.tolist()))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        texts[i] = _JSON_NON_FINITE[texts[i]]
+    return texts
+
+
+def _ranks(keys: list) -> np.ndarray:
+    """``rank[i]``: position of ``keys[i]`` in ``sorted(keys)``."""
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return rank
+
+
+def _joined_rows(
+    indptr: np.ndarray, ids: np.ndarray, rank: np.ndarray, texts: list[str]
+) -> list[str]:
+    """Per CSR row, its items' *texts* ordered by ``rank[id]``, joined by
+    ``", "``."""
+    rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+    flat = list(map(texts.__getitem__, ids[np.lexsort((rank[ids], rows))].tolist()))
+    bounds = indptr.tolist()
+    return [", ".join(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _json_sides(table: RuleTable, renders: list[str]) -> tuple[list[str], list[str]]:
+    """Per rule, its antecedent and consequent as JSON lists of renders,
+    each sorted — what ``json.dumps(sorted(renders))`` writes."""
+    rank = _ranks(renders)
+    quoted = list(map(json.dumps, renders))  # per item, not per rule
+    ant = _joined_rows(table.ant_indptr, table.ant_ids, rank, quoted)
+    cons = _joined_rows(table.cons_indptr, table.cons_ids, rank, quoted)
+    return ["[" + row + "]" for row in ant], ["[" + row + "]" for row in cons]
 
 
 def _encode_fragments(table: RuleTable, renders: list[str]) -> list[bytes]:
     """``frags[2*r + c]``: rule *r*'s ``fired`` entry with flag *c*.
 
-    Byte-identical to ``json.dumps`` of the entry's dict — the shared
-    prefix is that encoding with its closing brace cut off.
+    Byte-identical to ``json.dumps`` of the entry's dict, formatted from
+    the table's columns: one ``json.dumps`` per item, none per rule.
     """
-    frags: list[bytes] = []
-    metrics = zip(
-        table.support.tolist(), table.confidence.tolist(), table.lift.tolist()
+    heads = map(
+        _FIRED_HEAD.__mod__,
+        zip(
+            range(len(table)),
+            *_json_sides(table, renders),
+            _json_floats(table.support),
+            _json_floats(table.confidence),
+            _json_floats(table.lift),
+        ),
     )
-    for r, ((ant, cons), (support, confidence, lift)) in enumerate(
-        zip(_rendered_sides(table, renders), metrics)
-    ):
-        head = json.dumps(
-            {
-                "rule_id": r,
-                "antecedent": ant,
-                "consequent": cons,
-                "support": support,
-                "confidence": confidence,
-                "lift": lift,
-            }
-        )[:-1]
-        frags.append((head + ', "consequent_observed": false}').encode())
-        frags.append((head + ', "consequent_observed": true}').encode())
+    frags: list[bytes] = []
+    for head in heads:
+        head = head.encode()
+        frags.append(head + b"false}")
+        frags.append(head + b"true}")
     return frags
 
 
@@ -178,9 +213,10 @@ class RuleIndex:
     ) -> None:
         """Set up the canonicaliser, fragment table and kernel.
 
-        The table is trusted to already be in canonical order — both
-        callers guarantee it (:meth:`__init__` sorts, the shm attach path
-        maps a table that was published from a sorted index).
+        The table is trusted to already be in canonical order — every
+        caller guarantees it (:meth:`__init__` sorts, a RuleBook's table
+        is canonical, the shm attach path maps a table that was published
+        from a sorted index).
         """
         self._table = table
         self._rules: tuple[AssociationRule, ...] | None = None
@@ -212,22 +248,23 @@ class RuleIndex:
 
     @classmethod
     def from_rulebook(cls, book: RuleBook) -> "RuleIndex":
-        return cls(table=book.table)
+        # a book's table is in canonical order by construction
+        return cls.from_compiled(book.table)
 
     @classmethod
     def from_compiled(
         cls,
         table: RuleTable,
         *,
-        kernel: BatchMaskKernel,
-        frags: list[bytes],
+        kernel: BatchMaskKernel | None = None,
+        frags: list[bytes] | None = None,
     ) -> "RuleIndex":
-        """Adopt an already-compiled rule plane without recompiling it.
+        """Adopt a table already in canonical order without sorting it.
 
-        The shm attach path: *table* (canonical order trusted), the
-        packed-bitmask *kernel* and the fragment table come straight out
-        of a published segment, so construction is O(vocabulary) — no
-        canonical sort, no mask packing, no JSON encoding.
+        The shm attach path passes the packed-bitmask *kernel* and the
+        fragment table too, straight out of a published segment, so
+        construction is O(vocabulary) — no canonical sort, no mask
+        packing, no JSON encoding; a book's table compiles both here.
         """
         self = object.__new__(cls)
         self._init_compiled(table, kernel=kernel, frags=frags)
@@ -387,21 +424,15 @@ class RuleIndex:
         """
         if self._near_heads is None:
             renders = [item.render() for item in self._items_by_id]
-            lifts = self._table.lift.tolist()
             self._near_heads = [
-                (
-                    json.dumps(
-                        {
-                            "rule_id": r,
-                            "antecedent": ant,
-                            "consequent": cons,
-                            "lift": lifts[r],
-                        }
-                    )[:-1]
-                    + ', "missing": '
-                ).encode()
-                for r, (ant, cons) in enumerate(
-                    _rendered_sides(self._table, renders)
+                head.encode()
+                for head in map(
+                    _NEAR_HEAD.__mod__,
+                    zip(
+                        range(len(self._table)),
+                        *_json_sides(self._table, renders),
+                        _json_floats(self._table.lift),
+                    ),
                 )
             ]
             self._missing_tails = [
@@ -491,13 +522,28 @@ class RuleIndex:
         """Rules exactly one antecedent item short of firing on the job."""
         return self.explain_batch([transaction])[0]
 
-    def iter_rule_labels(self) -> Iterator[str]:
-        """Stable per-rule labels (``{ant} => {cons}``) for metrics keys."""
-        for rule in self.rules:
-            yield _rule_label(rule)
+    def rule_labels(self, rule_ids: "np.ndarray | Sequence[int]") -> list[str]:
+        """``{ant} => {cons}`` labels of the given rules (items in
+        :class:`Item` order), rendered from the table's columns — the
+        stable keys of the ``metrics`` answer's ``rule_matches``."""
+        rows = np.asarray(rule_ids, dtype=np.int64)
+        renders = [item.render() for item in self._items_by_id]
+        rank = _ranks([(item.feature, item.value) for item in self._items_by_id])
+
+        def side(indptr: np.ndarray, ids: np.ndarray) -> list[str]:
+            indptr, flat = csr_range_gather(indptr, rows)
+            return _joined_rows(indptr, ids[flat], rank, renders)
+
+        ant = side(self._table.ant_indptr, self._table.ant_ids)
+        cons = side(self._table.cons_indptr, self._table.cons_ids)
+        return [f"{{{a}}} => {{{c}}}" for a, c in zip(ant, cons)]
 
     def rule_label(self, rule_id: int) -> str:
-        return _rule_label(self.rules[rule_id])
+        return self.rule_labels([rule_id])[0]
+
+    def iter_rule_labels(self) -> Iterator[str]:
+        """Every rule's label, in rule-id order."""
+        return iter(self.rule_labels(np.arange(len(self))))
 
 
 def _pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,9 +561,3 @@ def _pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _job_bounds(job_idx: np.ndarray, n_jobs: int) -> list[int]:
     """Pair offsets per job: job *j* owns pairs ``[b[j], b[j + 1])``."""
     return np.searchsorted(job_idx, np.arange(n_jobs + 1)).tolist()
-
-
-def _rule_label(rule: AssociationRule) -> str:
-    ant = ", ".join(i.render() for i in sorted(rule.antecedent))
-    cons = ", ".join(i.render() for i in sorted(rule.consequent))
-    return f"{{{ant}}} => {{{cons}}}"

@@ -36,17 +36,19 @@ import json
 import math
 import os
 from dataclasses import asdict
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
+from ..core.config import MiningConfig
 from ..core.items import Item, ItemVocabulary
-from ..core.mining import MiningConfig
-from ..core.rules import AssociationRule
 from ..core.ruletable import RuleTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.workflow import AnalysisResult
+    from ..core.rules import AssociationRule
 
 __all__ = ["SCHEMA_VERSION", "RuleBookSchemaError", "RuleBook"]
 
@@ -71,6 +73,16 @@ _RULE_LINE = (
 
 #: the strict-JSON spellings of the non-finite floats
 _NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+#: every key of a rule record, in ``_RULE_LINE`` order
+_RULE_KEYS = (
+    "antecedent_ids", "confidence", "consequent_ids", "conviction",
+    "leverage", "lift", "record", "support",
+)
+
+#: decoded rule columns: (ant_indptr, ant_ids, cons_indptr, cons_ids,
+#: metric columns in ``_METRIC_FIELDS`` order)
+_Columns = tuple[object, object, object, object, list]
 
 
 def _json_floats(column: np.ndarray) -> list[str]:
@@ -294,8 +306,10 @@ class RuleBook:
         Rule sides must be JSON lists of int ids (bools, floats and strings
         are refused, never coerced); metrics must be JSON numbers or the
         strings ``"inf"``/``"-inf"``/``"nan"``.  Anything else raises
-        :class:`RuleBookSchemaError` naming ``path:lineno``.  Rule records
-        decode straight into table columns; the constructor
+        :class:`RuleBookSchemaError` naming ``path:lineno``.  All rule
+        lines are parsed by one ``json.loads`` and validated column by
+        column; a line-by-line pass runs only when that refuses
+        something, to name the first bad line.  The constructor
         re-canonicalises, so a hand-edited file (unsorted ids, unused
         header items) still loads into the same book its pristine twin
         would.
@@ -322,55 +336,23 @@ class RuleBook:
             raise RuleBookSchemaError(f"{path}: bad item table: {exc}") from None
         config = header.get("config")
 
-        n_items = len(items)
-        n_rules = 0
-        ant_indptr = [0]
-        cons_indptr = [0]
-        ant_ids: list[int] = []
-        cons_ids: list[int] = []
-        metrics: dict[str, list[float]] = {name: [] for name in _METRIC_FIELDS}
-        for lineno, line in enumerate(lines[1:], start=2):
-            record = _parse_json(line, path, lineno)
-            if record.get("record") != "rule":
-                raise RuleBookSchemaError(
-                    f"{path}:{lineno}: expected a rule record, got "
-                    f"{record.get('record')!r}"
-                )
-            try:
-                ant = _dec_side("antecedent_ids", record["antecedent_ids"], n_items)
-                cons = _dec_side("consequent_ids", record["consequent_ids"], n_items)
-                if not ant or not cons:
-                    raise ValueError("rule sides must be non-empty")
-                if not set(ant).isdisjoint(cons):
-                    raise ValueError("antecedent and consequent must be disjoint")
-                row = [_dec_float(name, record[name]) for name in _METRIC_FIELDS]
-            except (KeyError, OverflowError, ValueError) as exc:
-                raise RuleBookSchemaError(
-                    f"{path}:{lineno}: bad rule record: {exc}"
-                ) from None
-            ant_ids.extend(ant)
-            cons_ids.extend(cons)
-            ant_indptr.append(len(ant_ids))
-            cons_indptr.append(len(cons_ids))
-            for column, value in zip(metrics.values(), row):
-                column.append(value)
-            n_rules += 1
+        body = lines[1:]
+        columns = _decode_rules(body, len(items))
+        if columns is None:
+            # the one-pass decode refused something: decode line by line,
+            # which names the first bad record (or accepts what the fast
+            # path does not handle, such as extra keys or unsorted ids)
+            columns = _decode_rule_lines(body, len(items), path)
+        ant_indptr, ant_ids, cons_indptr, cons_ids, metrics = columns
+        n_rules = len(ant_indptr) - 1
         if n_rules != header.get("n_rules", n_rules):
             raise RuleBookSchemaError(
                 f"{path}: header promises {header['n_rules']} rules, "
                 f"found {n_rules} — truncated file?"
             )
         table = RuleTable(
-            ItemVocabulary(items),
-            ant_indptr,
-            ant_ids,
-            cons_indptr,
-            cons_ids,
-            metrics["support"],
-            metrics["confidence"],
-            metrics["lift"],
-            metrics["leverage"],
-            metrics["conviction"],
+            ItemVocabulary(items), ant_indptr, ant_ids, cons_indptr, cons_ids,
+            *metrics,
         )
         return cls(
             table=table,
@@ -409,6 +391,131 @@ class RuleBook:
                 f"trigger={self.stream.get('trigger', '?')}"
             )
         return ", ".join(parts)
+
+
+def _decode_rules(lines: list[str], n_items: int) -> _Columns | None:
+    """Every rule line in one ``json.loads``, validated in column passes.
+
+    Returns ``None`` when anything is off — a bad line, an extra key, a
+    side that is not strictly ascending — and :func:`_decode_rule_lines`
+    then decides line by line.  Each line is parsed as the one element of
+    its own array (``[[line],[line],...]``): a record holds no nested
+    array, so a ``],[`` separator can only end an element of the outer
+    array, and one single-record element per line proves that every line
+    is a JSON object on its own, exactly as the per-line parse requires.
+    """
+    if not lines:
+        return [0], [], [0], [], [[] for _ in _METRIC_FIELDS]
+    try:
+        wrapped = json.loads("[[" + "],[".join(lines) + "]]")
+    except (json.JSONDecodeError, RecursionError):
+        return None
+    if len(wrapped) != len(lines) or set(map(type, wrapped)) != {list}:
+        return None
+    if set(map(len, wrapped)) != {1}:
+        return None
+    records = list(map(itemgetter(0), wrapped))
+    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(_RULE_KEYS)}:
+        return None
+    try:
+        columns = dict(zip(_RULE_KEYS, zip(*map(itemgetter(*_RULE_KEYS), records))))
+        if set(columns["record"]) != {"rule"}:
+            return None
+    except (KeyError, TypeError):  # a missing key; an unhashable "record"
+        return None
+    ant = _side_column(columns["antecedent_ids"], n_items)
+    cons = _side_column(columns["consequent_ids"], n_items)
+    metrics = [_metric_column(columns[name]) for name in _METRIC_FIELDS]
+    if ant is None or cons is None or any(m is None for m in metrics):
+        return None
+    rows = np.arange(len(lines), dtype=np.int64)
+    keys = np.concatenate([
+        np.repeat(rows, np.diff(ant[0])) * n_items + ant[1],
+        np.repeat(rows, np.diff(cons[0])) * n_items + cons[1],
+    ])
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():  # an item on both sides of a rule
+        return None
+    return (*ant, *cons, metrics)
+
+
+def _side_column(
+    values: tuple, n_items: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """One rule side of every record as CSR ``(indptr, ids)``, or ``None``
+    unless every side is a non-empty, strictly ascending list of int ids
+    inside the item table."""
+    if set(map(type, values)) != {list}:
+        return None
+    sizes = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    flat = list(chain.from_iterable(values))
+    if not sizes.all() or set(map(type, flat)) != {int}:
+        return None
+    try:
+        ids = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        return None
+    if ids.min() < 0 or ids.max() >= n_items:
+        return None
+    indptr = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    ascending = np.diff(ids) > 0
+    ascending[indptr[1:-1] - 1] = True  # row boundaries
+    return (indptr, ids) if ascending.all() else None
+
+
+def _metric_column(values: tuple) -> np.ndarray | None:
+    """One metric of every record as floats, or ``None`` unless each is
+    a JSON number (not a bool) or one of ``_NON_FINITE``."""
+    kinds = set(map(type, values))
+    if str in kinds:
+        values = [_NON_FINITE.get(v, v) if type(v) is str else v for v in values]
+        kinds = set(map(type, values))
+    if not kinds <= {float, int}:
+        return None
+    try:
+        return np.array(
+            values if kinds == {float} else list(map(float, values)),
+            dtype=np.float64,
+        )
+    except OverflowError:
+        return None
+
+
+def _decode_rule_lines(lines: list[str], n_items: int, path) -> _Columns:
+    """Decode rule lines one at a time, raising
+    :class:`RuleBookSchemaError` with ``path:lineno`` at the first bad one."""
+    ant_indptr = [0]
+    cons_indptr = [0]
+    ant_ids: list[int] = []
+    cons_ids: list[int] = []
+    metrics: list[list[float]] = [[] for _ in _METRIC_FIELDS]
+    for lineno, line in enumerate(lines, start=2):
+        record = _parse_json(line, path, lineno)
+        if record.get("record") != "rule":
+            raise RuleBookSchemaError(
+                f"{path}:{lineno}: expected a rule record, got "
+                f"{record.get('record')!r}"
+            )
+        try:
+            ant = _dec_side("antecedent_ids", record["antecedent_ids"], n_items)
+            cons = _dec_side("consequent_ids", record["consequent_ids"], n_items)
+            if not ant or not cons:
+                raise ValueError("rule sides must be non-empty")
+            if not set(ant).isdisjoint(cons):
+                raise ValueError("antecedent and consequent must be disjoint")
+            row = [_dec_float(name, record[name]) for name in _METRIC_FIELDS]
+        except (KeyError, OverflowError, ValueError) as exc:
+            raise RuleBookSchemaError(
+                f"{path}:{lineno}: bad rule record: {exc}"
+            ) from None
+        ant_ids.extend(ant)
+        cons_ids.extend(cons)
+        ant_indptr.append(len(ant_ids))
+        cons_indptr.append(len(cons_ids))
+        for column, value in zip(metrics, row):
+            column.append(value)
+    return ant_indptr, ant_ids, cons_indptr, cons_ids, metrics
 
 
 def _canonical_from_rules(rules: tuple[AssociationRule, ...]) -> RuleTable:

@@ -177,6 +177,17 @@ class ServiceMetrics:
         else:
             self.fire_counts += fires
 
+    def _labelled(self, index: RuleIndex) -> dict[str, int]:
+        """Nonzero fire counts of *index*'s rules, by rule label."""
+        counts = self.fire_counts
+        if counts is None:
+            return {}
+        fired = np.flatnonzero(counts)
+        labelled: dict[str, int] = {}
+        for label, count in zip(index.rule_labels(fired), counts[fired].tolist()):
+            labelled[label] = labelled.get(label, 0) + count
+        return labelled
+
     def retire_index(self, index: RuleIndex) -> None:
         """Fold the fire counts taken under *index* into label keys.
 
@@ -184,15 +195,13 @@ class ServiceMetrics:
         rules.
         """
         retired = self.retired_matches
-        for rule_id, count in self.rule_matches.items():
-            label = index.rule_label(rule_id)
+        for label, count in self._labelled(index).items():
             retired[label] = retired.get(label, 0) + count
         self.fire_counts = None
 
     def as_dict(self, index: RuleIndex) -> dict:
         rule_matches = dict(self.retired_matches)
-        for rule_id, count in sorted(self.rule_matches.items()):
-            label = index.rule_label(rule_id)
+        for label, count in self._labelled(index).items():
             rule_matches[label] = rule_matches.get(label, 0) + count
         return {
             "uptime_s": self.uptime_s,

@@ -309,6 +309,7 @@ class ShardCluster:
         rulebook: str,
         n_shards: int,
         *,
+        book: RuleBook | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         max_queue: int | None = None,
@@ -319,6 +320,9 @@ class ShardCluster:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.rulebook = rulebook
+        #: *rulebook* already loaded by the caller, published by start()
+        #: instead of a second load
+        self._book = book
         self.n_shards = n_shards
         self.host = host
         self.requested_port = port
@@ -337,8 +341,11 @@ class ShardCluster:
         self._plane_lease: SegmentLease | None = None
         self._generation = 0
 
-    def _publish_plane(self, rulebook: str) -> SegmentLease | None:
-        """Compile *rulebook* once and publish it to shared memory.
+    def _publish_plane(
+        self, rulebook: str, book: RuleBook | None = None
+    ) -> SegmentLease | None:
+        """Compile *rulebook* (or its loaded *book*) once and publish it
+        to shared memory.
 
         Runs in a thread (index compilation is CPU-bound).  Returns
         ``None`` when the platform has no shared memory — workers then
@@ -346,7 +353,8 @@ class ShardCluster:
         """
         if not shm_available():
             return None
-        book = RuleBook.load(rulebook)
+        if book is None:
+            book = RuleBook.load(rulebook)
         index = RuleIndex.from_rulebook(book)
         self._generation += 1
         return publish_rule_plane(
@@ -366,7 +374,7 @@ class ShardCluster:
             )
         try:
             self._plane_lease = await asyncio.to_thread(
-                self._publish_plane, self.rulebook
+                self._publish_plane, self.rulebook, self._book
             )
         except (OSError, ValueError, SegmentError) as exc:
             # a bad rulebook will be reported by the first worker; a shm

@@ -135,11 +135,13 @@ def attach_rule_plane(name: str) -> tuple["RuleIndex", dict]:
             np.diff(table.ant_indptr).astype(np.int32),
             np.diff(table.cons_indptr).astype(np.int32),
         )
-        wire = seg.blobs["wire"]
+        # one copy out of the mapping; slicing bytes is cheaper than
+        # copying each fragment out of it
+        wire = bytes(seg.blobs["wire"])
         bounds = arrays["wire_offsets"].tolist()
         if len(bounds) != 2 * len(table) + 1 or bounds[-1] != len(wire):
             raise ValueError("fragment offsets do not cover the wire blob")
-        frags = [bytes(wire[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        frags = [wire[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         index = RuleIndex.from_compiled(table, kernel=kernel, frags=frags)
         index.shm_segment = seg
         return index, dict(seg.meta)

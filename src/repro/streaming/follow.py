@@ -26,7 +26,8 @@ the serving subsystem — the ``repro serve --follow`` wiring:
 
 The ingest/tick work runs in a worker thread (``asyncio.to_thread``) so
 the event loop that owns the serving cluster keeps answering control
-traffic mid-remine.
+traffic mid-remine.  Everything a tick runs is imported with
+:mod:`repro.streaming`, never first on that thread.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..serve.index import RuleIndex
 from ..serve.shard import broadcast_reload
 from ..shm.ruleplane import publish_rule_plane
 from ..shm.segment import SegmentError, SegmentLease, shm_available
@@ -201,8 +203,6 @@ class StreamFollower:
         """
         if not shm_available():
             return None
-        from ..serve.index import RuleIndex
-
         index = RuleIndex.from_rulebook(result.book)
         self._generation += 1
         return publish_rule_plane(

@@ -4,45 +4,40 @@ The public GPU traces the paper analyses are not shipped with this
 repository (no network access), so each trace is replaced by a calibrated
 synthetic generator running through the cluster-simulator substrate; see
 DESIGN.md §2 for the substitution argument.
+
+Nothing is imported until a name is first used (PEP 562), so the
+CLI reads :data:`~repro.traces.registry.TRACE_NAMES` without loading a
+generator.
 """
 
-from .loader import load_trace, save_trace
-from .registry import TRACES, TraceDefinition, get_trace, list_traces
-from .stats import TraceStats, characterize, gini
-from .synthetic.pai import PAI_KEYWORDS, PAIConfig, generate_pai, pai_preprocessor
-from .synthetic.philly import (
-    PHILLY_KEYWORDS,
-    PhillyConfig,
-    generate_philly,
-    philly_preprocessor,
-)
-from .synthetic.supercloud import (
-    SUPERCLOUD_KEYWORDS,
-    SuperCloudConfig,
-    generate_supercloud,
-    supercloud_preprocessor,
-)
+import importlib
 
-__all__ = [
-    "TraceDefinition",
-    "TRACES",
-    "get_trace",
-    "list_traces",
-    "save_trace",
-    "load_trace",
-    "TraceStats",
-    "characterize",
-    "gini",
-    "PAIConfig",
-    "generate_pai",
-    "pai_preprocessor",
-    "PAI_KEYWORDS",
-    "SuperCloudConfig",
-    "generate_supercloud",
-    "supercloud_preprocessor",
-    "SUPERCLOUD_KEYWORDS",
-    "PhillyConfig",
-    "generate_philly",
-    "philly_preprocessor",
-    "PHILLY_KEYWORDS",
-]
+#: module (relative to this package) → the public names it defines
+_SUBMODULES = {
+    ".registry": (
+        "TraceDefinition", "TRACES", "TRACE_NAMES", "get_trace", "list_traces",
+    ),
+    ".loader": ("save_trace", "load_trace"),
+    ".stats": ("TraceStats", "characterize", "gini"),
+    ".synthetic.pai": ("PAIConfig", "generate_pai", "pai_preprocessor", "PAI_KEYWORDS"),
+    ".synthetic.supercloud": (
+        "SuperCloudConfig", "generate_supercloud", "supercloud_preprocessor",
+        "SUPERCLOUD_KEYWORDS",
+    ),
+    ".synthetic.philly": (
+        "PhillyConfig", "generate_philly", "philly_preprocessor", "PHILLY_KEYWORDS",
+    ),
+}
+#: public name → its module
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = importlib.import_module(_EXPORTS[name], __name__)
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(module, name)
+    return value

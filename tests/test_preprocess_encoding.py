@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import Item
+from repro.core import Item, ItemVocabulary, TransactionDatabase
+from repro.core.fpgrowth import fpgrowth
 from repro.dataframe import ColumnTable
 from repro.preprocess import BinningSpec, FeatureSpec, TransactionEncoder
 
@@ -114,3 +115,44 @@ class TestFitTransformSeparation:
         db = enc.fit_transform(table)
         assert len(db) == len(table)
         assert db.n_items == 0
+
+
+class TestDuplicateItems:
+    """A ``label`` value equal to a flag's item is one item per job."""
+
+    @pytest.fixture()
+    def clash(self):
+        table = ColumnTable.from_dict(
+            {
+                "user": ["Freq User", "Rare", "Freq User"],
+                "frequent": [True, True, False],
+            }
+        )
+        specs = [
+            FeatureSpec("user", kind="label"),
+            FeatureSpec("frequent", kind="flag", true_label="Freq User"),
+        ]
+        return TransactionEncoder(specs).fit_transform(table)
+
+    def test_item_counted_once_per_job(self, clash):
+        freq = clash.vocabulary.id_of(Item.flag("Freq User"))
+        assert clash.item_support_counts()[freq] == 3
+        assert [len(clash.transaction(j)) for j in range(3)] == [1, 2, 1]
+
+    def test_equals_the_itemset_oracle(self, clash):
+        oracle = TransactionDatabase.from_itemsets(
+            [
+                ["Freq User", "Freq User"],
+                ["Rare", "Freq User"],
+                ["Freq User"],
+            ],
+            vocabulary=ItemVocabulary(clash.vocabulary),
+        )
+        assert np.array_equal(clash.indptr, oracle.indptr)
+        assert np.array_equal(clash.indices, oracle.indices)
+
+    def test_support_never_exceeds_one(self, clash):
+        counts = fpgrowth(clash, min_support=0.0)
+        freq = clash.vocabulary.id_of(Item.flag("Freq User"))
+        assert counts[frozenset([freq])] == 3
+        assert max(counts.values()) <= len(clash)

@@ -3,10 +3,11 @@
 import random
 
 import repro.serve.index as index_mod
-from repro.core.items import Item, as_item
+from repro.core.items import Item, ItemVocabulary, as_item
+from repro.core.ruletable import RuleTable
 from repro.serve import RuleBook, RuleIndex
 
-from .serve_oracle import CountdownOracle
+from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over
 from .test_serve_rulebook import random_rules
 
 
@@ -131,6 +132,22 @@ class TestMatching:
         assert len(labels) == 10
         assert labels[0] == index.rule_label(0)
         assert " => " in labels[0]
+
+    def test_rule_labels_render_each_side_in_item_order(self):
+        # the metrics keys, rendered from columns: each side's items in
+        # Item order, whatever order the index's vocabulary holds them in
+        items = sorted(EXOTIC_ITEMS, reverse=True)
+        rules = rules_over(items, seed=3, n_rules=40)
+        index = RuleIndex(table=RuleTable.from_rules(rules, ItemVocabulary(items)))
+
+        def label(rule):
+            ant = ", ".join(i.render() for i in sorted(rule.antecedent))
+            cons = ", ".join(i.render() for i in sorted(rule.consequent))
+            return f"{{{ant}}} => {{{cons}}}"
+
+        assert index.rule_labels(range(len(index))) == list(map(label, index.rules))
+        assert index.rule_labels([7, 2, 7]) == [label(index.rules[r]) for r in (7, 2, 7)]
+        assert index.rule_labels([]) == []
 
 
 def _random_batch(rng, vocabulary, n_jobs):

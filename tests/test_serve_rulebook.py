@@ -223,6 +223,66 @@ class TestDamagedRecords:
         assert np.isnan(loaded.table.lift).sum() == 1
 
 
+class TestOnePassDecode:
+    """All rule lines go through one ``json.loads``; what it accepts must
+    be exactly what a line-by-line parse accepts."""
+
+    def _lines(self, tmp_path, n_rules=4):
+        path = tmp_path / "book.jsonl"
+        RuleBook(rules=random_rules(random.Random(5), n_rules)).save(path)
+        return path, path.read_text().splitlines()
+
+    def test_record_split_across_lines_is_refused(self, tmp_path):
+        # line 2 ends inside a list and line 3 finishes it; line 4 holds
+        # two records, so the line count still matches the rule count
+        path, lines = self._lines(tmp_path)
+        a, b = lines[1].split(", ", 1)
+        two = lines[3] + ", " + lines[4]
+        path.write_text("\n".join([lines[0], a, b, two]) + "\n")
+        with pytest.raises(RuleBookSchemaError, match=r"book\.jsonl:2: not JSON"):
+            RuleBook.load(path)
+
+    def test_record_spread_over_a_nested_key_is_refused(self, tmp_path):
+        # an extra key's nested lists could absorb the one-pass wrapper's
+        # separator; the line-by-line parse still names the bad line
+        path, lines = self._lines(tmp_path)
+        rule = json.loads(lines[1])
+        head = json.dumps({**rule, "junk": "x"})[:-1]
+        split = [head + ', "pad": [[0', "0]]}"]
+        two = lines[3] + ", " + lines[4]
+        path.write_text("\n".join([lines[0], *split, two]) + "\n")
+        with pytest.raises(RuleBookSchemaError, match=r"book\.jsonl:2: not JSON"):
+            RuleBook.load(path)
+
+    def test_hand_edited_records_load_like_their_pristine_twin(self, tmp_path):
+        # extra keys, spacing, unsorted and repeated ids: all refused by
+        # the one-pass path, all accepted line by line
+        path, lines = self._lines(tmp_path)
+        pristine = RuleBook.load(path)
+        edited = [lines[0]]
+        for line in lines[1:]:
+            rule = json.loads(line)
+            rule["antecedent_ids"] = sorted(rule["antecedent_ids"], reverse=True)
+            rule["antecedent_ids"].append(rule["antecedent_ids"][0])
+            rule["note"] = "hand edited"
+            edited.append(json.dumps(rule, indent=None, separators=(" ,", " : ")))
+        path.write_text("\n".join(edited) + "\n")
+        loaded = RuleBook.load(path)
+        assert loaded.table.ant_ids.tolist() == pristine.table.ant_ids.tolist()
+        assert loaded.table.lift.tolist() == pristine.table.lift.tolist()
+
+    def test_side_on_both_ends_of_a_rule_is_refused(self, tmp_path):
+        path, lines = self._lines(tmp_path)
+        rule = json.loads(lines[2])
+        rule["consequent_ids"] = sorted(
+            set(rule["consequent_ids"]) | {rule["antecedent_ids"][0]}
+        )
+        lines[2] = json.dumps(rule, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RuleBookSchemaError, match=r"book\.jsonl:3: .*disjoint"):
+            RuleBook.load(path)
+
+
 class TestFromAnalysis:
     def test_workflow_export_hook(self, tmp_path):
         table = generate_supercloud(SuperCloudConfig(n_jobs=3000, use_scheduler=False))

@@ -11,12 +11,23 @@ Three layers, mirroring the subsystem:
   multi-process cluster under sustained load (the chaos harness):
   refreshes must deliver zero client-visible failures, every response
   must carry a version tag, and the fleet must settle on the newest
-  version.
+  version;
+* :class:`TestFollowFreshInterpreter` — ``python -m repro serve
+  --shards 2 --follow`` as its own process without bytecode, so every
+  module is imported cold, some of them while a remine runs on its
+  worker thread.
 """
 
 import asyncio
 import gc
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +41,10 @@ from repro.streaming import (
     StreamingBitmapWindow,
 )
 
+from repro.shm.segment import list_segments
+
 from .serve_chaos import ChaosCluster, LoadDriver
+from .serve_oracle import CountdownOracle
 
 
 def run(coro):
@@ -328,3 +342,112 @@ class TestFollowLiveRefresh:
                         assert served == expected
 
         run(scenario())
+
+
+def _descendants(pid: int) -> set[int]:
+    """Every live process below *pid* (Linux ``/proc``)."""
+    found: set[int] = set()
+    todo = [pid]
+    while todo:
+        parent = todo.pop()
+        try:
+            tids = os.listdir(f"/proc/{parent}/task")
+        except OSError:
+            continue
+        for tid in tids:
+            try:
+                with open(f"/proc/{parent}/task/{tid}/children") as fh:
+                    children = {int(c) for c in fh.read().split()}
+            except OSError:
+                continue
+            todo.extend(children - found)
+            found |= children
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _ask(port: int, request: dict) -> bytes:
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(json.dumps(request).encode() + b"\n")
+        return conn.makefile("rb").readline()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="walks /proc for the process tree"
+)
+class TestFollowFreshInterpreter:
+    """The fleet of the serve-philly-follow benchmark, started cold."""
+
+    def test_cold_fleet_answers_refreshes_and_exits_clean(self, tmp_path):
+        _, refresher = _bootstrap(seed=5, warmup=192)
+        initial_path = tmp_path / "initial.jsonl"
+        refresher.book.save(initial_path)
+        stream_path = tmp_path / "events.ndjson"
+        stream_path.touch()
+        out_dir = tmp_path / "books"
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--rulebook", str(initial_path), "--port", "0", "--shards", "2",
+                "--follow", str(stream_path), "--follow-window", "192",
+                "--follow-interval", "0.2", "--follow-min-events", "8",
+                "--follow-drift", "0", "--follow-out", str(out_dir),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=tmp_path,
+        )
+        try:
+            port = None
+            for raw in proc.stdout:
+                line = raw.decode()
+                if line.startswith("CLUSTER_READY"):
+                    port = int(line.split("port=")[1].split()[0])
+                if line.startswith("FOLLOW_READY"):
+                    break
+            assert port is not None, proc.stderr.read().decode()
+
+            txn = ["A = hot", "B = b0", "K"]
+            request = {"type": "match", "id": 1, "transaction": txn}
+            first = CountdownOracle(RuleIndex.from_rulebook(refresher.book))
+            assert _ask(port, request) == first.line(request, 1)
+
+            with open(stream_path, "a") as fh:
+                for event in _stream(100, 64):
+                    fh.write(json.dumps(event) + "\n")
+            deadline = time.monotonic() + 60
+            while json.loads(line := _ask(port, request))["version"] != 2:
+                assert time.monotonic() < deadline, "no answer from version 2"
+                time.sleep(0.05)
+            follow_book = RuleBook.load(out_dir / "rulebook.v1.jsonl")
+            oracle = CountdownOracle(RuleIndex.from_rulebook(follow_book))
+            assert line == oracle.line(request, 2)
+
+            tree = {proc.pid} | _descendants(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0, proc.stderr.read().decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_running, tree)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not [pid for pid in tree if _running(pid)]
+        assert not [
+            name for name in list_segments() if int(name.split(".")[3]) in tree
+        ]
