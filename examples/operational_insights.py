@@ -1,23 +1,21 @@
-"""Automated takeaways and cross-trace contrasts (paper Sec. IV–V).
+"""Automated takeaways (paper Sec. IV–V).
 
 The paper's rule tables end in "Takeaway" boxes; this example generates
-them programmatically for every trace and then builds the cross-trace
-contrast table behind the paper's observations like "new users fail in
-Philly, frequent users fail in PAI":
+them programmatically for every trace, behind the paper's observations
+like "new users fail in Philly, frequent users fail in PAI":
 
     python examples/operational_insights.py [n_jobs]
 """
 
 import sys
 
-from repro.analysis import contrast_keyword, extract_insights
+from repro.analysis import extract_insights
 from repro.core import MiningConfig, mine_keyword_rules
 from repro.traces import get_trace, list_traces
 
 
 def main(n_jobs: int = 6000) -> None:
     config = MiningConfig()
-    failure_results = {}
 
     for name in list_traces():
         definition = get_trace(name)
@@ -29,8 +27,6 @@ def main(n_jobs: int = 6000) -> None:
             if study not in ("underutilization", "failure", "killed"):
                 continue
             result = mine_keyword_rules(db, keyword, config)
-            if study == "failure":
-                failure_results[definition.display_name] = result
             insights = extract_insights(result)
             if not insights:
                 continue
@@ -38,16 +34,6 @@ def main(n_jobs: int = 6000) -> None:
             for insight in insights:
                 print(insight.render())
             print()
-
-    # the cross-trace contrast the paper draws in Sec. IV-C / V
-    contrast = contrast_keyword(failure_results)
-    print(contrast.render())
-    specific = contrast.trace_specific()
-    if specific:
-        print("\ntrace-specific failure signals (the paper's contrast findings):")
-        for signal in specific[:8]:
-            where = ", ".join(signal.present_in)
-            print(f"  {signal.item} — only in {where}")
 
 
 if __name__ == "__main__":

@@ -33,24 +33,6 @@ def main() -> None:
     strongest = max(underutil.all_rules, key=lambda r: r.lift)
     print(f"strongest rule: {strongest}")
 
-    # A shareable artefact: the same study as a standalone HTML report
-    # (tables, Fig. 4/5-style charts, automated takeaways — no external
-    # assets).
-    import tempfile
-    from pathlib import Path
-
-    from repro.analysis import extract_insights
-    from repro.analysis.html_report import render_html_report
-
-    insights = {
-        name: extract_insights(study.analysis[name])
-        for name in ("underutilization", "failure")
-        if name in study.analysis.keyword_results
-    }
-    html_path = Path(tempfile.gettempdir()) / "supercloud_report.html"
-    html_path.write_text(render_html_report(study, insights=insights))
-    print(f"\nHTML report written to {html_path}")
-
 
 if __name__ == "__main__":
     main()

@@ -43,9 +43,7 @@ _SUBMODULES = {
     ".core.rules": ("AssociationRule", "generate_rules"),
     ".core.pruning": ("prune_rules",),
     ".core.config": ("MiningConfig", "PruningConfig"),
-    ".core.mining": (
-        "KeywordRuleSet", "mine_frequent_itemsets", "mine_rules", "mine_keyword_rules",
-    ),
+    ".core.mining": ("KeywordRuleSet", "mine_frequent_itemsets", "mine_keyword_rules"),
     ".preprocess.pipeline": ("TracePreprocessor",),
     ".preprocess.encoding": ("TransactionEncoder",),
     ".traces.registry": ("TRACES", "get_trace", "list_traces"),

@@ -14,7 +14,6 @@ _SUBMODULES = {
         "misc_study", "full_case_study",
     ),
     ".insights": ("Insight", "extract_insights", "DETECTORS"),
-    ".compare": ("ContrastTable", "SignalContrast", "contrast_keyword"),
     ".drift": ("RuleDrift", "RuleChange", "diff_rules"),
 }
 #: public name → its module

@@ -36,13 +36,6 @@ _SUBMODULES = {
     ".apriori": ("apriori", "apriori_naive", "generate_candidates"),
     ".eclat": ("eclat",),
     ".itemsets": ("FrequentItemsets",),
-    ".patterns": ("closed_itemsets", "maximal_itemsets", "support_of_from_closed"),
-    ".negative": ("NegativeRule", "mine_negative_keyword_rules"),
-    ".interest": (
-        "ExtendedMetrics", "ExtendedMetricsColumns", "extended_metrics",
-        "extended_metrics_columns", "extended_metrics_table", "jaccard",
-        "cosine", "kulczynski", "imbalance_ratio",
-    ),
     ".metrics": (
         "RuleMetrics", "compute_metrics", "confidence", "lift", "leverage",
         "conviction",
@@ -51,12 +44,11 @@ _SUBMODULES = {
     ".ruletable": ("RuleTable",),
     ".config": ("MiningConfig", "PruningConfig"),
     ".pruning": (
-        "CondenseConfig", "PruningReport", "prune_rules", "prune_rule_table",
-        "keyword_rules",
+        "PruningReport", "prune_rules", "prune_rule_table", "keyword_rules",
     ),
     ".mining": (
-        "KeywordRuleSet", "mine_frequent_itemsets", "mine_rules",
-        "mine_keyword_rules", "ALGORITHMS",
+        "KeywordRuleSet", "mine_frequent_itemsets", "mine_keyword_rules",
+        "ALGORITHMS",
     ),
 }
 #: public name → its module

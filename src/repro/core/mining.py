@@ -28,7 +28,7 @@ from .fpgrowth import fpgrowth
 from .items import Item, as_item
 from .itemsets import FrequentItemsets
 from .pruning import PruningReport, prune_candidates
-from .rules import AssociationRule, generate_rules, rule_candidates
+from .rules import AssociationRule, rule_candidates
 from .ruletable import RuleTable
 from .transactions import TransactionDatabase
 
@@ -36,13 +36,12 @@ __all__ = [
     "MiningConfig",
     "KeywordRuleSet",
     "mine_frequent_itemsets",
-    "mine_rules",
     "mine_keyword_rules",
     "keyword_rule_set",
     "ALGORITHMS",
 ]
 
-#: algorithm registry keyed by ``MiningConfig.algorithm`` (engine, DP, benchmarks)
+#: algorithm registry keyed by ``MiningConfig.algorithm`` (engine, benchmarks)
 ALGORITHMS: dict[str, Callable[..., dict[frozenset[int], int]]] = {
     "fpgrowth": fpgrowth,
     "apriori": apriori,
@@ -170,27 +169,6 @@ def mine_frequent_itemsets(
         len(db),
         min_support=config.min_support,
         max_len=config.max_len,
-    )
-
-
-def mine_rules(
-    db: TransactionDatabase,
-    config: MiningConfig = MiningConfig(),
-    keyword: Item | str | None = None,
-) -> list[AssociationRule]:
-    """Mine lift-filtered rules; optionally restricted to a keyword."""
-    itemsets = mine_frequent_itemsets(db, config)
-    keyword_ids = None
-    if keyword is not None:
-        kw_id = db.vocabulary.get_id(as_item(keyword))
-        if kw_id is None:
-            return []
-        keyword_ids = (kw_id,)
-    return generate_rules(
-        itemsets,
-        min_lift=config.min_lift,
-        min_confidence=config.min_confidence,
-        keyword_ids=keyword_ids,
     )
 
 

@@ -38,20 +38,12 @@ entries (its split provenance); any other table first maps its rules
 onto a rows-only view of their itemsets (the ``prune-entries`` kernel).
 The pairwise statement of Sec. III-D it is tested against rule by rule
 lives in ``tests/oracles.py``.
-
-An optional *condensation* pass (``condense=True``) further shrinks the
-survivor set per Kannan & Bhaskaran: rules whose null-invariant
-interestingness is weak (low Kulczynski or extreme imbalance ratio) are
-dropped first, then near-duplicate rules — same consequent, antecedent
-Jaccard similarity above a threshold — collapse onto their strongest
-representative.  Condensation is off by default and reported as pseudo
-conditions 5 (low interest) and 6 (clustered).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Sequence
 
@@ -59,15 +51,13 @@ import numpy as np
 
 from ..obs import kernel_timer
 from .config import PruningConfig
-from .interest import extended_metrics_columns
 from .items import Item, ItemVocabulary, as_item
 from .itemsets import ItemsetView
 from .rules import AssociationRule, RuleCandidates
-from .ruletable import RuleTable, csr_range_gather
+from .ruletable import RuleTable
 
 __all__ = [
     "PruningConfig",
-    "CondenseConfig",
     "PruningReport",
     "prune_candidates",
     "prune_rules",
@@ -75,35 +65,6 @@ __all__ = [
     "keyword_condition_codes",
     "keyword_rules",
 ]
-
-#: pseudo condition codes used by the condensation pass in reports
-CONDITION_LOW_INTEREST = 5
-CONDITION_CLUSTERED = 6
-
-
-@dataclass(frozen=True, slots=True)
-class CondenseConfig:
-    """Tunables of the optional condensation pass.
-
-    Rules with ``kulczynski < min_kulczynski`` or ``imbalance_ratio >
-    max_imbalance`` are dropped as uninteresting; among the remainder,
-    rules whose antecedent Jaccard similarity to an already-kept rule
-    with the same consequent reaches ``min_jaccard`` are clustered away
-    (first kept rule in input order is the representative — highest
-    ranked, since rule tables arrive in lift-descending order).
-    """
-
-    min_kulczynski: float = 0.3
-    max_imbalance: float = 0.95
-    min_jaccard: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.min_kulczynski <= 1.0:
-            raise ValueError("min_kulczynski must be in [0, 1]")
-        if not 0.0 <= self.max_imbalance <= 1.0:
-            raise ValueError("max_imbalance must be in [0, 1]")
-        if not 0.0 < self.min_jaccard <= 1.0:
-            raise ValueError("min_jaccard must be in (0, 1]")
 
 
 @dataclass(slots=True)
@@ -342,34 +303,6 @@ def _mark_conditions(
     ).astype(np.int8)
 
 
-def _condense_codes(
-    ant_sets: Sequence[frozenset[int]],
-    cons_keys: Sequence[tuple[int, ...]],
-    support: np.ndarray,
-    confidence: np.ndarray,
-    lift: np.ndarray,
-    config: CondenseConfig,
-) -> np.ndarray:
-    """Condensation codes (0 kept, 5 low interest, 6 clustered)."""
-    ext = extended_metrics_columns(support, confidence, lift)
-    interesting = (ext.kulczynski >= config.min_kulczynski) & (
-        ext.imbalance_ratio <= config.max_imbalance
-    )
-    codes = np.where(interesting, 0, CONDITION_LOW_INTEREST).astype(np.int8)
-    representatives: dict[tuple[int, ...], list[frozenset[int]]] = defaultdict(list)
-    for i in np.flatnonzero(interesting):
-        antecedent = ant_sets[i]
-        reps = representatives[cons_keys[i]]
-        for rep in reps:
-            shared = len(antecedent & rep)
-            if shared and shared / len(antecedent | rep) >= config.min_jaccard:
-                codes[i] = CONDITION_CLUSTERED
-                break
-        else:
-            reps.append(antecedent)
-    return codes
-
-
 # ---------------------------------------------------------------------------
 # public paths
 # ---------------------------------------------------------------------------
@@ -412,17 +345,13 @@ def keyword_condition_codes(
     table: RuleTable,
     keyword: Item | str,
     config: PruningConfig = PruningConfig(),
-    *,
-    condense: bool = False,
-    condense_config: CondenseConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(relevant rows, condition code of each)`` of a table for *keyword*.
 
     The relevant rows are those holding the keyword on either side, in
-    table order.  Codes: 0 kept, 1–4 Sec. III-D, 5/6 condensation.  A
-    rule marked by several phases records the first: the
-    consequent-grouped phase (C1/C4) wins over the antecedent-grouped
-    phase (C2/C3), which wins over condensation.
+    table order.  Codes: 0 kept, 1–4 Sec. III-D.  A rule marked by both
+    phases records the consequent-grouped one (C1/C4) over the
+    antecedent-grouped one (C2/C3).
     """
     keyword_id = table.vocabulary.get_id(as_item(keyword))
     if keyword_id is None or len(table) == 0:
@@ -433,10 +362,7 @@ def keyword_condition_codes(
     if not relevant.all():
         table = table.select(rows)
         in_ant, in_cons = in_ant[rows], in_cons[rows]
-    return rows, _codes(
-        table, in_ant, in_cons, config,
-        (condense_config or CondenseConfig()) if condense else None,
-    )
+    return rows, _codes(table, in_ant, in_cons, config)
 
 
 def _codes(
@@ -444,47 +370,30 @@ def _codes(
     in_ant: np.ndarray,
     in_cons: np.ndarray,
     config: PruningConfig,
-    condense_config: CondenseConfig | None,
 ) -> np.ndarray:
     """Condition code of every rule of a table of keyword-relevant rules."""
     if len(table) == 0:
         return np.zeros(0, dtype=np.int8)
     view, entry = _split_entries(table)
     with kernel_timer("prune-join"):
-        cond = _mark_conditions(
+        return _mark_conditions(
             view, entry, table.lift, table.support, in_ant, in_cons,
             config.c_lift, config.c_supp,
         )
-
-    if condense_config is not None:
-        with kernel_timer("prune-condense"):
-            survivors = np.flatnonzero(cond == 0)
-            cond[survivors] = _condense_codes(
-                [frozenset(table.ant_row(i).tolist()) for i in survivors],
-                [tuple(table.cons_row(i).tolist()) for i in survivors],
-                table.support[survivors], table.confidence[survivors],
-                table.lift[survivors], condense_config,
-            )
-    return cond
 
 
 def prune_rule_table(
     table: RuleTable,
     keyword: Item | str,
     config: PruningConfig = PruningConfig(),
-    *,
-    condense: bool = False,
-    condense_config: CondenseConfig | None = None,
 ) -> tuple[RuleTable, PruningReport]:
-    """Apply Conditions 1–4 (and optional condensation) to a RuleTable.
+    """Apply Conditions 1–4 to a RuleTable.
 
     Rows not containing the keyword are removed up front, matching
     :func:`prune_rules`.  Returns the surviving rows — input order
     preserved — and a :class:`PruningReport`.
     """
-    rows, cond = keyword_condition_codes(
-        table, keyword, config, condense=condense, condense_config=condense_config
-    )
+    rows, cond = keyword_condition_codes(table, keyword, config)
     return table.select(rows[cond == 0]), _report(cond)
 
 
@@ -492,9 +401,6 @@ def prune_rules(
     rules: Sequence[AssociationRule],
     keyword: Item | str,
     config: PruningConfig = PruningConfig(),
-    *,
-    condense: bool = False,
-    condense_config: CondenseConfig | None = None,
 ) -> tuple[list[AssociationRule], PruningReport]:
     """Apply Conditions 1–4 to *rules* for the given *keyword*.
 
@@ -502,10 +408,6 @@ def prune_rules(
     irrelevant to the analysis objective).  Returns the surviving rules in
     their input order plus a :class:`PruningReport`.  Runs the same
     kernel as :func:`prune_rule_table`, on a table of the relevant rules.
-
-    With ``condense=True`` an additional interestingness + clustering
-    pass (see :class:`CondenseConfig`) shrinks the survivor set; dropped
-    rules are reported under pseudo conditions 5 and 6.
     """
     kw = as_item(keyword)
     relevant = keyword_rules(rules, kw)
@@ -519,6 +421,5 @@ def prune_rules(
         np.fromiter((kw in r.antecedent for r in relevant), bool, count=n),
         np.fromiter((kw in r.consequent for r in relevant), bool, count=n),
         config,
-        (condense_config or CondenseConfig()) if condense else None,
     )
     return [rule for i, rule in enumerate(relevant) if not cond[i]], _report(cond)

@@ -9,9 +9,9 @@ consequent are independent"); a minimum confidence can be layered on top.
 All supports needed to score a rule are available from the frequent-itemset
 table itself (every subset of a frequent itemset is frequent), so rule
 generation never rescans the database.  A table that is not
-downward-closed — a differentially private, closed or maximal itemset
-table can drop a subset and keep its superset — cannot score every
-split; generation raises ``ValueError`` on it instead of dropping rules.
+downward-closed — a hand-built or filtered table can drop a subset and
+keep its superset — cannot score every split; generation raises
+``ValueError`` on it instead of dropping rules.
 
 :func:`rule_candidates` is the columnar kernel.  It reads the pass's
 one :class:`~repro.core.itemsets.ItemsetView` (built once per

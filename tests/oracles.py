@@ -8,6 +8,8 @@ zero and Std bins, one-hot encoding and the 80 % skew filter row by row
 (III-E).  A sliding window is the last *n* transactions.  :func:`rows_of`,
 :func:`rule_keys` and :func:`save_with_json_dumps` turn production rule
 tables and rulebooks into plain values to compare.
+:func:`without_subset` builds the table that is not downward-closed
+every layer must refuse.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.core.items import Item, ItemVocabulary, render_itemset
+from repro.core.itemsets import FrequentItemsets
 from repro.core.ruletable import METRIC_COLUMNS, RuleTable
 from repro.core.transactions import TransactionDatabase
 from repro.dataframe import BooleanColumn, CategoricalColumn, NumericColumn
@@ -111,6 +114,20 @@ def rules_by_split(counts, n, vocabulary, min_lift=1.5, min_confidence=0.0,
         return str(sorted(vocabulary.item_of(i) for i in ids))
 
     return sorted(rules, key=lambda r: (-r[4], -r[3], -r[2], side(r[0]), side(r[1])))
+
+
+def without_subset(itemsets: FrequentItemsets, items) -> FrequentItemsets:
+    """*itemsets* less the itemset of *items*, a proper subset of one it
+    keeps: a table that is not downward-closed, as a hand-built or
+    filtered table can be."""
+    dropped = frozenset(itemsets.vocabulary.id_of(item) for item in items)
+    assert dropped in itemsets.counts, "the subset is not in the table"
+    assert any(dropped < kept for kept in itemsets.counts), "nothing keeps a superset"
+    return FrequentItemsets(
+        {s: c for s, c in itemsets.counts.items() if s != dropped},
+        itemsets.vocabulary, itemsets.n_transactions,
+        itemsets.min_support, itemsets.max_len,
+    )
 
 
 # -- Conditions 1-4 (Sec. III-D) ----------------------------------------------------

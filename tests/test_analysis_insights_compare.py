@@ -1,8 +1,5 @@
-"""Tests for insight extraction and cross-trace contrast analysis."""
+"""Tests for insight extraction."""
 
-import pytest
-
-from repro.analysis.compare import contrast_keyword
 from repro.analysis.insights import (
     Insight,
     detect_debug_tier,
@@ -14,12 +11,7 @@ from repro.analysis.insights import (
     detect_weak_predictability,
     extract_insights,
 )
-from repro.core import (
-    Item,
-    MiningConfig,
-    mine_frequent_itemsets,
-    mine_keyword_rules,
-)
+from repro.core import Item, MiningConfig, mine_keyword_rules
 from repro.core.mining import KeywordRuleSet
 from repro.core.pruning import PruningReport
 from repro.core.rules import AssociationRule
@@ -164,40 +156,3 @@ class TestExtractOnRealTraces:
         result = mine_keyword_rules(philly_db, "SM Util = 0%", cfg)
         codes = {i.code for i in extract_insights(result)}
         assert "debug-tier" in codes
-
-
-class TestContrast:
-    def test_contrast_table_structure(self, supercloud_db, philly_db):
-        cfg = MiningConfig()
-        results = {
-            "SuperCloud": mine_keyword_rules(supercloud_db, "Failed", cfg),
-            "Philly": mine_keyword_rules(philly_db, "Failed", cfg),
-        }
-        table = contrast_keyword(results)
-        assert table.keyword == "Failed"
-        assert table.traces == ["SuperCloud", "Philly"]
-        assert table.signals
-        rendered = table.render()
-        assert "Failed" in rendered
-
-    def test_trace_specific_signals_found(self, supercloud_db, philly_db):
-        cfg = MiningConfig()
-        results = {
-            "SuperCloud": mine_keyword_rules(supercloud_db, "Failed", cfg),
-            "Philly": mine_keyword_rules(philly_db, "Failed", cfg),
-        }
-        table = contrast_keyword(results)
-        specific = {s.item for s in table.trace_specific()}
-        # the paper's contrast: multi-GPU failure is Philly-only
-        assert any("Multi-GPU" in s for s in specific)
-
-    def test_mismatched_keywords_rejected(self, supercloud_db):
-        cfg = MiningConfig()
-        a = mine_keyword_rules(supercloud_db, "Failed", cfg)
-        b = mine_keyword_rules(supercloud_db, "Job Killed", cfg)
-        with pytest.raises(ValueError, match="mismatched"):
-            contrast_keyword({"x": a, "y": b})
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            contrast_keyword({})

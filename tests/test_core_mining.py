@@ -7,8 +7,8 @@ from repro.core import (
     KeywordRuleSet,
     MiningConfig,
     mine_frequent_itemsets,
+    generate_rules,
     mine_keyword_rules,
-    mine_rules,
 )
 
 
@@ -122,5 +122,7 @@ class TestMineKeywordRules:
 
 class TestMineRules:
     def test_lift_floor_respected(self, toy_db):
-        rules = mine_rules(toy_db, MiningConfig(min_support=0.2, min_lift=1.2))
+        cfg = MiningConfig(min_support=0.2, min_lift=1.2)
+        rules = generate_rules(mine_frequent_itemsets(toy_db, cfg), min_lift=cfg.min_lift)
+        assert rules
         assert all(r.lift >= 1.2 for r in rules)

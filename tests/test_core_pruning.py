@@ -172,6 +172,12 @@ class TestGeneralBehaviour:
         with pytest.raises(ValueError):
             PruningConfig(c_supp=0.0)
 
+    def test_condense_argument_rejected(self):
+        """Conditions 1-4 are the only pruning: there is no condensation pass."""
+        r = rule([FAILURE], [SHORT], 0.1, 2.0)
+        with pytest.raises(TypeError):
+            prune_rules([r], FAILURE, CFG, condense=True)
+
     def test_c_lift_one_is_strict_comparison(self):
         cfg = PruningConfig(c_lift=1.0, c_supp=1.0)
         r1 = rule([USER_A], [FAILURE], supp=0.2, lift=3.0)

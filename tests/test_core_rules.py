@@ -11,7 +11,7 @@ from repro.core import (
     TransactionDatabase,
     generate_rules,
     mine_frequent_itemsets,
-    mine_rules,
+    mine_keyword_rules,
 )
 from repro.core.rules import AssociationRule
 
@@ -143,12 +143,17 @@ class TestGenerateRules:
 
 class TestMineRules:
     def test_end_to_end(self, toy_db):
-        rules = mine_rules(toy_db, MiningConfig(min_support=0.4, min_lift=1.0))
+        cfg = MiningConfig(min_support=0.4, min_lift=1.0)
+        rules = generate_rules(
+            mine_frequent_itemsets(toy_db, cfg),
+            min_lift=cfg.min_lift, min_confidence=cfg.min_confidence,
+        )
         assert rules
         assert all(r.support >= 0.4 for r in rules)
 
     def test_unknown_keyword_returns_empty(self, toy_db):
-        assert mine_rules(toy_db, keyword="nonexistent item") == []
+        assert toy_db.vocabulary.get_id("nonexistent item") is None
+        assert mine_keyword_rules(toy_db, "nonexistent item").all_rules == ()
 
 
 @st.composite

@@ -26,9 +26,7 @@ from repro.core.fpgrowth import fpgrowth
 from repro.core.items import Item, ItemVocabulary, as_item
 from repro.core.itemsets import FrequentItemsets
 from repro.core.mining import mine_keyword_rules
-from repro.core.patterns import closed_itemsets
 from repro.core.pruning import (
-    CondenseConfig,
     PruningConfig,
     keyword_condition_codes,
     prune_rule_table,
@@ -40,7 +38,7 @@ from repro.engine import MiningEngine
 from repro.serve import RuleBook, RuleIndex
 from repro.traces import PAI_KEYWORDS, PHILLY_KEYWORDS, SUPERCLOUD_KEYWORDS
 
-from .oracles import condition_codes, rows_of, rule_keys, rules_by_split
+from .oracles import condition_codes, rows_of, rule_keys, rules_by_split, without_subset
 
 PAPER = MiningConfig()  # support=0.05, max_len=5, min_lift=1.5
 
@@ -226,17 +224,14 @@ class TestEdgeCases:
             assert "2 antecedent/consequent split(s)" in str(err.value)
             assert "f = a" in str(err.value) and "f = b" in str(err.value)
 
-    def test_closed_itemset_table_raises(self):
-        # closed itemsets drop {b} (same support as {a, b}) but keep
-        # {a, b}: a public input to generate_rule_table that is not
-        # downward-closed
+    def test_mined_table_missing_a_subset_raises(self):
+        # a mined table that drops {b} but keeps {a, b} is a public
+        # input to generate_rule_table that is not downward-closed
         db = TransactionDatabase.from_itemsets([["a", "b"]] * 5 + [["a"]] * 3)
-        closed = closed_itemsets(itemsets_of(db, min_support=0.1, max_len=2))
-        b = db.vocabulary.id_of("b")
-        assert frozenset({b}) not in closed.counts
-        assert len(closed.counts) == 2
+        table = without_subset(itemsets_of(db, min_support=0.1, max_len=2), "b")
+        assert len(table.counts) == 2
         with pytest.raises(ValueError, match="not downward-closed"):
-            generate_rule_table(closed, min_lift=0.0)
+            generate_rule_table(table, min_lift=0.0)
 
     def test_wide_id_space_uses_dict_fallback(self):
         # bits-per-id × max itemset length > 64 forces the dict-probe
@@ -306,70 +301,6 @@ class TestRoundTripProperty:
         once = table.sort_canonical()
         assert sorted(rule_keys(once)) == sorted(rule_keys(table))
         assert once.sort_canonical().to_rules() == once.to_rules()
-
-
-class TestCondensation:
-    def test_condense_config_validation(self):
-        with pytest.raises(ValueError):
-            CondenseConfig(min_kulczynski=-0.1)
-        with pytest.raises(ValueError):
-            CondenseConfig(max_imbalance=1.5)
-        with pytest.raises(ValueError):
-            CondenseConfig(min_jaccard=0.0)
-
-    def test_condense_off_by_default(self, pai_db):
-        kw = as_item("SM Util = 0%")
-        kw_id = pai_db.vocabulary.get_id(kw)
-        its = itemsets_of(pai_db)
-        table = generate_rule_table(
-            its, min_lift=PAPER.min_lift, keyword_ids=(kw_id,)
-        )
-        kept_plain, report_plain = prune_rule_table(table, kw)
-        kept_default, report_default = prune_rule_table(table, kw, condense=False)
-        assert kept_plain.to_rules() == kept_default.to_rules()
-        assert 5 not in report_plain.pruned_by_condition
-        assert 6 not in report_plain.pruned_by_condition
-
-    def test_condensed_rulebook_shrinks_serving_index(self, pai_db):
-        kw = as_item("SM Util = 0%")
-        kw_id = pai_db.vocabulary.get_id(kw)
-        its = itemsets_of(pai_db)
-        table = generate_rule_table(
-            its, min_lift=PAPER.min_lift, keyword_ids=(kw_id,)
-        )
-        kept, _ = prune_rule_table(table, kw)
-        aggressive = CondenseConfig(
-            min_kulczynski=0.4, max_imbalance=0.9, min_jaccard=0.3
-        )
-        condensed, report = prune_rule_table(
-            table, kw, condense=True, condense_config=aggressive
-        )
-        assert len(condensed) < len(kept)
-        assert (
-            report.pruned_by_condition.get(5, 0)
-            + report.pruned_by_condition.get(6, 0)
-            == len(kept) - len(condensed)
-        )
-        # condensation only ever removes rules, never rewrites them
-        assert set(rule_keys(condensed)) <= set(rule_keys(kept))
-
-        index_full = RuleIndex.from_rulebook(RuleBook(table=kept))
-        index_condensed = RuleIndex.from_rulebook(RuleBook(table=condensed))
-        assert len(index_condensed) < len(index_full)
-        assert index_condensed.n_postings < index_full.n_postings
-
-    def test_object_wrapper_condense_agrees(self, toy_db):
-        its = itemsets_of(toy_db, min_support=0.2, max_len=4)
-        table = generate_rule_table(its, min_lift=1.0)
-        cfg = CondenseConfig(min_kulczynski=0.4, max_imbalance=0.9, min_jaccard=0.3)
-        kept_t, report_t = prune_rule_table(
-            table, "beer", condense=True, condense_config=cfg
-        )
-        kept_o, report_o = prune_rules(
-            table.to_rules(), "beer", condense=True, condense_config=cfg
-        )
-        assert kept_t.to_rules() == kept_o
-        assert report_t.pruned_by_condition == report_o.pruned_by_condition
 
 
 class TestEngineThreading:

@@ -38,10 +38,7 @@ NOT_SERVING = (
     "repro.streaming",
     *(
         f"repro.core.{name}"
-        for name in (
-            "apriori", "eclat", "fpgrowth", "mining", "pruning", "interest",
-            "negative", "patterns",
-        )
+        for name in ("apriori", "eclat", "fpgrowth", "mining", "pruning")
     ),
 )
 
@@ -182,6 +179,15 @@ def test_unknown_name_is_an_attribute_error():
     for package in LAZY_PACKAGES:
         with pytest.raises(AttributeError):
             getattr(importlib.import_module(package), "no_such_name")
+
+
+@pytest.mark.parametrize("module", (
+    "repro.core.negative", "repro.core.interest", "repro.core.patterns",
+    "repro.analysis.compare", "repro.analysis.html_report", "repro.privacy",
+))
+def test_deleted_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
 
 
 def test_config_names_every_miner():

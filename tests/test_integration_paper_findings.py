@@ -215,6 +215,21 @@ class TestTable7PhillyFailure:
         assert hits
         assert max(r.lift for r in hits) > 1.5
 
+    def test_multi_gpu_failure_is_philly_only(self, philly_rules, sc_rules):
+        # Sec. IV-C/V: the multi-GPU failure signal is specific to Philly;
+        # no SuperCloud Failed rule mentions Multi-GPU on either side
+        assert rules_with(
+            philly_rules["failure"].cause,
+            antecedent_parts=["Multi-GPU"],
+            consequent_parts=["Failed"],
+        )
+        sc_failed = sc_rules["failure"].all_rules
+        assert sc_failed
+        assert not [
+            r for r in sc_failed
+            if any("Multi-GPU" in i.render() for i in r.antecedent | r.consequent)
+        ]
+
     def test_new_user_failure(self, philly_rules):
         # C2: New User ⇒ Failed, lift ≈ 2.46
         hits = rules_with(

@@ -30,15 +30,13 @@ from repro.core import MiningConfig, TransactionDatabase
 from repro.core.fpgrowth import fpgrowth
 from repro.core.items import Item, ItemVocabulary, as_item
 from repro.core.itemsets import FrequentItemsets, ItemsetView
-from repro.core.patterns import closed_itemsets
 from repro.core.pruning import keyword_condition_codes, prune_rule_table
 from repro.core.rules import AssociationRule, generate_rule_table
 from repro.core.ruletable import RuleTable
 from repro.engine import MiningEngine
-from repro.privacy import DPConfig, dp_mine_frequent_itemsets
 from repro.traces import get_trace
 
-from .oracles import rules_by_split
+from .oracles import rules_by_split, without_subset
 
 
 def _vocab(n_items: int) -> ItemVocabulary:
@@ -153,27 +151,23 @@ def _oracle(itemsets, **kwargs):
     )
 
 
-def test_closed_itemsets_raise_the_oracle_text():
+def test_table_missing_a_subset_raises_the_oracle_text():
     db = TransactionDatabase.from_itemsets(
         [["a", "b", "c"]] * 5 + [["a", "b"]] * 2 + [["a"]] * 3
     )
     counts = fpgrowth(db, 0.1, 3)
-    closed = closed_itemsets(FrequentItemsets(counts, db.vocabulary, len(db), 0.1, 3))
-    assert _message(generate_rule_table, closed) == _message(_oracle, closed)
+    table = without_subset(FrequentItemsets(counts, db.vocabulary, len(db), 0.1, 3), "b")
+    assert _message(generate_rule_table, table) == _message(_oracle, table)
 
 
-def test_dp_table_raises_the_oracle_text(pai_db):
-    # at this budget the noise drops subsets whose supersets survive
-    released = dp_mine_frequent_itemsets(
-        pai_db, MiningConfig(min_support=0.1, max_len=3),
-        DPConfig(epsilon=0.05, seed=3),
-    ).itemsets
-    assert not all(
-        frozenset(sub) in released.counts
-        for key in released.counts if len(key) > 1
-        for sub in combinations(key, len(key) - 1)
-    )
-    assert _message(generate_rule_table, released) == _message(_oracle, released)
+def test_trace_table_missing_a_subset_raises_the_oracle_text(pai_db):
+    counts = fpgrowth(pai_db, 0.1, 3)
+    mined = FrequentItemsets(counts, pai_db.vocabulary, len(pai_db), 0.1, 3)
+    widest = max(mined.counts, key=lambda s: (len(s), sorted(s)))
+    assert len(widest) == 3
+    pair = pai_db.vocabulary.items_of(sorted(widest)[:2])
+    table = without_subset(mined, pair)
+    assert _message(generate_rule_table, table) == _message(_oracle, table)
 
 
 # -- split provenance ---------------------------------------------------------------

@@ -9,7 +9,6 @@ are chosen so the floats involved are exact.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import combinations
 
@@ -23,7 +22,6 @@ from repro.core.ruletable import RuleTable
 from repro.dataframe import BooleanColumn, ColumnTable
 from repro.engine import MiningEngine
 from repro.preprocess import FeatureSpec, TracePreprocessor
-from repro.privacy.dp import DPConfig, dp_mine_frequent_itemsets
 
 from .oracles import (
     check_itemset_table,
@@ -91,17 +89,6 @@ def test_support_floor_is_count_over_n(algorithm, min_support, raw, expected):
     counts = ALGORITHMS[algorithm](db, min_support, PAPER.max_len)
     assert named(db, counts) == by_name(expected)
     assert support_counts(raw_ids(db), min_support, PAPER.max_len) == counts
-
-
-@pytest.mark.parametrize("min_support, raw, expected", FLOOR_CASES)
-def test_dp_release_floor_is_count_over_n(min_support, raw, expected):
-    # at epsilon = inf the Laplace noise is zero, so the release is the
-    # candidates that clear the real floor, counts unchanged
-    db = TransactionDatabase.from_itemsets(raw)
-    release = dp_mine_frequent_itemsets(
-        db, MiningConfig(min_support=min_support), DPConfig(epsilon=math.inf)
-    )
-    assert named(db, release.itemsets.counts) == by_name(expected)
 
 
 def test_max_len_five_stops_at_five_items():

@@ -7,7 +7,8 @@ from repro.core import (
     Item,
     MiningConfig,
     TransactionDatabase,
-    mine_rules,
+    generate_rules,
+    mine_frequent_itemsets,
 )
 from repro.predict import (
     ClassificationReport,
@@ -39,8 +40,16 @@ def labelled_db():
     return TransactionDatabase.from_itemsets(txns)
 
 
+def _rules(db):
+    cfg = MiningConfig(min_support=0.02, min_lift=1.0, max_len=3)
+    return generate_rules(
+        mine_frequent_itemsets(db, cfg),
+        min_lift=cfg.min_lift, min_confidence=cfg.min_confidence,
+    )
+
+
 def _classifier(db, **kwargs):
-    rules = mine_rules(db, MiningConfig(min_support=0.02, min_lift=1.0, max_len=3))
+    rules = _rules(db)
     return RuleClassifier.from_rules(rules, "target", **kwargs)
 
 
@@ -107,7 +116,7 @@ class TestPrediction:
 
     def test_generalises_to_holdout(self, labelled_db):
         train, test = split_database(labelled_db, 0.7, seed=1)
-        rules = mine_rules(train, MiningConfig(min_support=0.02, min_lift=1.0, max_len=3))
+        rules = _rules(train)
         clf = RuleClassifier.from_rules(rules, "target", min_confidence=0.5)
         report = evaluate_predictions(clf.predict(test), clf.labels(test))
         assert report.f1 > 0.4

@@ -28,14 +28,13 @@ from repro.core.fpgrowth import fpgrowth
 from repro.core.items import Item, ItemVocabulary, as_item
 from repro.core.itemsets import FrequentItemsets
 from repro.core.mining import keyword_rule_set
-from repro.core.patterns import closed_itemsets
 from repro.core.pruning import PruningReport, prune_rule_table
 from repro.core.rules import generate_rule_table
 from repro.core.ruletable import METRIC_COLUMNS, RuleTable
 from repro.engine import MiningEngine
 from repro.traces import get_trace
 
-from .oracles import rules_by_split
+from .oracles import rules_by_split, without_subset
 
 #: i0 … i6 occur in transactions; "idle" is in the vocabulary only
 VOCAB = [Item.flag(f"i{i}") for i in range(7)] + [Item.flag("idle")]
@@ -182,13 +181,13 @@ def test_not_downward_closed_raises_the_oracle_text():
         [["a", "b", "c"]] * 5 + [["a", "b"]] * 2 + [["a"]] * 3
     )
     counts = fpgrowth(db, 0.1, 3)
-    closed = closed_itemsets(FrequentItemsets(counts, db.vocabulary, len(db), 0.1, 3))
+    table = without_subset(FrequentItemsets(counts, db.vocabulary, len(db), 0.1, 3), "c")
     c = db.vocabulary.id_of("c")
     with pytest.raises(ValueError, match="not downward-closed") as oracle:
         rules_by_split(
-            closed.counts, closed.n_transactions, closed.vocabulary,
+            table.counts, table.n_transactions, table.vocabulary,
             min_lift=0.0, keyword_ids=(c,),
         )
     with pytest.raises(ValueError, match="not downward-closed") as got:
-        keyword_rule_set(closed, "c", MiningConfig(min_lift=0.0))
+        keyword_rule_set(table, "c", MiningConfig(min_lift=0.0))
     assert str(got.value) == str(oracle.value)

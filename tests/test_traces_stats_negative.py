@@ -1,10 +1,8 @@
-"""Tests for trace characterisation and negative-rule mining."""
+"""Tests for trace characterisation."""
 
 import numpy as np
 import pytest
 
-from repro.core import MiningConfig, TransactionDatabase, mine_frequent_itemsets
-from repro.core.negative import mine_negative_keyword_rules
 from repro.dataframe import ColumnTable
 from repro.traces.stats import TraceStats, characterize, gini
 
@@ -59,100 +57,3 @@ class TestCharacterize:
             }
         )
         assert characterize(table).gpu_request_mean == 1.0
-
-
-@pytest.fixture()
-def protective_db():
-    """Planted: 'safe' jobs almost never fail; 'risky' ones mostly do."""
-    rng = np.random.default_rng(9)
-    txns = []
-    for _ in range(800):
-        safe = rng.random() < 0.5
-        fails = rng.random() < (0.05 if safe else 0.6)
-        items = ["safe" if safe else "risky"]
-        if fails:
-            items.append("Failed")
-        txns.append(items)
-    return TransactionDatabase.from_itemsets(txns)
-
-
-class TestNegativeRules:
-    CFG = MiningConfig(min_support=0.1, min_lift=1.05, max_len=3)
-
-    def test_protective_factor_found(self, protective_db):
-        rules = mine_negative_keyword_rules(protective_db, "Failed", self.CFG)
-        assert rules
-        top = rules[0]
-        assert {i.render() for i in top.antecedent} == {"safe"}
-        assert top.confidence > 0.9
-
-    def test_metrics_consistent_with_database(self, protective_db):
-        rules = mine_negative_keyword_rules(protective_db, "Failed", self.CFG)
-        n = len(protective_db)
-        for rule in rules:
-            supp_x = protective_db.support(rule.antecedent_ids)
-            supp_xk = protective_db.support(
-                set(rule.antecedent_ids)
-                | {protective_db.vocabulary.id_of("Failed")}
-            )
-            assert rule.support == pytest.approx(supp_x - supp_xk)
-            assert rule.confidence == pytest.approx(1.0 - supp_xk / supp_x)
-
-    def test_complementarity_with_positive_confidence(self, protective_db):
-        from repro.core import generate_rules
-
-        fis = mine_frequent_itemsets(protective_db, self.CFG.with_(min_lift=0.0))
-        kw = protective_db.vocabulary.id_of("Failed")
-        positive = {
-            r.antecedent_ids: r.confidence
-            for r in generate_rules(fis, min_lift=0.0, keyword_ids=(kw,))
-            if r.consequent_ids == frozenset({kw})
-        }
-        negative = mine_negative_keyword_rules(
-            protective_db, "Failed", self.CFG.with_(min_lift=0.0)
-        )
-        for rule in negative:
-            if rule.antecedent_ids in positive:
-                assert rule.confidence == pytest.approx(
-                    1.0 - positive[rule.antecedent_ids]
-                )
-
-    def test_unknown_keyword(self, protective_db):
-        assert mine_negative_keyword_rules(protective_db, "ghost", self.CFG) == []
-
-    def test_keyword_never_absent(self):
-        db = TransactionDatabase.from_itemsets([["K", "a"]] * 10)
-        assert mine_negative_keyword_rules(db, "K", self.CFG) == []
-
-    def test_sorted_by_lift(self, protective_db):
-        rules = mine_negative_keyword_rules(protective_db, "Failed", self.CFG)
-        lifts = [r.lift for r in rules]
-        assert lifts == sorted(lifts, reverse=True)
-
-    def test_str_form(self, protective_db):
-        rules = mine_negative_keyword_rules(protective_db, "Failed", self.CFG)
-        assert "NOT Failed" in str(rules[0])
-
-    def test_exclude_items_drops_sibling_status(self, supercloud_db):
-        rules = mine_negative_keyword_rules(
-            supercloud_db,
-            "Failed",
-            MiningConfig(min_lift=1.05),
-            exclude_items=["Job Killed"],
-        )
-        for rule in rules:
-            assert all(i.render() != "Job Killed" for i in rule.antecedent)
-
-    def test_on_real_trace_protective_factors(self, supercloud_db):
-        """Healthy-utilisation jobs are protective against failure (once
-        the trivially-exclusive sibling status is excluded)."""
-        rules = mine_negative_keyword_rules(
-            supercloud_db,
-            "Failed",
-            MiningConfig(min_lift=1.05),
-            exclude_items=["Job Killed"],
-        )
-        assert rules
-        top_items = {i.render() for r in rules[:15] for i in r.antecedent}
-        # high-utilisation bins should appear among protective factors
-        assert any("Bin3" in t or "Bin4" in t for t in top_items)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MiningConfig, mine_rules
+from repro.core import MiningConfig, generate_rules, mine_frequent_itemsets
 from repro.viz import (
     bar_chart,
     box_chart,
@@ -88,21 +88,29 @@ class TestBoxStats:
         assert s.whisker_low <= s.whisker_high or s.n == 0
 
 
+def _toy_rules(db):
+    cfg = MiningConfig(min_support=0.2, min_lift=0.0)
+    return generate_rules(
+        mine_frequent_itemsets(db, cfg),
+        min_lift=cfg.min_lift, min_confidence=cfg.min_confidence,
+    )
+
+
 class TestScatter:
     def test_rule_scatter_coordinates(self, toy_db):
-        rules = mine_rules(toy_db, MiningConfig(min_support=0.2, min_lift=0.0))
+        rules = _toy_rules(toy_db)
         scatter = rule_scatter(rules)
         assert len(scatter) == len(rules)
         assert scatter.lift.shape == scatter.support.shape
 
     def test_pruning_scatter_panels(self, toy_db):
-        rules = mine_rules(toy_db, MiningConfig(min_support=0.2, min_lift=0.0))
+        rules = _toy_rules(toy_db)
         panels = pruning_scatter(rules, rules[:2])
         assert len(panels["before"]) == len(rules)
         assert len(panels["after"]) == 2
 
     def test_lift_histogram(self, toy_db):
-        rules = mine_rules(toy_db, MiningConfig(min_support=0.2, min_lift=0.0))
+        rules = _toy_rules(toy_db)
         counts, edges = rule_scatter(rules).lift_histogram(5)
         assert counts.sum() == len(rules)
 
