@@ -464,12 +464,47 @@ class RuleTable:
             (rank[n:], rank[:n], -self.support, -self.confidence, -self.lift)
         )
 
+    def in_canonical_order(self) -> bool:
+        """Whether :meth:`canonical_order` is the identity, decided cheaply.
+
+        The metric columns settle every adjacent pair that differs in
+        ``(-lift, -confidence, -support)``; side strings are rendered only
+        for the rows of pairs tying on all three.  A NaN metric answers
+        ``False``, leaving its placement to the sort.
+        """
+        n = len(self)
+        if n <= 1:
+            return True
+        tie = np.ones(n - 1, dtype=bool)
+        for column in (self.lift, self.confidence, self.support):
+            if np.isnan(column).any():
+                return False
+            key = -column
+            if (tie & (key[:-1] > key[1:])).any():
+                return False
+            tie &= key[:-1] == key[1:]
+        pairs = np.flatnonzero(tie)
+        if pairs.size == 0:
+            return True
+        in_pair = np.zeros(n, dtype=bool)
+        in_pair[pairs] = in_pair[pairs + 1] = True
+        rows = np.flatnonzero(in_pair)
+        sides = []
+        for indptr, ids in (
+            (self.ant_indptr, self.ant_ids), (self.cons_indptr, self.cons_ids)
+        ):
+            sub_indptr, flat = csr_range_gather(indptr, rows)
+            sides.append(side_strings(sub_indptr, ids[flat], self.vocabulary))
+        keys = list(zip(*(side.tolist() for side in sides)))
+        at = np.searchsorted(rows, pairs).tolist()
+        return all(keys[i] <= keys[i + 1] for i in at)
+
     def sort_canonical(self) -> "RuleTable":
-        """New table in canonical deterministic order."""
-        order = self.canonical_order()
-        if np.array_equal(order, np.arange(len(self))):
+        """New table in canonical deterministic order; this table when it
+        already is (a saved book read back), found without sorting."""
+        if self.in_canonical_order():
             return self
-        return self.select(order)
+        return self.select(self.canonical_order())
 
     def dedup(self) -> "RuleTable":
         """New table keeping the first occurrence of each (ant, cons) pair."""

@@ -61,6 +61,7 @@ class TransactionDatabase:
         "indices",
         "_bitmaps_cache",
         "_fingerprint_cache",
+        "_item_counts_cache",
     )
 
     def __init__(
@@ -84,6 +85,7 @@ class TransactionDatabase:
             raise ValueError("item id out of vocabulary range")
         self._bitmaps_cache = None
         self._fingerprint_cache: str | None = None
+        self._item_counts_cache: np.ndarray | None = None
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -238,8 +240,19 @@ class TransactionDatabase:
 
     # -- support machinery ------------------------------------------------------
     def item_support_counts(self) -> np.ndarray:
-        """Support count of every item id, shape (n_items,)."""
-        return np.bincount(self.indices, minlength=self.n_items).astype(np.int64)
+        """Support count of every item id, shape (n_items,), read-only.
+
+        Counted once and kept, like :meth:`fingerprint`: the skew filter
+        and the miner read the same histogram, and :meth:`restrict_items`
+        hands its result these counts with the dropped ids zeroed.  A
+        vocabulary grown since the count (new ids, count 0) recounts.
+        """
+        counts = self._item_counts_cache
+        if counts is None or counts.size != self.n_items:
+            counts = np.bincount(self.indices, minlength=self.n_items).astype(np.int64)
+            counts.setflags(write=False)
+            self._item_counts_cache = counts
+        return counts
 
     def bitmaps(self):
         """Packed per-item occurrence bitsets (:class:`PackedBitmaps`).
@@ -320,7 +333,13 @@ class TransactionDatabase:
         # robust to empty transactions anywhere in the database
         cum = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
         new_indptr = cum[self.indptr]
-        return TransactionDatabase(self.vocabulary, new_indptr, new_indices)
+        sub = TransactionDatabase(self.vocabulary, new_indptr, new_indices)
+        counts = self._item_counts_cache
+        if counts is not None and counts.size == keep.size:
+            counts = np.where(keep, counts, 0)
+            counts.setflags(write=False)
+            sub._item_counts_cache = counts
+        return sub
 
     def sample(self, indices: Sequence[int]) -> "TransactionDatabase":
         """Select a subset of transactions by row index."""

@@ -67,6 +67,39 @@ def equal_frequency_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(edges)
 
 
+def _linear_quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, qs)`` (its default linear method), bit for bit.
+
+    *values* must be a non-empty, NaN-free float64 array the caller owns:
+    it is partitioned in place, once, around the floor and floor + 1 of
+    each virtual index ``(n - 1) * q``, and those two order statistics are
+    blended by numpy's rule — ``a + (b - a) * t``, or ``b - (b - a) *
+    (1 - t)`` when ``t >= 0.5``.  Unlike ``np.quantile`` this neither
+    copies *values* nor calls a bare ``np.unique``, which imports
+    ``numpy.ma``.
+    """
+    if qs.size == 0:
+        return np.empty(0, dtype=np.float64)
+    last = values.size - 1
+    virtual = last * qs
+    below = np.floor(virtual)
+    # an index at or past the last element takes the maximum; numpy marks
+    # it -1, and its weight is measured from that -1 too
+    below[virtual >= last] = -1
+    above = np.where(below < 0, -1, below + 1).astype(np.intp)
+    t = virtual - below
+    below = below.astype(np.intp)
+    # numpy's own pivot set, ends included, so that equal values (0.0 and
+    # -0.0) land where np.quantile would put them
+    values.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    a = values[below]
+    b = values[above]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     """Interior edges splitting [min, max] into *n_bins* equal intervals."""
     if values.size == 0:
@@ -133,8 +166,10 @@ class Discretizer:
                 # keep the *full* quantile edge list (no dedupe): when ties
                 # collapse quantiles (e.g. median queue delay = 0), bins keep
                 # their paper semantics — BinK is always the K-th quantile
-                # interval, and collapsed bins are simply never assigned
-                edges = np.quantile(remaining, qs)
+                # interval, and collapsed bins are simply never assigned.
+                # `remaining` is this call's own copy, so it is partitioned
+                # in place
+                edges = _linear_quantiles(remaining, qs)
             else:
                 edges = np.asarray([], dtype=np.float64)
         else:
@@ -163,9 +198,9 @@ class Discretizer:
         """Map values to integer bin codes (``-1`` for NaN) — the hot path.
 
         Overlays are applied in ascending precedence so the special bins
-        always win: raw ``searchsorted`` bins, then the fit-minimum clamp
+        always win: raw edge-count bins, then the fit-minimum clamp
         (the minimum belongs to Bin1 even when heavy ties collapse low
-        quantile edges onto it and ``searchsorted`` lands it past them),
+        quantile edges onto it and the count lands it past them),
         then the Std bin, then the zero bin — an exact zero gets the zero
         label even when it is also the fitted minimum or the Std value —
         and finally NaN → ``-1``.
@@ -176,9 +211,15 @@ class Discretizer:
         spec = self.spec
         labels = self.code_labels()
         dtype = np.int8 if len(labels) <= np.iinfo(np.int8).max else np.int16
-        # right=True ⇒ value == edge goes to the *upper* bin, matching the
-        # paper's half-open [lower, upper) intervals with max included
-        codes = np.searchsorted(self.edges, arr, side="right").astype(dtype)
+        # a value's bin is the number of edges <= it, as with
+        # searchsorted(side="right"): a value equal to an edge goes to the
+        # *upper* bin, matching the paper's half-open [lower, upper)
+        # intervals with max included.  One comparison pass per edge (at
+        # most n_bins - 1) is linear in rows; NaN compares false and is
+        # overwritten below
+        codes = np.zeros(arr.shape, dtype=dtype)
+        for edge in self.edges.tolist():
+            codes += arr >= edge
         if self._fit_min is not None:
             codes[arr == self._fit_min] = 0
         n_regular = len(self.edges) + 1

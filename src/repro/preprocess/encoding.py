@@ -61,6 +61,21 @@ class FeatureSpec:
         return self.item_feature if self.item_feature is not None else self.column
 
 
+def _ranges_increase(id_tables: list[np.ndarray]) -> bool:
+    """Whether each table's ids all lie above every id of the tables before.
+
+    ``_ABSENT`` entries (codes never seen in the data) are not ids.
+    """
+    top = -1
+    for table in id_tables:
+        table = table[table != _ABSENT]
+        if table.size:
+            if int(table.min()) <= top:
+                return False
+            top = int(table.max())
+    return True
+
+
 class TransactionEncoder:
     """Fit on a job table, transform rows into transactions.
 
@@ -141,11 +156,11 @@ class TransactionEncoder:
         vocab = vocabulary if vocabulary is not None else ItemVocabulary()
         n_rows = len(table)
         with kernel_timer("ingest-encode"):
-            id_columns = [
+            encoded = [
                 self._encode_feature(spec, kind, table, vocab, n_rows)
                 for spec, kind in self._resolved
             ]
-            return self._assemble(id_columns, n_rows, vocab)
+            return self._assemble(encoded, n_rows, vocab)
 
     def _encode_feature(
         self,
@@ -154,8 +169,9 @@ class TransactionEncoder:
         table: ColumnTable,
         vocab: ItemVocabulary,
         n_rows: int,
-    ) -> np.ndarray:
-        """Per-row item ids (``_ABSENT`` for none) contributed by one spec."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row item ids (``_ABSENT`` for none) contributed by one spec,
+        and the spec's code → id table: every id the rows can hold."""
         column = table[spec.column]
         feature = spec.feature_name
         ids = np.full(n_rows, _ABSENT, dtype=np.int32)
@@ -178,17 +194,18 @@ class TransactionEncoder:
             disc = self.discretizers[spec.column]
             codes = disc.transform_codes(column.values)
             code_labels = disc.code_labels()
-            present_codes = np.unique(codes)
-            present_codes = present_codes[present_codes >= 0]
+            present = codes >= 0
+            coded = codes[present]
             # intern in sorted-label order over the codes *present* in
-            # the data (DESIGN §9)
+            # the data (DESIGN §9); a bincount over the few codes finds
+            # them in one linear pass
+            present_codes = np.flatnonzero(np.bincount(coded))
             code_to_id = np.full(len(code_labels), _ABSENT, dtype=np.int32)
             for code in sorted(
                 present_codes.tolist(), key=lambda c: code_labels[c]
             ):
                 code_to_id[code] = vocab.intern(Item(feature, code_labels[code]))
-            present = codes >= 0
-            ids[present] = code_to_id[codes[present]]
+            ids[present] = code_to_id[coded]
         elif kind == "flag":
             if isinstance(column, BooleanColumn):
                 truth = column.values
@@ -197,36 +214,47 @@ class TransactionEncoder:
             else:
                 raise TypeError(f"column {spec.column!r} cannot be a flag")
             label = spec.true_label if spec.true_label is not None else feature
-            item_id = vocab.intern(Item.flag(label))
-            ids[truth] = item_id
+            code_to_id = np.asarray([vocab.intern(Item.flag(label))], dtype=np.int32)
+            ids[truth] = code_to_id[0]
         else:  # pragma: no cover
             raise AssertionError(kind)
-        return ids
+        return ids, code_to_id
 
     @staticmethod
     def _assemble(
-        id_columns: list[np.ndarray], n_rows: int, vocab: ItemVocabulary
+        encoded: list[tuple[np.ndarray, np.ndarray]],
+        n_rows: int,
+        vocab: ItemVocabulary,
     ) -> TransactionDatabase:
-        """Stack per-feature id columns into a row-sorted CSR database.
+        """Stack per-feature ``(ids, code → id)`` pairs into a CSR database.
 
-        An item two specs both produce for one row (a ``label`` value
-        equal to a flag's item) appears once, as in
+        Items are interned spec by spec (DESIGN §9), so each spec's ids
+        usually lie above every earlier spec's: the ids of a row, read in
+        spec order, are then strictly increasing already.  That is decided
+        from the code → id tables, without a scan of the rows; only when
+        the ranges overlap — a ``label`` value equal to another spec's
+        item, or a caller-supplied vocabulary — are rows sorted, and an
+        item two specs both produce for one row kept once, as in
         :meth:`TransactionDatabase.from_itemsets`.
         """
-        if not id_columns:
+        if not encoded:
             return TransactionDatabase(
                 vocab,
                 np.zeros(n_rows + 1, dtype=np.int64),
                 np.asarray([], dtype=np.int32),
             )
-        # rows × features id matrix → CSR with per-row sorted ids
-        sorted_rows = np.sort(np.stack(id_columns, axis=1), axis=1)
-        keep = sorted_rows != _ABSENT
-        keep[:, 1:] &= sorted_rows[:, 1:] != sorted_rows[:, :-1]
-        counts = keep.sum(axis=1)
-        flat = sorted_rows[keep]
+        # one row per feature, one column per transaction
+        matrix = np.stack([ids for ids, _ in encoded])
+        if _ranges_increase([code_to_id for _, code_to_id in encoded]):
+            keep = matrix != _ABSENT
+        else:
+            matrix.sort(axis=0)
+            keep = matrix != _ABSENT
+            keep[1:] &= matrix[1:] != matrix[:-1]
+        counts = keep.sum(axis=0)
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return TransactionDatabase(vocab, indptr, flat.astype(np.int32))
+        # the transposed views walk transaction by transaction
+        return TransactionDatabase(vocab, indptr, matrix.T[keep.T])
 
     def fit_transform(
         self, table: ColumnTable, vocabulary: ItemVocabulary | None = None

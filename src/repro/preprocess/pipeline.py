@@ -175,26 +175,29 @@ def _tier_column(source: CategoricalColumn, fitted: ActivityTiers) -> Categorica
     a gather.  Tier categories are ordered by first appearance in row
     order, as a per-row lookup would intern them, because the encoder
     interns items in category order and the database fingerprint
-    depends on it.
+    depends on it.  The first row of each of the few tiers is found by a
+    comparison pass, not by sorting the rows.
     """
     cat_tiers = [fitted.tier_of(cat) for cat in source.categories]
     tier_labels = list(dict.fromkeys(cat_tiers))
     tier_index = {t: i for i, t in enumerate(tier_labels)}
-    cat_to_tier = np.asarray([tier_index[t] for t in cat_tiers], dtype=np.int32)
-    mapped = np.where(
-        source.codes >= 0,
-        cat_to_tier[np.clip(source.codes, 0, None)],
-        np.int32(-1),
+    # a trailing -1 in each lookup table carries missing rows (code -1)
+    cat_to_tier = np.asarray(
+        [*map(tier_index.__getitem__, cat_tiers), -1], dtype=np.int32
     )
-    # order the tier categories by first appearance in row order
-    present, first_rows = np.unique(mapped, return_index=True)
-    keep = present >= 0
-    present, first_rows = present[keep], first_rows[keep]
-    order = present[np.argsort(first_rows)]
-    final_code = np.full(len(tier_labels), -1, dtype=np.int32)
-    final_code[order] = np.arange(order.size, dtype=np.int32)
-    codes = np.where(mapped >= 0, final_code[np.clip(mapped, 0, None)], np.int32(-1))
-    return CategoricalColumn(codes, [tier_labels[i] for i in order])
+    mapped = cat_to_tier[source.codes]
+    if not mapped.size:
+        return CategoricalColumn(mapped, [])
+    first_row = {}
+    for tier in range(len(tier_labels)):
+        hit = mapped == tier
+        row = int(hit.argmax())
+        if hit[row]:
+            first_row[tier] = row
+    order = sorted(first_row, key=first_row.__getitem__)
+    final_code = np.full(len(tier_labels) + 1, -1, dtype=np.int32)
+    final_code[order] = np.arange(len(order), dtype=np.int32)
+    return CategoricalColumn(final_code[mapped], [tier_labels[i] for i in order])
 
 
 class TracePreprocessor:

@@ -159,6 +159,19 @@ def test_follow_tick_imports_nothing_on_its_thread(tmp_path):
     )
 
 
+def test_mine_pass_leaves_numpy_ma_unloaded(tmp_path):
+    """``repro mine-rulebook`` over the three traces never touches
+    ``numpy.ma``: a bare ``np.unique`` (``np.quantile`` calls one) imports
+    it, tens of milliseconds a cold mining process would pay."""
+    loaded = _fresh(
+        "from repro.cli import main\n"
+        "for trace in ('pai', 'supercloud', 'philly'):\n"
+        "    assert main(['mine-rulebook', '--trace', trace, '--n-jobs', '2000',\n"
+        f"                 '--output', {str(tmp_path)!r} + f'/{{trace}}.jsonl']) == 0\n"
+    )
+    assert "numpy.ma" not in loaded
+
+
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
 def test_every_exported_name_resolves(package):
     """Each ``__all__`` name is the object of the module its table names."""

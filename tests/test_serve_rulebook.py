@@ -6,10 +6,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MiningConfig
 from repro.core.items import Item, ItemVocabulary
 from repro.core.rules import AssociationRule
+from repro.core.ruletable import RuleTable
 from repro.serve import SCHEMA_VERSION, RuleBook, RuleBookSchemaError
 from repro.traces import SuperCloudConfig, generate_supercloud, supercloud_preprocessor
 from repro.analysis import InterpretableAnalysis
@@ -281,6 +284,76 @@ class TestOnePassDecode:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(RuleBookSchemaError, match=r"book\.jsonl:3: .*disjoint"):
             RuleBook.load(path)
+
+
+def tied_rules(rng: random.Random, n_rules: int):
+    """Rules drawn from tiny pools of sides and metrics: most adjacent
+    pairs tie on (lift, confidence, support), many on the antecedent too,
+    and some rules repeat."""
+    vocabulary = ItemVocabulary(Item("F", f"v{k}") for k in range(5))
+    antecedents = [(0,), (0, 1), (2,)]
+    consequents = [(3,), (4,), (3, 4)]
+    rules = []
+    for _ in range(n_rules):
+        ant = frozenset(rng.choice(antecedents))
+        cons = frozenset(rng.choice(consequents))
+        rules.append(
+            AssociationRule(
+                antecedent=vocabulary.items_of(ant),
+                consequent=vocabulary.items_of(cons),
+                antecedent_ids=ant,
+                consequent_ids=cons,
+                support=rng.choice([0.1, 0.2]),
+                confidence=rng.choice([0.5, 1.0]),
+                lift=rng.choice([1.0, 2.0, math.inf]),
+                leverage=0.0,
+                conviction=1.0,
+            )
+        )
+    return rules
+
+
+class TestCanonicalCheck:
+    """Loading checks the order of an already canonical book instead of
+    re-sorting it; any other order is still sorted."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rules=st.integers(0, 30),
+           order=st.sampled_from(["sorted", "shuffled", "one swap"]))
+    def test_check_agrees_with_the_sort(self, seed, n_rules, order):
+        rng = random.Random(seed)
+        table = RuleTable.from_rules(tied_rules(rng, n_rules))
+        rows = list(range(len(table)))
+        if order == "shuffled":
+            rng.shuffle(rows)
+            table = table.select(rows)
+        else:
+            table = table.sort_canonical()
+            if order == "one swap" and len(rows) > 1:
+                # a neighbour pair out of order, the rest canonical
+                i = rng.randrange(len(rows) - 1)
+                rows[i], rows[i + 1] = rows[i + 1], rows[i]
+                table = table.select(rows)
+        identity = np.array_equal(table.canonical_order(), np.arange(len(table)))
+        assert table.in_canonical_order() == identity
+
+    def test_nan_metric_is_left_to_the_sort(self):
+        table = RuleTable.from_rules(tied_rules(random.Random(2), 5)).sort_canonical()
+        assert table.in_canonical_order()
+        table.lift[3] = math.nan
+        assert not table.in_canonical_order()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_book_loads_into_the_pristine_table(self, tmp_path, seed):
+        pristine_path = tmp_path / "pristine.jsonl"
+        RuleBook(rules=tied_rules(random.Random(seed), 60)).save(pristine_path)
+        header, *lines = pristine_path.read_text().splitlines()
+        random.Random(seed).shuffle(lines)
+        shuffled_path = tmp_path / "shuffled.jsonl"
+        shuffled_path.write_text("\n".join([header, *lines]) + "\n")
+        resaved = tmp_path / "resaved.jsonl"
+        RuleBook.load(shuffled_path).save(resaved)
+        assert resaved.read_bytes() == pristine_path.read_bytes()
 
 
 class TestFromAnalysis:
