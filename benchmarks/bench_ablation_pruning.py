@@ -9,7 +9,7 @@ that monotonicity — the property that makes the knobs easy to tune.
 
 from __future__ import annotations
 
-from repro.core import PruningConfig, generate_rules, prune_rules
+from repro.core import PruningConfig, generate_rule_table, prune_rule_table
 from repro.viz import series_table
 
 from bench_util import write_artifact
@@ -21,21 +21,21 @@ def test_ablation_pruning_parameters(benchmark, all_results, all_itemsets, paper
     keyword = "SM Util = 0%"
     db = all_results["PAI"].database
     kw_id = db.vocabulary.id_of(keyword)
-    rules = generate_rules(
+    rules = generate_rule_table(
         all_itemsets["PAI"], min_lift=paper_config.min_lift, keyword_ids=(kw_id,)
     )
 
     benchmark.pedantic(
-        lambda: prune_rules(rules, keyword, PruningConfig()), rounds=3, iterations=1
+        lambda: prune_rule_table(rules, keyword, PruningConfig()), rounds=3, iterations=1
     )
 
     kept_by_clift = []
     for c in SWEEP:
-        kept, _ = prune_rules(rules, keyword, PruningConfig(c_lift=c, c_supp=1.5))
+        kept, _ = prune_rule_table(rules, keyword, PruningConfig(c_lift=c, c_supp=1.5))
         kept_by_clift.append(len(kept))
     kept_by_csupp = []
     for c in SWEEP:
-        kept, _ = prune_rules(rules, keyword, PruningConfig(c_lift=1.5, c_supp=c))
+        kept, _ = prune_rule_table(rules, keyword, PruningConfig(c_lift=1.5, c_supp=c))
         kept_by_csupp.append(len(kept))
 
     text = series_table(

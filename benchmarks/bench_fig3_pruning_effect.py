@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import generate_rules, prune_rules
+from repro.core import generate_rule_table, prune_rule_table
 from repro.viz import pruning_scatter
 
 from bench_util import write_artifact
@@ -19,13 +19,13 @@ def test_fig3_pruning_effect(benchmark, all_results, all_itemsets, paper_config)
     pai = all_results["PAI"]
     keyword = "SM Util = 0%"
     kw_id = pai.database.vocabulary.id_of(keyword)
-    before = generate_rules(
+    before = generate_rule_table(
         all_itemsets["PAI"], min_lift=paper_config.min_lift, keyword_ids=(kw_id,)
     )
 
     # timed step: the pruning pass itself
     after, report = benchmark.pedantic(
-        lambda: prune_rules(before, keyword, paper_config.pruning),
+        lambda: prune_rule_table(before, keyword, paper_config.pruning),
         rounds=3,
         iterations=1,
     )

@@ -34,14 +34,17 @@ import argparse
 import asyncio
 import json
 import random
+from itertools import chain
 import sys
 import tempfile
 import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 from repro.core.items import Item, ItemVocabulary
-from repro.core.rules import AssociationRule
+from repro.core.ruletable import RuleTable
 from repro.serve import RuleBook
 from repro.serve.shard import ShardCluster, send_control
 from repro.shm import list_segments
@@ -58,31 +61,31 @@ def build_rulebook(rng: random.Random, n_rules: int = N_RULES) -> RuleBook:
     vocabulary = ItemVocabulary(
         Item(f"Feature{k % 24}", f"Bin{k // 24}") for k in range(N_ITEMS)
     )
-    rules = []
-    seen = set()
+    # (antecedent ids, consequent ids) → metrics in METRIC_COLUMNS order;
+    # the table is built from these columns, with no rule objects
+    rules: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, ...]] = {}
     while len(rules) < n_rules:
         size = rng.randint(3, 5)
         ids = rng.sample(range(N_ITEMS), size)
         cut = rng.randint(2, size - 1)
-        antecedent = frozenset(ids[:cut])
-        consequent = frozenset(ids[cut:])
-        if (antecedent, consequent) in seen:
+        sides = (tuple(sorted(ids[:cut])), tuple(sorted(ids[cut:])))
+        if sides in rules:
             continue
-        seen.add((antecedent, consequent))
-        rules.append(
-            AssociationRule(
-                antecedent=vocabulary.items_of(antecedent),
-                consequent=vocabulary.items_of(consequent),
-                antecedent_ids=antecedent,
-                consequent_ids=consequent,
-                support=rng.uniform(0.05, 0.5),
-                confidence=rng.uniform(0.3, 1.0),
-                lift=rng.uniform(1.5, 8.0),
-                leverage=rng.uniform(0.0, 0.2),
-                conviction=rng.uniform(1.0, 5.0),
-            )
+        rules[sides] = (
+            rng.uniform(0.05, 0.5),  # support
+            rng.uniform(0.3, 1.0),  # confidence
+            rng.uniform(1.5, 8.0),  # lift
+            rng.uniform(0.0, 0.2),  # leverage
+            rng.uniform(1.0, 5.0),  # conviction
         )
-    return RuleBook(rules=rules, trace="synthetic-bench")
+    antecedents, consequents = zip(*rules)
+    table = RuleTable(
+        vocabulary,
+        np.cumsum([0, *map(len, antecedents)]), list(chain.from_iterable(antecedents)),
+        np.cumsum([0, *map(len, consequents)]), list(chain.from_iterable(consequents)),
+        *np.array(list(rules.values())).T,
+    )
+    return RuleBook(table, trace="synthetic-bench")
 
 
 def vmrss_kb(pid: int) -> int:

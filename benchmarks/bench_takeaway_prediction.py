@@ -18,7 +18,7 @@ CBA-style classifier, evaluate on the 30 % holdout.
 
 from __future__ import annotations
 
-from repro.core import MiningConfig, generate_rules, mine_frequent_itemsets
+from repro.core import MiningConfig, generate_rule_table, mine_frequent_itemsets
 from repro.predict import RuleClassifier, evaluate_predictions, split_database
 
 from bench_util import write_artifact
@@ -40,7 +40,7 @@ SC_SUBMISSION_FEATURES = {
 def _evaluate(db, target, allowed, config, min_confidence):
     train, test = split_database(db, 0.7, seed=11)
     itemsets = mine_frequent_itemsets(train, config)
-    rules = generate_rules(itemsets, min_lift=config.min_lift)
+    rules = generate_rule_table(itemsets, min_lift=config.min_lift)
     clf = RuleClassifier.from_rules(
         rules, target, allowed_features=allowed, min_confidence=min_confidence
     )

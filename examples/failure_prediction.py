@@ -17,7 +17,7 @@ This example runs that experiment end to end:
 import sys
 
 from repro import MiningConfig, RuleClassifier, evaluate_predictions, split_database
-from repro.core import generate_rules, mine_frequent_itemsets
+from repro.core import generate_rule_table, mine_frequent_itemsets
 from repro.traces import get_trace
 
 PAI_SUBMISSION_FEATURES = {
@@ -35,7 +35,7 @@ def run(trace_name: str, n_jobs: int, allowed, min_confidence: float) -> None:
     train, test = split_database(db, 0.7, seed=7)
 
     config = MiningConfig()
-    rules = generate_rules(mine_frequent_itemsets(train, config), min_lift=1.5)
+    rules = generate_rule_table(mine_frequent_itemsets(train, config), min_lift=1.5)
     clf = RuleClassifier.from_rules(
         rules, "Failed", allowed_features=allowed, min_confidence=min_confidence
     )

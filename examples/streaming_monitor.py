@@ -14,7 +14,7 @@ jobs).
 import numpy as np
 
 from repro.analysis.drift import diff_rules
-from repro.core import MiningConfig, generate_rules
+from repro.core import MiningConfig, generate_rule_table
 from repro.engine import MiningEngine
 from repro.streaming import StreamingBitmapWindow
 from repro.traces import SuperCloudConfig, generate_supercloud, supercloud_preprocessor
@@ -40,7 +40,7 @@ def main() -> None:
 
     def mine_failure_rules():
         itemsets = engine.mine(window.snapshot(), config)
-        return generate_rules(itemsets, min_lift=1.5, keyword_ids=(kw_id,))
+        return generate_rule_table(itemsets, min_lift=1.5, keyword_ids=(kw_id,))
 
     previous = None
     checkpoints = []

@@ -40,15 +40,16 @@ _SUBMODULES = {
     ".core.apriori": ("apriori",),
     ".core.eclat": ("eclat",),
     ".core.itemsets": ("FrequentItemsets",),
-    ".core.rules": ("AssociationRule", "generate_rules"),
-    ".core.pruning": ("prune_rules",),
+    ".core.rules": ("AssociationRule", "generate_rule_table"),
+    ".core.ruletable": ("RuleTable",),
+    ".core.pruning": ("prune_rule_table",),
     ".core.config": ("MiningConfig", "PruningConfig"),
     ".core.mining": ("KeywordRuleSet", "mine_frequent_itemsets", "mine_keyword_rules"),
     ".preprocess.pipeline": ("TracePreprocessor",),
     ".preprocess.encoding": ("TransactionEncoder",),
     ".traces.registry": ("TRACES", "get_trace", "list_traces"),
     ".analysis.workflow": ("InterpretableAnalysis", "AnalysisResult"),
-    ".analysis.report": ("RuleTable", "format_rule_table"),
+    ".analysis.report": ("CaseStudyTable", "format_rule_table"),
     ".analysis.casestudies": (
         "analyze_trace", "underutilization_study", "failure_study", "misc_study",
         "full_case_study", "CaseStudy",

@@ -8,7 +8,7 @@ import importlib
 #: module (relative to this package) → the public names it defines
 _SUBMODULES = {
     ".workflow": ("InterpretableAnalysis", "AnalysisResult"),
-    ".report": ("RuleRow", "RuleTable", "format_rule_table", "select_diverse_rules"),
+    ".report": ("RuleRow", "CaseStudyTable", "format_rule_table", "select_diverse_rules"),
     ".casestudies": (
         "CaseStudy", "analyze_trace", "underutilization_study", "failure_study",
         "misc_study", "full_case_study",

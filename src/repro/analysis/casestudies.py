@@ -18,7 +18,7 @@ from ..core.mining import MiningConfig, keyword_rule_set
 from ..dataframe import ColumnTable
 from ..traces import TraceDefinition, get_trace
 from ..traces.synthetic.pai import pai_preprocessor
-from .report import RuleTable, format_rule_table
+from .report import CaseStudyTable, format_rule_table
 from .workflow import AnalysisResult, InterpretableAnalysis
 
 __all__ = [
@@ -37,7 +37,7 @@ class CaseStudy:
 
     trace: str
     analysis: AnalysisResult
-    tables: dict[str, RuleTable] = field(default_factory=dict)
+    tables: dict[str, CaseStudyTable] = field(default_factory=dict)
     #: every analysis the study ran, ``analysis`` first
     passes: list[AnalysisResult] = field(default_factory=list)
 
@@ -77,7 +77,7 @@ def underutilization_study(
     table: ColumnTable | None = None,
     config: MiningConfig = MiningConfig(),
     analysis: AnalysisResult | None = None,
-) -> tuple[AnalysisResult, RuleTable]:
+) -> tuple[AnalysisResult, CaseStudyTable]:
     """Sec. IV-B: rules around jobs with 0 % GPU SM utilisation."""
     definition = _resolve(trace)
     if analysis is None:
@@ -96,7 +96,7 @@ def failure_study(
     table: ColumnTable | None = None,
     config: MiningConfig = MiningConfig(),
     analysis: AnalysisResult | None = None,
-) -> tuple[AnalysisResult, RuleTable]:
+) -> tuple[AnalysisResult, CaseStudyTable]:
     """Sec. IV-C: rules around failed jobs."""
     definition = _resolve(trace)
     if analysis is None:
@@ -115,7 +115,7 @@ def misc_study(
     table: ColumnTable | None = None,
     config: MiningConfig = MiningConfig(),
     analysis: AnalysisResult | None = None,
-) -> dict[str, RuleTable]:
+) -> dict[str, CaseStudyTable]:
     """Sec. IV-D: trace-specific rules (Table VIII).
 
     The rules under standard preprocessing come from *analysis* (mined
@@ -131,7 +131,7 @@ def _misc_study(
     table: ColumnTable | None,
     config: MiningConfig,
     analysis: AnalysisResult | None,
-) -> tuple[dict[str, RuleTable], list[AnalysisResult]]:
+) -> tuple[dict[str, CaseStudyTable], list[AnalysisResult]]:
     """:func:`misc_study`'s tables plus the further analyses it ran."""
     if analysis is None:
         if table is None:
@@ -142,7 +142,7 @@ def _misc_study(
     def rules(keyword: str):
         return keyword_rule_set(analysis.itemsets, keyword, config)
 
-    tables: dict[str, RuleTable] = {}
+    tables: dict[str, CaseStudyTable] = {}
     passes: list[AnalysisResult] = []
     if definition.name == "pai":
         if table is None:

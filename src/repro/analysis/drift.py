@@ -4,7 +4,7 @@ The paper's introduction motivates the whole workflow with change over
 time: "due to advances in novel ML models and new GPU architectures, we
 need to continuously update our understanding of the job characteristics"
 — and its Sec. VI points to streaming mining for exactly this.  Given two
-rule sets over the same item vocabulary (e.g. last month's window vs this
+rule tables over the same items (e.g. last month's window vs this
 month's), :func:`diff_rules` reports what appeared, what disappeared and
 whose strength moved, keyed by the rule's (antecedent, consequent)
 structure.
@@ -13,7 +13,6 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 from ..core.items import Item
 from ..core.rules import AssociationRule
@@ -21,36 +20,19 @@ from ..core.ruletable import RuleTable
 
 __all__ = ["RuleChange", "RuleDrift", "diff_rules"]
 
-#: rules are keyed by their *item* structure (not raw ids) so two rule
-#: sets whose vocabularies assign different ids — e.g. two canonical
+#: rules are keyed by their *item* structure (not raw ids) so two tables
+#: whose vocabularies assign different ids — e.g. two canonical
 #: RuleBooks, whose id-spaces are each densified independently — still
 #: diff by rule identity
 _Key = tuple[frozenset[Item], frozenset[Item]]
 
-#: either rule-set form diff_rules accepts
-RuleSet = Union[Sequence[AssociationRule], RuleTable]
 
-#: map value: a materialised rule, or a (table, row) handle resolved
-#: lazily so stable columnar diffs never build per-rule objects
-_Entry = Union[AssociationRule, tuple[RuleTable, int]]
-
-
-def _index_by_key(rules: RuleSet) -> dict[_Key, _Entry]:
-    if isinstance(rules, RuleTable):
-        vocab = rules.vocabulary
-        return {
-            (vocab.items_of(rules.ant_row(i)), vocab.items_of(rules.cons_row(i))):
-                (rules, i)
-            for i in range(len(rules))
-        }
-    return {(r.antecedent, r.consequent): r for r in rules}
-
-
-def _materialise(entry: _Entry) -> AssociationRule:
-    if isinstance(entry, tuple):
-        table, row = entry
-        return table[row]
-    return entry
+def _rows_by_key(table: RuleTable) -> dict[_Key, int]:
+    vocab = table.vocabulary
+    return {
+        (vocab.items_of(table.ant_row(i)), vocab.items_of(table.cons_row(i))): i
+        for i in range(len(table))
+    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,32 +101,26 @@ class RuleDrift:
         return "\n".join(lines)
 
 
-def diff_rules(before: RuleSet, after: RuleSet) -> RuleDrift:
-    """Diff two rule sets by (antecedent, consequent) item identity.
+def diff_rules(before: RuleTable, after: RuleTable) -> RuleDrift:
+    """Diff two rule tables by (antecedent, consequent) item identity.
 
-    Each side may be a sequence of :class:`AssociationRule` objects *or*
-    a columnar :class:`~repro.core.ruletable.RuleTable` — the canonical
-    form the streaming drift gate passes straight from the engine's
-    incremental recount, without round-tripping through object rules.
-    Rules are keyed by their item structure, so the two sets may use
+    Rules are keyed by their item structure, so the two tables may use
     different id-spaces (two independently canonicalised RuleBooks diff
-    correctly); rule sets sharing no items are reported as full
-    turnover (everything appeared + everything disappeared).
+    correctly); tables sharing no items are reported as full turnover
+    (everything appeared + everything disappeared).  The reported rules
+    are :class:`AssociationRule` views of the tables' rows.
     """
-    before_by_key = _index_by_key(before)
-    after_by_key = _index_by_key(after)
+    before_rows = _rows_by_key(before)
+    after_rows = _rows_by_key(after)
     drift = RuleDrift()
-    for key, entry in after_by_key.items():
-        if key in before_by_key:
+    for key, row in after_rows.items():
+        if key in before_rows:
             drift.changed.append(
-                RuleChange(
-                    before=_materialise(before_by_key[key]),
-                    after=_materialise(entry),
-                )
+                RuleChange(before=before[before_rows[key]], after=after[row])
             )
         else:
-            drift.appeared.append(_materialise(entry))
-    for key, entry in before_by_key.items():
-        if key not in after_by_key:
-            drift.disappeared.append(_materialise(entry))
+            drift.appeared.append(after[row])
+    for key, row in before_rows.items():
+        if key not in after_rows:
+            drift.disappeared.append(before[row])
     return drift

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..core import AssociationRule, KeywordRuleSet
 
-__all__ = ["RuleRow", "RuleTable", "select_diverse_rules", "format_rule_table"]
+__all__ = ["RuleRow", "CaseStudyTable", "select_diverse_rules", "format_rule_table"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +37,7 @@ class RuleRow:
 
 
 @dataclass(slots=True)
-class RuleTable:
+class CaseStudyTable:
     """A full case-study table: C rows then A rows."""
 
     title: str
@@ -91,7 +91,7 @@ def format_rule_table(
     max_cause: int = 6,
     max_characteristic: int = 3,
     max_similarity: float = 0.6,
-) -> RuleTable:
+) -> CaseStudyTable:
     """Build a paper-style table from a keyword rule set."""
     cause = select_diverse_rules(list(result.cause), max_cause, max_similarity)
     char = select_diverse_rules(
@@ -99,11 +99,11 @@ def format_rule_table(
     )
     rows = [RuleRow(f"C{i + 1}", r) for i, r in enumerate(cause)]
     rows += [RuleRow(f"A{i + 1}", r) for i, r in enumerate(char)]
-    return RuleTable(title=title, rows=rows)
+    return CaseStudyTable(title=title, rows=rows)
 
 
-def format_table_text(table: RuleTable) -> str:
-    """Render a RuleTable as aligned monospace text."""
+def format_table_text(table: CaseStudyTable) -> str:
+    """Render a CaseStudyTable as aligned monospace text."""
     header = ("", "Antecedent", "Consequent", "Supp.", "Conf.", "Lift")
     rendered = [header] + [row.render() for row in table.rows]
     widths = [max(len(r[i]) for r in rendered) for i in range(len(header))]
@@ -118,8 +118,8 @@ def rules_to_csv_rows(rules: list[AssociationRule]) -> list[dict[str, object]]:
     return [r.as_row() for r in rules]
 
 
-def format_table_markdown(table: RuleTable) -> str:
-    """Render a RuleTable as a GitHub-flavoured markdown table.
+def format_table_markdown(table: CaseStudyTable) -> str:
+    """Render a CaseStudyTable as a GitHub-flavoured markdown table.
 
     Lets a case study drop straight into an operations wiki/README — the
     "directly readable by system operators" framing of the paper, in the
@@ -137,7 +137,7 @@ def format_table_markdown(table: RuleTable) -> str:
     return "\n".join(lines)
 
 
-def case_study_markdown(tables: dict[str, "RuleTable"], heading: str) -> str:
+def case_study_markdown(tables: dict[str, "CaseStudyTable"], heading: str) -> str:
     """Concatenate a case study's rule tables into one markdown document."""
     parts = [f"## {heading}", ""]
     for table in tables.values():

@@ -41,15 +41,15 @@ class AnalysisResult:
     ``rule_table`` is the columnar union of every keyword study's kept
     rules (deduplicated across studies, keyword iteration order); the
     persistence layer builds the :class:`~repro.serve.RuleBook` straight
-    from its columns instead of re-pooling rule objects.
+    from its columns.
     """
 
     config: MiningConfig
     preprocess: PreprocessResult
     itemsets: FrequentItemsets
+    rule_table: RuleTable
     keyword_results: dict[str, KeywordRuleSet] = field(default_factory=dict)
     stats: EngineStats | None = None
-    rule_table: RuleTable | None = None
 
     def __getitem__(self, keyword_name: str) -> KeywordRuleSet:
         try:

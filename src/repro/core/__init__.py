@@ -40,12 +40,10 @@ _SUBMODULES = {
         "RuleMetrics", "compute_metrics", "confidence", "lift", "leverage",
         "conviction",
     ),
-    ".rules": ("AssociationRule", "generate_rules", "generate_rule_table"),
+    ".rules": ("AssociationRule", "generate_rule_table"),
     ".ruletable": ("RuleTable",),
     ".config": ("MiningConfig", "PruningConfig"),
-    ".pruning": (
-        "PruningReport", "prune_rules", "prune_rule_table", "keyword_rules",
-    ),
+    ".pruning": ("PruningReport", "prune_rule_table"),
     ".mining": (
         "KeywordRuleSet", "mine_frequent_itemsets", "mine_keyword_rules",
         "ALGORITHMS",

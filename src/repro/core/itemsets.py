@@ -140,8 +140,8 @@ class ItemsetView:
         return self._owner
 
     def tie_break(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each of *rows*' ``str(sorted(items))`` (the object path's
-        tie-break text) and dense integer rank: comparing ranks is
+        """Each of *rows*' ``str(sorted(items))`` (the canonical
+        order's tie-break text) and dense integer rank: comparing ranks is
         comparing the strings.  Only the distinct rows are rendered."""
         distinct, inverse = np.unique(rows, return_inverse=True)
         indptr, flat = csr_range_gather(self.indptr, distinct)

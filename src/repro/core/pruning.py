@@ -24,11 +24,13 @@ every pairwise test sees all input rules, and a rule is dropped if any
 test marks it.  This makes the result independent of rule enumeration
 order, which the paper's description implicitly assumes.
 
-The production path (:func:`prune_rule_table`, and :func:`prune_rules`
-on a table of its rules) finds the nested pairs on the itemset lattice
-instead of testing every pair of a group.  A rule ``A ⇒ C`` is one
-entry of the :class:`~repro.core.itemsets.ItemsetView` split table:
-itemset ``Z = A ∪ C`` and the pattern ``P`` that selects ``A``.  Its
+Conditions 1–4 run on a :class:`~repro.core.ruletable.RuleTable`
+(:func:`prune_rule_table`) or on generation's candidates
+(:func:`prune_candidates`), never on rule objects.  Both find the nested
+pairs on the itemset lattice instead of testing every pair of a group.
+A rule ``A ⇒ C`` is one entry of the
+:class:`~repro.core.itemsets.ItemsetView` split table: itemset
+``Z = A ∪ C`` and the pattern ``P`` that selects ``A``.  Its
 partners with a shorter antecedent (same consequent) or a shorter
 consequent (same antecedent) are entries of sub-itemsets of ``Z``, and
 a static per-length table of pattern arithmetic names them, so each
@@ -45,25 +47,22 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..obs import kernel_timer
 from .config import PruningConfig
-from .items import Item, ItemVocabulary, as_item
+from .items import Item, as_item
 from .itemsets import ItemsetView
-from .rules import AssociationRule, RuleCandidates
+from .rules import RuleCandidates
 from .ruletable import RuleTable
 
 __all__ = [
     "PruningConfig",
     "PruningReport",
     "prune_candidates",
-    "prune_rules",
     "prune_rule_table",
     "keyword_condition_codes",
-    "keyword_rules",
 ]
 
 
@@ -87,14 +86,6 @@ class PruningReport:
             f"PruningReport(input={self.n_input}, kept={self.n_kept}, "
             f"pruned={self.n_pruned} [{parts or 'none'}])"
         )
-
-
-def keyword_rules(
-    rules: Iterable[AssociationRule], keyword: Item | str
-) -> list[AssociationRule]:
-    """Restrict to rules mentioning *keyword* on either side."""
-    kw = as_item(keyword)
-    return [r for r in rules if r.contains(kw)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +345,19 @@ def keyword_condition_codes(
     antecedent-grouped one (C2/C3).
     """
     keyword_id = table.vocabulary.get_id(as_item(keyword))
-    if keyword_id is None or len(table) == 0:
+    if keyword_id is None:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8)
     in_ant, in_cons = table.contains_id(keyword_id)
     relevant = in_ant | in_cons
     rows = np.flatnonzero(relevant)
+    if not rows.size:
+        return rows, np.zeros(0, dtype=np.int8)
     if not relevant.all():
         table = table.select(rows)
         in_ant, in_cons = in_ant[rows], in_cons[rows]
-    return rows, _codes(table, in_ant, in_cons, config)
-
-
-def _codes(
-    table: RuleTable,
-    in_ant: np.ndarray,
-    in_cons: np.ndarray,
-    config: PruningConfig,
-) -> np.ndarray:
-    """Condition code of every rule of a table of keyword-relevant rules."""
-    if len(table) == 0:
-        return np.zeros(0, dtype=np.int8)
     view, entry = _split_entries(table)
     with kernel_timer("prune-join"):
-        return _mark_conditions(
+        return rows, _mark_conditions(
             view, entry, table.lift, table.support, in_ant, in_cons,
             config.c_lift, config.c_supp,
         )
@@ -389,37 +370,10 @@ def prune_rule_table(
 ) -> tuple[RuleTable, PruningReport]:
     """Apply Conditions 1–4 to a RuleTable.
 
-    Rows not containing the keyword are removed up front, matching
-    :func:`prune_rules`.  Returns the surviving rows — input order
-    preserved — and a :class:`PruningReport`.
+    Rows not containing the keyword are removed up front (they are
+    irrelevant to the analysis objective).  Returns the surviving rows —
+    input order preserved — and a :class:`PruningReport`.
     """
     rows, cond = keyword_condition_codes(table, keyword, config)
     return table.select(rows[cond == 0]), _report(cond)
 
-
-def prune_rules(
-    rules: Sequence[AssociationRule],
-    keyword: Item | str,
-    config: PruningConfig = PruningConfig(),
-) -> tuple[list[AssociationRule], PruningReport]:
-    """Apply Conditions 1–4 to *rules* for the given *keyword*.
-
-    Input rules not containing the keyword are removed up front (they are
-    irrelevant to the analysis objective).  Returns the surviving rules in
-    their input order plus a :class:`PruningReport`.  Runs the same
-    kernel as :func:`prune_rule_table`, on a table of the relevant rules.
-    """
-    kw = as_item(keyword)
-    relevant = keyword_rules(rules, kw)
-    if not relevant:
-        return [], PruningReport()
-
-    n = len(relevant)
-    cond = _codes(
-        # the join reads ids only, so no vocabulary is rebuilt from items
-        RuleTable.from_rules(relevant, ItemVocabulary()),
-        np.fromiter((kw in r.antecedent for r in relevant), bool, count=n),
-        np.fromiter((kw in r.consequent for r in relevant), bool, count=n),
-        config,
-    )
-    return [rule for i, rule in enumerate(relevant) if not cond[i]], _report(cond)

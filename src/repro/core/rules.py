@@ -28,7 +28,8 @@ one ``np.lexsort`` over the metrics and the integer ranks of those rows'
 tie-break strings.  No :class:`AssociationRule` object is built per
 rule, and no subset is searched for per keyword.  The powerset-split
 oracle it is tested against bit for bit lives in ``tests/oracles.py``.
-:func:`generate_rules` keeps the historical list-of-objects API.
+:func:`generate_rule_table` is the one entry point; a caller that wants
+:class:`AssociationRule` objects iterates the table it returns.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .ruletable import METRIC_COLUMNS, RuleTable, csr_range_gather, rows_contain
 __all__ = [
     "AssociationRule",
     "RuleCandidates",
-    "generate_rules",
     "generate_rule_table",
     "rule_candidates",
     "score_counts",
@@ -58,9 +58,9 @@ __all__ = [
 class AssociationRule:
     """An implication ``antecedent ⇒ consequent`` with its quality metrics.
 
-    The id-space fields (``antecedent_ids`` / ``consequent_ids``) are what
-    the pruning machinery compares; the decoded frozensets of
-    :class:`Item` are for presentation.
+    A view of one :class:`RuleTable` row, for presentation: the id-space
+    fields (``antecedent_ids`` / ``consequent_ids``) are the row's ids in
+    that table's vocabulary, the frozensets of :class:`Item` their items.
     """
 
     antecedent: frozenset[Item]
@@ -143,40 +143,6 @@ def _not_downward_closed(
         f"{n_missing} antecedent/consequent split(s) miss a subset's "
         f"support, first in itemset {itemsets.render(first)}"
     )
-
-
-def generate_rules(
-    itemsets: FrequentItemsets,
-    min_lift: float = 1.5,
-    min_confidence: float = 0.0,
-    keyword_ids: Iterable[int] | None = None,
-) -> list[AssociationRule]:
-    """Enumerate and score rules from *itemsets* (list-of-objects API).
-
-    Parameters
-    ----------
-    itemsets:
-        Output of a mining pass; supplies all subset supports.
-    min_lift:
-        Keep rules with ``lift ≥ min_lift`` (paper default 1.5).
-    min_confidence:
-        Optional extra confidence floor (paper relies on lift alone).
-    keyword_ids:
-        If given, only rules containing at least one of these item ids are
-        emitted — the keyword-relevance restriction of Sec. III-D, applied
-        during generation to avoid materialising irrelevant rules.
-
-    Rules are returned sorted by (lift, confidence, support) descending,
-    ties broken by rendered text so output order is deterministic.  This
-    is a thin wrapper over :func:`generate_rule_table`; the columnar table
-    it materialises from is the canonical representation.
-    """
-    return generate_rule_table(
-        itemsets,
-        min_lift=min_lift,
-        min_confidence=min_confidence,
-        keyword_ids=keyword_ids,
-    ).to_rules()
 
 
 def generate_rule_table(

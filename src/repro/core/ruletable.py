@@ -9,11 +9,11 @@ instead of ``n`` :class:`~repro.core.rules.AssociationRule` objects:
 * one float64 column per quality metric
   (``support``, ``confidence``, ``lift``, ``leverage``, ``conviction``).
 
-Every layer that used to pass ``list[AssociationRule]`` around — rule
-generation, Sec. III-D pruning, RuleBook persistence, the serving index —
-can instead operate on these columns with numpy, materialising
-``AssociationRule`` views lazily (``table[i]`` / ``table.to_rules()``)
-only at the presentation boundary.
+Rule generation, Sec. III-D pruning, RuleBook persistence, the serving
+index and rule drift take a table and operate on these columns with
+numpy; none of them accepts rule objects.  ``AssociationRule`` views are
+materialised (``table[i]``, iteration, ``table.to_rules()``) only at the
+presentation boundary: reports, examples and the scalar test oracles.
 
 :meth:`side_masks` packs each side into ``ceil(n_items/64)`` uint64
 words (bit ``t & 63`` of word ``t >> 6`` set iff item ``t`` is present),
@@ -28,11 +28,11 @@ or more tables, ``remap_ids`` and pickling drop it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .items import Item, ItemVocabulary
+from .items import ItemVocabulary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (rules imports us)
     from .itemsets import ItemsetView
@@ -117,8 +117,8 @@ def side_strings(
 ) -> np.ndarray:
     """Per-row ``str(sorted(vocabulary.items_of(row)))`` of CSR id rows.
 
-    Returns an object array of the exact strings the object path sorts
-    by.  Each item's ``repr`` is computed once and each distinct row
+    Returns an object array of the exact strings the canonical order
+    ties on.  Each item's ``repr`` is computed once and each distinct row
     joins them in item order (a per-item rank), so no row sorts
     :class:`Item` objects; equal rows share one string.
     """
@@ -226,50 +226,6 @@ class RuleTable:
             np.zeros(1, dtype=_INDPTR_DTYPE), np.zeros(0, dtype=_IDS_DTYPE),
             np.zeros(1, dtype=_INDPTR_DTYPE), np.zeros(0, dtype=_IDS_DTYPE),
             zero, zero.copy(), zero.copy(), zero.copy(), zero.copy(),
-        )
-
-    @classmethod
-    def from_rules(
-        cls,
-        rules: Sequence["AssociationRule"],
-        vocabulary: ItemVocabulary | None = None,
-    ) -> "RuleTable":
-        """Build a table from materialised rule objects.
-
-        With no *vocabulary* the id space is reconstructed from the rules'
-        own ids; gaps (ids the rules never use) get placeholder items so
-        every rule id stays valid in the rebuilt vocabulary.
-        """
-        rules = list(rules)
-        if vocabulary is None:
-            id_to_item: dict[int, Item] = {}
-            for rule in rules:
-                for item, item_id in zip(
-                    sorted(rule.antecedent) + sorted(rule.consequent),
-                    sorted(rule.antecedent_ids) + sorted(rule.consequent_ids),
-                ):
-                    id_to_item[item_id] = item
-            max_id = max(id_to_item) if id_to_item else -1
-            vocabulary = ItemVocabulary(
-                id_to_item.get(i, Item("__unused__", str(i)))
-                for i in range(max_id + 1)
-            )
-        ant_indptr = [0]
-        cons_indptr = [0]
-        ant_ids: list[int] = []
-        cons_ids: list[int] = []
-        cols: dict[str, list[float]] = {name: [] for name in METRIC_COLUMNS}
-        for rule in rules:
-            ant_ids.extend(sorted(rule.antecedent_ids))
-            cons_ids.extend(sorted(rule.consequent_ids))
-            ant_indptr.append(len(ant_ids))
-            cons_indptr.append(len(cons_ids))
-            for name in METRIC_COLUMNS:
-                cols[name].append(getattr(rule, name))
-        return cls(
-            vocabulary, ant_indptr, ant_ids, cons_indptr, cons_ids,
-            cols["support"], cols["confidence"], cols["lift"],
-            cols["leverage"], cols["conviction"],
         )
 
     @classmethod
@@ -435,8 +391,8 @@ class RuleTable:
     def sort_strings(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-row ``str(sorted(items))`` for each side (object arrays).
 
-        These are the exact tie-break strings the object path uses in its
-        deterministic sort.  Rule generation sets them from its itemset
+        These are the exact tie-break strings of the canonical order
+        (:meth:`canonical_order`).  Rule generation sets them from its itemset
         view; :meth:`select`, :meth:`concat` and :meth:`remap_ids` carry
         them along, so persistence and merging never rebuild them.
         """
@@ -452,7 +408,7 @@ class RuleTable:
 
         The key is ``(-lift, -confidence, -support, str(sorted(antecedent
         items)), str(sorted(consequent items)))`` — byte-for-byte the sort
-        the object path applies.  The strings enter as integer ranks.
+        of the Sec. III oracle (``tests/oracles.py``).  The strings enter as integer ranks.
         """
         n = len(self)
         if n <= 1:

@@ -124,11 +124,8 @@ class MiningEngine:
             itemsets = self.mine(db, config)
             s.n_out = len(itemsets)
 
-        result = AnalysisResult(
-            config=config, preprocess=preprocess, itemsets=itemsets, stats=stats
-        )
-
         n_generated = n_kept = 0
+        keyword_results = {}
         kept_tables: list[RuleTable] = []
         with stage(stats, "generate-rules", len(itemsets)) as s:
             for name, keyword in keywords.items():
@@ -137,7 +134,7 @@ class MiningEngine:
                 n_kept += ruleset.report.n_kept
                 if ruleset.table is not None and len(ruleset.table):
                     kept_tables.append(ruleset.table)
-                result.keyword_results[name] = ruleset
+                keyword_results[name] = ruleset
             s.n_out = n_generated
 
         # the ``prune-*`` kernels and their seconds are the prune stage,
@@ -148,9 +145,16 @@ class MiningEngine:
         prune_seconds = sum(seconds for _, seconds, _ in prune)
         stats.add(replace(loop, seconds=loop.seconds - prune_seconds, kernels=generate))
         stats.add(StageStats("prune", prune_seconds, n_generated, n_kept, kernels=prune))
-        if kept_tables:
-            result.rule_table = RuleTable.concat(kept_tables).dedup()
-        else:
-            result.rule_table = RuleTable.empty(db.vocabulary)
-        return result
+        return AnalysisResult(
+            config=config,
+            preprocess=preprocess,
+            itemsets=itemsets,
+            rule_table=(
+                RuleTable.concat(kept_tables).dedup()
+                if kept_tables
+                else RuleTable.empty(db.vocabulary)
+            ),
+            keyword_results=keyword_results,
+            stats=stats,
+        )
 

@@ -43,7 +43,7 @@ import numpy as np
 from ..core.items import Item
 from ..core.ruletable import RuleTable, csr_range_gather
 from .batchmatch import BatchMaskKernel, encode_id_transactions
-from .rulebook import RuleBook, _canonical_from_rules
+from .rulebook import RuleBook
 
 if TYPE_CHECKING:  # pragma: no cover - presentation objects only
     from ..core.rules import AssociationRule
@@ -188,21 +188,8 @@ class RuleIndex:
         "shm_segment",
     )
 
-    def __init__(
-        self,
-        rules: Iterable[AssociationRule] | None = None,
-        *,
-        table: RuleTable | None = None,
-    ):
-        if table is not None:
-            if rules is not None:
-                raise ValueError("pass either rules or table, not both")
-            table = table.sort_canonical()
-        else:
-            # object input is re-keyed into a canonical table first, so
-            # both construction paths share the one columnar build below
-            table = _canonical_from_rules(tuple(rules or ()))
-        self._init_compiled(table, kernel=None, frags=None)
+    def __init__(self, table: RuleTable):
+        self._init_compiled(table.sort_canonical(), kernel=None, frags=None)
 
     def _init_compiled(
         self,

@@ -11,9 +11,9 @@ Internally a book stores its rules as a columnar
 :class:`~repro.core.ruletable.RuleTable` (the canonical rule form):
 persistence streams straight from the table's CSR id rows and metric
 columns, and :class:`~repro.serve.RuleIndex` builds its postings from the
-same arrays.  ``book.rules`` materialises
-:class:`~repro.core.rules.AssociationRule` views lazily for callers that
-still want objects.
+same arrays.  A book is built from a table only; ``book.rules``
+materialises :class:`~repro.core.rules.AssociationRule` views lazily for
+presentation.
 
 The on-disk format is JSON-lines with a mandatory header record::
 
@@ -38,7 +38,7 @@ import os
 from dataclasses import asdict
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -131,18 +131,17 @@ def _dec_side(name: str, value: object, n_items: int) -> list[int]:
 class RuleBook:
     """A persisted, provenance-stamped set of association rules.
 
-    ``rules`` are ordered by (lift, confidence, support) descending — the
+    Rules are ordered by (lift, confidence, support) descending — the
     ranking the paper's tables use and the order the serving index
-    preserves.  All provenance fields are optional so a RuleBook can also
-    wrap ad-hoc rule lists (tests, benchmarks).
+    preserves.  The *table* defaults to no rules, and every provenance
+    field is optional, so a book can also wrap a hand-built table
+    (tests, benchmarks).
 
-    On construction the rules are re-keyed into the book's own dense
+    On construction the table is re-keyed into the book's own dense
     id-space (items sorted, id = rank): a rule's identity must not depend
     on the insertion order of the mining vocabulary it came from, or two
     books over identical rules would differ on disk.  Canonicalisation is
-    idempotent, which is exactly what makes save → load bit-exact — and
-    it happens on the table's columns, whether the book was built from a
-    :class:`RuleTable` (``table=``) or from rule objects (``rules=``).
+    idempotent, which is exactly what makes save → load bit-exact.
     """
 
     __slots__ = (
@@ -160,7 +159,7 @@ class RuleBook:
 
     def __init__(
         self,
-        rules: Sequence[AssociationRule] = (),
+        table: RuleTable | None = None,
         trace: str | None = None,
         keywords: dict[str, str] | None = None,
         config: MiningConfig | None = None,
@@ -169,7 +168,6 @@ class RuleBook:
         n_transactions: int | None = None,
         schema_version: int = SCHEMA_VERSION,
         *,
-        table: RuleTable | None = None,
         stream: dict | None = None,
     ):
         self.trace = trace
@@ -182,12 +180,9 @@ class RuleBook:
         # reason — None for batch-mined books, absent from their headers
         self.stream = dict(stream) if stream else None
         self.schema_version = schema_version
-        if table is not None:
-            if rules:
-                raise ValueError("pass either rules or table, not both")
-            self._table = _canonical_from_table(table)
-        else:
-            self._table = _canonical_from_rules(tuple(rules))
+        self._table = _canonical_from_table(
+            RuleTable.empty() if table is None else table
+        )
         self._rules: tuple[AssociationRule, ...] | None = None
 
     # -- rule access -----------------------------------------------------------
@@ -227,15 +222,14 @@ class RuleBook:
     ) -> "RuleBook":
         """Collect every kept rule of an analysis run into a RuleBook.
 
-        Cause and characteristic rules of all keyword studies are pooled;
-        a rule surviving several studies appears once.  Provenance (config,
-        database fingerprint, backend) is lifted off the result.  When the
-        run carries the engine's columnar union
-        (:attr:`~repro.analysis.workflow.AnalysisResult.rule_table`), the
-        book is built from those columns directly; results assembled by
-        hand fall back to pooling the per-keyword rule objects.
+        The book's rules are the result's
+        :attr:`~repro.analysis.workflow.AnalysisResult.rule_table`: the
+        kept rules of all keyword studies, a rule surviving several
+        studies once.  Provenance (config, database fingerprint, backend)
+        is lifted off the result.
         """
-        provenance = dict(
+        return cls(
+            result.rule_table,
             trace=trace,
             keywords={
                 name: ruleset.keyword.render()
@@ -246,19 +240,6 @@ class RuleBook:
             backend=result.stats.backend if result.stats is not None else None,
             n_transactions=len(result.preprocess.database),
         )
-        table = getattr(result, "rule_table", None)
-        if table is not None:
-            return cls(table=table, **provenance)
-        seen: set[tuple[frozenset[int], frozenset[int]]] = set()
-        rules: list[AssociationRule] = []
-        for ruleset in result.keyword_results.values():
-            for rule in ruleset.all_rules:
-                key = (rule.antecedent_ids, rule.consequent_ids)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rules.append(rule)
-        return cls(rules=tuple(rules), **provenance)
 
     # -- persistence -----------------------------------------------------------
     def save(self, path: str | os.PathLike) -> None:
@@ -516,37 +497,6 @@ def _decode_rule_lines(lines: list[str], n_items: int, path) -> _Columns:
         for column, value in zip(metrics, row):
             column.append(value)
     return ant_indptr, ant_ids, cons_indptr, cons_ids, metrics
-
-
-def _canonical_from_rules(rules: tuple[AssociationRule, ...]) -> RuleTable:
-    """Re-key rule objects into the dense sorted id-space, as a table."""
-    items = sorted({item for rule in rules for item in rule.items})
-    ids = {item: i for i, item in enumerate(items)}
-    ant_indptr = [0]
-    cons_indptr = [0]
-    ant_ids: list[int] = []
-    cons_ids: list[int] = []
-    metrics: dict[str, list[float]] = {name: [] for name in _METRIC_FIELDS}
-    for rule in rules:
-        ant_ids.extend(sorted(ids[item] for item in rule.antecedent))
-        cons_ids.extend(sorted(ids[item] for item in rule.consequent))
-        ant_indptr.append(len(ant_ids))
-        cons_indptr.append(len(cons_ids))
-        for name in _METRIC_FIELDS:
-            metrics[name].append(getattr(rule, name))
-    table = RuleTable(
-        ItemVocabulary(items),
-        ant_indptr,
-        ant_ids,
-        cons_indptr,
-        cons_ids,
-        metrics["support"],
-        metrics["confidence"],
-        metrics["lift"],
-        metrics["leverage"],
-        metrics["conviction"],
-    )
-    return table.sort_canonical()
 
 
 def _canonical_from_table(table: RuleTable) -> RuleTable:

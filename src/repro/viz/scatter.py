@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import AssociationRule
+from ..core.ruletable import RuleTable
 
 __all__ = ["RuleScatter", "rule_scatter", "pruning_scatter"]
 
@@ -28,17 +28,15 @@ class RuleScatter:
         return np.histogram(self.lift, bins=bins)
 
 
-def rule_scatter(rules: list[AssociationRule]) -> RuleScatter:
-    """Extract scatter coordinates from a rule list."""
+def rule_scatter(rules: RuleTable) -> RuleScatter:
+    """The scatter coordinates of a table's rules: copies of its columns."""
     return RuleScatter(
-        support=np.asarray([r.support for r in rules], dtype=np.float64),
-        lift=np.asarray([r.lift for r in rules], dtype=np.float64),
-        confidence=np.asarray([r.confidence for r in rules], dtype=np.float64),
+        support=rules.support.copy(),
+        lift=rules.lift.copy(),
+        confidence=rules.confidence.copy(),
     )
 
 
-def pruning_scatter(
-    before: list[AssociationRule], after: list[AssociationRule]
-) -> dict[str, RuleScatter]:
+def pruning_scatter(before: RuleTable, after: RuleTable) -> dict[str, RuleScatter]:
     """The two panels of Fig. 3."""
     return {"before": rule_scatter(before), "after": rule_scatter(after)}

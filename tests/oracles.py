@@ -7,7 +7,8 @@ optimisation: support by set inclusion (III-C), rules by powerset split
 zero and Std bins, one-hot encoding and the 80 % skew filter row by row
 (III-E).  A sliding window is the last *n* transactions.  :func:`rows_of`,
 :func:`rule_keys` and :func:`save_with_json_dumps` turn production rule
-tables and rulebooks into plain values to compare.
+tables and rulebooks into plain values to compare; :func:`table_of`
+turns hand-built rule objects into the table every layer takes.
 :func:`without_subset` builds the table that is not downward-closed
 every layer must refuse.
 """
@@ -280,6 +281,28 @@ def rows_of(table: RuleTable):
     """Table rows in :func:`rules_by_split`'s tuple form."""
     metrics = zip(*(getattr(table, m).tolist() for m in METRIC_COLUMNS))
     return [(*key, *values) for key, values in zip(rule_keys(table), metrics)]
+
+
+def table_of(rules, vocabulary: ItemVocabulary | None = None) -> RuleTable:
+    """Rule objects as a :class:`RuleTable`, in order, each item keyed by itself.
+
+    Ids are *vocabulary*'s (default: the rules' items sorted, id = rank).
+    A rule's own id fields are not read: its item and id sets share no
+    order to pair them by.
+    """
+    rules = list(rules)
+    if vocabulary is None:
+        vocabulary = ItemVocabulary(sorted({item for rule in rules for item in rule.items}))
+    sides = []
+    for side in ("antecedent", "consequent"):
+        rows = [sorted(map(vocabulary.id_of, getattr(rule, side))) for rule in rules]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        sides += [indptr, [i for row in rows for i in row]]
+    return RuleTable(
+        vocabulary, *sides,
+        *([getattr(rule, name) for rule in rules] for name in METRIC_COLUMNS),
+    )
 
 
 def _enc_float(value: float) -> float | str:

@@ -25,18 +25,21 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import random
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.items import Item
+import numpy as np
+
+from repro.core.items import Item, ItemVocabulary
+from repro.core.ruletable import RuleTable
 from repro.serve import RuleBook, RuleIndex, RuleServiceClient, ServiceError
 from repro.serve.service import MAX_LINE_BYTES
 from repro.serve.shard import ShardCluster
 
 from .serve_oracle import CountdownOracle
-from .test_serve_rulebook import random_rules
 
 __all__ = [
     "make_rulebook",
@@ -50,8 +53,31 @@ __all__ = [
 
 
 def make_rulebook(seed: int, n_rules: int = 80, n_items: int = 30) -> RuleBook:
-    """A deterministic random rulebook for chaos scenarios."""
-    return RuleBook(rules=random_rules(random.Random(seed), n_rules, n_items))
+    """A deterministic random rulebook for chaos scenarios.
+
+    Sides and metrics are sampled straight into table columns, in the
+    draw order of ``test_serve_rulebook.random_rules``: the same rules.
+    """
+    rng = random.Random(seed)
+    vocabulary = ItemVocabulary(Item(f"F{k % 7}", f"v{k}") for k in range(n_items))
+    ant_indptr, ant_ids, cons_indptr, cons_ids = [0], [], [0], []
+    metrics = []
+    for _ in range(n_rules):
+        size = rng.randint(2, 6)
+        ids = rng.sample(range(n_items), size)
+        cut = rng.randint(1, size - 1)
+        ant_ids += sorted(ids[:cut])
+        cons_ids += sorted(ids[cut:])
+        ant_indptr.append(len(ant_ids))
+        cons_indptr.append(len(cons_ids))
+        metrics.append((
+            rng.random(), rng.random(), rng.random() * 10, rng.random() - 0.5,
+            math.inf if rng.random() < 0.2 else rng.random() * 5,
+        ))
+    return RuleBook(RuleTable(
+        vocabulary, ant_indptr, ant_ids, cons_indptr, cons_ids,
+        *np.array(metrics, dtype=np.float64).reshape(-1, 5).T,
+    ))
 
 
 def book_oracle(book: RuleBook) -> CountdownOracle:
@@ -68,7 +94,7 @@ def save_rulebook(book: RuleBook, directory: Path, name: str) -> str:
 def random_transactions(
     seed: int, n: int, n_items: int = 30, max_len: int = 8
 ) -> list[list[str]]:
-    """Transactions over the same item vocabulary `random_rules` uses."""
+    """Transactions over the same item vocabulary `make_rulebook` uses."""
     rng = random.Random(seed)
     vocabulary = [str(Item(f"F{k % 7}", f"v{k}")) for k in range(n_items)]
     return [

@@ -4,8 +4,8 @@ import pytest
 
 from repro.analysis import (
     AnalysisResult,
+    CaseStudyTable,
     InterpretableAnalysis,
-    RuleTable,
     analyze_trace,
     failure_study,
     format_rule_table,
@@ -101,7 +101,7 @@ class TestReport:
 class TestCaseStudies:
     def test_underutilization_study(self, supercloud_table, sc_analysis):
         _, table = underutilization_study("supercloud", analysis=sc_analysis)
-        assert isinstance(table, RuleTable)
+        assert isinstance(table, CaseStudyTable)
         assert table.rows
         assert "SuperCloud" in table.title
         # cause rows carry the keyword in the consequent

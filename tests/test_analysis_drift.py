@@ -6,11 +6,14 @@ import pytest
 
 from repro.analysis.drift import RuleDrift, diff_rules
 from repro.core import Item
+from repro.core.items import ItemVocabulary
 from repro.core.rules import AssociationRule
-from repro.core.ruletable import RuleTable
 from repro.serve.rulebook import RuleBook
 
+from .oracles import table_of
+
 IDS = {"a": 0, "b": 1, "K": 2, "c": 3}
+VOCAB = ItemVocabulary(Item.flag(t) for t in IDS)
 
 
 def rule(ant, cons, lift=2.0, conf=0.5, supp=0.1, leverage=0.0, conviction=1.0):
@@ -27,10 +30,15 @@ def rule(ant, cons, lift=2.0, conf=0.5, supp=0.1, leverage=0.0, conviction=1.0):
     )
 
 
+def diff(before, after) -> RuleDrift:
+    """diff_rules of two rule lists, each as its own table."""
+    return diff_rules(table_of(before), table_of(after))
+
+
 class TestDiffRules:
     def test_identical_sets_stable(self):
         rules = [rule(["a"], ["K"]), rule(["b"], ["K"])]
-        drift = diff_rules(rules, rules)
+        drift = diff(rules, rules)
         assert drift.is_stable
         assert len(drift.changed) == 2
         assert all(c.lift_delta == 0.0 for c in drift.changed)
@@ -38,7 +46,7 @@ class TestDiffRules:
     def test_appeared_and_disappeared(self):
         before = [rule(["a"], ["K"])]
         after = [rule(["b"], ["K"])]
-        drift = diff_rules(before, after)
+        drift = diff(before, after)
         assert [str(r) for r in drift.appeared] == [str(after[0])]
         assert [str(r) for r in drift.disappeared] == [str(before[0])]
         assert not drift.is_stable
@@ -46,7 +54,7 @@ class TestDiffRules:
     def test_metric_movement_tracked(self):
         before = [rule(["a"], ["K"], lift=2.0, conf=0.4)]
         after = [rule(["a"], ["K"], lift=3.0, conf=0.6)]
-        drift = diff_rules(before, after)
+        drift = diff(before, after)
         change = drift.changed[0]
         assert change.lift_delta == pytest.approx(1.0)
         assert change.confidence_delta == pytest.approx(0.2)
@@ -62,7 +70,7 @@ class TestDiffRules:
             rule(["b"], ["K"], lift=2.0),   # -2.0
             rule(["c"], ["K"], lift=3.1),   # +0.1 (below threshold)
         ]
-        drift = diff_rules(before, after)
+        drift = diff(before, after)
         assert [c.after.lift for c in drift.strengthened(0.5)] == [3.5]
         assert [c.after.lift for c in drift.weakened(0.5)] == [2.0]
 
@@ -70,17 +78,17 @@ class TestDiffRules:
         # a ⇒ K and K ⇒ a are different rules
         before = [rule(["a"], ["K"])]
         after = [rule(["K"], ["a"])]
-        drift = diff_rules(before, after)
+        drift = diff(before, after)
         assert len(drift.appeared) == 1
         assert len(drift.disappeared) == 1
 
     def test_render_smoke(self):
-        drift = diff_rules([rule(["a"], ["K"])], [rule(["b"], ["K"], lift=5.0)])
+        drift = diff([rule(["a"], ["K"])], [rule(["b"], ["K"], lift=5.0)])
         text = drift.render()
         assert "appeared" in text and "disappeared" in text
 
     def test_empty_sets(self):
-        drift = diff_rules([], [])
+        drift = diff([], [])
         assert drift.is_stable
         assert drift.changed == []
 
@@ -89,41 +97,46 @@ class TestDiffRules:
         # nothing spuriously "changed"
         before = [rule(["a"], ["K"]), rule(["b"], ["K"])]
         after = [rule(["c"], ["b"]), rule(["K"], ["c"])]
-        drift = diff_rules(before, after)
+        drift = diff(before, after)
         assert len(drift.appeared) == 2
         assert len(drift.disappeared) == 2
         assert drift.changed == []
 
 
 class TestDiffRuleTables:
-    """diff_rules accepts the canonical columnar RuleTable on either side."""
+    """diff_rules on tables keyed by items, whatever their id-spaces."""
 
     def test_table_vs_objects_equivalent(self):
+        # the table diff is the set difference of the rule objects' keys
         before = [rule(["a"], ["K"]), rule(["b"], ["K"], lift=4.0)]
         after = [rule(["a"], ["K"], lift=3.0), rule(["c"], ["K"])]
-        obj_drift = diff_rules(before, after)
-        tab_drift = diff_rules(
-            RuleTable.from_rules(before), RuleTable.from_rules(after)
+        drift = diff(before, after)
+
+        def key(r):
+            return r.antecedent, r.consequent
+
+        lift_before = {key(r): r.lift for r in before}
+        assert sorted(map(str, drift.appeared)) == sorted(
+            str(r) for r in after if key(r) not in lift_before
         )
-        for field in ("appeared", "disappeared"):
-            assert sorted(map(str, getattr(tab_drift, field))) == sorted(
-                map(str, getattr(obj_drift, field))
-            )
-        assert {(str(c.before), c.lift_delta) for c in tab_drift.changed} == {
-            (str(c.before), c.lift_delta) for c in obj_drift.changed
+        assert sorted(map(str, drift.disappeared)) == sorted(
+            str(r) for r in before if key(r) not in set(map(key, after))
+        )
+        assert {(str(c.after), c.lift_delta) for c in drift.changed} == {
+            (str(r), r.lift - lift_before[key(r)]) for r in after if key(r) in lift_before
         }
 
     def test_mixed_forms_and_different_id_spaces(self):
         # the same rules through RuleBook canonicalisation get a densified
         # id-space; item-keyed diffing must still see them as identical
         rules = [rule(["a", "b"], ["K"]), rule(["c"], ["K"])]
-        book = RuleBook(rules=rules)
-        drift = diff_rules(rules, book.table)
+        book = RuleBook(table_of(rules))
+        drift = diff_rules(table_of(rules, VOCAB), book.table)
         assert drift.is_stable
         assert len(drift.changed) == 2
 
     def test_identical_tables_stable(self):
-        table = RuleTable.from_rules([rule(["a"], ["K"])])
+        table = table_of([rule(["a"], ["K"])])
         drift = diff_rules(table, table)
         assert drift.is_stable and len(drift.changed) == 1
 
@@ -134,7 +147,7 @@ class TestDiffRuleTables:
             rule(["a"], ["K"], lift=math.inf, conf=1.0, conviction=math.inf),
             rule(["b"], ["K"], lift=2.0, leverage=math.nan),
         ]
-        book = RuleBook(rules=exotic)
+        book = RuleBook(table_of(exotic))
         path = tmp_path / "exotic.jsonl"
         book.save(path)
         loaded = RuleBook.load(path)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MiningConfig, TransactionDatabase, generate_rules
+from repro.core import MiningConfig, TransactionDatabase, generate_rule_table
 from repro.core.apriori import apriori
 from repro.core.bitmap import (
     PackedBitmaps,
@@ -277,7 +277,7 @@ def test_batch_rule_metrics_match_scalar(raw, min_lift):
     db = _make_db(raw)
     counts = fpgrowth(db, 0.05, 4)
     itemsets = FrequentItemsets(counts, db.vocabulary, len(db), 0.05, 4)
-    rules = generate_rules(itemsets, min_lift=min_lift)
+    rules = generate_rule_table(itemsets, min_lift=min_lift)
     n = len(db)
     for rule in rules:
         count_xy = counts[rule.antecedent_ids | rule.consequent_ids]
@@ -302,7 +302,7 @@ def test_rules_identical_on_trace(supercloud_db):
     itemsets = FrequentItemsets(
         counts, supercloud_db.vocabulary, len(supercloud_db), 0.05, 4
     )
-    rules = generate_rules(itemsets, min_lift=1.5)
+    rules = generate_rule_table(itemsets, min_lift=1.5)
     assert rules  # the planted associations must surface
     n = len(supercloud_db)
     for rule in rules:

@@ -7,7 +7,7 @@ from repro.core import (
     KeywordRuleSet,
     MiningConfig,
     mine_frequent_itemsets,
-    generate_rules,
+    generate_rule_table,
     mine_keyword_rules,
 )
 
@@ -123,6 +123,6 @@ class TestMineKeywordRules:
 class TestMineRules:
     def test_lift_floor_respected(self, toy_db):
         cfg = MiningConfig(min_support=0.2, min_lift=1.2)
-        rules = generate_rules(mine_frequent_itemsets(toy_db, cfg), min_lift=cfg.min_lift)
+        rules = generate_rule_table(mine_frequent_itemsets(toy_db, cfg), min_lift=cfg.min_lift)
         assert rules
         assert all(r.lift >= 1.2 for r in rules)

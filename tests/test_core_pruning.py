@@ -3,9 +3,12 @@ worked R1/R2 examples."""
 
 import pytest
 
-from repro.core import Item, PruningConfig, prune_rules
-from repro.core.pruning import keyword_rules
+from repro.core import Item, PruningConfig, prune_rule_table
+from repro.core.items import ItemVocabulary
+from repro.core.pruning import keyword_condition_codes
 from repro.core.rules import AssociationRule
+
+from .oracles import table_of
 
 # item universe used across the tests
 USER_A = Item.flag("user A")
@@ -15,6 +18,7 @@ SHORT = Item.flag("short runtime")
 CLUSTER_C = Item.flag("cluster C")
 
 IDS = {USER_A: 0, TYPE_B: 1, FAILURE: 2, SHORT: 3, CLUSTER_C: 4}
+VOCAB = ItemVocabulary(IDS)
 
 
 def rule(antecedent, consequent, supp, lift, conf=0.5):
@@ -34,6 +38,12 @@ def rule(antecedent, consequent, supp, lift, conf=0.5):
 CFG = PruningConfig(c_lift=1.5, c_supp=1.5)
 
 
+def prune(rules, keyword, config, **kwargs):
+    """prune_rule_table on a table of *rules*: the kept rules and the report."""
+    kept, report = prune_rule_table(table_of(rules, VOCAB), keyword, config, **kwargs)
+    return kept.to_rules(), report
+
+
 class TestCondition1:
     """Keyword in consequent, antecedents nested (cause analysis)."""
 
@@ -42,7 +52,7 @@ class TestCondition1:
         # lift of R1 similar/higher → prune R2
         r1 = rule([USER_A], [FAILURE], supp=0.2, lift=3.0)
         r2 = rule([USER_A, TYPE_B], [FAILURE], supp=0.1, lift=3.5)  # 1.5*3 >= 3.5
-        kept, report = prune_rules([r1, r2], FAILURE, CFG)
+        kept, report = prune([r1, r2], FAILURE, CFG)
         assert kept == [r1]
         assert report.pruned_by_condition[1] == 1
 
@@ -50,7 +60,7 @@ class TestCondition1:
         # R2 has clearly higher lift and similar support → prune R1
         r1 = rule([USER_A], [FAILURE], supp=0.12, lift=2.0)
         r2 = rule([USER_A, TYPE_B], [FAILURE], supp=0.10, lift=4.0)
-        kept, _ = prune_rules([r1, r2], FAILURE, CFG)
+        kept, _ = prune([r1, r2], FAILURE, CFG)
         assert kept == [r2]
 
     def test_both_kept_when_longer_lift_high_but_support_collapses(self):
@@ -58,7 +68,7 @@ class TestCondition1:
         # fires against the shorter rule, and its own lift blocks C1
         r1 = rule([USER_A], [FAILURE], supp=0.5, lift=2.0)
         r2 = rule([USER_A, TYPE_B], [FAILURE], supp=0.05, lift=4.0)
-        kept, _ = prune_rules([r1, r2], FAILURE, CFG)
+        kept, _ = prune([r1, r2], FAILURE, CFG)
         assert kept == [r1, r2]
 
 
@@ -70,7 +80,7 @@ class TestCondition2:
         # similar lift & support → keep the longer (more informative)
         r1 = rule([FAILURE], [SHORT], supp=0.12, lift=2.0)
         r2 = rule([FAILURE], [SHORT, CLUSTER_C], supp=0.10, lift=1.8)
-        kept, report = prune_rules([r1, r2], FAILURE, CFG)
+        kept, report = prune([r1, r2], FAILURE, CFG)
         assert kept == [r2]
         assert report.pruned_by_condition[2] == 1
 
@@ -78,7 +88,7 @@ class TestCondition2:
         # R1 has a clear lift advantage → binding to cluster C misleads
         r1 = rule([FAILURE], [SHORT], supp=0.12, lift=4.0)
         r2 = rule([FAILURE], [SHORT, CLUSTER_C], supp=0.10, lift=2.0)
-        kept, _ = prune_rules([r1, r2], FAILURE, CFG)
+        kept, _ = prune([r1, r2], FAILURE, CFG)
         assert kept == [r1]
 
     def test_both_kept_when_support_gap_large(self):
@@ -86,7 +96,7 @@ class TestCondition2:
         # rule's lift is not strictly worse → long kept too
         r1 = rule([FAILURE], [SHORT], supp=0.5, lift=2.0)
         r2 = rule([FAILURE], [SHORT, CLUSTER_C], supp=0.05, lift=2.0)
-        kept, _ = prune_rules([r1, r2], FAILURE, CFG)
+        kept, _ = prune([r1, r2], FAILURE, CFG)
         assert kept == [r1, r2]
 
 
@@ -97,14 +107,14 @@ class TestCondition3:
         # paper: {user A} => {failure} vs {user A} => {failure, cluster C}
         r1 = rule([USER_A], [FAILURE], supp=0.2, lift=3.0)
         r2 = rule([USER_A], [FAILURE, CLUSTER_C], supp=0.1, lift=3.2)
-        kept, report = prune_rules([r1, r2], FAILURE, CFG)
+        kept, report = prune([r1, r2], FAILURE, CFG)
         assert kept == [r1]
         assert report.pruned_by_condition[3] == 1
 
     def test_longer_kept_when_much_stronger(self):
         r1 = rule([USER_A], [FAILURE], supp=0.2, lift=1.6)
         r2 = rule([USER_A], [FAILURE, CLUSTER_C], supp=0.1, lift=3.0)
-        kept, _ = prune_rules([r1, r2], FAILURE, CFG)
+        kept, _ = prune([r1, r2], FAILURE, CFG)
         assert r2 in kept
 
 
@@ -115,52 +125,57 @@ class TestCondition4:
         # paper: {failure} => {short} vs {failure, cluster C} => {short}
         r1 = rule([FAILURE], [SHORT], supp=0.2, lift=2.5)
         r2 = rule([FAILURE, CLUSTER_C], [SHORT], supp=0.1, lift=2.6)
-        kept, report = prune_rules([r1, r2], FAILURE, CFG)
+        kept, report = prune([r1, r2], FAILURE, CFG)
         assert kept == [r1]
         assert report.pruned_by_condition[4] == 1
 
     def test_specific_antecedent_kept_when_much_stronger(self):
         r1 = rule([FAILURE], [SHORT], supp=0.2, lift=1.6)
         r2 = rule([FAILURE, CLUSTER_C], [SHORT], supp=0.1, lift=3.0)
-        kept, _ = prune_rules([r1, r2], FAILURE, CFG)
+        kept, _ = prune([r1, r2], FAILURE, CFG)
         assert r2 in kept
 
 
 class TestGeneralBehaviour:
     def test_rules_without_keyword_removed(self):
         r = rule([USER_A], [SHORT], supp=0.2, lift=2.0)
-        kept, report = prune_rules([r], FAILURE, CFG)
+        kept, report = prune([r], FAILURE, CFG)
         assert kept == []
         assert report.n_input == 0
 
     def test_keyword_rules_helper(self):
+        # the relevant rows are those mentioning the keyword, on either side
         with_kw = rule([FAILURE], [SHORT], 0.1, 2.0)
         without = rule([USER_A], [SHORT], 0.1, 2.0)
-        assert keyword_rules([with_kw, without], FAILURE) == [with_kw]
+        cause = rule([USER_A], [FAILURE], 0.1, 2.0)
+        table = table_of([with_kw, without, cause], VOCAB)
+        rows, codes = keyword_condition_codes(table, FAILURE, CFG)
+        assert rows.tolist() == [0, 2]
+        assert codes.tolist() == [0, 0]
 
     def test_keyword_accepts_string(self):
         r = rule([FAILURE], [SHORT], 0.1, 2.0)
-        kept, _ = prune_rules([r], "job failure", CFG)
+        kept, _ = prune([r], "job failure", CFG)
         assert kept == [r]
 
     def test_non_nested_rules_untouched(self):
         r1 = rule([USER_A], [FAILURE], 0.2, 3.0)
         r2 = rule([TYPE_B], [FAILURE], 0.2, 3.0)
-        kept, _ = prune_rules([r1, r2], FAILURE, CFG)
+        kept, _ = prune([r1, r2], FAILURE, CFG)
         assert kept == [r1, r2]
 
     def test_order_independence(self):
         r1 = rule([USER_A], [FAILURE], supp=0.2, lift=3.0)
         r2 = rule([USER_A, TYPE_B], [FAILURE], supp=0.1, lift=3.5)
-        kept_a, _ = prune_rules([r1, r2], FAILURE, CFG)
-        kept_b, _ = prune_rules([r2, r1], FAILURE, CFG)
+        kept_a, _ = prune([r1, r2], FAILURE, CFG)
+        kept_b, _ = prune([r2, r1], FAILURE, CFG)
         assert set(map(str, kept_a)) == set(map(str, kept_b))
 
     def test_report_counts_consistent(self):
         r1 = rule([USER_A], [FAILURE], supp=0.2, lift=3.0)
         r2 = rule([USER_A, TYPE_B], [FAILURE], supp=0.1, lift=3.5)
         r3 = rule([TYPE_B], [SHORT], supp=0.1, lift=3.5)  # no keyword
-        kept, report = prune_rules([r1, r2, r3], FAILURE, CFG)
+        kept, report = prune([r1, r2, r3], FAILURE, CFG)
         assert report.n_input == 2
         assert report.n_kept == len(kept) == 1
         assert report.n_pruned == 1
@@ -176,7 +191,7 @@ class TestGeneralBehaviour:
         """Conditions 1-4 are the only pruning: there is no condensation pass."""
         r = rule([FAILURE], [SHORT], 0.1, 2.0)
         with pytest.raises(TypeError):
-            prune_rules([r], FAILURE, CFG, condense=True)
+            prune([r], FAILURE, CFG, condense=True)
 
     def test_c_lift_one_is_strict_comparison(self):
         cfg = PruningConfig(c_lift=1.0, c_supp=1.0)
@@ -184,5 +199,5 @@ class TestGeneralBehaviour:
         r2 = rule([USER_A, TYPE_B], [FAILURE], supp=0.1, lift=3.1)
         # 1.0 * 3.0 < 3.1, so condition flips to the support branch:
         # 1.0 * 0.1 < 0.2 → nothing pruned
-        kept, _ = prune_rules([r1, r2], FAILURE, cfg)
+        kept, _ = prune([r1, r2], FAILURE, cfg)
         assert kept == [r1, r2]

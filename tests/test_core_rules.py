@@ -9,7 +9,7 @@ from repro.core import (
     Item,
     MiningConfig,
     TransactionDatabase,
-    generate_rules,
+    generate_rule_table,
     mine_frequent_itemsets,
     mine_keyword_rules,
 )
@@ -89,7 +89,7 @@ class TestAssociationRule:
 class TestGenerateRules:
     def test_metrics_match_database(self, toy_db):
         itemsets = _itemsets(toy_db)
-        rules = generate_rules(itemsets, min_lift=0.0)
+        rules = generate_rule_table(itemsets, min_lift=0.0)
         n = len(toy_db)
         for rule in rules:
             supp_xy = toy_db.support_count(rule.antecedent_ids | rule.consequent_ids) / n
@@ -101,54 +101,54 @@ class TestGenerateRules:
 
     def test_min_lift_filters(self, toy_db):
         itemsets = _itemsets(toy_db)
-        all_rules = generate_rules(itemsets, min_lift=0.0)
-        strong = generate_rules(itemsets, min_lift=1.1)
+        all_rules = generate_rule_table(itemsets, min_lift=0.0)
+        strong = generate_rule_table(itemsets, min_lift=1.1)
         assert len(strong) < len(all_rules)
         assert all(r.lift >= 1.1 for r in strong)
 
     def test_min_confidence_filters(self, toy_db):
         itemsets = _itemsets(toy_db)
-        rules = generate_rules(itemsets, min_lift=0.0, min_confidence=0.9)
+        rules = generate_rule_table(itemsets, min_lift=0.0, min_confidence=0.9)
         assert all(r.confidence >= 0.9 for r in rules)
 
     def test_keyword_restriction(self, toy_db):
         itemsets = _itemsets(toy_db)
         beer = toy_db.vocabulary.id_of("beer")
-        rules = generate_rules(itemsets, min_lift=0.0, keyword_ids=(beer,))
-        assert rules
+        rules = generate_rule_table(itemsets, min_lift=0.0, keyword_ids=(beer,))
+        assert len(rules)
         assert all(r.contains(beer) for r in rules)
 
     def test_sorted_by_lift_desc(self, toy_db):
-        rules = generate_rules(_itemsets(toy_db), min_lift=0.0)
+        rules = generate_rule_table(_itemsets(toy_db), min_lift=0.0)
         lifts = [r.lift for r in rules]
         assert lifts == sorted(lifts, reverse=True)
 
     def test_empty_itemsets_give_no_rules(self):
         db = TransactionDatabase.from_itemsets([])
-        assert generate_rules(_itemsets(db)) == []
+        assert len(generate_rule_table(_itemsets(db))) == 0
 
     def test_deterministic_order(self, toy_db):
         itemsets = _itemsets(toy_db)
-        a = [str(r) for r in generate_rules(itemsets, min_lift=0.0)]
-        b = [str(r) for r in generate_rules(itemsets, min_lift=0.0)]
+        a = [str(r) for r in generate_rule_table(itemsets, min_lift=0.0)]
+        b = [str(r) for r in generate_rule_table(itemsets, min_lift=0.0)]
         assert a == b
 
     def test_invalid_params(self, toy_db):
         itemsets = _itemsets(toy_db)
         with pytest.raises(ValueError):
-            generate_rules(itemsets, min_lift=-1)
+            generate_rule_table(itemsets, min_lift=-1)
         with pytest.raises(ValueError):
-            generate_rules(itemsets, min_confidence=2.0)
+            generate_rule_table(itemsets, min_confidence=2.0)
 
 
 class TestMineRules:
     def test_end_to_end(self, toy_db):
         cfg = MiningConfig(min_support=0.4, min_lift=1.0)
-        rules = generate_rules(
+        rules = generate_rule_table(
             mine_frequent_itemsets(toy_db, cfg),
             min_lift=cfg.min_lift, min_confidence=cfg.min_confidence,
         )
-        assert rules
+        assert len(rules)
         assert all(r.support >= 0.4 for r in rules)
 
     def test_unknown_keyword_returns_empty(self, toy_db):
@@ -175,7 +175,7 @@ def random_db(draw):
 @settings(max_examples=80, deadline=None)
 def test_rule_sides_partition_a_frequent_itemset(db):
     itemsets = _itemsets(db, 0.2, 4)
-    for rule in generate_rules(itemsets, min_lift=0.0):
+    for rule in generate_rule_table(itemsets, min_lift=0.0):
         union = rule.antecedent_ids | rule.consequent_ids
         assert union in itemsets
         assert not (rule.antecedent_ids & rule.consequent_ids)

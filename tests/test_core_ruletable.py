@@ -30,15 +30,16 @@ from repro.core.pruning import (
     PruningConfig,
     keyword_condition_codes,
     prune_rule_table,
-    prune_rules,
 )
-from repro.core.rules import AssociationRule, generate_rule_table, generate_rules
+from repro.core.rules import AssociationRule, generate_rule_table
 from repro.core.ruletable import RuleTable
 from repro.engine import MiningEngine
 from repro.serve import RuleBook, RuleIndex
 from repro.traces import PAI_KEYWORDS, PHILLY_KEYWORDS, SUPERCLOUD_KEYWORDS
 
-from .oracles import condition_codes, rows_of, rule_keys, rules_by_split, without_subset
+from .oracles import (
+    condition_codes, rows_of, rule_keys, rules_by_split, table_of, without_subset,
+)
 
 PAPER = MiningConfig()  # support=0.05, max_len=5, min_lift=1.5
 
@@ -78,8 +79,6 @@ class TestKernelVsLegacy:
         table = generate_rule_table(its, min_lift=1.0)
         assert len(table) > 0
         assert rows_of(table) == oracle_rules(its, min_lift=1.0)
-        # the wrapper is the kernel's materialisation
-        assert generate_rules(its, min_lift=1.0) == table.to_rules()
 
     def test_philly_full_table_bit_identical(self, philly_db):
         its = itemsets_of(philly_db)
@@ -139,10 +138,11 @@ class TestPruneEquality:
         kw = as_item("beer")
         kw_id = toy_db.vocabulary.id_of(kw)
         kept_t, report_t = prune_rule_table(table, kw)
-        kept_o, report_o = prune_rules(table.to_rules(), kw)
+        # the same rules as objects, re-keyed into a table without provenance
+        kept_o, report_o = prune_rule_table(table_of(table, table.vocabulary), kw)
         relevant = [row for row in rows_of(table) if kw_id in row[0] + row[1]]
         codes = condition_codes(relevant, kw_id)
-        assert kept_t.to_rules() == kept_o
+        assert kept_t.to_rules() == kept_o.to_rules()
         assert rows_of(kept_t) == [row for row, c in zip(relevant, codes) if not c]
         assert (
             report_t.pruned_by_condition
@@ -283,7 +283,7 @@ class TestRoundTripProperty:
     @settings(max_examples=25, deadline=None)
     def test_from_rules_to_rules_round_trip(self, seed, n_rules):
         vocab, rules = self._random_rules(random.Random(seed), n_rules)
-        table = RuleTable.from_rules(rules, vocabulary=vocab)
+        table = table_of(rules, vocabulary=vocab)
         assert table.to_rules() == rules  # order and every field preserved
 
     @given(seed=st.integers(0, 2**31))
@@ -291,7 +291,7 @@ class TestRoundTripProperty:
     def test_select_concat_consistency(self, seed):
         rng = random.Random(seed)
         vocab, rules = self._random_rules(rng, 20)
-        table = RuleTable.from_rules(rules, vocabulary=vocab)
+        table = table_of(rules, vocabulary=vocab)
         cut = rng.randint(0, len(rules))
         left = table.select(np.arange(cut))
         right = table.select(np.arange(cut, len(rules)))
@@ -347,7 +347,7 @@ class TestRuleBookColumnar:
         its = itemsets_of(toy_db, min_support=0.2, max_len=4)
         table = generate_rule_table(its, min_lift=1.0)
         book_from_table = RuleBook(table=table, trace="toy")
-        book_from_objects = RuleBook(rules=tuple(table.to_rules()), trace="toy")
+        book_from_objects = RuleBook(table_of(table), trace="toy")
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         book_from_table.save(a)
         book_from_objects.save(b)
@@ -372,7 +372,7 @@ class TestRuleBookColumnar:
         its = itemsets_of(toy_db, min_support=0.2, max_len=4)
         book = RuleBook(table=generate_rule_table(its, min_lift=1.0))
         via_table = RuleIndex.from_rulebook(book)
-        via_objects = RuleIndex(book.rules)
+        via_objects = RuleIndex(table_of(book.rules))
         assert via_table._frags.tolist() == via_objects._frags.tolist()
         transaction = ["bread", "milk", "diapers", "beer"]
         assert [m.rule_id for m in via_table.match(transaction)] == [

@@ -22,6 +22,7 @@ from repro.core.config import ALGORITHM_NAMES
 from repro.core.items import Item, ItemVocabulary
 from repro.core.mining import ALGORITHMS
 from repro.core.ruletable import RuleTable
+from repro.serve.index import RuleIndex
 from repro.serve.rulebook import RuleBook
 
 from .test_stream_follow import _bootstrap, _stream
@@ -201,6 +202,42 @@ def test_unknown_name_is_an_attribute_error():
 def test_deleted_module_is_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
+
+
+@pytest.mark.parametrize("owner, name", (
+    ("repro", "generate_rules"),
+    ("repro", "prune_rules"),
+    ("repro.core", "generate_rules"),
+    ("repro.core", "prune_rules"),
+    ("repro.core", "keyword_rules"),
+    ("repro.core.rules", "generate_rules"),
+    ("repro.core.pruning", "prune_rules"),
+    ("repro.core.pruning", "keyword_rules"),
+    ("repro.serve.rulebook", "_canonical_from_rules"),
+))
+def test_deleted_name_is_gone(owner, name):
+    # rule generation and pruning take and return tables only
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(owner), name)
+
+
+def test_rule_table_has_no_object_constructor():
+    with pytest.raises(AttributeError):
+        RuleTable.from_rules  # noqa: B018
+
+
+@pytest.mark.parametrize("build", (RuleBook, RuleIndex))
+def test_books_and_indexes_take_no_rule_objects(build):
+    with pytest.raises(TypeError):
+        build(rules=())
+
+
+def test_one_class_named_rule_table():
+    import repro
+    import repro.core.ruletable
+
+    assert repro.RuleTable is repro.core.ruletable.RuleTable
+    assert "RuleTable" not in importlib.import_module("repro.analysis").__all__
 
 
 def test_config_names_every_miner():

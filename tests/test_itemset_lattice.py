@@ -36,7 +36,7 @@ from repro.core.ruletable import RuleTable
 from repro.engine import MiningEngine
 from repro.traces import get_trace
 
-from .oracles import rules_by_split, without_subset
+from .oracles import rules_by_split, table_of, without_subset
 
 
 def _vocab(n_items: int) -> ItemVocabulary:
@@ -252,7 +252,7 @@ def test_generic_entries_refuse_bad_rules():
         frozenset({Item.flag("i0")}), frozenset({Item.flag("i1")}),
         frozenset({0}), frozenset({1}), 0.2, 0.5, 2.0, 0.0, 1.0,
     )
-    table = RuleTable.from_rules([good], vocab)
+    table = table_of([good], vocab)
     empty_cons = RuleTable(
         vocab, [0, 1], [0], [0, 0], [], [0.2], [0.5], [2.0], [0.0], [1.0]
     )

@@ -36,17 +36,11 @@ from repro.core import Item, PruningConfig, TransactionDatabase
 from repro.core.fpgrowth import fpgrowth
 from repro.core.items import ItemVocabulary
 from repro.core.itemsets import FrequentItemsets
-from repro.core.pruning import (
-    keyword_condition_codes,
-    keyword_rules,
-    prune_rule_table,
-    prune_rules,
-)
+from repro.core.pruning import keyword_condition_codes, prune_rule_table
 from repro.core.rules import AssociationRule, generate_rule_table
-from repro.core.ruletable import RuleTable
 from repro.serve.batchmatch import encode_id_transactions
 
-from .oracles import condition_codes, rule_keys, support_counts
+from .oracles import condition_codes, support_counts, table_of
 
 # -- FP-Growth --------------------------------------------------------------------
 
@@ -174,14 +168,15 @@ def assert_join_matches_oracle(rules, config, n_items, table=None):
     *table* (the same rules, in order, with split provenance) is checked
     too when given; every table is also checked without provenance.
     """
-    relevant = keyword_rules(rules, KEYWORD)
+    relevant_rows = [i for i, r in enumerate(rules) if r.contains(KEYWORD)]
+    relevant = [rules[i] for i in relevant_rows]
     expected = condition_codes(
         [(r.antecedent_ids, r.consequent_ids, r.support, r.confidence, r.lift)
          for r in relevant],
         0, config.c_lift, config.c_supp,
     )
-    relevant_rows = [i for i, r in enumerate(rules) if r.contains(KEYWORD)]
-    tables = [RuleTable.from_rules(rules, _vocab(n_items))]
+    expected_counts = Counter(code for code in expected if code)
+    tables = [table_of(rules, _vocab(n_items))]
     if table is not None:
         assert table._splits is not None
         tables += [table, pickle.loads(pickle.dumps(table))]
@@ -190,15 +185,9 @@ def assert_join_matches_oracle(rules, config, n_items, table=None):
         assert rows.tolist() == relevant_rows
         assert codes.tolist() == expected
 
-    kept, report = prune_rules(rules, KEYWORD, config)
-    assert kept == [r for r, code in zip(relevant, expected) if not code]
-    expected_counts = Counter(code for code in expected if code)
-    assert report.pruned_by_condition == expected_counts
-
-    table = RuleTable.from_rules(rules, _vocab(n_items))
-    kept_table, table_report = prune_rule_table(table, KEYWORD, config)
-    assert rule_keys(kept_table) == rule_keys(RuleTable.from_rules(kept))
-    assert table_report.pruned_by_condition == expected_counts
+        kept, report = prune_rule_table(candidate, KEYWORD, config)
+        assert kept.to_rules() == [r for r, code in zip(relevant, expected) if not code]
+        assert report.pruned_by_condition == expected_counts
 
 
 @given(data=keyword_rule_sets(), c_lift=_MARGINS, c_supp=_MARGINS)

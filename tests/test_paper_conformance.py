@@ -18,7 +18,6 @@ from repro.core import ALGORITHMS, FrequentItemsets, MiningConfig, TransactionDa
 from repro.core.items import Item, ItemVocabulary
 from repro.core.pruning import prune_rule_table
 from repro.core.rules import AssociationRule, generate_rule_table
-from repro.core.ruletable import RuleTable
 from repro.dataframe import BooleanColumn, ColumnTable
 from repro.engine import MiningEngine
 from repro.preprocess import FeatureSpec, TracePreprocessor
@@ -30,6 +29,7 @@ from .oracles import (
     rows_of,
     rules_by_split,
     support_counts,
+    table_of,
 )
 
 PAPER = MiningConfig()
@@ -199,7 +199,7 @@ def test_conditions(case):
         )
         for ant, cons, supp, lift in specs
     ]
-    table = RuleTable.from_rules(rules, vocab)
+    table = table_of(rules, vocab)
     assert condition_codes(rows_of(table), K, 1.5, 1.5) == expected
     kept, report = prune_rule_table(table, Item.flag("K"), PAPER.pruning)
     assert rows_of(kept) == [row for row, c in zip(rows_of(table), expected) if not c]

@@ -7,7 +7,7 @@ from repro.core import (
     Item,
     MiningConfig,
     TransactionDatabase,
-    generate_rules,
+    generate_rule_table,
     mine_frequent_itemsets,
 )
 from repro.predict import (
@@ -42,7 +42,7 @@ def labelled_db():
 
 def _rules(db):
     cfg = MiningConfig(min_support=0.02, min_lift=1.0, max_len=3)
-    return generate_rules(
+    return generate_rule_table(
         mine_frequent_itemsets(db, cfg),
         min_lift=cfg.min_lift, min_confidence=cfg.min_confidence,
     )

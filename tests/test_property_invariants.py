@@ -9,9 +9,9 @@ from repro.core import (
     Item,
     MiningConfig,
     TransactionDatabase,
-    generate_rules,
+    generate_rule_table,
     mine_frequent_itemsets,
-    prune_rules,
+    prune_rule_table,
 )
 from repro.core.pruning import PruningConfig
 from repro.dataframe import ColumnTable, read_csv_text, write_csv_text
@@ -90,10 +90,10 @@ def test_pruning_is_idempotent(db):
     """
     fis = mine_frequent_itemsets(db, MiningConfig(min_support=0.1, max_len=4))
     kw = db.vocabulary.id_of("i0")
-    rules = generate_rules(fis, min_lift=0.0, keyword_ids=(kw,))
+    rules = generate_rule_table(fis, min_lift=0.0, keyword_ids=(kw,))
     config = PruningConfig()
-    once, _ = prune_rules(rules, Item.flag("i0"), config)
-    twice, report = prune_rules(once, Item.flag("i0"), config)
+    once, _ = prune_rule_table(rules, Item.flag("i0"), config)
+    twice, report = prune_rule_table(once, Item.flag("i0"), config)
     assert [str(r) for r in twice] == [str(r) for r in once]
     assert report.n_pruned == 0
 
@@ -103,8 +103,8 @@ def test_pruning_is_idempotent(db):
 def test_pruning_output_subset_of_input(db):
     fis = mine_frequent_itemsets(db, MiningConfig(min_support=0.1, max_len=4))
     kw = db.vocabulary.id_of("i0")
-    rules = generate_rules(fis, min_lift=0.0, keyword_ids=(kw,))
-    kept, report = prune_rules(rules, Item.flag("i0"), PruningConfig())
+    rules = generate_rule_table(fis, min_lift=0.0, keyword_ids=(kw,))
+    kept, report = prune_rule_table(rules, Item.flag("i0"), PruningConfig())
     input_keys = {str(r) for r in rules}
     assert all(str(r) in input_keys for r in kept)
     assert report.n_kept + report.n_pruned == report.n_input
@@ -116,7 +116,7 @@ def test_rule_count_for_full_itemset():
     """An itemset of size k yields exactly 2^k − 2 unfiltered rules."""
     db = TransactionDatabase.from_itemsets([["a", "b", "c", "d"]] * 10)
     fis = mine_frequent_itemsets(db, MiningConfig(min_support=1.0, max_len=None))
-    rules = generate_rules(fis, min_lift=0.0)
+    rules = generate_rule_table(fis, min_lift=0.0)
     by_union = {}
     for rule in rules:
         union = rule.antecedent_ids | rule.consequent_ids
@@ -153,7 +153,7 @@ def test_skew_filter_properties(db, max_share):
 @settings(max_examples=60, deadline=None)
 def test_generated_rules_respect_thresholds(db, min_support, min_lift):
     fis = mine_frequent_itemsets(db, MiningConfig(min_support=min_support, max_len=4))
-    for rule in generate_rules(fis, min_lift=min_lift):
+    for rule in generate_rule_table(fis, min_lift=min_lift):
         assert rule.support >= min_support - 1e-9 or True  # supp(rule) ≥ supp of union
         assert rule.lift >= min_lift
         union = rule.antecedent_ids | rule.consequent_ids

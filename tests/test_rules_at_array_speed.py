@@ -35,6 +35,7 @@ from .oracles import (
     rule_keys,
     rules_by_split,
     save_with_json_dumps,
+    table_of,
 )
 
 PAPER = MiningConfig()
@@ -193,7 +194,7 @@ def _random_table(rng: random.Random, n_rules: int, n_items: int) -> RuleTable:
             support=rng.random(), confidence=rng.random(), lift=rng.random(),
             leverage=0.0, conviction=1.0,
         ))
-    return RuleTable.from_rules(rules, vocabulary=vocab)
+    return table_of(rules, vocabulary=vocab)
 
 
 @given(
@@ -252,7 +253,7 @@ def _oracle_book(trace: str, itemsets, database) -> RuleBook:
                     leverage=lev, conviction=conv,
                 ))
     return RuleBook(
-        rules=tuple(rules),
+        table_of(rules),
         trace=trace,
         keywords={name: as_item(kw).render() for name, kw in definition.keywords.items()},
         config=PAPER,
@@ -295,7 +296,7 @@ def test_writer_matches_json_dumps_on_extreme_floats(tmp_path):
             antecedent_ids=ant, consequent_ids=cons,
             support=supp, confidence=conf, lift=lift, leverage=lev, conviction=conv,
         ))
-    book = RuleBook(rules=rules, trace="hand", keywords={"k": "F = 5"})
+    book = RuleBook(table_of(rules), trace="hand", keywords={"k": "F = 5"})
     fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
     book.save(fast)
     save_with_json_dumps(book, slow)

@@ -4,9 +4,9 @@ import random
 
 import repro.serve.index as index_mod
 from repro.core.items import Item, ItemVocabulary, as_item
-from repro.core.ruletable import RuleTable
 from repro.serve import RuleBook, RuleIndex
 
+from .oracles import table_of
 from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over
 from .test_serve_rulebook import random_rules
 
@@ -33,7 +33,7 @@ class TestEquivalence:
     def test_matches_agree_with_brute_force_on_1k_transactions(self):
         # the index must agree with naive subset checking — rules AND order
         rng = random.Random(42)
-        book = RuleBook(rules=random_rules(rng, 300, n_items=50))
+        book = RuleBook(table_of(random_rules(rng, 300, n_items=50)))
         index = RuleIndex.from_rulebook(book)
         vocabulary = [str(item) for item in book.vocabulary()]
 
@@ -48,7 +48,7 @@ class TestEquivalence:
 
     def test_near_misses_agree_with_brute_force(self):
         rng = random.Random(43)
-        book = RuleBook(rules=random_rules(rng, 200, n_items=40))
+        book = RuleBook(table_of(random_rules(rng, 200, n_items=40)))
         index = RuleIndex.from_rulebook(book)
         vocabulary = [str(item) for item in book.vocabulary()]
 
@@ -68,7 +68,7 @@ class TestEquivalence:
 
 class TestMatching:
     def test_ranked_by_lift(self):
-        book = RuleBook(rules=random_rules(random.Random(1), 100, n_items=20))
+        book = RuleBook(table_of(random_rules(random.Random(1), 100, n_items=20)))
         index = RuleIndex.from_rulebook(book)
         vocabulary = [str(item) for item in book.vocabulary()]
         matches = index.match(vocabulary)  # a transaction with every item
@@ -77,20 +77,20 @@ class TestMatching:
         assert lifts == sorted(lifts, reverse=True)
 
     def test_unknown_items_ignored(self):
-        book = RuleBook(rules=random_rules(random.Random(2), 20))
+        book = RuleBook(table_of(random_rules(random.Random(2), 20)))
         index = RuleIndex.from_rulebook(book)
         assert index.match(["Never = Seen", "Ghost"]) == []
         assert index.explain(["Never = Seen"]) == []
 
     def test_empty_transaction(self):
-        book = RuleBook(rules=random_rules(random.Random(3), 20))
+        book = RuleBook(table_of(random_rules(random.Random(3), 20)))
         index = RuleIndex.from_rulebook(book)
         assert index.match([]) == []
         assert index.explain([]) == []
 
     def test_consequent_observed_flag(self):
         rng = random.Random(4)
-        book = RuleBook(rules=random_rules(rng, 50, n_items=15))
+        book = RuleBook(table_of(random_rules(rng, 50, n_items=15)))
         index = RuleIndex.from_rulebook(book)
         rule = index.rules[0]
         only_ant = [str(i) for i in rule.antecedent]
@@ -101,7 +101,7 @@ class TestMatching:
         assert fired_full[0].consequent_observed
 
     def test_accepts_item_objects_and_strings(self):
-        book = RuleBook(rules=random_rules(random.Random(5), 20))
+        book = RuleBook(table_of(random_rules(random.Random(5), 20)))
         index = RuleIndex.from_rulebook(book)
         rule = index.rules[0]
         as_strings = [str(i) for i in rule.antecedent]
@@ -111,7 +111,7 @@ class TestMatching:
         ]
 
     def test_as_dict_round_trips_the_wire_fragment(self):
-        book = RuleBook(rules=random_rules(random.Random(7), 40, n_items=15))
+        book = RuleBook(table_of(random_rules(random.Random(7), 40, n_items=15)))
         index = RuleIndex.from_rulebook(book)
         oracle = CountdownOracle(index)
         vocabulary = [str(item) for item in book.vocabulary()]
@@ -120,13 +120,13 @@ class TestMatching:
         )
 
     def test_postings_cost_reported(self):
-        book = RuleBook(rules=random_rules(random.Random(6), 30))
+        book = RuleBook(table_of(random_rules(random.Random(6), 30)))
         index = RuleIndex.from_rulebook(book)
         assert index.n_postings == sum(len(r.antecedent) for r in index.rules)
         assert "n_rules=30" in repr(index)
 
     def test_rule_labels_stable(self):
-        book = RuleBook(rules=random_rules(random.Random(8), 10))
+        book = RuleBook(table_of(random_rules(random.Random(8), 10)))
         index = RuleIndex.from_rulebook(book)
         labels = list(index.iter_rule_labels())
         assert len(labels) == 10
@@ -138,7 +138,7 @@ class TestMatching:
         # Item order, whatever order the index's vocabulary holds them in
         items = sorted(EXOTIC_ITEMS, reverse=True)
         rules = rules_over(items, seed=3, n_rules=40)
-        index = RuleIndex(table=RuleTable.from_rules(rules, ItemVocabulary(items)))
+        index = RuleIndex(table=table_of(rules, ItemVocabulary(items)))
 
         def label(rule):
             ant = ", ".join(i.render() for i in sorted(rule.antecedent))
@@ -172,7 +172,7 @@ class TestBatchParity:
 
     def _index(self, seed, n_rules=250, n_items=45):
         rng = random.Random(seed)
-        book = RuleBook(rules=random_rules(rng, n_rules, n_items=n_items))
+        book = RuleBook(table_of(random_rules(rng, n_rules, n_items=n_items)))
         return rng, RuleIndex.from_rulebook(book)
 
     def test_match_wire_batch_is_byte_identical_to_scalar(self):
@@ -191,9 +191,7 @@ class TestBatchParity:
 
     def test_match_batch_parity_including_consequent_flags(self):
         rng, index = self._index(101)
-        vocabulary = [str(item) for item in RuleBook(
-            rules=index.rules
-        ).vocabulary()]
+        vocabulary = [str(item) for item in index.table.vocabulary]
         batch = _random_batch(rng, vocabulary, 150)
         got = index.match_batch(batch)
         oracle = CountdownOracle(index)
@@ -204,9 +202,7 @@ class TestBatchParity:
 
     def test_explain_batch_parity(self):
         rng, index = self._index(102)
-        vocabulary = [str(item) for item in RuleBook(
-            rules=index.rules
-        ).vocabulary()]
+        vocabulary = [str(item) for item in index.table.vocabulary]
         batch = _random_batch(rng, vocabulary, 150)
         got = index.explain_batch(batch)
         oracle = CountdownOracle(index)
@@ -216,9 +212,7 @@ class TestBatchParity:
 
     def test_batch_agrees_with_brute_force(self):
         rng, index = self._index(103, n_rules=120, n_items=30)
-        vocabulary = [str(item) for item in RuleBook(
-            rules=index.rules
-        ).vocabulary()]
+        vocabulary = [str(item) for item in index.table.vocabulary]
         batch = _random_batch(rng, vocabulary, 120)
         for job, matches, nears in zip(
             batch, index.match_batch(batch), index.explain_batch(batch)
@@ -239,7 +233,7 @@ class TestBatchParity:
         assert index.match_wire_batch([]) == []
         assert index.match_batch([]) == []
         assert index.explain_batch([]) == []
-        empty = RuleIndex.from_rulebook(RuleBook(rules=[]))
+        empty = RuleIndex.from_rulebook(RuleBook(table_of([])))
         assert empty.match_wire_batch([["A = 1"], []]) == [[], []]
         assert empty.explain_batch([["A = 1"]]) == [[]]
 
@@ -262,7 +256,7 @@ class TestCanonCache:
         monkeypatch.setattr(index_mod, "_CANON_CACHE_MAX", cache_max)
         counter = _CountingItem()
         monkeypatch.setattr(index_mod, "Item", counter)
-        book = RuleBook(rules=random_rules(random.Random(9), 30, n_items=20))
+        book = RuleBook(table_of(random_rules(random.Random(9), 30, n_items=20)))
         return RuleIndex.from_rulebook(book), counter
 
     def test_cache_size_stays_bounded(self, monkeypatch):

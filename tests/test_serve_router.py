@@ -24,6 +24,7 @@ from repro.serve import (
     ShardRouter,
 )
 
+from .oracles import table_of
 from .serve_oracle import CountdownOracle
 from .test_serve_rulebook import random_rules
 from .test_serve_service import SlowService
@@ -34,7 +35,7 @@ def run(coro):
 
 
 def make_book(seed=0, n_rules=60, n_items=25) -> RuleBook:
-    return RuleBook(rules=random_rules(random.Random(seed), n_rules, n_items))
+    return RuleBook(table_of(random_rules(random.Random(seed), n_rules, n_items)))
 
 
 def make_transactions(seed, n, n_items=25, max_len=8) -> list[list[str]]:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from repro.core import MiningConfig
 from repro.core.items import Item, ItemVocabulary
 from repro.core.rules import AssociationRule
-from repro.core.ruletable import RuleTable
 from repro.serve import SCHEMA_VERSION, RuleBook, RuleBookSchemaError
 from repro.traces import SuperCloudConfig, generate_supercloud, supercloud_preprocessor
 from repro.analysis import InterpretableAnalysis
+
+from .oracles import table_of
 
 
 def random_rules(rng: random.Random, n_rules: int, n_items: int = 40):
@@ -56,7 +57,7 @@ class TestRoundTrip:
         # property-style: many random rules, every field compared exactly
         rng = random.Random(7)
         book = RuleBook(
-            rules=random_rules(rng, 200),
+            table_of(random_rules(rng, 200)),
             trace="pai",
             keywords={"failure": "Failed", "underutil": "SM Util = 0%"},
             config=MiningConfig(min_support=0.03, max_len=4),
@@ -89,7 +90,7 @@ class TestRoundTrip:
 
     def test_save_load_save_is_byte_stable(self, tmp_path):
         rng = random.Random(11)
-        book = RuleBook(rules=random_rules(rng, 50))
+        book = RuleBook(table_of(random_rules(rng, 50)))
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         book.save(first)
         RuleBook.load(first).save(second)
@@ -101,7 +102,7 @@ class TestRoundTrip:
         rules = random_rules(rng, 30)
         assert any(math.isinf(r.conviction) for r in rules)
         path = tmp_path / "book.jsonl"
-        RuleBook(rules=rules).save(path)
+        RuleBook(table_of(rules)).save(path)
         for line in path.read_text().splitlines():
             json.loads(line)  # json.loads accepts Infinity; check the text
             assert "Infinity" not in line
@@ -113,15 +114,58 @@ class TestRoundTrip:
         shuffled = list(rules)
         random.Random(6).shuffle(shuffled)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        RuleBook(rules=rules).save(a)
-        RuleBook(rules=shuffled).save(b)
+        RuleBook(table_of(rules)).save(a)
+        RuleBook(table_of(shuffled)).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestObjectTables:
+    """Hand-built rule objects reach a book through ``tests.oracles.table_of``,
+    which keys every item by itself: ids whose order differs from the items'
+    must not pair an item with another item's id."""
+
+    @staticmethod
+    def _sides(rules):
+        return sorted(
+            (sorted(r.antecedent), sorted(r.consequent), r.support, r.lift)
+            for r in rules
+        )
+
+    def _round_trip(self, rules, tmp_path):
+        path = tmp_path / "book.jsonl"
+        RuleBook(table_of(rules)).save(path)
+        return RuleBook.load(path)
+
+    def test_random_rules_keep_their_items(self, tmp_path):
+        # random_rules' ids follow Item(f"F{k % 7}", f"v{k}"), not item order
+        rules = random_rules(random.Random(0), 50)
+        loaded = self._round_trip(rules, tmp_path)
+        assert self._sides(loaded.rules) == self._sides(rules)
+
+    def test_ids_against_item_order(self, tmp_path):
+        # {a, b} => {k} and {a} => {k} over the vocabulary [b, a, k]
+        a, b, k = Item.flag("a"), Item.flag("b"), Item.flag("k")
+        vocabulary = ItemVocabulary([b, a, k])
+
+        def rule(ant, cons, lift):
+            return AssociationRule(
+                frozenset(ant), frozenset(cons),
+                vocabulary.encode(ant), vocabulary.encode(cons),
+                0.25, 0.5, lift, 0.0, 1.0,
+            )
+
+        rules = [rule([a, b], [k], 3.0), rule([a], [k], 2.0)]
+        assert table_of(rules, vocabulary).to_rules() == rules
+        loaded = self._round_trip(rules, tmp_path)
+        assert [(r.antecedent, r.consequent) for r in loaded.rules] == [
+            (frozenset({a, b}), frozenset({k})), (frozenset({a}), frozenset({k})),
+        ]
 
 
 class TestSchemaGuards:
     def test_refuses_other_schema_version(self, tmp_path):
         path = tmp_path / "book.jsonl"
-        RuleBook(rules=random_rules(random.Random(0), 3)).save(path)
+        RuleBook(table_of(random_rules(random.Random(0), 3))).save(path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         header["schema_version"] = SCHEMA_VERSION + 1
@@ -149,7 +193,7 @@ class TestSchemaGuards:
 
     def test_refuses_truncated_body(self, tmp_path):
         path = tmp_path / "book.jsonl"
-        RuleBook(rules=random_rules(random.Random(1), 5)).save(path)
+        RuleBook(table_of(random_rules(random.Random(1), 5))).save(path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop last rule
         with pytest.raises(RuleBookSchemaError, match="truncated"):
@@ -157,7 +201,7 @@ class TestSchemaGuards:
 
     def test_refuses_out_of_table_item_id(self, tmp_path):
         path = tmp_path / "book.jsonl"
-        RuleBook(rules=random_rules(random.Random(2), 2)).save(path)
+        RuleBook(table_of(random_rules(random.Random(2), 2))).save(path)
         lines = path.read_text().splitlines()
         rule = json.loads(lines[1])
         rule["antecedent_ids"] = [10_000]
@@ -175,7 +219,7 @@ class TestDamagedRecords:
 
     def _write_with(self, tmp_path, field, value):
         path = tmp_path / "book.jsonl"
-        RuleBook(rules=random_rules(random.Random(2), 3)).save(path)
+        RuleBook(table_of(random_rules(random.Random(2), 3))).save(path)
         lines = path.read_text().splitlines()
         rule = json.loads(lines[2])
         rule[field] = value
@@ -232,7 +276,7 @@ class TestOnePassDecode:
 
     def _lines(self, tmp_path, n_rules=4):
         path = tmp_path / "book.jsonl"
-        RuleBook(rules=random_rules(random.Random(5), n_rules)).save(path)
+        RuleBook(table_of(random_rules(random.Random(5), n_rules))).save(path)
         return path, path.read_text().splitlines()
 
     def test_record_split_across_lines_is_refused(self, tmp_path):
@@ -322,7 +366,7 @@ class TestCanonicalCheck:
            order=st.sampled_from(["sorted", "shuffled", "one swap"]))
     def test_check_agrees_with_the_sort(self, seed, n_rules, order):
         rng = random.Random(seed)
-        table = RuleTable.from_rules(tied_rules(rng, n_rules))
+        table = table_of(tied_rules(rng, n_rules))
         rows = list(range(len(table)))
         if order == "shuffled":
             rng.shuffle(rows)
@@ -338,7 +382,7 @@ class TestCanonicalCheck:
         assert table.in_canonical_order() == identity
 
     def test_nan_metric_is_left_to_the_sort(self):
-        table = RuleTable.from_rules(tied_rules(random.Random(2), 5)).sort_canonical()
+        table = table_of(tied_rules(random.Random(2), 5)).sort_canonical()
         assert table.in_canonical_order()
         table.lift[3] = math.nan
         assert not table.in_canonical_order()
@@ -346,7 +390,7 @@ class TestCanonicalCheck:
     @pytest.mark.parametrize("seed", range(5))
     def test_shuffled_book_loads_into_the_pristine_table(self, tmp_path, seed):
         pristine_path = tmp_path / "pristine.jsonl"
-        RuleBook(rules=tied_rules(random.Random(seed), 60)).save(pristine_path)
+        RuleBook(table_of(tied_rules(random.Random(seed), 60))).save(pristine_path)
         header, *lines = pristine_path.read_text().splitlines()
         random.Random(seed).shuffle(lines)
         shuffled_path = tmp_path / "shuffled.jsonl"

@@ -19,12 +19,13 @@ from repro.serve import (
     replay_traffic,
 )
 
+from .oracles import table_of
 from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over, serve_batch
 from .test_serve_rulebook import random_rules
 
 
 def make_index(seed=0, n_rules=50, n_items=20) -> RuleIndex:
-    book = RuleBook(rules=random_rules(random.Random(seed), n_rules, n_items))
+    book = RuleBook(table_of(random_rules(random.Random(seed), n_rules, n_items)))
     return RuleIndex.from_rulebook(book)
 
 
@@ -658,8 +659,8 @@ class VersionRecordingService(SlowService):
 
 class TestHotSwap:
     def test_wire_reload_swaps_index(self, tmp_path):
-        old_book = RuleBook(rules=random_rules(random.Random(0), 30, 20))
-        new_book = RuleBook(rules=random_rules(random.Random(9), 45, 20))
+        old_book = RuleBook(table_of(random_rules(random.Random(0), 30, 20)))
+        new_book = RuleBook(table_of(random_rules(random.Random(9), 45, 20)))
         new_path = tmp_path / "new.rulebook.jsonl"
         new_book.save(new_path)
 
@@ -733,7 +734,7 @@ class TestHotSwap:
         run(scenario())
 
     def test_wire_reload_rejects_bad_paths_and_versions(self, tmp_path):
-        book = RuleBook(rules=random_rules(random.Random(0), 20, 20))
+        book = RuleBook(table_of(random_rules(random.Random(0), 20, 20)))
         garbage = tmp_path / "garbage.jsonl"
         garbage.write_text("this is not a rulebook\n")
 
@@ -856,9 +857,9 @@ def _identity_books() -> dict[str, RuleIndex]:
     plain = [Item(f"F{k % 5}", f"v{k}") for k in range(24)]
     plain += [Item.flag("Failed"), Item.flag("Multi-GPU")]
     return {
-        "plain": RuleIndex(rules_over(plain, seed=1, n_rules=150)),
-        "exotic": RuleIndex(rules_over(EXOTIC_ITEMS, seed=2, n_rules=40)),
-        "empty": RuleIndex([]),
+        "plain": RuleIndex(table_of(rules_over(plain, seed=1, n_rules=150))),
+        "exotic": RuleIndex(table_of(rules_over(EXOTIC_ITEMS, seed=2, n_rules=40))),
+        "empty": RuleIndex(table_of([])),
     }
 
 

@@ -30,6 +30,7 @@ from repro.shm import (
 )
 from repro.shm.segment import _SHM_DIR, segment_name
 
+from .oracles import table_of
 from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over, serve_batch
 from .test_serve_rulebook import random_rules
 
@@ -43,7 +44,7 @@ def run(coro):
 
 
 def make_index(seed=0, n_rules=40, n_items=20) -> RuleIndex:
-    book = RuleBook(rules=random_rules(random.Random(seed), n_rules, n_items))
+    book = RuleBook(table_of(random_rules(random.Random(seed), n_rules, n_items)))
     return RuleIndex.from_rulebook(book)
 
 
@@ -203,7 +204,7 @@ class TestRulePlane:
 
     def test_multibyte_wire_fragments_never_tear(self):
         # multi-byte item spellings through the byte-offset fragment blob
-        local = RuleIndex(rules_over(EXOTIC_ITEMS, seed=2, n_rules=25))
+        local = RuleIndex(table_of(rules_over(EXOTIC_ITEMS, seed=2, n_rules=25)))
         lease = publish_rule_plane(local, generation=2)
         att, _ = attach_rule_plane(lease.name)
         try:
@@ -235,7 +236,7 @@ class TestRulePlane:
     def test_attached_lines_equal_compiled_lines(self):
         # the same batch, served by an attached and by a locally compiled
         # index, must give the same bytes — plain, explain, non-ASCII
-        local = RuleIndex(rules_over(EXOTIC_ITEMS, seed=4, n_rules=40))
+        local = RuleIndex(table_of(rules_over(EXOTIC_ITEMS, seed=4, n_rules=40)))
         lease = publish_rule_plane(local, generation=3)
         att, _ = attach_rule_plane(lease.name)
         try:
@@ -300,7 +301,7 @@ class TestServiceSegmentReload:
 
     def test_stale_segment_falls_back_to_path(self, tmp_path):
         old_index = make_index(seed=0)
-        new_book = RuleBook(rules=random_rules(random.Random(4), 33, 20))
+        new_book = RuleBook(table_of(random_rules(random.Random(4), 33, 20)))
         path = tmp_path / "new.rulebook.jsonl"
         new_book.save(path)
 
@@ -346,8 +347,8 @@ class TestClusterPlaneLifecycle:
     def test_cluster_publishes_swaps_and_unlinks(self, tmp_path):
         from repro.serve.shard import ShardCluster
 
-        book1 = RuleBook(rules=random_rules(random.Random(0), 30, 20))
-        book2 = RuleBook(rules=random_rules(random.Random(5), 44, 20))
+        book1 = RuleBook(table_of(random_rules(random.Random(0), 30, 20)))
+        book2 = RuleBook(table_of(random_rules(random.Random(5), 44, 20)))
         p1, p2 = tmp_path / "b1.jsonl", tmp_path / "b2.jsonl"
         book1.save(p1)
         book2.save(p2)
@@ -389,7 +390,7 @@ class TestClusterPlaneLifecycle:
         # the parent's probe fails: no plane, every shard compiles, and
         # the cluster says so once
         monkeypatch.setattr(shard, "shm_available", lambda: False)
-        book = RuleBook(rules=random_rules(random.Random(1), 25, 20))
+        book = RuleBook(table_of(random_rules(random.Random(1), 25, 20)))
         path = tmp_path / "book.jsonl"
         book.save(path)
 
@@ -418,7 +419,7 @@ class TestClusterPlaneLifecycle:
     def test_sigtermed_worker_leaves_no_segments(self, tmp_path):
         from repro.serve.shard import ShardCluster
 
-        book = RuleBook(rules=random_rules(random.Random(2), 25, 20))
+        book = RuleBook(table_of(random_rules(random.Random(2), 25, 20)))
         path = tmp_path / "book.jsonl"
         book.save(path)
 
@@ -455,7 +456,7 @@ class TestPlatformFallback:
     ):
         from repro.serve import shard
 
-        book = RuleBook(rules=random_rules(random.Random(3), 25, 20))
+        book = RuleBook(table_of(random_rules(random.Random(3), 25, 20)))
         path = tmp_path / "book.jsonl"
         book.save(path)
         lease = publish_rule_plane(RuleIndex.from_rulebook(book), generation=1)

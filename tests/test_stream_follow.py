@@ -195,7 +195,7 @@ class TestRefresherGate:
         assert loaded.stream == refresher.book.stream
         assert "stream=" in loaded.provenance()
         # batch-mined books stay clean: no stream key at all
-        batch = RuleBook(rules=tuple(refresher.book.rules)[:3])
+        batch = RuleBook(refresher.book.table.select(range(3)))
         batch_path = tmp_path / "batch.jsonl"
         batch.save(batch_path)
         header = json.loads(batch_path.read_text().splitlines()[0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MiningConfig, generate_rules, mine_frequent_itemsets
+from repro.core import MiningConfig, generate_rule_table, mine_frequent_itemsets
 from repro.viz import (
     bar_chart,
     box_chart,
@@ -90,7 +90,7 @@ class TestBoxStats:
 
 def _toy_rules(db):
     cfg = MiningConfig(min_support=0.2, min_lift=0.0)
-    return generate_rules(
+    return generate_rule_table(
         mine_frequent_itemsets(db, cfg),
         min_lift=cfg.min_lift, min_confidence=cfg.min_confidence,
     )
@@ -105,7 +105,7 @@ class TestScatter:
 
     def test_pruning_scatter_panels(self, toy_db):
         rules = _toy_rules(toy_db)
-        panels = pruning_scatter(rules, rules[:2])
+        panels = pruning_scatter(rules, rules.select(range(2)))
         assert len(panels["before"]) == len(rules)
         assert len(panels["after"]) == 2
 
