@@ -40,9 +40,9 @@ SC_SUBMISSION_FEATURES = {
 def _evaluate(db, target, allowed, config, min_confidence):
     train, test = split_database(db, 0.7, seed=11)
     itemsets = mine_frequent_itemsets(train, config)
-    rules = generate_rule_table(itemsets, min_lift=config.min_lift)
-    clf = RuleClassifier.from_rules(
-        rules, target, allowed_features=allowed, min_confidence=min_confidence
+    table = generate_rule_table(itemsets, min_lift=config.min_lift)
+    clf = RuleClassifier.from_table(
+        table, target, allowed_features=allowed, min_confidence=min_confidence
     )
     report = evaluate_predictions(clf.predict(test), clf.labels(test))
     return clf, report

@@ -35,9 +35,9 @@ def run(trace_name: str, n_jobs: int, allowed, min_confidence: float) -> None:
     train, test = split_database(db, 0.7, seed=7)
 
     config = MiningConfig()
-    rules = generate_rule_table(mine_frequent_itemsets(train, config), min_lift=1.5)
-    clf = RuleClassifier.from_rules(
-        rules, "Failed", allowed_features=allowed, min_confidence=min_confidence
+    table = generate_rule_table(mine_frequent_itemsets(train, config), min_lift=1.5)
+    clf = RuleClassifier.from_table(
+        table, "Failed", allowed_features=allowed, min_confidence=min_confidence
     )
     report = evaluate_predictions(clf.predict(test), clf.labels(test))
 

@@ -428,25 +428,18 @@ def _serve_follow(args: argparse.Namespace, book) -> str:
         service = RuleService.from_rulebook(
             book, max_queue=args.max_queue, max_batch=args.max_batch
         )
-        ready = asyncio.Event()
-
-        def on_ready(svc: RuleService) -> None:
-            print(
-                f"SERVICE_READY host={args.host} port={svc.port}\n"
-                f"FOLLOW_READY stream={args.follow}",
-                flush=True,
-            )
-            ready.set()
-
-        serve_task = asyncio.create_task(
-            service.serve_forever(args.host, args.port, on_ready=on_ready)
+        # start, not serve_forever: this function owns SIGTERM/SIGINT,
+        # and serve_forever's own handlers would replace its stop.set
+        await service.start(args.host, args.port)
+        print(
+            f"SERVICE_READY host={args.host} port={service.port}\n"
+            f"FOLLOW_READY stream={args.follow}",
+            flush=True,
         )
-        await ready.wait()
         try:
             return await make_follower(service.port).run(stop)
         finally:
             await service.shutdown()
-            await serve_task
 
     print(
         f"serving {book.provenance()}\n"

@@ -52,9 +52,13 @@ def _validate(min_support: float, max_len: int | None) -> None:
         raise ValueError("max_len must be >= 1 or None")
 
 
-#: rows × ranks per block of the pair-count product: bounds its float64
+#: rows × ranks per block of the pair-count product: bounds its float
 #: temporaries to a few tens of MB however many rows or ranks a node has
 _PAIR_BLOCK = 1 << 22
+
+#: the largest total weight float32 pair counts hold exactly: every
+#: integer up to it is a float32
+_FLOAT32_EXACT = 1 << 24
 
 _U64 = np.dtype("<u8")
 
@@ -138,15 +142,18 @@ def _pair_counts(masks: np.ndarray, weights: np.ndarray, n_ranks: int) -> np.nda
     """``C[r, s]``: total weight of the rows holding both rank *r* and *s*,
     over ranks below *n_ranks*.
 
-    The diagonal is each rank's own count.  The float64 sums are of
-    integer weights below ``2**53``, hence exact integers.
+    The diagonal is each rank's own count.  Every partial sum of the
+    product is an integer no larger than the weights' total, so it is
+    exact, in whatever order BLAS adds, in float32 while that total is at
+    most ``2**24`` (twice as many lanes per vector) and in float64 above.
     """
-    out = np.zeros((n_ranks, n_ranks))
+    dtype = np.float32 if int(weights.sum()) <= _FLOAT32_EXACT else np.float64
+    out = np.zeros((n_ranks, n_ranks), dtype=dtype)
     step = max(1, _PAIR_BLOCK // n_ranks)
     for lo in range(0, len(masks), step):
-        bits = _unpack(masks[lo : lo + step], n_ranks).astype(np.float64)
-        out += (bits * weights[lo : lo + step, None]).T @ bits
-    return out
+        bits = _unpack(masks[lo : lo + step], n_ranks).astype(dtype)
+        out += (bits * weights[lo : lo + step, None].astype(dtype)).T @ bits
+    return out.astype(np.float64)
 
 
 #: per level: the node, ranks ``r > s`` and count of each frequent pair

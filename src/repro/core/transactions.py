@@ -52,6 +52,14 @@ def min_support_count(n: int, min_support: float) -> int:
     return count
 
 
+def _narrowest_unsigned(largest: int) -> np.dtype:
+    """The smallest little-endian unsigned dtype that holds *largest*."""
+    for dtype in ("<u1", "<u2", "<u4"):
+        if largest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype("<u8")
+
+
 class TransactionDatabase:
     """An immutable set of transactions over an interned item vocabulary."""
 
@@ -283,9 +291,17 @@ class TransactionDatabase:
         hash never changes.
         """
         if self._fingerprint_cache is None:
+            # the CSR content at its narrowest width: row lengths and item
+            # ids each in the smallest unsigned dtype that holds them,
+            # after a prefix naming the shape and both dtypes
+            lengths = np.diff(self.indptr)
+            length_dtype = _narrowest_unsigned(int(lengths.max(initial=0)))
+            id_dtype = _narrowest_unsigned(max(self.n_items - 1, 0))
             digest = hashlib.blake2b(digest_size=16)
-            digest.update(np.ascontiguousarray(self.indptr).tobytes())
-            digest.update(np.ascontiguousarray(self.indices).tobytes())
+            digest.update(np.array([len(self), self.n_items], dtype="<u8").tobytes())
+            digest.update(f"{length_dtype.str},{id_dtype.str}".encode())
+            digest.update(lengths.astype(length_dtype).tobytes())
+            digest.update(self.indices.astype(id_dtype).tobytes())
             for item in self.vocabulary:
                 digest.update(str(item).encode())
                 digest.update(b"\x00")

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..core.items import Item, as_item
-from ..core.rules import AssociationRule
+from ..core.ruletable import RuleTable
 from ..core.transactions import TransactionDatabase
 
 __all__ = ["RuleClassifier", "ClassifierRule"]
@@ -66,40 +66,49 @@ class RuleClassifier:
 
     # -- construction ----------------------------------------------------------
     @classmethod
-    def from_rules(
+    def from_table(
         cls,
-        rules: Iterable[AssociationRule],
+        table: RuleTable,
         target: Item | str,
         allowed_features: Iterable[str] | None = None,
         min_confidence: float = 0.0,
         max_rules: int | None = None,
     ) -> "RuleClassifier":
-        """Build from mined rules.
+        """Build from a mined rule table.
 
         Keeps rules whose consequent is exactly ``{target}``.  With
         *allowed_features*, antecedents using any other feature are
         dropped — pass the submission-time feature names to get the
-        paper's "predict at the job submission stage" setting.
+        paper's "predict at the job submission stage" setting.  The
+        filters run on the table's columns; only the surviving rows
+        become decision rules, in table order before the stable
+        strongest-first sort.
         """
         target_item = as_item(target)
-        allowed = set(allowed_features) if allowed_features is not None else None
-        kept: list[ClassifierRule] = []
-        for rule in rules:
-            if rule.consequent != frozenset({target_item}):
-                continue
-            if rule.confidence < min_confidence:
-                continue
-            if allowed is not None and not all(
-                i.feature in allowed for i in rule.antecedent
-            ):
-                continue
+        vocab = table.vocabulary
+        target_id = vocab.get_id(target_item)
+        keep = table.confidence >= min_confidence
+        if target_id is None:
+            keep[:] = False
+        else:
+            keep &= (table.cons_sizes() == 1) & table.contains_id(target_id)[1]
+        if allowed_features is not None:
+            allowed = set(allowed_features)
+            barred = np.fromiter(
+                (item.feature not in allowed for item in vocab), dtype=bool, count=len(vocab)
+            )
+            rows = np.repeat(np.arange(len(table)), table.ant_sizes())
+            keep &= np.bincount(rows, barred[table.ant_ids], minlength=len(table)) == 0
+        kept = []
+        for i in np.flatnonzero(keep).tolist():
+            ids = frozenset(table.ant_row(i).tolist())
             kept.append(
                 ClassifierRule(
-                    antecedent_ids=rule.antecedent_ids,
-                    antecedent=rule.antecedent,
-                    confidence=rule.confidence,
-                    lift=rule.lift,
-                    support=rule.support,
+                    antecedent_ids=ids,
+                    antecedent=vocab.items_of(ids),
+                    confidence=float(table.confidence[i]),
+                    lift=float(table.lift[i]),
+                    support=float(table.support[i]),
                 )
             )
         kept.sort(key=lambda r: (-r.confidence, -r.lift, -r.support))

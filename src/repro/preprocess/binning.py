@@ -67,20 +67,19 @@ def equal_frequency_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(edges)
 
 
-def _linear_quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """``np.quantile(values, qs)`` (its default linear method), bit for bit.
+def _sorted_quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, qs)`` (its default linear method) read from
+    *ordered*, the non-empty, NaN-free values sorted ascending.
 
-    *values* must be a non-empty, NaN-free float64 array the caller owns:
-    it is partitioned in place, once, around the floor and floor + 1 of
-    each virtual index ``(n - 1) * q``, and those two order statistics are
-    blended by numpy's rule — ``a + (b - a) * t``, or ``b - (b - a) *
-    (1 - t)`` when ``t >= 0.5``.  Unlike ``np.quantile`` this neither
-    copies *values* nor calls a bare ``np.unique``, which imports
-    ``numpy.ma``.
+    The floor and floor + 1 of each virtual index ``(n - 1) * q`` are
+    direct order statistics, blended by numpy's rule — ``a + (b - a) *
+    t``, or ``b - (b - a) * (1 - t)`` when ``t >= 0.5`` — so every edge
+    equals ``np.quantile``'s as a float.  A sort may order tied ``0.0``
+    and ``-0.0`` unlike numpy's partition; edges are read only through
+    ``>=`` and :meth:`Discretizer.bin_ranges`, so zero edges come out as
+    ``+0.0``.
     """
-    if qs.size == 0:
-        return np.empty(0, dtype=np.float64)
-    last = values.size - 1
+    last = ordered.size - 1
     virtual = last * qs
     below = np.floor(virtual)
     # an index at or past the last element takes the maximum; numpy marks
@@ -88,16 +87,12 @@ def _linear_quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
     below[virtual >= last] = -1
     above = np.where(below < 0, -1, below + 1).astype(np.intp)
     t = virtual - below
-    below = below.astype(np.intp)
-    # numpy's own pivot set, ends included, so that equal values (0.0 and
-    # -0.0) land where np.quantile would put them
-    values.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
-    a = values[below]
-    b = values[above]
+    a = ordered[below.astype(np.intp)]
+    b = ordered[above]
     diff = b - a
     out = a + diff * t
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    return out
+    return out + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
@@ -137,43 +132,50 @@ class Discretizer:
         return self.edges is not None
 
     def fit(self, values: Sequence[float] | np.ndarray) -> "Discretizer":
-        """Learn special bins and quantile/width edges from *values*."""
-        arr = np.asarray(values, dtype=np.float64)
-        arr = arr[~np.isnan(arr)]
+        """Learn special bins and quantile/width edges from *values*.
+
+        One sort of the values serves every statistic: the Std mode is
+        the first longest run (the value ``np.unique`` + ``argmax``
+        picks), min and max are the two ends, and the quantile edges are
+        order statistics.  Dropping zeros or the Std value by a mask
+        keeps the array sorted.
+        """
+        ordered = np.sort(np.asarray(values, dtype=np.float64))
+        ordered = ordered[: np.count_nonzero(~np.isnan(ordered))]  # NaN sorts last
         spec = self.spec
 
-        remaining = arr
         if spec.zero_label is not None:
-            remaining = remaining[remaining != 0.0]
+            ordered = ordered[ordered != 0.0]
 
         self.std_value = None
-        if spec.std_label is not None and remaining.size:
-            uniq, counts = np.unique(remaining, return_counts=True)
-            mode_idx = int(np.argmax(counts))
-            if counts[mode_idx] / remaining.size >= spec.std_threshold:
-                self.std_value = float(uniq[mode_idx])
-                remaining = remaining[remaining != self.std_value]
+        if spec.std_label is not None and ordered.size:
+            starts = np.flatnonzero(
+                np.concatenate(([True], ordered[1:] != ordered[:-1]))
+            )
+            runs = np.diff(starts, append=ordered.size)
+            longest = int(np.argmax(runs))
+            if runs[longest] / ordered.size >= spec.std_threshold:
+                self.std_value = float(ordered[starts[longest]]) + 0.0
+                ordered = ordered[ordered != self.std_value]
 
-        if remaining.size:
-            self._fit_min = float(remaining.min())
-            self._fit_max = float(remaining.max())
+        if ordered.size:
+            self._fit_min = float(ordered[0]) + 0.0
+            self._fit_max = float(ordered[-1]) + 0.0
         else:
             self._fit_min = self._fit_max = None
 
         if spec.scheme == "equal_frequency":
-            if remaining.size:
+            if ordered.size:
                 qs = np.linspace(0, 1, spec.n_bins + 1)[1:-1]
                 # keep the *full* quantile edge list (no dedupe): when ties
                 # collapse quantiles (e.g. median queue delay = 0), bins keep
                 # their paper semantics — BinK is always the K-th quantile
                 # interval, and collapsed bins are simply never assigned.
-                # `remaining` is this call's own copy, so it is partitioned
-                # in place
-                edges = _linear_quantiles(remaining, qs)
+                edges = _sorted_quantiles(ordered, qs)
             else:
                 edges = np.asarray([], dtype=np.float64)
         else:
-            edges = equal_width_edges(remaining, spec.n_bins)
+            edges = equal_width_edges(ordered, spec.n_bins)
         self.edges = edges
         labels = [f"Bin{k + 1}" for k in range(len(edges) + 1)]
         if spec.zero_label is not None:

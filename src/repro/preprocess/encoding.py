@@ -174,7 +174,6 @@ class TransactionEncoder:
         and the spec's code → id table: every id the rows can hold."""
         column = table[spec.column]
         feature = spec.feature_name
-        ids = np.full(n_rows, _ABSENT, dtype=np.int32)
         if kind in ("categorical", "label"):
             if not isinstance(column, CategoricalColumn):
                 raise TypeError(f"column {spec.column!r} is not categorical")
@@ -185,27 +184,22 @@ class TransactionEncoder:
             code_to_id = np.asarray(
                 [vocab.intern(item) for item in items], dtype=np.int32
             )
-            present = column.codes >= 0
-            if code_to_id.size:
-                ids[present] = code_to_id[column.codes[present]]
+            codes = column.codes
         elif kind == "numeric":
             if not isinstance(column, NumericColumn):
                 raise TypeError(f"column {spec.column!r} is not numeric")
             disc = self.discretizers[spec.column]
             codes = disc.transform_codes(column.values)
             code_labels = disc.code_labels()
-            present = codes >= 0
-            coded = codes[present]
             # intern in sorted-label order over the codes *present* in
             # the data (DESIGN §9); a bincount over the few codes finds
-            # them in one linear pass
-            present_codes = np.flatnonzero(np.bincount(coded))
+            # them in one linear pass, missing (-1) counted apart
+            present_codes = np.flatnonzero(np.bincount(codes + 1)[1:])
             code_to_id = np.full(len(code_labels), _ABSENT, dtype=np.int32)
             for code in sorted(
                 present_codes.tolist(), key=lambda c: code_labels[c]
             ):
                 code_to_id[code] = vocab.intern(Item(feature, code_labels[code]))
-            ids[present] = code_to_id[coded]
         elif kind == "flag":
             if isinstance(column, BooleanColumn):
                 truth = column.values
@@ -215,10 +209,13 @@ class TransactionEncoder:
                 raise TypeError(f"column {spec.column!r} cannot be a flag")
             label = spec.true_label if spec.true_label is not None else feature
             code_to_id = np.asarray([vocab.intern(Item.flag(label))], dtype=np.int32)
+            ids = np.full(n_rows, _ABSENT, dtype=np.int32)
             ids[truth] = code_to_id[0]
+            return ids, code_to_id
         else:  # pragma: no cover
             raise AssertionError(kind)
-        return ids, code_to_id
+        # one gather: code -1 (missing) picks the _ABSENT appended last
+        return np.append(code_to_id, _ABSENT)[codes], code_to_id
 
     @staticmethod
     def _assemble(

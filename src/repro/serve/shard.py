@@ -384,11 +384,15 @@ class ShardCluster:
         if self._plane_lease is not None:
             for worker in self.workers:
                 worker.segment = self._plane_lease.name
-        spawned: list[ShardProcess] = []
         try:
-            for worker in self.workers:
-                await worker.spawn()
-                spawned.append(worker)
+            # workers import and load side by side; one that fails takes
+            # every started sibling down with it (below)
+            outcomes = await asyncio.gather(
+                *(worker.spawn() for worker in self.workers), return_exceptions=True
+            )
+            for outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    raise outcome
             handles = [
                 ShardHandle(
                     w.name, self.host, w.port, pid=w.pid  # type: ignore[arg-type]
@@ -400,13 +404,17 @@ class ShardCluster:
             )
             await self.router.start(self.host, self.requested_port)
         except BaseException:
-            for worker in spawned:
+            started = [w for w in self.workers if w.process is not None]
+            for worker in started:
                 worker.kill()
-            for worker in spawned:
+            for worker in started:
                 try:
                     await worker.wait(5.0)
                 except asyncio.TimeoutError:  # pragma: no cover
                     pass
+            if self._plane_lease is not None:
+                self._plane_lease.unlink()
+                self._plane_lease = None
             raise
 
     @property

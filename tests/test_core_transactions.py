@@ -169,3 +169,41 @@ class TestFingerprint:
         empty = TransactionDatabase.from_itemsets([])
         one = TransactionDatabase.from_itemsets([["a"]])
         assert empty.fingerprint() != one.fingerprint()
+
+
+class TestNarrowFingerprint:
+    """Row lengths and item ids are hashed at their narrowest width: no
+    value at a width edge may wrap into another database's bytes."""
+
+    @staticmethod
+    def _db(n_items, rows):
+        vocab = ItemVocabulary(Item.flag(f"i{k}") for k in range(n_items))
+        return TransactionDatabase.from_itemsets(rows, vocabulary=vocab)
+
+    @pytest.mark.parametrize("n_items", [255, 256, 257])
+    def test_every_id_keys_apart_across_the_id_width(self, n_items):
+        top = n_items - 1
+        ids = sorted({0, 1, top - 1, top, top % 256})
+        prints = [self._db(n_items, [[k], [0]]).fingerprint() for k in ids]
+        assert len(set(prints)) == len(ids)
+
+    def test_id_width_edge_keys_apart(self):
+        prints = {
+            n: self._db(n, [list(range(n)), [n - 1]]).fingerprint()
+            for n in (255, 256, 257)
+        }
+        assert len(set(prints.values())) == 3
+
+    @pytest.mark.parametrize("length", [255, 256])
+    def test_row_length_edge_keys_apart(self, length):
+        # under a length width too narrow, 256 would wrap to 0 and the
+        # two databases would hash the same bytes
+        full = list(range(length))
+        first = self._db(300, [full, []]).fingerprint()
+        second = self._db(300, [[], full]).fingerprint()
+        shorter = self._db(300, [full[:-1], []]).fingerprint()
+        assert len({first, second, shorter}) == 3
+
+    def test_equal_content_equal_key_at_every_width(self):
+        rows = [list(range(256)), [], [3, 299]]
+        assert self._db(300, rows).fingerprint() == self._db(300, rows).fingerprint()

@@ -2,21 +2,22 @@
 
 Each kernel is checked against the plainer statement it replaced:
 edge counting against ``np.searchsorted(side="right")`` plus the
-special-bin overlays, the in-place quantiles against ``np.quantile``,
+special-bin overlays, the sorted-array fit against ``np.quantile`` and
+the ``np.unique`` mode,
 CSR assembly against :meth:`TransactionDatabase.from_itemsets` of the
 row sets, tier labelling against a per-row lookup, and the kept item
 counts against a fresh ``np.bincount``.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Item, ItemVocabulary, TransactionDatabase
 from repro.dataframe import BooleanColumn, CategoricalColumn, ColumnTable
 from repro.preprocess import BinningSpec, Discretizer, FeatureSpec, TransactionEncoder
 from repro.preprocess.aggregation import compute_activity_tiers
-from repro.preprocess.binning import _linear_quantiles
+from repro.preprocess.binning import _sorted_quantiles, equal_width_edges
 from repro.preprocess.encoding import _ranges_increase
 from repro.preprocess.pipeline import _tier_column
 
@@ -66,25 +67,96 @@ def test_edge_counts_equal_searchsorted_with_overlays(fit, spec, extra):
     assert codes.tolist() == searchsorted_codes(disc, arr).tolist()
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    values=st.lists(
-        st.one_of(
-            st.sampled_from([*POOL, -0.0, np.inf, -np.inf]),
-            st.floats(allow_nan=False),
-        ),
-        min_size=1,
-        max_size=80,
+quantile_values = st.lists(
+    st.one_of(
+        st.sampled_from([*POOL, -0.0, np.inf, -np.inf]),
+        st.floats(allow_nan=False),
     ),
-    n_bins=st.integers(1, 7),
+    min_size=1,
+    max_size=80,
 )
-def test_linear_quantiles_equal_np_quantile_bit_for_bit(values, n_bins):
+
+
+def same_floats(got: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal as floats: NaN equals NaN, and 0.0 equals -0.0."""
+    return got.shape == expected.shape and bool(
+        np.all((got == expected) | (np.isnan(got) & np.isnan(expected)))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=quantile_values, n_bins=st.integers(1, 7))
+@example(values=[0.0, -0.0, 1.0, -0.0], n_bins=4)
+def test_sorted_quantiles_equal_np_quantile(values, n_bins):
     arr = np.asarray(values, dtype=float)
     qs = np.linspace(0, 1, n_bins + 1)[1:-1]
     with np.errstate(invalid="ignore", over="ignore"):
         expected = np.quantile(arr, qs)
-        got = _linear_quantiles(arr.copy(), qs)
-    assert got.tobytes() == expected.tobytes()
+        got = _sorted_quantiles(np.sort(arr), qs)
+    assert same_floats(got, expected)
+    assert not np.signbit(got[got == 0.0]).any()  # every zero edge is +0.0
+
+
+def reference_fit(spec: BinningSpec, values: np.ndarray) -> Discretizer:
+    """The fit stated with ``np.unique`` + ``argmax`` for the Std mode and
+    ``np.quantile`` / min / max over what remains."""
+    arr = values[~np.isnan(values)]
+    if spec.zero_label is not None:
+        arr = arr[arr != 0.0]
+    disc = Discretizer(spec)
+    disc.std_value = None
+    if spec.std_label is not None and arr.size:
+        uniq, counts = np.unique(arr, return_counts=True)
+        mode = int(np.argmax(counts))
+        if counts[mode] / arr.size >= spec.std_threshold:
+            disc.std_value = float(uniq[mode])
+            arr = arr[arr != disc.std_value]
+    disc._fit_min = float(arr.min()) if arr.size else None
+    disc._fit_max = float(arr.max()) if arr.size else None
+    if spec.scheme == "equal_width":
+        disc.edges = equal_width_edges(arr, spec.n_bins)
+    elif arr.size:
+        disc.edges = np.quantile(arr, np.linspace(0, 1, spec.n_bins + 1)[1:-1])
+    else:
+        disc.edges = np.asarray([], dtype=np.float64)
+    labels = [f"Bin{k + 1}" for k in range(len(disc.edges) + 1)]
+    if spec.zero_label is not None:
+        labels.append(spec.zero_label)
+    if disc.std_value is not None and spec.std_label is not None:
+        labels.append(spec.std_label)
+    disc._code_labels = labels
+    return disc
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=quantile_values, spec=specs, extra=fit_values)
+def test_sorted_fit_equals_the_unique_and_quantile_fit(values, spec, extra):
+    arr = np.asarray([*values, np.nan], dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        disc = Discretizer(spec).fit(arr)
+        expected = reference_fit(spec, arr)
+    assert same_floats(disc.edges, expected.edges)
+    assert not np.signbit(disc.edges[disc.edges == 0.0]).any()
+    assert disc.std_value == expected.std_value
+    assert (disc._fit_min, disc._fit_max) == (expected._fit_min, expected._fit_max)
+    assert disc.code_labels() == expected.code_labels()
+    probes = np.asarray([*values, *extra, 0.0, -0.0, np.inf, -np.inf, np.nan])
+    assert disc.transform_codes(probes).tolist() == (
+        expected.transform_codes(probes).tolist()
+    )
+
+
+def test_fit_calls_neither_np_unique_nor_np_quantile(monkeypatch):
+    # a bare np.unique (np.quantile calls one) imports numpy.ma
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit must read its statistics from one sort")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np, "quantile", refuse)
+    values = np.asarray([600.0] * 6 + [0.0, 1.0, 2.0, 3.0, np.nan])
+    disc = Discretizer(BinningSpec(zero_label="0", std_label="Std")).fit(values)
+    assert disc.std_value == 600.0
+    assert disc.edges.tolist() == [1.5, 2.0, 2.5]
 
 
 # -- CSR assembly ------------------------------------------------------------------

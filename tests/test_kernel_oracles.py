@@ -29,6 +29,7 @@ import pickle
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,6 +226,27 @@ def test_pair_counts_summed_over_blocks(monkeypatch):
     expected = fpgrowth(db, 0.01, 3)
     monkeypatch.setattr(kernel, "_PAIR_BLOCK", 256)
     assert fpgrowth(db, 0.01, 3) == expected == support_counts(raw, 0.01, 3)
+
+
+@pytest.mark.parametrize("total", [(1 << 24) - 1, 1 << 24, (1 << 24) + 1])
+@pytest.mark.parametrize("block", [None, 2])
+def test_pair_counts_exact_around_the_float32_bound(monkeypatch, total, block):
+    # three rows of ranks {0, 1, 2}, {0, 1} and {1, 2}: rank 1 counts the
+    # whole total, which float32 cannot hold above 2**24
+    kernel = importlib.import_module("repro.core.fpgrowth")
+    if block is not None:
+        monkeypatch.setattr(kernel, "_PAIR_BLOCK", block * 3)
+    rows = [{0, 1, 2}, {0, 1}, {1, 2}]
+    weights = np.array([total - 2, 1, 1], dtype=np.int64)
+    masks = np.array([[sum(1 << r for r in row)] for row in rows], dtype=np.uint64)
+    expected = np.array(
+        [[sum(w for row, w in zip(rows, weights.tolist()) if {r, s} <= row)
+          for s in range(3)] for r in range(3)]
+    )
+    got = kernel._pair_counts(masks, weights, 3)
+    assert got.dtype == np.float64
+    assert got.astype(np.int64).tolist() == expected.tolist()
+    assert got[1, 1] == total
 
 
 def test_level_pair_counts_summed_over_blocks(monkeypatch):

@@ -10,12 +10,15 @@ from repro.core import (
     generate_rule_table,
     mine_frequent_itemsets,
 )
+from repro.core.rules import AssociationRule
 from repro.predict import (
     ClassificationReport,
     RuleClassifier,
     evaluate_predictions,
     split_database,
 )
+
+from .oracles import table_of
 
 
 @pytest.fixture()
@@ -40,7 +43,7 @@ def labelled_db():
     return TransactionDatabase.from_itemsets(txns)
 
 
-def _rules(db):
+def _table(db):
     cfg = MiningConfig(min_support=0.02, min_lift=1.0, max_len=3)
     return generate_rule_table(
         mine_frequent_itemsets(db, cfg),
@@ -49,8 +52,7 @@ def _rules(db):
 
 
 def _classifier(db, **kwargs):
-    rules = _rules(db)
-    return RuleClassifier.from_rules(rules, "target", **kwargs)
+    return RuleClassifier.from_table(_table(db), "target", **kwargs)
 
 
 class TestConstruction:
@@ -77,6 +79,78 @@ class TestConstruction:
     def test_max_rules_cap(self, labelled_db):
         clf = _classifier(labelled_db, max_rules=2)
         assert len(clf) <= 2
+
+
+def object_filter(table, target, allowed=None, min_confidence=0.0):
+    """The decision rules stated over rule objects, in table order:
+    consequent exactly ``{target}``, confidence at least the floor, and
+    every antecedent item's feature allowed."""
+    return [
+        rule
+        for rule in table.to_rules()
+        if rule.consequent == frozenset({Item.flag(target)})
+        and rule.confidence >= min_confidence
+        and (allowed is None or all(i.feature in allowed for i in rule.antecedent))
+    ]
+
+
+#: ids for the hand-built rules (``table_of`` keys items by item, not id)
+IDS = {"a": 0, "b": 1, "target": 2, "GPU = T4": 3}
+
+
+def _rule(ant, cons, confidence, lift=2.0, support=0.1):
+    return AssociationRule(
+        antecedent=frozenset(map(Item.parse, ant)),
+        consequent=frozenset(map(Item.parse, cons)),
+        antecedent_ids=frozenset(map(IDS.get, ant)),
+        consequent_ids=frozenset(map(IDS.get, cons)),
+        support=support, confidence=confidence, lift=lift,
+        leverage=0.0, conviction=1.0,
+    )
+
+
+class TestFromTable:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"min_confidence": 0.5}, {"allowed_features": {"a"}},
+         {"allowed_features": {"a", "noise"}, "min_confidence": 0.3}],
+    )
+    def test_equals_the_rule_object_filter(self, labelled_db, kwargs):
+        table = _table(labelled_db)
+        clf = RuleClassifier.from_table(table, "target", **kwargs)
+        oracle = object_filter(
+            table, "target", kwargs.get("allowed_features"),
+            kwargs.get("min_confidence", 0.0),
+        )
+        oracle.sort(key=lambda r: (-r.confidence, -r.lift, -r.support))
+        assert [(r.antecedent, r.antecedent_ids, r.confidence, r.lift, r.support)
+                for r in clf.rules] == [
+            (r.antecedent, r.antecedent_ids, r.confidence, r.lift, r.support)
+            for r in oracle
+        ]
+
+    def test_hand_built_boundaries(self):
+        table = table_of([
+            _rule(["a"], ["target"], 0.6),                      # kept
+            _rule(["a", "b"], ["target"], 0.5999999),           # below the floor
+            _rule(["a"], ["target", "b"], 0.9),                 # consequent too wide
+            _rule(["target"], ["a"], 0.9),                      # target on the left
+            _rule(["GPU = T4"], ["target"], 0.9),               # barred feature
+            _rule(["b"], ["target"], 0.6, lift=3.0),            # kept, stronger
+        ])
+        clf = RuleClassifier.from_table(
+            table, "target", allowed_features={"a", "b"}, min_confidence=0.6
+        )
+        assert [sorted(i.render() for i in r.antecedent) for r in clf.rules] == [
+            ["b"], ["a"]
+        ]
+        assert all(
+            r.antecedent == table.vocabulary.items_of(r.antecedent_ids)
+            for r in clf.rules
+        )
+
+    def test_target_outside_the_vocabulary_keeps_nothing(self, labelled_db):
+        assert len(RuleClassifier.from_table(_table(labelled_db), "ghost")) == 0
 
 
 class TestPrediction:
@@ -116,8 +190,7 @@ class TestPrediction:
 
     def test_generalises_to_holdout(self, labelled_db):
         train, test = split_database(labelled_db, 0.7, seed=1)
-        rules = _rules(train)
-        clf = RuleClassifier.from_rules(rules, "target", min_confidence=0.5)
+        clf = RuleClassifier.from_table(_table(train), "target", min_confidence=0.5)
         report = evaluate_predictions(clf.predict(test), clf.labels(test))
         assert report.f1 > 0.4
 

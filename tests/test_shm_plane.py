@@ -416,6 +416,31 @@ class TestClusterPlaneLifecycle:
         out = capsys.readouterr().out
         assert out.count("cluster: shared memory unavailable") == 1, out
 
+    def test_one_bad_worker_takes_the_started_fleet_down(self, tmp_path):
+        import os
+        import sys
+
+        from repro.serve.shard import ShardCluster
+
+        book = RuleBook(table_of(random_rules(random.Random(3), 25, 20)))
+        path = tmp_path / "book.jsonl"
+        book.save(path)
+        cluster = ShardCluster(str(path), 3)
+        # workers spawn side by side: the middle one dies at once while
+        # its siblings come up, and start must not return a partial fleet
+        cluster.workers[1]._command = lambda: [
+            sys.executable, "-c", "raise SystemExit(3)"
+        ]
+        with pytest.raises(RuntimeError, match=r"shard1 exited \(rc=3\)"):
+            run(cluster.start())
+        assert cluster.router is None
+        pids = [w.process.pid for w in cluster.workers]
+        assert all(w.process.returncode is not None for w in cluster.workers)
+        for pid in pids:  # reaped, so the pid no longer names a process
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert list_segments(["r"]) == []
+
     def test_sigtermed_worker_leaves_no_segments(self, tmp_path):
         from repro.serve.shard import ShardCluster
 

@@ -386,7 +386,10 @@ def _ask(port: int, request: dict) -> bytes:
 class TestFollowFreshInterpreter:
     """The fleet of the serve-philly-follow benchmark, started cold."""
 
-    def test_cold_fleet_answers_refreshes_and_exits_clean(self, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_cold_fleet_answers_refreshes_and_exits_clean(self, tmp_path, shards):
+        # --shards 1 is one process serving and following: SIGTERM must
+        # end both, as it ends the router, its shards and the follower
         _, refresher = _bootstrap(seed=5, warmup=192)
         initial_path = tmp_path / "initial.jsonl"
         refresher.book.save(initial_path)
@@ -401,7 +404,7 @@ class TestFollowFreshInterpreter:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--rulebook", str(initial_path), "--port", "0", "--shards", "2",
+                "--rulebook", str(initial_path), "--port", "0", "--shards", str(shards),
                 "--follow", str(stream_path), "--follow-window", "192",
                 "--follow-interval", "0.2", "--follow-min-events", "8",
                 "--follow-drift", "0", "--follow-out", str(out_dir),
@@ -415,7 +418,7 @@ class TestFollowFreshInterpreter:
             port = None
             for raw in proc.stdout:
                 line = raw.decode()
-                if line.startswith("CLUSTER_READY"):
+                if line.startswith(("CLUSTER_READY", "SERVICE_READY")):
                     port = int(line.split("port=")[1].split()[0])
                 if line.startswith("FOLLOW_READY"):
                     break
@@ -451,3 +454,38 @@ class TestFollowFreshInterpreter:
         assert not [
             name for name in list_segments() if int(name.split(".")[3]) in tree
         ]
+
+    def test_busy_port_exits_instead_of_waiting_forever(self, tmp_path):
+        # one process: a failed bind must end the command, not leave it
+        # waiting for a readiness that never comes
+        _, refresher = _bootstrap(seed=5, warmup=192)
+        initial_path = tmp_path / "initial.jsonl"
+        refresher.book.save(initial_path)
+        (tmp_path / "events.ndjson").touch()
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")
+        )
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve",
+                    "--rulebook", str(initial_path),
+                    "--port", str(busy.getsockname()[1]),
+                    "--follow", str(tmp_path / "events.ndjson"),
+                    "--follow-out", str(tmp_path / "books"),
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                cwd=tmp_path,
+            )
+            try:
+                _, err = proc.communicate(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert proc.returncode != 0
+        assert b"address already in use" in err
