@@ -40,7 +40,9 @@ Subcommands::
         offline batch matching of a job table through the serving index
 
 All output is plain text (the paper-style tables); exit status is 0 on
-success, 2 on argument errors.
+success, 2 on argument errors and bad input files, and 3 when the system
+refuses what the command needs (a ``--port`` already in use), each error
+reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -633,6 +635,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # e.g. serve's bind on a busy --port
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     print(output)
     return 0
 

@@ -94,17 +94,6 @@ class AssociationRule:
     def item_ids(self) -> frozenset[int]:
         return self.antecedent_ids | self.consequent_ids
 
-    @property
-    def length(self) -> int:
-        """Total number of items across both sides."""
-        return len(self.antecedent_ids) + len(self.consequent_ids)
-
-    def contains(self, item: Item | int) -> bool:
-        """True if *item* (Item or id) appears on either side."""
-        if isinstance(item, int):
-            return item in self.antecedent_ids or item in self.consequent_ids
-        return item in self.antecedent or item in self.consequent
-
     def metrics(self) -> RuleMetrics:
         return RuleMetrics(
             support=self.support,

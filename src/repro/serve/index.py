@@ -43,7 +43,7 @@ import numpy as np
 from ..core.items import Item
 from ..core.ruletable import RuleTable, csr_range_gather
 from .batchmatch import BatchMaskKernel, encode_id_transactions
-from .rulebook import RuleBook
+from .rulebook import RuleBook, json_floats
 
 if TYPE_CHECKING:  # pragma: no cover - presentation objects only
     from ..core.rules import AssociationRule
@@ -107,14 +107,6 @@ _NEAR_HEAD = '{"rule_id": %d, "antecedent": %s, "consequent": %s, "lift": %s, "m
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _json_floats(column: np.ndarray) -> list[str]:
-    """Each float as ``json.dumps`` writes it."""
-    texts = list(map(float.__repr__, column.tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist():
-        texts[i] = _JSON_NON_FINITE[texts[i]]
-    return texts
-
-
 def _ranks(keys: list) -> np.ndarray:
     """``rank[i]``: position of ``keys[i]`` in ``sorted(keys)``."""
     rank = np.empty(len(keys), dtype=np.int64)
@@ -154,9 +146,9 @@ def _encode_fragments(table: RuleTable, renders: list[str]) -> list[bytes]:
         zip(
             range(len(table)),
             *_json_sides(table, renders),
-            _json_floats(table.support),
-            _json_floats(table.confidence),
-            _json_floats(table.lift),
+            json_floats(table.support, _JSON_NON_FINITE),
+            json_floats(table.confidence, _JSON_NON_FINITE),
+            json_floats(table.lift, _JSON_NON_FINITE),
         ),
     )
     frags: list[bytes] = []
@@ -418,7 +410,7 @@ class RuleIndex:
                     zip(
                         range(len(self._table)),
                         *_json_sides(self._table, renders),
-                        _json_floats(self._table.lift),
+                        json_floats(self._table.lift, _JSON_NON_FINITE),
                     ),
                 )
             ]

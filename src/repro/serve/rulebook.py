@@ -85,13 +85,25 @@ _RULE_KEYS = (
 _Columns = tuple[object, object, object, object, list]
 
 
-def _json_floats(column: np.ndarray) -> list[str]:
-    """JSON text of each float (``float.__repr__``, as ``json`` writes
-    it); a non-finite value's repr is quoted into one of ``_NON_FINITE``."""
-    texts = list(map(float.__repr__, column.tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist():
-        texts[i] = f'"{texts[i]}"'
-    return texts
+#: rule lines quote a non-finite float's repr into one of ``_NON_FINITE``
+_QUOTED_NON_FINITE = {text: f'"{text}"' for text in _NON_FINITE}
+
+
+def json_floats(column: np.ndarray, non_finite: dict[str, str]) -> list[str]:
+    """JSON text of each float of *column*: its ``float.__repr__``, as
+    ``json`` writes a finite float, with a non-finite repr (``inf``,
+    ``-inf``, ``nan``) spelled as *non_finite* maps it.
+
+    Each distinct value is rendered once and its text gathered back.
+    Values are told apart by bit pattern, so ``-0.0`` keeps its sign
+    and no two NaNs are merged by a float compare.
+    """
+    column = np.ascontiguousarray(column, dtype=np.float64)
+    _, first, inverse = np.unique(
+        column.view(np.uint64), return_index=True, return_inverse=True
+    )
+    texts = [non_finite.get(t, t) for t in map(float.__repr__, column[first].tolist())]
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def _json_id_lists(indptr: np.ndarray, ids: np.ndarray) -> list[str]:
@@ -272,12 +284,12 @@ class RuleBook:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             fh.writelines(map(_RULE_LINE.__mod__, zip(
                 _json_id_lists(table.ant_indptr, table.ant_ids),
-                _json_floats(table.confidence),
+                json_floats(table.confidence, _QUOTED_NON_FINITE),
                 _json_id_lists(table.cons_indptr, table.cons_ids),
-                _json_floats(table.conviction),
-                _json_floats(table.leverage),
-                _json_floats(table.lift),
-                _json_floats(table.support),
+                json_floats(table.conviction, _QUOTED_NON_FINITE),
+                json_floats(table.leverage, _QUOTED_NON_FINITE),
+                json_floats(table.lift, _QUOTED_NON_FINITE),
+                json_floats(table.support, _QUOTED_NON_FINITE),
             )))
 
     @classmethod

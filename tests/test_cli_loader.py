@@ -1,5 +1,11 @@
 """Tests for the CLI and the trace CSV loader."""
 
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -267,3 +273,33 @@ class TestServeCli:
         )
         assert code == 2
         assert "schema_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--follow", "events.ndjson", "--follow-out", "books"], ["--shards", "2"]],
+        ids=["one-process", "follow", "router"],
+    )
+    def test_busy_port_is_one_error_line_and_exit_3(self, flags, tmp_path):
+        # a bind refused by the system is a defined error like a bad book:
+        # one stderr line, no traceback, and its own exit status
+        book_path = tmp_path / "philly.rulebook.jsonl"
+        assert main(
+            ["mine-rulebook", "--trace", "philly", "--n-jobs", "1500",
+             "--output", str(book_path)]
+        ) == 0
+        (tmp_path / "events.ndjson").touch()
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--rulebook", str(book_path),
+                 "--port", str(busy.getsockname()[1]), *flags],
+                capture_output=True, cwd=tmp_path, env=env, timeout=60,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "address already in use" in err
+        assert "Traceback" not in err

@@ -65,15 +65,9 @@ class TestAssociationRule:
                 conviction=1.0,
             )
 
-    def test_contains_item_and_id(self):
+    def test_items_and_item_ids(self):
         rule = self._rule()
-        assert rule.contains(Item("a", "1"))
-        assert rule.contains(0)
-        assert not rule.contains(5)
-
-    def test_length_and_items(self):
-        rule = self._rule()
-        assert rule.length == 2
+        assert rule.items == frozenset({Item("a", "1"), Item.flag("F")})
         assert rule.item_ids == frozenset({0, 1})
 
     def test_str_contains_metrics(self):
@@ -116,7 +110,7 @@ class TestGenerateRules:
         beer = toy_db.vocabulary.id_of("beer")
         rules = generate_rule_table(itemsets, min_lift=0.0, keyword_ids=(beer,))
         assert len(rules)
-        assert all(r.contains(beer) for r in rules)
+        assert all(beer in r.item_ids for r in rules)
 
     def test_sorted_by_lift_desc(self, toy_db):
         rules = generate_rule_table(_itemsets(toy_db), min_lift=0.0)

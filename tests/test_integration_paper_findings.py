@@ -86,7 +86,7 @@ class TestTable2PaiUnderutilization:
         for rule in pai_rules["underutil"].all_rules:
             assert rule.support >= 0.05 - 1e-9
             assert rule.lift >= 1.5
-            assert rule.length <= 5
+            assert len(rule.item_ids) <= 5
 
 
 class TestTable5PaiFailure:

@@ -109,6 +109,74 @@ def test_fpgrowth_keeps_sibling_nodes_with_equal_rows_apart():
     assert got == support_counts(raw, 0.2, None)
 
 
+
+@st.composite
+def heavy_databases(draw, n_words):
+    """A few distinct transactions repeated up to 400 times each, over
+    enough items that *n_words* mask words hold them all: a tiling of
+    weight-1 rows puts every item in the database."""
+    n_items = 64 * (n_words - 1) + draw(st.integers(2, 64))
+    tiling = [list(range(i, min(i + 5, n_items))) for i in range(0, n_items, 5)]
+    # most items come from a hot few, so rows share prefixes and merge
+    item = st.one_of(st.integers(0, min(9, n_items - 1)), st.integers(0, n_items - 1))
+    rows = draw(st.lists(st.lists(item, min_size=1, max_size=6), min_size=1, max_size=10))
+    weights = draw(st.lists(st.integers(1, 400), min_size=len(rows), max_size=len(rows)))
+    return n_items, tiling + [row for row, w in zip(rows, weights) for _ in range(w)]
+
+
+@pytest.mark.parametrize("n_words", [1, 2, 3])
+@given(
+    data=st.data(),
+    min_support=st.sampled_from([0.0, 0.01, 0.1]),
+    max_len=st.sampled_from([None, 3, 5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fpgrowth_on_duplicate_heavy_weighted_databases(
+    n_words, data, min_support, max_len
+):
+    # at min_support 0 every item is frequent, so masks are n_words wide
+    n_items, raw = data.draw(heavy_databases(n_words))
+    db = TransactionDatabase.from_itemsets(raw, vocabulary=_vocab(n_items))
+    assert fpgrowth(db, min_support, max_len) == support_counts(raw, min_support, max_len)
+
+
+def test_fpgrowth_merges_every_equal_row_on_pai(monkeypatch):
+    # a missed merge still counts right, only slower: pin the level
+    # sizes of PAI 20k (seed 0) and require each node's rows distinct
+    # and strictly increasing, the order the projection merges in
+    from repro.traces import get_trace
+
+    kernel = importlib.import_module("repro.core.fpgrowth")
+    levels, sorted_rows = [], []
+    dense_pairs, dedup = kernel._dense_pairs, kernel._dedup
+
+    def capture(lower, weights, node, tops, min_count):
+        levels.append((lower, node))
+        return dense_pairs(lower, weights, node, tops, min_count)
+
+    def count_sorted(masks, weights, node):
+        sorted_rows.append(len(masks))
+        return dedup(masks, weights, node)
+
+    monkeypatch.setattr(kernel, "_dense_pairs", capture)
+    monkeypatch.setattr(kernel, "_dedup", count_sorted)
+    pai = get_trace("pai")
+    table = pai.generate_scaled(n_jobs=20_000, seed=0, use_scheduler=False, columnar=True)
+    fpgrowth(pai.make_preprocessor().run(table, use_cache=False).database, 0.05, 5)
+    (root, root_node), (depth1, depth1_node) = levels
+    assert (len(root), len(depth1)) == (11_096, 30_721)
+    # the root's 143,361 child entries merge by neighbours to the 45,680
+    # distinct prefixes that keep two ranks before anything is sorted
+    assert sorted_rows[0] == 45_680
+    assert not root_node.any()
+    assert np.unique(depth1_node).size == 49
+    assert (np.diff(depth1_node) >= 0).all()
+    for lower, node in levels:
+        for k in np.unique(node).tolist():
+            rows = [tuple(row) for row in lower[node == k].tolist()]
+            assert all(a < b for a, b in zip(rows, rows[1:])), k
+
+
 # -- Conditions 1–4 ---------------------------------------------------------------
 
 KEYWORD = Item.flag("i0")
@@ -169,7 +237,7 @@ def assert_join_matches_oracle(rules, config, n_items, table=None):
     *table* (the same rules, in order, with split provenance) is checked
     too when given; every table is also checked without provenance.
     """
-    relevant_rows = [i for i, r in enumerate(rules) if r.contains(KEYWORD)]
+    relevant_rows = [i for i, r in enumerate(rules) if KEYWORD in r.items]
     relevant = [rules[i] for i in relevant_rows]
     expected = condition_codes(
         [(r.antecedent_ids, r.consequent_ids, r.support, r.confidence, r.lift)
@@ -238,7 +306,9 @@ def test_pair_counts_exact_around_the_float32_bound(monkeypatch, total, block):
         monkeypatch.setattr(kernel, "_PAIR_BLOCK", block * 3)
     rows = [{0, 1, 2}, {0, 1}, {1, 2}]
     weights = np.array([total - 2, 1, 1], dtype=np.int64)
-    masks = np.array([[sum(1 << r for r in row)] for row in rows], dtype=np.uint64)
+    masks = np.array(
+        [np.bitwise_or.reduce(kernel._rank_bits(np.array(sorted(r)), 1)) for r in rows]
+    )
     expected = np.array(
         [[sum(w for row, w in zip(rows, weights.tolist()) if {r, s} <= row)
           for s in range(3)] for r in range(3)]

@@ -13,6 +13,7 @@ from repro.core import MiningConfig
 from repro.core.items import Item, ItemVocabulary
 from repro.core.rules import AssociationRule
 from repro.serve import SCHEMA_VERSION, RuleBook, RuleBookSchemaError
+from repro.serve.rulebook import json_floats
 from repro.traces import SuperCloudConfig, generate_supercloud, supercloud_preprocessor
 from repro.analysis import InterpretableAnalysis
 
@@ -106,6 +107,23 @@ class TestRoundTrip:
         for line in path.read_text().splitlines():
             json.loads(line)  # json.loads accepts Infinity; check the text
             assert "Infinity" not in line
+
+    def test_float_texts_are_each_values_json_text(self):
+        # texts are rendered once per distinct bit pattern and gathered
+        # back: -0.0 must keep its sign next to 0.0, and every NaN
+        # payload and infinity its own spelling in both dialects
+        other_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)
+        column = np.concatenate((
+            [0.1, -0.0, 0.0, 0.1, math.inf, -math.inf, math.nan, 5e-324, 2.5, -0.0],
+            other_nan, -other_nan, [-2.5, 0.1],
+        ))
+        values = column.tolist()
+        quoted = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+        json_words = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+        assert json_floats(column, json_words) == [json.dumps(v) for v in values]
+        assert json_floats(column, quoted) == [
+            json.dumps(v if math.isfinite(v) else repr(v)) for v in values
+        ]
 
     def test_id_space_is_canonical(self, tmp_path):
         # two books over the same rules mined through differently-ordered
