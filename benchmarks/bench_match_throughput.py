@@ -39,7 +39,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_serve_throughput import N_JOBS, build_jobs, build_rulebook
+from bench_serve_throughput import N_JOBS, N_RULES, build_jobs
+from bench_util import build_rulebook
 
 from repro.core.items import as_item
 from repro.serve import RuleIndex, RuleService
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = random.Random(20240)
-    book = build_rulebook(rng)
+    book = build_rulebook(rng, N_RULES)
     index = RuleIndex.from_rulebook(book)
 
     if args.check_only:
