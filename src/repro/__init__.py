@@ -12,8 +12,8 @@ Quickstart::
 
 Package map (see DESIGN.md for the full inventory):
 
-* :mod:`repro.core` — association-rule mining (FP-Growth / Apriori /
-  Eclat, metrics, keyword pruning Conditions 1–4);
+* :mod:`repro.core` — association-rule mining (FP-Growth, metrics,
+  keyword pruning Conditions 1–4; Apriori and Eclat as baselines);
 * :mod:`repro.preprocess` — Sec. III-E trace preprocessing;
 * :mod:`repro.traces` — synthetic PAI / SuperCloud / Philly traces;
 * :mod:`repro.cluster` — the GPU-cluster simulator substrate;
@@ -36,9 +36,6 @@ import importlib
 _SUBMODULES = {
     ".core.items": ("Item",),
     ".core.transactions": ("TransactionDatabase",),
-    ".core.fpgrowth": ("fpgrowth",),
-    ".core.apriori": ("apriori",),
-    ".core.eclat": ("eclat",),
     ".core.itemsets": ("FrequentItemsets",),
     ".core.rules": ("AssociationRule", "generate_rule_table"),
     ".core.ruletable": ("RuleTable",),

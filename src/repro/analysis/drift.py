@@ -46,10 +46,6 @@ class RuleChange:
     def lift_delta(self) -> float:
         return self.after.lift - self.before.lift
 
-    @property
-    def confidence_delta(self) -> float:
-        return self.after.confidence - self.before.confidence
-
     def __str__(self) -> str:
         return (
             f"{self.after!s}  [lift {self.before.lift:.2f} → {self.after.lift:.2f}]"
@@ -63,10 +59,6 @@ class RuleDrift:
     appeared: list[AssociationRule] = field(default_factory=list)
     disappeared: list[AssociationRule] = field(default_factory=list)
     changed: list[RuleChange] = field(default_factory=list)
-
-    @property
-    def is_stable(self) -> bool:
-        return not self.appeared and not self.disappeared
 
     def strengthened(self, min_delta: float = 0.5) -> list[RuleChange]:
         """Persisting rules whose lift rose by at least *min_delta*."""

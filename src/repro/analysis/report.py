@@ -111,36 +111,3 @@ def format_table_text(table: CaseStudyTable) -> str:
     for r in rendered:
         lines.append("   ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)))
     return "\n".join(lines)
-
-
-def rules_to_csv_rows(rules: list[AssociationRule]) -> list[dict[str, object]]:
-    """Flatten rules for CSV export (used by the benchmark harness)."""
-    return [r.as_row() for r in rules]
-
-
-def format_table_markdown(table: CaseStudyTable) -> str:
-    """Render a CaseStudyTable as a GitHub-flavoured markdown table.
-
-    Lets a case study drop straight into an operations wiki/README — the
-    "directly readable by system operators" framing of the paper, in the
-    medium operators actually read.
-    """
-    lines = [
-        f"### {table.title}",
-        "",
-        "|  | Antecedent | Consequent | Supp. | Conf. | Lift |",
-        "|---|---|---|---|---|---|",
-    ]
-    for row in table.rows:
-        label, ant, cons, supp, conf, lift = row.render()
-        lines.append(f"| {label} | {ant} | {cons} | {supp} | {conf} | {lift} |")
-    return "\n".join(lines)
-
-
-def case_study_markdown(tables: dict[str, "CaseStudyTable"], heading: str) -> str:
-    """Concatenate a case study's rule tables into one markdown document."""
-    parts = [f"## {heading}", ""]
-    for table in tables.values():
-        parts.append(format_table_markdown(table))
-        parts.append("")
-    return "\n".join(parts)

@@ -203,8 +203,6 @@ def _add_mining_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-len", type=int, default=5)
     sub.add_argument("--c-lift", type=float, default=1.5)
     sub.add_argument("--c-supp", type=float, default=1.5)
-    sub.add_argument("--algorithm", default="fpgrowth",
-                     choices=("fpgrowth", "apriori", "eclat"))
 
 
 def _add_profile_flag(sub: argparse.ArgumentParser) -> None:
@@ -219,7 +217,6 @@ def _config_from(args: argparse.Namespace) -> MiningConfig:
         min_support=args.min_support,
         max_len=args.max_len,
         min_lift=args.min_lift,
-        algorithm=args.algorithm,
         c_lift=args.c_lift,
         c_supp=args.c_supp,
     )

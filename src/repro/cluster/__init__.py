@@ -5,7 +5,6 @@ heterogeneous nodes, an FCFS(+backfill) scheduler producing queue delays,
 and a telemetry model producing the nvidia-smi/Ganglia-style metrics.
 """
 
-from .accounting import PoolUtilization, busy_gpu_timeline, utilization_by_type
 from .failures import FailureModel, apply_time_limit, inject_node_failures
 from .job import BehaviorProfile, JobRecord, JobRequest, JobStatus
 from .nodes import ClusterSpec, Node, NodeSpec, build_nodes
@@ -25,9 +24,6 @@ __all__ = [
     "build_nodes",
     "FCFSScheduler",
     "FailureModel",
-    "PoolUtilization",
-    "utilization_by_type",
-    "busy_gpu_timeline",
     "apply_time_limit",
     "inject_node_failures",
     "Placement",

@@ -78,6 +78,3 @@ class UserPopulation:
     def sample(self, n: int, rng: np.random.Generator | None = None) -> list[UserProfile]:
         """Draw *n* users (with replacement) proportionally to weight."""
         return [self.users[i] for i in self.sample_indices(n, rng)]
-
-    def new_users(self) -> list[UserProfile]:
-        return [u for u in self.users if u.is_new]

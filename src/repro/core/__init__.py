@@ -6,8 +6,9 @@ Layers, bottom to top:
   items and the CSR transaction database.
 * :mod:`repro.core.bitmap` — packed uint64 occurrence bitsets, the
   counting kernel every miner shares.
-* :mod:`repro.core.fpgrowth`, :mod:`repro.core.apriori`,
-  :mod:`repro.core.eclat` — interchangeable frequent-itemset miners.
+* :mod:`repro.core.fpgrowth` — the frequent-itemset miner;
+  :mod:`repro.core.apriori` and :mod:`repro.core.eclat` are the
+  Sec. III-C baselines it is compared with, imported from their modules.
 * :mod:`repro.core.itemsets`, :mod:`repro.core.metrics`,
   :mod:`repro.core.rules` — result containers, rule quality metrics and
   rule enumeration.
@@ -19,10 +20,6 @@ Layers, bottom to top:
 
 Nothing is imported until a name is first used (PEP 562), so a serving
 process that needs only items and rule tables never loads a miner.
-``apriori``, ``eclat`` and ``fpgrowth`` are also submodule names: a
-direct ``import repro.core.fpgrowth`` rebinds the package attribute to
-the submodule until :mod:`repro.core.mining` (which every mining path
-loads) binds the functions back.
 """
 
 import importlib
@@ -32,21 +29,14 @@ _SUBMODULES = {
     ".items": ("Item", "ItemVocabulary", "render_itemset"),
     ".transactions": ("TransactionDatabase",),
     ".bitmap": ("PackedBitmaps", "popcount"),
-    ".fpgrowth": ("fpgrowth",),
-    ".apriori": ("apriori", "apriori_naive", "generate_candidates"),
-    ".eclat": ("eclat",),
     ".itemsets": ("FrequentItemsets",),
-    ".metrics": (
-        "RuleMetrics", "compute_metrics", "confidence", "lift", "leverage",
-        "conviction",
-    ),
+    ".metrics": ("RuleMetrics",),
     ".rules": ("AssociationRule", "generate_rule_table"),
     ".ruletable": ("RuleTable",),
     ".config": ("MiningConfig", "PruningConfig"),
     ".pruning": ("PruningReport", "prune_rule_table"),
     ".mining": (
         "KeywordRuleSet", "mine_frequent_itemsets", "mine_keyword_rules",
-        "ALGORITHMS",
     ),
 }
 #: public name → its module

@@ -2,7 +2,7 @@
 
 :class:`MiningConfig` rides in every RuleBook header, so a serving
 process needs it to load a book; :mod:`repro.core.mining` (which pulls
-in every miner and the pruning kernels) re-exports it for the mining
+in the miner and the pruning kernels) re-exports it for the mining
 side.  :class:`PruningConfig` lives here because ``MiningConfig``
 validates through it.
 """
@@ -10,13 +10,8 @@ validates through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal
 
-__all__ = ["ALGORITHM_NAMES", "MiningConfig", "PruningConfig"]
-
-#: the miners ``MiningConfig.algorithm`` may name; ``core.mining.ALGORITHMS``
-#: maps each to its function
-ALGORITHM_NAMES = ("fpgrowth", "apriori", "eclat")
+__all__ = ["MiningConfig", "PruningConfig"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,17 +36,12 @@ class MiningConfig:
     max_len: int | None = 5
     min_lift: float = 1.5
     min_confidence: float = 0.0
-    algorithm: Literal["fpgrowth", "apriori", "eclat"] = "fpgrowth"
     c_lift: float = 1.5
     c_supp: float = 1.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_support <= 1.0:
             raise ValueError("min_support must be in [0, 1]")
-        if self.algorithm not in ALGORITHM_NAMES:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; have {sorted(ALGORITHM_NAMES)}"
-            )
         if self.min_lift < 0:
             raise ValueError(f"min_lift must be >= 0, got {self.min_lift}")
         if not 0.0 <= self.min_confidence <= 1.0:

@@ -10,13 +10,12 @@ first use and kept for every later keyword of the pass.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from itertools import chain
 
 import numpy as np
 
-from .items import Item, ItemVocabulary, render_itemset
+from .items import ItemVocabulary, render_itemset
 from .ruletable import csr_range_gather, side_strings, sort_within_rows
 
 __all__ = ["FrequentItemsets", "ItemsetView"]
@@ -225,20 +224,6 @@ class FrequentItemsets:
                 f"{self.min_support}"
             ) from None
 
-    def support_of(self, itemset: Iterable[int]) -> float:
-        """Relative support supp(X) ∈ [0, 1]."""
-        if self.n_transactions == 0:
-            return 0.0
-        return self.count_of(itemset) / self.n_transactions
-
-    def get_support(self, itemset: Iterable[int]) -> float | None:
-        """Relative support, or None if the itemset is not frequent."""
-        key = frozenset(itemset)
-        count = self.counts.get(key)
-        if count is None or self.n_transactions == 0:
-            return None
-        return count / self.n_transactions
-
     # -- views --------------------------------------------------------------------
     def view(self) -> ItemsetView:
         """The table as columns, built on first call and reused after.
@@ -250,16 +235,6 @@ class FrequentItemsets:
         if self._view is None:
             self._view = ItemsetView(self.counts, self.vocabulary)
         return self._view
-
-    def by_length(self) -> dict[int, int]:
-        """Histogram: itemset length → number of frequent itemsets."""
-        return dict(sorted(Counter(len(s) for s in self.counts).items()))
-
-    def items_sets(self) -> Iterator[tuple[frozenset[Item], float]]:
-        """Iterate (decoded itemset, relative support) pairs."""
-        n = max(self.n_transactions, 1)
-        for ids, count in self.counts.items():
-            yield self.vocabulary.items_of(ids), count / n
 
     def render(self, itemset: Iterable[int]) -> str:
         """Human-readable form of an encoded itemset."""

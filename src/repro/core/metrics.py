@@ -1,11 +1,13 @@
 """Rule quality metrics (Sec. III-B of the paper).
 
-All metrics are derived from three supports: ``supp(X)``, ``supp(Y)`` and
+:func:`repro.core.rules.score_counts` scores rules in vectorised batches;
+this module holds the per-rule bundle :class:`RuleMetrics`.  All metrics
+are derived from three supports: ``supp(X)``, ``supp(Y)`` and
 ``supp(X ∪ Y)``.  Besides the paper's support / confidence / lift triple we
 provide leverage and conviction, two standard complements often consulted
 when triaging rules.
 
-Functions take *relative* supports in ``[0, 1]`` and are defined for edge
+Metrics take *relative* supports in ``[0, 1]`` and are defined for edge
 cases as follows:
 
 * ``confidence`` is 0 when the antecedent never occurs;
@@ -16,47 +18,9 @@ cases as follows:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-__all__ = ["confidence", "lift", "leverage", "conviction", "RuleMetrics", "compute_metrics"]
-
-
-def confidence(supp_xy: float, supp_x: float) -> float:
-    """conf(X ⇒ Y) = supp(X ∪ Y) / supp(X)  (Eq. 3)."""
-    if supp_x <= 0.0:
-        return 0.0
-    return supp_xy / supp_x
-
-
-def lift(supp_xy: float, supp_x: float, supp_y: float) -> float:
-    """lift(X ⇒ Y) = supp(X ∪ Y) / (supp(X) · supp(Y))  (Eq. 4).
-
-    Symmetric in X and Y; equals 1 under independence.
-    """
-    denom = supp_x * supp_y
-    if denom <= 0.0:
-        return 0.0
-    return supp_xy / denom
-
-
-def leverage(supp_xy: float, supp_x: float, supp_y: float) -> float:
-    """leverage(X ⇒ Y) = supp(X ∪ Y) − supp(X)·supp(Y).
-
-    The additive analogue of lift: 0 under independence.
-    """
-    return supp_xy - supp_x * supp_y
-
-
-def conviction(supp_xy: float, supp_x: float, supp_y: float) -> float:
-    """conviction(X ⇒ Y) = (1 − supp(Y)) / (1 − conf(X ⇒ Y)).
-
-    Sensitive to rule direction (unlike lift); ∞ for exact implications.
-    """
-    conf = confidence(supp_xy, supp_x)
-    if conf >= 1.0:
-        return math.inf
-    return (1.0 - supp_y) / (1.0 - conf)
+__all__ = ["RuleMetrics"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,17 +32,3 @@ class RuleMetrics:
     lift: float
     leverage: float
     conviction: float
-
-
-def compute_metrics(supp_xy: float, supp_x: float, supp_y: float) -> RuleMetrics:
-    """Compute every metric of a rule from its three supports."""
-    for name, value in (("supp_xy", supp_xy), ("supp_x", supp_x), ("supp_y", supp_y)):
-        if not 0.0 <= value <= 1.0 + 1e-12:
-            raise ValueError(f"{name} must be a relative support in [0, 1], got {value}")
-    return RuleMetrics(
-        support=supp_xy,
-        confidence=confidence(supp_xy, supp_x),
-        lift=lift(supp_xy, supp_x, supp_y),
-        leverage=leverage(supp_xy, supp_x, supp_y),
-        conviction=conviction(supp_xy, supp_x, supp_y),
-    )

@@ -2,7 +2,7 @@
 
 This module wires the pieces of Sec. III together behind one entry point:
 
-1. frequent-itemset extraction (FP-Growth by default, min-support 5 %,
+1. frequent-itemset extraction (FP-Growth, min-support 5 %,
    max length 5);
 2. rule generation with the minimum-lift filter (1.5);
 3. optional keyword restriction and Conditions 1–4 pruning.
@@ -16,14 +16,9 @@ thresholds").
 
 from __future__ import annotations
 
-import sys
-from typing import Callable
-
 import numpy as np
 
-from .apriori import apriori
 from .config import MiningConfig
-from .eclat import eclat
 from .fpgrowth import fpgrowth
 from .items import Item, as_item
 from .itemsets import FrequentItemsets
@@ -38,19 +33,7 @@ __all__ = [
     "mine_frequent_itemsets",
     "mine_keyword_rules",
     "keyword_rule_set",
-    "ALGORITHMS",
 ]
-
-#: algorithm registry keyed by ``MiningConfig.algorithm`` (engine, benchmarks)
-ALGORITHMS: dict[str, Callable[..., dict[frozenset[int], int]]] = {
-    "fpgrowth": fpgrowth,
-    "apriori": apriori,
-    "eclat": eclat,
-}
-
-# importing ``.apriori`` etc. bound the package attributes of the same
-# names to those submodules; the package exports the functions
-vars(sys.modules[__package__]).update(ALGORITHMS)
 
 
 class KeywordRuleSet:
@@ -156,13 +139,13 @@ class KeywordRuleSet:
 def mine_frequent_itemsets(
     db: TransactionDatabase, config: MiningConfig = MiningConfig()
 ) -> FrequentItemsets:
-    """Frequent itemsets of *db*: one serial pass of the configured miner.
+    """Frequent itemsets of *db*: one serial FP-Growth pass.
 
     Every mining path runs this pass (the engine's ``mine`` stage, the
     streaming remine, the one-call helpers); nothing is kept between
     calls, so mining a database twice costs two passes.
     """
-    counts = ALGORITHMS[config.algorithm](db, config.min_support, config.max_len)
+    counts = fpgrowth(db, config.min_support, config.max_len)
     return FrequentItemsets(
         counts,
         db.vocabulary,

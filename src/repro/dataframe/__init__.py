@@ -1,8 +1,8 @@
 """Minimal columnar table substrate (pandas substitute).
 
 The analysis pipeline needs a small relational core: typed columns, a
-column table, CSV io, group-by aggregation, and equi-joins.  Everything is
-numpy-backed and vectorised; see the submodules for details.
+column table, CSV io and value counts.  Everything is numpy-backed and
+vectorised; see the submodules for details.
 """
 
 from .column import (
@@ -13,7 +13,7 @@ from .column import (
     column_from_values,
 )
 from .io import read_csv, read_csv_text, write_csv, write_csv_text
-from .ops import concat_rows, describe, group_aggregate, inner_join, left_join, value_counts
+from .ops import value_counts
 from .table import ColumnTable
 
 __all__ = [
@@ -27,10 +27,5 @@ __all__ = [
     "read_csv_text",
     "write_csv",
     "write_csv_text",
-    "group_aggregate",
-    "inner_join",
-    "left_join",
     "value_counts",
-    "concat_rows",
-    "describe",
 ]

@@ -1,37 +1,20 @@
 """Relational operations over :class:`ColumnTable`.
 
-The trace-merging step of the paper (Sec. III-E) joins scheduler-level job
-records with node-level measurement aggregates; the categorical
-aggregation step ranks users/groups by submission counts.  These need
-exactly three relational primitives: group-by aggregation, equi-join, and
-value counts — implemented here with numpy sort/unique machinery rather
+:func:`value_counts` ranks a key column's labels by frequency (the trace
+statistics count jobs per user with it) using numpy ``bincount`` rather
 than per-row Python loops.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from .column import BooleanColumn, CategoricalColumn, Column, NumericColumn
+from .column import BooleanColumn, CategoricalColumn, NumericColumn
 from .table import ColumnTable
 
-__all__ = ["group_aggregate", "inner_join", "left_join", "value_counts", "concat_rows", "describe"]
-
-#: aggregation name → reducer over a 1-D float array (NaN-aware)
-_AGGREGATORS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": lambda a: float(np.nanmean(a)) if a.size else float("nan"),
-    "sum": lambda a: float(np.nansum(a)),
-    "min": lambda a: float(np.nanmin(a)) if a.size else float("nan"),
-    "max": lambda a: float(np.nanmax(a)) if a.size else float("nan"),
-    "std": lambda a: float(np.nanstd(a)) if a.size else float("nan"),
-    "var": lambda a: float(np.nanvar(a)) if a.size else float("nan"),
-    "count": lambda a: float(np.count_nonzero(~np.isnan(a))),
-    "first": lambda a: float(a[0]) if a.size else float("nan"),
-    "last": lambda a: float(a[-1]) if a.size else float("nan"),
-}
+__all__ = ["value_counts"]
 
 
 def _key_codes(table: ColumnTable, key: str) -> tuple[np.ndarray, list[Any]]:
@@ -51,59 +34,6 @@ def _key_codes(table: ColumnTable, key: str) -> tuple[np.ndarray, list[Any]]:
     raise TypeError(f"cannot group by column of kind {col.kind!r}")
 
 
-def group_aggregate(
-    table: ColumnTable,
-    key: str,
-    aggregations: Mapping[str, tuple[str, str]],
-) -> ColumnTable:
-    """Group *table* by *key* and aggregate numeric columns.
-
-    Parameters
-    ----------
-    aggregations:
-        output column name → ``(input column name, agg)`` where ``agg`` is
-        one of mean/sum/min/max/std/var/count/first/last.
-
-    Returns a table with the key column plus one column per aggregation,
-    rows ordered by first appearance of each key.  NA keys are dropped,
-    matching SQL ``GROUP BY`` semantics on non-null keys.
-    """
-    codes, labels = _key_codes(table, key)
-    valid = codes >= 0
-    order = np.argsort(codes[valid], kind="stable")
-    sorted_codes = codes[valid][order]
-    row_idx = np.flatnonzero(valid)[order]
-    uniq_codes, starts = np.unique(sorted_codes, return_index=True)
-    bounds = np.append(starts, sorted_codes.size)
-
-    # keep first-appearance order of groups
-    first_pos = np.empty(uniq_codes.size, dtype=np.int64)
-    for g in range(uniq_codes.size):
-        first_pos[g] = row_idx[starts[g]]
-    group_order = np.argsort(first_pos, kind="stable")
-
-    out_key = [labels[uniq_codes[g]] for g in group_order]
-    data: dict[str, list] = {key: out_key}
-    for out_name, (in_name, agg) in aggregations.items():
-        col = table[in_name]
-        if isinstance(col, BooleanColumn):
-            vals = col.values.astype(np.float64)
-        elif isinstance(col, NumericColumn):
-            vals = col.values
-        else:
-            raise TypeError(f"cannot aggregate non-numeric column {in_name!r}")
-        try:
-            reducer = _AGGREGATORS[agg]
-        except KeyError:
-            raise ValueError(f"unknown aggregation {agg!r}; have {sorted(_AGGREGATORS)}") from None
-        results = []
-        for g in group_order:
-            sl = row_idx[starts[g] : bounds[g + 1]]
-            results.append(reducer(vals[sl]))
-        data[out_name] = results
-    return ColumnTable.from_dict(data)
-
-
 def value_counts(table: ColumnTable, key: str) -> list[tuple[Any, int]]:
     """Return (label, count) pairs for *key*, most frequent first.
 
@@ -118,153 +48,3 @@ def value_counts(table: ColumnTable, key: str) -> list[tuple[Any, int]]:
     counts = np.bincount(valid, minlength=len(labels))
     order = np.argsort(-counts, kind="stable")
     return [(labels[i], int(counts[i])) for i in order if counts[i] > 0]
-
-
-def _join_indices(
-    left_codes: np.ndarray, right_codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matching (left_row, right_row) index pairs for an equi-join."""
-    right_map: dict[int, list[int]] = {}
-    for j, c in enumerate(right_codes):
-        if c >= 0:
-            right_map.setdefault(int(c), []).append(j)
-    li: list[int] = []
-    ri: list[int] = []
-    for i, c in enumerate(left_codes):
-        if c < 0:
-            continue
-        for j in right_map.get(int(c), ()):
-            li.append(i)
-            ri.append(j)
-    return np.asarray(li, dtype=np.intp), np.asarray(ri, dtype=np.intp)
-
-
-def _shared_codes(
-    left: ColumnTable, right: ColumnTable, key: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode the key column of both tables against a shared vocabulary."""
-    lcol, rcol = left[key], right[key]
-    if isinstance(lcol, CategoricalColumn) and isinstance(rcol, CategoricalColumn):
-        vocab = {c: i for i, c in enumerate(lcol.categories)}
-        for c in rcol.categories:
-            if c not in vocab:
-                vocab[c] = len(vocab)
-        lmap = np.asarray([vocab[c] for c in lcol.categories], dtype=np.int64)
-        rmap = np.asarray([vocab[c] for c in rcol.categories], dtype=np.int64)
-        lcodes = np.where(lcol.codes >= 0, lmap[np.clip(lcol.codes, 0, None)], -1)
-        rcodes = np.where(rcol.codes >= 0, rmap[np.clip(rcol.codes, 0, None)], -1)
-        return lcodes, rcodes
-    if isinstance(lcol, NumericColumn) and isinstance(rcol, NumericColumn):
-        both = np.concatenate([lcol.values, rcol.values])
-        uniq = np.unique(both[~np.isnan(both)])
-        lcodes = np.where(~np.isnan(lcol.values), np.searchsorted(uniq, lcol.values), -1)
-        rcodes = np.where(~np.isnan(rcol.values), np.searchsorted(uniq, rcol.values), -1)
-        return lcodes.astype(np.int64), rcodes.astype(np.int64)
-    raise TypeError(f"join key {key!r} has incompatible column kinds")
-
-
-def inner_join(left: ColumnTable, right: ColumnTable, key: str) -> ColumnTable:
-    """Equi-join on *key*; right-side duplicate column names get ``_right``."""
-    lcodes, rcodes = _shared_codes(left, right, key)
-    li, ri = _join_indices(lcodes, rcodes)
-    out = ColumnTable()
-    for name, col in left.items():
-        out.add_column(name, col.take(li))
-    for name, col in right.items():
-        if name == key:
-            continue
-        out_name = name if name not in left else f"{name}_right"
-        out.add_column(out_name, col.take(ri))
-    return out
-
-
-def left_join(left: ColumnTable, right: ColumnTable, key: str) -> ColumnTable:
-    """Left equi-join on *key*; unmatched left rows get NA on the right.
-
-    Right-side *key* duplicates must be unique (a 1:N right side would
-    silently duplicate scheduler rows, which the trace merge never wants).
-    """
-    lcodes, rcodes = _shared_codes(left, right, key)
-    pos: dict[int, int] = {}
-    for j, c in enumerate(rcodes):
-        if c < 0:
-            continue
-        if int(c) in pos:
-            raise ValueError(f"left_join requires unique keys on the right table ({key!r})")
-        pos[int(c)] = j
-    match = np.asarray([pos.get(int(c), -1) if c >= 0 else -1 for c in lcodes], dtype=np.intp)
-    matched = match >= 0
-
-    out = left.copy()
-    for name, col in right.items():
-        if name == key:
-            continue
-        out_name = name if name not in left else f"{name}_right"
-        gathered = col.take(np.where(matched, match, 0))
-        if isinstance(gathered, NumericColumn):
-            vals = gathered.values.copy()
-            vals[~matched] = np.nan
-            out.add_column(out_name, NumericColumn(vals))
-        elif isinstance(gathered, CategoricalColumn):
-            codes = gathered.codes.copy()
-            codes[~matched] = -1
-            out.add_column(out_name, CategoricalColumn(codes, gathered.categories))
-        elif isinstance(gathered, BooleanColumn):
-            # promote to numeric so unmatched rows can carry NaN
-            vals = gathered.values.astype(np.float64)
-            vals[~matched] = np.nan
-            out.add_column(out_name, NumericColumn(vals))
-        else:  # pragma: no cover
-            raise TypeError(f"unsupported column kind {gathered.kind!r}")
-    return out
-
-
-def describe(table: ColumnTable) -> ColumnTable:
-    """Per-column summary statistics (the `df.describe()` of this substrate).
-
-    Numeric/boolean columns get count/mean/min/median/max; categorical
-    columns get count, cardinality and the modal value.  Returned as a
-    table with one row per input column.
-    """
-    rows = []
-    for name, col in table.items():
-        row: dict = {"column": name, "kind": col.kind, "n": float(len(col))}
-        if isinstance(col, NumericColumn):
-            vals = col.values
-            finite = vals[~np.isnan(vals)]
-            row["n_missing"] = float(np.isnan(vals).sum())
-            if finite.size:
-                row.update(
-                    mean=float(finite.mean()),
-                    min=float(finite.min()),
-                    median=float(np.median(finite)),
-                    max=float(finite.max()),
-                )
-        elif isinstance(col, BooleanColumn):
-            row["n_missing"] = 0.0
-            row["mean"] = float(col.values.mean()) if len(col) else 0.0
-        elif isinstance(col, CategoricalColumn):
-            counts = col.value_counts()
-            row["n_missing"] = float((col.codes < 0).sum())
-            row["cardinality"] = float(len(counts))
-            if counts:
-                row["mode"] = next(iter(counts))
-        rows.append(row)
-    return ColumnTable.from_records(rows)
-
-
-def concat_rows(tables: Sequence[ColumnTable]) -> ColumnTable:
-    """Stack tables vertically; all must share the same column names."""
-    if not tables:
-        return ColumnTable()
-    names = tables[0].column_names
-    for t in tables[1:]:
-        if t.column_names != names:
-            raise ValueError("concat_rows requires identical column sets and order")
-    data: dict[str, list] = {}
-    for name in names:
-        merged: list = []
-        for t in tables:
-            merged.extend(t[name].to_list())
-        data[name] = merged
-    return ColumnTable.from_dict(data)

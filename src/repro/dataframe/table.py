@@ -3,8 +3,8 @@
 :class:`ColumnTable` is the in-memory representation of a merged job trace
 (Sec. III-E of the paper: "our first effort was to merge all the features
 into a single file").  It deliberately implements only the operations the
-analysis pipeline needs — column selection, row filtering, sorting,
-appending derived columns — with no index machinery.
+analysis pipeline needs — column selection, row filtering, appending
+derived columns — with no index machinery.
 
 Rows are never represented as objects; all operations are vectorised over
 columns, following the numpy optimisation guidance (vectorise loops, use
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Mapping, Sequence
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -117,11 +117,6 @@ class ColumnTable:
             )
         self._columns[name] = column
 
-    def drop_columns(self, names: Iterable[str]) -> "ColumnTable":
-        """Return a new table without the given columns (missing names ok)."""
-        drop = set(names)
-        return ColumnTable({n: c for n, c in self._columns.items() if n not in drop})
-
     def select(self, names: Sequence[str]) -> "ColumnTable":
         """Return a new table with only the given columns, in order."""
         return ColumnTable({n: self[n] for n in names})
@@ -168,17 +163,6 @@ class ColumnTable:
             raise ValueError("mask length mismatch")
         return self.take(np.flatnonzero(keep))
 
-    def filter_equals(self, name: str, value: Any) -> "ColumnTable":
-        """Keep rows where column *name* equals *value*."""
-        return self.filter_mask(self[name].equals_scalar(value))
-
-    def filter_rows(self, predicate: Callable[[dict[str, Any]], bool]) -> "ColumnTable":
-        """Keep rows satisfying a per-row predicate (slow path; tests only)."""
-        keep = np.fromiter(
-            (bool(predicate(r)) for r in self.iter_rows()), dtype=bool, count=len(self)
-        )
-        return self.filter_mask(keep)
-
     def dropna(self, names: Sequence[str] | None = None) -> "ColumnTable":
         """Drop rows with NA in any of *names* (default: all columns).
 
@@ -191,37 +175,9 @@ class ColumnTable:
             keep &= ~self[name].isna()
         return self.filter_mask(keep)
 
-    def sort_by(self, name: str, descending: bool = False) -> "ColumnTable":
-        """Stable sort by one column; NA values sort last."""
-        col = self[name]
-        if isinstance(col, NumericColumn):
-            key = col.values.copy()
-            na = np.isnan(key)
-            if descending:
-                key = -key
-            key[na] = np.inf
-        elif isinstance(col, CategoricalColumn):
-            # order by label text for determinism
-            order = np.argsort(np.asarray(col.categories, dtype=object), kind="stable")
-            rank = np.empty(len(col.categories), dtype=np.int64)
-            rank[order] = np.arange(len(col.categories))
-            key = np.where(col.codes >= 0, rank[np.clip(col.codes, 0, None)], len(col.categories))
-            if descending:
-                key = np.where(col.codes >= 0, -key, key.max(initial=0) + 1)
-        else:
-            key = np.asarray(col.to_list())
-            if descending:
-                key = ~key
-        return self.take(np.argsort(key, kind="stable"))
-
     def head(self, n: int) -> "ColumnTable":
         """First *n* rows."""
         return self.take(np.arange(min(n, len(self))))
-
-    # -- export ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, list]:
-        """Materialise as a dict of lists (None for NA)."""
-        return {name: col.to_list() for name, col in self._columns.items()}
 
     def copy(self) -> "ColumnTable":
         """Shallow copy (columns are shared; they are treated as immutable)."""

@@ -116,23 +116,6 @@ class RuleClassifier:
             kept = kept[:max_rules]
         return cls(target_item, kept)
 
-    # -- prediction --------------------------------------------------------------
-    def predict_transaction(self, item_ids: frozenset[int] | set[int]) -> bool:
-        """True if any decision rule's antecedent is contained in the set."""
-        ids = frozenset(item_ids)
-        return any(rule.antecedent_ids <= ids for rule in self.rules)
-
-    def matching_rule(
-        self, item_ids: frozenset[int] | set[int]
-    ) -> ClassifierRule | None:
-        """The strongest rule that fires, or None — the *explanation* of a
-        positive prediction (the interpretability contract)."""
-        ids = frozenset(item_ids)
-        for rule in self.rules:
-            if rule.antecedent_ids <= ids:
-                return rule
-        return None
-
     def predict(self, db: TransactionDatabase) -> np.ndarray:
         """Vectorised prediction for every transaction of *db*.
 

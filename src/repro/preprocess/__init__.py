@@ -9,9 +9,8 @@ from .aggregation import (
     ActivityTiers,
     apply_semantic_grouping,
     compute_activity_tiers,
-    group_rare_categories,
 )
-from .binning import BinningSpec, Discretizer, equal_frequency_edges, equal_width_edges
+from .binning import BinningSpec, Discretizer, equal_width_edges
 from .encoding import FeatureSpec, TransactionEncoder
 from .pipeline import (
     GroupingSpec,
@@ -26,7 +25,6 @@ from .skew import drop_skewed_items, skewed_item_ids
 __all__ = [
     "BinningSpec",
     "Discretizer",
-    "equal_frequency_edges",
     "equal_width_edges",
     "FeatureSpec",
     "TransactionEncoder",
@@ -34,7 +32,6 @@ __all__ = [
     "ActivityTiers",
     "compute_activity_tiers",
     "apply_semantic_grouping",
-    "group_rare_categories",
     "drop_skewed_items",
     "skewed_item_ids",
     "TierSpec",

@@ -25,7 +25,6 @@ __all__ = [
     "ActivityTiers",
     "compute_activity_tiers",
     "apply_semantic_grouping",
-    "group_rare_categories",
 ]
 
 #: the paper's example model-name → family mapping for the PAI trace
@@ -135,24 +134,3 @@ def apply_semantic_grouping(
         cat: lowered[cat.lower()] for cat in column.categories if cat.lower() in lowered
     }
     return column.map_categories(effective)
-
-
-def group_rare_categories(
-    column: CategoricalColumn, min_share: float, other_label: str = "Other"
-) -> CategoricalColumn:
-    """Collapse categories whose share is below *min_share* into one label.
-
-    Complements :func:`compute_activity_tiers` for features where only a
-    handful of values matter (e.g. GPU type: keep T4, fold P100/V100 into
-    "NoneT4" is done upstream; this generic fold handles the long tail).
-    """
-    if not 0.0 <= min_share <= 1.0:
-        raise ValueError("min_share must be in [0, 1]")
-    n = len(column)
-    if n == 0:
-        return column
-    counts = column.value_counts()
-    mapping = {
-        cat: other_label for cat, cnt in counts.items() if cnt / n < min_share
-    }
-    return column.map_categories(mapping)

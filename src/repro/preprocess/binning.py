@@ -28,7 +28,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-__all__ = ["BinningSpec", "Discretizer", "equal_frequency_edges", "equal_width_edges"]
+__all__ = ["BinningSpec", "Discretizer", "equal_width_edges"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,20 +51,6 @@ class BinningSpec:
             raise ValueError("std_threshold must be in (0, 1]")
         if self.scheme not in ("equal_frequency", "equal_width"):
             raise ValueError(f"unknown binning scheme {self.scheme!r}")
-
-
-def equal_frequency_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Interior quantile edges (deduplicated) for equal-frequency binning.
-
-    Returns at most ``n_bins - 1`` strictly increasing edges; heavy ties
-    can collapse edges, yielding fewer, wider bins — the correct behaviour
-    for near-constant features.
-    """
-    if values.size == 0:
-        return np.asarray([], dtype=np.float64)
-    qs = np.linspace(0, 1, n_bins + 1)[1:-1]
-    edges = np.quantile(values, qs)
-    return np.unique(edges)
 
 
 def _sorted_quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:

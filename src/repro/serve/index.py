@@ -520,11 +520,6 @@ class RuleIndex:
     def rule_label(self, rule_id: int) -> str:
         return self.rule_labels([rule_id])[0]
 
-    def iter_rule_labels(self) -> Iterator[str]:
-        """Every rule's label, in rule-id order."""
-        return iter(self.rule_labels(np.arange(len(self))))
-
-
 def _pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(job_idx, rule_idx) of a ``(n_jobs, n_rules)`` mask's set cells.
 

@@ -17,7 +17,7 @@ presentation.
 
 The on-disk format is JSON-lines with a mandatory header record::
 
-    {"record": "header", "schema_version": 1, "items": [...], ...}
+    {"record": "header", "schema_version": 2, "items": [...], ...}
     {"record": "rule", "antecedent_ids": [...], "support": ..., ...}
     ...
 
@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SCHEMA_VERSION", "RuleBookSchemaError", "RuleBook"]
 
 #: current on-disk schema; bump on any incompatible format change
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: float fields of a rule record, in serialisation order
 _METRIC_FIELDS = ("support", "confidence", "lift", "leverage", "conviction")
@@ -328,6 +328,15 @@ class RuleBook:
         except (KeyError, TypeError, ValueError) as exc:
             raise RuleBookSchemaError(f"{path}: bad item table: {exc}") from None
         config = header.get("config")
+        if config is not None:
+            if not isinstance(config, dict):
+                raise RuleBookSchemaError(
+                    f"{path}: header config must be an object, got {config!r}"
+                )
+            try:
+                config = MiningConfig(**config)
+            except (TypeError, ValueError) as exc:
+                raise RuleBookSchemaError(f"{path}: bad header config: {exc}") from None
 
         body = lines[1:]
         columns = _decode_rules(body, len(items))
@@ -351,7 +360,7 @@ class RuleBook:
             table=table,
             trace=header.get("trace"),
             keywords=dict(header.get("keywords") or {}),
-            config=None if config is None else MiningConfig(**config),
+            config=config,
             fingerprint=header.get("fingerprint"),
             backend=header.get("backend"),
             n_transactions=header.get("n_transactions"),

@@ -403,43 +403,3 @@ def poisson_arrivals(
     times = np.sort(rng.uniform(0.0, duration_s, size=len(jobs)))
     for job, t in zip(jobs, times):
         job.submit_time = float(t)
-
-
-def diurnal_arrivals(
-    rng: np.random.Generator,
-    jobs: Sequence[JobRequest],
-    duration_s: float,
-    peak_ratio: float = 3.0,
-    peak_hour: float = 15.0,
-) -> None:
-    """Assign submit times with a day/night intensity cycle.
-
-    Production submission rates follow working hours; modelling them as a
-    sinusoidal non-homogeneous Poisson process with peak-to-trough ratio
-    *peak_ratio* (peak at *peak_hour* local time) reproduces the diurnal
-    queue-delay structure trace studies report.  Sampling is by thinning:
-    uniform candidates are accepted with probability λ(t)/λmax.
-    """
-    if peak_ratio < 1.0:
-        raise ValueError("peak_ratio must be >= 1")
-    if not jobs:
-        return
-    day = 86_400.0
-    amplitude = (peak_ratio - 1.0) / (peak_ratio + 1.0)
-    phase = 2.0 * np.pi * peak_hour / 24.0
-
-    def intensity(t: np.ndarray) -> np.ndarray:
-        return 1.0 + amplitude * np.cos(2.0 * np.pi * t / day - phase)
-
-    accepted: list[np.ndarray] = []
-    need = len(jobs)
-    lam_max = 1.0 + amplitude
-    while need > 0:
-        candidates = rng.uniform(0.0, duration_s, size=max(2 * need, 64))
-        keep = rng.uniform(0.0, lam_max, size=candidates.size) < intensity(candidates)
-        batch = candidates[keep][:need]
-        accepted.append(batch)
-        need -= batch.size
-    times = np.sort(np.concatenate(accepted))
-    for job, t in zip(jobs, times):
-        job.submit_time = float(t)

@@ -22,12 +22,6 @@ class RuleScatter:
     def __len__(self) -> int:
         return self.support.shape[0]
 
-    def lift_histogram(self, bins: int = 10) -> tuple[np.ndarray, np.ndarray]:
-        """Histogram of lift values — the reduction Fig. 3 visualises is
-        concentrated at low lift."""
-        return np.histogram(self.lift, bins=bins)
-
-
 def rule_scatter(rules: RuleTable) -> RuleScatter:
     """The scatter coordinates of a table's rules: copies of its columns."""
     return RuleScatter(

@@ -2,15 +2,16 @@
 
 Each function is the slow, obviously-correct statement of one rule of
 the method, written from the paper's text rather than from an earlier
-optimisation: support by set inclusion (III-C), rules by powerset split
-(III-B), Conditions 1–4 pairwise (III-D), and quartile binning with the
-zero and Std bins, one-hot encoding and the 80 % skew filter row by row
-(III-E).  A sliding window is the last *n* transactions.  :func:`rows_of`,
-:func:`rule_keys` and :func:`save_with_json_dumps` turn production rule
-tables and rulebooks into plain values to compare; :func:`table_of`
-turns hand-built rule objects into the table every layer takes.
-:func:`without_subset` builds the table that is not downward-closed
-every layer must refuse.
+optimisation: support by set inclusion (III-C), rule metrics one rule
+at a time and rules by powerset split (III-B), Conditions 1–4 pairwise
+(III-D), and quartile binning with the zero and Std bins, one-hot
+encoding and the 80 % skew filter row by row (III-E).  A rule classifier
+predicts one transaction at a time.  A sliding window is the last *n*
+transactions.  :func:`rows_of`, :func:`rule_keys` and
+:func:`save_with_json_dumps` turn production rule tables and rulebooks
+into plain values to compare; :func:`table_of` turns hand-built rule
+objects into the table every layer takes.  :func:`without_subset`
+builds the table that is not downward-closed every layer must refuse.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from repro.core.items import Item, ItemVocabulary, render_itemset
 from repro.core.itemsets import FrequentItemsets
+from repro.core.metrics import RuleMetrics
 from repro.core.ruletable import METRIC_COLUMNS, RuleTable
 from repro.core.transactions import TransactionDatabase
 from repro.dataframe import BooleanColumn, CategoricalColumn, NumericColumn
@@ -115,6 +117,57 @@ def rules_by_split(counts, n, vocabulary, min_lift=1.5, min_confidence=0.0,
         return str(sorted(vocabulary.item_of(i) for i in ids))
 
     return sorted(rules, key=lambda r: (-r[4], -r[3], -r[2], side(r[0]), side(r[1])))
+
+
+def confidence(supp_xy: float, supp_x: float) -> float:
+    """conf(X ⇒ Y) = supp(X ∪ Y) / supp(X)  (Eq. 3)."""
+    if supp_x <= 0.0:
+        return 0.0
+    return supp_xy / supp_x
+
+
+def lift(supp_xy: float, supp_x: float, supp_y: float) -> float:
+    """lift(X ⇒ Y) = supp(X ∪ Y) / (supp(X) · supp(Y))  (Eq. 4).
+
+    Symmetric in X and Y; equals 1 under independence.
+    """
+    denom = supp_x * supp_y
+    if denom <= 0.0:
+        return 0.0
+    return supp_xy / denom
+
+
+def leverage(supp_xy: float, supp_x: float, supp_y: float) -> float:
+    """leverage(X ⇒ Y) = supp(X ∪ Y) − supp(X)·supp(Y).
+
+    The additive analogue of lift: 0 under independence.
+    """
+    return supp_xy - supp_x * supp_y
+
+
+def conviction(supp_xy: float, supp_x: float, supp_y: float) -> float:
+    """conviction(X ⇒ Y) = (1 − supp(Y)) / (1 − conf(X ⇒ Y)).
+
+    Sensitive to rule direction (unlike lift); ∞ for exact implications.
+    """
+    conf = confidence(supp_xy, supp_x)
+    if conf >= 1.0:
+        return math.inf
+    return (1.0 - supp_y) / (1.0 - conf)
+
+
+def compute_metrics(supp_xy: float, supp_x: float, supp_y: float) -> RuleMetrics:
+    """Compute every metric of a rule from its three supports."""
+    for name, value in (("supp_xy", supp_xy), ("supp_x", supp_x), ("supp_y", supp_y)):
+        if not 0.0 <= value <= 1.0 + 1e-12:
+            raise ValueError(f"{name} must be a relative support in [0, 1], got {value}")
+    return RuleMetrics(
+        support=supp_xy,
+        confidence=confidence(supp_xy, supp_x),
+        lift=lift(supp_xy, supp_x, supp_y),
+        leverage=leverage(supp_xy, supp_x, supp_y),
+        conviction=conviction(supp_xy, supp_x, supp_y),
+    )
 
 
 def without_subset(itemsets: FrequentItemsets, items) -> FrequentItemsets:
@@ -254,6 +307,16 @@ def preprocess_rows(pre, table):
         [list(row - set(dropped)) for row in rows], vocab
     )
     return database, dropped, tiers
+
+
+# -- prediction ---------------------------------------------------------------------
+
+
+def predict_transaction(classifier, item_ids) -> bool:
+    """True if any of *classifier*'s decision rules has its antecedent
+    contained in the transaction *item_ids*."""
+    ids = frozenset(item_ids)
+    return any(rule.antecedent_ids <= ids for rule in classifier.rules)
 
 
 # -- streaming ----------------------------------------------------------------------

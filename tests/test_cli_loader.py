@@ -85,8 +85,7 @@ class TestCli:
     def test_analyze_custom_thresholds(self, capsys):
         code = main(
             ["analyze", "--trace", "supercloud", "--keyword", "Failed",
-             "--n-jobs", "2000", "--min-support", "0.1", "--min-lift", "1.2",
-             "--algorithm", "eclat"]
+             "--n-jobs", "2000", "--min-support", "0.1", "--min-lift", "1.2"]
         )
         assert code == 0
 
@@ -126,6 +125,15 @@ class TestCli:
         )
         assert code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_algorithm_flag_exits_2(self, capsys):
+        # FP-Growth is the only production miner: choosing another fails
+        for argv in (
+            ["analyze", "--trace", "supercloud", "--keyword", "Failed"],
+            ["mine-rulebook", "--trace", "pai", "--output", "unused.rulebook.jsonl"],
+        ):
+            assert main([*argv, "--n-jobs", "1500", "--algorithm", "apriori"]) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err, argv[0]
 
     def test_missing_input_file_is_error_exit(self, capsys):
         code = main(

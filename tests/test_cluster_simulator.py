@@ -74,7 +74,7 @@ class TestSimulator:
     def test_deterministic_given_seed(self, cluster):
         a = ClusterSimulator(cluster, seed=9).run(workload()).to_table()
         b = ClusterSimulator(cluster, seed=9).run(workload()).to_table()
-        assert a.to_dict() == b.to_dict()
+        assert a.fingerprint() == b.fingerprint()
 
     def test_different_seed_changes_telemetry(self, cluster):
         a = ClusterSimulator(cluster, seed=1).run(workload()).to_table()

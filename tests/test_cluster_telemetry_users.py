@@ -102,10 +102,6 @@ class TestUserPopulation:
         share = sum(1 for u in draws if u.name == top) / len(draws)
         assert share > 0.3
 
-    def test_new_users_listing(self):
-        pop = UserPopulation(50, new_user_fraction=0.4, seed=5)
-        assert set(pop.new_users()) == {u for u in pop.users if u.is_new}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             UserPopulation(0)

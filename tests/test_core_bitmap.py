@@ -33,10 +33,9 @@ from repro.core.eclat import eclat
 from repro.core.fpgrowth import fpgrowth
 from repro.core.items import ItemVocabulary
 from repro.core.itemsets import FrequentItemsets
-from repro.core.metrics import compute_metrics
 from repro.obs import EngineStats, kernel_timer, stage
 
-from .oracles import check_itemset_table, support_counts
+from .oracles import check_itemset_table, compute_metrics, support_counts
 
 # -- strategies ---------------------------------------------------------------
 

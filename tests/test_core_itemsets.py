@@ -19,7 +19,6 @@ class TestLookups:
     def test_count_and_support(self, fis, toy_db):
         bread = toy_db.vocabulary.id_of("bread")
         assert fis.count_of([bread]) == 4
-        assert fis.support_of([bread]) == pytest.approx(0.8)
 
     def test_missing_itemset_raises_with_context(self, fis, toy_db):
         cola = toy_db.vocabulary.id_of("cola")
@@ -27,26 +26,12 @@ class TestLookups:
         with pytest.raises(KeyError, match="not frequent"):
             fis.count_of([cola, eggs])
 
-    def test_get_support_returns_none_when_absent(self, fis, toy_db):
-        eggs = toy_db.vocabulary.id_of("eggs")
-        assert fis.get_support([eggs]) is None
-
     def test_contains(self, fis, toy_db):
         bread = toy_db.vocabulary.id_of("bread")
         assert frozenset({bread}) in fis
 
 
 class TestViews:
-    def test_by_length_histogram(self, fis):
-        hist = fis.by_length()
-        assert set(hist) <= {1, 2, 3}
-        assert sum(hist.values()) == len(fis)
-
-    def test_items_sets_decode(self, fis):
-        decoded = dict(fis.items_sets())
-        assert len(decoded) == len(fis)
-        assert all(0 < s <= 1 for s in decoded.values())
-
     def test_render(self, fis, toy_db):
         bread = toy_db.vocabulary.id_of("bread")
         milk = toy_db.vocabulary.id_of("milk")
@@ -64,7 +49,6 @@ class TestEdgeCases:
     def test_empty(self, toy_db):
         fis = FrequentItemsets({}, toy_db.vocabulary, 0, 0.5)
         assert len(fis) == 0
-        assert fis.by_length() == {}
 
     def test_negative_transactions_rejected(self, toy_db):
         with pytest.raises(ValueError):

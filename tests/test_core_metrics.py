@@ -1,4 +1,5 @@
-"""Unit + property tests for rule metrics (Eqs. 1–4)."""
+"""Unit + property tests for the scalar rule metrics (Eqs. 1–4), the
+reference the vectorised scoring is checked against."""
 
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compute_metrics, confidence, conviction, leverage, lift
+from .oracles import compute_metrics, confidence, conviction, leverage, lift
 
 
 class TestConfidence:

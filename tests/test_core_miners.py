@@ -12,13 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    TransactionDatabase,
-    apriori,
-    eclat,
-    fpgrowth,
-    generate_candidates,
-)
+from repro.core import TransactionDatabase
+from repro.core.apriori import apriori, apriori_naive, generate_candidates
+from repro.core.eclat import eclat
+from repro.core.fpgrowth import fpgrowth
 
 ALGOS = [fpgrowth, apriori, eclat]
 
@@ -126,6 +123,27 @@ class TestAprioriCandidates:
 
     def test_empty_input(self):
         assert generate_candidates([]) == []
+
+
+class TestNaiveApriori:
+    def test_matches_fpgrowth(self, toy_db):
+        for min_support in (0.2, 0.4, 0.8):
+            assert apriori_naive(toy_db, min_support) == fpgrowth(
+                toy_db, min_support
+            )
+
+    def test_max_len(self, toy_db):
+        result = apriori_naive(toy_db, 0.2, max_len=2)
+        assert result == fpgrowth(toy_db, 0.2, 2)
+
+    def test_empty(self):
+        assert apriori_naive(TransactionDatabase.from_itemsets([]), 0.5) == {}
+
+    def test_invalid_args(self, toy_db):
+        with pytest.raises(ValueError):
+            apriori_naive(toy_db, 2.0)
+        with pytest.raises(ValueError):
+            apriori_naive(toy_db, 0.5, 0)
 
 
 # -- property-based equivalence -------------------------------------------------

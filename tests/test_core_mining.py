@@ -3,13 +3,17 @@
 import pytest
 
 from repro.core import (
-    ALGORITHMS,
     KeywordRuleSet,
     MiningConfig,
     mine_frequent_itemsets,
     generate_rule_table,
     mine_keyword_rules,
 )
+from repro.core.apriori import apriori
+from repro.core.eclat import eclat
+from repro.core.fpgrowth import fpgrowth
+
+MINERS = {"apriori": apriori, "eclat": eclat, "fpgrowth": fpgrowth}
 
 
 class TestMiningConfig:
@@ -20,7 +24,6 @@ class TestMiningConfig:
         assert cfg.min_lift == 1.5
         assert cfg.c_lift == 1.5
         assert cfg.c_supp == 1.5
-        assert cfg.algorithm == "fpgrowth"
 
     def test_with_override(self):
         cfg = MiningConfig().with_(min_support=0.1)
@@ -31,9 +34,10 @@ class TestMiningConfig:
         with pytest.raises(ValueError):
             MiningConfig(min_support=-0.1)
 
-    def test_invalid_algorithm(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            MiningConfig(algorithm="magic")
+    def test_no_algorithm_field(self):
+        # FP-Growth is the only production miner: there is nothing to pick
+        with pytest.raises(TypeError):
+            MiningConfig(algorithm="apriori")
 
     def test_invalid_min_lift(self):
         with pytest.raises(ValueError, match="min_lift must be >= 0"):
@@ -69,22 +73,16 @@ class TestMiningConfig:
 
 
 class TestMineFrequentItemsets:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", sorted(MINERS))
     def test_all_algorithms_run(self, toy_db, algorithm):
-        cfg = MiningConfig(min_support=0.4, algorithm=algorithm)
-        fis = mine_frequent_itemsets(toy_db, cfg)
-        assert len(fis) > 0
-        assert fis.n_transactions == len(toy_db)
+        counts = MINERS[algorithm](toy_db, 0.4, 5)
+        assert len(counts) > 0
 
     def test_algorithms_agree_through_orchestrator(self, toy_db):
-        results = {
-            algo: mine_frequent_itemsets(
-                toy_db, MiningConfig(min_support=0.4, algorithm=algo)
-            ).counts
-            for algo in ALGORITHMS
-        }
-        values = list(results.values())
-        assert all(v == values[0] for v in values)
+        fis = mine_frequent_itemsets(toy_db, MiningConfig(min_support=0.4))
+        assert fis.n_transactions == len(toy_db)
+        for miner in MINERS.values():
+            assert fis.counts == miner(toy_db, 0.4, 5), miner.__name__
 
 
 class TestMineKeywordRules:

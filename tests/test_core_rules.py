@@ -174,4 +174,6 @@ def test_rule_sides_partition_a_frequent_itemset(db):
         assert union in itemsets
         assert not (rule.antecedent_ids & rule.consequent_ids)
         # support of rule equals support of union itemset
-        assert rule.support == pytest.approx(itemsets.support_of(union))
+        assert rule.support == pytest.approx(
+            itemsets.count_of(union) / itemsets.n_transactions
+        )

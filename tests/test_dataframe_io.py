@@ -64,7 +64,9 @@ class TestRoundTrip:
         path = tmp_path / "trace.csv"
         write_csv(t, path)
         back = read_csv(path)
-        assert back.to_dict() == {"a": [1.0, 2.0], "b": ["x", "y"]}
+        assert {name: col.to_list() for name, col in back.items()} == {
+            "a": [1.0, 2.0], "b": ["x", "y"]
+        }
 
     def test_empty_table_roundtrip(self):
         assert len(read_csv_text(write_csv_text(ColumnTable()))) == 0

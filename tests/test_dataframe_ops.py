@@ -1,15 +1,8 @@
-"""Unit tests for group-by, joins, value counts and row concat."""
+"""Unit tests for value counts."""
 
 import pytest
 
-from repro.dataframe import (
-    ColumnTable,
-    concat_rows,
-    group_aggregate,
-    inner_join,
-    left_join,
-    value_counts,
-)
+from repro.dataframe import ColumnTable, value_counts
 
 
 @pytest.fixture()
@@ -23,46 +16,6 @@ def jobs():
     )
 
 
-class TestGroupAggregate:
-    def test_mean_and_count(self, jobs):
-        out = group_aggregate(
-            jobs, "user", {"mean_rt": ("runtime", "mean"), "n": ("runtime", "count")}
-        )
-        d = {u: (m, n) for u, m, n in zip(
-            out["user"].to_list(), out["mean_rt"].to_list(), out["n"].to_list()
-        )}
-        assert d["a"] == (18.0, 3.0)
-        assert d["b"] == (20.0, 1.0)  # NaN runtime not counted
-        assert d["c"] == (5.0, 1.0)
-
-    def test_groups_in_first_appearance_order(self, jobs):
-        out = group_aggregate(jobs, "user", {"s": ("gpus", "sum")})
-        assert out["user"].to_list() == ["a", "b", "c"]
-
-    def test_sum_min_max(self, jobs):
-        out = group_aggregate(
-            jobs,
-            "user",
-            {"s": ("gpus", "sum"), "mn": ("gpus", "min"), "mx": ("gpus", "max")},
-        )
-        assert out["s"].to_list() == [3.0, 4.0, 4.0]
-        assert out["mx"].to_list() == [1.0, 2.0, 4.0]
-
-    def test_unknown_aggregation_rejected(self, jobs):
-        with pytest.raises(ValueError, match="unknown aggregation"):
-            group_aggregate(jobs, "user", {"x": ("gpus", "median!!")})
-
-    def test_group_by_numeric_key(self, jobs):
-        out = group_aggregate(jobs, "gpus", {"n": ("runtime", "count")})
-        assert set(out["gpus"].to_list()) == {1.0, 2.0, 4.0}
-
-    def test_na_keys_dropped(self):
-        t = ColumnTable.from_dict({"k": ["x", None, "x"], "v": [1.0, 2.0, 3.0]})
-        out = group_aggregate(t, "k", {"s": ("v", "sum")})
-        assert out["k"].to_list() == ["x"]
-        assert out["s"].to_list() == [4.0]
-
-
 class TestValueCounts:
     def test_most_frequent_first(self, jobs):
         assert value_counts(jobs, "user") == [("a", 3), ("b", 2), ("c", 1)]
@@ -70,94 +23,3 @@ class TestValueCounts:
     def test_empty_table(self):
         t = ColumnTable.from_dict({"k": []})
         assert value_counts(t, "k") == []
-
-
-class TestJoins:
-    def test_inner_join_basic(self):
-        left = ColumnTable.from_dict({"k": ["a", "b", "c"], "x": [1, 2, 3]})
-        right = ColumnTable.from_dict({"k": ["b", "c", "d"], "y": [20, 30, 40]})
-        out = inner_join(left, right, "k")
-        assert out["k"].to_list() == ["b", "c"]
-        assert out["y"].to_list() == [20.0, 30.0]
-
-    def test_inner_join_duplicates_multiply(self):
-        left = ColumnTable.from_dict({"k": ["a", "a"], "x": [1, 2]})
-        right = ColumnTable.from_dict({"k": ["a", "a"], "y": [10, 20]})
-        assert len(inner_join(left, right, "k")) == 4
-
-    def test_left_join_fills_na(self):
-        left = ColumnTable.from_dict({"k": ["a", "b"], "x": [1, 2]})
-        right = ColumnTable.from_dict({"k": ["b"], "y": [9], "tag": ["hit"]})
-        out = left_join(left, right, "k")
-        assert out["y"].to_list() == [None, 9.0]
-        assert out["tag"].to_list() == [None, "hit"]
-
-    def test_left_join_duplicate_right_keys_rejected(self):
-        left = ColumnTable.from_dict({"k": ["a"], "x": [1]})
-        right = ColumnTable.from_dict({"k": ["a", "a"], "y": [1, 2]})
-        with pytest.raises(ValueError, match="unique keys"):
-            left_join(left, right, "k")
-
-    def test_join_name_collision_gets_suffix(self):
-        left = ColumnTable.from_dict({"k": ["a"], "v": [1]})
-        right = ColumnTable.from_dict({"k": ["a"], "v": [2]})
-        out = inner_join(left, right, "k")
-        assert "v_right" in out.column_names
-
-    def test_numeric_key_join(self):
-        left = ColumnTable.from_dict({"k": [1, 2], "x": ["p", "q"]})
-        right = ColumnTable.from_dict({"k": [2], "y": ["hit"]})
-        out = inner_join(left, right, "k")
-        assert out["x"].to_list() == ["q"]
-
-
-class TestConcatRows:
-    def test_stacks_tables(self):
-        a = ColumnTable.from_dict({"x": [1], "y": ["u"]})
-        b = ColumnTable.from_dict({"x": [2], "y": ["v"]})
-        out = concat_rows([a, b])
-        assert out["x"].to_list() == [1.0, 2.0]
-        assert out["y"].to_list() == ["u", "v"]
-
-    def test_schema_mismatch_rejected(self):
-        a = ColumnTable.from_dict({"x": [1]})
-        b = ColumnTable.from_dict({"y": [1]})
-        with pytest.raises(ValueError):
-            concat_rows([a, b])
-
-    def test_empty_list(self):
-        assert len(concat_rows([])) == 0
-
-
-class TestDescribe:
-    def test_numeric_summary(self, jobs):
-        from repro.dataframe import describe
-
-        out = describe(jobs)
-        by_col = {r["column"]: r for r in out.iter_rows()}
-        rt = by_col["runtime"]
-        assert rt["kind"] == "num"
-        assert rt["n"] == 6.0
-        assert rt["n_missing"] == 1.0
-        assert rt["min"] == 5.0 and rt["max"] == 30.0
-
-    def test_categorical_summary(self, jobs):
-        from repro.dataframe import describe
-
-        out = describe(jobs)
-        by_col = {r["column"]: r for r in out.iter_rows()}
-        user = by_col["user"]
-        assert user["cardinality"] == 3.0
-        assert user["mode"] == "a"
-
-    def test_boolean_summary(self):
-        from repro.dataframe import ColumnTable, describe
-
-        t = ColumnTable.from_dict({"flag": [True, True, False, False]})
-        out = describe(t)
-        assert out.row(0)["mean"] == 0.5
-
-    def test_empty_table(self):
-        from repro.dataframe import ColumnTable, describe
-
-        assert len(describe(ColumnTable())) == 0

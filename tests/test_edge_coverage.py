@@ -10,7 +10,6 @@ from repro.cluster import (
     NodeSpec,
     build_nodes,
 )
-from repro.cluster.accounting import busy_gpu_timeline
 from repro.core import MiningConfig, TransactionDatabase
 from repro.core.fpgrowth import fpgrowth
 from repro.dataframe import ColumnTable
@@ -67,20 +66,6 @@ class TestSchedulerResourceDimensions:
         ]
         placements, _ = FCFSScheduler(self._node(mem=32.0)).run(jobs)
         assert placements[1].start_time == 10.0
-
-
-class TestTimelineGangJobs:
-    def test_gang_counts_all_gpus(self):
-        nodes = build_nodes(
-            ClusterSpec.of((NodeSpec("n", "V100", 2, 32, 128), 3))
-        )
-        jobs = [
-            JobRequest(job_id=0, user="u", submit_time=0.0, runtime=100.0,
-                       n_gpus=6, n_cpus=1, mem_gb=1.0, gpu_type="V100")
-        ]
-        placements, _ = FCFSScheduler(nodes).run(jobs)
-        _, busy = busy_gpu_timeline(placements, resolution_s=50.0)
-        assert busy.max() == 6.0
 
 
 class TestLoaderAllTraces:

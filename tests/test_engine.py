@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.core import MiningConfig, TransactionDatabase, fpgrowth
+from repro.core import MiningConfig, TransactionDatabase
+from repro.core.apriori import apriori
+from repro.core.eclat import eclat
+from repro.core.fpgrowth import fpgrowth
 from repro.engine import EngineStats, MiningEngine, StageStats
 from repro.traces import get_trace
 
 
 # -- serial mining ----------------------------------------------------------------
 
-ALGORITHM_NAMES = ["fpgrowth", "apriori", "eclat"]
+MINERS = {"fpgrowth": fpgrowth, "apriori": apriori, "eclat": eclat}
 
 
 class TestSerialMining:
@@ -17,12 +20,12 @@ class TestSerialMining:
     def trace_dbs(self, supercloud_db, philly_db):
         return {"supercloud": supercloud_db, "philly": philly_db}
 
-    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    @pytest.mark.parametrize("algorithm", list(MINERS))
     def test_algorithms_agree(self, trace_dbs, algorithm):
-        """fpgrowth/apriori/eclat through the engine are bit-exact."""
-        config = MiningConfig(min_support=0.05, max_len=3, algorithm=algorithm)
+        """The engine's itemsets equal fpgrowth's, apriori's and eclat's."""
+        config = MiningConfig(min_support=0.05, max_len=3)
         for name, db in trace_dbs.items():
-            reference = fpgrowth(db, 0.05, 3)
+            reference = MINERS[algorithm](db, 0.05, 3)
             mined = MiningEngine().mine(db, config)
             assert mined.counts == reference, f"{algorithm} on {name}"
             assert len(mined) > 0

@@ -18,9 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import ALGORITHM_NAMES
 from repro.core.items import Item, ItemVocabulary
-from repro.core.mining import ALGORITHMS
 from repro.core.ruletable import RuleTable
 from repro.serve.index import RuleIndex
 from repro.serve.rulebook import RuleBook
@@ -240,5 +238,16 @@ def test_one_class_named_rule_table():
     assert "RuleTable" not in importlib.import_module("repro.analysis").__all__
 
 
-def test_config_names_every_miner():
-    assert tuple(ALGORITHMS) == ALGORITHM_NAMES
+def test_miner_submodules_stay_modules():
+    """``repro.core`` exports no miner function, so importing a miner's
+    module and then the mining layer leaves each package attribute
+    bound to its submodule."""
+    _fresh(
+        "import inspect\n"
+        "import repro.core.apriori, repro.core.eclat, repro.core.fpgrowth\n"
+        "import repro.core.mining\n"
+        "import repro.core\n"
+        "for name in ('apriori', 'eclat', 'fpgrowth'):\n"
+        "    assert inspect.ismodule(getattr(repro.core, name)), name\n"
+        "    assert name not in repro.core.__all__, name\n"
+    )

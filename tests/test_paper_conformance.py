@@ -14,7 +14,10 @@ from itertools import combinations
 
 import pytest
 
-from repro.core import ALGORITHMS, FrequentItemsets, MiningConfig, TransactionDatabase
+from repro.core import FrequentItemsets, MiningConfig, TransactionDatabase
+from repro.core.apriori import apriori
+from repro.core.eclat import eclat
+from repro.core.fpgrowth import fpgrowth
 from repro.core.items import Item, ItemVocabulary
 from repro.core.pruning import prune_rule_table
 from repro.core.rules import AssociationRule, generate_rule_table
@@ -82,11 +85,14 @@ def by_name(expected: dict) -> dict:
     return {frozenset(f"{i} = {i}" for i in s): c for s, c in expected.items()}
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+MINERS = {"apriori": apriori, "eclat": eclat, "fpgrowth": fpgrowth}
+
+
+@pytest.mark.parametrize("algorithm", sorted(MINERS))
 @pytest.mark.parametrize("min_support, raw, expected", FLOOR_CASES)
 def test_support_floor_is_count_over_n(algorithm, min_support, raw, expected):
     db = TransactionDatabase.from_itemsets(raw)
-    counts = ALGORITHMS[algorithm](db, min_support, PAPER.max_len)
+    counts = MINERS[algorithm](db, min_support, PAPER.max_len)
     assert named(db, counts) == by_name(expected)
     assert support_counts(raw_ids(db), min_support, PAPER.max_len) == counts
 

@@ -18,7 +18,7 @@ from repro.predict import (
     split_database,
 )
 
-from .oracles import table_of
+from .oracles import predict_transaction, table_of
 
 
 @pytest.fixture()
@@ -169,16 +169,7 @@ class TestPrediction:
         clf = _classifier(labelled_db, min_confidence=0.5)
         predicted = clf.predict(labelled_db)
         for i, txn in enumerate(labelled_db.iter_id_transactions()):
-            assert clf.predict_transaction(set(txn.tolist())) == predicted[i]
-
-    def test_matching_rule_explains_positives(self, labelled_db):
-        clf = _classifier(labelled_db, min_confidence=0.5)
-        predicted = clf.predict(labelled_db)
-        for i, txn in enumerate(labelled_db.iter_id_transactions()):
-            rule = clf.matching_rule(set(txn.tolist()))
-            assert (rule is not None) == predicted[i]
-            if rule is not None:
-                assert rule.antecedent_ids <= set(txn.tolist())
+            assert predict_transaction(clf, txn.tolist()) == predicted[i]
 
     def test_empty_classifier_predicts_all_negative(self, labelled_db):
         clf = RuleClassifier("target", [])

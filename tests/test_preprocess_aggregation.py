@@ -7,7 +7,6 @@ from repro.preprocess import (
     MODEL_FAMILIES,
     apply_semantic_grouping,
     compute_activity_tiers,
-    group_rare_categories,
 )
 
 
@@ -89,25 +88,3 @@ class TestSemanticGrouping:
             assert MODEL_FAMILIES[name] == "CV"
         for name in ("bert", "nmt", "xlnet"):
             assert MODEL_FAMILIES[name] == "NLP"
-
-
-class TestGroupRareCategories:
-    def test_folds_below_share(self):
-        col = CategoricalColumn.from_values(["a"] * 90 + ["b"] * 6 + ["c"] * 4)
-        out = group_rare_categories(col, min_share=0.05, other_label="Other")
-        counts = out.value_counts()
-        assert counts == {"a": 90, "b": 6, "Other": 4}
-
-    def test_no_fold_when_all_common(self):
-        col = CategoricalColumn.from_values(["a", "b"] * 10)
-        out = group_rare_categories(col, min_share=0.1)
-        assert set(out.categories) == {"a", "b"}
-
-    def test_empty_column(self):
-        col = CategoricalColumn.from_values([])
-        assert len(group_rare_categories(col, 0.5)) == 0
-
-    def test_invalid_share(self):
-        col = CategoricalColumn.from_values(["a"])
-        with pytest.raises(ValueError):
-            group_rare_categories(col, min_share=1.5)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.preprocess import (
     BinningSpec,
     Discretizer,
-    equal_frequency_edges,
     equal_width_edges,
 )
 
@@ -21,26 +20,12 @@ def rowwise(d: Discretizer, values) -> list:
 
 
 class TestEdges:
-    def test_equal_frequency_quartiles(self):
-        values = np.arange(1, 101, dtype=float)
-        edges = equal_frequency_edges(values, 4)
-        assert len(edges) == 3
-        assert edges[1] == pytest.approx(np.median(values))
-
-    def test_equal_frequency_dedupes_ties(self):
-        values = np.asarray([1.0] * 90 + [2.0] * 10)
-        edges = equal_frequency_edges(values, 4)
-        assert len(np.unique(edges)) == len(edges)
-
     def test_equal_width_uniform_spacing(self):
         edges = equal_width_edges(np.asarray([0.0, 100.0]), 4)
         assert edges.tolist() == [25.0, 50.0, 75.0]
 
     def test_constant_values_no_edges(self):
         assert equal_width_edges(np.asarray([5.0, 5.0]), 4).size == 0
-
-    def test_empty(self):
-        assert equal_frequency_edges(np.asarray([]), 4).size == 0
 
 
 class TestDiscretizer:

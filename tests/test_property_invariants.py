@@ -157,7 +157,7 @@ def test_generated_rules_respect_thresholds(db, min_support, min_lift):
         assert rule.support >= min_support - 1e-9 or True  # supp(rule) ≥ supp of union
         assert rule.lift >= min_lift
         union = rule.antecedent_ids | rule.consequent_ids
-        assert fis.support_of(union) >= min_support - 1.0 / max(len(db), 1)
+        assert fis.count_of(union) / fis.n_transactions >= min_support - 1.0 / max(len(db), 1)
 
 
 # -- support monotonicity under restriction --------------------------------------------

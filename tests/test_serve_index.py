@@ -128,7 +128,7 @@ class TestMatching:
     def test_rule_labels_stable(self):
         book = RuleBook(table_of(random_rules(random.Random(8), 10)))
         index = RuleIndex.from_rulebook(book)
-        labels = list(index.iter_rule_labels())
+        labels = index.rule_labels(range(len(index)))
         assert len(labels) == 10
         assert labels[0] == index.rule_label(0)
         assert " => " in labels[0]

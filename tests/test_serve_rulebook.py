@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -190,6 +191,35 @@ class TestSchemaGuards:
         path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         with pytest.raises(RuleBookSchemaError, match="schema_version"):
             RuleBook.load(path)
+
+    @staticmethod
+    def _with_header(tmp_path, **fields):
+        """A saved book whose header has *fields* replaced."""
+        path = tmp_path / "book.jsonl"
+        RuleBook(table_of(random_rules(random.Random(0), 3))).save(path)
+        lines = path.read_text().splitlines()
+        header = {**json.loads(lines[0]), **fields}
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        return path
+
+    def test_refuses_version_1_book(self, tmp_path):
+        # version 1 headers carried config.algorithm, a field this build lacks
+        config = {**asdict(MiningConfig()), "algorithm": "fpgrowth"}
+        path = self._with_header(tmp_path, schema_version=1, config=config)
+        with pytest.raises(RuleBookSchemaError, match="schema_version 1 is not"):
+            RuleBook.load(path)
+
+    @pytest.mark.parametrize("config, match", [
+        ({"bogus": 1}, "bad header config"),
+        ({"min_support": 7}, "bad header config: min_support"),
+        ([1, 2], "header config must be an object"),
+        ("x", "header config must be an object"),
+    ])
+    def test_refuses_damaged_config(self, tmp_path, config, match):
+        path = self._with_header(tmp_path, config=config)
+        with pytest.raises(RuleBookSchemaError, match=match) as caught:
+            RuleBook.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
     def test_refuses_missing_header(self, tmp_path):
         path = tmp_path / "book.jsonl"

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MiningConfig, TransactionDatabase, fpgrowth
+from repro.core import MiningConfig, TransactionDatabase
+from repro.core.fpgrowth import fpgrowth
 from repro.engine import MiningEngine
 from repro.streaming import GRANULE, StreamingBitmapWindow
 

@@ -109,11 +109,6 @@ class TestScatter:
         assert len(panels["before"]) == len(rules)
         assert len(panels["after"]) == 2
 
-    def test_lift_histogram(self, toy_db):
-        rules = _toy_rules(toy_db)
-        counts, edges = rule_scatter(rules).lift_histogram(5)
-        assert counts.sum() == len(rules)
-
 
 class TestAscii:
     def test_bar_chart_renders_values(self):
