@@ -17,19 +17,14 @@ be >= 5x faster than remining the window (``--min-speedup``).  Results
 append a trajectory point to ``BENCH_stream.json`` and a human-readable
 report to ``benchmarks/output/stream_throughput.txt``.
 
-``--check-only`` is the CI equality sweep: on all three traces (PAI,
-Philly, SuperCloud) the window's maintained item and tracked-itemset
-counts must equal ground-truth :class:`PackedBitmaps` popcounts over its
-own snapshot, and the incremental recount of a freshly-remined book must
-reproduce the book's five metric columns bit-for-bit — through further
-stream advance, granule eviction and a rebase.
+The equality of maintained counts with bitmap popcounts, and of the
+recount with the remine, on all three traces is a test:
+``tests/test_stream_window.py::TestTraceSweep``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_stream_throughput.py \
         [--window 100000] [--delta 1000] [--ticks 5] [--min-speedup 5]
-    PYTHONPATH=src python benchmarks/bench_stream_throughput.py \
-        --check-only [--n-jobs 800]
 """
 
 from __future__ import annotations
@@ -47,37 +42,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bench_util import write_artifact  # noqa: E402
 
 from repro.core import MiningConfig, mine_frequent_itemsets  # noqa: E402
-from repro.core.bitmap import PackedBitmaps  # noqa: E402
 from repro.core.mining import keyword_rule_set  # noqa: E402
 from repro.streaming import RuleBookRefresher, StreamingBitmapWindow  # noqa: E402
 from repro.traces import (  # noqa: E402
     PAI_KEYWORDS,
     PAIConfig,
-    PHILLY_KEYWORDS,
-    PhillyConfig,
-    SUPERCLOUD_KEYWORDS,
-    SuperCloudConfig,
     generate_pai,
-    generate_philly,
-    generate_supercloud,
     pai_preprocessor,
-    philly_preprocessor,
-    supercloud_preprocessor,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_stream.json"
-
-_TRACES = {
-    "pai": (generate_pai, PAIConfig, pai_preprocessor, PAI_KEYWORDS),
-    "philly": (generate_philly, PhillyConfig, philly_preprocessor, PHILLY_KEYWORDS),
-    "supercloud": (
-        generate_supercloud,
-        SuperCloudConfig,
-        supercloud_preprocessor,
-        SUPERCLOUD_KEYWORDS,
-    ),
-}
 
 #: a threshold above 1 means the drift gate never opens — measured ticks
 #: stay on the incremental path and the full remine is timed separately
@@ -101,89 +76,6 @@ def _full_remine(window, keywords, config):
         if ruleset.table is not None:
             n_rules += len(ruleset.table)
     return n_rules
-
-
-# -- check-only: the CI equality sweep -----------------------------------------
-def _assert_counts_match_bitmaps(window, label: str) -> None:
-    """Maintained item + tracked counts == popcounts over the snapshot."""
-    bitmaps = PackedBitmaps.from_database(window.snapshot())
-    assert np.array_equal(
-        window.item_support_counts()[: len(window.vocabulary)],
-        bitmaps.item_counts(),
-    ), f"{label}: maintained item counts drifted from bitmap popcounts"
-    indptr, ids = window._tracked_indptr, window._tracked_ids
-    expected = [
-        bitmaps.support_count([int(x) for x in ids[indptr[k]: indptr[k + 1]]])
-        for k in range(window.n_tracked)
-    ]
-    assert window.tracked_counts().tolist() == expected, (
-        f"{label}: maintained tracked-itemset counts drifted"
-    )
-
-
-def _assert_recount_bit_identical(refresher, label: str) -> None:
-    """A tick right after a remine must reproduce the book's metrics."""
-    result = refresher.tick()
-    assert not result.remined, f"{label}: hold tick unexpectedly remined"
-    book_table = refresher.book.table
-    assert len(result.recounted) == len(book_table), (
-        f"{label}: recount row count differs from the book"
-    )
-    for name in ("support", "confidence", "lift", "leverage", "conviction"):
-        ours = getattr(result.recounted, name)
-        theirs = getattr(book_table, name)
-        assert np.array_equal(ours, theirs, equal_nan=True), (
-            f"{label}: recounted {name} not bit-identical to the remine"
-        )
-
-
-def check_stream_sweep(n_jobs: int) -> None:
-    """Equality sweep over all three traces.
-
-    Streams each preprocessed trace through a window small enough to
-    force granule eviction, bootstraps a book from it, then interleaves
-    further advance with three assertions: maintained counts == bitmap
-    popcounts, hold ticks never remine, and the recount of a
-    just-remined book is bit-identical to the remine itself.
-    """
-    config = MiningConfig()
-    for trace, (generate, trace_config, preprocessor, keywords) in (
-        _TRACES.items()
-    ):
-        db = preprocessor().run(generate(trace_config(n_jobs=n_jobs))).database
-        txns = _encoded_transactions(db)
-        warm = (3 * len(txns)) // 4
-        window = StreamingBitmapWindow(
-            max(64, warm // 2), vocabulary=db.vocabulary
-        )
-        window.extend_encoded(txns[:warm])
-        refresher = RuleBookRefresher.bootstrap(
-            window,
-            dict(keywords),
-            config,
-            threshold=HOLD,
-            trace=trace,
-        )
-        assert len(refresher.book) > 0, f"{trace}: bootstrap mined no rules"
-        _assert_counts_match_bitmaps(window, f"{trace}/bootstrap")
-        _assert_recount_bit_identical(refresher, f"{trace}/bootstrap")
-
-        # advance the stream (evicting granules), recheck, then rebase
-        # via a forced remine and recheck the bit-identity once more
-        step = max(1, (len(txns) - warm) // 3)
-        for lo in range(warm, len(txns), step):
-            window.extend_encoded(txns[lo: lo + step])
-            _assert_counts_match_bitmaps(window, f"{trace}/advance@{lo}")
-        remined = refresher.remine_now()
-        assert remined.remined, f"{trace}: forced remine did not run"
-        _assert_counts_match_bitmaps(window, f"{trace}/remine")
-        _assert_recount_bit_identical(refresher, f"{trace}/remine")
-        print(
-            f"check-only [{trace} n={n_jobs}]: {len(refresher.book)} rules, "
-            f"{refresher.window.n_tracked} tracked itemsets — maintained "
-            "counts == popcounts, recount bit-identical to remine",
-            flush=True,
-        )
 
 
 # -- measured mode -------------------------------------------------------------
@@ -313,20 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ticks", type=int, default=5)
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="required full-remine/incremental ratio per tick")
-    parser.add_argument("--n-jobs", type=int, default=800,
-                        help="per-trace job count for --check-only")
-    parser.add_argument(
-        "--check-only",
-        action="store_true",
-        help="assert maintained-count and recount bit-identity on all "
-             "three traces; write no artifacts",
-    )
     parser.add_argument("--output", type=Path, default=JSON_PATH)
     args = parser.parse_args(argv)
 
-    if args.check_only:
-        check_stream_sweep(args.n_jobs)
-        return 0
     return run_measured(
         args.window, args.delta, args.ticks, args.min_speedup, args.output
     )

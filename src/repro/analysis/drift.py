@@ -26,6 +26,9 @@ __all__ = ["RuleChange", "RuleDrift", "diff_rules"]
 #: diff by rule identity
 _Key = tuple[frozenset[Item], frozenset[Item]]
 
+#: lift movement that makes a persisting rule strengthened or weakened
+MIN_LIFT_DELTA = 0.5
+
 
 def _rows_by_key(table: RuleTable) -> dict[_Key, int]:
     vocab = table.vocabulary
@@ -60,17 +63,17 @@ class RuleDrift:
     disappeared: list[AssociationRule] = field(default_factory=list)
     changed: list[RuleChange] = field(default_factory=list)
 
-    def strengthened(self, min_delta: float = 0.5) -> list[RuleChange]:
-        """Persisting rules whose lift rose by at least *min_delta*."""
+    def strengthened(self) -> list[RuleChange]:
+        """Persisting rules whose lift rose by at least :data:`MIN_LIFT_DELTA`."""
         return sorted(
-            (c for c in self.changed if c.lift_delta >= min_delta),
+            (c for c in self.changed if c.lift_delta >= MIN_LIFT_DELTA),
             key=lambda c: -c.lift_delta,
         )
 
-    def weakened(self, min_delta: float = 0.5) -> list[RuleChange]:
-        """Persisting rules whose lift fell by at least *min_delta*."""
+    def weakened(self) -> list[RuleChange]:
+        """Persisting rules whose lift fell by at least :data:`MIN_LIFT_DELTA`."""
         return sorted(
-            (c for c in self.changed if c.lift_delta <= -min_delta),
+            (c for c in self.changed if c.lift_delta <= -MIN_LIFT_DELTA),
             key=lambda c: c.lift_delta,
         )
 

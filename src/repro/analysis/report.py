@@ -90,13 +90,10 @@ def format_rule_table(
     title: str,
     max_cause: int = 6,
     max_characteristic: int = 3,
-    max_similarity: float = 0.6,
 ) -> CaseStudyTable:
     """Build a paper-style table from a keyword rule set."""
-    cause = select_diverse_rules(list(result.cause), max_cause, max_similarity)
-    char = select_diverse_rules(
-        list(result.characteristic), max_characteristic, max_similarity
-    )
+    cause = select_diverse_rules(list(result.cause), max_cause)
+    char = select_diverse_rules(list(result.characteristic), max_characteristic)
     rows = [RuleRow(f"C{i + 1}", r) for i, r in enumerate(cause)]
     rows += [RuleRow(f"A{i + 1}", r) for i, r in enumerate(char)]
     return CaseStudyTable(title=title, rows=rows)

@@ -13,7 +13,7 @@ spec and a workload of :class:`JobRequest` objects, it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..dataframe import ColumnTable
 from .failures import FailureModel, apply_time_limit, inject_node_failures
@@ -22,7 +22,31 @@ from .nodes import ClusterSpec, build_nodes
 from .scheduler import FCFSScheduler, SchedulerStats
 from .telemetry import GPUTelemetryModel, TelemetryConfig
 
-__all__ = ["SimulationResult", "ClusterSimulator"]
+__all__ = ["SimulationResult", "ClusterSimulator", "job_records"]
+
+
+def job_records(
+    runs: Iterable[tuple[JobRequest, float, float, str | None, str | None]],
+    telemetry: TelemetryConfig,
+    seed: int,
+) -> Iterator[JobRecord]:
+    """Merge ``(request, start, end, node, gpu type)`` runs into records,
+    lazily, so a caller that flattens them never holds them all.
+
+    Telemetry covers the time each job actually ran, ``end − start``
+    (node-failure truncations shorten the sampled window), drawn from one
+    model seeded with *seed* in run order.
+    """
+    model = GPUTelemetryModel(telemetry, seed=seed)
+    for req, start, end, node, gpu in runs:
+        yield JobRecord(
+            request=req,
+            start_time=start,
+            end_time=end,
+            node=node,
+            assigned_gpu_type=gpu,
+            telemetry=model.summarize(req.profile, max(end - start, 0.0)).as_dict(),
+        )
 
 
 @dataclass(slots=True)
@@ -85,22 +109,14 @@ class ClusterSimulator:
         if self.failures.node_mtbf_s is not None:
             inject_node_failures(placements, self.failures)
 
-        telemetry = GPUTelemetryModel(self.telemetry_config, seed=self.seed)
-        records: list[JobRecord] = []
-        for placement in placements:
-            req = placement.request
-            # telemetry covers the time the job actually ran (truncations
-            # from node failures shorten the sampled window)
-            observed = max(placement.end_time - placement.start_time, 0.0)
-            summary = telemetry.summarize(req.profile, observed)
-            records.append(
-                JobRecord(
-                    request=req,
-                    start_time=placement.start_time,
-                    end_time=placement.end_time,
-                    node=placement.node_name,
-                    assigned_gpu_type=placement.gpu_type,
-                    telemetry=summary.as_dict(),
-                )
+        records = list(
+            job_records(
+                (
+                    (p.request, p.start_time, p.end_time, p.node_name, p.gpu_type)
+                    for p in placements
+                ),
+                self.telemetry_config,
+                self.seed,
             )
+        )
         return SimulationResult(records=records, scheduler_stats=stats)

@@ -26,7 +26,6 @@ addressing scheme the engine's itemset cache uses).
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -118,28 +117,6 @@ class PackedBitmaps:
                 bits, starts
             )
         return cls(words, n)
-
-    @classmethod
-    def from_onehot(cls, matrix: np.ndarray) -> "PackedBitmaps":
-        """Build from a boolean one-hot matrix (n_transactions × n_items).
-
-        Uses ``np.packbits`` along the transaction axis; bytes are
-        assembled little-endian into uint64 words so bit ``t & 63`` of
-        word ``t >> 6`` is transaction ``t`` on any host byte order.
-        """
-        matrix = np.asarray(matrix, dtype=bool)
-        if matrix.ndim != 2:
-            raise ValueError("one-hot matrix must be 2-D")
-        n, n_items = matrix.shape
-        n_words = (n + _WORD_BITS - 1) // _WORD_BITS
-        packed = np.packbits(matrix.T, axis=1, bitorder="little")
-        padded = np.zeros((n_items, n_words * 8), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        if sys.byteorder == "big":  # pragma: no cover - LE-only CI
-            padded = padded.reshape(n_items, n_words, 8)[:, :, ::-1].reshape(
-                n_items, -1
-            )
-        return cls(padded.view(_LE_U64).astype(np.uint64, copy=False), n)
 
     # -- views ---------------------------------------------------------------
     def slice_range(self, start: int, stop: int) -> "PackedBitmaps":

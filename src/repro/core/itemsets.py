@@ -212,18 +212,6 @@ class FrequentItemsets:
             f"min_support={self.min_support})"
         )
 
-    # -- lookups -----------------------------------------------------------------
-    def count_of(self, itemset: Iterable[int]) -> int:
-        """Support count σ(X); KeyError if X is not frequent."""
-        key = frozenset(itemset)
-        try:
-            return self.counts[key]
-        except KeyError:
-            raise KeyError(
-                f"itemset {self.render(key)} is not frequent at min_support="
-                f"{self.min_support}"
-            ) from None
-
     # -- views --------------------------------------------------------------------
     def view(self) -> ItemsetView:
         """The table as columns, built on first call and reused after.

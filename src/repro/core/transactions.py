@@ -179,40 +179,6 @@ class TransactionDatabase:
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         return cls(vocabulary, indptr, flat.astype(np.int32))
 
-    @classmethod
-    def from_onehot(
-        cls,
-        matrix: np.ndarray,
-        items: Sequence[Item | str],
-        vocabulary: ItemVocabulary | None = None,
-    ) -> "TransactionDatabase":
-        """Build from a boolean one-hot matrix (n_transactions × n_items).
-
-        This is the hand-off point from the preprocessing pipeline, which
-        produces exactly this encoding (Sec. III-E: "the database gets
-        transformed using one-hot encoding into the FP-Growth algorithm's
-        supported format").
-        """
-        matrix = np.asarray(matrix, dtype=bool)
-        if matrix.ndim != 2:
-            raise ValueError("one-hot matrix must be 2-D")
-        if matrix.shape[1] != len(items):
-            raise ValueError(
-                f"matrix has {matrix.shape[1]} columns but {len(items)} items given"
-            )
-        vocab = vocabulary if vocabulary is not None else ItemVocabulary()
-        col_ids = np.asarray([vocab.intern(as_item(i)) for i in items], dtype=np.int32)
-        if len(set(col_ids.tolist())) != col_ids.size:
-            raise ValueError("duplicate items in one-hot column list")
-        rows, cols = np.nonzero(matrix)
-        ids = col_ids[cols]
-        # sort by (row, id) so per-transaction ids are increasing
-        order = np.lexsort((ids, rows))
-        indices = ids[order]
-        counts = np.bincount(rows, minlength=matrix.shape[0])
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return cls(vocab, indptr, indices)
-
     # -- basic protocol --------------------------------------------------------
     def __len__(self) -> int:
         return self.indptr.size - 1

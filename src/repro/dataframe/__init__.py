@@ -12,7 +12,7 @@ from .column import (
     NumericColumn,
     column_from_values,
 )
-from .io import read_csv, read_csv_text, write_csv, write_csv_text
+from .io import read_csv, write_csv
 from .ops import value_counts
 from .table import ColumnTable
 
@@ -24,8 +24,6 @@ __all__ = [
     "column_from_values",
     "ColumnTable",
     "read_csv",
-    "read_csv_text",
     "write_csv",
-    "write_csv_text",
     "value_counts",
 ]

@@ -105,9 +105,6 @@ class NumericColumn(Column):
     def __repr__(self) -> str:
         return f"NumericColumn(n={len(self)})"
 
-    def to_numpy(self) -> np.ndarray:
-        return self.values
-
     def to_list(self) -> list:
         return [None if math.isnan(v) else float(v) for v in self.values]
 
@@ -265,9 +262,6 @@ class BooleanColumn(Column):
 
     def __repr__(self) -> str:
         return f"BooleanColumn(n={len(self)})"
-
-    def to_numpy(self) -> np.ndarray:
-        return self.values
 
     def to_list(self) -> list:
         return [bool(v) for v in self.values]

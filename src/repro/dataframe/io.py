@@ -9,19 +9,13 @@ original logs.  Type inference matches :func:`column_from_values`.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from typing import TextIO
 
 from .column import CategoricalColumn, NumericColumn
 from .table import ColumnTable
 
-__all__ = ["read_csv", "write_csv", "read_csv_text", "write_csv_text"]
-
-
-def read_csv_text(text: str) -> ColumnTable:
-    """Parse CSV from a string; first row is the header."""
-    return _read(io.StringIO(text))
+__all__ = ["read_csv", "write_csv"]
 
 
 def read_csv(path: str | os.PathLike) -> ColumnTable:
@@ -47,13 +41,6 @@ def _read(fh: TextIO) -> ColumnTable:
         for values, cell in zip(columns, row):
             values.append(None if cell == "" else cell)
     return ColumnTable.from_dict(dict(zip(header, columns)))
-
-
-def write_csv_text(table: ColumnTable) -> str:
-    """Serialise a table to CSV text (NA as empty cell)."""
-    buf = io.StringIO()
-    _write(table, buf)
-    return buf.getvalue()
 
 
 def write_csv(table: ColumnTable, path: str | os.PathLike) -> None:

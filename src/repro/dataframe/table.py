@@ -144,12 +144,6 @@ class ColumnTable:
                 out[name] = col.to_list()[i]
         return out
 
-    def iter_rows(self) -> Iterable[dict[str, Any]]:
-        """Iterate rows as dicts. Prefer column-level ops; this is for tests/IO."""
-        lists = {name: col.to_list() for name, col in self._columns.items()}
-        for i in range(len(self)):
-            yield {name: values[i] for name, values in lists.items()}
-
     # -- selection --------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "ColumnTable":
         """Gather rows at *indices* into a new table."""

@@ -72,7 +72,6 @@ class RuleClassifier:
         target: Item | str,
         allowed_features: Iterable[str] | None = None,
         min_confidence: float = 0.0,
-        max_rules: int | None = None,
     ) -> "RuleClassifier":
         """Build from a mined rule table.
 
@@ -112,8 +111,6 @@ class RuleClassifier:
                 )
             )
         kept.sort(key=lambda r: (-r.confidence, -r.lift, -r.support))
-        if max_rules is not None:
-            kept = kept[:max_rules]
         return cls(target_item, kept)
 
     def predict(self, db: TransactionDatabase) -> np.ndarray:

@@ -253,10 +253,8 @@ class TransactionEncoder:
         # the transposed views walk transaction by transaction
         return TransactionDatabase(vocab, indptr, matrix.T[keep.T])
 
-    def fit_transform(
-        self, table: ColumnTable, vocabulary: ItemVocabulary | None = None
-    ) -> TransactionDatabase:
-        return self.fit(table).transform(table, vocabulary)
+    def fit_transform(self, table: ColumnTable) -> TransactionDatabase:
+        return self.fit(table).transform(table)
 
     # -- interpretability ----------------------------------------------------------
     def bin_ranges(self) -> dict[str, dict[str, tuple[float, float]]]:

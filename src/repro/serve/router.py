@@ -64,6 +64,9 @@ EWMA_ALPHA = 0.2
 RECONNECT_MIN_S = 0.05
 RECONNECT_MAX_S = 2.0
 
+#: seconds :meth:`ShardRouter.start` waits for every shard to come up
+WAIT_HEALTHY_S = 10.0
+
 
 def aggregate_shard_metrics(shard_metrics: list[dict]) -> dict:
     """Merge per-shard serving ``metrics`` payloads into a cluster view.
@@ -386,12 +389,10 @@ class ShardRouter:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        wait_healthy_s: float = 10.0,
     ) -> asyncio.Server:
         """Dial every shard, then open the public listener.
 
-        Requires at least one shard to come up within *wait_healthy_s*;
+        Requires at least one shard to come up within :data:`WAIT_HEALTHY_S`;
         stragglers keep redialing in the background.
         """
         if self._server is not None:
@@ -400,7 +401,7 @@ class ShardRouter:
         self._draining = False
         for handle in self.handles:
             handle.start()
-        deadline = time.monotonic() + wait_healthy_s
+        deadline = time.monotonic() + WAIT_HEALTHY_S
         while time.monotonic() < deadline:
             if all(handle.healthy for handle in self.handles):
                 break
@@ -409,7 +410,7 @@ class ShardRouter:
             for handle in self.handles:
                 await handle.close()
             raise ConnectionError(
-                f"no shard became healthy within {wait_healthy_s}s: "
+                f"no shard became healthy within {WAIT_HEALTHY_S}s: "
                 f"{self.handles}"
             )
         self._server = await asyncio.get_running_loop().create_server(

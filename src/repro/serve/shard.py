@@ -59,10 +59,10 @@ __all__ = [
 ]
 
 #: seconds a freshly spawned worker gets to print SHARD_READY
-DEFAULT_READY_TIMEOUT_S = 30.0
+READY_TIMEOUT_S = 30.0
 
 #: seconds a SIGTERM'd worker gets to drain before SIGKILL
-DEFAULT_DRAIN_TIMEOUT_S = 10.0
+DRAIN_TIMEOUT_S = 10.0
 
 
 def _src_root() -> Path:
@@ -115,9 +115,7 @@ class ShardProcess:
             cmd.extend(["--segment", self.segment])
         return cmd
 
-    async def spawn(
-        self, ready_timeout: float = DEFAULT_READY_TIMEOUT_S
-    ) -> None:
+    async def spawn(self) -> None:
         """Start the worker and wait for its SHARD_READY line."""
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
@@ -132,13 +130,13 @@ class ShardProcess:
             env=env,
         )
         try:
-            await asyncio.wait_for(self._wait_ready(), ready_timeout)
+            await asyncio.wait_for(self._wait_ready(), READY_TIMEOUT_S)
         except asyncio.TimeoutError:
             self.process.kill()
             await self.process.wait()
             raise RuntimeError(
                 f"shard {self.name} did not become ready within "
-                f"{ready_timeout}s"
+                f"{READY_TIMEOUT_S}s"
             ) from None
         self._drain_task = asyncio.create_task(self._drain_stdout())
 
@@ -205,9 +203,7 @@ class ShardProcess:
             self._drain_task = None
         return returncode
 
-    async def stop(
-        self, drain_timeout: float = DEFAULT_DRAIN_TIMEOUT_S
-    ) -> None:
+    async def stop(self) -> None:
         """SIGTERM (graceful drain), escalate to SIGKILL on timeout."""
         if not self.running:
             if self._drain_task is not None:
@@ -216,7 +212,7 @@ class ShardProcess:
             return
         self.terminate()
         try:
-            await self.wait(drain_timeout)
+            await self.wait(DRAIN_TIMEOUT_S)
         except asyncio.TimeoutError:  # pragma: no cover - stuck worker
             self.kill()
             await self.wait()
@@ -254,7 +250,6 @@ async def broadcast_reload(
     version: int | None = None,
     version_tag: str | None = None,
     segment: str | None = None,
-    timeout: float = 60.0,
 ) -> dict:
     """Hot-swap the rulebook of the one endpoint at *host*:*port*.
 
@@ -275,7 +270,7 @@ async def broadcast_reload(
     if segment is not None:
         payload["segment"] = segment
     try:
-        result = await send_control(host, port, payload, timeout=timeout)
+        result = await send_control(host, port, payload, timeout=60.0)
     except (OSError, asyncio.TimeoutError, json.JSONDecodeError) as exc:
         result = {"detail": repr(exc)}
     answered = result.get("type") == "reload_result"
@@ -471,12 +466,6 @@ class ShardCluster:
                 worker.segment = lease.name
         return result
 
-    def kill_shard(self, k: int) -> ShardProcess:
-        """SIGKILL worker *k* (chaos testing / CI smoke)."""
-        worker = self.workers[k]
-        worker.kill()
-        return worker
-
     async def shutdown(self) -> None:
         if self.router is not None:
             await self.router.shutdown()
@@ -488,7 +477,7 @@ class ShardCluster:
         # does, which then logs "Unknown child process" on stderr
         for worker in self.workers:
             try:
-                await worker.wait(DEFAULT_DRAIN_TIMEOUT_S)
+                await worker.wait(DRAIN_TIMEOUT_S)
             except asyncio.TimeoutError:  # pragma: no cover - stuck worker
                 worker.kill()
                 await worker.wait()

@@ -51,7 +51,7 @@ import os
 import struct
 import sys
 import weakref
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -483,22 +483,13 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def list_segments(kinds: Iterable[str] | None = None) -> list[str]:
+def list_segments() -> list[str]:
     """Names of every ``rsm.*`` segment currently published on this host."""
     try:
         entries = os.listdir(_SHM_DIR)
     except OSError:  # pragma: no cover - no /dev/shm
         return []
-    wanted = None if kinds is None else set(kinds)
-    out = []
-    for entry in entries:
-        if not entry.startswith(NAME_PREFIX):
-            continue
-        parts = entry.split(".")
-        if wanted is not None and (len(parts) < 2 or parts[1] not in wanted):
-            continue
-        out.append(entry)
-    return sorted(out)
+    return sorted(entry for entry in entries if entry.startswith(NAME_PREFIX))
 
 
 def gc_stale_segments() -> list[str]:

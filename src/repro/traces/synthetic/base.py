@@ -16,7 +16,9 @@ mixture induces the associations.  The machinery here handles:
   job runtimes);
 * self-calibrating arrival processes: the submission window is derived
   from total GPU demand and a target utilisation, so scheduler-produced
-  queue delays are meaningful at any generated scale.
+  queue delays are meaningful at any generated scale;
+* the merged job table (:func:`job_table`): the scheduler run, or the
+  direct path that draws each queue delay instead of simulating it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ...cluster.job import JobRequest, JobStatus
+from ...cluster.nodes import ClusterSpec
+from ...cluster.simulator import ClusterSimulator, job_records
+from ...cluster.telemetry import TelemetryConfig
 from ...cluster.users import UserPopulation, UserProfile
 from ...dataframe import (
     BooleanColumn,
@@ -39,7 +44,6 @@ from ...dataframe import (
 __all__ = [
     "Archetype",
     "ArchetypeMixer",
-    "BatchContext",
     "CatBlock",
     "lognormal_runtime",
     "lognormal_runtime_batch",
@@ -49,7 +53,11 @@ __all__ = [
     "status_codes",
     "poisson_arrivals",
     "calibrated_duration",
+    "job_table",
 ]
+
+#: floor of every sampled runtime, seconds
+MIN_RUNTIME_S = 5.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,25 +80,10 @@ class CatBlock:
         return cls(np.zeros(n, dtype=np.int32), [label])
 
 
-@dataclass(frozen=True, slots=True)
-class BatchContext:
-    """Per-archetype context handed to a batched sampler.
-
-    ``job_ids`` are the global row indices this archetype was assigned;
-    ``is_new`` flags which of those rows belong to new users.
-    """
-
-    n: int
-    job_ids: np.ndarray
-    is_new: np.ndarray
-
-
-#: a batched sampler: (rng, ctx) → column name → block for ctx.n rows;
+#: a batched sampler: (rng, n) → column name → block for n rows;
 #: float/int arrays become numeric columns, bool arrays boolean columns,
 #: CatBlock categorical columns
-BatchSampler = Callable[
-    [np.random.Generator, BatchContext], dict[str, "np.ndarray | CatBlock"]
-]
+BatchSampler = Callable[[np.random.Generator, int], dict[str, "np.ndarray | CatBlock"]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,8 +245,7 @@ class ArchetypeMixer:
             rows = np.flatnonzero(arch == i)
             if rows.size == 0:
                 continue
-            ctx = BatchContext(n=int(rows.size), job_ids=rows, is_new=is_new[rows])
-            blocks = archetype.batch_sampler(rng, ctx)
+            blocks = archetype.batch_sampler(rng, int(rows.size))
             for name, block in blocks.items():
                 _fill(name, rows, block)
 
@@ -274,14 +266,14 @@ def lognormal_runtime(
     rng: np.random.Generator,
     median_s: float,
     sigma: float = 1.0,
-    min_s: float = 5.0,
     max_s: float | None = None,
 ) -> float:
-    """Heavy-tailed runtime draw around a median, clamped to [min, max]."""
+    """Heavy-tailed runtime draw around a median, clamped to
+    [:data:`MIN_RUNTIME_S`, max]."""
     value = float(rng.lognormal(np.log(median_s), sigma))
     if max_s is not None:
         value = min(value, max_s)
-    return max(value, min_s)
+    return max(value, MIN_RUNTIME_S)
 
 
 def lognormal_runtime_batch(
@@ -289,14 +281,13 @@ def lognormal_runtime_batch(
     n: int,
     median_s: float,
     sigma: float = 1.0,
-    min_s: float = 5.0,
     max_s: float | None = None,
 ) -> np.ndarray:
     """Batched :func:`lognormal_runtime`: *n* clamped heavy-tailed draws."""
     values = rng.lognormal(np.log(median_s), sigma, size=n)
     if max_s is not None:
         np.minimum(values, max_s, out=values)
-    np.maximum(values, min_s, out=values)
+    np.maximum(values, MIN_RUNTIME_S, out=values)
     return values
 
 
@@ -356,19 +347,12 @@ def status_choice(
     return JobStatus.COMPLETED
 
 
-def status_codes(
-    rng: np.random.Generator,
-    n: int,
-    p_failed: float,
-    p_killed: float = 0.0,
-) -> CatBlock:
-    """Batched :func:`status_choice`: *n* terminal-status draws."""
-    if p_failed + p_killed > 1.0 + 1e-9:
-        raise ValueError("p_failed + p_killed must be <= 1")
-    u = rng.random(n)
-    codes = np.zeros(n, dtype=np.int32)
-    codes[u < p_failed + p_killed] = 2
-    codes[u < p_failed] = 1
+def status_codes(rng: np.random.Generator, n: int, p_failed: float) -> CatBlock:
+    """Batched :func:`status_choice` with no kills: *n* completed/failed
+    draws (the category list still names all three statuses)."""
+    if p_failed > 1.0 + 1e-9:
+        raise ValueError("p_failed must be <= 1")
+    codes = (rng.random(n) < p_failed).astype(np.int32)
     return CatBlock(
         codes,
         [JobStatus.COMPLETED.value, JobStatus.FAILED.value, JobStatus.KILLED.value],
@@ -403,3 +387,47 @@ def poisson_arrivals(
     times = np.sort(rng.uniform(0.0, duration_s, size=len(jobs)))
     for job, t in zip(jobs, times):
         job.submit_time = float(t)
+
+
+def job_table(
+    jobs: list[JobRequest],
+    cluster: ClusterSpec,
+    telemetry: TelemetryConfig,
+    *,
+    seed: int,
+    use_scheduler: bool,
+    capacity_gpus: int,
+    target_utilization: float,
+    mean_queue_delay: "float | np.ndarray",
+) -> ColumnTable:
+    """The merged job table of one trace: arrivals, placement, telemetry.
+
+    Arrivals are calibrated so *jobs* load *capacity_gpus* to
+    *target_utilization* (RNG ``seed + 1``).  With *use_scheduler* the
+    cluster simulator places every job; otherwise the direct path draws
+    each job's queue delay from an exponential with *mean_queue_delay*
+    (a scalar or one mean per job, from the same RNG), starts it at
+    ``submit + delay`` on its requested GPU type and ends it at
+    ``start + runtime``.  Either way
+    :func:`~repro.cluster.simulator.job_records` merges the runs with
+    telemetry seeded ``seed + 2``.
+    """
+    duration = calibrated_duration(
+        jobs, total_gpus=capacity_gpus, target_utilization=target_utilization
+    )
+    rng = np.random.default_rng(seed + 1)
+    poisson_arrivals(rng, jobs, duration)
+    if use_scheduler:
+        sim = ClusterSimulator(cluster, telemetry=telemetry, seed=seed + 2)
+        return sim.run(jobs).to_table()
+    delays = rng.exponential(1.0, len(jobs)) * mean_queue_delay
+    starts = np.asarray([job.submit_time for job in jobs]) + delays
+    records = job_records(
+        (
+            (job, start, start + job.runtime, None, job.gpu_type)
+            for job, start in zip(jobs, starts.tolist())
+        ),
+        telemetry,
+        seed + 2,
+    )
+    return ColumnTable.from_records([r.as_row() for r in records])

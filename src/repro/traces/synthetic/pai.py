@@ -41,7 +41,6 @@ import numpy as np
 
 from ...cluster import (
     BehaviorProfile,
-    ClusterSimulator,
     ClusterSpec,
     JobRequest,
     NodeSpec,
@@ -60,14 +59,12 @@ from ...preprocess import (
 from .base import (
     Archetype,
     ArchetypeMixer,
-    BatchContext,
     CatBlock,
-    calibrated_duration,
     categorical_choice,
     categorical_codes,
+    job_table,
     lognormal_runtime,
     lognormal_runtime_batch,
-    poisson_arrivals,
     status_choice,
     status_codes,
 )
@@ -95,7 +92,6 @@ class PAIConfig:
 
     n_jobs: int = 20_000
     n_users: int = 400
-    n_groups: int = 150
     seed: int = 7
     #: target utilisation of the *binding* (non-T4) GPU pools
     congestion: float = 0.92
@@ -339,8 +335,7 @@ def _group_block(
     return CatBlock(codes, [f"group{i:03d}" for i in range(lo, hi)])
 
 
-def _debug_template_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
-    n = ctx.n
+def _debug_template_batch(rng: np.random.Generator, n: int) -> dict:
     return {
         "runtime": lognormal_runtime_batch(rng, n, median_s=120.0, sigma=0.8, max_s=3600),
         "n_gpus": np.where(rng.random(n) < 0.75, 1.0, 2.0),
@@ -359,8 +354,7 @@ def _debug_template_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
     }
 
 
-def _bulk_failer_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
-    n = ctx.n
+def _bulk_failer_batch(rng: np.random.Generator, n: int) -> dict:
     return {
         "user": CatBlock.full(n, "user0000"),  # the single dominant submitter
         "runtime": lognormal_runtime_batch(rng, n, median_s=60.0, sigma=0.5, max_s=900),
@@ -380,8 +374,7 @@ def _bulk_failer_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
     }
 
 
-def _production_train_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
-    n = ctx.n
+def _production_train_batch(rng: np.random.Generator, n: int) -> dict:
     return {
         "runtime": lognormal_runtime_batch(rng, n, median_s=4200.0, sigma=1.1, max_s=1e5),
         "n_gpus": np.asarray([8.0, 16.0, 32.0])[
@@ -408,8 +401,7 @@ def _production_train_batch(rng: np.random.Generator, ctx: BatchContext) -> dict
     }
 
 
-def _recsys_serving_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
-    n = ctx.n
+def _recsys_serving_batch(rng: np.random.Generator, n: int) -> dict:
     return {
         "runtime": lognormal_runtime_batch(rng, n, median_s=1800.0, sigma=0.9, max_s=4e4),
         "n_gpus": np.asarray([2.0, 4.0, 8.0])[
@@ -430,8 +422,7 @@ def _recsys_serving_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
     }
 
 
-def _nlp_train_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
-    n = ctx.n
+def _nlp_train_batch(rng: np.random.Generator, n: int) -> dict:
     return {
         "runtime": lognormal_runtime_batch(rng, n, median_s=9000.0, sigma=1.0, max_s=2e5),
         "n_gpus": np.asarray([8.0, 16.0, 32.0])[
@@ -454,8 +445,7 @@ def _nlp_train_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
     }
 
 
-def _distributed_flaky_batch(rng: np.random.Generator, ctx: BatchContext) -> dict:
-    n = ctx.n
+def _distributed_flaky_batch(rng: np.random.Generator, n: int) -> dict:
     failed = rng.random(n) < 0.80
     idle = failed | (rng.random(n) < 0.5)
     gpu_type = categorical_codes(rng, n, {"V100": 0.5, "P100": 0.3, None: 0.2})
@@ -539,36 +529,34 @@ def generate_pai(config: PAIConfig = PAIConfig()) -> ColumnTable:
         job.n_cpus = min(job.n_cpus, 90)
         job.mem_gb = min(job.mem_gb, 256.0)
 
-    duration = calibrated_duration(
+    table = job_table(
         jobs,
-        total_gpus=sum(
+        cluster,
+        TelemetryConfig(sample_interval_s=30.0, max_samples_per_job=64),
+        seed=config.seed,
+        use_scheduler=config.use_scheduler,
+        capacity_gpus=sum(
             n for t, n in cluster.gpus_by_type().items() if t in ("V100", "P100")
         ),
         target_utilization=config.congestion,
+        # without the scheduler: short waits on the T4/misc pools, long on
+        # the congested non-T4 pools
+        mean_queue_delay=np.asarray(
+            [120.0 if job.gpu_type in ("T4", "MISC") else 7200.0 for job in jobs]
+        ),
     )
-    rng = np.random.default_rng(config.seed + 1)
-    poisson_arrivals(rng, jobs, duration)
-
-    telemetry_config = TelemetryConfig(sample_interval_s=30.0, max_samples_per_job=64)
-    if config.use_scheduler:
-        sim = ClusterSimulator(cluster, telemetry=telemetry_config, seed=config.seed + 2)
-        result = sim.run(jobs)
-        table = result.to_table()
-    else:
-        # fast path for tests: queue delays drawn per pool instead of
-        # emerging from the discrete-event scheduler
-        table = _direct_table(jobs, telemetry_config, rng)
     return _finalize_pai_table(table)
 
 
 def _generate_pai_columnar(config: PAIConfig) -> ColumnTable:
     """Columnar fast path: the whole trace as numpy column blocks.
 
-    Statistically equivalent to the object-per-job fast path
-    (``use_scheduler=False``) — same archetype mixture, distributions and
-    schema — but drawn batch-at-a-time with no per-job Python objects.
-    Queue delays are sampled per pool like :func:`_direct_table`: short
-    for the T4/misc pools, long for the congested non-T4 pools.
+    Statistically equivalent to the object-per-job direct path
+    (``use_scheduler=False``, :func:`.base.job_table`) — same archetype
+    mixture, distributions and schema — but drawn batch-at-a-time with no
+    per-job Python objects.  Queue delays are sampled per pool like the
+    direct path's: short for the T4/misc pools, long for the congested
+    non-T4 pools.
     """
     users = UserPopulation(
         config.n_users, new_user_fraction=0.12, seed=config.seed, name_prefix="user"
@@ -582,31 +570,6 @@ def _generate_pai_columnar(config: PAIConfig) -> ColumnTable:
     delay = rng.exponential(1.0, len(table)) * np.where(fast, 120.0, 7200.0)
     table.add_column("queue_delay", NumericColumn(delay))
     return _finalize_pai_table(table)
-
-
-def _direct_table(
-    jobs: list[JobRequest],
-    telemetry_config: TelemetryConfig,
-    rng: np.random.Generator,
-) -> ColumnTable:
-    from ...cluster import GPUTelemetryModel, JobRecord
-
-    model = GPUTelemetryModel(telemetry_config, seed=17)
-    rows = []
-    for job in jobs:
-        mean_delay = 120.0 if job.gpu_type in ("T4", "MISC") else 7200.0
-        delay = float(rng.exponential(mean_delay))
-        summary = model.summarize(job.profile, job.runtime)
-        record = JobRecord(
-            request=job,
-            start_time=job.submit_time + delay,
-            end_time=job.submit_time + delay + job.runtime,
-            node=None,
-            assigned_gpu_type=job.gpu_type,
-            telemetry=summary.as_dict(),
-        )
-        rows.append(record.as_row())
-    return ColumnTable.from_records(rows)
 
 
 def _finalize_pai_table(table: ColumnTable) -> ColumnTable:

@@ -31,7 +31,6 @@ import numpy as np
 
 from ...cluster import (
     BehaviorProfile,
-    ClusterSimulator,
     ClusterSpec,
     JobRequest,
     JobStatus,
@@ -45,10 +44,9 @@ from ...preprocess import BinningSpec, FeatureSpec, TierSpec, TracePreprocessor
 from .base import (
     Archetype,
     ArchetypeMixer,
-    calibrated_duration,
     categorical_choice,
+    job_table,
     lognormal_runtime,
-    poisson_arrivals,
     status_choice,
 )
 
@@ -259,33 +257,16 @@ def generate_philly(config: PhillyConfig = PhillyConfig()) -> ColumnTable:
     jobs = mixer.sample_jobs(config.n_jobs)
 
     cluster = _philly_cluster()
-    duration = calibrated_duration(
-        jobs, total_gpus=cluster.total_gpus, target_utilization=config.target_utilization
+    table = job_table(
+        jobs,
+        cluster,
+        TelemetryConfig(sample_interval_s=60.0, max_samples_per_job=256),
+        seed=config.seed,
+        use_scheduler=config.use_scheduler,
+        capacity_gpus=cluster.total_gpus,
+        target_utilization=config.target_utilization,
+        mean_queue_delay=600.0,
     )
-    rng = np.random.default_rng(config.seed + 1)
-    poisson_arrivals(rng, jobs, duration)
-
-    telemetry = TelemetryConfig(sample_interval_s=60.0, max_samples_per_job=256)
-    if config.use_scheduler:
-        sim = ClusterSimulator(cluster, telemetry=telemetry, seed=config.seed + 2)
-        table = sim.run(jobs).to_table()
-    else:
-        from ...cluster import GPUTelemetryModel, JobRecord
-
-        model = GPUTelemetryModel(telemetry, seed=config.seed + 2)
-        rows = []
-        for job in jobs:
-            summary = model.summarize(job.profile, job.runtime)
-            record = JobRecord(
-                request=job,
-                start_time=job.submit_time + float(rng.exponential(600.0)),
-                end_time=job.submit_time + job.runtime,
-                node=None,
-                assigned_gpu_type=job.gpu_type,
-                telemetry=summary.as_dict(),
-            )
-            rows.append(record.as_row())
-        table = ColumnTable.from_records(rows)
     return _finalize_philly_table(table)
 
 

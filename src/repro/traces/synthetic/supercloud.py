@@ -34,7 +34,6 @@ import numpy as np
 
 from ...cluster import (
     BehaviorProfile,
-    ClusterSimulator,
     ClusterSpec,
     JobRequest,
     NodeSpec,
@@ -47,10 +46,9 @@ from ...preprocess import BinningSpec, FeatureSpec, TierSpec, TracePreprocessor
 from .base import (
     Archetype,
     ArchetypeMixer,
-    calibrated_duration,
     categorical_choice,
+    job_table,
     lognormal_runtime,
-    poisson_arrivals,
     status_choice,
 )
 
@@ -269,34 +267,17 @@ def generate_supercloud(config: SuperCloudConfig = SuperCloudConfig()) -> Column
     jobs = mixer.sample_jobs(config.n_jobs)
 
     cluster = _supercloud_cluster()
-    duration = calibrated_duration(
-        jobs, total_gpus=cluster.total_gpus, target_utilization=config.target_utilization
+    table = job_table(
+        jobs,
+        cluster,
+        # 100 ms sampling: high effective sample counts per job, capped
+        TelemetryConfig(sample_interval_s=0.1, max_samples_per_job=512),
+        seed=config.seed,
+        use_scheduler=config.use_scheduler,
+        capacity_gpus=cluster.total_gpus,
+        target_utilization=config.target_utilization,
+        mean_queue_delay=300.0,
     )
-    rng = np.random.default_rng(config.seed + 1)
-    poisson_arrivals(rng, jobs, duration)
-
-    # 100 ms sampling: high effective sample counts per job, capped
-    telemetry = TelemetryConfig(sample_interval_s=0.1, max_samples_per_job=512)
-    if config.use_scheduler:
-        sim = ClusterSimulator(cluster, telemetry=telemetry, seed=config.seed + 2)
-        table = sim.run(jobs).to_table()
-    else:
-        from ...cluster import GPUTelemetryModel, JobRecord
-
-        model = GPUTelemetryModel(telemetry, seed=config.seed + 2)
-        rows = []
-        for job in jobs:
-            summary = model.summarize(job.profile, job.runtime)
-            record = JobRecord(
-                request=job,
-                start_time=job.submit_time + float(rng.exponential(300.0)),
-                end_time=job.submit_time + job.runtime,
-                node=None,
-                assigned_gpu_type="V100",
-                telemetry=summary.as_dict(),
-            )
-            rows.append(record.as_row())
-        table = ColumnTable.from_records(rows)
     return _finalize_supercloud_table(table)
 
 

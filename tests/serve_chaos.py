@@ -150,7 +150,8 @@ class ChaosCluster:
 
     def kill(self, k: int) -> int:
         """SIGKILL shard *k*; returns its pid."""
-        worker = self.cluster.kill_shard(k)
+        worker = self.cluster.workers[k]
+        worker.kill()
         assert worker.pid is not None
         return worker.pid
 

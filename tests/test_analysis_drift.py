@@ -76,8 +76,8 @@ class TestDiffRules:
             rule(["c"], ["K"], lift=3.1),   # +0.1 (below threshold)
         ]
         drift = diff(before, after)
-        assert [c.after.lift for c in drift.strengthened(0.5)] == [3.5]
-        assert [c.after.lift for c in drift.weakened(0.5)] == [2.0]
+        assert [c.after.lift for c in drift.strengthened()] == [3.5]
+        assert [c.after.lift for c in drift.weakened()] == [2.0]
 
     def test_direction_matters_in_identity(self):
         # a ⇒ K and K ⇒ a are different rules

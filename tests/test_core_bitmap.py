@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.core import MiningConfig, TransactionDatabase, generate_rule_table
 from repro.core.apriori import apriori
 from repro.core.bitmap import (
-    PackedBitmaps,
     bitmap_cache_info,
     clear_bitmap_cache,
     get_shared_bitmaps,
@@ -51,6 +50,17 @@ def _make_db(raw_txns: list[list[int]]) -> TransactionDatabase:
     for i in range(_N_ITEMS):
         vocab.intern(f"item{i}")
     return TransactionDatabase.from_itemsets(raw_txns, vocabulary=vocab)
+
+
+def _onehot_words(matrix: np.ndarray) -> np.ndarray:
+    """Packed words of a boolean one-hot matrix (n_transactions × n_items)
+    by ``np.packbits``: bit ``t & 63`` of word ``t >> 6`` is transaction
+    ``t``, bytes assembled little-endian."""
+    n, n_items = matrix.shape
+    packed = np.packbits(matrix.T, axis=1, bitorder="little")
+    padded = np.zeros((n_items, -(-n // 64) * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view("<u8").astype(np.uint64)
 
 
 def _naive_support(raw_txns: list[list[int]], itemset: set[int]) -> int:
@@ -94,9 +104,8 @@ class TestBitmapLayout:
     def test_from_onehot_matches_from_database(self):
         rng = np.random.default_rng(3)
         matrix = rng.random((77, _N_ITEMS)) < 0.4
-        via_onehot = PackedBitmaps.from_onehot(matrix)
         db = _make_db([list(np.flatnonzero(row)) for row in matrix])
-        assert np.array_equal(via_onehot.words, db.bitmaps().words)
+        assert np.array_equal(_onehot_words(matrix), db.bitmaps().words)
 
     def test_to_bool_roundtrip(self):
         raw = [[0], [], [0, 1], [1]]

@@ -18,17 +18,14 @@ def fis(toy_db):
 class TestLookups:
     def test_count_and_support(self, fis, toy_db):
         bread = toy_db.vocabulary.id_of("bread")
-        assert fis.count_of([bread]) == 4
-
-    def test_missing_itemset_raises_with_context(self, fis, toy_db):
-        cola = toy_db.vocabulary.id_of("cola")
-        eggs = toy_db.vocabulary.id_of("eggs")
-        with pytest.raises(KeyError, match="not frequent"):
-            fis.count_of([cola, eggs])
+        assert fis.counts[frozenset([bread])] == 4
 
     def test_contains(self, fis, toy_db):
         bread = toy_db.vocabulary.id_of("bread")
         assert frozenset({bread}) in fis
+        cola = toy_db.vocabulary.id_of("cola")
+        eggs = toy_db.vocabulary.id_of("eggs")
+        assert frozenset({cola, eggs}) not in fis
 
 
 class TestViews:

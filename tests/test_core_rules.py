@@ -175,5 +175,5 @@ def test_rule_sides_partition_a_frequent_itemset(db):
         assert not (rule.antecedent_ids & rule.consequent_ids)
         # support of rule equals support of union itemset
         assert rule.support == pytest.approx(
-            itemsets.count_of(union) / itemsets.n_transactions
+            itemsets.counts[union] / itemsets.n_transactions
         )

@@ -19,21 +19,6 @@ class TestConstruction:
         assert len(db) == 3
         assert len(db.transaction(0)) == 0
 
-    def test_from_onehot(self):
-        matrix = np.asarray([[1, 0, 1], [0, 1, 0]], dtype=bool)
-        db = TransactionDatabase.from_onehot(matrix, ["a", "b", "c"])
-        assert len(db) == 2
-        assert db.support_count(["a", "c"]) == 1
-        assert db.support_count(["b"]) == 1
-
-    def test_from_onehot_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            TransactionDatabase.from_onehot(np.zeros((2, 2), bool), ["a"])
-
-    def test_from_onehot_duplicate_items_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            TransactionDatabase.from_onehot(np.zeros((1, 2), bool), ["a", "a"])
-
     def test_invalid_indptr_rejected(self):
         vocab = ItemVocabulary(["a"])
         with pytest.raises(ValueError):

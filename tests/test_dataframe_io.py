@@ -1,14 +1,23 @@
 """Unit tests for CSV ingestion/export."""
 
+import io
+
 import pytest
 
-from repro.dataframe import (
-    ColumnTable,
-    read_csv,
-    read_csv_text,
-    write_csv,
-    write_csv_text,
-)
+from repro.dataframe import ColumnTable, read_csv, write_csv
+from repro.dataframe.io import _read, _write
+
+
+def read_csv_text(text: str) -> ColumnTable:
+    """Parse CSV text as :func:`read_csv` parses a file."""
+    return _read(io.StringIO(text))
+
+
+def write_csv_text(table: ColumnTable) -> str:
+    """The text :func:`write_csv` would write."""
+    buf = io.StringIO()
+    _write(table, buf)
+    return buf.getvalue()
 
 
 class TestReadCsv:

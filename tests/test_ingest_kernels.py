@@ -215,7 +215,7 @@ def test_assembly_equals_the_itemset_oracle(case):
                CategoricalColumn.from_values)(values)
         for name, values in data.items()
     })
-    db = TransactionEncoder(specs).fit_transform(table, vocabulary)
+    db = TransactionEncoder(specs).fit(table).transform(table, vocabulary)
     oracle = TransactionDatabase.from_itemsets(
         [list(row) for row in row_sets(data, specs)],
         vocabulary=ItemVocabulary(db.vocabulary),

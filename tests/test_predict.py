@@ -76,10 +76,6 @@ class TestConstruction:
         clf = _classifier(labelled_db, min_confidence=0.8)
         assert all(r.confidence >= 0.8 for r in clf.rules)
 
-    def test_max_rules_cap(self, labelled_db):
-        clf = _classifier(labelled_db, max_rules=2)
-        assert len(clf) <= 2
-
 
 def object_filter(table, target, allowed=None, min_confidence=0.0):
     """The decision rules stated over rule objects, in table order:

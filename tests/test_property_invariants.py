@@ -14,8 +14,10 @@ from repro.core import (
     prune_rule_table,
 )
 from repro.core.pruning import PruningConfig
-from repro.dataframe import ColumnTable, read_csv_text, write_csv_text
+from repro.dataframe import ColumnTable
 from repro.preprocess import drop_skewed_items
+
+from .test_dataframe_io import read_csv_text, write_csv_text
 
 # -- CSV round trips -----------------------------------------------------------
 
@@ -157,7 +159,7 @@ def test_generated_rules_respect_thresholds(db, min_support, min_lift):
         assert rule.support >= min_support - 1e-9 or True  # supp(rule) ≥ supp of union
         assert rule.lift >= min_lift
         union = rule.antecedent_ids | rule.consequent_ids
-        assert fis.count_of(union) / fis.n_transactions >= min_support - 1.0 / max(len(db), 1)
+        assert fis.counts[union] / fis.n_transactions >= min_support - 1.0 / max(len(db), 1)
 
 
 # -- support monotonicity under restriction --------------------------------------------

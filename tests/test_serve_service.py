@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.items import Item
+from repro.core.items import Item, as_item
 from repro.engine import LatencyHistogram
 from repro.serve import (
     RuleBook,
@@ -21,6 +21,7 @@ from repro.serve import (
 
 from .oracles import table_of
 from .serve_oracle import EXOTIC_ITEMS, CountdownOracle, rules_over, serve_batch
+from .test_serve_index import _random_batch
 from .test_serve_rulebook import random_rules
 
 
@@ -939,3 +940,68 @@ class TestByteIdentity:
         response = json.loads(line)
         assert response["fired"] and response["near_misses"]
         assert line.isascii()  # json.dumps escapes every non-ASCII render
+
+
+# -- batch shapes vs brute force ------------------------------------------------
+
+
+def _brute_force(index: RuleIndex, job: list[str]) -> tuple[list, list]:
+    """Set inclusion over every rule, ids ascending: ``(rule_id,
+    consequent_observed)`` per fired rule and ``(rule_id, missing render)``
+    per rule of two or more antecedent items that misses exactly one."""
+    items = {as_item(text) for text in job}
+    fired, near = [], []
+    for rule_id, rule in enumerate(index.rules):
+        missing = rule.antecedent - items
+        if not missing:
+            fired.append([rule_id, rule.consequent <= items])
+        elif len(missing) == 1 and len(rule.antecedent) >= 2:
+            (item,) = missing
+            near.append([rule_id, item.render()])
+    return fired, near
+
+
+class TestBatchShapesVsBruteForce:
+    """A mixed replay (empty jobs, duplicate and unknown items) answered
+    through the batcher one job at a time and 64 at a time, with and
+    without ``explain``: a job's line is the same bytes in every batch
+    shape, and its fired rules and near misses equal brute force."""
+
+    def test_replay(self):
+        rng = random.Random(20240)
+        index = make_index(seed=7, n_rules=250, n_items=45)
+        vocabulary = [str(item) for item in index.table.vocabulary]
+        jobs = _random_batch(rng, vocabulary, 400)
+
+        def served(batch_size: int, explain: bool) -> list[bytes]:
+            service = RuleService(index)
+            lines: list[bytes] = []
+            for lo in range(0, len(jobs), batch_size):
+                lines += serve_batch(
+                    service,
+                    [
+                        {"id": lo + k, "transaction": job, "explain": explain}
+                        for k, job in enumerate(jobs[lo : lo + batch_size])
+                    ],
+                )
+            return lines
+
+        one, many = served(1, False), served(64, False)
+        explained = served(64, True)
+        assert one == many
+        n_fired = n_near = 0
+        for job, plain, line in zip(jobs, many, explained):
+            fired, near = _brute_force(index, job)
+            for response in (json.loads(plain), json.loads(line)):
+                assert [
+                    [f["rule_id"], f["consequent_observed"]]
+                    for f in response["fired"]
+                ] == fired
+            assert [
+                [n["rule_id"], n["missing"]]
+                for n in json.loads(line)["near_misses"]
+            ] == near
+            n_fired += len(fired)
+            n_near += len(near)
+        assert n_fired and n_near, "replay never fired a rule or a near miss"
+        assert any(not job for job in jobs)

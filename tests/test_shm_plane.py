@@ -43,6 +43,11 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def rule_planes() -> list[str]:
+    """Published segments of kind ``r`` (rule planes)."""
+    return [name for name in list_segments() if name.split(".")[1] == "r"]
+
+
 def make_index(seed=0, n_rules=40, n_items=20) -> RuleIndex:
     book = RuleBook(table_of(random_rules(random.Random(seed), n_rules, n_items)))
     return RuleIndex.from_rulebook(book)
@@ -135,7 +140,7 @@ class TestSegmentCore:
         lease = publish_segment("d", "5eed0a11ce00", arrays={"a": np.arange(3)})
         try:
             assert lease.name not in gc_stale_segments()
-            assert lease.name in list_segments(["d"])
+            assert lease.name in list_segments()
         finally:
             lease.unlink()
 
@@ -357,7 +362,7 @@ class TestClusterPlaneLifecycle:
             cluster = ShardCluster(str(p1), 2)
             await cluster.start()
             try:
-                planes = list_segments(["r"])
+                planes = rule_planes()
                 assert len(planes) == 1
                 assert cluster._plane_lease is not None
                 assert cluster._plane_lease.name == planes[0]
@@ -367,7 +372,7 @@ class TestClusterPlaneLifecycle:
                 report = await cluster.reload(str(p2))
                 assert report["status"] == "ok"
                 assert report["n_rules"] == len(book2)
-                swapped = list_segments(["r"])
+                swapped = rule_planes()
                 assert len(swapped) == 1 and swapped != planes
 
                 async with await RuleServiceClient.connect(
@@ -377,7 +382,7 @@ class TestClusterPlaneLifecycle:
                     assert health["n_rules"] == len(book2)
             finally:
                 await cluster.shutdown()
-            assert list_segments(["r"]) == []
+            assert rule_planes() == []
 
         run(scenario())
 
@@ -399,7 +404,7 @@ class TestClusterPlaneLifecycle:
             await cluster.start()
             try:
                 assert cluster._plane_lease is None
-                assert list_segments(["r"]) == []
+                assert rule_planes() == []
                 assert all(w.segment is None for w in cluster.workers)
                 async with await RuleServiceClient.connect(
                     "127.0.0.1", cluster.port
@@ -408,7 +413,7 @@ class TestClusterPlaneLifecycle:
                     assert health["n_rules"] == len(book)
                 report = await cluster.reload(str(path))
                 assert report["status"] == "ok"
-                assert list_segments(["r"]) == []
+                assert rule_planes() == []
             finally:
                 await cluster.shutdown()
 
@@ -439,7 +444,7 @@ class TestClusterPlaneLifecycle:
         for pid in pids:  # reaped, so the pid no longer names a process
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
-        assert list_segments(["r"]) == []
+        assert rule_planes() == []
 
     def test_sigtermed_worker_leaves_no_segments(self, tmp_path):
         from repro.serve.shard import ShardCluster
@@ -457,10 +462,10 @@ class TestClusterPlaneLifecycle:
                 victim = cluster.workers[0]
                 victim.send_signal(signal.SIGTERM)
                 await victim.wait(15.0)
-                assert len(list_segments(["r"])) == 1
+                assert len(rule_planes()) == 1
             finally:
                 await cluster.shutdown()
-            assert list_segments(["r"]) == []
+            assert rule_planes() == []
 
         run(scenario())
 
@@ -533,7 +538,7 @@ class TestPlatformFallback:
                 async with asyncio.timeout(20):
                     while follower.stats.n_reloads < 1:
                         await asyncio.sleep(0.02)
-                        assert list_segments(["r"]) == []
+                        assert rule_planes() == []
                 stop.set()
                 stats = await task
                 assert stats.n_reload_failures == 0

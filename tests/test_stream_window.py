@@ -195,3 +195,75 @@ class TestMaintainedCounts:
         first, last = win.window_bounds()
         assert last - first == len(win)
         assert len(win) <= win.window_size
+
+
+def _encoded(db) -> list[np.ndarray]:
+    """A database's rows as sorted id arrays the window can ingest."""
+    return [
+        np.sort(db.indices[db.indptr[i] : db.indptr[i + 1]])
+        for i in range(len(db))
+    ]
+
+
+def _assert_counts_match_bitmaps(window) -> None:
+    bitmaps = PackedBitmaps.from_database(window.snapshot())
+    assert np.array_equal(
+        window.item_support_counts()[: len(window.vocabulary)],
+        bitmaps.item_counts(),
+    )
+    indptr, ids = window._tracked_indptr, window._tracked_ids
+    expected = [
+        bitmaps.support_count(ids[indptr[k] : indptr[k + 1]].tolist())
+        for k in range(window.n_tracked)
+    ]
+    assert window.tracked_counts().tolist() == expected
+
+
+def _assert_recount_bit_identical(refresher) -> None:
+    result = refresher.tick()
+    assert not result.remined
+    book_table = refresher.book.table
+    assert len(result.recounted) == len(book_table)
+    for name in ("support", "confidence", "lift", "leverage", "conviction"):
+        ours = getattr(result.recounted, name)
+        theirs = getattr(book_table, name)
+        assert np.array_equal(ours, theirs, equal_nan=True), name
+
+
+class TestTraceSweep:
+    """A preprocessed trace streamed through a window small enough to
+    evict granules: the book's tracked itemsets keep popcount-exact counts
+    through advance and a remine, and the recount of a just-mined book is
+    bit-identical to it, before and after the rebase."""
+
+    @pytest.mark.parametrize("trace", ["pai", "philly", "supercloud"])
+    def test_counts_and_recount(self, trace):
+        from repro.streaming import RuleBookRefresher
+        from repro.traces import get_trace
+
+        definition = get_trace(trace)
+        table = definition.generate_scaled(n_jobs=800)
+        db = definition.make_preprocessor().run(table).database
+        txns = _encoded(db)
+        warm = (3 * len(txns)) // 4
+        window = StreamingBitmapWindow(warm // 2, vocabulary=db.vocabulary)
+        window.extend_encoded(txns[:warm])
+        refresher = RuleBookRefresher.bootstrap(
+            window,
+            dict(definition.keywords),
+            MiningConfig(),
+            threshold=2.0,  # above 1: the drift gate never opens
+            trace=trace,
+        )
+        assert len(refresher.book) > 0 and window.n_tracked > 0
+        _assert_counts_match_bitmaps(window)
+        _assert_recount_bit_identical(refresher)
+
+        step = (len(txns) - warm) // 3
+        for lo in range(warm, len(txns), step):
+            window.extend_encoded(txns[lo : lo + step])
+            _assert_counts_match_bitmaps(window)
+        assert window.window_bounds()[0] > 0  # granules were evicted
+        assert refresher.remine_now().remined
+        _assert_counts_match_bitmaps(window)
+        _assert_recount_bit_identical(refresher)

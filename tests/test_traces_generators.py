@@ -21,7 +21,7 @@ from repro.traces import (
 
 
 def share(table, column):
-    return float(np.mean(np.asarray(table[column].to_numpy(), dtype=bool)))
+    return float(np.mean(np.asarray(table[column].values, dtype=bool)))
 
 
 class TestPAI:
@@ -134,8 +134,8 @@ class TestSuperCloud:
         assert 0.08 <= share(supercloud_table, "killed") <= 0.25
 
     def test_new_user_kill_association_cir1(self, supercloud_table):
-        new = np.asarray(supercloud_table["is_new_user"].to_numpy(), dtype=bool)
-        killed = np.asarray(supercloud_table["killed"].to_numpy(), dtype=bool)
+        new = np.asarray(supercloud_table["is_new_user"].values, dtype=bool)
+        killed = np.asarray(supercloud_table["killed"].values, dtype=bool)
         lift = killed[new].mean() / killed.mean()
         assert lift > 1.4  # paper: 1.75
 
@@ -167,23 +167,23 @@ class TestPhilly:
         assert 0.08 <= multi <= 0.22  # paper: 14 %
 
     def test_multi_gpu_failure_lift_c1(self, philly_table):
-        failed = np.asarray(philly_table["failed"].to_numpy(), dtype=bool)
-        multi = np.asarray(philly_table["multi_gpu"].to_numpy(), dtype=bool)
+        failed = np.asarray(philly_table["failed"].values, dtype=bool)
+        multi = np.asarray(philly_table["multi_gpu"].values, dtype=bool)
         assert failed[multi].mean() / failed.mean() > 1.5  # paper: 2.55
 
     def test_new_user_failure_lift_c2(self, philly_table):
-        failed = np.asarray(philly_table["failed"].to_numpy(), dtype=bool)
-        new = np.asarray(philly_table["is_new_user"].to_numpy(), dtype=bool)
+        failed = np.asarray(philly_table["failed"].values, dtype=bool)
+        new = np.asarray(philly_table["is_new_user"].values, dtype=bool)
         assert failed[new].mean() / failed.mean() > 1.3  # paper: 2.46
 
     def test_multi_gpu_runtime_phi1(self, philly_table):
         rt = philly_table["runtime"].values
-        multi = np.asarray(philly_table["multi_gpu"].to_numpy(), dtype=bool)
+        multi = np.asarray(philly_table["multi_gpu"].values, dtype=bool)
         assert np.median(rt[multi]) > np.median(rt[~multi])
 
     def test_retries_only_with_attempts(self, philly_table):
         attempts = philly_table["num_attempts"].values
-        retried = np.asarray(philly_table["retried"].to_numpy(), dtype=bool)
+        retried = np.asarray(philly_table["retried"].values, dtype=bool)
         assert ((attempts > 1) == retried).all()
 
     def test_two_gpu_memory_flavours(self, philly_table):
@@ -207,6 +207,48 @@ class TestFig5Ordering:
     def test_all_failures_considerable(self, pai_table, supercloud_table, philly_table):
         for t in (pai_table, supercloud_table, philly_table):
             assert share(t, "failed") > 0.08  # paper: > 13 %
+
+
+class TestJobTimes:
+    """Every path emits non-negative queue delays and runtimes; the direct
+    path runs each job for exactly its sampled request runtime."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["pai_table", "supercloud_table", "philly_table"]
+    )
+    def test_scheduler_path(self, fixture, request):
+        table = request.getfixturevalue(fixture)
+        assert np.all(table["queue_delay"].values >= 0)
+        assert np.all(table["runtime"].values >= 0)
+
+    def test_pai_columnar(self):
+        table = generate_pai(
+            PAIConfig(n_jobs=2000, use_scheduler=False, columnar=True)
+        )
+        assert np.all(table["queue_delay"].values >= 0)
+        assert np.all(table["runtime"].values >= 0)
+
+    @pytest.mark.parametrize("name", ["pai", "supercloud", "philly"])
+    def test_direct_path_runs_the_request(self, name, monkeypatch):
+        from repro.cluster import JobRecord
+
+        requested = []
+        as_row = JobRecord.as_row
+
+        def spy(record):
+            requested.append(record.request.runtime)
+            return as_row(record)
+
+        monkeypatch.setattr(JobRecord, "as_row", spy)
+        table = get_trace(name).generate_scaled(
+            n_jobs=2000, seed=0, use_scheduler=False
+        )
+        runtime = table["runtime"].values
+        assert np.all(table["queue_delay"].values >= 0)
+        assert np.all(runtime >= 0)
+        # end − start after start + runtime: equal up to the rounding of
+        # the (large) start time
+        np.testing.assert_allclose(runtime, requested, rtol=0, atol=1e-6)
 
 
 class TestRegistry:
